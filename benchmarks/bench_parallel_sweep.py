@@ -40,7 +40,7 @@ sys.path.insert(
 from repro.faults.plan import PROFILES  # noqa: E402
 from repro.harness.parallel import (  # noqa: E402
     chaos_parallel_cells,
-    run_cells_parallel,
+    run_cells,
     sweep_parallel_cells,
 )
 
@@ -82,7 +82,7 @@ def timed_run(cells, jobs: int):
     """One run of the grid; returns (results, quarantined, wall seconds)."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        outcome = run_cells_parallel(
+        outcome = run_cells(
             cells, jobs=jobs,
             checkpoint_path=os.path.join(tmp, "bench.ckpt"),
             identity="bench-parallel-sweep",

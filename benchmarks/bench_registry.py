@@ -37,7 +37,7 @@ sys.path.insert(
 )
 
 from repro.harness.parallel import (  # noqa: E402
-    run_cells_parallel,
+    run_cells,
     sweep_parallel_cells,
 )
 
@@ -57,7 +57,7 @@ def grid(quick: bool):
 
 def timed_sweep(cells, registry_path=None) -> float:
     start = time.perf_counter()
-    outcome = run_cells_parallel(
+    outcome = run_cells(
         cells, jobs=1,
         registry_path=registry_path,
         registry_meta=META if registry_path else None,

@@ -71,12 +71,7 @@ from repro.errors import ReproError
 from repro.faults.plan import PROFILES
 from repro.harness import paper
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
-from repro.harness.experiments import (
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_degraded_sweep,
-    run_disk_sweep,
-)
+from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
 from repro.harness.tables import (
     format_degraded_sweep,
@@ -93,36 +88,31 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
         ncpus=args.ncpus,
         seed=getattr(args, "seed", 1999),
     )
-    chaos = getattr(args, "chaos", None)
     return ExperimentConfig(
         app=args.app,
         system=system,
         cache_paper_mb=args.cache_mb,
         workload_scale=args.scale,
-        fault_profile=chaos if chaos not in (None, "none") else None,
-        fault_seed=getattr(args, "fault_seed", 7),
+        fault_profile=args.chaos if args.chaos not in (None, "none") else None,
+        fault_seed=args.fault_seed,
     )
 
 
-def _record_in_registry(
-    registry_path: str,
-    payload: dict,
-    ctx: Optional[dict] = None,
-    announce: bool = True,
-) -> List[str]:
-    """Record one payload in the registry; returns the new run ids."""
-    from repro.registry.recorder import record_payload
-    from repro.registry.store import RunRegistry
+def _record_run(registry_path: str, result: RunResult, ctx: dict) -> None:
+    """``--registry`` on a single run: record it and announce its id."""
+    from repro.registry.recorder import record_results
 
-    registry = RunRegistry.open(registry_path)
-    try:
-        ids = record_payload(registry, None, payload, ctx)
-        registry.compact()
-    finally:
-        registry.close()
-    if announce and ids:
-        print(f"registry: recorded {ids[0]} in {registry_path}")
-    return ids
+    ids = record_results(registry_path, {None: result.to_jsonable()}, ctx)
+    print(f"registry: recorded {ids[0]} in {registry_path}")
+
+
+def _require_checkpoint_for_resume(args: argparse.Namespace) -> None:
+    if args.resume and args.checkpoint is None:
+        raise ReproError("--resume requires --checkpoint PATH")
+
+
+def _print_progress(key: str, resumed: bool) -> None:
+    print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
 
 
 def _auto_tune(cfg: ExperimentConfig, registry_path: str) -> ExperimentConfig:
@@ -172,20 +162,19 @@ def _tune_from_provenance(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if getattr(args, "oracle", False):
+    if args.oracle:
         return _run_oracle(args)
     cfg = _base_config(args).with_(variant=Variant(args.variant))
-    registry_path = getattr(args, "registry", None)
-    if getattr(args, "auto_tune", False) or getattr(args, "tuned_from", None):
-        if registry_path is None:
+    if args.auto_tune or args.tuned_from:
+        if args.registry is None:
             raise ReproError(
                 "--auto-tune and --tuned-from require --registry PATH"
             )
-    if getattr(args, "tuned_from", None):
-        cfg = _tune_from_provenance(cfg, registry_path, args.tuned_from)
-    elif getattr(args, "auto_tune", False):
-        cfg = _auto_tune(cfg, registry_path)
-    trace_out = getattr(args, "trace_out", None)
+    if args.tuned_from:
+        cfg = _tune_from_provenance(cfg, args.registry, args.tuned_from)
+    elif args.auto_tune:
+        cfg = _auto_tune(cfg, args.registry)
+    trace_out = args.trace_out
     if trace_out:
         from repro.sim.clock import SimClock
         from repro.trace import Tracer, export_to_path
@@ -243,9 +232,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 detail = ", ".join(f"{name} {counters[name]}"
                                    for name in sorted(counters))
                 print(f"    disk {disk_id}: {detail}")
-    if registry_path is not None:
-        _record_in_registry(registry_path, result.to_jsonable(),
-                            {"kind": "run"})
+    if args.registry is not None:
+        _record_run(args.registry, result, {"kind": "run"})
     return 0
 
 
@@ -260,22 +248,21 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
     system = SystemConfig(
         array=ArrayParams(ndisks=args.disks), ncpus=args.ncpus,
-        seed=getattr(args, "seed", 1999),
+        seed=args.seed,
     )
-    chaos = getattr(args, "chaos", None)
-    if chaos is not None:
-        profiles = (chaos if chaos != "none" else None,)
+    if args.chaos is not None:
+        profiles = (args.chaos if args.chaos != "none" else None,)
     else:
         profiles = ORACLE_PROFILES
     report = run_oracle(
         (args.app,),
         profiles=profiles,
         workload_scale=args.scale,
-        fault_seed=getattr(args, "fault_seed", 7),
+        fault_seed=args.fault_seed,
         system=system,
-        trace_dir=getattr(args, "trace_out", None),
-        jobs=getattr(args, "jobs", 1),
-        registry_path=getattr(args, "registry", None),
+        trace_dir=args.trace_out,
+        jobs=args.jobs,
+        registry_path=args.registry,
     )
     for cell in report.cells:
         verdict = "ok" if cell.passed else "MISMATCH"
@@ -284,10 +271,9 @@ def _run_oracle(args: argparse.Namespace) -> int:
             line += f"  ({cell.detail})"
         print(line)
     print(report.summary())
-    report_path = getattr(args, "oracle_report", None)
-    if report_path:
-        atomic_write_json(report_path, report.to_jsonable())
-        print(f"oracle report written to {report_path}")
+    if args.oracle_report:
+        atomic_write_json(args.oracle_report, report.to_jsonable())
+        print(f"oracle report written to {args.oracle_report}")
     return 0 if report.passed else 1
 
 
@@ -296,8 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         base = _base_config(argparse.Namespace(
             app=app, disks=args.disks, ncpus=args.ncpus,
             cache_mb=args.cache_mb, scale=args.scale,
-            chaos=getattr(args, "chaos", None),
-            fault_seed=getattr(args, "fault_seed", 7),
+            chaos=args.chaos, fault_seed=args.fault_seed,
         ))
         results = {
             variant: run_experiment(base.with_(variant=variant))
@@ -380,7 +365,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     binary = _build_app_binary(args.app, args.scale)
     analysis = analyze_binary(binary, map_all_addresses=args.map_all)
 
-    if getattr(args, "security", False):
+    if args.security:
         from repro.analysis.taint import analyze_security
 
         plan = analyze_security(binary, analysis=analysis)
@@ -414,43 +399,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    checkpoint = getattr(args, "checkpoint", None)
-    jobs = getattr(args, "jobs", 1)
-    registry = getattr(args, "registry", None)
-    if checkpoint is None and getattr(args, "resume", False):
-        raise ReproError("--resume requires --checkpoint PATH")
-    if checkpoint is not None or jobs > 1 or registry is not None:
-        # Crash-safe / parallel path: run cell by cell, checkpointing each
-        # result atomically; --resume restores completed cells after a
-        # kill; --jobs N shards cells across the supervised worker pool.
-        from repro.harness.experiments import run_sweep_resumable
-        from repro.harness.report import format_supervisor_stats
+    from repro.harness.experiments import run_sweep_resumable
+    from repro.harness.report import format_supervisor_stats
 
-        def progress(key: str, resumed: bool) -> None:
-            print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
-
-        stats_out: dict = {}
-        sweep = run_sweep_resumable(
-            args.kind,
-            workload_scale=args.scale,
-            checkpoint_path=checkpoint,
-            resume=getattr(args, "resume", False),
-            progress=progress,
-            jobs=jobs,
-            stats_out=stats_out,
-            registry_path=registry,
-        )
-        if stats_out:
-            print(format_supervisor_stats(stats_out))
-    elif args.kind == "disks":
-        sweep = run_disk_sweep((1, 2, 4, 10), workload_scale=args.scale)
-    elif args.kind == "cache":
-        sweep = run_cache_size_sweep((6.0, 12.0, 32.0),
-                                     workload_scale=args.scale)
-    elif args.kind == "degraded":
-        sweep = run_degraded_sweep(workload_scale=args.scale)
-    else:
-        sweep = run_cpu_ratio_sweep((1, 3, 5, 9), workload_scale=args.scale)
+    _require_checkpoint_for_resume(args)
+    # Per-cell progress lines belong to the crash-safe, parallel and
+    # recorded flows; a plain sweep prints only its tables.
+    verbose = (args.checkpoint is not None or args.jobs > 1
+               or args.registry is not None)
+    stats_out: dict = {}
+    sweep = run_sweep_resumable(
+        args.kind,
+        workload_scale=args.scale,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        progress=_print_progress if verbose else None,
+        jobs=args.jobs,
+        stats_out=stats_out,
+        registry_path=args.registry,
+    )
+    if args.jobs > 1:
+        print(format_supervisor_stats(stats_out))
 
     if args.kind == "disks":
         print(format_table8(sweep))
@@ -525,12 +494,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print("\nno consumed hints recorded "
                   "(original variant, or hint categories filtered out)")
 
-    registry_path = getattr(args, "registry", None)
-    if registry_path is not None:
-        _record_in_registry(
-            registry_path, result.to_jsonable(),
-            {"kind": "run", "trace_summary": analyzer.summary()},
-        )
+    if args.registry is not None:
+        _record_run(args.registry, result,
+                    {"kind": "run", "trace_summary": analyzer.summary()})
     return 0
 
 
@@ -542,7 +508,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.faults.shrink import Reproducer, shrink_case
     from repro.harness.fuzz import replay_case, run_fuzz, run_fuzz_case
 
-    if getattr(args, "fuzz_command", None) == "replay":
+    if args.fuzz_command == "replay":
         reproducer = Reproducer.load(args.file)
         result = replay_case(
             reproducer.case, workload_scale=reproducer.workload_scale
@@ -559,18 +525,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 1
 
     apps = tuple(a.strip() for a in args.apps.split(",") if a.strip())
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is None and args.resume:
-        raise ReproError("--resume requires --checkpoint PATH")
-
-    def progress(key: str, resumed: bool) -> None:
-        print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
-
+    _require_checkpoint_for_resume(args)
     report = run_fuzz(
         args.budget, seed=args.seed, apps=apps, jobs=args.jobs,
-        workload_scale=args.scale, checkpoint_path=checkpoint,
-        resume=args.resume, progress=progress,
-        registry_path=getattr(args, "registry", None),
+        workload_scale=args.scale, checkpoint_path=args.checkpoint,
+        resume=args.resume, progress=_print_progress,
+        registry_path=args.registry,
     )
     print()
     print(report.ledger.format_text())
@@ -628,11 +588,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _runs_list(args: argparse.Namespace, registry) -> int:
     records = registry.query(
-        app=getattr(args, "app", None),
-        variant=getattr(args, "variant", None),
-        kind=getattr(args, "kind", None),
-        chaos_profile=getattr(args, "chaos", None),
-        limit=getattr(args, "limit", None),
+        app=args.app,
+        variant=args.variant,
+        kind=args.kind,
+        chaos_profile=args.chaos,
+        limit=args.limit,
     )
     if not records:
         print("registry is empty (or no record matches the filters)")
@@ -735,8 +695,8 @@ def _runs_regressions(args: argparse.Namespace, registry) -> int:
         parse_match_keys,
     )
 
-    match_keys = parse_match_keys(getattr(args, "match", None))
-    if getattr(args, "run", None):
+    match_keys = parse_match_keys(args.match)
+    if args.run:
         candidate = registry.find(args.run)
         report = check_run(registry, candidate, match_keys,
                            min_baseline=args.min_baseline)
@@ -795,6 +755,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    #: The cell-engine flags, declared once; each command supplies only
+    #: its own help text (and the position among its other options).
+    cell_flag_specs = {
+        "checkpoint": dict(default=None, metavar="PATH"),
+        "resume": dict(action="store_true"),
+        "jobs": dict(type=int, default=1, metavar="N"),
+        "registry": dict(default=None, metavar="PATH"),
+    }
+
+    def cell_flags(p: argparse.ArgumentParser, **helps: str) -> None:
+        for name, text in helps.items():
+            p.add_argument(f"--{name}", help=text, **cell_flag_specs[name])
+
     def common(p: argparse.ArgumentParser, with_app: bool = True) -> None:
         if with_app:
             p.add_argument("app", choices=ALL_APPS)
@@ -813,9 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1999,
                        help="system seed (file layout jitter); vary it to "
                             "build a baseline population in the registry")
-        p.add_argument("--registry", default=None, metavar="PATH",
-                       help="record this run in the persistent run registry "
-                            "at PATH (.jsonl = append log, else SQLite)")
+        cell_flags(p, registry="record this run in the persistent run "
+                               "registry at PATH (.jsonl = append log, "
+                               "else SQLite)")
 
     run_p = sub.add_parser("run", help="run one benchmark variant")
     common(run_p)
@@ -826,9 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "vs spec-off and assert identical output and "
                             "demand-read sequences (all chaos profiles, or "
                             "just the one named by --chaos)")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="with --oracle: run oracle cells on N "
-                            "supervised worker processes; 1 = serial")
+    cell_flags(run_p, jobs="with --oracle: run oracle cells on N "
+                           "supervised worker processes; 1 = serial")
     run_p.add_argument("--oracle-report", default=None, metavar="PATH",
                        dest="oracle_report",
                        help="write the oracle's JSON report to PATH")
@@ -890,19 +862,18 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p = sub.add_parser("sweep", help="regenerate a sweep experiment")
     sw_p.add_argument("kind", choices=("disks", "cache", "ratio", "degraded"))
     sw_p.add_argument("--scale", type=float, default=1.0)
-    sw_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="checkpoint finished cells to PATH (atomic "
-                           "write-then-rename after every cell)")
-    sw_p.add_argument("--resume", action="store_true",
-                      help="restore completed cells from --checkpoint "
-                           "instead of re-running them")
-    sw_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="shard sweep cells across N supervised worker "
-                           "processes (crashed/hung cells are rescheduled, "
-                           "poisoned cells quarantined); 1 = serial")
-    sw_p.add_argument("--registry", default=None, metavar="PATH",
-                      help="record every sweep cell (plus a sweep lineage "
-                           "record) in the run registry at PATH")
+    cell_flags(
+        sw_p,
+        checkpoint="checkpoint finished cells to PATH (atomic "
+                   "write-then-rename after every cell)",
+        resume="restore completed cells from --checkpoint "
+               "instead of re-running them",
+        jobs="shard sweep cells across N supervised worker "
+             "processes (crashed/hung cells are rescheduled, "
+             "poisoned cells quarantined); 1 = serial",
+        registry="record every sweep cell (plus a sweep lineage "
+                 "record) in the run registry at PATH",
+    )
     sw_p.set_defaults(func=cmd_sweep)
 
     trace_p = sub.add_parser(
@@ -942,10 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--seed", type=int, default=7,
                         help="campaign seed; same seed = same schedules, "
                              "same coverage ledger, same cell digests")
-    fuzz_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="shard fuzz cells across N supervised worker "
-                             "processes (crashed/hung cells quarantined); "
-                             "1 = serial")
+    cell_flags(fuzz_p, jobs="shard fuzz cells across N supervised worker "
+                            "processes (crashed/hung cells quarantined); "
+                            "1 = serial")
     fuzz_p.add_argument("--apps", default="agrep", metavar="A,B",
                         help="comma-separated benchmark apps to fuzz")
     fuzz_p.add_argument("--scale", type=float, default=0.25,
@@ -961,13 +931,13 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--max-shrink", type=int, default=3,
                         metavar="N", dest="max_shrink",
                         help="shrink at most N failing cells")
-    fuzz_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="checkpoint finished cells to PATH")
-    fuzz_p.add_argument("--resume", action="store_true",
-                        help="restore completed cells from --checkpoint")
-    fuzz_p.add_argument("--registry", default=None, metavar="PATH",
-                        help="record every fuzz case (plus a campaign "
-                             "lineage record) in the run registry at PATH")
+    cell_flags(
+        fuzz_p,
+        checkpoint="checkpoint finished cells to PATH",
+        resume="restore completed cells from --checkpoint",
+        registry="record every fuzz case (plus a campaign "
+                 "lineage record) in the run registry at PATH",
+    )
     fuzz_p.set_defaults(func=cmd_fuzz, fuzz_command=None)
     fuzz_sub = fuzz_p.add_subparsers(dest="fuzz_command")
     replay_p = fuzz_sub.add_parser(

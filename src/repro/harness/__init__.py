@@ -9,7 +9,6 @@ from repro.harness.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
     flush_on_signals,
-    run_cells,
 )
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
@@ -20,10 +19,9 @@ from repro.harness.experiments import (
     run_one,
     run_sweep_cell,
     run_sweep_resumable,
-    sweep_cells,
 )
 from repro.harness.parallel import (
-    run_cells_parallel,
+    run_cells,
     sweep_parallel_cells,
 )
 from repro.harness.supervisor import (
@@ -68,7 +66,6 @@ __all__ = [
     "run_cpu_ratio_sweep",
     "run_sweep_cell",
     "run_sweep_resumable",
-    "sweep_cells",
     "sweep_parallel_cells",
     "SweepCheckpoint",
     "Supervisor",
@@ -77,7 +74,6 @@ __all__ = [
     "atomic_write_json",
     "flush_on_signals",
     "run_cells",
-    "run_cells_parallel",
     "OracleCell",
     "OracleReport",
     "run_oracle",

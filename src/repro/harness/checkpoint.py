@@ -2,7 +2,8 @@
 
 Long sweeps (every app x variant x sweep point) can be killed — by the
 machine, the batch scheduler, or an impatient operator — with most of the
-work already done.  This module makes that survivable:
+work already done.  This module is the persistence half of making that
+survivable (the cell engine in :mod:`repro.harness.parallel` drives it):
 
 * every finished cell is appended to a JSON checkpoint file, written
   atomically (write a temp file in the same directory, then ``os.replace``
@@ -26,7 +27,7 @@ import os
 import signal
 import tempfile
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import CheckpointError
 from repro.harness.results import RunResult
@@ -223,9 +224,9 @@ class SweepCheckpoint:
     def record_payload(self, key: str, payload: Dict[str, object]) -> None:
         """Store one finished cell's raw JSON payload and flush.
 
-        The parallel engine moves results between processes as jsonable
-        dicts; recording them verbatim keeps the checkpoint byte-identical
-        to one written by the serial path for the same cells.
+        The cell engine moves results as jsonable dicts (they cross the
+        result pipe under ``--jobs N``); recording them verbatim keeps a
+        parallel run's checkpoint byte-identical to a serial run's.
         """
         self._cells[key] = payload
         self._quarantined.pop(key, None)
@@ -262,7 +263,7 @@ class SweepCheckpoint:
     def merge_from(self, other: "SweepCheckpoint") -> int:
         """Adopt cells from ``other`` (same identity) that we lack.
 
-        Returns the number of cells adopted.  Used by the parallel engine
+        Returns the number of cells adopted.  Used by the cell engine
         to fold per-worker partial checkpoints into the main one; the
         caller flushes once after merging every partial, so the merge is
         atomic with respect to crashes (the main checkpoint is either the
@@ -279,66 +280,3 @@ class SweepCheckpoint:
                 self._cells[key] = payload
                 adopted += 1
         return adopted
-
-
-def run_cells(
-    cells: List[Tuple[str, Callable[[], RunResult]]],
-    checkpoint_path: Optional[str] = None,
-    identity: str = "sweep",
-    resume: bool = False,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    registry_path: Optional[str] = None,
-    registry_meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, RunResult]:
-    """Run a list of (key, thunk) cells with optional checkpointing.
-
-    Without ``checkpoint_path`` this is a plain loop.  With it, each
-    finished cell is checkpointed atomically; with ``resume`` also set,
-    previously checkpointed cells are restored instead of re-run.
-    ``progress`` (if given) is called with ``(key, was_resumed)`` per cell.
-    While a checkpoint is active, SIGINT/SIGTERM flush it before the
-    process exits, so an interrupted sweep resumes cleanly.
-
-    With ``registry_path`` set, every cell result (fresh and restored
-    alike — recording is idempotent) is also folded into the persistent
-    run registry under the ``registry_meta`` record context, matching
-    the parallel engine's registry semantics byte for byte.
-    """
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_path is not None:
-        if resume and os.path.exists(checkpoint_path):
-            checkpoint = SweepCheckpoint.load(checkpoint_path, identity)
-        else:
-            # Fresh start (also the resume path when no checkpoint exists
-            # yet: there is nothing to restore, so begin from scratch).
-            checkpoint = SweepCheckpoint(checkpoint_path, identity)
-            checkpoint.flush()
-
-    guard = (
-        flush_on_signals(checkpoint.flush)
-        if checkpoint is not None
-        else contextlib.nullcontext()
-    )
-    results: Dict[str, RunResult] = {}
-    with guard:
-        for key, thunk in cells:
-            if checkpoint is not None and key in checkpoint:
-                results[key] = checkpoint.result(key)
-                if progress is not None:
-                    progress(key, True)
-                continue
-            result = thunk()
-            results[key] = result
-            if checkpoint is not None:
-                checkpoint.record(key, result)
-            if progress is not None:
-                progress(key, False)
-    if registry_path is not None:
-        from repro.harness.parallel import record_results_in_registry
-
-        record_results_in_registry(
-            registry_path,
-            {key: result.to_jsonable() for key, result in results.items()},
-            registry_meta,
-        )
-    return results

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
-from repro.harness.checkpoint import run_cells
 from repro.harness.config import APPS, ExperimentConfig, Variant
+from repro.harness.parallel import (
+    require_complete,
+    run_cells,
+    sweep_parallel_cells,
+)
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
+from repro.harness.supervisor import SupervisorConfig
 from repro.params import SystemConfig
+from repro.registry.recorder import record_group
 
 #: Result matrix: {app: {variant_value: RunResult}}.
 Matrix = Dict[str, Dict[str, RunResult]]
@@ -46,119 +52,6 @@ def run_matrix(
     return results
 
 
-def run_disk_sweep(
-    ndisks_list: Iterable[int] = (1, 2, 4, 10),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[int, Matrix]:
-    """Vary available I/O parallelism — Table 8 and Figure 5."""
-    results: Dict[int, Matrix] = {}
-    for ndisks in ndisks_list:
-        system = SystemConfig()
-        system = system.replace(
-            array=dataclasses.replace(system.array, ndisks=ndisks)
-        )
-        results[ndisks] = run_matrix(
-            apps, variants, system=system, workload_scale=workload_scale
-        )
-    return results
-
-
-def run_cache_size_sweep(
-    cache_mbs: Iterable[float] = (6.0, 12.0, 64.0),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[float, Matrix]:
-    """Vary the file cache size — Table 7."""
-    results: Dict[float, Matrix] = {}
-    for mb in cache_mbs:
-        matrix: Matrix = {}
-        for app in apps:
-            matrix[app] = {}
-            for variant in variants:
-                matrix[app][variant.value] = run_experiment(
-                    ExperimentConfig(
-                        app=app,
-                        variant=variant,
-                        cache_paper_mb=mb,
-                        workload_scale=workload_scale,
-                    )
-                )
-        results[mb] = matrix
-    return results
-
-
-def run_cpu_ratio_sweep(
-    ratios: Iterable[float] = (1, 2, 3, 5, 7, 9),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[float, Matrix]:
-    """Simulate a widening processor/disk speed gap — Figure 6.
-
-    Following the paper: delay completion notification by the ratio and
-    limit outstanding prefetches to one per disk; the reported elapsed
-    times are then scaled back down by the ratio.
-    """
-    results: Dict[float, Matrix] = {}
-    for ratio in ratios:
-        system = SystemConfig()
-        system = system.replace(
-            array=dataclasses.replace(
-                system.array,
-                completion_delay_factor=float(ratio),
-                max_prefetches_per_disk=1,
-            )
-        )
-        matrix = run_matrix(apps, variants, system=system,
-                            workload_scale=workload_scale)
-        for app_results in matrix.values():
-            for result in app_results.values():
-                # "then scaled our resulting measurements by half" (by the
-                # ratio in general): the faster processor finishes the same
-                # cycle count proportionally sooner.
-                result.cycles = int(result.cycles / ratio)
-        results[ratio] = matrix
-    return results
-
-
-def run_degraded_sweep(
-    profiles: Iterable[str] = ("none", "disk-death", "rebuild-storm"),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[str, Matrix]:
-    """Vary the storage fault regime — healthy vs. degraded-mode runs.
-
-    ``"none"`` is the healthy baseline; permanent-death profiles run with
-    auto-enabled parity redundancy (see ``resolved_system``), so each cell
-    completes through degraded reads and background rebuild rather than
-    failing.  The resulting matrix quantifies the degraded-mode slowdown
-    and how much speculation still helps while the array rebuilds.
-    """
-    results: Dict[str, Matrix] = {}
-    for profile in profiles:
-        matrix: Matrix = {}
-        for app in apps:
-            matrix[app] = {}
-            for variant in variants:
-                matrix[app][variant.value] = run_experiment(
-                    ExperimentConfig(
-                        app=app,
-                        variant=variant,
-                        fault_profile=None if profile == "none" else profile,
-                        workload_scale=workload_scale,
-                    )
-                )
-        results[profile] = matrix
-    return results
-
-
-#: One independently runnable sweep cell: (key, thunk).
-Cell = Tuple[str, Callable[[], RunResult]]
-
 #: One sweep-axis value: numeric (disks/cache/ratio) or a fault-profile
 #: name (degraded).
 SweepPoint = Union[float, str]
@@ -179,25 +72,65 @@ def point_label(point: SweepPoint) -> str:
     return f"{point:g}"
 
 
-def sweep_cells(kind: str, workload_scale: float = 1.0) -> List[Cell]:
-    """The independent cells of one sweep, for checkpointed execution.
+def sweep_cell_key(
+    kind: str, point: SweepPoint, app: str, variant: Variant
+) -> str:
+    """Checkpoint/registry key of one sweep cell."""
+    return f"{kind}={point_label(point)}/{app}/{variant.value}"
 
-    Each cell runs one (sweep point, app, variant) triple and is seeded
-    independently, so any subset can be re-run and merged with previously
-    checkpointed cells without changing a single result.
+
+def sweep_cell_config(
+    kind: str,
+    point: SweepPoint,
+    app: str,
+    variant: Variant,
+    workload_scale: float = 1.0,
+) -> Tuple[ExperimentConfig, float]:
+    """What one sweep cell runs: its configuration and cycle divisor.
+
+    * ``disks`` varies available I/O parallelism (Table 8, Figure 5);
+    * ``cache`` varies the file cache size in the paper's MB (Table 7);
+    * ``degraded`` varies the storage fault regime: ``"none"`` is the
+      healthy baseline, and permanent-death profiles run with
+      auto-enabled parity redundancy (see ``resolved_system``), so each
+      cell completes through degraded reads and background rebuild;
+    * ``ratio`` simulates a widening processor/disk speed gap (Figure 6).
+      Following the paper: delay completion notification by the ratio and
+      limit outstanding prefetches to one per disk; the reported elapsed
+      time is then scaled back down by the ratio — the returned divisor
+      (1 for every other kind).
     """
-    if kind not in SWEEP_POINTS:
-        raise ValueError(
-            f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
-        )
-    cells: List[Cell] = []
-    for point in SWEEP_POINTS[kind]:
-        for app in APPS:
-            for variant in tuple(Variant):
-                key = f"{kind}={point_label(point)}/{app}/{variant.value}"
-                cells.append((key, _cell_thunk(kind, point, app, variant,
-                                               workload_scale)))
-    return cells
+    cfg = ExperimentConfig(app=app, variant=variant,
+                           workload_scale=workload_scale)
+    if kind == "disks":
+        array = dataclasses.replace(cfg.system.array, ndisks=int(point))
+        return cfg.with_(system=cfg.system.replace(array=array)), 1.0
+    if kind == "cache":
+        return cfg.with_(cache_paper_mb=float(point)), 1.0
+    if kind == "degraded":
+        profile = None if point == "none" else str(point)
+        return cfg.with_(fault_profile=profile), 1.0
+    # kind == "ratio"
+    array = dataclasses.replace(
+        cfg.system.array,
+        completion_delay_factor=float(point),
+        max_prefetches_per_disk=1,
+    )
+    return cfg.with_(system=cfg.system.replace(array=array)), float(point)
+
+
+def run_config(cfg: ExperimentConfig, cycle_divisor: float = 1.0) -> RunResult:
+    """Run one configuration, scaling its cycles back by ``cycle_divisor``.
+
+    "then scaled our resulting measurements by half" (by the ratio in
+    general): the faster processor finishes the same cycle count
+    proportionally sooner.  The scaling is applied before the result is
+    checkpointed or recorded.
+    """
+    result = run_experiment(cfg)
+    if cycle_divisor != 1.0:
+        result.cycles = int(result.cycles / cycle_divisor)
+    return result
 
 
 def run_sweep_cell(
@@ -207,99 +140,62 @@ def run_sweep_cell(
     variant: Variant,
     workload_scale: float,
 ) -> RunResult:
-    """Run one sweep cell; mirrors the batch sweep drivers exactly.
-
-    Module-level (and argument-addressable) so the parallel engine can
-    ship the cell to a worker process by reference.
-    """
-    if kind == "disks":
-        system = SystemConfig()
-        system = system.replace(
-            array=dataclasses.replace(system.array, ndisks=int(point))
-        )
-        return run_one(app, variant, system=system,
-                       workload_scale=workload_scale)
-    if kind == "cache":
-        return run_experiment(ExperimentConfig(
-            app=app, variant=variant, cache_paper_mb=float(point),
-            workload_scale=workload_scale,
-        ))
-    if kind == "degraded":
-        profile = str(point)
-        return run_experiment(ExperimentConfig(
-            app=app, variant=variant,
-            fault_profile=None if profile == "none" else profile,
-            workload_scale=workload_scale,
-        ))
-    # kind == "ratio": Figure 6's widened processor/disk gap, with the
-    # post-run cycle scaling applied before the cell is checkpointed.
-    system = SystemConfig()
-    system = system.replace(
-        array=dataclasses.replace(
-            system.array,
-            completion_delay_factor=float(point),
-            max_prefetches_per_disk=1,
-        )
+    """Run one (sweep point, app, variant) cell."""
+    return run_config(
+        *sweep_cell_config(kind, point, app, variant, workload_scale)
     )
-    result = run_one(app, variant, system=system,
-                     workload_scale=workload_scale)
-    result.cycles = int(result.cycles / float(point))
-    return result
 
 
-def _cell_thunk(
+def _run_sweep(
     kind: str,
-    point: SweepPoint,
-    app: str,
-    variant: Variant,
+    points: Iterable[SweepPoint],
+    apps: Iterable[str],
+    variants: Iterable[Variant],
     workload_scale: float,
-) -> Callable[[], RunResult]:
-    """One cell's runner for the serial checkpointed path."""
-
-    def run() -> RunResult:
-        return run_sweep_cell(kind, point, app, variant, workload_scale)
-
-    return run
-
-
-def sweep_registry_meta(
-    registry_path: str,
-    kind: str,
-    workload_scale: float,
-    identity: str,
-) -> Dict[str, object]:
-    """Write the sweep's group record; returns the cells' record context.
-
-    The group record is pure function of the sweep's identity (no
-    results, no clock), so serial and parallel runs — and re-runs — all
-    produce the same parent run id and deduplicate onto one ledger line.
-    """
-    from repro.registry.fingerprint import code_version
-    from repro.registry.record import RunRecord
-    from repro.registry.store import RunRegistry
-
-    version = code_version()
-    parent = RunRecord(
-        kind="sweep",
-        code_version=version,
-        meta={
-            "identity": identity,
-            "sweep_kind": kind,
-            "workload_scale": workload_scale,
-            "points": [point_label(p) for p in SWEEP_POINTS[kind]],
-        },
-    )
-    registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(parent)
-        registry.compact()
-    finally:
-        registry.close()
+) -> Dict[Any, Matrix]:
+    """Batch driver: every cell of ``points`` x ``apps`` x ``variants``."""
+    apps, variants = tuple(apps), tuple(variants)
     return {
-        "kind": "sweep-cell",
-        "parent_id": parent_id,
-        "code_version": version,
+        point: {
+            app: {
+                variant.value: run_sweep_cell(kind, point, app, variant,
+                                              workload_scale)
+                for variant in variants
+            }
+            for app in apps
+        }
+        for point in points
     }
+
+
+def run_disk_sweep(
+    ndisks_list: Iterable[int] = (1, 2, 4, 10),
+    apps: Iterable[str] = APPS,
+    variants: Iterable[Variant] = tuple(Variant),
+    workload_scale: float = 1.0,
+) -> Dict[int, Matrix]:
+    """Vary available I/O parallelism — Table 8 and Figure 5."""
+    return _run_sweep("disks", ndisks_list, apps, variants, workload_scale)
+
+
+def run_cache_size_sweep(
+    cache_mbs: Iterable[float] = (6.0, 12.0, 64.0),
+    apps: Iterable[str] = APPS,
+    variants: Iterable[Variant] = tuple(Variant),
+    workload_scale: float = 1.0,
+) -> Dict[float, Matrix]:
+    """Vary the file cache size — Table 7."""
+    return _run_sweep("cache", cache_mbs, apps, variants, workload_scale)
+
+
+def run_cpu_ratio_sweep(
+    ratios: Iterable[float] = (1, 2, 3, 5, 7, 9),
+    apps: Iterable[str] = APPS,
+    variants: Iterable[Variant] = tuple(Variant),
+    workload_scale: float = 1.0,
+) -> Dict[float, Matrix]:
+    """Simulate a widening processor/disk speed gap — Figure 6."""
+    return _run_sweep("ratio", ratios, apps, variants, workload_scale)
 
 
 def run_sweep_resumable(
@@ -309,76 +205,72 @@ def run_sweep_resumable(
     resume: bool = False,
     progress: Optional[Callable[[str, bool], None]] = None,
     jobs: int = 1,
-    supervisor_config: Optional[object] = None,
+    supervisor_config: Optional[SupervisorConfig] = None,
     stats_out: Optional[Dict[str, object]] = None,
     registry_path: Optional[str] = None,
 ) -> Dict[SweepPoint, Matrix]:
-    """Checkpointed equivalent of the batch sweep drivers.
+    """One of the CLI's sweeps over :data:`SWEEP_POINTS`, cell by cell.
 
-    Runs cell by cell, checkpointing each finished cell atomically; with
-    ``resume`` set, completed cells are restored from the checkpoint.  The
-    reassembled nested mapping is identical to the batch drivers' output.
+    Every cell goes through the cell engine
+    (:func:`repro.harness.parallel.run_cells`): with ``checkpoint_path``
+    each finished cell is checkpointed atomically, and with ``resume``
+    completed cells are restored from the checkpoint.  Each cell is
+    seeded independently, so the reassembled nested mapping is identical
+    to the batch drivers' output however the cells were run.
 
-    With ``jobs > 1`` the cells are sharded across the supervised worker
-    pool (see :mod:`repro.harness.parallel`): crashed and hung cells are
-    rescheduled, poisoned cells are quarantined, and per-worker partial
-    checkpoints make even a SIGKILL of this process resumable.  A
-    quarantined cell raises :class:`~repro.errors.QuarantinedCell` *after*
-    every other cell has completed and been checkpointed — the sweep's
-    work is preserved, only the assembly of the full matrix fails.
-    ``stats_out`` (if given) is filled with the supervisor's counters.
+    ``jobs`` above 1 shards the cells across the supervised worker pool:
+    crashed and hung cells are rescheduled, poisoned cells are
+    quarantined, and per-worker partial checkpoints make even a SIGKILL
+    of this process resumable.  A quarantined cell raises
+    :class:`~repro.errors.QuarantinedCell` *after* every other cell has
+    completed and been checkpointed — the sweep's work is preserved,
+    only the assembly of the full matrix fails.  ``stats_out`` (if
+    given) is filled with the engine's counters.
 
     With ``registry_path`` set, a ``sweep`` group record is written to
     the persistent run registry and every cell is recorded as a
     ``sweep-cell`` child of it (lineage for ``repro runs lineage``).
     """
+    cells = sweep_parallel_cells(kind, workload_scale)
     identity = f"sweep:{kind}:scale={workload_scale:g}"
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
-        registry_meta = sweep_registry_meta(registry_path, kind,
-                                            workload_scale, identity)
-    if jobs > 1:
-        from repro.harness.parallel import (
-            require_complete,
-            run_cells_parallel,
-            sweep_parallel_cells,
+        registry_meta = record_group(
+            registry_path, "sweep",
+            {
+                "identity": identity,
+                "sweep_kind": kind,
+                "workload_scale": workload_scale,
+                "points": [point_label(p) for p in SWEEP_POINTS[kind]],
+            },
+            cell_kind="sweep-cell",
         )
-        outcome = run_cells_parallel(
-            sweep_parallel_cells(kind, workload_scale),
-            jobs=jobs,
-            checkpoint_path=checkpoint_path,
-            identity=identity,
-            resume=resume,
-            progress=progress,
-            config=supervisor_config,
-            registry_path=registry_path,
-            registry_meta=registry_meta,
-        )
-        if stats_out is not None:
-            stats_out.update(outcome.stats.to_jsonable())
-        require_complete(outcome, what=f"{kind} sweep")
-        flat = {key: RunResult.from_jsonable(payload)
-                for key, payload in outcome.results.items()}
-    else:
-        flat = run_cells(
-            sweep_cells(kind, workload_scale),
-            checkpoint_path=checkpoint_path,
-            identity=identity,
-            resume=resume,
-            progress=progress,
-            registry_path=registry_path,
-            registry_meta=registry_meta,
-        )
-    results: Dict[SweepPoint, Matrix] = {}
-    for point in SWEEP_POINTS[kind]:
-        matrix: Matrix = {}
-        for app in APPS:
-            matrix[app] = {}
-            for variant in tuple(Variant):
-                key = f"{kind}={point_label(point)}/{app}/{variant.value}"
-                matrix[app][variant.value] = flat[key]
-        results[point] = matrix
-    return results
+    outcome = run_cells(
+        cells,
+        jobs=jobs,
+        checkpoint_path=checkpoint_path,
+        identity=identity,
+        resume=resume,
+        progress=progress,
+        config=supervisor_config,
+        registry_path=registry_path,
+        registry_meta=registry_meta,
+    )
+    if stats_out is not None:
+        stats_out.update(outcome.stats.to_jsonable())
+    require_complete(outcome, what=f"{kind} sweep")
+    return {
+        point: {
+            app: {
+                variant.value: RunResult.from_jsonable(
+                    outcome.results[sweep_cell_key(kind, point, app, variant)]
+                )
+                for variant in Variant
+            }
+            for app in APPS
+        }
+        for point in SWEEP_POINTS[kind]
+    }
 
 
 def improvements(matrix: Matrix) -> Dict[str, Dict[str, float]]:

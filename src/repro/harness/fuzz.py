@@ -18,11 +18,11 @@ Every cell:
    digests whether they ran serially or on ``--jobs N`` workers, and the
    benchmark guard (``benchmarks/bench_fuzz_throughput.py``) pins that.
 
-A campaign (:func:`run_fuzz`) fans cells over
-:func:`~repro.harness.parallel.run_cells_parallel`, so crash/hang
-quarantine, per-worker partial checkpoints, and graceful serial
-degradation all apply; a quarantined fuzz cell surfaces as a
-``supervisor`` violation, never silently.
+A campaign (:func:`run_fuzz`) fans cells over the cell engine
+(:func:`~repro.harness.parallel.run_cells`), so crash/hang quarantine,
+per-worker partial checkpoints, and graceful serial degradation all
+apply; a quarantined fuzz cell surfaces as a ``supervisor`` violation,
+never silently.
 """
 
 from __future__ import annotations
@@ -50,12 +50,14 @@ from repro.harness.invariants import (
     Violation,
     check_all,
 )
+from repro.harness.parallel import run_cells
 from repro.harness.runner import (
     add_system_observer,
     remove_system_observer,
     run_experiment_with_system,
 )
 from repro.params import SystemConfig
+from repro.registry.recorder import record_group
 
 #: Default workload scale for fuzz cells (small enough that a 50-cell
 #: budget stays interactive, large enough that speculation engages).
@@ -327,8 +329,6 @@ def run_fuzz(
             raise FuzzError(
                 f"unknown fuzz app {app!r}; expected one of {ALL_APPS}"
             )
-    from repro.harness.parallel import run_cells_parallel
-
     generator = FaultPlanGenerator(seed, apps=apps)
     cases = generator.cases(budget)
     ledger = CoverageLedger()
@@ -337,16 +337,19 @@ def run_fuzz(
 
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
-        registry_meta = _fuzz_registry_meta(
-            registry_path, budget, seed, apps, workload_scale,
-        )
+        registry_meta = record_group(registry_path, "fuzz-campaign", {
+            "budget": budget,
+            "fuzz_seed": seed,
+            "apps": list(apps),
+            "workload_scale": workload_scale,
+        })
 
     cells = [
         (case.key, run_fuzz_cell_payload,
          (case.to_jsonable(), workload_scale))
         for case in cases
     ]
-    outcome = run_cells_parallel(
+    outcome = run_cells(
         cells, jobs=jobs, checkpoint_path=checkpoint_path,
         identity="fuzz", resume=resume, progress=progress,
         on_event=on_event,
@@ -376,38 +379,6 @@ def run_fuzz(
             digest="quarantined",
         ))
     return report
-
-
-def _fuzz_registry_meta(
-    registry_path: str,
-    budget: int,
-    seed: int,
-    apps: Sequence[str],
-    workload_scale: float,
-) -> Dict[str, object]:
-    """Write the campaign's group record; returns the cells' context."""
-    from repro.registry.fingerprint import code_version
-    from repro.registry.record import RunRecord
-    from repro.registry.store import RunRegistry
-
-    version = code_version()
-    parent = RunRecord(
-        kind="fuzz-campaign",
-        code_version=version,
-        meta={
-            "budget": budget,
-            "fuzz_seed": seed,
-            "apps": list(apps),
-            "workload_scale": workload_scale,
-        },
-    )
-    registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(parent)
-        registry.compact()
-    finally:
-        registry.close()
-    return {"parent_id": parent_id, "code_version": version}
 
 
 def replay_case(

@@ -28,9 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import DataLossError, OracleMismatch
 from repro.faults.plan import PROFILES
 from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.parallel import run_cells
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
 from repro.params import SystemConfig
+from repro.registry.recorder import record_group
 from repro.sim.clock import SimClock
 from repro.trace.export import export_to_path
 from repro.trace.tracer import Tracer
@@ -81,7 +83,7 @@ class OracleCell:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "OracleCell":
-        """Rebuild a cell from a parallel worker's JSON payload."""
+        """Rebuild a cell from its cell-engine JSON payload."""
         cell = cls(
             app=str(payload["app"]),
             profile=(str(payload["profile"])
@@ -96,11 +98,10 @@ class OracleCell:
         return cell
 
     def to_payload(self) -> Dict[str, object]:
-        """Full serialized form: the parallel result-pipe payload.
+        """Full serialized form: the cell-engine payload.
 
-        Also the shape the run registry records — the serial and
-        parallel oracle paths both feed this to the recorder, which is
-        what keeps their registries byte-identical.
+        Also the shape the run registry records, serially and under
+        ``--jobs N`` alike.
         """
         payload: Dict[str, object] = {
             "app": self.app,
@@ -247,6 +248,28 @@ def run_oracle_cell(
     return cell
 
 
+def run_oracle_cell_payload(
+    app: str,
+    profile: Optional[str],
+    workload_scale: float,
+    fault_seed: int,
+    analysis_optimize: bool,
+    trace_dir: Optional[str],
+    system: Optional[SystemConfig] = None,
+) -> Dict[str, object]:
+    """Module-level cell runner (pickled by reference into workers).
+
+    ``system`` is a plain frozen dataclass, so it ships to the worker by
+    value.
+    """
+    cell = run_oracle_cell(
+        app, profile, workload_scale=workload_scale, fault_seed=fault_seed,
+        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
+        system=system,
+    )
+    return cell.to_payload()
+
+
 def run_oracle(
     apps: Sequence[str],
     profiles: Sequence[Optional[str]] = ORACLE_PROFILES,
@@ -261,131 +284,46 @@ def run_oracle(
 ) -> OracleReport:
     """Differential oracle over an app x chaos-profile grid.
 
-    With ``strict`` set, the first divergence raises
-    :class:`OracleMismatch`; otherwise every cell is collected into the
-    report for the caller to inspect.  ``trace_dir`` enables per-cell
-    divergence trace dumps (see :func:`run_oracle_cell`).
+    With ``strict`` set, the first divergence (in grid order) raises
+    :class:`OracleMismatch` once every cell has run; otherwise every
+    cell is collected into the report for the caller to inspect.
+    ``trace_dir`` enables per-cell divergence trace dumps (see
+    :func:`run_oracle_cell`).
 
-    With ``jobs > 1`` the (app, profile) cells run under the supervised
-    parallel pool; each cell is still the same two same-seed runs, so the
-    report is identical to a serial one.  A cell the supervisor had to
-    quarantine (repeated crash/hang) is reported as a failed cell with
-    its failure record — an oracle run never silently drops a cell.
+    The (app, profile) cells go through the cell engine
+    (:func:`repro.harness.parallel.run_cells`): in-process by default,
+    on the supervised pool with ``jobs > 1``.  Each cell is the same two
+    same-seed runs either way, so the reports are identical.  A cell the
+    supervisor had to quarantine (repeated crash/hang) is reported as a
+    failed cell with its failure record — an oracle run never silently
+    drops a cell.
 
     With ``registry_path`` set, an ``oracle`` group record plus one
     ``oracle-cell`` record per cell (with its two ``oracle-variant``
-    children) land in the persistent run registry, identically for the
-    serial and parallel paths.
+    children) land in the persistent run registry, identically for
+    serial and parallel runs.
     """
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
-        registry_meta = _oracle_registry_meta(
-            registry_path, apps, profiles, workload_scale, fault_seed,
-        )
-    if jobs > 1:
-        return _run_oracle_parallel(
-            apps, profiles, workload_scale, fault_seed, strict,
-            analysis_optimize, trace_dir, jobs, system,
-            registry_path, registry_meta,
-        )
-    report = OracleReport()
-    payloads: Dict[str, Dict[str, object]] = {}
-    mismatch: Optional[OracleMismatch] = None
-    for app in apps:
-        for profile in profiles:
-            cell = run_oracle_cell(
-                app, profile, workload_scale=workload_scale,
-                fault_seed=fault_seed, system=system,
-                analysis_optimize=analysis_optimize,
-                trace_dir=trace_dir,
-            )
-            report.cells.append(cell)
-            payloads[f"oracle/{app}/{profile or 'fault-free'}"] = (
-                cell.to_payload()
-            )
-            if strict and not cell.passed and mismatch is None:
-                mismatch = OracleMismatch(
-                    f"{app} under {cell.profile_name}: {cell.detail}"
-                )
-            if mismatch is not None:
-                break
-        if mismatch is not None:
-            break
-    if registry_path is not None and payloads:
-        from repro.harness.parallel import record_results_in_registry
-
-        record_results_in_registry(registry_path, payloads, registry_meta)
-    if mismatch is not None:
-        raise mismatch
-    return report
-
-
-def _oracle_registry_meta(
-    registry_path: str,
-    apps: Sequence[str],
-    profiles: Sequence[Optional[str]],
-    workload_scale: float,
-    fault_seed: int,
-) -> Dict[str, object]:
-    """Write the oracle matrix's group record; returns the cell context."""
-    from repro.registry.fingerprint import code_version
-    from repro.registry.record import RunRecord
-    from repro.registry.store import RunRegistry
-
-    version = code_version()
-    parent = RunRecord(
-        kind="oracle",
-        code_version=version,
-        meta={
+        registry_meta = record_group(registry_path, "oracle", {
             "apps": list(apps),
             "profiles": [p or "fault-free" for p in profiles],
             "workload_scale": workload_scale,
             "fault_seed": fault_seed,
-        },
+        })
+    grid = [(f"oracle/{app}/{profile or 'fault-free'}", app, profile)
+            for app in apps for profile in profiles]
+    outcome = run_cells(
+        [(key, run_oracle_cell_payload,
+          (app, profile, workload_scale, fault_seed, analysis_optimize,
+           trace_dir, system))
+         for key, app, profile in grid],
+        jobs=jobs, identity="oracle",
+        registry_path=registry_path, registry_meta=registry_meta,
     )
-    registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(parent)
-        registry.compact()
-    finally:
-        registry.close()
-    return {"parent_id": parent_id, "code_version": version}
-
-
-def _run_oracle_parallel(
-    apps: Sequence[str],
-    profiles: Sequence[Optional[str]],
-    workload_scale: float,
-    fault_seed: int,
-    strict: bool,
-    analysis_optimize: bool,
-    trace_dir: Optional[str],
-    jobs: int,
-    system: Optional[SystemConfig],
-    registry_path: Optional[str] = None,
-    registry_meta: Optional[Dict[str, object]] = None,
-) -> OracleReport:
-    """Shard oracle cells across the supervised worker pool."""
-    from repro.harness.parallel import (
-        run_cells_parallel,
-        run_oracle_cell_payload,
-    )
-
-    cells = []
-    keys: List[Tuple[str, str, Optional[str]]] = []
-    for app in apps:
-        for profile in profiles:
-            key = f"oracle/{app}/{profile or 'fault-free'}"
-            keys.append((key, app, profile))
-            cells.append((key, run_oracle_cell_payload,
-                          (app, profile, workload_scale, fault_seed,
-                           analysis_optimize, trace_dir, system)))
-    outcome = run_cells_parallel(cells, jobs=jobs, identity="oracle",
-                                 registry_path=registry_path,
-                                 registry_meta=registry_meta)
 
     report = OracleReport()
-    for key, app, profile in keys:  # serial report order, not arrival order
+    for key, app, profile in grid:  # grid order, not arrival order
         if key in outcome.results:
             cell = OracleCell.from_payload(outcome.results[key])
         else:

@@ -1,23 +1,29 @@
-"""Parallel sweep engine: shard sealed simulation cells across workers.
+"""The cell engine: run sealed simulation cells, serially or sharded.
 
 Every sweep cell (one ``(sweep point, app, variant)`` triple), oracle
-cell, and chaos cell is a sealed deterministic simulation — independent
-seeding means any subset can run anywhere, in any order, and merge into
-a result set byte-identical to a serial run.  That is exactly the "cell
-as the unit of parallelism" model of Simics' threading commands, and it
-makes the cells safe to shard across processes.
+cell, chaos cell and fuzz cell is a sealed deterministic simulation —
+independent seeding means any subset can run anywhere, in any order, and
+merge into a result set byte-identical to a serial run.  That is exactly
+the "cell as the unit of parallelism" model of Simics' threading
+commands: the serialised mode is the deterministic reference, and the
+cells are safe to shard across processes.
 
-This module is the policy layer above :mod:`repro.harness.supervisor`:
+:func:`run_cells` is the one pipeline every grid goes through.  It is
+the policy layer above :mod:`repro.harness.supervisor`:
 
-* it turns sweep / oracle / chaos grids into picklable cell specs whose
-  runners return ``RunResult.to_jsonable()`` payloads;
+* cells are picklable ``(key, fn, args)`` specs whose runners return
+  JSON-safe payloads (``RunResult.to_jsonable()`` and friends);
+* ``jobs <= 1`` runs them in an in-process loop — the supervisor with
+  zero workers — and ``jobs > 1`` on the supervised pool; a pool that
+  fails to start degrades to the in-process loop, same results, same
+  checkpoint format;
 * it integrates the crash-safe :class:`SweepCheckpoint`: the parent
   records every completed cell, workers keep per-slot partial
   checkpoints (``<path>.worker-<slot>``), and both parent- and
-  worker-SIGKILLs resume without recomputation because the parent merges
-  partials back into the main checkpoint atomically on the next run;
-* it degrades gracefully: ``jobs <= 1`` or a pool that fails to start
-  runs the exact serial path, same results, same checkpoint format.
+  worker-SIGKILLs resume without recomputation because the next run —
+  serial or parallel — merges partials back into the main checkpoint
+  atomically;
+* the finished outcome feeds the persistent run registry.
 
 The determinism guard (tests + ``benchmarks/bench_parallel_sweep.py``)
 asserts the parallel result set is byte-identical to serial across all
@@ -27,6 +33,7 @@ chaos profiles.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import glob
 import os
 import sys
@@ -34,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError, QuarantinedCell
 from repro.harness.checkpoint import SweepCheckpoint, flush_on_signals
-from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.config import APPS, ExperimentConfig, Variant
 from repro.harness.supervisor import (
     CellSpec,
     Supervisor,
@@ -42,6 +49,7 @@ from repro.harness.supervisor import (
     SupervisorOutcome,
     SupervisorStats,
 )
+from repro.registry.recorder import record_results
 
 #: Payload a cell runner returns: a JSON-safe dict (RunResult or oracle
 #: cell serialization) that crosses the result pipe verbatim.
@@ -52,85 +60,45 @@ Payload = Dict[str, object]
 # Cell runners (module-level: pickled by reference into workers)
 # ---------------------------------------------------------------------------
 
-def run_sweep_cell_payload(
-    kind: str,
-    point: object,
-    app: str,
-    variant_value: str,
-    workload_scale: float,
+def run_config_payload(
+    cfg: ExperimentConfig, cycle_divisor: float = 1.0
 ) -> Payload:
-    """One sweep cell, serialized for the result pipe."""
-    from repro.harness.experiments import run_sweep_cell
+    """One sweep or chaos cell, serialized for the result pipe.
 
-    result = run_sweep_cell(kind, point, app, Variant(variant_value),  # type: ignore[arg-type]
-                            workload_scale)
-    return result.to_jsonable()
-
-
-def run_chaos_cell_payload(
-    app: str,
-    variant_value: str,
-    profile: Optional[str],
-    workload_scale: float,
-    fault_seed: int,
-) -> Payload:
-    """One chaos-matrix cell (app x variant under one fault profile)."""
-    from repro.harness.runner import run_experiment
-
-    result = run_experiment(ExperimentConfig(
-        app=app,
-        variant=Variant(variant_value),
-        workload_scale=workload_scale,
-        fault_profile=profile,
-        fault_seed=fault_seed,
-    ))
-    return result.to_jsonable()
-
-
-def run_oracle_cell_payload(
-    app: str,
-    profile: Optional[str],
-    workload_scale: float,
-    fault_seed: int,
-    analysis_optimize: bool,
-    trace_dir: Optional[str],
-    system: Optional[object] = None,
-) -> Payload:
-    """One differential-oracle cell, both variants serialized.
-
-    ``system`` is an optional :class:`~repro.params.SystemConfig` — a
-    plain frozen dataclass, so it ships to the worker by value.
+    ``cfg`` is a plain frozen dataclass, so it ships to the worker by
+    value.
     """
-    from repro.harness.oracle import run_oracle_cell
+    from repro.harness.experiments import run_config
 
-    cell = run_oracle_cell(
-        app, profile, workload_scale=workload_scale, fault_seed=fault_seed,
-        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
-        system=system,  # type: ignore[arg-type]
-    )
-    return cell.to_payload()
+    return run_config(cfg, cycle_divisor).to_jsonable()
 
 
 def sweep_parallel_cells(
     kind: str, workload_scale: float = 1.0
 ) -> List[CellSpec]:
-    """Picklable cell specs of one sweep (same keys as the serial path)."""
-    from repro.harness.config import APPS
-    from repro.harness.experiments import SWEEP_POINTS, point_label
+    """The independent cell specs of one sweep.
+
+    Each cell runs one (sweep point, app, variant) triple and is seeded
+    independently, so any subset can be re-run and merged with previously
+    checkpointed cells without changing a single result.
+    """
+    from repro.harness.experiments import (
+        SWEEP_POINTS,
+        sweep_cell_config,
+        sweep_cell_key,
+    )
 
     if kind not in SWEEP_POINTS:
         raise ValueError(
             f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
         )
-    cells: List[CellSpec] = []
-    for point in SWEEP_POINTS[kind]:
-        for app in APPS:
-            for variant in tuple(Variant):
-                key = f"{kind}={point_label(point)}/{app}/{variant.value}"
-                cells.append((key, run_sweep_cell_payload,
-                              (kind, point, app, variant.value,
-                               workload_scale)))
-    return cells
+    return [
+        (sweep_cell_key(kind, point, app, variant), run_config_payload,
+         sweep_cell_config(kind, point, app, variant, workload_scale))
+        for point in SWEEP_POINTS[kind]
+        for app in APPS
+        for variant in Variant
+    ]
 
 
 def chaos_parallel_cells(
@@ -141,15 +109,16 @@ def chaos_parallel_cells(
     fault_seed: int = 7,
 ) -> List[CellSpec]:
     """Cell specs of an app x variant x chaos-profile matrix."""
-    cells: List[CellSpec] = []
-    for profile in profiles:
-        for app in apps:
-            for variant in variants:
-                key = f"chaos={profile or 'fault-free'}/{app}/{variant.value}"
-                cells.append((key, run_chaos_cell_payload,
-                              (app, variant.value, profile, workload_scale,
-                               fault_seed)))
-    return cells
+    return [
+        (f"chaos={profile or 'fault-free'}/{app}/{variant.value}",
+         run_config_payload,
+         (ExperimentConfig(app=app, variant=variant,
+                           workload_scale=workload_scale,
+                           fault_profile=profile, fault_seed=fault_seed),))
+        for profile in profiles
+        for app in apps
+        for variant in variants
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +159,9 @@ def merge_worker_partials(
     return adopted
 
 
-def run_cells_parallel(
+def run_cells(
     cells: List[CellSpec],
-    jobs: int,
+    jobs: int = 1,
     checkpoint_path: Optional[str] = None,
     identity: str = "sweep",
     resume: bool = False,
@@ -202,40 +171,43 @@ def run_cells_parallel(
     registry_path: Optional[str] = None,
     registry_meta: Optional[Dict[str, object]] = None,
 ) -> SupervisorOutcome:
-    """Run cell specs under the supervised pool, checkpointing results.
+    """Run cell specs, checkpointing and recording their payloads.
 
-    The parallel counterpart of :func:`repro.harness.checkpoint.run_cells`
-    — same checkpoint file, same identity rules, same resume semantics —
-    plus supervision: crashed and hung cells are rescheduled, poisoned
-    cells are quarantined instead of sinking the sweep, and SIGINT /
-    SIGTERM flush the checkpoint before exiting.  With ``jobs <= 1`` (or
-    when the worker pool cannot start) the cells run serially in-process
-    with identical results.
+    Without ``checkpoint_path`` this is a plain loop (or pool).  With it,
+    each finished cell is checkpointed atomically; with ``resume`` also
+    set, previously checkpointed cells — and any per-worker partials a
+    killed run left behind — are restored instead of re-run.
+    ``progress`` (if given) is called with ``(key, was_resumed)`` per
+    cell.  While a checkpoint is active, SIGINT/SIGTERM flush it before
+    the process exits, so an interrupted sweep resumes cleanly.
 
-    With ``registry_path`` set, every completed cell also lands in the
-    persistent run registry: workers append records to per-slot sidecar
-    ledgers (``<path>.reg-worker-<slot>``) before reporting, the parent
-    merges the sidecars and re-records every delivered payload
-    (idempotent, content-addressed), and the registry is compacted to
-    its canonical byte form — so a serial run and a ``--jobs N`` run of
-    the same cells produce byte-identical registries.  ``registry_meta``
-    carries the record context (kind, parent run id).
+    With ``jobs <= 1`` the cells run in-process, in order: the
+    deterministic reference.  With ``jobs > 1`` they run on the
+    supervised pool — crashed and hung cells are rescheduled, poisoned
+    cells are quarantined instead of sinking the sweep — with identical
+    results; a pool that cannot start degrades to the in-process loop.
+
+    With ``registry_path`` set, every cell payload (fresh and restored
+    alike — recording is idempotent, content-addressed) lands in the
+    persistent run registry under the ``registry_meta`` record context
+    (kind, parent run id), and the registry is compacted to its canonical
+    byte form — so a serial run and a ``--jobs N`` run of the same cells
+    produce byte-identical registries.  A failing registry update is
+    reported through ``on_event``; results and checkpoint are unaffected.
     """
     if on_event is None:
         def on_event(message: str) -> None:
             print(f"  [supervisor] {message}", file=sys.stderr)
 
-    config = config or SupervisorConfig()
-    if config.jobs != jobs:
-        import dataclasses
-
-        config = dataclasses.replace(config, jobs=jobs)
+    config = dataclasses.replace(config or SupervisorConfig(), jobs=jobs)
 
     checkpoint: Optional[SweepCheckpoint] = None
     if checkpoint_path is not None:
         if resume and os.path.exists(checkpoint_path):
             checkpoint = SweepCheckpoint.load(checkpoint_path, identity)
         else:
+            # Fresh start (also the resume path when no checkpoint exists
+            # yet: there is nothing to restore, so begin from scratch).
             checkpoint = SweepCheckpoint(checkpoint_path, identity)
             checkpoint.flush()
             # A fresh (non-resume) start owns the namespace: stale
@@ -244,13 +216,6 @@ def run_cells_parallel(
                 with contextlib.suppress(OSError):
                     os.unlink(path)
         merge_worker_partials(checkpoint, on_event=on_event)
-
-    if registry_path is not None and not resume:
-        # Same namespace rule for registry sidecars.  The registry file
-        # itself is an append-forever ledger and is never cleared.
-        for path in _registry_sidecar_paths(registry_path):
-            with contextlib.suppress(OSError):
-                os.unlink(path)
 
     # Restore already-completed cells before any worker spawns.
     restored: Dict[str, Payload] = {}
@@ -264,139 +229,78 @@ def run_cells_parallel(
         else:
             remaining.append(spec)
 
-    guard = (
-        flush_on_signals(checkpoint.flush)
-        if checkpoint is not None
-        else contextlib.nullcontext()
-    )
-    with guard:
-        if jobs <= 1:
-            outcome = _run_cells_serial(remaining, checkpoint, progress,
-                                        config)
-        else:
-            outcome = _run_cells_supervised(remaining, checkpoint, progress,
-                                            config, identity, on_event,
-                                            registry_path, registry_meta)
-
-    outcome.results.update(restored)
-    outcome.stats.cells_restored = len(restored)
-    if checkpoint is not None:
-        merge_worker_partials(checkpoint, on_event=on_event)
-    if registry_path is not None:
-        record_results_in_registry(registry_path, outcome.results,
-                                   registry_meta, on_event=on_event)
-    return outcome
-
-
-def _registry_sidecar_paths(registry_path: str) -> List[str]:
-    return sorted(glob.glob(glob.escape(registry_path) + ".reg-worker-*"))
-
-
-def record_results_in_registry(
-    registry_path: str,
-    results: Dict[str, Payload],
-    registry_meta: Optional[Dict[str, object]],
-    on_event: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Fold a cell-result set into the persistent run registry.
-
-    Worker sidecar ledgers are merged first (they may hold cells whose
-    parent died before delivery), then every delivered payload is
-    recorded directly — idempotent because records are content-addressed
-    — and the store is compacted to canonical bytes.
-    """
-    from repro.registry.recorder import record_payload
-    from repro.registry.store import RunRegistry, merge_worker_sidecars
-
-    try:
-        registry = RunRegistry.open(registry_path)
-        try:
-            merge_worker_sidecars(registry, registry_path)
-            for key in sorted(results):
-                record_payload(registry, key, results[key], registry_meta,
-                               durable=False)
-            registry.compact()
-        finally:
-            registry.close()
-    except Exception as exc:
-        if on_event is not None:
-            on_event(f"run registry update failed ({exc!r}); "
-                     f"results and checkpoint are unaffected")
-
-
-def _run_cells_supervised(
-    cells: List[CellSpec],
-    checkpoint: Optional[SweepCheckpoint],
-    progress: Optional[Callable[[str, bool], None]],
-    config: SupervisorConfig,
-    identity: str,
-    on_event: Callable[[str], None],
-    registry_path: Optional[str] = None,
-    registry_meta: Optional[Dict[str, object]] = None,
-) -> SupervisorOutcome:
     def on_result(key: str, payload: Payload) -> None:
         if checkpoint is not None:
             checkpoint.record_payload(key, payload)
         if progress is not None:
             progress(key, False)
 
-    def on_quarantine(key: str, record: Dict[str, object]) -> None:
-        if checkpoint is not None:
-            checkpoint.record_quarantine(key, record)
+    guard = (
+        flush_on_signals(checkpoint.flush)
+        if checkpoint is not None
+        else contextlib.nullcontext()
+    )
+    with guard:
+        outcome = None
+        if jobs > 1:
+            outcome = _run_supervised(remaining, config, identity,
+                                      checkpoint, on_result, on_event)
+        if outcome is None:
+            # Zero workers: same cells, same checkpointing, in order.
+            outcome = SupervisorOutcome(
+                stats=SupervisorStats(mode="serial", jobs=1)
+            )
+            for key, fn, args in remaining:
+                payload = fn(*args)
+                outcome.results[key] = payload
+                outcome.stats.cells_completed += 1
+                on_result(key, payload)
 
+    outcome.results.update(restored)
+    outcome.stats.cells_restored = len(restored)
+    if checkpoint is not None:
+        merge_worker_partials(checkpoint, on_event=on_event)
+    if registry_path is not None:
+        try:
+            record_results(registry_path, outcome.results, registry_meta)
+        except Exception as exc:
+            on_event(f"run registry update failed ({exc!r}); "
+                     f"results and checkpoint are unaffected")
+    return outcome
+
+
+def _run_supervised(
+    cells: List[CellSpec],
+    config: SupervisorConfig,
+    identity: str,
+    checkpoint: Optional[SweepCheckpoint],
+    on_result: Callable[[str, Payload], None],
+    on_event: Callable[[str], None],
+) -> Optional[SupervisorOutcome]:
+    """Run ``cells`` on the supervised pool; None if it cannot start."""
+    on_quarantine: Optional[Callable[[str, Dict[str, object]], None]] = None
     partial_path_for: Optional[Callable[[int], str]] = None
     if checkpoint is not None:
         base = checkpoint.path
+        on_quarantine = checkpoint.record_quarantine
 
         def _partial_for(slot: int) -> str:
             return f"{base}.worker-{slot}"
 
         partial_path_for = _partial_for
 
-    registry_sidecar_for: Optional[Callable[[int], str]] = None
-    if registry_path is not None:
-        from repro.registry.store import sidecar_path
-
-        def _sidecar_for(slot: int) -> str:
-            return sidecar_path(registry_path, slot)
-
-        registry_sidecar_for = _sidecar_for
-
     supervisor = Supervisor(
         cells, config, identity=identity,
         partial_path_for=partial_path_for,
         on_result=on_result, on_quarantine=on_quarantine, on_event=on_event,
-        registry_sidecar_for=registry_sidecar_for,
-        registry_ctx=dict(registry_meta) if registry_meta else None,
     )
     try:
         supervisor.start()
     except Exception as exc:  # pool startup failure: degrade, don't die
         on_event(f"worker pool failed to start ({exc!r}); "
                  f"degrading to serial execution")
-        return _run_cells_serial(cells, checkpoint, progress, config)
+        return None
     return supervisor.run()
-
-
-def _run_cells_serial(
-    cells: List[CellSpec],
-    checkpoint: Optional[SweepCheckpoint],
-    progress: Optional[Callable[[str, bool], None]],
-    config: SupervisorConfig,
-) -> SupervisorOutcome:
-    """The graceful-degradation path: same cells, same checkpointing."""
-    outcome = SupervisorOutcome(
-        stats=SupervisorStats(mode="serial", jobs=1)
-    )
-    for key, fn, args in cells:
-        payload = fn(*args)
-        outcome.results[key] = payload
-        outcome.stats.cells_completed += 1
-        if checkpoint is not None:
-            checkpoint.record_payload(key, payload)
-        if progress is not None:
-            progress(key, False)
-    return outcome
 
 
 def require_complete(outcome: SupervisorOutcome, what: str = "sweep") -> None:

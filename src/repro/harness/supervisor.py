@@ -83,15 +83,6 @@ class SupervisorConfig:
     #: Consecutive worker deaths with no completed cell in between before
     #: the pool is declared unhealthy and the run aborts.
     max_pool_failures: int = 8
-    #: multiprocessing start method; None picks fork when available
-    #: (cheap, inherits test-registered cell runners) else spawn.
-    start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
 
 @dataclass
@@ -189,8 +180,6 @@ def _worker_main(
     heartbeat_interval_s: float,
     partial_path: Optional[str],
     identity: str,
-    registry_sidecar: Optional[str] = None,
-    registry_ctx: Optional[Dict[str, object]] = None,
 ) -> None:
     """Worker process: run cells from the task queue until told to stop."""
     # The parent owns interruption: a terminal Ctrl-C goes to the parent,
@@ -251,18 +240,6 @@ def _worker_main(
                 partial.record_payload(key, payload)
             except Exception:
                 pass  # a broken partial only costs recomputation
-        if registry_sidecar is not None:
-            # Same ordering for the run-registry sidecar ledger: the cell
-            # reaches the registry even if the parent dies before it can
-            # merge.  Best-effort — the parent re-records every delivered
-            # payload idempotently, so a failed append loses nothing.
-            try:
-                from repro.registry.recorder import append_payload_records
-
-                append_payload_records(registry_sidecar, key, payload,
-                                       registry_ctx)
-            except Exception:
-                pass
         result_queue.put(("done", worker_id, key, payload))
         progress.key = None
 
@@ -310,14 +287,10 @@ class Supervisor:
         on_result: Optional[Callable[[str, Dict[str, object]], None]] = None,
         on_quarantine: Optional[Callable[[str, Dict[str, object]], None]] = None,
         on_event: Optional[Callable[[str], None]] = None,
-        registry_sidecar_for: Optional[Callable[[int], str]] = None,
-        registry_ctx: Optional[Dict[str, object]] = None,
     ) -> None:
         self.config = config
         self.identity = identity
         self.partial_path_for = partial_path_for
-        self.registry_sidecar_for = registry_sidecar_for
-        self.registry_ctx = registry_ctx
         self.on_result = on_result
         self.on_quarantine = on_quarantine
         self.on_event = on_event
@@ -331,7 +304,12 @@ class Supervisor:
             stats=SupervisorStats(mode="parallel", jobs=config.jobs)
         )
 
-        self._ctx = multiprocessing.get_context(config.resolved_start_method())
+        # fork when available (cheap, inherits test-registered cell
+        # runners), else spawn.
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._pool_failures = 0  # consecutive deaths without a completed cell
@@ -359,13 +337,10 @@ class Supervisor:
         result_queue: multiprocessing.Queue = self._ctx.Queue()
         partial = (self.partial_path_for(slot)
                    if self.partial_path_for is not None else None)
-        sidecar = (self.registry_sidecar_for(slot)
-                   if self.registry_sidecar_for is not None else None)
         process = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, slot, task_queue, result_queue,
-                  self.config.heartbeat_interval_s, partial, self.identity,
-                  sidecar, self.registry_ctx),
+                  self.config.heartbeat_interval_s, partial, self.identity),
             name=f"sweep-worker-{slot}",
             daemon=True,
         )

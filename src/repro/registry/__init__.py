@@ -22,7 +22,7 @@ from repro.registry.fingerprint import (
     spec_tunables,
 )
 from repro.registry.record import REGISTRY_SCHEMA_VERSION, RunRecord
-from repro.registry.store import RunRegistry, merge_worker_sidecars, sidecar_path
+from repro.registry.store import RunRegistry
 
 __all__ = [
     "TUNABLE_SPEC_PARAMS",
@@ -33,6 +33,4 @@ __all__ = [
     "REGISTRY_SCHEMA_VERSION",
     "RunRecord",
     "RunRegistry",
-    "merge_worker_sidecars",
-    "sidecar_path",
 ]

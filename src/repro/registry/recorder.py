@@ -3,10 +3,11 @@
 The harness ships cell outcomes between processes as plain jsonable
 payloads (``RunResult.to_jsonable()`` dicts, oracle-cell dicts, fuzz-cell
 dicts).  This module is the one place that knows how to map each payload
-shape onto :class:`~repro.registry.record.RunRecord` values — it runs
-identically inside supervised worker processes (appending to per-worker
-sidecar ledgers) and in the serial path (recording directly), which is
-what makes a serial registry and a ``--jobs N`` registry byte-identical.
+shape onto :class:`~repro.registry.record.RunRecord` values, and the one
+place that writes them: the cell engine feeds it the finished outcome
+(:func:`record_results`) whether the cells ran in-process or on
+``--jobs N`` workers, which is what makes a serial registry and a
+parallel registry byte-identical.
 
 Classification is structural, mirroring how the checkpoints store the
 same payloads without a type tag:
@@ -24,7 +25,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.errors import RegistryError
 from repro.registry.fingerprint import chaos_key, code_version, plan_key
 from repro.registry.record import RunRecord
-from repro.registry.store import JsonlStore, RunRegistry
+from repro.registry.store import RunRegistry
 
 Payload = Mapping[str, object]
 
@@ -165,7 +166,7 @@ def record_payload(
     ctx: Optional[Mapping[str, object]] = None,
     durable: bool = True,
 ) -> List[str]:
-    """Record a payload's records directly (serial path); returns ids.
+    """Record one payload's records in an open registry; returns ids.
 
     ``durable=False`` is the bulk path: callers recording a whole sweep
     must compact afterwards, which persists the batch atomically.
@@ -176,20 +177,52 @@ def record_payload(
     ]
 
 
-def append_payload_records(
-    sidecar_path: str,
-    key: Optional[str],
-    payload: Payload,
+def record_results(
+    registry_path: str,
+    results: Mapping[Optional[str], Payload],
     ctx: Optional[Mapping[str, object]] = None,
-) -> None:
-    """Append a payload's records to a worker sidecar ledger.
+) -> List[str]:
+    """Fold a cell-result set into the registry at ``registry_path``.
 
-    Runs inside supervised worker processes *before* the result is
-    reported, mirroring the partial-checkpoint ordering: a cell whose
-    record reached a sidecar survives the parent dying, and the parent
-    re-records every delivered payload anyway (idempotently), so a torn
-    sidecar never loses data.
+    Every payload is recorded in key order — idempotent, because records
+    are content-addressed — and the store is compacted to its canonical
+    byte form, which persists the batch atomically.  Returns the run ids.
     """
-    store = JsonlStore(sidecar_path)
-    for record in records_for_payload(key, payload, ctx):
-        store.put(record.to_jsonable())
+    registry = RunRegistry.open(registry_path)
+    try:
+        ids: List[str] = []
+        for key in sorted(results):
+            ids += record_payload(registry, key, results[key], ctx,
+                                  durable=False)
+        registry.compact()
+    finally:
+        registry.close()
+    return ids
+
+
+def record_group(
+    registry_path: str,
+    kind: str,
+    meta: Dict[str, object],
+    cell_kind: Optional[str] = None,
+) -> Dict[str, object]:
+    """Write a group record; returns the record context of its cells.
+
+    The group record (a sweep, an oracle matrix, a fuzz campaign) is a
+    pure function of ``kind`` and ``meta`` (no results, no clock), so
+    serial and parallel runs — and re-runs — all produce the same parent
+    run id and deduplicate onto one ledger line.
+    """
+    version = code_version()
+    registry = RunRegistry.open(registry_path)
+    try:
+        parent_id = registry.record(
+            RunRecord(kind=kind, code_version=version, meta=meta)
+        )
+        registry.compact()
+    finally:
+        registry.close()
+    ctx: Dict[str, object] = {"parent_id": parent_id, "code_version": version}
+    if cell_kind is not None:
+        ctx["kind"] = cell_kind
+    return ctx

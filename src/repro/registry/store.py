@@ -13,8 +13,7 @@ Two interchangeable backends behind one tiny interface:
   load and healed by the next :meth:`~JsonlStore.compact`.
 
 Both stores deduplicate by ``run_id``: recording the same content twice
-is a no-op, which is what makes parallel-worker sidecar merges and
-resume-replays idempotent.
+is a no-op, which is what makes resume-replays idempotent.
 
 No imports from :mod:`repro.harness` — the harness imports this package
 while its own package init is still running, so the registry must stay a
@@ -123,9 +122,8 @@ class JsonlStore:
 
         With ``durable=False`` the record lands in memory only and is
         persisted by the next :meth:`compact` (one atomic rename instead
-        of one fsync per record) — the bulk path for parents merging a
-        finished sweep, whose payloads already survive in the worker
-        sidecars and the checkpoint.
+        of one fsync per record) — the bulk path for recording a finished
+        sweep, whose payloads already survive in the checkpoint.
         """
         run_id = str(data["run_id"])
         if run_id in self._records:
@@ -272,7 +270,7 @@ def open_store(path: str):
 
 
 class RunRegistry:
-    """Facade over a store: typed records, queries, lineage, merge, gc."""
+    """Facade over a store: typed records, queries, lineage, gc."""
 
     def __init__(self, store) -> None:
         self.store = store
@@ -303,20 +301,6 @@ class RunRegistry:
         """Store a serialized record after validating it round-trips."""
         record = RunRecord.from_jsonable(data)
         return self.record(record)
-
-    def merge_file(self, path: str) -> int:
-        """Adopt every record from a sidecar JSONL file; returns adds.
-
-        Non-durable puts: every merge is followed by a compact, which
-        persists the batch atomically.
-        """
-        sidecar = JsonlStore(path)
-        added = 0
-        for data in sidecar.all():
-            record = RunRecord.from_jsonable(data)
-            if self.store.put(record.to_jsonable(), durable=False):
-                added += 1
-        return added
 
     def compact(self) -> None:
         self.store.compact()
@@ -468,27 +452,3 @@ class RunRegistry:
                 self.store.delete(run_id)
             self.compact()
         return pruned
-
-
-def merge_worker_sidecars(registry: RunRegistry, base_path: str) -> int:
-    """Merge (and remove) every ``<base>.reg-worker-*`` sidecar ledger."""
-    directory = os.path.dirname(os.path.abspath(base_path)) or "."
-    prefix = os.path.basename(base_path) + ".reg-worker-"
-    added = 0
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return 0
-    for name in names:
-        if not name.startswith(prefix):
-            continue
-        path = os.path.join(directory, name)
-        added += registry.merge_file(path)
-        with _suppress_oserror():
-            os.unlink(path)
-    return added
-
-
-def sidecar_path(base_path: str, slot: int) -> str:
-    """Per-worker sidecar ledger path for registry base ``base_path``."""
-    return f"{base_path}.reg-worker-{slot}"

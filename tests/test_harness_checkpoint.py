@@ -16,9 +16,9 @@ from repro.harness.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
     flush_on_signals,
-    run_cells,
 )
-from repro.harness.experiments import SWEEP_POINTS, sweep_cells
+from repro.harness.experiments import SWEEP_POINTS
+from repro.harness.parallel import run_cells, sweep_parallel_cells
 from repro.harness.results import RunResult
 
 
@@ -257,18 +257,23 @@ class _Killed(Exception):
     """Simulated harness kill mid-sweep."""
 
 
+def run_serial(cells, **kwargs):
+    """The engine with zero workers, payloads decoded back to results."""
+    outcome = run_cells(cells, jobs=1, **kwargs)
+    return {key: RunResult.from_jsonable(payload)
+            for key, payload in outcome.results.items()}
+
+
 class TestRunCells:
     def _cells(self, log):
-        def thunk(key):
-            def run():
-                log.append(key)
-                return make_result(key, cycles=100 * (len(log)))
-            return run
-        return [(f"cell-{i}", thunk(f"cell-{i}")) for i in range(4)]
+        def run(key):
+            log.append(key)
+            return make_result(key, cycles=100 * (len(log))).to_jsonable()
+        return [(f"cell-{i}", run, (f"cell-{i}",)) for i in range(4)]
 
     def test_plain_run_without_checkpoint(self):
         log = []
-        results = run_cells(self._cells(log))
+        results = run_serial(self._cells(log))
         assert len(results) == 4
         assert log == [f"cell-{i}" for i in range(4)]
 
@@ -278,25 +283,25 @@ class TestRunCells:
         uninterrupted run."""
         path = str(tmp_path / "ckpt.json")
 
-        # Uninterrupted reference (deterministic thunks).
-        reference = run_cells(self._cells([]))
+        # Uninterrupted reference (deterministic cells).
+        reference = run_serial(self._cells([]))
 
-        # First attempt: the third thunk kills the harness.
+        # First attempt: the third cell kills the harness.
         killed_log = []
         cells = self._cells(killed_log)
-        key, original_thunk = cells[2]
+        key = cells[2][0]
 
         def dying():
             raise _Killed()
 
-        cells[2] = (key, dying)
+        cells[2] = (key, dying, ())
         with pytest.raises(_Killed):
-            run_cells(cells, checkpoint_path=path, identity="t")
+            run_serial(cells, checkpoint_path=path, identity="t")
         assert killed_log == ["cell-0", "cell-1"]
 
         # Resume: completed cells restored, only the rest re-run.
         resumed_log = []
-        results = run_cells(
+        results = run_serial(
             self._cells(resumed_log), checkpoint_path=path,
             identity="t", resume=True,
         )
@@ -310,25 +315,25 @@ class TestRunCells:
     def test_resume_without_checkpoint_starts_fresh(self, tmp_path):
         path = str(tmp_path / "new.json")
         log = []
-        results = run_cells(self._cells(log), checkpoint_path=path,
-                            identity="t", resume=True)
+        results = run_serial(self._cells(log), checkpoint_path=path,
+                             identity="t", resume=True)
         assert len(results) == 4
         assert len(log) == 4
         assert os.path.exists(path)
 
     def test_identity_mismatch_refuses_resume(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_cells(self._cells([]), checkpoint_path=path, identity="sweep-a")
+        run_serial(self._cells([]), checkpoint_path=path, identity="sweep-a")
         with pytest.raises(CheckpointError, match="belongs to sweep"):
-            run_cells(self._cells([]), checkpoint_path=path,
-                      identity="sweep-b", resume=True)
+            run_serial(self._cells([]), checkpoint_path=path,
+                       identity="sweep-b", resume=True)
 
     def test_progress_callback_reports_resumed_cells(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_cells(self._cells([])[:2], checkpoint_path=path, identity="t")
+        run_serial(self._cells([])[:2], checkpoint_path=path, identity="t")
         seen = []
-        run_cells(self._cells([]), checkpoint_path=path, identity="t",
-                  resume=True, progress=lambda k, r: seen.append((k, r)))
+        run_serial(self._cells([]), checkpoint_path=path, identity="t",
+                   resume=True, progress=lambda k, r: seen.append((k, r)))
         assert seen[0] == ("cell-0", True)
         assert seen[2] == ("cell-2", False)
 
@@ -338,11 +343,11 @@ class TestSweepCells:
         from repro.harness.config import APPS, Variant
 
         for kind, points in SWEEP_POINTS.items():
-            cells = sweep_cells(kind, workload_scale=0.2)
+            cells = sweep_parallel_cells(kind, workload_scale=0.2)
             assert len(cells) == len(points) * len(APPS) * len(tuple(Variant))
-            keys = [key for key, _ in cells]
+            keys = [key for key, _, _ in cells]
             assert len(set(keys)) == len(keys)  # unique keys
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):
-            sweep_cells("nope")
+            sweep_parallel_cells("nope")

@@ -1,11 +1,14 @@
-"""Tests for the supervised fault-tolerant parallel sweep engine.
+"""Tests for the cell engine and its supervised fault-tolerant pool.
 
 The matrix the ISSUE requires: determinism (parallel byte-identical to
 serial), worker crash mid-cell, hung cell, poisoned cell quarantine,
 pool-startup degradation, parent SIGKILL + resume, SIGTERM checkpoint
-flush, and the CLI ``--jobs`` wiring.
+flush, the CLI ``--jobs`` wiring, and the one-pipeline guarantees (every
+sweep mode prints the same tables; a serial resume picks up what a killed
+parallel run left; a failing registry update is reported in every mode).
 """
 
+import glob
 import json
 import os
 import signal
@@ -22,7 +25,7 @@ from repro.harness.parallel import (
     chaos_parallel_cells,
     merge_worker_partials,
     require_complete,
-    run_cells_parallel,
+    run_cells,
     sweep_parallel_cells,
 )
 from repro.harness.supervisor import SupervisorConfig
@@ -108,8 +111,8 @@ def canonical(results):
 class TestDeterminism:
     def test_parallel_sweep_cells_byte_identical_to_serial(self):
         cells = sweep_parallel_cells("cache", workload_scale=0.2)[:6]
-        serial = run_cells_parallel(cells, jobs=1)
-        parallel = run_cells_parallel(cells, jobs=2, config=FAST)
+        serial = run_cells(cells, jobs=1)
+        parallel = run_cells(cells, jobs=2, config=FAST)
         assert not serial.quarantined and not parallel.quarantined
         assert canonical(serial.results) == canonical(parallel.results)
         assert serial.stats.mode == "serial"
@@ -122,37 +125,33 @@ class TestDeterminism:
         cells = chaos_parallel_cells(
             apps=("agrep",), profiles=(None, profile), workload_scale=0.2,
         )
-        serial = run_cells_parallel(cells, jobs=1)
-        parallel = run_cells_parallel(cells, jobs=2, config=FAST)
+        serial = run_cells(cells, jobs=1)
+        parallel = run_cells(cells, jobs=2, config=FAST)
         assert canonical(serial.results) == canonical(parallel.results)
 
     def test_parallel_registry_byte_identical_to_serial(self, tmp_path):
-        import glob
-
         cells = sweep_parallel_cells("cache", workload_scale=0.2)[:4]
         serial_reg = str(tmp_path / "serial-registry.jsonl")
         parallel_reg = str(tmp_path / "parallel-registry.jsonl")
         meta = {"kind": "sweep-cell", "code_version": "repro-test"}
-        run_cells_parallel(cells, jobs=1,
-                           registry_path=serial_reg, registry_meta=meta)
-        run_cells_parallel(cells, jobs=4, config=FAST,
-                           registry_path=parallel_reg, registry_meta=meta)
+        run_cells(cells, jobs=1,
+                  registry_path=serial_reg, registry_meta=meta)
+        run_cells(cells, jobs=4, config=FAST,
+                  registry_path=parallel_reg, registry_meta=meta)
         with open(serial_reg, "rb") as handle:
             serial_bytes = handle.read()
         with open(parallel_reg, "rb") as handle:
             parallel_bytes = handle.read()
         assert serial_bytes == parallel_bytes
-        # Worker sidecar ledgers must be merged away, not left behind.
-        assert glob.glob(parallel_reg + ".reg-worker-*") == []
 
     def test_parallel_checkpoint_file_matches_serial(self, tmp_path):
         cells = sweep_parallel_cells("cache", workload_scale=0.2)[:4]
         serial_path = str(tmp_path / "serial.ckpt")
         parallel_path = str(tmp_path / "parallel.ckpt")
-        run_cells_parallel(cells, jobs=1, checkpoint_path=serial_path,
-                           identity="determinism")
-        run_cells_parallel(cells, jobs=2, checkpoint_path=parallel_path,
-                           identity="determinism", config=FAST)
+        run_cells(cells, jobs=1, checkpoint_path=serial_path,
+                  identity="determinism")
+        run_cells(cells, jobs=2, checkpoint_path=parallel_path,
+                  identity="determinism", config=FAST)
         with open(serial_path) as handle:
             serial_state = json.load(handle)
         with open(parallel_path) as handle:
@@ -171,8 +170,8 @@ class TestSupervision:
             ("bad", always_fail_cell, ("bad",)),
             ("good-b", ok_cell, ("good-b", 2)),
         ]
-        outcome = run_cells_parallel(cells, jobs=2, config=FAST,
-                                     on_event=lambda _msg: None)
+        outcome = run_cells(cells, jobs=2, config=FAST,
+                            on_event=lambda _msg: None)
         assert sorted(outcome.results) == ["good-a", "good-b"]
         record = outcome.quarantined["bad"]
         assert record["status"] == "QUARANTINED"
@@ -187,8 +186,8 @@ class TestSupervision:
     def test_worker_crash_mid_cell_rescheduled(self, tmp_path):
         cells = [("steady", ok_cell, ("steady", 1)),
                  ("crasher", crash_once_cell, ("crasher", str(tmp_path)))]
-        outcome = run_cells_parallel(cells, jobs=2, config=FAST,
-                                     on_event=lambda _msg: None)
+        outcome = run_cells(cells, jobs=2, config=FAST,
+                            on_event=lambda _msg: None)
         assert not outcome.quarantined
         assert outcome.results["crasher"] == {"key": "crasher",
                                               "recovered": True}
@@ -204,8 +203,8 @@ class TestSupervision:
                                      stall_deadline_s=0.6)
         cells = [("hanger", hang_once_cell, ("hanger", str(tmp_path))),
                  ("steady", ok_cell, ("steady", 1))]
-        outcome = run_cells_parallel(cells, jobs=2, config=config,
-                                     on_event=lambda _msg: None)
+        outcome = run_cells(cells, jobs=2, config=config,
+                            on_event=lambda _msg: None)
         assert not outcome.quarantined
         assert outcome.results["hanger"] == {"key": "hanger",
                                              "recovered": True}
@@ -218,8 +217,8 @@ class TestSupervision:
                                      max_cell_failures=10)
         cells = [("doomed", crash_always_cell, ("doomed",))]
         with pytest.raises(WorkerCrash, match="pool unhealthy"):
-            run_cells_parallel(cells, jobs=2, config=config,
-                               on_event=lambda _msg: None)
+            run_cells(cells, jobs=2, config=config,
+                      on_event=lambda _msg: None)
 
     def test_pool_startup_failure_degrades_to_serial(self, monkeypatch):
         from repro.harness import supervisor as supervisor_mod
@@ -230,14 +229,14 @@ class TestSupervision:
         monkeypatch.setattr(supervisor_mod.Supervisor, "start", broken_start)
         events = []
         cells = [("a", ok_cell, ("a", 1)), ("b", ok_cell, ("b", 2))]
-        outcome = run_cells_parallel(cells, jobs=2, config=FAST,
-                                     on_event=events.append)
+        outcome = run_cells(cells, jobs=2, config=FAST,
+                            on_event=events.append)
         assert outcome.stats.mode == "serial"
         assert sorted(outcome.results) == ["a", "b"]
         assert any("degrading to serial" in message for message in events)
 
     def test_jobs_one_runs_serial(self):
-        outcome = run_cells_parallel([("a", ok_cell, ("a", 1))], jobs=1)
+        outcome = run_cells([("a", ok_cell, ("a", 1))], jobs=1)
         assert outcome.stats.mode == "serial"
         assert outcome.results == {"a": {"key": "a", "value": 1}}
 
@@ -252,12 +251,12 @@ class TestCheckpointIntegration:
         path = str(tmp_path / "sweep.ckpt")
         cells = [(f"cell-{i}", counted_cell, (f"cell-{i}", runs_dir))
                  for i in range(4)]
-        first = run_cells_parallel(cells, jobs=2, checkpoint_path=path,
-                                   identity="resume-test", config=FAST)
+        first = run_cells(cells, jobs=2, checkpoint_path=path,
+                          identity="resume-test", config=FAST)
         assert len(first.results) == 4
-        second = run_cells_parallel(cells, jobs=2, checkpoint_path=path,
-                                    identity="resume-test", resume=True,
-                                    config=FAST)
+        second = run_cells(cells, jobs=2, checkpoint_path=path,
+                           identity="resume-test", resume=True,
+                           config=FAST)
         assert canonical(second.results) == canonical(first.results)
         assert second.stats.cells_restored == 4
         assert second.stats.cells_completed == 0
@@ -267,9 +266,9 @@ class TestCheckpointIntegration:
     def test_quarantine_record_persisted_and_retried_on_resume(self, tmp_path):
         path = str(tmp_path / "sweep.ckpt")
         bad = [("flaky", always_fail_cell, ("flaky",))]
-        outcome = run_cells_parallel(bad, jobs=2, checkpoint_path=path,
-                                     identity="quarantine-test", config=FAST,
-                                     on_event=lambda _msg: None)
+        outcome = run_cells(bad, jobs=2, checkpoint_path=path,
+                            identity="quarantine-test", config=FAST,
+                            on_event=lambda _msg: None)
         assert "flaky" in outcome.quarantined
         reloaded = SweepCheckpoint.load(path, "quarantine-test")
         assert "flaky" in reloaded.quarantined
@@ -277,9 +276,9 @@ class TestCheckpointIntegration:
 
         # Resume retries the quarantined cell; success clears the record.
         healed = [("flaky", ok_cell, ("flaky", 7))]
-        outcome = run_cells_parallel(healed, jobs=2, checkpoint_path=path,
-                                     identity="quarantine-test", resume=True,
-                                     config=FAST)
+        outcome = run_cells(healed, jobs=2, checkpoint_path=path,
+                            identity="quarantine-test", resume=True,
+                            config=FAST)
         assert outcome.results["flaky"] == {"key": "flaky", "value": 7}
         reloaded = SweepCheckpoint.load(path, "quarantine-test")
         assert "flaky" in reloaded
@@ -318,7 +317,7 @@ class TestCheckpointIntegration:
         path = str(tmp_path / "sweep.ckpt")
         stale = SweepCheckpoint(path + ".worker-0", "fresh-test")
         stale.record_payload("stale-cell", {"value": 1})
-        outcome = run_cells_parallel(
+        outcome = run_cells(
             [("a", ok_cell, ("a", 1))], jobs=1,
             checkpoint_path=path, identity="fresh-test",
         )
@@ -335,21 +334,19 @@ import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {tests!r})
 from test_parallel_supervisor import counted_cell
-from repro.harness.parallel import run_cells_parallel
+from repro.harness.parallel import run_cells
 
 cells = [("cell-%d" % i, counted_cell, ("cell-%d" % i, {runs_dir!r}, 0.3))
          for i in range(8)]
-run_cells_parallel(cells, jobs={jobs}, checkpoint_path={path!r},
-                   identity="kill-test", resume=True,
-                   on_event=lambda _msg: None)
+run_cells(cells, jobs={jobs}, checkpoint_path={path!r},
+          identity="kill-test", resume=True,
+          on_event=lambda _msg: None)
 print("COMPLETED")
 """
 
 
 def _recorded_cells(path):
     """Cells durably recorded in the main checkpoint plus any partials."""
-    import glob
-
     keys = set()
     for candidate in [path] + sorted(glob.glob(glob.escape(path) + ".worker-*")):
         try:
@@ -397,9 +394,9 @@ class TestKillMatrix:
         # uninterrupted run's, with the survivors restored, not re-run.
         cells = [(f"cell-{i}", counted_cell, (f"cell-{i}", runs_dir, 0.0))
                  for i in range(8)]
-        outcome = run_cells_parallel(cells, jobs=2, checkpoint_path=path,
-                                     identity="kill-test", resume=True,
-                                     config=FAST)
+        outcome = run_cells(cells, jobs=2, checkpoint_path=path,
+                            identity="kill-test", resume=True,
+                            config=FAST)
         assert not outcome.quarantined
         assert sorted(outcome.results) == [f"cell-{i}" for i in range(8)]
         assert outcome.stats.cells_restored >= len(survivors)
@@ -425,8 +422,8 @@ class TestKillMatrix:
 
         cells = [(f"cell-{i}", counted_cell, (f"cell-{i}", runs_dir, 0.0))
                  for i in range(8)]
-        outcome = run_cells_parallel(cells, jobs=1, checkpoint_path=path,
-                                     identity="kill-test", resume=True)
+        outcome = run_cells(cells, jobs=1, checkpoint_path=path,
+                            identity="kill-test", resume=True)
         assert sorted(outcome.results) == [f"cell-{i}" for i in range(8)]
         for key in reloaded.keys():
             assert runs_of(key, runs_dir) == 1
@@ -516,3 +513,133 @@ class TestIntegration:
         assert exit_code == 0
         assert captured["apps"] == ("agrep",)
         assert captured["jobs"] == 4
+
+
+# ---------------------------------------------------------------------------
+# One pipeline: the same engine behind every sweep / oracle mode
+# ---------------------------------------------------------------------------
+
+_NOT_TABLE = ("  [ran    ]", "  [resumed]", "supervisor:", "  interventions:")
+
+
+def _tables(out):
+    """Stdout minus per-cell progress lines and the supervisor block."""
+    return [line for line in out.splitlines()
+            if not line.startswith(_NOT_TABLE)]
+
+
+def _broken_record_payload(*_args, **_kwargs):
+    raise RuntimeError("registry disk full")
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("kind", ["disks", "cache", "ratio", "degraded"])
+    def test_sweep_tables_identical_across_modes(self, kind, tmp_path,
+                                                 capsys):
+        from repro import cli
+
+        outputs = []
+        for extra in ([], ["--checkpoint", str(tmp_path / "ck.json")],
+                      ["--jobs", "2"]):
+            assert cli.main(["sweep", kind, "--scale", "0.1", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        plain, checkpointed, parallel = outputs
+        assert _tables(plain) == plain.splitlines()  # tables only
+        assert "  [ran    ]" in checkpointed
+        assert "supervisor: parallel x2" in parallel
+        assert _tables(checkpointed) == plain.splitlines()
+        assert _tables(parallel) == plain.splitlines()
+
+    def test_serial_resume_adopts_worker_partials(self, tmp_path, capsys):
+        from repro import cli
+
+        path = str(tmp_path / "ck.json")
+        done = run_cells(
+            sweep_parallel_cells("cache", workload_scale=0.1)[:12], jobs=1,
+        ).results
+        keys = sorted(done)
+        identity = "sweep:cache:scale=0.1"
+        main = SweepCheckpoint(path, identity)
+        for key in keys[:5]:
+            main.record_payload(key, done[key])
+        partial = SweepCheckpoint(path + ".worker-0", identity)
+        for key in keys[5:]:
+            partial.record_payload(key, done[key])
+
+        assert cli.main(["sweep", "cache", "--scale", "0.1",
+                         "--checkpoint", path, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[resumed]") == 12
+        assert out.count("[ran    ]") == 27 - 12
+        assert glob.glob(glob.escape(path) + ".worker-*") == []
+
+    def test_serial_sweep_reports_failing_registry_update(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.harness import experiments
+        from repro.registry import recorder
+
+        monkeypatch.setitem(experiments.SWEEP_POINTS, "cache", (12.0,))
+        monkeypatch.setattr(recorder, "record_payload",
+                            _broken_record_payload)
+        sweep = experiments.run_sweep_resumable(
+            "cache", workload_scale=0.1,
+            registry_path=str(tmp_path / "reg.jsonl"),
+        )
+        assert list(sweep) == [12.0]  # results are unaffected
+        err = capsys.readouterr().err
+        assert "run registry update failed" in err
+        assert "results and checkpoint are unaffected" in err
+
+    def test_serial_oracle_reports_failing_registry_update(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.harness.oracle import run_oracle
+        from repro.registry import recorder
+
+        monkeypatch.setattr(recorder, "record_payload",
+                            _broken_record_payload)
+        report = run_oracle(("agrep",), profiles=(None,), workload_scale=0.2,
+                            registry_path=str(tmp_path / "reg.jsonl"))
+        assert report.passed
+        err = capsys.readouterr().err
+        assert "run registry update failed" in err
+        assert "results and checkpoint are unaffected" in err
+
+    def test_parent_sigkill_then_serial_resume_loses_nothing(
+            self, tmp_path, capsys):
+        """SIGKILL a ``--jobs 2`` CLI sweep mid-run; a *serial* ``--resume``
+        restores every completed cell from checkpoint and partials, and
+        ends with the registry an uninterrupted serial run writes."""
+        from repro import cli
+
+        path = str(tmp_path / "ck.json")
+        registry = str(tmp_path / "reg.jsonl")
+        argv = ["sweep", "cache", "--scale", "0.2",
+                "--checkpoint", path, "--registry", registry]
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv, "--jobs", "2"],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(_recorded_cells(path)) < 4:
+                assert process.poll() is None, "sweep exited before the kill"
+                assert time.monotonic() < deadline, "no checkpointed cells"
+                time.sleep(0.05)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+        time.sleep(1.0)  # orphaned workers see the dead parent and exit
+        survivors = _recorded_cells(path)
+
+        assert cli.main([*argv, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[resumed]") == len(survivors) >= 4
+        assert out.count("[ran    ]") == 27 - len(survivors)
+        assert glob.glob(glob.escape(path) + ".worker-*") == []
+
+        reference = str(tmp_path / "reference.jsonl")
+        assert cli.main(["sweep", "cache", "--scale", "0.2",
+                         "--registry", reference]) == 0
+        with open(registry, "rb") as ours, open(reference, "rb") as theirs:
+            assert ours.read() == theirs.read()

@@ -37,7 +37,6 @@ from repro.registry.record import (
     group_key,
 )
 from repro.registry.recorder import (
-    append_payload_records,
     record_payload,
     records_for_payload,
 )
@@ -51,9 +50,7 @@ from repro.registry.store import (
     JsonlStore,
     RunRegistry,
     SqliteStore,
-    merge_worker_sidecars,
     open_store,
-    sidecar_path,
 )
 from repro.registry.tuner import (
     AutoTuner,
@@ -371,19 +368,6 @@ class TestRecorder:
         assert "original" not in cell.result  # sub-payloads live in children
         assert first.parent_id == cell.run_id
         assert second.parent_id == cell.run_id
-
-    def test_sidecar_merge_is_idempotent(self, tmp_path):
-        base = str(tmp_path / "r.jsonl")
-        registry = RunRegistry.open(base)
-        payload = run_payload()
-        ids = record_payload(registry, "cell-a", payload)
-        append_payload_records(sidecar_path(base, 0), "cell-a", payload)
-        append_payload_records(sidecar_path(base, 1), "cell-a", payload)
-        merged = merge_worker_sidecars(registry, base)
-        assert merged == 0  # parent already had the records
-        assert [r.run_id for r in registry.records()] == ids
-        assert not os.path.exists(sidecar_path(base, 0))  # consumed
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
