@@ -146,7 +146,7 @@ class CacheManagerBase:
         key: BlockKey = (inode.ino, file_block)
         if self.cache.get(key) is not None:
             return False
-        if self.cache.free_blocks == 0 and not self._evict_one_for_prefetch():
+        if self.cache.free_blocks == 0 and not self._evict_one():
             self.stats.counter(metrics.CACHE_PREFETCH_DENIED_NO_ROOM).add()
             return False
         self.cache.insert_fetching(key, origin)
@@ -171,17 +171,15 @@ class CacheManagerBase:
     def _make_room_for_demand(self) -> None:
         """Evict one block for an incoming demand fetch; overcommit if no
         victim is available (demand must not be refused)."""
-        if self.cache.free_blocks > 0:
-            return
-        victim = self.find_victim()
-        if victim is not None:
-            self.cache.evict(victim.key)
+        if self.cache.free_blocks == 0:
+            self._evict_one()
 
-    def _evict_one_for_prefetch(self) -> bool:
+    def _evict_one(self) -> bool:
         victim = self.find_victim()
         if victim is None:
             return False
         self.cache.evict(victim.key)
+        self.on_block_evicted(victim.key)
         return True
 
     # -- policy hooks ----------------------------------------------------------
@@ -222,6 +220,9 @@ class CacheManagerBase:
 
     def on_prefetch_dropped(self, key: BlockKey) -> None:
         """Called when a prefetch failed terminally (policy may react)."""
+
+    def on_block_evicted(self, key: BlockKey) -> None:
+        """Called after a resident block was evicted (policy may react)."""
 
     def after_read(self, pid: int) -> None:
         """Called at the end of every read call (policy may react)."""

@@ -17,16 +17,12 @@ class HintAccuracyTracker:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self._value = initial
+        #: Current accuracy estimate in [0, 1] (read on every prefetch scan).
+        self.value = initial
         #: Lifetime outcome counts (reported in hinting statistics).
         self.consumed = 0
         self.cancelled = 0
         self.stale = 0
-
-    @property
-    def value(self) -> float:
-        """Current accuracy estimate in [0, 1]."""
-        return self._value
 
     @property
     def inaccurate(self) -> int:
@@ -37,22 +33,22 @@ class HintAccuracyTracker:
         """A hinted block matched an actual read."""
         self.consumed += n
         for _ in range(n):
-            self._value += self.alpha * (1.0 - self._value)
+            self.value += self.alpha * (1.0 - self.value)
 
     def observe_cancelled(self, n: int = 1) -> None:
         """Hinted blocks were cancelled before being consumed."""
         self.cancelled += n
         for _ in range(n):
-            self._value += self.alpha * (0.0 - self._value)
+            self.value += self.alpha * (0.0 - self.value)
 
     def observe_stale(self, n: int = 1) -> None:
         """Hinted blocks aged out without ever matching a read."""
         self.stale += n
         for _ in range(n):
-            self._value += self.alpha * (0.0 - self._value)
+            self.value += self.alpha * (0.0 - self.value)
 
     def __repr__(self) -> str:
         return (
-            f"HintAccuracyTracker(value={self._value:.3f}, consumed={self.consumed}, "
+            f"HintAccuracyTracker(value={self.value:.3f}, consumed={self.consumed}, "
             f"cancelled={self.cancelled}, stale={self.stale})"
         )

@@ -21,6 +21,7 @@ Behavioural summary (matching Sections 2.1 and 4 of the paper):
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.fs.cache import BlockCache, BlockKey, CacheEntry, EntryState, FetchOrigin
@@ -40,23 +41,46 @@ from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 class _HintedBlock:
     """One block-granularity entry in a process's hint queue."""
 
-    __slots__ = ("key", "seq", "skips")
+    __slots__ = ("key", "seq", "skips", "disk")
 
-    def __init__(self, key: BlockKey, seq: int) -> None:
+    def __init__(self, key: BlockKey, seq: int, disk: int) -> None:
         self.key = key
         self.seq = seq
         #: How many reads have scanned past this entry without matching it.
         self.skips = 0
+        #: Disk holding the block, resolved once at intake: the file's
+        #: ``first_lbn`` and the stripe geometry never change.
+        self.disk = disk
 
 
 class _ProcessHints:
     """Hint state for one process."""
 
-    __slots__ = ("queue", "accuracy")
+    __slots__ = ("queue", "accuracy", "visited", "dirty")
 
     def __init__(self, accuracy_alpha: float = 0.05) -> None:
         self.queue: Deque[_HintedBlock] = deque()
         self.accuracy = HintAccuracyTracker(alpha=accuracy_alpha)
+        #: Scheduler bookkeeping (see ``TipManager._schedule_prefetches``):
+        #: the first ``visited`` queue entries held the post-scan invariant
+        #: when the last scan ended, unless ``dirty`` says it was broken since.
+        self.visited = 0
+        self.dirty = False
+
+    def remove(self, index: int) -> _HintedBlock:
+        """Take the entry at ``index`` out of the queue."""
+        entry = self.queue[index]
+        del self.queue[index]
+        if index < self.visited:
+            self.visited -= 1
+        return entry
+
+    def drain(self) -> Deque[_HintedBlock]:
+        """Empty the queue, and the scheduler bookkeeping with it; returns
+        the entries that were queued."""
+        entries, self.queue = self.queue, deque()
+        self.visited = 0
+        return entries
 
 
 class TipManager(CacheManagerBase):
@@ -120,10 +144,12 @@ class TipManager(CacheManagerBase):
             return 0
         state = self._proc(pid)
         accepted = 0
+        disk_of = self.array.disk_of
         for segment in segments:
+            first_lbn = segment.inode.first_lbn
             for key in segment.blocks():
                 self._next_seq += 1
-                entry = _HintedBlock(key, self._next_seq)
+                entry = _HintedBlock(key, self._next_seq, disk_of(first_lbn + key[1]))
                 state.queue.append(entry)
                 self._hinted_seqs.setdefault(key, []).append(entry.seq)
                 self.lifecycle.disclosed(entry.seq, key, pid)
@@ -140,10 +166,9 @@ class TipManager(CacheManagerBase):
         if state is None or not state.queue:
             return 0
         cancelled = len(state.queue)
-        for entry in state.queue:
+        for entry in state.drain():
             self._forget_seq(entry.key, entry.seq)
             self.lifecycle.cancelled(entry.seq, pid)
-        state.queue.clear()
         state.accuracy.observe_cancelled(cancelled)
         self.cancelled_total += cancelled
         self.stats.counter(metrics.TIP_HINTS_CANCELLED).add(cancelled)
@@ -195,7 +220,7 @@ class TipManager(CacheManagerBase):
         for i in range(window):
             entry = queue[i]
             if entry.key == key:
-                del queue[i]
+                state.remove(i)
                 self._forget_seq(entry.key, entry.seq)
                 state.accuracy.observe_consumed()
                 self.stats.counter(metrics.TIP_HINTS_CONSUMED).add()
@@ -221,7 +246,7 @@ class TipManager(CacheManagerBase):
     def _drop_stale(self, state: _ProcessHints, pid: int) -> None:
         queue = state.queue
         while queue and queue[0].skips > self.STALE_SKIP_LIMIT:
-            entry = queue.popleft()
+            entry = state.remove(0)
             self._forget_seq(entry.key, entry.seq)
             state.accuracy.observe_stale()
             self.stats.counter(metrics.TIP_HINTS_STALE_DROPPED).add()
@@ -251,7 +276,20 @@ class TipManager(CacheManagerBase):
         factor = max(0.1, accuracy)
         return max(4, int(self.params.prefetch_horizon * factor))
 
-    def _schedule_prefetches(self, pid: int) -> None:
+    def _schedule_prefetches(self, pid: int, released: Optional[int] = None) -> None:
+        """Prefetch down ``pid``'s window, visiting only what may be issuable.
+
+        A scan leaves every window entry it visited either in the cache or
+        on a disk at its in-flight limit.  Until something breaks that, the
+        next scan need only visit the window's new tail (the head was
+        consumed or dropped, the depth grew, hints were appended to a short
+        queue) and the entries on ``released``, the disk whose hint slot the
+        caller just freed.  The whole window is walked when the state is
+        ``dirty`` (a hinted key left the cache, or a prefetch was denied for
+        lack of room and must be re-attempted) and while the array is
+        degraded (the shed counter counts visits and the limit changes back
+        on recovery, so a degraded scan leaves the state dirty).
+        """
         state = self._procs.get(pid)
         if state is None or not state.queue:
             return
@@ -267,27 +305,32 @@ class TipManager(CacheManagerBase):
             cap = self.params.degraded_max_inflight_per_disk
             if cap > 0:
                 limit = cap if limit <= 0 else min(limit, cap)
-        scanned = 0
-        for entry in state.queue:
-            if scanned >= depth:
-                if degraded:
-                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
-                break
-            scanned += 1
+        visited = 0 if state.dirty or degraded else state.visited
+        # Cleared before the walk: an eviction or denial below must reach
+        # the next scan (and widens the rest of this one).
+        state.dirty = degraded
+        start = visited if released is None else 0
+        for index, entry in enumerate(islice(state.queue, start, depth), start):
+            if index < visited and entry.disk != released and not state.dirty:
+                continue
             key = entry.key
             if self.cache.get(key) is not None:
                 continue
-            inode = self.fs.inode(key[0])
-            disk = self.array.disk_of(inode.lbn_of_block(key[1]))
+            disk = entry.disk
             if limit > 0 and self._inflight_per_disk.get(disk, 0) >= limit:
                 if degraded:
                     self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
                 continue
-            if self.start_prefetch(inode, key[1], FetchOrigin.HINT):
+            if self.start_prefetch(self.fs.inode(key[0]), key[1], FetchOrigin.HINT):
                 self._inflight_hint_fetch[key] = disk
                 self._inflight_per_disk[disk] = self._inflight_per_disk.get(disk, 0) + 1
                 self.stats.counter(metrics.TIP_PREFETCHES_ISSUED).add()
                 self.lifecycle.prefetch_issued(key)
+            else:
+                state.dirty = True  # no room: neither resident nor blocked
+        if degraded and len(state.queue) > depth:
+            self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+        state.visited = min(depth, len(state.queue))
 
     def on_block_arrived(self, key: BlockKey) -> None:
         self.lifecycle.filled(key)
@@ -295,7 +338,7 @@ class TipManager(CacheManagerBase):
         if disk is not None:
             self._inflight_per_disk[disk] -= 1
         for pid in self._procs:
-            self._schedule_prefetches(pid)
+            self._schedule_prefetches(pid, disk)
 
     def on_prefetch_dropped(self, key: BlockKey) -> None:
         """A hinted prefetch failed terminally: release its in-flight slot
@@ -305,8 +348,17 @@ class TipManager(CacheManagerBase):
             self._inflight_per_disk[disk] -= 1
             self.stats.counter(metrics.TIP_PREFETCHES_DROPPED).add()
             self.lifecycle.prefetch_dropped(key)
+        else:
+            # A read-ahead fetch died: no slot to free, but its key is gone.
+            self.on_block_evicted(key)
         for pid in self._procs:
-            self._schedule_prefetches(pid)
+            self._schedule_prefetches(pid, disk)
+
+    def on_block_evicted(self, key: BlockKey) -> None:
+        if key in self._hinted_seqs:
+            # A window may have seen this key resident: rescan them all.
+            for state in self._procs.values():
+                state.dirty = True
 
     def after_read(self, pid: int) -> None:
         self._schedule_prefetches(pid)
@@ -355,10 +407,9 @@ class TipManager(CacheManagerBase):
         for pid, state in self._procs.items():
             leftover = len(state.queue)
             if leftover:
-                for entry in state.queue:
+                for entry in state.drain():
                     self._forget_seq(entry.key, entry.seq)
                     self.lifecycle.wasted(entry.seq, pid, "unconsumed")
-                state.queue.clear()
                 state.accuracy.observe_stale(leftover)
                 self.stats.counter(metrics.TIP_HINTS_UNCONSUMED_AT_END).add(leftover)
         super().finalize()

@@ -28,7 +28,7 @@ from repro.harness.fuzz import (
     run_fuzz_case,
 )
 from repro.harness.invariants import Violation
-from repro.tip.manager import TipManager
+from repro.trace.lifecycle import HintLifecycle
 
 
 def _case(**plan_kwargs) -> FuzzCase:
@@ -215,27 +215,20 @@ class TestReproducer:
 # Planted isolation bug: the acceptance loop end to end
 # ---------------------------------------------------------------------------
 
-def _leaky_cancel_all(self, pid):
-    """cancel_all with its lifecycle bookkeeping deleted: the queue drains
-    (so the runtime's own drain check passes) but cancelled hints never
-    reach a terminal state in the ledger."""
-    state = self._procs.get(pid)
-    if state is None or not state.queue:
-        return 0
-    cancelled = len(state.queue)
-    for entry in state.queue:
-        self._forget_seq(entry.key, entry.seq)
-    state.queue.clear()
-    state.accuracy.observe_cancelled(cancelled)
-    self.cancelled_total += cancelled
-    return cancelled
+def _forget_cancelled(self, seq, pid):
+    """``HintLifecycle.cancelled`` with its body deleted: ``cancel_all``
+    still drains the queue (so the runtime's own drain check passes) but
+    cancelled hints never reach a terminal state in the ledger.  Planted
+    in the ledger, not by copying ``cancel_all``: a copy goes stale the
+    moment the manager's queue bookkeeping changes, and then plants a
+    second bug of its own."""
 
 
 class TestPlantedIsolationBug:
     BUDGET = 10  # the bug is found at cell 8 of seed 7
 
     def test_fuzz_catches_shrinks_and_replays(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(TipManager, "cancel_all", _leaky_cancel_all)
+        monkeypatch.setattr(HintLifecycle, "cancelled", _forget_cancelled)
 
         # 1. A fuzz campaign (in-process: jobs=1 so the patch applies)
         #    catches the planted bug within budget.
@@ -266,7 +259,7 @@ class TestPlantedIsolationBug:
     def test_reproducer_replays_green_without_the_bug(self, monkeypatch,
                                                       tmp_path):
         # Produce the reproducer under the bug, then undo the patch.
-        monkeypatch.setattr(TipManager, "cancel_all", _leaky_cancel_all)
+        monkeypatch.setattr(HintLifecycle, "cancelled", _forget_cancelled)
         report = run_fuzz(self.BUDGET, seed=7, jobs=1)
         cell = report.failures()[0]
         monitor = cell.violations[0].monitor

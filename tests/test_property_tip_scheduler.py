@@ -1,0 +1,249 @@
+"""Differential property test of the incremental TIP prefetch scheduler.
+
+``TipManager._schedule_prefetches`` visits only the window entries that
+may have become issuable since the last scan.  The reference model
+(``tests/tip_reference.py``) walks the whole window on every event.  Any
+interleaving of hints, cancels, reads, block arrivals, dropped prefetches,
+evictions, degraded-mode toggles and accuracy swings must drive both to the
+same disk traffic, the same counters and the same hint-lifecycle ledger —
+checked after *every* step, so a divergence is reported where it starts.
+
+The cache is tiny on purpose: ``find_victim`` then hands out hinted victims
+and ``start_prefetch`` is refused for lack of room, the two events that
+invalidate a window wholesale.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fs.cache import BlockCache
+from repro.fs.filesystem import FileSystem
+from repro.fs.readahead import SequentialReadAhead
+from repro.params import ArrayParams, BLOCK_SIZE, CpuParams, DiskParams, TipParams
+from repro.sim.clock import SimClock
+from repro.sim.engine import EventEngine
+from repro.sim.stats import StatRegistry
+from repro.storage.request import IOKind
+from repro.storage.striping import StripedArray
+from repro.tip.hints import HintSegment, Ioctl
+from repro.tip.manager import TipManager
+from tests.tip_reference import ReferenceTipManager
+
+NFILES = 3
+FILE_BLOCKS = 24
+PIDS = (1, 2)
+
+
+class ScriptedArray(StripedArray):
+    """A striped array the test can degrade and whose prefetches it can
+    doom, recording every submitted lbn."""
+
+    #: Shadows the property: the managers only ever read the flag.
+    degraded = False
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.submitted = []
+        self.doomed = set()
+        self.demanded = set()
+
+    def submit(self, lbn, kind, callback):
+        self.submitted.append((lbn, kind.value))
+        if kind is IOKind.DEMAND:
+            self.demanded.add(lbn)
+        return super().submit(lbn, kind, callback)
+
+    def _notify(self, request):
+        # A request a demand read waits on (its own, or a prefetch it
+        # joined) must not fail: that is a typed error, not a drop.
+        if request.lbn in self.doomed and request.lbn not in self.demanded:
+            self.doomed.discard(request.lbn)
+            request.failed = True
+        self.demanded.discard(request.lbn)
+        super()._notify(request)
+
+
+class Stack:
+    """One manager on its own file system, array, cache and clock."""
+
+    def __init__(self, manager_cls, cache_blocks, horizon, inflight):
+        self.fs = FileSystem()
+        for i in range(NFILES):
+            self.fs.create(f"f{i}", bytes(FILE_BLOCKS * BLOCK_SIZE))
+        self.engine = EventEngine(SimClock())
+        self.stats = StatRegistry()
+        self.array = ScriptedArray(
+            self.fs.total_blocks,
+            ArrayParams(stripe_unit=2 * BLOCK_SIZE),
+            DiskParams(), CpuParams(), self.engine, self.stats,
+        )
+        self.readahead = SequentialReadAhead(max_blocks=4)
+        self.ra_states = {pid: self.readahead.new_state() for pid in PIDS}
+        self.manager = manager_cls(
+            self.fs, self.array, BlockCache(cache_blocks, self.stats),
+            self.readahead, self.stats,
+            # Half, not the default quarter: a degraded window worth scanning.
+            TipParams(prefetch_horizon=horizon, max_inflight_per_disk=inflight,
+                      degraded_horizon_factor=0.5),
+        )
+
+    def apply(self, step):
+        op, args = step[0], step[1:]
+        getattr(self, op)(*args)
+
+    def hint(self, pid, runs):
+        self.manager.hint_segments(pid, [
+            HintSegment(self.fs.inode(f), first * BLOCK_SIZE,
+                        count * BLOCK_SIZE, pid, Ioctl.TIPIO_FD_SEG)
+            for f, first, count in runs
+        ])
+
+    def cancel(self, pid):
+        self.manager.cancel_all(pid)
+
+    def read(self, pid, f, first, count, events_before_completion):
+        """One read call, with the kernel's gap between matching the hints
+        and the post-read hook (blocks arrive in between)."""
+        inode = self.fs.inode(f)
+        last = min(first + count, FILE_BLOCKS) - 1
+        hinted = self.manager.consume_hints(
+            pid, inode, first, last, first * BLOCK_SIZE,
+            (last - first + 1) * BLOCK_SIZE)
+        for block in range(first, last + 1):
+            self.manager.access_block(inode, block, lambda: None)
+        self.events(events_before_completion)
+        self.manager.read_call_completed(
+            pid, self.ra_states[pid], inode, first, last, hinted)
+
+    def follow(self, pid, skip, count, events_before_completion):
+        """Read what ``pid`` hinted: the ``skip``-th queued block onwards."""
+        queue = self.manager._proc(pid).queue
+        if skip < len(queue):
+            ino, first = queue[skip].key
+            self.read(pid, ino, first, count, events_before_completion)
+
+    def events(self, n):
+        for _ in range(n):
+            if not self.engine.advance_to_next():
+                break
+
+    def doom(self, nth):
+        """Fail the ``nth`` fetch now outstanding (unless a demand read
+        comes to wait on it)."""
+        outstanding = [lbn for lbn in range(self.array.nblocks)
+                       if self.array.outstanding_for(lbn) is not None]
+        if outstanding:
+            self.array.doomed.add(outstanding[nth % len(outstanding)])
+
+    def degrade(self, flag):
+        self.array.degraded = flag
+
+    def swing(self, pid, up, n):
+        """Move ``pid``'s measured accuracy, and with it its depth."""
+        accuracy = self.manager.accuracy_of(pid)
+        if up:
+            accuracy.observe_consumed(n)
+        else:
+            accuracy.observe_stale(n)
+
+    def observed(self):
+        lifecycle = self.manager.lifecycle
+        return {
+            "submitted": self.array.submitted,
+            "stats": self.stats.snapshot(),
+            "ledger": [r.to_jsonable() for r in lifecycle.records()],
+            "ledger_counts": lifecycle.summary_counts(),
+            "ready_before_demand": lifecycle.ready_before_demand,
+            "prefetches_dropped": lifecycle.prefetches_dropped,
+            "now": self.engine.clock.now,
+        }
+
+
+pids = st.sampled_from(PIDS)
+files = st.integers(0, NFILES - 1)
+blocks = st.integers(0, FILE_BLOCKS - 1)
+runs = st.lists(st.tuples(files, blocks, st.integers(1, 12)),
+                min_size=1, max_size=3)
+
+STEPS = st.lists(
+    st.one_of(  # an op listed twice is drawn twice as often
+        st.tuples(st.just("hint"), pids, runs),
+        st.tuples(st.just("hint"), pids, runs),
+        st.tuples(st.just("read"), pids, files, blocks, st.integers(1, 4),
+                  st.integers(0, 3)),
+        st.tuples(st.just("follow"), pids, st.integers(0, 2),
+                  st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("follow"), pids, st.integers(0, 2),
+                  st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("events"), st.integers(1, 6)),
+        st.tuples(st.just("events"), st.integers(1, 6)),
+        st.tuples(st.just("cancel"), pids),
+        st.tuples(st.just("doom"), st.integers(0, 7)),
+        st.tuples(st.just("degrade"), st.booleans()),
+        st.tuples(st.just("swing"), pids, st.booleans(), st.integers(5, 40)),
+    ),
+    min_size=20, max_size=80,
+)
+
+
+def run_twins(cache_blocks, horizon, inflight, steps):
+    real = Stack(TipManager, cache_blocks, horizon, inflight)
+    model = Stack(ReferenceTipManager, cache_blocks, horizon, inflight)
+    for index, step in enumerate(steps):
+        real.apply(step)
+        model.apply(step)
+        assert real.observed() == model.observed(), (index, step)
+    # Run on a while (a tiny cache can thrash for ever) and close out: the
+    # ledgers must also end the same way.
+    for stack in (real, model):
+        stack.events(100)
+        stack.manager.finalize()
+    assert real.observed() == model.observed()
+    return real
+
+
+@given(
+    cache_blocks=st.integers(3, 12),
+    horizon=st.sampled_from([4, 8, 16, 32]),
+    inflight=st.sampled_from([0, 1, 2]),
+    steps=STEPS,
+)
+@settings(max_examples=200, deadline=None)
+def test_incremental_scheduler_matches_full_scan(cache_blocks, horizon,
+                                                 inflight, steps):
+    run_twins(cache_blocks, horizon, inflight, steps)
+
+
+# Two invalidations that random interleavings reach too rarely to rely on.
+# With a stripe unit of two blocks on four disks, file blocks 0-1 sit on
+# disk 0, 2-3 on disk 1, ... and 8-9 on disk 0 again.
+
+def test_depth_that_shrinks_and_regrows_revisits_what_fell_outside():
+    real = run_twins(cache_blocks=32, horizon=16, inflight=1, steps=[
+        # 15 entries visited: four issued (one per disk), eleven blocked.
+        ("hint", 1, [(0, 0, 15)]),
+        # Depth 16 -> 4, then three arrivals free slots on disks the shrunk
+        # window has no entry for ...
+        ("swing", 1, False, 40),
+        ("events", 3),
+        # ... and depth 4 -> 16 again: positions 4-14 are tail once more.
+        ("swing", 1, True, 60),
+        ("hint", 1, [(1, 0, 1)]),
+    ])
+    assert real.stats.get("tip.prefetches_issued") == 16
+
+
+def test_dropped_readahead_of_a_hinted_block_is_prefetched_again():
+    real = run_twins(cache_blocks=32, horizon=16, inflight=1, steps=[
+        # An unhinted four-block read: read-ahead fetches blocks 4-7.
+        ("read", 2, 1, 0, 4, 0),
+        # Another process hints those blocks: all in flight, window clean.
+        ("hint", 1, [(1, 4, 4)]),
+        # Block 4's read-ahead dies.  No hint slot is released, yet the
+        # hinted key has left the cache.
+        ("doom", 4),
+        ("events", 8),
+    ])
+    assert real.stats.get("cache.prefetches_dropped") == 1
+    assert real.stats.get("tip.prefetches_dropped") == 0
+    assert real.stats.get("tip.prefetches_issued") == 1

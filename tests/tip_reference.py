@@ -1,0 +1,77 @@
+"""The full-window TIP scheduler, kept as the reference model.
+
+This is the scan ``TipManager._schedule_prefetches`` performed before it
+learnt to visit only what may have become issuable: walk the whole prefetch
+window on every hint, read, arrival and drop, re-deriving each block's disk
+from the file system.  It is deliberately naive and must stay that way —
+``test_property_tip_scheduler.py`` drives it beside the real manager and
+requires identical disk traffic, counters and hint ledger.  The scan and
+the two fetch-completion hooks are overridden, so none of the incremental
+bookkeeping (``_HintedBlock.disk``, ``_ProcessHints.visited``/``dirty``,
+``released``, ``on_block_evicted``) takes part.
+"""
+
+from repro.fs.cache import BlockKey, FetchOrigin
+from repro.sim import metrics
+from repro.tip.manager import TipManager
+
+
+class ReferenceTipManager(TipManager):
+    """``TipManager`` with the brute-force scheduler."""
+
+    def _schedule_prefetches(self, pid: int) -> None:
+        state = self._procs.get(pid)
+        if state is None or not state.queue:
+            return
+        depth = self.effective_depth(pid)
+        limit = self.params.max_inflight_per_disk
+        degraded = self.array.degraded
+        if degraded:
+            # Speculation-aware load shedding: while a dead disk is being
+            # reconstructed, demand and rebuild traffic own the spindles.
+            # Shrink the hint horizon and clamp the per-disk appetite;
+            # hints stay queued, so prefetching catches back up on resume.
+            depth = max(1, int(depth * self.params.degraded_horizon_factor))
+            cap = self.params.degraded_max_inflight_per_disk
+            if cap > 0:
+                limit = cap if limit <= 0 else min(limit, cap)
+        scanned = 0
+        for entry in state.queue:
+            if scanned >= depth:
+                if degraded:
+                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+                break
+            scanned += 1
+            key = entry.key
+            if self.cache.get(key) is not None:
+                continue
+            inode = self.fs.inode(key[0])
+            disk = self.array.disk_of(inode.lbn_of_block(key[1]))
+            if limit > 0 and self._inflight_per_disk.get(disk, 0) >= limit:
+                if degraded:
+                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+                continue
+            if self.start_prefetch(inode, key[1], FetchOrigin.HINT):
+                self._inflight_hint_fetch[key] = disk
+                self._inflight_per_disk[disk] = self._inflight_per_disk.get(disk, 0) + 1
+                self.stats.counter(metrics.TIP_PREFETCHES_ISSUED).add()
+                self.lifecycle.prefetch_issued(key)
+
+    def on_block_arrived(self, key: BlockKey) -> None:
+        self.lifecycle.filled(key)
+        disk = self._inflight_hint_fetch.pop(key, None)
+        if disk is not None:
+            self._inflight_per_disk[disk] -= 1
+        for pid in self._procs:
+            self._schedule_prefetches(pid)
+
+    def on_prefetch_dropped(self, key: BlockKey) -> None:
+        """A hinted prefetch failed terminally: release its in-flight slot
+        so the per-disk limit does not leak, and keep prefetching others."""
+        disk = self._inflight_hint_fetch.pop(key, None)
+        if disk is not None:
+            self._inflight_per_disk[disk] -= 1
+            self.stats.counter(metrics.TIP_PREFETCHES_DROPPED).add()
+            self.lifecycle.prefetch_dropped(key)
+        for pid in self._procs:
+            self._schedule_prefetches(pid)
