@@ -82,15 +82,16 @@ from repro.harness.tables import (
 from repro.params import ArrayParams, SystemConfig
 
 
-def _base_config(args: argparse.Namespace) -> ExperimentConfig:
-    system = SystemConfig(
-        array=ArrayParams(ndisks=args.disks),
-        ncpus=args.ncpus,
-        seed=getattr(args, "seed", 1999),
+def _base_system(args: argparse.Namespace) -> SystemConfig:
+    return SystemConfig(
+        array=ArrayParams(ndisks=args.disks), ncpus=args.ncpus, seed=args.seed,
     )
+
+
+def _base_config(args: argparse.Namespace, app: str) -> ExperimentConfig:
     return ExperimentConfig(
-        app=args.app,
-        system=system,
+        app=app,
+        system=_base_system(args),
         cache_paper_mb=args.cache_mb,
         workload_scale=args.scale,
         fault_profile=args.chaos if args.chaos not in (None, "none") else None,
@@ -164,7 +165,7 @@ def _tune_from_provenance(
 def cmd_run(args: argparse.Namespace) -> int:
     if args.oracle:
         return _run_oracle(args)
-    cfg = _base_config(args).with_(variant=Variant(args.variant))
+    cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
     if args.auto_tune or args.tuned_from:
         if args.registry is None:
             raise ReproError(
@@ -246,10 +247,6 @@ def _run_oracle(args: argparse.Namespace) -> int:
     from repro.harness.checkpoint import atomic_write_json
     from repro.harness.oracle import ORACLE_PROFILES, run_oracle
 
-    system = SystemConfig(
-        array=ArrayParams(ndisks=args.disks), ncpus=args.ncpus,
-        seed=args.seed,
-    )
     if args.chaos is not None:
         profiles = (args.chaos if args.chaos != "none" else None,)
     else:
@@ -259,7 +256,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
         profiles=profiles,
         workload_scale=args.scale,
         fault_seed=args.fault_seed,
-        system=system,
+        system=_base_system(args),
         trace_dir=args.trace_out,
         jobs=args.jobs,
         registry_path=args.registry,
@@ -279,11 +276,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     for app in args.apps:
-        base = _base_config(argparse.Namespace(
-            app=app, disks=args.disks, ncpus=args.ncpus,
-            cache_mb=args.cache_mb, scale=args.scale,
-            chaos=args.chaos, fault_seed=args.fault_seed,
-        ))
+        base = _base_config(args, app)
         results = {
             variant: run_experiment(base.with_(variant=variant))
             for variant in Variant
@@ -295,6 +288,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"  {variant.value:12s} {result.elapsed_s:8.3f} s  "
                   f"({result.improvement_over(original):5.1f}% improvement, "
                   f"{result.pct_calls_hinted:5.1f}% of calls hinted)")
+        if args.registry is not None:
+            for result in results.values():
+                _record_run(args.registry, result, {"kind": "run"})
     return 0
 
 
@@ -455,7 +451,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         parse_categories(args.categories) if args.categories else None
     )
     tracer = Tracer(SimClock(), categories=categories)
-    cfg = _base_config(args).with_(variant=Variant(args.variant))
+    cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
     result, system = run_experiment_with_system(cfg, tracer=tracer)
 
     analyzer = TraceAnalyzer(
@@ -502,15 +498,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """``repro fuzz``: a chaos campaign, or ``fuzz replay FILE``."""
-    import json as _json
-    import os
-
     from repro.faults.shrink import Reproducer, shrink_case
-    from repro.harness.fuzz import replay_case, run_fuzz, run_fuzz_case
+    from repro.harness.checkpoint import atomic_write_json
+    from repro.harness.fuzz import run_fuzz, run_fuzz_case
 
     if args.fuzz_command == "replay":
         reproducer = Reproducer.load(args.file)
-        result = replay_case(
+        result = run_fuzz_case(
             reproducer.case, workload_scale=reproducer.workload_scale
         )
         label = reproducer.monitor or "any"
@@ -538,16 +532,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(report.summary())
 
     if args.coverage_report is not None:
-        payload = {
+        atomic_write_json(args.coverage_report, {
             "seed": report.seed,
             "budget": report.budget,
             "digest": report.digest,
             "passed": report.passed,
             "coverage": report.ledger.to_jsonable(),
-        }
-        with open(args.coverage_report, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        })
         print(f"coverage report written to {args.coverage_report}")
 
     failures = report.failures()
@@ -787,8 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="system seed (file layout jitter); vary it to "
                             "build a baseline population in the registry")
         cell_flags(p, registry="record this run in the persistent run "
-                               "registry at PATH (.jsonl = append log, "
-                               "else SQLite)")
+                               "registry at PATH (a JSONL ledger)")
 
     run_p = sub.add_parser("run", help="run one benchmark variant")
     common(run_p)
@@ -954,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runs_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--registry", required=True, metavar="PATH",
-                       help="run registry file (.jsonl or SQLite)")
+                       help="run registry file (a JSONL ledger)")
         p.set_defaults(func=cmd_runs)
 
     list_p = runs_sub.add_parser("list", help="list recorded runs")

@@ -32,7 +32,6 @@ from repro.harness.supervisor import (
 from repro.harness.fuzz import (
     FuzzCellResult,
     FuzzReport,
-    replay_case,
     run_fuzz,
     run_fuzz_case,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "run_oracle_cell",
     "FuzzCellResult",
     "FuzzReport",
-    "replay_case",
     "run_fuzz",
     "run_fuzz_case",
     "DEFAULT_MONITORS",

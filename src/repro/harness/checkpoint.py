@@ -6,9 +6,9 @@ work already done.  This module is the persistence half of making that
 survivable (the cell engine in :mod:`repro.harness.parallel` drives it):
 
 * every finished cell is appended to a JSON checkpoint file, written
-  atomically (write a temp file in the same directory, then ``os.replace``
-  it over the old checkpoint) so a crash mid-write never corrupts the
-  previous state;
+  atomically (:func:`repro.registry.store.atomic_write_text`: a temp file
+  in the same directory, fsynced, then renamed over the old checkpoint)
+  so a crash mid-write never corrupts the previous state;
 * a restarted sweep passed ``resume=True`` loads the checkpoint, skips
   every completed cell, and recomputes only the missing ones — the
   reassembled results are identical to an uninterrupted run because every
@@ -23,66 +23,21 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import signal
-import tempfile
 import threading
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import CheckpointError
 from repro.harness.results import RunResult
+from repro.registry.store import atomic_write_text
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
 
 
-def _fsync_directory(directory: str) -> None:
-    """Flush a directory's metadata so a just-renamed entry is durable.
-
-    ``os.replace`` makes the rename atomic with respect to readers, but a
-    power-loss-style kill can still roll it back unless the containing
-    directory is fsynced too.  Best-effort: filesystems that reject
-    directory fsync (some network mounts) keep the old guarantee.
-    """
-    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
-    try:
-        dir_fd = os.open(directory, flags)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
 def atomic_write_json(path: str, obj: object) -> None:
-    """Write ``obj`` as JSON to ``path`` atomically and durably.
-
-    The temp file lives in the target's directory so ``os.replace`` is a
-    same-filesystem rename: readers observe either the old complete file
-    or the new complete file, never a torn write.  After the rename the
-    containing directory is fsynced, so the new file survives a
-    power-loss-style kill as well as a process kill.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        _fsync_directory(directory)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    """Write ``obj`` as JSON to ``path`` atomically and durably."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
 @contextlib.contextmanager

@@ -1,11 +1,11 @@
-"""The chaos-fuzzing engine: generated fault schedules, monitored cells.
+"""The differential cell, and the chaos-fuzzing engine built on it.
 
-A fuzz *cell* is the differential pair the PR 2 oracle established —
-spec-off and spec-on runs of one app on one seed — but under a
-*generated* :class:`~repro.faults.plan.FaultPlan` instead of a built-in
-profile, and judged by the full invariant-monitor suite
-(:mod:`repro.harness.invariants`) instead of output identity alone.
-Every cell:
+A *cell* is the differential pair — spec-off and spec-on runs of one app
+on one seed under one :class:`~repro.faults.plan.FaultPlan` — judged by
+the full invariant-monitor suite (:mod:`repro.harness.invariants`).  The
+fuzzer runs it under *generated* plans; the oracle
+(:mod:`repro.harness.oracle`) runs the same cell over the built-in
+profiles.  Every cell:
 
 1. reconstructs its :class:`~repro.faults.generate.FuzzCase` from JSON
    (cells cross the supervised worker pool as plain payloads);
@@ -16,7 +16,10 @@ Every cell:
    *cell digest* over outputs, demand-read traces, cycle counts and
    escapes — two campaigns with the same seed must produce identical
    digests whether they ran serially or on ``--jobs N`` workers, and the
-   benchmark guard (``benchmarks/bench_fuzz_throughput.py``) pins that.
+   benchmark guard (``benchmarks/bench_fuzz_throughput.py``) pins that;
+4. with a ``trace_dir``, runs both variants under a tracer and, when a
+   monitor tripped, dumps both event streams there — the one place
+   divergence trace dumps are written.
 
 A campaign (:func:`run_fuzz`) fans cells over the cell engine
 (:func:`~repro.harness.parallel.run_cells`), so crash/hang quarantine,
@@ -30,8 +33,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FuzzError
 from repro.faults.generate import (
@@ -51,13 +55,19 @@ from repro.harness.invariants import (
     check_all,
 )
 from repro.harness.parallel import run_cells
+from repro.harness.results import RunResult
 from repro.harness.runner import (
     add_system_observer,
     remove_system_observer,
     run_experiment_with_system,
 )
+from repro.harness.supervisor import SupervisorOutcome
 from repro.params import SystemConfig
+from repro.registry.fingerprint import params_digest
 from repro.registry.recorder import record_group
+from repro.sim.clock import SimClock
+from repro.trace.export import export_to_path
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Default workload scale for fuzz cells (small enough that a 50-cell
 #: budget stays interactive, large enough that speculation engages).
@@ -69,15 +79,23 @@ def _sha(text: str) -> str:
 
 
 def case_config(
-    case: FuzzCase, variant: Variant, workload_scale: float
+    case: FuzzCase,
+    variant: Variant,
+    workload_scale: float,
+    system: Optional[SystemConfig] = None,
+    analysis_optimize: bool = False,
 ) -> ExperimentConfig:
-    """The experiment configuration one fuzz-cell variant runs under."""
+    """The experiment configuration one cell variant runs under.
+
+    ``system`` is the base machine (default: the stock one); the case's
+    ``spec_overrides`` are applied on top of it.
+    """
     if case.app not in ALL_APPS:
         raise FuzzError(
             f"fuzz case app {case.app!r} unknown; expected one of {ALL_APPS}"
         )
     validate_spec_overrides(case.spec_overrides)
-    system = SystemConfig()
+    system = system or SystemConfig()
     if case.spec_overrides:
         system = system.replace(spechint=dataclasses.replace(
             system.spechint, **case.spec_overrides
@@ -87,11 +105,15 @@ def case_config(
         variant=variant,
         system=system,
         workload_scale=workload_scale,
-        fault_plan=case.plan,
+        # An inactive plan is a fault-free run, and is recorded as one.
+        fault_plan=case.plan if case.plan.active else None,
+        analysis_optimize=analysis_optimize,
     )
 
 
-def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
+def observe_variant(
+    cfg: ExperimentConfig, tracer: Tracer = NULL_TRACER
+) -> VariantObservation:
     """Run one variant, capturing the live system and any escape.
 
     The system is grabbed through the runner's observer hook *before* the
@@ -108,7 +130,7 @@ def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
 
     add_system_observer(_observer)
     try:
-        result, system = run_experiment_with_system(cfg)
+        result, system = run_experiment_with_system(cfg, tracer=tracer)
         vobs.result = result
         vobs.system = system
     except Exception as exc:
@@ -124,7 +146,7 @@ def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
 
 @dataclass
 class FuzzCellResult:
-    """Outcome of one fuzz cell, JSON-round-trippable for the pool."""
+    """Outcome of one differential cell, JSON-round-trippable for the pool."""
 
     case: FuzzCase
     violations: List[Violation] = field(default_factory=list)
@@ -135,6 +157,10 @@ class FuzzCellResult:
     #: stamped by :func:`run_fuzz_case` from the cell's resolved config.
     params_digest: str = ""
     seed: int = 0
+    #: The result record of each variant that completed.  Serialized only
+    #: on request: the oracle's report rows and ``oracle-variant`` registry
+    #: children consume them; a fuzz campaign keeps its payload small.
+    results: Dict[str, RunResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -148,8 +174,8 @@ class FuzzCellResult:
     def dimensions(self) -> List[str]:
         return case_dimensions(self.case.plan, self.case.spec_overrides)
 
-    def to_jsonable(self) -> Dict[str, object]:
-        return {
+    def to_jsonable(self, with_results: bool = False) -> Dict[str, object]:
+        payload: Dict[str, object] = {
             "case": self.case.to_jsonable(),
             "violations": [v.to_jsonable() for v in self.violations],
             "digest": self.digest,
@@ -158,6 +184,12 @@ class FuzzCellResult:
             "params_digest": self.params_digest,
             "seed": self.seed,
         }
+        if with_results:
+            payload["results"] = {
+                name: result.to_jsonable()
+                for name, result in self.results.items()
+            }
+        return payload
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "FuzzCellResult":
@@ -174,6 +206,10 @@ class FuzzCellResult:
                      for k, v in dict(data.get("escapes", {})).items()},
             params_digest=str(data.get("params_digest", "")),
             seed=int(data.get("seed", 0)),  # type: ignore[call-overload]
+            results={
+                str(name): RunResult.from_jsonable(sub)
+                for name, sub in dict(data.get("results", {})).items()
+            },
         )
 
 
@@ -208,20 +244,41 @@ def run_fuzz_case(
     case: FuzzCase,
     workload_scale: float = DEFAULT_FUZZ_SCALE,
     monitors: Tuple[InvariantMonitor, ...] = DEFAULT_MONITORS,
+    system: Optional[SystemConfig] = None,
+    analysis_optimize: bool = False,
+    trace_dir: Optional[str] = None,
 ) -> FuzzCellResult:
-    """Run one cell (both variants) and judge it with every monitor."""
-    from repro.registry.fingerprint import params_digest as _params_digest
+    """Run one cell (both variants) and judge it with every monitor.
 
+    Both runs share the system seed and the plan's fault seed; the only
+    difference is whether the binary was transformed (``analysis_optimize``
+    additionally applies the static-analysis elision plan to the
+    transformed side).  Never raises on a failing cell — whatever escaped
+    a variant is data for the monitors.
+
+    With ``trace_dir`` set, both variants run under a tracer and a
+    *failing* cell dumps both event streams as JSONL to
+    ``trace_dir/<app>-<plan>-<variant>.jsonl`` — the first question about
+    any divergence is "what did the two runs actually do", and the traces
+    answer it without a re-run.  Tracing cannot mask the bug being hunted:
+    the tracer only reads the clock, so traced runs are cycle-identical
+    to untraced ones.
+    """
     observations: Dict[str, VariantObservation] = {}
+    tracers: Dict[str, Tracer] = {}
     identity_digest = ""
     identity_seed = 0
     for variant in (Variant.ORIGINAL, Variant.SPECULATING):
-        cfg = case_config(case, variant, workload_scale)
+        cfg = case_config(case, variant, workload_scale, system,
+                          analysis_optimize)
         # params_digest excludes the variant axis, so either variant's
         # config yields the same cell identity.
-        identity_digest = _params_digest(cfg)
+        identity_digest = params_digest(cfg)
         identity_seed = cfg.system.seed
-        observations[variant.value] = observe_variant(cfg)
+        tracer = NULL_TRACER
+        if trace_dir is not None:
+            tracer = tracers[variant.value] = Tracer(SimClock())
+        observations[variant.value] = observe_variant(cfg, tracer)
     obs = CellObservation(
         app=case.app,
         plan=case.plan,
@@ -229,30 +286,77 @@ def run_fuzz_case(
         variants=observations,
     )
     violations = check_all(obs, monitors)
+    if violations and trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
+        plan_name = case.plan.name if case.plan.active else "fault-free"
+        stem = os.path.join(trace_dir, f"{case.app}-{plan_name}")
+        for name, tracer in tracers.items():
+            export_to_path(tracer, f"{stem}-{name}.jsonl", "jsonl")
+        violations[-1].detail += f" [traces in {stem}-*.jsonl]"
+    completed = {
+        name: vobs.result for name, vobs in sorted(observations.items())
+        if vobs.result is not None
+    }
     return FuzzCellResult(
         case=case,
         violations=violations,
         digest=_cell_digest(case, observations, violations),
-        cycles={
-            name: vobs.result.cycles
-            for name, vobs in sorted(observations.items())
-            if vobs.result is not None
-        },
+        cycles={name: result.cycles for name, result in completed.items()},
         escapes={
             name: (type(vobs.error).__name__ if vobs.error else None)
             for name, vobs in sorted(observations.items())
         },
         params_digest=identity_digest,
         seed=identity_seed,
+        results=completed,
     )
 
 
 def run_fuzz_cell_payload(
-    case_json: Dict[str, object], workload_scale: float
+    case_json: Dict[str, object],
+    workload_scale: float,
+    system: Optional[SystemConfig] = None,
+    analysis_optimize: bool = False,
+    trace_dir: Optional[str] = None,
+    with_results: bool = False,
 ) -> Dict[str, object]:
-    """Module-level cell runner (pickled by reference into workers)."""
+    """Module-level cell runner (pickled by reference into workers).
+
+    ``system`` is a plain frozen dataclass, so it ships to the worker by
+    value.
+    """
     case = FuzzCase.from_jsonable(case_json)
-    return run_fuzz_case(case, workload_scale=workload_scale).to_jsonable()
+    return run_fuzz_case(
+        case, workload_scale=workload_scale, system=system,
+        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
+    ).to_jsonable(with_results=with_results)
+
+
+def cells_in_order(
+    outcome: SupervisorOutcome, grid: Sequence[Tuple[str, FuzzCase]]
+) -> Iterator[FuzzCellResult]:
+    """The cells of ``grid`` in grid order, not arrival order.
+
+    A cell the supervisor had to quarantine (repeated crash/hang) comes
+    back as a failed cell with a ``supervisor`` violation — a campaign
+    never silently drops a cell.
+    """
+    for key, case in grid:
+        payload = outcome.results.get(key)
+        if payload is not None:
+            yield FuzzCellResult.from_jsonable(payload)
+            continue
+        failures = outcome.quarantined.get(key, {}).get("failures", [])
+        yield FuzzCellResult(
+            case=case,
+            violations=[Violation(
+                "supervisor",
+                f"cell quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
+                f"failure(s) (crash/hang); see checkpoint record",
+                {"failures": len(failures)},  # type: ignore[arg-type]
+            )],
+            digest="quarantined",
+        )
 
 
 @dataclass
@@ -356,36 +460,17 @@ def run_fuzz(
         registry_path=registry_path, registry_meta=registry_meta,
     )
 
-    report = FuzzReport(
+    return FuzzReport(
         seed=seed, budget=budget, workload_scale=workload_scale,
         ledger=ledger,
+        cells=list(cells_in_order(
+            outcome, [(case.key, case) for case in cases]
+        )),
+        quarantined={
+            case.key: dict(outcome.quarantined.get(case.key, {}))
+            for case in cases if case.key not in outcome.results
+        },
     )
-    for case in cases:  # generation order, not arrival order
-        payload = outcome.results.get(case.key)
-        if payload is not None:
-            report.cells.append(FuzzCellResult.from_jsonable(payload))
-            continue
-        record = outcome.quarantined.get(case.key, {})
-        report.quarantined[case.key] = dict(record)
-        failures = record.get("failures", [])
-        report.cells.append(FuzzCellResult(
-            case=case,
-            violations=[Violation(
-                "supervisor",
-                f"cell quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                f"failure(s) (crash/hang); see checkpoint record",
-                {"failures": len(failures)},  # type: ignore[arg-type]
-            )],
-            digest="quarantined",
-        ))
-    return report
-
-
-def replay_case(
-    case: FuzzCase, workload_scale: float = DEFAULT_FUZZ_SCALE
-) -> FuzzCellResult:
-    """Re-run one case (e.g. a corpus reproducer) under the monitors."""
-    return run_fuzz_case(case, workload_scale=workload_scale)
 
 
 __all__ = [
@@ -393,8 +478,8 @@ __all__ = [
     "FuzzCellResult",
     "FuzzReport",
     "case_config",
+    "cells_in_order",
     "observe_variant",
-    "replay_case",
     "run_fuzz",
     "run_fuzz_case",
     "run_fuzz_cell_payload",

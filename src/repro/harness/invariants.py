@@ -1,10 +1,11 @@
-"""Composable invariant monitors evaluated inside every chaos-fuzz cell.
+"""Composable invariant monitors evaluated inside every differential cell.
 
-The chaos fuzzer (``repro fuzz``) does not assert "the run finished"; it
-asserts that the paper's safety contract held *while* the run was being
-tortured.  Each monitor below checks one clause of that contract against
-the live simulated system (and its result record) after a differential
-spec-on / spec-off pair:
+Neither the chaos fuzzer (``repro fuzz``) nor the oracle (``repro run
+--oracle``) asserts "the run finished"; they assert that the paper's
+safety contract held *while* the run was being tortured.  Each monitor
+below checks one clause of that contract against the live simulated
+system (and its result record) after a differential spec-on / spec-off
+pair:
 
 * ``audit-chain`` — every speculating process's hash-chained audit table
   still verifies (a tampered record is detected, per DESIGN.md §8);
@@ -14,7 +15,7 @@ spec-on / spec-off pair:
 * ``cancel-drain`` — ``TIPIO_CANCEL_ALL`` drained the hint queue at every
   restart boundary and nothing is left outstanding at end of run;
 * ``spec-identity`` — spec-on output and demand-read trace are
-  byte-identical to spec-off (the PR 2 oracle), with symmetric typed-error
+  byte-identical to spec-off, with symmetric typed-error
   handling for plans designed to lose data;
 * ``typed-errors`` — only :class:`~repro.errors.ReproError` subclasses may
   escape a run, and :class:`~repro.errors.DataLossError` only from a plan
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DataLossError, IsolationViolation, ReproError
 from repro.faults.plan import FaultPlan
-from repro.harness.oracle import _first_output_diff, _first_trace_diff
 from repro.harness.results import RunResult
 from repro.trace.lifecycle import CANCELLED
 
@@ -92,7 +92,7 @@ class VariantObservation:
 
 @dataclass
 class CellObservation:
-    """One fuzz cell: both variants of one app under one generated plan."""
+    """One differential cell: both variants of one app under one plan."""
 
     app: str
     plan: FaultPlan
@@ -268,8 +268,31 @@ class CancelDrainMonitor(InvariantMonitor):
         return violations
 
 
+def _first_output_diff(a: bytes, b: bytes) -> str:
+    """Human description of the first differing output byte."""
+    limit = min(len(a), len(b))
+    for i in range(limit):
+        if a[i] != b[i]:
+            return (f"output byte {i}: original {a[i]:#04x} vs "
+                    f"speculating {b[i]:#04x}")
+    return f"output length: original {len(a)} vs speculating {len(b)} bytes"
+
+
+def _first_trace_diff(
+    a: Sequence[Tuple[int, int, int]], b: Sequence[Tuple[int, int, int]]
+) -> str:
+    """Human description of the first differing demand read."""
+    limit = min(len(a), len(b))
+    for i in range(limit):
+        if a[i] != b[i]:
+            return (f"demand read #{i}: original {a[i]} vs "
+                    f"speculating {b[i]}")
+    return (f"demand-read count: original {len(a)} vs "
+            f"speculating {len(b)} calls")
+
+
 class SpecIdentityMonitor(InvariantMonitor):
-    """Spec-on must be byte-identical to spec-off (the PR 2 oracle)."""
+    """Spec-on must be byte-identical to spec-off (the oracle's clause)."""
 
     name = "spec-identity"
 

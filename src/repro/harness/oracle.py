@@ -3,39 +3,39 @@
 The paper's promise is that speculative pre-execution is *transparent*:
 a transformed application produces exactly the output of the original, and
 demands exactly the same data in the same order — hinting changes timing,
-never semantics.  This module turns the promise into an executable check:
+never semantics.  The executable form of that promise is the differential
+cell (:func:`repro.harness.fuzz.run_fuzz_case`): both variants of one app
+on one seed under one fault plan, judged by the six invariant monitors
+(:mod:`repro.harness.invariants`).  The oracle is that cell run over a
+grid — every app under the fault-free baseline and every built-in chaos
+profile — so the guarantee is checked while disks fail, hints are
+corrupted, and restart storms rage.
 
-* run each application twice on the same seed — :class:`Variant.ORIGINAL`
-  (speculation off) and :class:`Variant.SPECULATING` (speculation on);
-* assert byte-identical program output;
-* assert identical demand-read sequences (the kernel's per-read
-  ``(ino, offset, length)`` trace);
-* repeat under every chaos profile, so the guarantee holds while disks
-  fail, hints are corrupted, and restart storms rage.
-
-A divergence raises (or, in collect mode, records) a typed
-:class:`~repro.errors.OracleMismatch` pinpointing the first differing
-element.  The CLI exposes this as ``run APP --oracle``; CI runs a smoke
-subset on every push.
+A failing cell is recorded in the report with its violations (or, in
+strict mode, raised as a typed :class:`~repro.errors.OracleMismatch`).
+The CLI exposes this as ``run APP --oracle``; CI runs a smoke subset on
+every push.  This module holds only the grid and the report-row views;
+the pair runner, the verdict and the payload are the cell's.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DataLossError, OracleMismatch
-from repro.faults.plan import PROFILES
-from repro.harness.config import ExperimentConfig, Variant
+from repro.errors import OracleMismatch
+from repro.faults.generate import FuzzCase
+from repro.faults.plan import PROFILES, profile
+from repro.harness.fuzz import (
+    FuzzCellResult,
+    cells_in_order,
+    run_fuzz_case,
+    run_fuzz_cell_payload,
+)
 from repro.harness.parallel import run_cells
 from repro.harness.results import RunResult
-from repro.harness.runner import run_experiment
 from repro.params import SystemConfig
 from repro.registry.recorder import record_group
-from repro.sim.clock import SimClock
-from repro.trace.export import export_to_path
-from repro.trace.tracer import Tracer
 
 #: Chaos profiles the full oracle sweeps (None = fault-free baseline).
 ORACLE_PROFILES: Tuple[Optional[str], ...] = (None,) + tuple(
@@ -43,32 +43,20 @@ ORACLE_PROFILES: Tuple[Optional[str], ...] = (None,) + tuple(
 )
 
 
-def _first_output_diff(a: bytes, b: bytes) -> str:
-    """Human description of the first differing output byte."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return (f"output byte {i}: original {a[i]:#04x} vs "
-                    f"speculating {b[i]:#04x}")
-    return f"output length: original {len(a)} vs speculating {len(b)} bytes"
+def oracle_case(
+    app: str, profile_name: Optional[str] = None, fault_seed: int = 7
+) -> FuzzCase:
+    """The differential cell of one app under one built-in profile.
 
-
-def _first_trace_diff(
-    a: Sequence[Tuple[int, int, int]], b: Sequence[Tuple[int, int, int]]
-) -> str:
-    """Human description of the first differing demand read."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return (f"demand read #{i}: original {a[i]} vs "
-                    f"speculating {b[i]}")
-    return (f"demand-read count: original {len(a)} vs "
-            f"speculating {len(b)} calls")
+    Fault-free is the inactive ``none`` plan; nothing overrides the
+    speculation parameters.
+    """
+    return FuzzCase(0, app, profile(profile_name or "none", seed=fault_seed))
 
 
 @dataclass
 class OracleCell:
-    """Outcome of one (app, profile) differential comparison."""
+    """Report row of one (app, profile) differential cell."""
 
     app: str
     profile: Optional[str]
@@ -77,43 +65,28 @@ class OracleCell:
     original: Optional[RunResult] = None
     speculating: Optional[RunResult] = None
 
+    @classmethod
+    def of(cls, cell: FuzzCellResult) -> "OracleCell":
+        """The report row of a finished cell."""
+        plan = cell.case.plan
+        escapes = set(cell.escapes.values())
+        if cell.violations:
+            detail = "; ".join(str(v) for v in cell.violations)
+        elif len(escapes) == 1 and None not in escapes:
+            detail = (f"both variants raised {escapes.pop()} "
+                      f"(expected for this profile)")
+        else:
+            detail = ""
+        return cls(
+            app=cell.case.app, profile=plan.name if plan.active else None,
+            passed=cell.passed, detail=detail,
+            original=cell.results.get("original"),
+            speculating=cell.results.get("speculating"),
+        )
+
     @property
     def profile_name(self) -> str:
         return self.profile or "fault-free"
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "OracleCell":
-        """Rebuild a cell from its cell-engine JSON payload."""
-        cell = cls(
-            app=str(payload["app"]),
-            profile=(str(payload["profile"])
-                     if payload.get("profile") is not None else None),
-            passed=bool(payload["passed"]),
-            detail=str(payload.get("detail", "")),
-        )
-        if "original" in payload:
-            cell.original = RunResult.from_jsonable(payload["original"])  # type: ignore[arg-type]
-        if "speculating" in payload:
-            cell.speculating = RunResult.from_jsonable(payload["speculating"])  # type: ignore[arg-type]
-        return cell
-
-    def to_payload(self) -> Dict[str, object]:
-        """Full serialized form: the cell-engine payload.
-
-        Also the shape the run registry records, serially and under
-        ``--jobs N`` alike.
-        """
-        payload: Dict[str, object] = {
-            "app": self.app,
-            "profile": self.profile,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-        if self.original is not None:
-            payload["original"] = self.original.to_jsonable()
-        if self.speculating is not None:
-            payload["speculating"] = self.speculating.to_jsonable()
-        return payload
 
     def to_jsonable(self) -> Dict[str, object]:
         entry: Dict[str, object] = {
@@ -164,110 +137,12 @@ def run_oracle_cell(
     analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
 ) -> OracleCell:
-    """Differential run of one app under one chaos profile.
-
-    Both runs share the system seed and (when chaotic) the fault seed; the
-    only difference is whether the binary was transformed
-    (``analysis_optimize`` additionally applies the static-analysis
-    elision plan to the transformed side).  Returns the cell; never raises
-    — the caller decides whether a failure is fatal.
-
-    With ``trace_dir`` set, both variants run under a tracer and a
-    *diverging* cell dumps both event streams as JSONL to
-    ``trace_dir/<app>-<profile>-<variant>.jsonl`` — the first question
-    about any divergence is "what did the two runs actually do", and the
-    traces answer it without a re-run.  Tracing cannot mask the bug being
-    hunted: the tracer only reads the clock, so traced runs are
-    cycle-identical to untraced ones.
-    """
-    base = ExperimentConfig(
-        app=app,
-        system=system or SystemConfig(),
-        workload_scale=workload_scale,
-        fault_profile=profile,
-        fault_seed=fault_seed,
-        analysis_optimize=analysis_optimize,
-    )
-    tracers: Dict[Variant, Tracer] = {}
-    if trace_dir is not None:
-        # Only pass the tracer kwarg when actually tracing: tests stub
-        # run_experiment with plain (cfg)-signature fakes.
-        tracers = {
-            Variant.ORIGINAL: Tracer(SimClock()),
-            Variant.SPECULATING: Tracer(SimClock()),
-        }
-
-    def _run(variant: Variant) -> "tuple[Optional[RunResult], Optional[DataLossError]]":
-        cfg = base.with_(variant=variant)
-        try:
-            if variant in tracers:
-                return run_experiment(cfg, tracer=tracers[variant]), None
-            return run_experiment(cfg), None
-        except DataLossError as exc:
-            # Unrecoverable faults (double-fault profiles) are a legitimate,
-            # *symmetric* outcome: both variants must fail the same way.
-            return None, exc
-
-    original, original_loss = _run(Variant.ORIGINAL)
-    speculating, speculating_loss = _run(Variant.SPECULATING)
-
-    cell = OracleCell(app=app, profile=profile, passed=True,
-                      original=original, speculating=speculating)
-    expects_loss = profile is not None and PROFILES[profile].expects_data_loss
-    if original_loss is not None and speculating_loss is not None:
-        cell.detail = (f"both variants raised DataLossError "
-                       f"({'expected' if expects_loss else 'UNEXPECTED'} "
-                       f"for this profile)")
-        cell.passed = expects_loss
-    elif original_loss is not None or speculating_loss is not None:
-        side = "original" if original_loss is not None else "speculating"
-        loss = original_loss if original_loss is not None else speculating_loss
-        cell.passed = False
-        cell.detail = (f"asymmetric data loss: only the {side} variant "
-                       f"raised DataLossError ({loss})")
-    elif expects_loss:
-        cell.passed = False
-        cell.detail = ("expected both variants to raise DataLossError "
-                       "(double-fault profile), but both completed")
-    else:
-        assert original is not None and speculating is not None
-        if speculating.output != original.output:
-            cell.passed = False
-            cell.detail = _first_output_diff(original.output, speculating.output)
-        elif speculating.read_trace != original.read_trace:
-            cell.passed = False
-            cell.detail = _first_trace_diff(original.read_trace,
-                                            speculating.read_trace)
-    if trace_dir is not None and not cell.passed:
-        os.makedirs(trace_dir, exist_ok=True)
-        stem = f"{app}-{cell.profile_name}"
-        for variant, tracer in tracers.items():
-            path = os.path.join(trace_dir, f"{stem}-{variant.value}.jsonl")
-            export_to_path(tracer, path, "jsonl")
-        cell.detail += f" [traces in {trace_dir}/{stem}-*.jsonl]"
-    return cell
-
-
-def run_oracle_cell_payload(
-    app: str,
-    profile: Optional[str],
-    workload_scale: float,
-    fault_seed: int,
-    analysis_optimize: bool,
-    trace_dir: Optional[str],
-    system: Optional[SystemConfig] = None,
-) -> Dict[str, object]:
-    """Module-level cell runner (pickled by reference into workers).
-
-    ``system`` is a plain frozen dataclass, so it ships to the worker by
-    value.
-    """
-    cell = run_oracle_cell(
-        app, profile, workload_scale=workload_scale, fault_seed=fault_seed,
+    """One oracle cell, in-process: the report row of its differential cell."""
+    return OracleCell.of(run_fuzz_case(
+        oracle_case(app, profile, fault_seed),
+        workload_scale=workload_scale, system=system,
         analysis_optimize=analysis_optimize, trace_dir=trace_dir,
-        system=system,
-    )
-    return cell.to_payload()
+    ))
 
 
 def run_oracle(
@@ -284,19 +159,16 @@ def run_oracle(
 ) -> OracleReport:
     """Differential oracle over an app x chaos-profile grid.
 
-    With ``strict`` set, the first divergence (in grid order) raises
+    With ``strict`` set, the first failing cell (in grid order) raises
     :class:`OracleMismatch` once every cell has run; otherwise every
     cell is collected into the report for the caller to inspect.
     ``trace_dir`` enables per-cell divergence trace dumps (see
-    :func:`run_oracle_cell`).
+    :func:`~repro.harness.fuzz.run_fuzz_case`).
 
     The (app, profile) cells go through the cell engine
     (:func:`repro.harness.parallel.run_cells`): in-process by default,
     on the supervised pool with ``jobs > 1``.  Each cell is the same two
-    same-seed runs either way, so the reports are identical.  A cell the
-    supervisor had to quarantine (repeated crash/hang) is reported as a
-    failed cell with its failure record — an oracle run never silently
-    drops a cell.
+    same-seed runs either way, so the reports are identical.
 
     With ``registry_path`` set, an ``oracle`` group record plus one
     ``oracle-cell`` record per cell (with its two ``oracle-variant``
@@ -310,33 +182,25 @@ def run_oracle(
             "profiles": [p or "fault-free" for p in profiles],
             "workload_scale": workload_scale,
             "fault_seed": fault_seed,
-        })
-    grid = [(f"oracle/{app}/{profile or 'fault-free'}", app, profile)
-            for app in apps for profile in profiles]
+        }, cell_kind="oracle-cell")
+    grid = [(f"oracle/{app}/{name or 'fault-free'}",
+             oracle_case(app, name, fault_seed))
+            for app in apps for name in profiles]
     outcome = run_cells(
-        [(key, run_oracle_cell_payload,
-          (app, profile, workload_scale, fault_seed, analysis_optimize,
-           trace_dir, system))
-         for key, app, profile in grid],
+        [(key, run_fuzz_cell_payload,
+          (case.to_jsonable(), workload_scale, system, analysis_optimize,
+           trace_dir, True))  # True: the payload carries both RunResults
+         for key, case in grid],
         jobs=jobs, identity="oracle",
         registry_path=registry_path, registry_meta=registry_meta,
     )
 
     report = OracleReport()
-    for key, app, profile in grid:  # grid order, not arrival order
-        if key in outcome.results:
-            cell = OracleCell.from_payload(outcome.results[key])
-        else:
-            record = outcome.quarantined.get(key, {})
-            failures = record.get("failures", [])
-            cell = OracleCell(
-                app=app, profile=profile, passed=False,
-                detail=(f"quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                        f"failures (crash/hang); see checkpoint record"),
-            )
+    for result in cells_in_order(outcome, grid):
+        cell = OracleCell.of(result)
         report.cells.append(cell)
         if strict and not cell.passed:
             raise OracleMismatch(
-                f"{app} under {cell.profile_name}: {cell.detail}"
+                f"{cell.app} under {cell.profile_name}: {cell.detail}"
             )
     return report

@@ -51,8 +51,8 @@ from repro.harness.supervisor import (
 )
 from repro.registry.recorder import record_results
 
-#: Payload a cell runner returns: a JSON-safe dict (RunResult or oracle
-#: cell serialization) that crosses the result pipe verbatim.
+#: Payload a cell runner returns: a JSON-safe dict (RunResult or
+#: differential-cell serialization) that crosses the result pipe verbatim.
 Payload = Dict[str, object]
 
 

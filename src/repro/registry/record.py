@@ -47,10 +47,9 @@ class RunRecord:
     """One registry entry.
 
     ``result`` holds a full ``RunResult.to_jsonable()`` payload for plain
-    runs and sweep cells, a fuzz-cell payload for ``fuzz-case`` records,
-    and an outcome summary for group kinds.  ``verdicts`` holds invariant
-    -monitor violations (jsonable ``Violation`` records) for fuzz cases
-    and oracle mismatch details.
+    runs and sweep cells, and the differential-cell payload for
+    ``fuzz-case`` and ``oracle-cell`` records.  ``verdicts`` holds their
+    invariant-monitor violations (jsonable ``Violation`` records).
     """
 
     app: str = ""

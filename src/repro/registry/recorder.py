@@ -1,8 +1,8 @@
 """Turns harness cell payloads into registry records.
 
 The harness ships cell outcomes between processes as plain jsonable
-payloads (``RunResult.to_jsonable()`` dicts, oracle-cell dicts, fuzz-cell
-dicts).  This module is the one place that knows how to map each payload
+payloads (``RunResult.to_jsonable()`` dicts, differential-cell dicts).
+This module is the one place that knows how to map each payload
 shape onto :class:`~repro.registry.record.RunRecord` values, and the one
 place that writes them: the cell engine feeds it the finished outcome
 (:func:`record_results`) whether the cells ran in-process or on
@@ -12,9 +12,9 @@ parallel registry byte-identical.
 Classification is structural, mirroring how the checkpoints store the
 same payloads without a type tag:
 
-* ``{"case": ..., "violations": ...}`` — a fuzz cell;
-* ``{"passed": ..., "profile": ...}`` — a differential-oracle cell
-  (with optional ``original``/``speculating`` RunResult sub-payloads);
+* ``{"case": ..., "violations": ...}`` — a differential cell (a fuzz
+  case, or an oracle cell carrying its variants' RunResult sub-payloads
+  under ``results``);
 * ``{"app": ..., "cycles": ...}`` — a plain RunResult.
 """
 
@@ -66,77 +66,50 @@ def _run_record(
     )
 
 
-def _fuzz_records(
+def _differential_records(
     key: Optional[str], payload: Payload, ctx: Optional[Mapping[str, object]]
 ) -> List[RunRecord]:
     case = payload.get("case")
     if not isinstance(case, dict):
         raise RegistryError(
-            f"fuzz payload for cell {key!r} has no case object"
+            f"differential payload for cell {key!r} has no case object"
         )
     plan = case.get("plan")
-    violations = list(payload.get("violations") or [])  # type: ignore[arg-type]
-    return [RunRecord(
+    kind = str(_ctx_value(ctx, "kind", "fuzz-case"))
+    if not isinstance(plan, dict):
+        chaos = "none"
+    elif kind == "fuzz-case":
+        chaos = plan_key(plan)
+    else:
+        # An oracle cell's plan is a built-in profile: it keys by name,
+        # like the variant runs below it.
+        chaos = chaos_key(plan.get("name"))  # type: ignore[arg-type]
+    variants = payload.get("results") or {}
+    cell = RunRecord(
         app=str(case.get("app", "")),
         variant=DIFFERENTIAL,
-        kind="fuzz-case",
+        kind=kind,
         params_digest=str(payload.get("params_digest", "")),
         seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
-        chaos_profile=(
-            plan_key(plan) if isinstance(plan, dict) else "none"
-        ),
+        chaos_profile=chaos,
         cell_key=key,
-        result=dict(payload),
-        verdicts=violations,
-        **_base_kwargs(ctx),  # type: ignore[arg-type]
-    )]
-
-
-def _oracle_records(
-    key: Optional[str], payload: Payload, ctx: Optional[Mapping[str, object]]
-) -> List[RunRecord]:
-    variants = {
-        name: payload[name]
-        for name in ("original", "speculating")
-        if isinstance(payload.get(name), dict)
-    }
-    # Identity keys come from a variant payload when present (they agree:
-    # params_digest excludes the variant axis), else stay empty.
-    exemplar: Mapping[str, object] = (
-        variants.get("speculating") or variants.get("original") or {}  # type: ignore[assignment]
-    )
-    passed = bool(payload.get("passed", False))
-    verdicts: List[Dict[str, object]] = []
-    if not passed:
-        verdicts.append({
-            "monitor": "differential-oracle",
-            "detail": str(payload.get("detail", "")),
-        })
-    summary = {
-        name: value for name, value in payload.items()
-        if name not in ("original", "speculating")
-    }
-    cell = RunRecord(
-        app=str(payload.get("app", "")),
-        variant=DIFFERENTIAL,
-        kind="oracle-cell",
-        params_digest=str(exemplar.get("params_digest", "")),
-        seed=int(exemplar.get("seed", 0)),  # type: ignore[arg-type]
-        chaos_profile=chaos_key(payload.get("profile")),  # type: ignore[arg-type]
-        cell_key=key,
-        result=summary,
-        verdicts=verdicts,
+        # Variant sub-payloads live in the child records.
+        result={
+            name: value for name, value in payload.items()
+            if name != "results"
+        },
+        verdicts=list(payload.get("violations") or []),  # type: ignore[arg-type]
         **_base_kwargs(ctx),  # type: ignore[arg-type]
     )
     records = [cell]
-    for name, sub in sorted(variants.items()):
+    for name, sub in sorted(variants.items()):  # type: ignore[union-attr]
         child_ctx = {
             "kind": "oracle-variant",
             "parent_id": cell.run_id,
             "code_version": cell.code_version,
         }
         records.append(_run_record(
-            f"{key}/{name}" if key else name, sub, child_ctx  # type: ignore[arg-type]
+            f"{key}/{name}" if key else name, sub, child_ctx
         ))
     return records
 
@@ -148,9 +121,7 @@ def records_for_payload(
 ) -> List[RunRecord]:
     """Map one harness cell payload onto its registry records."""
     if "case" in payload and "violations" in payload:
-        return _fuzz_records(key, payload, ctx)
-    if "passed" in payload and "profile" in payload:
-        return _oracle_records(key, payload, ctx)
+        return _differential_records(key, payload, ctx)
     if "app" in payload and "cycles" in payload:
         return [_run_record(key, payload, ctx)]
     raise RegistryError(

@@ -13,7 +13,8 @@ from repro.errors import DataLossError, InvalidBlockError
 from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.harness.config import ExperimentConfig, Variant
-from repro.harness.oracle import run_oracle_cell
+from repro.harness.fuzz import run_fuzz_case
+from repro.harness.oracle import oracle_case, run_oracle_cell
 from repro.harness.runner import run_experiment
 from repro.params import (
     BLOCKS_PER_STRIPE_UNIT,
@@ -403,9 +404,11 @@ class TestDegradedRuns:
             assert cell.passed, f"{profile}: {cell.detail}"
 
     def test_oracle_expects_symmetric_loss_on_double_fault(self):
-        cell = run_oracle_cell("agrep", "double-fault", workload_scale=SCALE)
+        cell = run_fuzz_case(oracle_case("agrep", "double-fault"),
+                             workload_scale=SCALE)
         assert cell.passed
-        assert "both variants raised DataLossError" in cell.detail
+        assert cell.escapes == {"original": "DataLossError",
+                                "speculating": "DataLossError"}
 
     def test_per_disk_counters_surface_in_results(self):
         storm = run_experiment(ExperimentConfig(

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.faults.shrink import Reproducer
-from repro.harness.fuzz import replay_case
+from repro.harness.fuzz import run_fuzz_case
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -34,7 +34,7 @@ def test_corpus_entry_replays_green(path):
     reproducer = Reproducer.load(path)
     assert reproducer.monitor, f"{path} lost its monitor name"
     assert reproducer.note, f"{path} must document the bug that found it"
-    result = replay_case(
+    result = run_fuzz_case(
         reproducer.case, workload_scale=reproducer.workload_scale
     )
     assert result.passed, (

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.errors import OracleMismatch
-from repro.harness import oracle as oracle_mod
+from repro.errors import OracleMismatch, RetriesExhausted
+from repro.harness import fuzz as fuzz_mod
 from repro.harness.config import Variant
+from repro.harness.invariants import _first_output_diff, _first_trace_diff
 from repro.harness.oracle import (
     ORACLE_PROFILES,
     OracleCell,
     OracleReport,
-    _first_output_diff,
-    _first_trace_diff,
     run_oracle,
     run_oracle_cell,
 )
 from repro.harness.results import RunResult
+from repro.trace.tracer import NULL_TRACER
 
 SCALE = 0.3
 
@@ -71,56 +71,89 @@ class TestOracleCell:
 
 
 def _fake_run_experiment(output_by_variant, trace_by_variant=None):
+    """A stand-in for the runner: canned results, no live system."""
     trace_by_variant = trace_by_variant or {}
 
-    def fake(cfg):
+    def fake(cfg, tracer=NULL_TRACER):
         variant = cfg.variant.value
         return RunResult(
             app=cfg.app, variant=variant, cycles=1, cpu_hz=1,
             output=output_by_variant[variant],
             read_trace=trace_by_variant.get(variant, ()),
-        )
+        ), None
 
     return fake
 
 
 class TestMismatchDetection:
     def test_output_divergence_detected(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "run_experiment", _fake_run_experiment({
-            Variant.ORIGINAL.value: b"good",
-            Variant.SPECULATING.value: b"bad!",
-        }))
+        monkeypatch.setattr(
+            fuzz_mod, "run_experiment_with_system", _fake_run_experiment({
+                Variant.ORIGINAL.value: b"good",
+                Variant.SPECULATING.value: b"bad!",
+            }))
         cell = run_oracle_cell("agrep", None)
         assert not cell.passed
         assert "output" in cell.detail
 
     def test_trace_divergence_detected(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "run_experiment", _fake_run_experiment(
-            {Variant.ORIGINAL.value: b"same", Variant.SPECULATING.value: b"same"},
-            {Variant.ORIGINAL.value: ((1, 0, 10),),
-             Variant.SPECULATING.value: ((1, 0, 20),)},
-        ))
+        monkeypatch.setattr(
+            fuzz_mod, "run_experiment_with_system", _fake_run_experiment(
+                {Variant.ORIGINAL.value: b"same",
+                 Variant.SPECULATING.value: b"same"},
+                {Variant.ORIGINAL.value: ((1, 0, 10),),
+                 Variant.SPECULATING.value: ((1, 0, 20),)},
+            ))
         cell = run_oracle_cell("agrep", None)
         assert not cell.passed
         assert "demand read" in cell.detail
 
     def test_strict_mode_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "run_experiment", _fake_run_experiment({
-            Variant.ORIGINAL.value: b"good",
-            Variant.SPECULATING.value: b"bad!",
-        }))
+        monkeypatch.setattr(
+            fuzz_mod, "run_experiment_with_system", _fake_run_experiment({
+                Variant.ORIGINAL.value: b"good",
+                Variant.SPECULATING.value: b"bad!",
+            }))
         with pytest.raises(OracleMismatch, match="agrep under fault-free"):
             run_oracle(("agrep",), profiles=(None,), strict=True)
 
     def test_collect_mode_records_failures(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "run_experiment", _fake_run_experiment({
-            Variant.ORIGINAL.value: b"good",
-            Variant.SPECULATING.value: b"bad!",
-        }))
+        monkeypatch.setattr(
+            fuzz_mod, "run_experiment_with_system", _fake_run_experiment({
+                Variant.ORIGINAL.value: b"good",
+                Variant.SPECULATING.value: b"bad!",
+            }))
         report = run_oracle(("agrep",), profiles=(None, "transient-errors"))
         assert not report.passed
         assert len(report.failures()) == 2
         assert "FAIL" in report.summary()
+
+
+class TestTypedEscape:
+    def test_one_sided_typed_error_is_a_failed_cell_not_an_abort(
+            self, monkeypatch):
+        """A typed error escaping one variant fails that cell — serially
+        and on the pool alike — and every other cell still runs."""
+        real = fuzz_mod.run_experiment_with_system
+
+        def flaky(cfg, tracer=NULL_TRACER):
+            if (cfg.variant is Variant.SPECULATING
+                    and cfg.fault_plan is not None
+                    and cfg.fault_plan.name == "stuck-disk"):
+                raise RetriesExhausted("planted: demand read gave up")
+            return real(cfg, tracer=tracer)
+
+        monkeypatch.setattr(fuzz_mod, "run_experiment_with_system", flaky)
+        profiles = (None, "stuck-disk", "transient-errors")
+        serial = run_oracle(("agrep",), profiles=profiles,
+                            workload_scale=SCALE)
+        parallel = run_oracle(("agrep",), profiles=profiles,
+                              workload_scale=SCALE, jobs=2)
+        assert parallel.to_jsonable() == serial.to_jsonable()
+        assert [cell.passed for cell in serial.cells] == [True, False, True]
+        detail = serial.cells[1].detail
+        assert detail.startswith("[spec-identity] asymmetric escape")
+        assert "speculating RetriesExhausted" in detail
 
 
 class TestOracleReport:

@@ -372,6 +372,31 @@ class TestSilenceOnCleanRuns:
         result = run_fuzz_case(case)
         assert result.passed, [str(v) for v in result.violations]
 
+    @pytest.mark.parametrize("app", ["agrep", "gnuld", "xds", "postgres20"])
+    def test_fault_free_differential_cell_passes_all_six(self, app):
+        from repro.harness.fuzz import run_fuzz_case
+        from repro.harness.oracle import oracle_case
+
+        assert len(DEFAULT_MONITORS) == 6
+        result = run_fuzz_case(oracle_case(app), workload_scale=0.2)
+        assert result.passed, [str(v) for v in result.violations]
+        assert result.escapes == {"original": None, "speculating": None}
+
+    @pytest.mark.parametrize("app", ["agrep", "gnuld", "xds", "postgres20"])
+    def test_manual_variant_passes_the_single_variant_monitors(self, app):
+        from repro.harness.config import ExperimentConfig, Variant
+        from repro.harness.fuzz import observe_variant
+
+        vobs = observe_variant(ExperimentConfig(
+            app=app, variant=Variant.MANUAL, workload_scale=0.2,
+        ))
+        assert vobs.error is None and vobs.result is not None
+        obs = _cell({"manual": vobs}, plan=FaultPlan())
+        monitors = (AuditChainMonitor(), HintLifecycleMonitor(),
+                    CancelDrainMonitor(), ClockMonotonicityMonitor(),
+                    TypedErrorMonitor())
+        assert check_all(obs, monitors) == []
+
     def test_all_monitors_silent_under_builtin_chaos(self):
         from repro.faults.generate import FuzzCase
         from repro.harness.fuzz import run_fuzz_case

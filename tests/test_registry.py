@@ -46,12 +46,7 @@ from repro.registry.regression import (
     parse_match_keys,
 )
 from repro.registry.similarity import similar_runs
-from repro.registry.store import (
-    JsonlStore,
-    RunRegistry,
-    SqliteStore,
-    open_store,
-)
+from repro.registry.store import JsonlStore, RunRegistry
 from repro.registry.tuner import (
     AutoTuner,
     apply_proposal,
@@ -209,22 +204,18 @@ class TestRunRecord:
 # ---------------------------------------------------------------------------
 
 class TestStores:
-    @pytest.mark.parametrize("name", ["ledger.jsonl", "ledger.db"])
+    @pytest.mark.parametrize("name", ["ledger.jsonl"])
     def test_put_get_dedup_reload(self, tmp_path, name):
         path = str(tmp_path / name)
         record = make_record()
-        store = open_store(path)
+        store = JsonlStore(path)
         assert store.put(record.to_jsonable()) is True
         assert store.put(record.to_jsonable()) is False  # content dedup
         store.close()
-        store = open_store(path)
+        store = JsonlStore(path)
         assert store.ids() == [record.run_id]
         assert store.get(record.run_id) == record.to_jsonable()
         store.close()
-
-    def test_open_store_dispatches_on_extension(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), JsonlStore)
-        assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
 
     def test_jsonl_tolerates_torn_final_line(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
@@ -354,20 +345,40 @@ class TestRecorder:
 
     def test_oracle_payload_yields_cell_and_variants(self, tmp_path):
         payload = {
-            "app": "agrep", "profile": "stuck-disk", "passed": False,
-            "detail": "output digests diverge",
-            "original": run_payload(variant="original"),
-            "speculating": run_payload(variant="speculating"),
+            "case": {"app": "agrep", "index": 0, "spec_overrides": {},
+                     "plan": {"name": "stuck-disk", "slow_factor": 40.0}},
+            "violations": [{"monitor": "spec-identity",
+                            "detail": "output digests diverge",
+                            "witness": {}}],
+            "digest": "d", "cycles": {}, "escapes": {},
+            "params_digest": "0123456789abcdef", "seed": 1999,
+            "results": {
+                "original": run_payload(variant="original"),
+                "speculating": run_payload(variant="speculating"),
+            },
         }
-        records = records_for_payload("oracle/agrep/stuck-disk", payload)
+        records = records_for_payload("oracle/agrep/stuck-disk", payload,
+                                      {"kind": "oracle-cell"})
         assert [r.kind for r in records] == \
             ["oracle-cell", "oracle-variant", "oracle-variant"]
         cell, first, second = records
         assert cell.chaos_profile == "stuck-disk"
-        assert cell.verdicts[0]["monitor"] == "differential-oracle"
-        assert "original" not in cell.result  # sub-payloads live in children
+        assert cell.verdicts[0]["monitor"] == "spec-identity"
+        assert "results" not in cell.result  # sub-payloads live in children
         assert first.parent_id == cell.run_id
         assert second.parent_id == cell.run_id
+
+    def test_fuzz_payload_is_the_same_mapping_without_children(self):
+        payload = {
+            "case": {"app": "agrep", "index": 3, "spec_overrides": {},
+                     "plan": {"name": "fuzz-7-3", "slow_factor": 40.0}},
+            "violations": [], "digest": "d", "cycles": {}, "escapes": {},
+            "params_digest": "0123456789abcdef", "seed": 1999,
+        }
+        (record,) = records_for_payload("fuzz/0003/agrep", payload)
+        assert record.kind == "fuzz-case"
+        assert record.chaos_profile == plan_key(payload["case"]["plan"])
+        assert record.result == payload
 
 
 # ---------------------------------------------------------------------------
@@ -685,3 +696,21 @@ class TestRunsCli:
         assert self._main("run", "agrep", "--scale", "0.05",
                           "--auto-tune") == 1
         assert "--registry" in capsys.readouterr().err
+
+    def test_compare_honours_seed_and_registry(self, tmp_path, capsys):
+        """``compare`` runs at ``--seed`` and records its three runs; a
+        matching ``run`` deduplicates onto the same content-addressed id."""
+        path = str(tmp_path / "registry.jsonl")
+        assert self._main("compare", "gnuld", "--scale", "0.2",
+                          "--seed", "5", "--registry", path) == 0
+        capsys.readouterr()
+        registry = RunRegistry.open(path)
+        records = registry.records()
+        registry.close()
+        assert sorted(r.variant for r in records) == \
+            ["manual", "original", "speculating"]
+        assert {(r.kind, r.seed) for r in records} == {("run", 5)}
+        assert self._main("run", "gnuld", "--scale", "0.2", "--seed", "5",
+                          "--variant", "manual", "--registry", path) == 0
+        recorded = capsys.readouterr().out.split("registry: recorded ")[1]
+        assert recorded.split()[0] in {r.run_id for r in records}

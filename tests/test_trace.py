@@ -409,18 +409,19 @@ class TestRunResultSerialization:
 
 class TestOracleTraceDump:
     def test_divergence_dumps_both_traces(self, tmp_path, monkeypatch):
-        from repro.harness import oracle as oracle_mod
+        from repro.harness import fuzz as fuzz_mod
+        from repro.harness.oracle import run_oracle_cell
 
-        real = oracle_mod.run_experiment
+        real = fuzz_mod.run_experiment_with_system
 
         def tamper(cfg, tracer=NULL_TRACER):
-            result = real(cfg, tracer=tracer)
+            result, system = real(cfg, tracer=tracer)
             if cfg.variant is Variant.SPECULATING:
                 result.output = result.output + b"X"  # forced divergence
-            return result
+            return result, system
 
-        monkeypatch.setattr(oracle_mod, "run_experiment", tamper)
-        cell = oracle_mod.run_oracle_cell(
+        monkeypatch.setattr(fuzz_mod, "run_experiment_with_system", tamper)
+        cell = run_oracle_cell(
             "agrep", None, workload_scale=SCALE, trace_dir=str(tmp_path)
         )
         assert not cell.passed
