@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from conftest import banner, once
 
-from repro.faults.plan import PROFILES
+from repro.faults.plan import PROFILES, profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
@@ -36,7 +36,7 @@ def _config(app: str, profile_name: str = None) -> ExperimentConfig:
         app=app,
         variant=Variant.SPECULATING,
         workload_scale=SCALE,
-        fault_profile=profile_name,
+        fault_plan=profile(profile_name) if profile_name else None,
     )
 
 
@@ -111,7 +111,7 @@ def test_chaos_watchdog_restores_baseline(benchmark):
     def run():
         storm = run_experiment(ExperimentConfig(
             app="agrep", variant=Variant.SPECULATING,
-            fault_profile="restart-storm",
+            fault_plan=profile("restart-storm"),
         ))
         clean = run_experiment(ExperimentConfig(
             app="agrep", variant=Variant.SPECULATING,

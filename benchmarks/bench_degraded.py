@@ -31,8 +31,6 @@ simulation change.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
@@ -40,13 +38,17 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from _baseline import (  # noqa: E402
+    add_baseline_arguments,
+    check_baseline,
+    digest_of,
+    update_baseline,
+)
+
 from repro.errors import DataLossError  # noqa: E402
+from repro.faults.plan import profile  # noqa: E402
 from repro.harness.config import ExperimentConfig, Variant  # noqa: E402
 from repro.harness.runner import run_experiment  # noqa: E402
-
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_degraded.json"
-)
 
 SCALE = 0.3
 #: Degraded workload-completion time may not exceed this multiple of the
@@ -59,19 +61,11 @@ QUICK_APPS = ("agrep",)
 DEATH_PROFILES = ("disk-death", "rebuild-storm")
 
 
-def run_cell(app: str, profile: str | None):
+def run_cell(app: str, name: str | None):
     return run_experiment(ExperimentConfig(
         app=app, variant=Variant.SPECULATING, workload_scale=SCALE,
-        fault_profile=profile,
+        fault_plan=profile(name) if name else None,
     ))
-
-
-def digest_of(results) -> str:
-    canonical = json.dumps(
-        {key: result.to_jsonable() for key, result in results.items()},
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(canonical).hexdigest()
 
 
 def check_survival(apps, profiles) -> "tuple[dict, int]":
@@ -81,9 +75,9 @@ def check_survival(apps, profiles) -> "tuple[dict, int]":
     for app in apps:
         healthy = run_cell(app, None)
         results[f"{app}/none"] = healthy
-        for profile in profiles:
-            degraded = run_cell(app, profile)
-            results[f"{app}/{profile}"] = degraded
+        for name in profiles:
+            degraded = run_cell(app, name)
+            results[f"{app}/{name}"] = degraded
             # Slowdown is judged on workload completion, not total elapsed:
             # total elapsed includes the rebuild drain tail, which scales
             # with array capacity rather than workload size.
@@ -92,25 +86,25 @@ def check_survival(apps, profiles) -> "tuple[dict, int]":
                 f"rebuild @{degraded.rebuild_completed_cycle / degraded.cpu_hz:.3f}s"
                 if degraded.rebuild_completed else "rebuild INCOMPLETE"
             )
-            print(f"  {app:8s} {profile:14s} healthy {healthy.elapsed_s:6.3f}s "
+            print(f"  {app:8s} {name:14s} healthy {healthy.elapsed_s:6.3f}s "
                   f"degraded {degraded.workload_elapsed_s:6.3f}s "
                   f"({slowdown:4.2f}x)  "
                   f"recon {degraded.reconstructed_blocks:4d}  {rebuild}")
             if degraded.output != healthy.output:
-                print(f"FAIL: {app}/{profile}: output diverged from the "
+                print(f"FAIL: {app}/{name}: output diverged from the "
                       f"healthy run", file=sys.stderr)
                 failures += 1
             if not degraded.rebuild_completed:
-                print(f"FAIL: {app}/{profile}: rebuild did not complete",
+                print(f"FAIL: {app}/{name}: rebuild did not complete",
                       file=sys.stderr)
                 failures += 1
             if degraded.degraded_reads <= 0:
-                print(f"FAIL: {app}/{profile}: no degraded reads recorded — "
+                print(f"FAIL: {app}/{name}: no degraded reads recorded — "
                       f"the profile injected nothing", file=sys.stderr)
                 failures += 1
-            ceiling = SLOWDOWN_CEILINGS[profile]
+            ceiling = SLOWDOWN_CEILINGS[name]
             if slowdown > ceiling:
-                print(f"FAIL: {app}/{profile}: degraded slowdown "
+                print(f"FAIL: {app}/{name}: degraded slowdown "
                       f"{slowdown:.2f}x exceeds the {ceiling:.1f}x "
                       f"ceiling", file=sys.stderr)
                 failures += 1
@@ -124,7 +118,7 @@ def check_double_fault() -> int:
         try:
             run_experiment(ExperimentConfig(
                 app="agrep", variant=variant, workload_scale=SCALE,
-                fault_profile="double-fault",
+                fault_plan=profile("double-fault"),
             ))
         except DataLossError as exc:
             print(f"  double-fault {variant.value:12s} DataLossError: "
@@ -140,10 +134,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="one app, disk-death only (CI smoke)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="record the current digest as the baseline")
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help="baseline JSON path")
+    add_baseline_arguments(parser, "BENCH_degraded.json",
+                           "record the current digest as the baseline")
     args = parser.parse_args(argv)
 
     label = "quick" if args.quick else "full"
@@ -157,46 +149,20 @@ def main(argv=None) -> int:
     results, failures = check_survival(apps, profiles)
     failures += check_double_fault()
 
-    digest = digest_of(results)
+    digest = digest_of({key: result.to_jsonable()
+                        for key, result in results.items()})
     digest_key = f"digest_{label}"
     print(f"digest {digest[:16]}… over {len(results)} cells")
 
     if args.update_baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError):
-            baseline = {}
-        baseline.update({
+        update_baseline(args.baseline, digest_key, digest, {
             "workload": f"healthy vs permanent-death profiles, scale={SCALE:g}",
             "slowdown_ceilings": SLOWDOWN_CEILINGS,
-            digest_key: digest,
         })
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline updated: {args.baseline} ({digest_key})")
         return 1 if failures else 0
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"FAIL: no baseline at {args.baseline}; run with "
-              f"--update-baseline first", file=sys.stderr)
-        return 1
-    expected = baseline.get(digest_key)
-    if expected is None:
-        print(f"FAIL: baseline has no {digest_key!r}; run this mode with "
-              f"--update-baseline", file=sys.stderr)
+    if check_baseline(args.baseline, digest_key, digest, "result digest",
+                      "degraded-mode results changed") is None:
         failures += 1
-    elif digest != expected:
-        print(f"FAIL: result digest {digest} does not match the baseline "
-              f"{expected} — degraded-mode results changed; update the "
-              f"baseline if intentional", file=sys.stderr)
-        failures += 1
-    else:
-        print("baseline digest: ok")
 
     if failures:
         print(f"FAIL: {failures} degraded-mode check(s) failed",

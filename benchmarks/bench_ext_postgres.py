@@ -41,7 +41,7 @@ def test_ext_postgres_join(benchmark):
             f"[paper manual: {PAPER_MANUAL[app]:.0f}%]"
         )
 
-    for app, matrix in results.items():
+    for matrix in results.values():
         original = matrix[Variant.ORIGINAL]
         # Both hinting variants must win substantially.
         assert matrix[Variant.SPECULATING].improvement_over(original) > 25

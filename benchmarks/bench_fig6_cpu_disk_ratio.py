@@ -12,14 +12,14 @@ curve stays offset below the manual one.
 from conftest import banner, once
 
 from repro.harness import paper
-from repro.harness.experiments import run_cpu_ratio_sweep
+from repro.harness.experiments import run_sweep
 from repro.harness.tables import format_improvement_series
 
 RATIOS = (1, 2, 3, 5, 7, 9)
 
 
 def test_fig6_cpu_disk_ratio(benchmark):
-    sweep = once(benchmark, lambda: run_cpu_ratio_sweep(RATIOS))
+    sweep = once(benchmark, lambda: run_sweep("ratio", RATIOS))
     print(banner("Figure 6 - widening processor/disk speed gap"))
     print(format_improvement_series(sweep, "processor/disk speed ratio"))
 

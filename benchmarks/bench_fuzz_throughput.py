@@ -24,7 +24,6 @@ coverage, so this guard tracks two things:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -33,11 +32,13 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.harness.fuzz import run_fuzz  # noqa: E402
-
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_fuzz.json"
+from _baseline import (  # noqa: E402
+    add_baseline_arguments,
+    check_baseline,
+    update_baseline,
 )
+
+from repro.harness.fuzz import run_fuzz  # noqa: E402
 
 SEED = 7
 BUDGET_FULL = 30
@@ -56,10 +57,8 @@ def main(argv=None) -> int:
                         help="worker count of the parallel leg (default 4)")
     parser.add_argument("--quick", action="store_true",
                         help="small budget at --jobs 2, determinism only")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="record current digest and throughput")
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help="baseline JSON path")
+    add_baseline_arguments(parser, "BENCH_fuzz.json",
+                           "record current digest and throughput")
     args = parser.parse_args(argv)
 
     jobs = 2 if args.quick else args.jobs
@@ -107,44 +106,21 @@ def main(argv=None) -> int:
     # -- baseline ------------------------------------------------------------
     digest_key = f"digest_{label}"
     if args.update_baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError):
-            baseline = {}
-        baseline.update({
+        update_baseline(args.baseline, digest_key, serial.digest, {
             "seed": SEED,
             "budget_full": BUDGET_FULL,
             "budget_quick": BUDGET_QUICK,
-            digest_key: serial.digest,
             f"serial_cells_per_min_{label}": round(serial_rate, 1),
             f"parallel_cells_per_min_{label}": round(parallel_rate, 1),
             f"parallel_jobs_{label}": jobs,
         })
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline updated: {args.baseline} ({digest_key})")
         return 0
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"FAIL: no baseline at {args.baseline}; run with "
-              f"--update-baseline first", file=sys.stderr)
+    baseline = check_baseline(
+        args.baseline, digest_key, serial.digest, "campaign digest",
+        "generated schedules or cell behavior changed",
+    )
+    if baseline is None:
         return 1
-    expected = baseline.get(digest_key)
-    if expected is None:
-        print(f"FAIL: baseline has no {digest_key!r}; run this mode with "
-              f"--update-baseline", file=sys.stderr)
-        return 1
-    if serial.digest != expected:
-        print(f"FAIL: campaign digest {serial.digest} does not match the "
-              f"baseline {expected} — generated schedules or cell behavior "
-              f"changed; update the baseline if intentional", file=sys.stderr)
-        return 1
-    print("baseline digest: ok")
 
     # -- throughput (wall-clock: advisory window, not a hard gate) -----------
     if args.quick:

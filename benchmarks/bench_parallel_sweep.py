@@ -26,7 +26,6 @@ digests after an intentional simulation change.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -37,16 +36,19 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.faults.plan import PROFILES  # noqa: E402
-from repro.harness.parallel import (  # noqa: E402
-    chaos_parallel_cells,
-    run_cells,
-    sweep_parallel_cells,
+from _baseline import (  # noqa: E402
+    add_baseline_arguments,
+    check_baseline,
+    digest_of,
+    update_baseline,
 )
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_parallel_sweep.json"
+from repro.faults.plan import PROFILES  # noqa: E402
+from repro.harness.experiments import (  # noqa: E402
+    chaos_parallel_cells,
+    sweep_parallel_cells,
 )
+from repro.harness.parallel import run_cells  # noqa: E402
 
 SCALE = 0.2
 # Permanent-death profiles are excluded to keep the committed digest
@@ -70,12 +72,6 @@ def full_grid():
 
 def quick_grid():
     return sweep_parallel_cells("cache", workload_scale=SCALE)[:4]
-
-
-def digest_of(results) -> str:
-    """Canonical digest of a result set: order-independent, byte-exact."""
-    canonical = json.dumps(results, sort_keys=True).encode()
-    return hashlib.sha256(canonical).hexdigest()
 
 
 def timed_run(cells, jobs: int):
@@ -103,10 +99,8 @@ def main(argv=None) -> int:
                         help="worker count of the parallel leg (default 4)")
     parser.add_argument("--quick", action="store_true",
                         help="4-cell grid at --jobs 2, determinism only")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="record the current digests as the baseline")
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help="baseline JSON path")
+    add_baseline_arguments(parser, "BENCH_parallel_sweep.json",
+                           "record the current digests as the baseline")
     args = parser.parse_args(argv)
 
     jobs = 2 if args.quick else args.jobs
@@ -149,41 +143,15 @@ def main(argv=None) -> int:
     # -- baseline digest -----------------------------------------------------
     digest_key = f"digest_{label}"
     if args.update_baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError):
-            baseline = {}
-        baseline.update({
+        update_baseline(args.baseline, digest_key, serial_digest, {
             "workload": f"cache sweep + chaos grid, scale={SCALE:g}",
             "cells_full": len(full_grid()),
             "cells_quick": len(quick_grid()),
-            digest_key: serial_digest,
         })
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline updated: {args.baseline} ({digest_key})")
         return 0
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"FAIL: no baseline at {args.baseline}; run with "
-              f"--update-baseline first", file=sys.stderr)
+    if check_baseline(args.baseline, digest_key, serial_digest,
+                      "result digest", "simulation results changed") is None:
         return 1
-    expected = baseline.get(digest_key)
-    if expected is None:
-        print(f"FAIL: baseline has no {digest_key!r}; run this mode with "
-              f"--update-baseline", file=sys.stderr)
-        return 1
-    if serial_digest != expected:
-        print(f"FAIL: result digest {serial_digest} does not match the "
-              f"baseline {expected} — simulation results changed; update "
-              f"the baseline if intentional", file=sys.stderr)
-        return 1
-    print("baseline digest: ok")
 
     # -- speedup (core-aware) ------------------------------------------------
     if args.quick:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -36,14 +35,14 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.harness.parallel import (  # noqa: E402
-    run_cells,
-    sweep_parallel_cells,
+from _baseline import (  # noqa: E402
+    add_baseline_arguments,
+    check_baseline,
+    update_baseline,
 )
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_registry.json"
-)
+from repro.harness.experiments import sweep_parallel_cells  # noqa: E402
+from repro.harness.parallel import run_cells  # noqa: E402
 
 SCALE = 0.2
 TOLERANCE_PCT = 2.0
@@ -98,10 +97,8 @@ def main(argv=None) -> int:
                         help="3-cell grid, one iteration, determinism only")
     parser.add_argument("--iterations", type=int, default=2,
                         help="timing iterations per leg (min is kept)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="record the current registry digest")
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help="baseline JSON path")
+    add_baseline_arguments(parser, "BENCH_registry.json",
+                           "record the current registry digest")
     args = parser.parse_args(argv)
 
     cells = grid(args.quick)
@@ -149,42 +146,16 @@ def main(argv=None) -> int:
 
     digest_key = f"registry_digest_{label}"
     if args.update_baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError):
-            baseline = {}
-        baseline.update({
+        update_baseline(args.baseline, digest_key, digest, {
             "workload": f"cache sweep cells, scale={SCALE:g}, serial",
             "cells_full": len(grid(False)),
             "cells_quick": len(grid(True)),
             "tolerance_pct": TOLERANCE_PCT,
-            digest_key: digest,
         })
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline updated: {args.baseline} ({digest_key})")
         return 0
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"FAIL: no baseline at {args.baseline}; run with "
-              f"--update-baseline first", file=sys.stderr)
+    if check_baseline(args.baseline, digest_key, digest, "registry digest",
+                      "record identity or schema changed") is None:
         return 1
-    expected = baseline.get(digest_key)
-    if expected is None:
-        print(f"FAIL: baseline has no {digest_key!r}; run this mode with "
-              f"--update-baseline", file=sys.stderr)
-        return 1
-    if digest != expected:
-        print(f"FAIL: registry digest {digest} does not match the baseline "
-              f"{expected} — record identity or schema changed; update the "
-              f"baseline if intentional", file=sys.stderr)
-        return 1
-    print("baseline digest: ok")
     return 0
 
 

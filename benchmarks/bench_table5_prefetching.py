@@ -49,7 +49,7 @@ def test_table5_prefetching(benchmark):
         assert spec_fully > orig_fully
 
     # Cache reuse is not destroyed by speculation (within 2x).
-    for app, results in matrix.items():
+    for results in matrix.values():
         orig_reuse = results["original"].cache_block_reuses
         spec_reuse = results["speculating"].cache_block_reuses
         assert spec_reuse >= orig_reuse * 0.5

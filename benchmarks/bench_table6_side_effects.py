@@ -16,7 +16,7 @@ def test_table6_side_effects(benchmark):
     print(banner("Table 6 - performance side-effects"))
     print(format_table6(matrix))
 
-    for app, results in matrix.items():
+    for results in matrix.values():
         original = results["original"]
         speculating = results["speculating"]
         manual = results["manual"]

@@ -9,7 +9,7 @@ while many of the reads it cannot hint keep stalling.
 
 from conftest import banner, once
 
-from repro.harness.experiments import run_cache_size_sweep
+from repro.harness.experiments import run_sweep
 from repro.harness.tables import format_table7
 
 
@@ -21,7 +21,7 @@ CACHE_POINTS = (6.0, 12.0, 32.0)
 
 
 def test_table7_cache_size(benchmark):
-    sweep = once(benchmark, lambda: run_cache_size_sweep(CACHE_POINTS))
+    sweep = once(benchmark, lambda: run_sweep("cache", CACHE_POINTS))
     print(banner("Table 7 - varying the file cache size"))
     print(format_table7(sweep))
 

@@ -14,12 +14,12 @@ Paper:
 from conftest import banner, once
 
 from repro.harness import paper
-from repro.harness.experiments import run_disk_sweep
+from repro.harness.experiments import run_sweep
 from repro.harness.tables import format_improvement_series, format_table8
 
 
 def test_table8_and_fig5_disks(benchmark):
-    sweep = once(benchmark, lambda: run_disk_sweep((1, 2, 4, 10)))
+    sweep = once(benchmark, lambda: run_sweep("disks", (1, 2, 4, 10)))
     print(banner("Table 8 - original applications vs number of disks"))
     print(format_table8(sweep))
     print(banner("Figure 5 - improvement vs number of disks"))

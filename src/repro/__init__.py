@@ -24,11 +24,9 @@ Package map (see DESIGN.md for the full inventory):
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
     improvements,
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_disk_sweep,
     run_matrix,
     run_one,
+    run_sweep,
 )
 from repro.harness.results import RunResult
 from repro.harness.runner import build_system, run_experiment
@@ -47,9 +45,7 @@ __all__ = [
     "run_experiment",
     "run_one",
     "run_matrix",
-    "run_disk_sweep",
-    "run_cache_size_sweep",
-    "run_cpu_ratio_sweep",
+    "run_sweep",
     "improvements",
     "__version__",
 ]

@@ -714,33 +714,6 @@ class _GnuldBuilder:
         asm.jmp("m3_loop")
         asm.label("m3_done")
 
-    def _emit_section_major_hints(self) -> None:
-        """Manual pass-3 hints, disclosed in exact (section-major) order."""
-        asm = self.asm
-        asm.li(Reg.s7, 0)
-        asm.label("mh3_loop")
-        asm.li(Reg.at, MAX_SECTIONS)
-        asm.bge(Reg.s7, Reg.at, "mh3_done")
-        asm.li(Reg.s0, 0)
-        asm.label("mh3_files")
-        asm.li(Reg.at, self.wl.nfiles)
-        asm.bge(Reg.s0, Reg.at, "mh3_files_done")
-        self._load_elem("nsect_arr", Reg.s0, Reg.at)
-        asm.bge(Reg.s7, Reg.at, "mh3_skip")
-        self._load_elem("fds", Reg.s0, Reg.a0)
-        self._index_2d(Reg.s0, Reg.s7, MAX_SECTIONS, Reg.t4)
-        self._load_elem("sect_off_arr", Reg.t4, Reg.a1)
-        self._index_2d(Reg.s0, Reg.s7, MAX_SECTIONS, Reg.t4)
-        self._load_elem("sect_len_arr", Reg.t4, Reg.a2)
-        asm.syscall(SYS_HINT_FD_SEG)
-        asm.label("mh3_skip")
-        asm.addi(Reg.s0, Reg.s0, 1)
-        asm.jmp("mh3_files")
-        asm.label("mh3_files_done")
-        asm.addi(Reg.s7, Reg.s7, 1)
-        asm.jmp("mh3_loop")
-        asm.label("mh3_done")
-
     def _emit_2d_hint_loop(
         self,
         prefix: str,

@@ -68,7 +68,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.faults.plan import PROFILES
+from repro.faults.plan import PROFILES, profile
 from repro.harness import paper
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
 from repro.harness.results import RunResult
@@ -94,8 +94,7 @@ def _base_config(args: argparse.Namespace, app: str) -> ExperimentConfig:
         system=_base_system(args),
         cache_paper_mb=args.cache_mb,
         workload_scale=args.scale,
-        fault_profile=args.chaos if args.chaos not in (None, "none") else None,
-        fault_seed=args.fault_seed,
+        fault_plan=profile(args.chaos, args.fault_seed) if args.chaos else None,
     )
 
 
@@ -116,7 +115,9 @@ def _print_progress(key: str, resumed: bool) -> None:
     print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
 
 
-def _auto_tune(cfg: ExperimentConfig, registry_path: str) -> ExperimentConfig:
+def _auto_tune(
+    cfg: ExperimentConfig, registry_path: str, chaos: Optional[str]
+) -> ExperimentConfig:
     """``run --auto-tune``: propose speculation tunables from the registry."""
     from repro.registry.fingerprint import chaos_key
     from repro.registry.store import RunRegistry
@@ -124,9 +125,7 @@ def _auto_tune(cfg: ExperimentConfig, registry_path: str) -> ExperimentConfig:
 
     registry = RunRegistry.open(registry_path)
     try:
-        proposal = AutoTuner(registry).propose(
-            cfg.app, chaos_key(cfg.fault_profile)
-        )
+        proposal = AutoTuner(registry).propose(cfg.app, chaos_key(chaos))
     finally:
         registry.close()
     if proposal is None:
@@ -165,6 +164,12 @@ def _tune_from_provenance(
 def cmd_run(args: argparse.Namespace) -> int:
     if args.oracle:
         return _run_oracle(args)
+    if args.trace_out is not None:
+        raise ReproError(
+            "--trace-out DIR collects the oracle's divergence dumps and "
+            "requires --oracle; for one run's trace use "
+            "`repro trace APP --export jsonl --out FILE`"
+        )
     cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
     if args.auto_tune or args.tuned_from:
         if args.registry is None:
@@ -174,18 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.tuned_from:
         cfg = _tune_from_provenance(cfg, args.registry, args.tuned_from)
     elif args.auto_tune:
-        cfg = _auto_tune(cfg, args.registry)
-    trace_out = args.trace_out
-    if trace_out:
-        from repro.sim.clock import SimClock
-        from repro.trace import Tracer, export_to_path
-
-        tracer = Tracer(SimClock())
-        result = run_experiment(cfg, tracer=tracer)
-        export_to_path(tracer, trace_out, "jsonl")
-        print(f"trace written to {trace_out} ({len(tracer):,} events)")
-    else:
-        result = run_experiment(cfg)
+        cfg = _auto_tune(cfg, args.registry, args.chaos)
+    result = run_experiment(cfg)
     print(result.summary())
     print(f"  elapsed:          {result.elapsed_s:.3f} s simulated")
     print(f"  reads:            {result.read_calls} calls, "
@@ -395,7 +390,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_sweep_resumable
+    from repro.harness.experiments import run_sweep
     from repro.harness.report import format_supervisor_stats
 
     _require_checkpoint_for_resume(args)
@@ -404,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     verbose = (args.checkpoint is not None or args.jobs > 1
                or args.registry is not None)
     stats_out: dict = {}
-    sweep = run_sweep_resumable(
+    sweep = run_sweep(
         args.kind,
         workload_scale=args.scale,
         checkpoint_path=args.checkpoint,
@@ -532,13 +527,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(report.summary())
 
     if args.coverage_report is not None:
-        atomic_write_json(args.coverage_report, {
-            "seed": report.seed,
-            "budget": report.budget,
-            "digest": report.digest,
-            "passed": report.passed,
-            "coverage": report.ledger.to_jsonable(),
-        })
+        atomic_write_json(args.coverage_report, report.to_jsonable())
         print(f"coverage report written to {args.coverage_report}")
 
     failures = report.failures()
@@ -746,18 +735,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    #: The cell-engine flags, declared once; each command supplies only
-    #: its own help text (and the position among its other options).
-    cell_flag_specs = {
+    #: Every flag more than one command takes, declared once; each command
+    #: supplies only what is its own: the help text (or a dict of the
+    #: keywords it sets itself) and the position among its other options.
+    flag_specs = {
         "checkpoint": dict(default=None, metavar="PATH"),
         "resume": dict(action="store_true"),
         "jobs": dict(type=int, default=1, metavar="N"),
         "registry": dict(default=None, metavar="PATH"),
+        "scale": dict(type=float, default=1.0),
+        "seed": dict(type=int),
+        "variant": dict(default="speculating",
+                        choices=[v.value for v in Variant]),
     }
+    run_id = dict(help="run id (unique prefix ok)")
 
-    def cell_flags(p: argparse.ArgumentParser, **helps: str) -> None:
-        for name, text in helps.items():
-            p.add_argument(f"--{name}", help=text, **cell_flag_specs[name])
+    def flags(p: argparse.ArgumentParser, **own: object) -> None:
+        for name, keywords in own.items():
+            if not isinstance(keywords, dict):
+                keywords = {"help": keywords}
+            p.add_argument(f"--{name}", **{**flag_specs[name], **keywords})
 
     def common(p: argparse.ArgumentParser, with_app: bool = True) -> None:
         if with_app:
@@ -765,8 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--disks", type=int, default=4)
         p.add_argument("--cache-mb", type=float, default=12.0,
                        help="file cache size in the paper's MB")
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="workload scale factor")
+        flags(p, scale="workload scale factor")
         p.add_argument("--ncpus", type=int, default=1, choices=(1, 2))
         p.add_argument("--chaos", default=None, choices=sorted(PROFILES),
                        metavar="PROFILE",
@@ -774,31 +770,30 @@ def build_parser() -> argparse.ArgumentParser:
                             + ", ".join(sorted(PROFILES)))
         p.add_argument("--fault-seed", type=int, default=7, dest="fault_seed",
                        help="seed for the fault decision streams")
-        p.add_argument("--seed", type=int, default=1999,
-                       help="system seed (file layout jitter); vary it to "
-                            "build a baseline population in the registry")
-        cell_flags(p, registry="record this run in the persistent run "
-                               "registry at PATH (a JSONL ledger)")
+        flags(p,
+              seed=dict(default=1999,
+                        help="system seed (file layout jitter); vary it to "
+                             "build a baseline population in the registry"),
+              registry="record this run in the persistent run "
+                       "registry at PATH (a JSONL ledger)")
 
     run_p = sub.add_parser("run", help="run one benchmark variant")
     common(run_p)
-    run_p.add_argument("--variant", default="speculating",
-                       choices=[v.value for v in Variant])
+    flags(run_p, variant=None)
     run_p.add_argument("--oracle", action="store_true",
                        help="differential correctness oracle: run spec-on "
                             "vs spec-off and assert identical output and "
                             "demand-read sequences (all chaos profiles, or "
                             "just the one named by --chaos)")
-    cell_flags(run_p, jobs="with --oracle: run oracle cells on N "
-                           "supervised worker processes; 1 = serial")
+    flags(run_p, jobs="with --oracle: run oracle cells on N "
+                      "supervised worker processes; 1 = serial")
     run_p.add_argument("--oracle-report", default=None, metavar="PATH",
                        dest="oracle_report",
                        help="write the oracle's JSON report to PATH")
-    run_p.add_argument("--trace-out", default=None, metavar="PATH",
+    run_p.add_argument("--trace-out", default=None, metavar="DIR",
                        dest="trace_out",
                        help="with --oracle: directory for JSONL trace dumps "
-                            "of any diverging cell (both variants); without: "
-                            "write this run's full JSONL trace to PATH")
+                            "of any diverging cell (both variants)")
     run_p.add_argument("--auto-tune", action="store_true", dest="auto_tune",
                        help="ask the registry's auto-tuner for speculation "
                             "parameters learned from similar past runs "
@@ -817,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr_p = sub.add_parser("transform", help="show SpecHint tool output")
     tr_p.add_argument("app", choices=ALL_APPS)
-    tr_p.add_argument("--scale", type=float, default=1.0)
+    flags(tr_p, scale=None)
     tr_p.add_argument("--optimize", action="store_true",
                       help="apply the static-analysis elision plan")
     tr_p.add_argument("--disasm", type=int, default=0, metavar="N",
@@ -831,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.analysis.fixtures import FIXTURES
 
     an_p.add_argument("app", choices=ALL_APPS + tuple(sorted(FIXTURES)))
-    an_p.add_argument("--scale", type=float, default=1.0)
+    flags(an_p, scale=None)
     an_p.add_argument("--json", action="store_true",
                       help="emit the full report as JSON")
     an_p.add_argument("--lint", action="store_true",
@@ -851,9 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw_p = sub.add_parser("sweep", help="regenerate a sweep experiment")
     sw_p.add_argument("kind", choices=("disks", "cache", "ratio", "degraded"))
-    sw_p.add_argument("--scale", type=float, default=1.0)
-    cell_flags(
+    flags(
         sw_p,
+        scale=None,
         checkpoint="checkpoint finished cells to PATH (atomic "
                    "write-then-rename after every cell)",
         resume="restore completed cells from --checkpoint "
@@ -871,8 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one benchmark under the event tracer and export/summarize",
     )
     common(trace_p)
-    trace_p.add_argument("--variant", default="speculating",
-                         choices=[v.value for v in Variant])
+    flags(trace_p, variant=None)
     trace_p.add_argument("--categories", default=None, metavar="C,...",
                          help="record only these categories "
                               "(kernel, sched, spec, hint, tip, cache, "
@@ -900,16 +894,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_p.add_argument("--budget", type=int, default=50,
                         help="number of fault schedules to generate and run")
-    fuzz_p.add_argument("--seed", type=int, default=7,
-                        help="campaign seed; same seed = same schedules, "
-                             "same coverage ledger, same cell digests")
-    cell_flags(fuzz_p, jobs="shard fuzz cells across N supervised worker "
-                            "processes (crashed/hung cells quarantined); "
-                            "1 = serial")
+    flags(fuzz_p,
+          seed=dict(default=7,
+                    help="campaign seed; same seed = same schedules, "
+                         "same coverage ledger, same cell digests"),
+          jobs="shard fuzz cells across N supervised worker "
+               "processes (crashed/hung cells quarantined); "
+               "1 = serial")
     fuzz_p.add_argument("--apps", default="agrep", metavar="A,B",
                         help="comma-separated benchmark apps to fuzz")
-    fuzz_p.add_argument("--scale", type=float, default=0.25,
-                        help="workload scale factor per cell")
+    flags(fuzz_p, scale=dict(default=0.25,
+                             help="workload scale factor per cell"))
     fuzz_p.add_argument("--coverage-report", default=None, metavar="PATH",
                         dest="coverage_report",
                         help="write the fault-space coverage ledger and "
@@ -921,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--max-shrink", type=int, default=3,
                         metavar="N", dest="max_shrink",
                         help="shrink at most N failing cells")
-    cell_flags(
+    flags(
         fuzz_p,
         checkpoint="checkpoint finished cells to PATH",
         resume="restore completed cells from --checkpoint",
@@ -943,8 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     runs_sub = runs_p.add_subparsers(dest="runs_command", required=True)
 
     def runs_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--registry", required=True, metavar="PATH",
-                       help="run registry file (a JSONL ledger)")
+        flags(p, registry=dict(required=True,
+                               help="run registry file (a JSONL ledger)"))
         p.set_defaults(func=cmd_runs)
 
     list_p = runs_sub.add_parser("list", help="list recorded runs")
@@ -961,27 +956,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     show_p = runs_sub.add_parser("show", help="dump one record as JSON")
     runs_common(show_p)
-    show_p.add_argument("run", help="run id (unique prefix ok)")
+    show_p.add_argument("run", **run_id)
 
     diff_p = runs_sub.add_parser(
         "diff", help="compare identity, metrics and tunables of two runs"
     )
     runs_common(diff_p)
-    diff_p.add_argument("run_a", help="run id (unique prefix ok)")
-    diff_p.add_argument("run_b", help="run id (unique prefix ok)")
+    diff_p.add_argument("run_a", **run_id)
+    diff_p.add_argument("run_b", **run_id)
 
     sim_p = runs_sub.add_parser(
         "similar", help="nearest past runs by config + stall profile"
     )
     runs_common(sim_p)
-    sim_p.add_argument("run", help="run id (unique prefix ok)")
+    sim_p.add_argument("run", **run_id)
     sim_p.add_argument("--limit", type=int, default=5, metavar="N")
 
     lin_p = runs_sub.add_parser(
         "lineage", help="show a record's ancestors and descendants"
     )
     runs_common(lin_p)
-    lin_p.add_argument("run", help="run id (unique prefix ok)")
+    lin_p.add_argument("run", **run_id)
 
     gc_p = runs_sub.add_parser(
         "gc", help="prune old runs, keeping N per baseline population"

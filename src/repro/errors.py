@@ -118,10 +118,6 @@ class InvalidSyscall(KernelError):
     """A program invoked an unknown or forbidden system call."""
 
 
-class SchedulerError(KernelError):
-    """Scheduling invariant violation (e.g. running a blocked thread)."""
-
-
 # ---------------------------------------------------------------------------
 # SpecVM (execution substrate)
 # ---------------------------------------------------------------------------
@@ -193,15 +189,6 @@ class AnalysisError(ReproError):
     it is asked to analyze a binary it cannot reason about.  Never raised
     for ordinary imprecision — an unprovable fact degrades to UNKNOWN and
     the transformation stays conservative.
-    """
-
-
-class LintFailure(AnalysisError):
-    """``repro analyze --lint`` findings at error severity.
-
-    Raised (and mapped to a non-zero exit) when a binary contains a
-    computed transfer that can never be mapped into the shadow or a
-    speculation-reachable system call the runtime has no policy for.
     """
 
 

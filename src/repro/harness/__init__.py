@@ -12,18 +12,12 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_disk_sweep,
     run_matrix,
     run_one,
-    run_sweep_cell,
-    run_sweep_resumable,
-)
-from repro.harness.parallel import (
-    run_cells,
+    run_sweep,
     sweep_parallel_cells,
 )
+from repro.harness.parallel import run_cells
 from repro.harness.supervisor import (
     Supervisor,
     SupervisorConfig,
@@ -60,11 +54,7 @@ __all__ = [
     "run_experiment",
     "run_one",
     "run_matrix",
-    "run_disk_sweep",
-    "run_cache_size_sweep",
-    "run_cpu_ratio_sweep",
-    "run_sweep_cell",
-    "run_sweep_resumable",
+    "run_sweep",
     "sweep_parallel_cells",
     "SweepCheckpoint",
     "Supervisor",

@@ -25,10 +25,9 @@ import contextlib
 import json
 import signal
 import threading
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.errors import CheckpointError
-from repro.harness.results import RunResult
 from repro.registry.store import atomic_write_text
 
 #: Bump when the checkpoint layout changes incompatibly.
@@ -166,16 +165,6 @@ class SweepCheckpoint:
     def __contains__(self, key: str) -> bool:
         return key in self._cells
 
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def keys(self) -> List[str]:
-        return sorted(self._cells)
-
-    def record(self, key: str, result: RunResult) -> None:
-        """Store one finished cell and flush the checkpoint to disk."""
-        self.record_payload(key, result.to_jsonable())
-
     def record_payload(self, key: str, payload: Dict[str, object]) -> None:
         """Store one finished cell's raw JSON payload and flush.
 
@@ -193,15 +182,6 @@ class SweepCheckpoint:
             return self._cells[key]
         except KeyError:
             raise CheckpointError(f"checkpoint has no cell {key!r}") from None
-
-    def result(self, key: str) -> RunResult:
-        data = self.payload(key)
-        try:
-            return RunResult.from_jsonable(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint cell {key!r} is malformed: {exc}"
-            ) from exc
 
     # -- quarantine ------------------------------------------------------------
 

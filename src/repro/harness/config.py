@@ -7,8 +7,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.faults.plan import FaultPlan, profile
-from repro.params import SystemConfig, scaled_cache_blocks
+from repro.faults.plan import FaultPlan
+from repro.params import DiskParams, SystemConfig, scaled_cache_blocks
 
 #: The paper's three transformed benchmarks (every table/figure).
 APPS = ("agrep", "gnuld", "xds")
@@ -58,18 +58,12 @@ class ExperimentConfig:
     #: ``DiskParams.scaled``); None keeps ``system.disk`` untouched.
     disk_time_scale: Optional[float] = 4.0
 
-    #: Chaos mode: name of a built-in fault profile (see
-    #: ``repro.faults.plan.PROFILES``), or None for a fault-free run.
-    fault_profile: Optional[str] = None
-
-    #: Seed for the fault decision streams (independent of ``system.seed``
-    #: so one workload can be replayed under many fault sequences).
-    fault_seed: int = 7
-
-    #: Chaos mode, literal form: a full :class:`FaultPlan` value (the
-    #: chaos fuzzer runs *generated* plans that exist in no profile
-    #: table).  Mutually exclusive with ``fault_profile``; the plan's own
-    #: seed is used as-is (``fault_seed`` is ignored).
+    #: Chaos mode: the fault plan the run executes under — a built-in
+    #: profile (``repro.faults.plan.profile(name, seed)``) or a generated
+    #: one (the chaos fuzzer) — or None for a fault-free run.  The plan
+    #: carries its own seed for the fault decision streams, independent of
+    #: ``system.seed`` so one workload can be replayed under many fault
+    #: sequences.
     fault_plan: Optional[FaultPlan] = None
 
     #: AutoTuner provenance (see :mod:`repro.registry.tuner`): when the
@@ -84,27 +78,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown app {self.app!r}; expected one of {ALL_APPS}"
             )
-        if self.fault_profile is not None and self.fault_plan is not None:
-            raise ValueError(
-                "fault_profile and fault_plan are mutually exclusive: "
-                "name a built-in profile or supply a literal plan, not both"
-            )
-        if self.fault_profile is not None:
-            profile(self.fault_profile)  # validate the name early
 
     def resolved_fault_plan(self) -> Optional[FaultPlan]:
         """The fault plan for this run, or None when fault-free.
 
-        The ``none`` profile (and an inactive literal plan) also resolve
-        to None so ``--chaos none`` keeps the event stream bit-identical
-        to a run without the flag.
+        An inactive plan (the ``none`` profile) also resolves to None so
+        ``--chaos none`` keeps the event stream bit-identical to a run
+        without the flag.
         """
-        if self.fault_plan is not None:
-            return self.fault_plan if self.fault_plan.active else None
-        if self.fault_profile is None:
-            return None
-        plan = profile(self.fault_profile, seed=self.fault_seed)
-        return plan if plan.active else None
+        plan = self.fault_plan
+        return plan if plan is not None and plan.active else None
 
     def resolved_system(self) -> SystemConfig:
         """System config with cache size and disk time scale resolved.
@@ -122,8 +105,6 @@ class ExperimentConfig:
             )
             system = system.replace(cache=cache)
         if self.disk_time_scale is not None:
-            from repro.params import DiskParams
-
             system = system.replace(disk=DiskParams.scaled(self.disk_time_scale))
         plan = self.resolved_fault_plan()
         if (

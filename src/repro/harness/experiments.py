@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.faults.plan import profile
 from repro.harness.config import APPS, ExperimentConfig, Variant
-from repro.harness.parallel import (
-    require_complete,
-    run_cells,
-    sweep_parallel_cells,
-)
+from repro.harness.parallel import Payload, require_complete, run_cells
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
-from repro.harness.supervisor import SupervisorConfig
+from repro.harness.supervisor import CellSpec, SupervisorConfig
 from repro.params import SystemConfig
 from repro.registry.recorder import record_group
 
@@ -85,8 +82,8 @@ def sweep_cell_config(
     app: str,
     variant: Variant,
     workload_scale: float = 1.0,
-) -> Tuple[ExperimentConfig, float]:
-    """What one sweep cell runs: its configuration and cycle divisor.
+) -> ExperimentConfig:
+    """What one sweep cell runs.
 
     * ``disks`` varies available I/O parallelism (Table 8, Figure 5);
     * ``cache`` varies the file cache size in the paper's MB (Table 7);
@@ -96,110 +93,101 @@ def sweep_cell_config(
       cell completes through degraded reads and background rebuild;
     * ``ratio`` simulates a widening processor/disk speed gap (Figure 6).
       Following the paper: delay completion notification by the ratio and
-      limit outstanding prefetches to one per disk; the reported elapsed
-      time is then scaled back down by the ratio — the returned divisor
-      (1 for every other kind).
+      limit outstanding prefetches to one per disk (the cell runner
+      scales the reported elapsed time back down by the ratio).
     """
     cfg = ExperimentConfig(app=app, variant=variant,
                            workload_scale=workload_scale)
     if kind == "disks":
         array = dataclasses.replace(cfg.system.array, ndisks=int(point))
-        return cfg.with_(system=cfg.system.replace(array=array)), 1.0
+        return cfg.with_(system=cfg.system.replace(array=array))
     if kind == "cache":
-        return cfg.with_(cache_paper_mb=float(point)), 1.0
+        return cfg.with_(cache_paper_mb=float(point))
     if kind == "degraded":
-        profile = None if point == "none" else str(point)
-        return cfg.with_(fault_profile=profile), 1.0
+        return cfg.with_(fault_plan=profile(str(point)))
     # kind == "ratio"
     array = dataclasses.replace(
         cfg.system.array,
         completion_delay_factor=float(point),
         max_prefetches_per_disk=1,
     )
-    return cfg.with_(system=cfg.system.replace(array=array)), float(point)
+    return cfg.with_(system=cfg.system.replace(array=array))
 
 
-def run_config(cfg: ExperimentConfig, cycle_divisor: float = 1.0) -> RunResult:
-    """Run one configuration, scaling its cycles back by ``cycle_divisor``.
+def run_config_payload(cfg: ExperimentConfig) -> Payload:
+    """The cell runner: one configuration, serialized for the result pipe.
 
-    "then scaled our resulting measurements by half" (by the ratio in
-    general): the faster processor finishes the same cycle count
-    proportionally sooner.  The scaling is applied before the result is
-    checkpointed or recorded.
+    ``cfg`` is a plain frozen dataclass, so it ships to a worker by value.
+    Under a simulated processor/disk speed ratio the cycles are scaled
+    back by it — "then scaled our resulting measurements by half" (by the
+    ratio in general): the faster processor finishes the same cycle count
+    proportionally sooner — before the result is checkpointed or recorded.
     """
     result = run_experiment(cfg)
-    if cycle_divisor != 1.0:
-        result.cycles = int(result.cycles / cycle_divisor)
-    return result
+    ratio = cfg.system.array.completion_delay_factor
+    if ratio != 1.0:
+        result.cycles = int(result.cycles / ratio)
+    return result.to_jsonable()
 
 
-def run_sweep_cell(
+def _sweep_points(
+    kind: str, points: Optional[Iterable[SweepPoint]]
+) -> Tuple[SweepPoint, ...]:
+    if kind not in SWEEP_POINTS:
+        raise ValueError(
+            f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
+        )
+    return SWEEP_POINTS[kind] if points is None else tuple(points)
+
+
+def sweep_parallel_cells(
     kind: str,
-    point: SweepPoint,
-    app: str,
-    variant: Variant,
-    workload_scale: float,
-) -> RunResult:
-    """Run one (sweep point, app, variant) cell."""
-    return run_config(
-        *sweep_cell_config(kind, point, app, variant, workload_scale)
-    )
+    workload_scale: float = 1.0,
+    points: Optional[Iterable[SweepPoint]] = None,
+    apps: Iterable[str] = APPS,
+    variants: Iterable[Variant] = tuple(Variant),
+) -> List[CellSpec]:
+    """The independent cell specs of one sweep.
 
-
-def _run_sweep(
-    kind: str,
-    points: Iterable[SweepPoint],
-    apps: Iterable[str],
-    variants: Iterable[Variant],
-    workload_scale: float,
-) -> Dict[Any, Matrix]:
-    """Batch driver: every cell of ``points`` x ``apps`` x ``variants``."""
+    Each cell runs one (sweep point, app, variant) triple and is seeded
+    independently, so any subset can be re-run and merged with previously
+    checkpointed cells without changing a single result.
+    """
     apps, variants = tuple(apps), tuple(variants)
-    return {
-        point: {
-            app: {
-                variant.value: run_sweep_cell(kind, point, app, variant,
-                                              workload_scale)
-                for variant in variants
-            }
-            for app in apps
-        }
-        for point in points
-    }
+    return [
+        (sweep_cell_key(kind, point, app, variant), run_config_payload,
+         (sweep_cell_config(kind, point, app, variant, workload_scale),))
+        for point in _sweep_points(kind, points)
+        for app in apps
+        for variant in variants
+    ]
 
 
-def run_disk_sweep(
-    ndisks_list: Iterable[int] = (1, 2, 4, 10),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
+def chaos_parallel_cells(
+    apps: Tuple[str, ...],
+    profiles: Tuple[Optional[str], ...],
+    variants: Tuple[Variant, ...] = tuple(Variant),
     workload_scale: float = 1.0,
-) -> Dict[int, Matrix]:
-    """Vary available I/O parallelism — Table 8 and Figure 5."""
-    return _run_sweep("disks", ndisks_list, apps, variants, workload_scale)
+    fault_seed: int = 7,
+) -> List[CellSpec]:
+    """Cell specs of an app x variant x chaos-profile matrix."""
+    return [
+        (f"chaos={name or 'fault-free'}/{app}/{variant.value}",
+         run_config_payload,
+         (ExperimentConfig(app=app, variant=variant,
+                           workload_scale=workload_scale,
+                           fault_plan=profile(name or "none", fault_seed)),))
+        for name in profiles
+        for app in apps
+        for variant in variants
+    ]
 
 
-def run_cache_size_sweep(
-    cache_mbs: Iterable[float] = (6.0, 12.0, 64.0),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[float, Matrix]:
-    """Vary the file cache size — Table 7."""
-    return _run_sweep("cache", cache_mbs, apps, variants, workload_scale)
-
-
-def run_cpu_ratio_sweep(
-    ratios: Iterable[float] = (1, 2, 3, 5, 7, 9),
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    workload_scale: float = 1.0,
-) -> Dict[float, Matrix]:
-    """Simulate a widening processor/disk speed gap — Figure 6."""
-    return _run_sweep("ratio", ratios, apps, variants, workload_scale)
-
-
-def run_sweep_resumable(
+def run_sweep(
     kind: str,
+    points: Optional[Iterable[SweepPoint]] = None,
+    apps: Iterable[str] = APPS,
+    variants: Iterable[Variant] = tuple(Variant),
     workload_scale: float = 1.0,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
@@ -209,14 +197,19 @@ def run_sweep_resumable(
     stats_out: Optional[Dict[str, object]] = None,
     registry_path: Optional[str] = None,
 ) -> Dict[SweepPoint, Matrix]:
-    """One of the CLI's sweeps over :data:`SWEEP_POINTS`, cell by cell.
+    """One sweep — ``points`` x ``apps`` x ``variants`` — cell by cell.
+
+    ``kind`` names the swept axis (Table 8 / Figure 5: ``disks``; Table 7:
+    ``cache``; Figure 6: ``ratio``; the storage fault regime:
+    ``degraded``); ``points`` defaults to the CLI's
+    :data:`SWEEP_POINTS`.
 
     Every cell goes through the cell engine
     (:func:`repro.harness.parallel.run_cells`): with ``checkpoint_path``
     each finished cell is checkpointed atomically, and with ``resume``
     completed cells are restored from the checkpoint.  Each cell is
-    seeded independently, so the reassembled nested mapping is identical
-    to the batch drivers' output however the cells were run.
+    seeded independently, so the assembled nested mapping is identical
+    however the cells were run.
 
     ``jobs`` above 1 shards the cells across the supervised worker pool:
     crashed and hung cells are rescheduled, poisoned cells are
@@ -231,7 +224,8 @@ def run_sweep_resumable(
     the persistent run registry and every cell is recorded as a
     ``sweep-cell`` child of it (lineage for ``repro runs lineage``).
     """
-    cells = sweep_parallel_cells(kind, workload_scale)
+    points = _sweep_points(kind, points)
+    apps, variants = tuple(apps), tuple(variants)
     identity = f"sweep:{kind}:scale={workload_scale:g}"
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
@@ -241,12 +235,12 @@ def run_sweep_resumable(
                 "identity": identity,
                 "sweep_kind": kind,
                 "workload_scale": workload_scale,
-                "points": [point_label(p) for p in SWEEP_POINTS[kind]],
+                "points": [point_label(p) for p in points],
             },
             cell_kind="sweep-cell",
         )
     outcome = run_cells(
-        cells,
+        sweep_parallel_cells(kind, workload_scale, points, apps, variants),
         jobs=jobs,
         checkpoint_path=checkpoint_path,
         identity=identity,
@@ -265,11 +259,11 @@ def run_sweep_resumable(
                 variant.value: RunResult.from_jsonable(
                     outcome.results[sweep_cell_key(kind, point, app, variant)]
                 )
-                for variant in Variant
+                for variant in variants
             }
-            for app in APPS
+            for app in apps
         }
-        for point in SWEEP_POINTS[kind]
+        for point in points
     }
 
 

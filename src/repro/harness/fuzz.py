@@ -105,8 +105,7 @@ def case_config(
         variant=variant,
         system=system,
         workload_scale=workload_scale,
-        # An inactive plan is a fault-free run, and is recorded as one.
-        fault_plan=case.plan if case.plan.active else None,
+        fault_plan=case.plan,
         analysis_optimize=analysis_optimize,
     )
 
@@ -365,7 +364,6 @@ class FuzzReport:
 
     seed: int
     budget: int
-    workload_scale: float
     ledger: CoverageLedger
     cells: List[FuzzCellResult] = field(default_factory=list)
     quarantined: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -384,15 +382,13 @@ class FuzzReport:
         return _sha("\n".join(lines))
 
     def to_jsonable(self) -> Dict[str, object]:
+        """The ``--coverage-report`` file: verdict, digest, fault-space ledger."""
         return {
             "seed": self.seed,
             "budget": self.budget,
-            "workload_scale": self.workload_scale,
             "passed": self.passed,
             "digest": self.digest,
             "coverage": self.ledger.to_jsonable(),
-            "cells": [cell.to_jsonable() for cell in self.cells],
-            "quarantined": dict(self.quarantined),
         }
 
     def summary(self) -> str:
@@ -453,16 +449,19 @@ def run_fuzz(
          (case.to_jsonable(), workload_scale))
         for case in cases
     ]
+    # What fixes a cell's content given its key; not the budget, so a
+    # larger budget extends a checkpointed campaign.
+    identity = (f"fuzz:seed={seed}:apps={','.join(apps)}"
+                f":scale={workload_scale:g}")
     outcome = run_cells(
         cells, jobs=jobs, checkpoint_path=checkpoint_path,
-        identity="fuzz", resume=resume, progress=progress,
+        identity=identity, resume=resume, progress=progress,
         on_event=on_event,
         registry_path=registry_path, registry_meta=registry_meta,
     )
 
     return FuzzReport(
-        seed=seed, budget=budget, workload_scale=workload_scale,
-        ledger=ledger,
+        seed=seed, budget=budget, ledger=ledger,
         cells=list(cells_in_order(
             outcome, [(case.key, case) for case in cases]
         )),

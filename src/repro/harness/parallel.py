@@ -37,11 +37,10 @@ import dataclasses
 import glob
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import CheckpointError, QuarantinedCell
 from repro.harness.checkpoint import SweepCheckpoint, flush_on_signals
-from repro.harness.config import APPS, ExperimentConfig, Variant
 from repro.harness.supervisor import (
     CellSpec,
     Supervisor,
@@ -55,75 +54,6 @@ from repro.registry.recorder import record_results
 #: differential-cell serialization) that crosses the result pipe verbatim.
 Payload = Dict[str, object]
 
-
-# ---------------------------------------------------------------------------
-# Cell runners (module-level: pickled by reference into workers)
-# ---------------------------------------------------------------------------
-
-def run_config_payload(
-    cfg: ExperimentConfig, cycle_divisor: float = 1.0
-) -> Payload:
-    """One sweep or chaos cell, serialized for the result pipe.
-
-    ``cfg`` is a plain frozen dataclass, so it ships to the worker by
-    value.
-    """
-    from repro.harness.experiments import run_config
-
-    return run_config(cfg, cycle_divisor).to_jsonable()
-
-
-def sweep_parallel_cells(
-    kind: str, workload_scale: float = 1.0
-) -> List[CellSpec]:
-    """The independent cell specs of one sweep.
-
-    Each cell runs one (sweep point, app, variant) triple and is seeded
-    independently, so any subset can be re-run and merged with previously
-    checkpointed cells without changing a single result.
-    """
-    from repro.harness.experiments import (
-        SWEEP_POINTS,
-        sweep_cell_config,
-        sweep_cell_key,
-    )
-
-    if kind not in SWEEP_POINTS:
-        raise ValueError(
-            f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
-        )
-    return [
-        (sweep_cell_key(kind, point, app, variant), run_config_payload,
-         sweep_cell_config(kind, point, app, variant, workload_scale))
-        for point in SWEEP_POINTS[kind]
-        for app in APPS
-        for variant in Variant
-    ]
-
-
-def chaos_parallel_cells(
-    apps: Tuple[str, ...],
-    profiles: Tuple[Optional[str], ...],
-    variants: Tuple[Variant, ...] = tuple(Variant),
-    workload_scale: float = 1.0,
-    fault_seed: int = 7,
-) -> List[CellSpec]:
-    """Cell specs of an app x variant x chaos-profile matrix."""
-    return [
-        (f"chaos={profile or 'fault-free'}/{app}/{variant.value}",
-         run_config_payload,
-         (ExperimentConfig(app=app, variant=variant,
-                           workload_scale=workload_scale,
-                           fault_profile=profile, fault_seed=fault_seed),))
-        for profile in profiles
-        for app in apps
-        for variant in variants
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Engine
-# ---------------------------------------------------------------------------
 
 def _partial_paths(checkpoint_path: str) -> List[str]:
     return sorted(glob.glob(glob.escape(checkpoint_path) + ".worker-*"))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RegistryError
 from repro.sim import metrics
@@ -343,58 +343,35 @@ class RunResult:
     # -- checkpoint serialization -------------------------------------------
 
     def to_jsonable(self) -> Dict[str, object]:
-        """JSON-safe dict for harness checkpoints.
+        """JSON-safe dict for harness checkpoints: every field, in order.
 
-        The transform report is deliberately excluded (it is derivable by
+        Three fields are not stored as they are: ``output`` travels as
+        base64 under ``output_b64``, ``read_trace`` as lists, and the
+        transform report is deliberately excluded (it is derivable by
         re-running the transform and is not needed to resume a sweep).
         """
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "app": self.app,
-            "variant": self.variant,
-            "cycles": self.cycles,
-            "cpu_hz": self.cpu_hz,
-            "counters": dict(self.counters),
-            "output_b64": base64.b64encode(self.output).decode("ascii"),
-            "median_read_interval": self.median_read_interval,
-            "median_hint_interval": self.median_hint_interval,
-            "spec_restarts": self.spec_restarts,
-            "spec_signals": self.spec_signals,
-            "spec_cancel_calls": self.spec_cancel_calls,
-            "spec_hints_issued": self.spec_hints_issued,
-            "spec_parks": dict(self.spec_parks),
-            "footprint_bytes": self.footprint_bytes,
-            "page_reclaims": self.page_reclaims,
-            "page_faults": self.page_faults,
-            "fault_profile": self.fault_profile,
-            "watchdog_tripped": self.watchdog_tripped,
-            "read_trace": [list(entry) for entry in self.read_trace],
-            "isolation_violations": self.isolation_violations,
-            "quarantines": self.quarantines,
-            "quarantine_permanent": self.quarantine_permanent,
-            "audit_records": self.audit_records,
-            "audit_head_digest": self.audit_head_digest,
-            "stall_breakdown": dict(self.stall_breakdown),
-            "hint_lifecycle": dict(self.hint_lifecycle),
-            "hint_lead_median": self.hint_lead_median,
-            "pct_prefetches_before_demand": self.pct_prefetches_before_demand,
-            "params_digest": self.params_digest,
-            "seed": self.seed,
-            "spec_params": dict(self.spec_params),
-            "tuning_provenance": (dict(self.tuning_provenance)
-                                  if self.tuning_provenance is not None
-                                  else None),
-        }
+        data: Dict[str, object] = {"schema_version": RESULT_SCHEMA_VERSION}
+        for spec in fields(self):
+            if spec.name == "transform_report":
+                continue
+            value = getattr(self, spec.name)
+            if spec.name == "output":
+                data["output_b64"] = base64.b64encode(value).decode("ascii")
+            elif spec.name == "read_trace":
+                data[spec.name] = [list(entry) for entry in value]
+            else:
+                data[spec.name] = dict(value) if isinstance(value, dict) else value
+        return data
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "RunResult":
         """Rebuild a result from :meth:`to_jsonable` output.
 
         Version-1 payloads (pre-registry, no ``schema_version`` key) are
-        accepted for backward compatibility with old checkpoints; any
-        other unknown version raises a typed
-        :class:`~repro.errors.RegistryError` — a payload written by a
-        future format must never deserialize silently.
+        accepted for backward compatibility with old checkpoints — a key
+        they lack takes the field's default; any other unknown version
+        raises a typed :class:`~repro.errors.RegistryError` — a payload
+        written by a future format must never deserialize silently.
         """
         version = data.get("schema_version", 1)
         if version not in SUPPORTED_RESULT_SCHEMAS:
@@ -403,57 +380,38 @@ class RunResult:
                 f"code reads versions {SUPPORTED_RESULT_SCHEMAS} — the "
                 f"payload was written by an incompatible code version"
             )
-        result = cls(
-            app=str(data["app"]),
-            variant=str(data["variant"]),
-            cycles=int(data["cycles"]),  # type: ignore[arg-type]
-            cpu_hz=int(data["cpu_hz"]),  # type: ignore[arg-type]
-            counters={str(k): int(v) for k, v in dict(data["counters"]).items()},  # type: ignore[call-overload]
-            output=base64.b64decode(str(data["output_b64"])),
-        )
-        result.median_read_interval = float(data.get("median_read_interval", 0.0))  # type: ignore[arg-type]
-        result.median_hint_interval = float(data.get("median_hint_interval", 0.0))  # type: ignore[arg-type]
-        result.spec_restarts = int(data.get("spec_restarts", 0))  # type: ignore[arg-type]
-        result.spec_signals = int(data.get("spec_signals", 0))  # type: ignore[arg-type]
-        result.spec_cancel_calls = int(data.get("spec_cancel_calls", 0))  # type: ignore[arg-type]
-        result.spec_hints_issued = int(data.get("spec_hints_issued", 0))  # type: ignore[arg-type]
-        result.spec_parks = {
-            str(k): int(v) for k, v in dict(data.get("spec_parks", {})).items()  # type: ignore[call-overload]
+        values: Dict[str, object] = {
+            "output": base64.b64decode(str(data["output_b64"])),
+            "read_trace": tuple(
+                tuple(int(x) for x in entry)
+                for entry in data.get("read_trace", [])  # type: ignore[union-attr]
+            ),
         }
-        result.footprint_bytes = int(data.get("footprint_bytes", 0))  # type: ignore[arg-type]
-        result.page_reclaims = int(data.get("page_reclaims", 0))  # type: ignore[arg-type]
-        result.page_faults = int(data.get("page_faults", 0))  # type: ignore[arg-type]
-        fault_profile = data.get("fault_profile")
-        result.fault_profile = str(fault_profile) if fault_profile is not None else None
-        tripped = data.get("watchdog_tripped")
-        result.watchdog_tripped = str(tripped) if tripped is not None else None
-        result.read_trace = tuple(
-            tuple(int(x) for x in entry) for entry in data.get("read_trace", [])  # type: ignore[union-attr, arg-type]
-        )
-        result.isolation_violations = int(data.get("isolation_violations", 0))  # type: ignore[arg-type]
-        result.quarantines = int(data.get("quarantines", 0))  # type: ignore[arg-type]
-        result.quarantine_permanent = bool(data.get("quarantine_permanent", False))
-        result.audit_records = int(data.get("audit_records", 0))  # type: ignore[arg-type]
-        result.audit_head_digest = str(data.get("audit_head_digest", ""))
-        result.stall_breakdown = {
-            str(k): int(v)  # type: ignore[call-overload]
-            for k, v in dict(data.get("stall_breakdown", {})).items()
-        }
-        result.hint_lifecycle = {
-            str(k): int(v)  # type: ignore[call-overload]
-            for k, v in dict(data.get("hint_lifecycle", {})).items()
-        }
-        result.hint_lead_median = float(data.get("hint_lead_median", 0.0))  # type: ignore[arg-type]
-        result.pct_prefetches_before_demand = float(
-            data.get("pct_prefetches_before_demand", 0.0)  # type: ignore[arg-type]
-        )
-        result.params_digest = str(data.get("params_digest", ""))
-        result.seed = int(data.get("seed", 0))  # type: ignore[arg-type]
-        result.spec_params = dict(data.get("spec_params", {}))  # type: ignore[arg-type]
-        provenance = data.get("tuning_provenance")
-        result.tuning_provenance = (dict(provenance)  # type: ignore[arg-type]
-                                    if provenance is not None else None)
-        return result
+        for spec in fields(cls):
+            if spec.name in values or spec.name == "transform_report":
+                continue
+            if spec.name in data:
+                values[spec.name] = _DECODERS[spec.type](data[spec.name])
+        return cls(**values)  # type: ignore[arg-type]
+
+
+def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
+    return lambda value: None if value is None else decode(value)
+
+
+#: Decoder of a stored value, by the declared type of its field.
+_DECODERS: Dict[str, Callable[[object], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "Dict[str, int]": lambda value: {
+        str(k): int(v) for k, v in dict(value).items()  # type: ignore[call-overload]
+    },
+    "Dict[str, object]": dict,
+    "Optional[str]": _optional(str),
+    "Optional[Dict[str, object]]": _optional(dict),
+}
 
 
 def median_interval(times: List[float]) -> float:

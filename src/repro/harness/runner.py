@@ -167,7 +167,8 @@ def run_experiment_with_system(
         binary = tool.transform(binary)
         transform_report = binary.spec_meta.report
 
-    system = build_system(system_config, fs, fault_plan=cfg.resolved_fault_plan(),
+    fault_plan = cfg.resolved_fault_plan()
+    system = build_system(system_config, fs, fault_plan=fault_plan,
                           tracer=tracer)
     for observer in _SYSTEM_OBSERVERS:
         observer(system)
@@ -201,11 +202,8 @@ def run_experiment_with_system(
         footprint_bytes=process.vmstat.footprint_bytes,
         page_reclaims=process.vmstat.reclaims,
         page_faults=process.vmstat.faults,
+        fault_profile=fault_plan.name if fault_plan is not None else None,
     )
-    if cfg.fault_plan is not None:
-        result.fault_profile = cfg.fault_plan.name
-    else:
-        result.fault_profile = cfg.fault_profile
     # Registry identity: everything the run ledger keys on must be stamped
     # on the result itself, so a payload shipped back from a worker process
     # carries its own keys (the recorder never sees the config).

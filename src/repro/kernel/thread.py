@@ -100,10 +100,6 @@ class Thread:
     def reg(self, r: Reg) -> int:
         return self.regs[int(r)]
 
-    def set_reg(self, r: Reg, value: int) -> None:
-        if r is not Reg.zero:
-            self.regs[int(r)] = value & ((1 << 64) - 1)
-
     @property
     def runnable(self) -> bool:
         return self.state is ThreadState.RUNNABLE

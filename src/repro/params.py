@@ -365,11 +365,6 @@ class SystemConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-def cache_blocks_for_bytes(nbytes: int) -> int:
-    """Number of cache blocks covering ``nbytes``."""
-    return max(1, nbytes // BLOCK_SIZE)
-
-
 def scaled_cache_blocks(paper_mb: float, scale: float = 8.0) -> int:
     """Cache capacity in blocks for a paper cache of ``paper_mb`` megabytes.
 

@@ -107,19 +107,14 @@ def plan_key(plan_jsonable: Mapping[str, object]) -> str:
     return f"{name}:{digest_of(dict(plan_jsonable), length=12)}"
 
 
-def chaos_key(
-    fault_profile: Optional[str],
-    plan_jsonable: Optional[Mapping[str, object]] = None,
-) -> str:
-    """Chaos-profile registry key for a run.
+def chaos_key(fault_profile: Optional[str]) -> str:
+    """Chaos-profile registry key for a run under a built-in profile.
 
-    Built-in profiles key by name (runs differing only in ``fault_seed``
-    deliberately pool — the spread across fault seeds is exactly the
+    Built-in profiles key by name (runs differing only in their fault
+    seed deliberately pool — the spread across fault seeds is exactly the
     population variance the regression tolerance model should see);
-    literal plans key by :func:`plan_key`; fault-free runs key "none".
+    fault-free runs key "none".  Generated plans key by :func:`plan_key`.
     """
-    if plan_jsonable is not None:
-        return plan_key(plan_jsonable)
     if fault_profile is None or fault_profile == "none":
         return "none"
     return fault_profile

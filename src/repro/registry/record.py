@@ -15,7 +15,7 @@ A :class:`RunRecord` is the unit the registry stores.  Its identity — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import RegistryError
@@ -28,14 +28,8 @@ REGISTRY_SCHEMA_VERSION = 1
 
 #: Record kinds.  Leaf kinds carry a result payload; group kinds are
 #: lineage parents (a sweep, an oracle matrix, a fuzz campaign).
-LEAF_KINDS = (
-    "run",
-    "sweep-cell",
-    "chaos-cell",
-    "oracle-variant",
-    "fuzz-case",
-)
-GROUP_KINDS = ("sweep", "chaos-sweep", "oracle", "oracle-cell", "fuzz-campaign")
+LEAF_KINDS = ("run", "sweep-cell", "oracle-variant", "fuzz-case")
+GROUP_KINDS = ("sweep", "oracle", "oracle-cell", "fuzz-campaign")
 KINDS = LEAF_KINDS + GROUP_KINDS
 
 #: Length of a full run id (hex chars of truncated SHA-256).
@@ -84,20 +78,8 @@ class RunRecord:
     def content(self) -> Dict[str, object]:
         """Everything the run id hashes (all fields except the id)."""
         return {
-            "app": self.app,
-            "variant": self.variant,
-            "kind": self.kind,
-            "params_digest": self.params_digest,
-            "seed": self.seed,
-            "chaos_profile": self.chaos_profile,
-            "code_version": self.code_version,
-            "parent_id": self.parent_id,
-            "cell_key": self.cell_key,
-            "result": self.result,
-            "trace_summary": self.trace_summary,
-            "verdicts": self.verdicts,
-            "tuning": self.tuning,
-            "meta": self.meta,
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self) if spec.name != "run_id"
         }
 
     def compute_run_id(self) -> str:
@@ -122,22 +104,12 @@ class RunRecord:
                 f"reads version {REGISTRY_SCHEMA_VERSION} — refusing to "
                 "guess at an unknown record layout"
             )
-        record = cls(
-            app=str(data.get("app", "")),
-            variant=str(data.get("variant", "")),
-            kind=str(data.get("kind", "run")),
-            params_digest=str(data.get("params_digest", "")),
-            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-            chaos_profile=str(data.get("chaos_profile", "none")),
-            code_version=str(data.get("code_version", "")),
-            parent_id=data.get("parent_id"),  # type: ignore[arg-type]
-            cell_key=data.get("cell_key"),  # type: ignore[arg-type]
-            result=data.get("result"),  # type: ignore[arg-type]
-            trace_summary=data.get("trace_summary"),  # type: ignore[arg-type]
-            verdicts=list(data.get("verdicts") or []),  # type: ignore[arg-type]
-            tuning=data.get("tuning"),  # type: ignore[arg-type]
-            meta=dict(data.get("meta") or {}),  # type: ignore[arg-type]
-        )
+        # An absent (or null) entry takes the field's default; the content
+        # check below is what catches a damaged one.
+        record = cls(**{
+            spec.name: data[spec.name] for spec in fields(cls)
+            if spec.name != "run_id" and data.get(spec.name) is not None
+        })
         stored = data.get("run_id")
         if stored is not None and stored != record.run_id:
             raise RegistryError(

@@ -197,11 +197,6 @@ class RunRegistry:
         self.store.put(record.to_jsonable(), durable=durable)
         return record.run_id
 
-    def record_jsonable(self, data: Dict[str, object]) -> str:
-        """Store a serialized record after validating it round-trips."""
-        record = RunRecord.from_jsonable(data)
-        return self.record(record)
-
     def compact(self) -> None:
         self.store.compact()
 

@@ -141,8 +141,7 @@ class Machine:
             if thread.pending_cost:
                 cost = thread.pending_cost
                 thread.pending_cost = 0
-                if not self._charge(thread, cost, budget):
-                    return "event" if budget is None else "budget"
+                self._charge(thread, cost, budget)
                 if budget is not None:
                     budget -= cost
                     thread.pending_budget = budget  # type: ignore[attr-defined]
@@ -175,8 +174,7 @@ class Machine:
                         if cost == _STOPPED:
                             # Watchdog disabled speculation mid-restart.
                             return thread.stop_reason
-                        if not self._charge(thread, cost, budget):
-                            return "event" if budget is None else "budget"
+                        self._charge(thread, cost, budget)
                         if budget is not None:
                             budget -= cost
                             thread.pending_budget = budget  # type: ignore[attr-defined]
@@ -196,14 +194,13 @@ class Machine:
                     thread.spec_clock += cost
                     thread.pending_budget = budget  # type: ignore[attr-defined]
 
-    def _charge(self, thread: "Thread", cost: int, budget: Optional[int]) -> bool:
-        """Charge cycles outside the main dispatch; True if fully charged."""
+    def _charge(self, thread: "Thread", cost: int, budget: Optional[int]) -> None:
+        """Charge cycles outside the main dispatch."""
         thread.cpu_cycles += cost
         if budget is None:
             self.clock.advance(cost)
-            return True
-        thread.spec_clock += cost
-        return True
+        else:
+            thread.spec_clock += cost
 
     def _drain_cwork(
         self, thread: "Thread", budget: Optional[int], until: Optional[int] = None
@@ -289,7 +286,7 @@ class Machine:
         table[Op.COW_STORE] = self._op_cow_store
         table[Op.COW_LOADB] = self._op_cow_loadb
         table[Op.COW_STOREB] = self._op_cow_storeb
-        table[Op.SCWORK] = self._op_scwork
+        table[Op.SCWORK] = self._op_cwork
         table[Op.SPEC_READ] = self._op_spec_read
         table[Op.SPEC_SYSCALL] = self._op_spec_syscall
         table[Op.SPEC_JR] = self._op_spec_jr
@@ -562,11 +559,6 @@ class Machine:
         return self.kernel.syscall(thread, insn.c)
 
     def _op_cwork(self, thread: "Thread", insn: Insn) -> int:
-        thread.cwork_remaining += insn.a
-        thread.pc += 1
-        return 0
-
-    def _op_scwork(self, thread: "Thread", insn: Insn) -> int:
         thread.cwork_remaining += insn.a
         thread.pc += 1
         return 0

@@ -9,7 +9,7 @@ workload.
 
 import pytest
 
-from repro.faults.plan import PROFILES
+from repro.faults.plan import PROFILES, profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.runner import run_experiment
 from repro.params import SpecHintParams, SystemConfig
@@ -42,20 +42,20 @@ def clean_result():
 class TestOutputIdentity:
     @pytest.mark.parametrize("profile_name", CHAOS_PROFILES)
     def test_profile_preserves_output(self, profile_name, clean_result):
-        result = run_experiment(base_config(fault_profile=profile_name))
+        result = run_experiment(base_config(fault_plan=profile(profile_name)))
         assert result.output == clean_result.output
         assert result.fault_profile == profile_name
         assert result.fault_events(), "profile injected nothing"
 
     def test_chaos_run_reads_same_data(self, clean_result):
-        result = run_experiment(base_config(fault_profile="transient-errors"))
+        result = run_experiment(base_config(fault_plan=profile("transient-errors")))
         assert result.read_calls == clean_result.read_calls
         assert result.read_bytes == clean_result.read_bytes
 
 
 class TestDeterminism:
     def test_same_fault_seed_bit_for_bit(self):
-        cfg = base_config(fault_profile="offline-disk")
+        cfg = base_config(fault_plan=profile("offline-disk"))
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a.cycles == b.cycles
@@ -64,14 +64,17 @@ class TestDeterminism:
         assert a.fault_events() == b.fault_events()
 
     def test_different_fault_seed_different_faults(self):
-        a = run_experiment(base_config(fault_profile="transient-errors"))
-        b = run_experiment(base_config(fault_profile="transient-errors",
-                                       fault_seed=1234))
+        a = run_experiment(base_config(fault_plan=profile("transient-errors")))
+        b = run_experiment(base_config(
+            fault_plan=profile("transient-errors", seed=1234)))
         assert a.output == b.output  # output identity holds for any seed
         assert a.fault_events() != b.fault_events()
 
     def test_none_profile_matches_no_profile(self, clean_result):
-        result = run_experiment(base_config(fault_profile="none"))
+        result = run_experiment(base_config(fault_plan=profile("none")))
+        # An inactive plan is a fault-free run, and is recorded as one.
+        assert result.fault_profile is None
+        assert result.to_jsonable() == clean_result.to_jsonable()
         assert result.cycles == clean_result.cycles
         assert result.counters == clean_result.counters
         assert result.output == clean_result.output
@@ -83,19 +86,19 @@ class TestDeterminism:
 
 class TestDegradation:
     def test_transient_errors_survived_by_retries(self, clean_result):
-        result = run_experiment(base_config(fault_profile="transient-errors"))
+        result = run_experiment(base_config(fault_plan=profile("transient-errors")))
         assert result.io_retries > 0
         assert result.c("array.demand_failures") == 0
         assert result.output == clean_result.output
 
     def test_offline_disk_drops_prefetches_not_reads(self, clean_result):
-        result = run_experiment(base_config(fault_profile="offline-disk"))
+        result = run_experiment(base_config(fault_plan=profile("offline-disk")))
         assert result.disk_faults > 0
         assert result.c("array.demand_failures") == 0
         assert result.output == clean_result.output
 
     def test_hint_corruption_degrades_not_breaks(self, clean_result):
-        result = run_experiment(base_config(fault_profile="hint-corruption"))
+        result = run_experiment(base_config(fault_plan=profile("hint-corruption")))
         assert (result.c("faults.hints_dropped")
                 + result.c("faults.hints_corrupted")) > 0
         # Garbage hints may cost hint coverage, never correctness.
@@ -103,7 +106,7 @@ class TestDegradation:
         assert result.output == clean_result.output
 
     def test_stuck_disk_costs_time_not_correctness(self, clean_result):
-        result = run_experiment(base_config(fault_profile="stuck-disk"))
+        result = run_experiment(base_config(fault_plan=profile("stuck-disk")))
         assert result.c("faults.disk_slow_services") > 0
         assert result.cycles > clean_result.cycles
         assert result.output == clean_result.output
@@ -114,7 +117,7 @@ class TestWatchdog:
         system = SystemConfig(
             spechint=SpecHintParams(watchdog_restart_limit=restart_limit),
         )
-        return base_config(system=system, fault_profile="restart-storm")
+        return base_config(system=system, fault_plan=profile("restart-storm"))
 
     def test_restart_storm_trips_watchdog(self, clean_result):
         result = run_experiment(self._storm_config(restart_limit=4))

@@ -29,10 +29,19 @@ class TestChaosFlags:
         assert main(["run", "agrep", "--scale", "0.2"]) == 0
         assert "chaos:" not in capsys.readouterr().out
 
-    def test_chaos_none_is_fault_free(self, capsys):
-        assert main(["run", "agrep", "--scale", "0.2",
-                     "--chaos", "none"]) == 0
+    def test_chaos_none_is_fault_free(self, capsys, tmp_path):
+        """``--chaos none`` is the fault-free run: no chaos block, and the
+        ledger holds one record (same content-addressed id) for both."""
+        from repro.registry.store import RunRegistry
+
+        ledger = str(tmp_path / "runs.jsonl")
+        base = ["run", "agrep", "--scale", "0.2", "--registry", ledger]
+        assert main(base) == 0
+        assert main(base + ["--chaos", "none"]) == 0
         assert "chaos:" not in capsys.readouterr().out
+        (record,) = RunRegistry.open(ledger).records()
+        assert record.chaos_profile == "none"
+        assert record.result["fault_profile"] is None
 
     def test_compare_accepts_chaos(self, capsys):
         assert main(["compare", "agrep", "--scale", "0.2",

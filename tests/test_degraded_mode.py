@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import DataLossError, InvalidBlockError
 from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.fuzz import run_fuzz_case
 from repro.harness.oracle import oracle_case, run_oracle_cell
@@ -336,7 +336,7 @@ class TestWatchdogSuspension:
 
 class TestAutoParity:
     def test_permanent_death_profile_enables_parity(self):
-        cfg = ExperimentConfig(app="agrep", fault_profile="disk-death")
+        cfg = ExperimentConfig(app="agrep", fault_plan=profile("disk-death"))
         system = cfg.resolved_system()
         assert system.array.redundancy == "parity"
         assert system.array.hot_spares >= 1
@@ -346,7 +346,7 @@ class TestAutoParity:
         assert cfg.resolved_system().array.redundancy == "none"
 
     def test_survivable_profiles_stay_plain_striping(self):
-        cfg = ExperimentConfig(app="agrep", fault_profile="transient-errors")
+        cfg = ExperimentConfig(app="agrep", fault_plan=profile("transient-errors"))
         assert cfg.resolved_system().array.redundancy == "none"
 
 
@@ -363,7 +363,7 @@ class TestDegradedRuns:
     def dead(self):
         return run_experiment(ExperimentConfig(
             app="agrep", variant=Variant.SPECULATING, workload_scale=SCALE,
-            fault_profile="disk-death",
+            fault_plan=profile("disk-death"),
         ))
 
     def test_output_identical_and_rebuild_completes(self, clean, dead):
@@ -384,7 +384,7 @@ class TestDegradedRuns:
     def test_same_seed_runs_are_bit_identical(self, dead):
         again = run_experiment(ExperimentConfig(
             app="agrep", variant=Variant.SPECULATING, workload_scale=SCALE,
-            fault_profile="disk-death",
+            fault_plan=profile("disk-death"),
         ))
         assert again.cycles == dead.cycles
         assert again.counters == dead.counters
@@ -395,7 +395,7 @@ class TestDegradedRuns:
             with pytest.raises(DataLossError):
                 run_experiment(ExperimentConfig(
                     app="agrep", variant=variant, workload_scale=SCALE,
-                    fault_profile="double-fault",
+                    fault_plan=profile("double-fault"),
                 ))
 
     def test_oracle_passes_on_survivable_death_profiles(self):
@@ -413,7 +413,7 @@ class TestDegradedRuns:
     def test_per_disk_counters_surface_in_results(self):
         storm = run_experiment(ExperimentConfig(
             app="agrep", variant=Variant.SPECULATING, workload_scale=SCALE,
-            fault_profile="rebuild-storm",
+            fault_plan=profile("rebuild-storm"),
         ))
         per_disk = storm.per_disk_io_counters()
         assert per_disk, "rebuild-storm must record per-disk retries"

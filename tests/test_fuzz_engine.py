@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import FuzzError
+from repro.errors import CheckpointError, FuzzError
 from repro.faults.generate import FaultPlanGenerator, FuzzCase
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import (
@@ -67,6 +67,24 @@ class TestRunFuzz:
     def test_unknown_app_rejected(self):
         with pytest.raises(FuzzError, match="unknown fuzz app"):
             run_fuzz(2, seed=7, apps=("nonesuch",))
+
+    def test_checkpoint_belongs_to_one_campaign(self, tmp_path):
+        """Cell keys (``fuzz/NNNN/app``) repeat across campaigns, so the
+        checkpoint identity carries what decides their content: resuming
+        under another seed is a typed error, not the first seed's cells;
+        a larger budget of the same campaign extends it."""
+        path = str(tmp_path / "fuzz.ckpt")
+        first = run_fuzz(2, seed=7, workload_scale=0.1, checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="belongs to sweep"):
+            run_fuzz(2, seed=8, workload_scale=0.1, checkpoint_path=path,
+                     resume=True)
+        seen = []
+        longer = run_fuzz(3, seed=7, workload_scale=0.1, checkpoint_path=path,
+                          resume=True,
+                          progress=lambda key, resumed: seen.append(resumed))
+        assert seen == [True, True, False]
+        assert [c.digest for c in longer.cells[:2]] == \
+            [c.digest for c in first.cells]
 
 
 # ---------------------------------------------------------------------------

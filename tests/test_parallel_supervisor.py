@@ -21,12 +21,14 @@ import pytest
 from repro.errors import QuarantinedCell, WorkerCrash
 from repro.faults.plan import PROFILES
 from repro.harness.checkpoint import SweepCheckpoint
-from repro.harness.parallel import (
+from repro.harness.experiments import (
     chaos_parallel_cells,
+    sweep_parallel_cells,
+)
+from repro.harness.parallel import (
     merge_worker_partials,
     require_complete,
     run_cells,
-    sweep_parallel_cells,
 )
 from repro.harness.supervisor import SupervisorConfig
 
@@ -418,14 +420,15 @@ class TestKillMatrix:
         assert returncode == 128 + signal.SIGTERM  # conventional 143
 
         reloaded = SweepCheckpoint.load(path, "kill-test")
-        assert len(reloaded) >= 1
+        flushed = [f"cell-{i}" for i in range(8) if f"cell-{i}" in reloaded]
+        assert flushed
 
         cells = [(f"cell-{i}", counted_cell, (f"cell-{i}", runs_dir, 0.0))
                  for i in range(8)]
         outcome = run_cells(cells, jobs=1, checkpoint_path=path,
                             identity="kill-test", resume=True)
         assert sorted(outcome.results) == [f"cell-{i}" for i in range(8)]
-        for key in reloaded.keys():
+        for key in flushed:
             assert runs_of(key, runs_dir) == 1
 
 
@@ -435,11 +438,11 @@ class TestKillMatrix:
 
 class TestIntegration:
     def test_run_sweep_resumable_parallel_matches_serial(self, tmp_path):
-        from repro.harness.experiments import run_sweep_resumable
+        from repro.harness.experiments import run_sweep
 
-        serial = run_sweep_resumable("cache", workload_scale=0.2)
+        serial = run_sweep("cache", workload_scale=0.2)
         stats_out = {}
-        parallel = run_sweep_resumable(
+        parallel = run_sweep(
             "cache", workload_scale=0.2,
             checkpoint_path=str(tmp_path / "sweep.ckpt"),
             jobs=2, supervisor_config=FAST, stats_out=stats_out,
@@ -451,6 +454,14 @@ class TestIntegration:
                 for variant, result in by_variant.items():
                     other = parallel[point][app][variant]
                     assert other.to_jsonable() == result.to_jsonable()
+
+        # A sub-grid is the corresponding slice of the full sweep.
+        sliced = run_sweep("cache", points=(6.0,), apps=("agrep",),
+                           workload_scale=0.2)
+        assert list(sliced) == [6.0] and list(sliced[6.0]) == ["agrep"]
+        for variant, result in serial[6.0]["agrep"].items():
+            assert (sliced[6.0]["agrep"][variant].to_jsonable()
+                    == result.to_jsonable())
 
     def test_oracle_parallel_matches_serial(self):
         from repro.harness.oracle import run_oracle
@@ -485,8 +496,7 @@ class TestIntegration:
                             for app in APPS}
                     for point in SWEEP_POINTS[kind]}
 
-        monkeypatch.setattr(experiments, "run_sweep_resumable",
-                            fake_resumable)
+        monkeypatch.setattr(experiments, "run_sweep", fake_resumable)
         exit_code = cli.main(["sweep", "cache", "--scale", "0.2",
                               "--jobs", "3"])
         assert exit_code == 0
@@ -578,11 +588,10 @@ class TestOnePipeline:
         from repro.harness import experiments
         from repro.registry import recorder
 
-        monkeypatch.setitem(experiments.SWEEP_POINTS, "cache", (12.0,))
         monkeypatch.setattr(recorder, "record_payload",
                             _broken_record_payload)
-        sweep = experiments.run_sweep_resumable(
-            "cache", workload_scale=0.1,
+        sweep = experiments.run_sweep(
+            "cache", points=(12.0,), workload_scale=0.1,
             registry_path=str(tmp_path / "reg.jsonl"),
         )
         assert list(sweep) == [12.0]  # results are unaffected

@@ -15,6 +15,7 @@ import sqlite3
 import pytest
 
 from repro.errors import RegistryError, UnknownRunError
+from repro.faults.plan import profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import (
     RESULT_SCHEMA_VERSION,
@@ -116,9 +117,8 @@ class TestFingerprint:
         assert chaos_key("none") == "none"
         assert chaos_key("stuck-disk") == "stuck-disk"
         plan = {"name": "fuzz-7-0", "slow_factor": 10.0}
-        key = chaos_key(None, plan)
+        key = plan_key(plan)
         assert key.startswith("fuzz-7-0:")
-        assert key == plan_key(plan)
         assert plan_key({"name": "fuzz-7-0", "slow_factor": 20.0}) != key
 
     def test_spec_tunables_covers_exactly_the_knobs(self):
@@ -536,7 +536,7 @@ class TestAutoTuner:
         proposal = AutoTuner(registry).propose("agrep", "stuck-disk")
         base = ExperimentConfig(app="agrep", workload_scale=SCALE,
                                 variant=Variant.SPECULATING,
-                                fault_profile="stuck-disk")
+                                fault_plan=profile("stuck-disk"))
         tuned = apply_proposal(base, proposal)
         assert spec_tunables(tuned.system.spechint) == self.FAST_PARAMS
         replayed = apply_provenance(base, tuned.tuning_provenance)
@@ -553,7 +553,7 @@ class TestEndToEnd:
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
         base = ExperimentConfig(app="postgres20", workload_scale=SCALE,
                                 variant=Variant.SPECULATING,
-                                fault_profile="stuck-disk")
+                                fault_plan=profile("stuck-disk"))
         seeded = base.with_(system=base.system.replace(seed=2000))
         record_payload(registry, None, run_experiment(seeded).to_jsonable())
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import TraceError
+from repro.faults import plan as fault_plans
 from repro.fs.cache import BlockCache
 from repro.fs.filesystem import FileSystem
 from repro.fs.readahead import SequentialReadAhead
@@ -322,7 +323,7 @@ class TestLifecycleInvariantsEndToEnd:
             app=app,
             workload_scale=SCALE,
             variant=Variant.SPECULATING,
-            fault_profile=profile,
+            fault_plan=fault_plans.profile(profile) if profile else None,
         )
         result, system = run_experiment_with_system(cfg)
         counts = system.manager.lifecycle.summary_counts()
@@ -477,15 +478,25 @@ class TestTraceCli:
         assert rc == 1
         assert "unknown trace category" in capsys.readouterr().err
 
-    def test_run_trace_out_writes_jsonl(self, tmp_path, capsys):
+    def test_trace_out_writes_jsonl(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "run.jsonl"
-        rc = main(["run", "agrep", "--scale", str(SCALE),
-                   "--trace-out", str(out)])
+        rc = main(["trace", "agrep", "--scale", str(SCALE),
+                   "--out", str(out)])
         assert rc == 0
         assert out.exists() and out.read_text().strip()
         assert "trace written" in capsys.readouterr().out
+
+    def test_run_trace_out_is_oracle_only(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "dumps"
+        rc = main(["run", "agrep", "--scale", str(SCALE),
+                   "--trace-out", str(out)])
+        assert rc == 1
+        assert "requires --oracle" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_categories_documented(self):
         # The CLI help string and the category tuple must not drift apart.
