@@ -77,12 +77,9 @@ def timed_queries(registry_path: str) -> float:
 
     start = time.perf_counter()
     registry = RunRegistry.open(registry_path)
-    try:
-        records = registry.records()
-        check_all(registry, min_baseline=1)
-        similar_runs(registry, records[0])
-    finally:
-        registry.close()
+    records = registry.records()
+    check_all(registry, min_baseline=1)
+    similar_runs(registry, records[0])
     return time.perf_counter() - start
 
 

@@ -124,10 +124,7 @@ def _auto_tune(
     from repro.registry.tuner import AutoTuner, apply_proposal
 
     registry = RunRegistry.open(registry_path)
-    try:
-        proposal = AutoTuner(registry).propose(cfg.app, chaos_key(chaos))
-    finally:
-        registry.close()
+    proposal = AutoTuner(registry).propose(cfg.app, chaos_key(chaos))
     if proposal is None:
         print("auto-tune: registry has no usable past runs; "
               "keeping default speculation parameters")
@@ -147,11 +144,7 @@ def _tune_from_provenance(
     from repro.registry.store import RunRegistry
     from repro.registry.tuner import apply_provenance
 
-    registry = RunRegistry.open(registry_path)
-    try:
-        record = registry.find(run_ref)
-    finally:
-        registry.close()
+    record = RunRegistry.open(registry_path).find(run_ref)
     if record.tuning is None:
         raise RegistryError(
             f"run {record.run_id} carries no tuning provenance; only runs "
@@ -707,11 +700,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
         "gc": _runs_gc,
         "regressions": _runs_regressions,
     }
-    registry = RunRegistry.open(args.registry)
-    try:
-        return handlers[args.runs_command](args, registry)
-    finally:
-        registry.close()
+    return handlers[args.runs_command](args, RunRegistry.open(args.registry))
 
 
 def cmd_paper(args: argparse.Namespace) -> int:

@@ -5,14 +5,15 @@ machine, the batch scheduler, or an impatient operator — with most of the
 work already done.  This module is the persistence half of making that
 survivable (the cell engine in :mod:`repro.harness.parallel` drives it):
 
-* every finished cell is appended to a JSON checkpoint file, written
-  atomically (:func:`repro.registry.store.atomic_write_text`: a temp file
-  in the same directory, fsynced, then renamed over the old checkpoint)
-  so a crash mid-write never corrupts the previous state;
-* a restarted sweep passed ``resume=True`` loads the checkpoint, skips
-  every completed cell, and recomputes only the missing ones — the
-  reassembled results are identical to an uninterrupted run because every
-  cell is seeded independently;
+* a checkpoint is a journal in the run ledger's line format
+  (:mod:`repro.registry.store`): a header line, then one durable line per
+  finished cell, appended once by whoever ran the cell — the sweep
+  process itself, or the ``--jobs N`` worker that computed it.  A kill
+  at any instant loses at most the cells still in flight;
+* a restarted sweep passed ``resume=True`` loads the journal, skips every
+  completed cell, and recomputes only the missing ones — the reassembled
+  results are identical to an uninterrupted run because every cell is
+  seeded independently;
 * version and identity mismatches (a checkpoint from a different sweep or
   an incompatible format) raise a typed
   :class:`~repro.errors.CheckpointError` instead of silently mixing
@@ -23,15 +24,23 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import signal
 import threading
 from typing import Callable, Dict, Iterator, Tuple
 
-from repro.errors import CheckpointError
-from repro.registry.store import atomic_write_text
+from repro.errors import CheckpointError, RegistryError
+from repro.registry.fingerprint import canonical_json
+from repro.registry.store import JsonlStore, append_line, atomic_write_text
 
-#: Bump when the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bump when the checkpoint layout changes incompatibly.  Version 1 was
+#: one indented JSON document rewritten whole after every cell.
+CHECKPOINT_VERSION = 2
+
+#: Field holding a journal line's cell key.  The header line's key is the
+#: empty string, which sorts it first in the compacted file.
+_KEY = "cell"
+_HEADER = ""
 
 
 def atomic_write_json(path: str, obj: object) -> None:
@@ -44,14 +53,15 @@ def flush_on_signals(
     flush: Callable[[], None],
     signums: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
 ) -> Iterator[None]:
-    """Install handlers that flush a checkpoint before dying.
+    """Install handlers that run ``flush`` and then die in an orderly way.
 
-    A Ctrl-C'd (SIGINT) or terminated (SIGTERM) sweep flushes its
-    checkpoint and then exits the way the signal intended — SIGINT
-    re-raises as :class:`KeyboardInterrupt`, SIGTERM as ``SystemExit``
-    with the conventional ``128 + signum`` status — so the next
-    ``--resume`` restores every completed cell.  Outside the main thread
-    (where Python forbids installing handlers) this is a no-op.
+    A Ctrl-C'd (SIGINT) or terminated (SIGTERM) sweep exits the way the
+    signal intended — SIGINT re-raises as :class:`KeyboardInterrupt`,
+    SIGTERM as ``SystemExit`` with the conventional ``128 + signum``
+    status — by unwinding the stack, so worker pools are torn down and
+    the next ``--resume`` restores every completed cell.  Outside the
+    main thread (where Python forbids installing handlers) this is a
+    no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -85,133 +95,127 @@ def flush_on_signals(
             signal.signal(num, old)  # type: ignore[arg-type]
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    try:
+        yield
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path!r}: {exc}") from exc
+
+
+def append_cell(path: str, key: str, payload: Dict[str, object]) -> None:
+    """Durably append one finished cell to the checkpoint at ``path``.
+
+    The whole write side of a finished cell, callable without loading the
+    journal: it is what a ``--jobs N`` worker runs before reporting.
+    """
+    with _writing(path):
+        append_line(path, {_KEY: key, "payload": payload})
+
+
 class SweepCheckpoint:
     """Checkpointed per-cell results of one sweep.
 
     Cells are keyed by a caller-chosen string (e.g. ``"disks=4/agrep/
     speculating"``).  The ``identity`` string names the sweep; resuming
     against a checkpoint written by a different sweep is a typed error.
+
+    A journal line is ``{"cell": key, "payload": {...}}`` for a finished
+    cell or ``{"cell": key, "quarantined": {...}}`` for a poisoned one
+    (failure kinds and tracebacks).  The last line for a key wins, so a
+    later success supersedes a quarantine and resuming retries poisoned
+    cells — quarantine documents a completed run, it is not a permanent
+    verdict on the cell.
     """
 
-    def __init__(self, path: str, identity: str) -> None:
+    def __init__(self, path: str, identity: str, resume: bool = False) -> None:
         self.path = path
-        self.identity = identity
-        self._cells: Dict[str, Dict[str, object]] = {}
-        #: Poisoned cells: key -> quarantine record (failure kinds and
-        #: tracebacks).  Kept separate from ``cells`` so resuming retries
-        #: them — quarantine documents a completed run, it is not a
-        #: permanent verdict on the cell.
-        self._quarantined: Dict[str, Dict[str, object]] = {}
-
-    # -- persistence ----------------------------------------------------------
+        if not resume:
+            # A fresh start owns the file: whatever an abandoned run left
+            # at this path is replaced, not appended to.
+            with _writing(path):
+                atomic_write_text(path, canonical_json({
+                    _KEY: _HEADER, "version": CHECKPOINT_VERSION,
+                    "identity": identity,
+                }) + "\n")
+        elif not os.path.exists(path):
+            raise CheckpointError(f"no checkpoint at {path!r} to resume from")
+        try:
+            self._store = JsonlStore(path, key=_KEY)
+            header = self._store.get(_HEADER) or {}
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise RegistryError(
+                    f"header version is {header.get('version')!r}"
+                )
+        except (OSError, RegistryError) as exc:
+            raise CheckpointError(
+                f"checkpoint {path!r} is not a readable version "
+                f"{CHECKPOINT_VERSION} cell journal: {exc}"
+            ) from exc
+        if header.get("identity") != identity:
+            raise CheckpointError(
+                f"checkpoint {path!r} belongs to sweep "
+                f"{header.get('identity')!r}, not {identity!r}"
+            )
+        for record in self._store.all():
+            body = record.get("payload", record.get("quarantined"))
+            if record is not header and not isinstance(body, dict):
+                raise CheckpointError(
+                    f"checkpoint {path!r}: line for cell {record[_KEY]!r} is "
+                    "neither a result nor a quarantine record"
+                )
 
     @classmethod
     def load(cls, path: str, identity: str) -> "SweepCheckpoint":
         """Load an existing checkpoint; typed errors on any corruption."""
-        checkpoint = cls(path, identity)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"no checkpoint at {path!r} to resume from"
-            ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path!r} is unreadable or corrupt: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(f"checkpoint {path!r}: not a JSON object")
-        version = data.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path!r}: version {version!r} is not "
-                f"{CHECKPOINT_VERSION}"
-            )
-        stored_identity = data.get("identity")
-        if stored_identity != identity:
-            raise CheckpointError(
-                f"checkpoint {path!r} belongs to sweep {stored_identity!r}, "
-                f"not {identity!r}"
-            )
-        cells = data.get("cells")
-        if not isinstance(cells, dict):
-            raise CheckpointError(f"checkpoint {path!r}: no cell table")
-        checkpoint._cells = cells
-        quarantined = data.get("quarantined", {})
-        if not isinstance(quarantined, dict):
-            raise CheckpointError(f"checkpoint {path!r}: bad quarantine table")
-        checkpoint._quarantined = quarantined
-        return checkpoint
+        return cls(path, identity, resume=True)
 
-    def flush(self) -> None:
-        """Persist the current state atomically; typed error on failure."""
-        state: Dict[str, object] = {
-            "version": CHECKPOINT_VERSION,
-            "identity": self.identity,
-            "cells": self._cells,
-        }
-        if self._quarantined:
-            state["quarantined"] = self._quarantined
-        try:
-            atomic_write_json(self.path, state)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot write checkpoint {self.path!r}: {exc}"
-            ) from exc
+    def compact(self) -> None:
+        """Rewrite the journal in canonical form: header, cells by key.
+
+        Run once when a sweep ends, so a serial run, a ``--jobs N`` run
+        and a killed-then-resumed run leave byte-identical checkpoints.
+        """
+        with _writing(self.path):
+            self._store.compact()
 
     # -- cells -----------------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
-        return key in self._cells
+        return "payload" in (self._store.get(key) or ())
 
-    def record_payload(self, key: str, payload: Dict[str, object]) -> None:
-        """Store one finished cell's raw JSON payload and flush.
+    def record_payload(
+        self, key: str, payload: Dict[str, object], durable: bool = True
+    ) -> None:
+        """Record one finished cell's raw JSON payload: one durable append.
 
         The cell engine moves results as jsonable dicts (they cross the
         result pipe under ``--jobs N``); recording them verbatim keeps a
         parallel run's checkpoint byte-identical to a serial run's.
+        ``durable=False`` only notes a cell whose worker has already
+        appended it (:func:`append_cell`).
         """
-        self._cells[key] = payload
-        self._quarantined.pop(key, None)
-        self.flush()
+        with _writing(self.path):
+            self._store.set({_KEY: key, "payload": payload}, durable=durable)
 
     def payload(self, key: str) -> Dict[str, object]:
         """One cell's raw JSON payload; typed error when absent."""
-        try:
-            return self._cells[key]
-        except KeyError:
-            raise CheckpointError(f"checkpoint has no cell {key!r}") from None
+        record = self._store.get(key) or {}
+        if "payload" not in record:
+            raise CheckpointError(f"checkpoint has no cell {key!r}")
+        return record["payload"]  # type: ignore[return-value]
 
     # -- quarantine ------------------------------------------------------------
 
     @property
     def quarantined(self) -> Dict[str, Dict[str, object]]:
         """Quarantine records of poisoned cells (read-only view)."""
-        return dict(self._quarantined)
+        return {
+            str(record[_KEY]): record["quarantined"]  # type: ignore[misc]
+            for record in self._store.all() if "quarantined" in record
+        }
 
     def record_quarantine(self, key: str, record: Dict[str, object]) -> None:
-        """Mark one cell as poisoned (with its failure record) and flush."""
-        self._quarantined[key] = record
-        self.flush()
-
-    def merge_from(self, other: "SweepCheckpoint") -> int:
-        """Adopt cells from ``other`` (same identity) that we lack.
-
-        Returns the number of cells adopted.  Used by the cell engine
-        to fold per-worker partial checkpoints into the main one; the
-        caller flushes once after merging every partial, so the merge is
-        atomic with respect to crashes (the main checkpoint is either the
-        old or the fully merged state).
-        """
-        if other.identity != self.identity:
-            raise CheckpointError(
-                f"cannot merge checkpoint of sweep {other.identity!r} "
-                f"into {self.identity!r}"
-            )
-        adopted = 0
-        for key, payload in other._cells.items():
-            if key not in self._cells:
-                self._cells[key] = payload
-                adopted += 1
-        return adopted
+        """Mark one cell as poisoned (with its failure record), durably."""
+        with _writing(self.path):
+            self._store.set({_KEY: key, "quarantined": record})

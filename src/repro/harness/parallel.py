@@ -17,12 +17,12 @@ the policy layer above :mod:`repro.harness.supervisor`:
   zero workers — and ``jobs > 1`` on the supervised pool; a pool that
   fails to start degrades to the in-process loop, same results, same
   checkpoint format;
-* it integrates the crash-safe :class:`SweepCheckpoint`: the parent
-  records every completed cell, workers keep per-slot partial
-  checkpoints (``<path>.worker-<slot>``), and both parent- and
-  worker-SIGKILLs resume without recomputation because the next run —
-  serial or parallel — merges partials back into the main checkpoint
-  atomically;
+* it integrates the crash-safe :class:`SweepCheckpoint`: whoever ran a
+  cell — this process, or the pool worker that computed it — appends it
+  to the one checkpoint journal, once, so a SIGKILL of the parent or of
+  a worker loses at most the cells in flight and the next run, serial
+  or parallel, resumes from the same file; the journal is compacted to
+  its canonical bytes when the run ends;
 * the finished outcome feeds the persistent run registry.
 
 The determinism guard (tests + ``benchmarks/bench_parallel_sweep.py``)
@@ -34,59 +34,30 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import glob
+import functools
 import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import CheckpointError, QuarantinedCell
-from repro.harness.checkpoint import SweepCheckpoint, flush_on_signals
+from repro.errors import QuarantinedCell
+from repro.harness.checkpoint import (
+    SweepCheckpoint,
+    append_cell,
+    flush_on_signals,
+)
 from repro.harness.supervisor import (
     CellSpec,
     Supervisor,
     SupervisorConfig,
     SupervisorOutcome,
     SupervisorStats,
+    run_cell,
 )
 from repro.registry.recorder import record_results
 
 #: Payload a cell runner returns: a JSON-safe dict (RunResult or
 #: differential-cell serialization) that crosses the result pipe verbatim.
 Payload = Dict[str, object]
-
-
-def _partial_paths(checkpoint_path: str) -> List[str]:
-    return sorted(glob.glob(glob.escape(checkpoint_path) + ".worker-*"))
-
-
-def merge_worker_partials(
-    checkpoint: SweepCheckpoint,
-    on_event: Optional[Callable[[str], None]] = None,
-) -> int:
-    """Fold per-worker partial checkpoints into the main one.
-
-    Cells recorded by workers that outlived (or died with) a killed
-    parent are adopted, the merged state is flushed atomically, and the
-    partial files are deleted.  Idempotent: re-running after a crash
-    mid-merge re-adopts the same deterministic cells.  Returns the
-    number of cells adopted.
-    """
-    adopted = 0
-    partials = _partial_paths(checkpoint.path)
-    for path in partials:
-        try:
-            partial = SweepCheckpoint.load(path, checkpoint.identity)
-        except CheckpointError as exc:
-            if on_event is not None:
-                on_event(f"ignoring stale partial {path!r}: {exc}")
-            continue
-        adopted += checkpoint.merge_from(partial)
-    if adopted:
-        checkpoint.flush()
-    for path in partials:
-        with contextlib.suppress(OSError):
-            os.unlink(path)
-    return adopted
 
 
 def run_cells(
@@ -104,12 +75,13 @@ def run_cells(
     """Run cell specs, checkpointing and recording their payloads.
 
     Without ``checkpoint_path`` this is a plain loop (or pool).  With it,
-    each finished cell is checkpointed atomically; with ``resume`` also
-    set, previously checkpointed cells — and any per-worker partials a
-    killed run left behind — are restored instead of re-run.
-    ``progress`` (if given) is called with ``(key, was_resumed)`` per
-    cell.  While a checkpoint is active, SIGINT/SIGTERM flush it before
-    the process exits, so an interrupted sweep resumes cleanly.
+    each finished cell is one durable append to the checkpoint journal;
+    with ``resume`` also set, previously checkpointed cells — whichever
+    process of a killed run appended them — are restored instead of
+    re-run.  ``progress`` (if given) is called with ``(key, was_resumed)``
+    per cell.  While a checkpoint is active, SIGINT/SIGTERM end the run
+    in an orderly way (pool torn down, conventional exit status); the
+    journal needs no flush, so an interrupted sweep resumes cleanly.
 
     With ``jobs <= 1`` the cells run in-process, in order: the
     deterministic reference.  With ``jobs > 1`` they run on the
@@ -133,19 +105,12 @@ def run_cells(
 
     checkpoint: Optional[SweepCheckpoint] = None
     if checkpoint_path is not None:
-        if resume and os.path.exists(checkpoint_path):
-            checkpoint = SweepCheckpoint.load(checkpoint_path, identity)
-        else:
-            # Fresh start (also the resume path when no checkpoint exists
-            # yet: there is nothing to restore, so begin from scratch).
-            checkpoint = SweepCheckpoint(checkpoint_path, identity)
-            checkpoint.flush()
-            # A fresh (non-resume) start owns the namespace: stale
-            # partials from an abandoned run must not leak in later.
-            for path in _partial_paths(checkpoint_path):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-        merge_worker_partials(checkpoint, on_event=on_event)
+        # Resuming a checkpoint that does not exist yet is a fresh start:
+        # there is nothing to restore, so begin from scratch.
+        checkpoint = SweepCheckpoint(
+            checkpoint_path, identity,
+            resume=resume and os.path.exists(checkpoint_path),
+        )
 
     # Restore already-completed cells before any worker spawns.
     restored: Dict[str, Payload] = {}
@@ -159,29 +124,32 @@ def run_cells(
         else:
             remaining.append(spec)
 
-    def on_result(key: str, payload: Payload) -> None:
+    def on_result(key: str, payload: Payload, journaled: bool = False) -> None:
         if checkpoint is not None:
-            checkpoint.record_payload(key, payload)
+            checkpoint.record_payload(key, payload, durable=not journaled)
         if progress is not None:
             progress(key, False)
 
+    # Every record is durable the moment it is appended, so there is
+    # nothing to flush: the guard only turns the signal into an exception
+    # that unwinds through the pool teardown.
     guard = (
-        flush_on_signals(checkpoint.flush)
+        flush_on_signals(lambda: None)
         if checkpoint is not None
         else contextlib.nullcontext()
     )
     with guard:
         outcome = None
         if jobs > 1:
-            outcome = _run_supervised(remaining, config, identity,
-                                      checkpoint, on_result, on_event)
+            outcome = _run_supervised(remaining, config, checkpoint,
+                                      on_result, on_event)
         if outcome is None:
             # Zero workers: same cells, same checkpointing, in order.
             outcome = SupervisorOutcome(
                 stats=SupervisorStats(mode="serial", jobs=1)
             )
             for key, fn, args in remaining:
-                payload = fn(*args)
+                payload = run_cell(fn, args)
                 outcome.results[key] = payload
                 outcome.stats.cells_completed += 1
                 on_result(key, payload)
@@ -189,7 +157,7 @@ def run_cells(
     outcome.results.update(restored)
     outcome.stats.cells_restored = len(restored)
     if checkpoint is not None:
-        merge_worker_partials(checkpoint, on_event=on_event)
+        checkpoint.compact()
     if registry_path is not None:
         try:
             record_results(registry_path, outcome.results, registry_meta)
@@ -202,27 +170,19 @@ def run_cells(
 def _run_supervised(
     cells: List[CellSpec],
     config: SupervisorConfig,
-    identity: str,
     checkpoint: Optional[SweepCheckpoint],
-    on_result: Callable[[str, Payload], None],
+    on_result: Callable[..., None],
     on_event: Callable[[str], None],
 ) -> Optional[SupervisorOutcome]:
     """Run ``cells`` on the supervised pool; None if it cannot start."""
-    on_quarantine: Optional[Callable[[str, Dict[str, object]], None]] = None
-    partial_path_for: Optional[Callable[[int], str]] = None
+    journal = on_quarantine = None
     if checkpoint is not None:
-        base = checkpoint.path
+        journal = functools.partial(append_cell, checkpoint.path)
         on_quarantine = checkpoint.record_quarantine
-
-        def _partial_for(slot: int) -> str:
-            return f"{base}.worker-{slot}"
-
-        partial_path_for = _partial_for
-
     supervisor = Supervisor(
-        cells, config, identity=identity,
-        partial_path_for=partial_path_for,
-        on_result=on_result, on_quarantine=on_quarantine, on_event=on_event,
+        cells, config, journal=journal,
+        on_result=functools.partial(on_result, journaled=True),
+        on_quarantine=on_quarantine, on_event=on_event,
     )
     try:
         supervisor.start()

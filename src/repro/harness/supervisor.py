@@ -19,7 +19,7 @@ advancing), or fail the same cell every time they touch it.  The
   keeps advancing is healthy no matter how long it runs;
 * **crash detection** — a worker that dies without delivering a result
   gets its cell rescheduled with exponential backoff and a fresh worker
-  respawned in its slot;
+  respawned in its place;
 * **quarantine** — a cell that fails ``max_cell_failures`` times (by
   crash, hang, or exception) is recorded as quarantined with every
   attempt's traceback, mirroring the runtime's ``IsolationQuarantine``:
@@ -29,10 +29,10 @@ advancing), or fail the same cell every time they touch it.  The
   run aborts with a typed :class:`~repro.errors.WorkerCrash` instead of
   spinning forever.  Completed cells are already checkpointed by then.
 
-Workers also write **partial checkpoints** (``<path>.worker-<slot>``)
-before reporting a result, so even a ``SIGKILL`` of the *parent*
-mid-sweep loses at most the cells that were actually mid-computation;
-the next run merges the partials back (see ``harness/parallel.py``).
+Workers also **journal** each finished cell (append it to the sweep's
+checkpoint, see ``harness/checkpoint.py``) before reporting it, so even
+a ``SIGKILL`` of the *parent* mid-sweep loses at most the cells that
+were actually mid-computation.
 
 ``concurrent.futures.ProcessPoolExecutor`` is deliberately not used:
 killing one hung worker breaks the whole executor (``BrokenProcessPool``)
@@ -42,6 +42,7 @@ and it offers no per-task heartbeat channel, so the supervisor manages
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue as queue_mod
@@ -123,6 +124,21 @@ class SupervisorOutcome:
     stats: SupervisorStats = field(default_factory=SupervisorStats)
 
 
+def run_cell(fn: Callable[..., Dict[str, object]],
+             args: Tuple[object, ...]) -> Dict[str, object]:
+    """Run one cell in this process and reclaim what it built.
+
+    A finished cell's simulated system is cyclic garbage that holds its
+    whole address space (tens of MB).  Left to the allocation-driven
+    collector, several cells' worth pile up before a full collection
+    happens to run, so peak memory is a multiple of one cell's footprint;
+    collecting here keeps it at one.
+    """
+    payload = fn(*args)
+    gc.collect()
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
@@ -174,16 +190,14 @@ def _heartbeat_loop(
 
 def _worker_main(
     worker_id: int,
-    slot: int,
     task_queue: "multiprocessing.Queue",
     result_queue: "multiprocessing.Queue",
     heartbeat_interval_s: float,
-    partial_path: Optional[str],
-    identity: str,
+    journal: Optional[Callable[[str, Dict[str, object]], None]],
 ) -> None:
     """Worker process: run cells from the task queue until told to stop."""
     # The parent owns interruption: a terminal Ctrl-C goes to the parent,
-    # which flushes the checkpoint and tears the pool down deliberately.
+    # which tears the pool down deliberately.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_pid = os.getppid()
 
@@ -194,18 +208,8 @@ def _worker_main(
         progress.clock = system.clock  # type: ignore[attr-defined]
 
     from repro.harness import runner as runner_mod
-    from repro.harness.checkpoint import SweepCheckpoint
 
     runner_mod.add_system_observer(observe_system)
-
-    partial: Optional[SweepCheckpoint] = None
-    if partial_path is not None:
-        # Reload an existing partial (this slot crashed earlier and kept
-        # some cells) or start a fresh one.
-        try:
-            partial = SweepCheckpoint.load(partial_path, identity)
-        except Exception:
-            partial = SweepCheckpoint(partial_path, identity)
 
     threading.Thread(
         target=_heartbeat_loop,
@@ -228,18 +232,15 @@ def _worker_main(
         progress.key = key
         result_queue.put(("start", worker_id, key))
         try:
-            payload = fn(*args)
+            payload = run_cell(fn, args)
+            if journal is not None:
+                # Persist before reporting: a parent SIGKILL between these
+                # two steps loses nothing — the next run reads the journal.
+                journal(key, payload)
         except BaseException:
             result_queue.put(("fail", worker_id, key, traceback.format_exc()))
             progress.key = None
             continue
-        if partial is not None:
-            # Persist before reporting: a parent SIGKILL between these
-            # two steps loses nothing — the next run merges the partial.
-            try:
-                partial.record_payload(key, payload)
-            except Exception:
-                pass  # a broken partial only costs recomputation
         result_queue.put(("done", worker_id, key, payload))
         progress.key = None
 
@@ -253,7 +254,6 @@ class _Worker:
     """Parent-side handle of one worker process."""
 
     worker_id: int
-    slot: int
     process: "multiprocessing.Process"
     task_queue: "multiprocessing.Queue"
     #: This worker's private result/heartbeat channel (see
@@ -272,25 +272,25 @@ class _Worker:
 class Supervisor:
     """Runs cells on a pool of supervised worker processes.
 
-    ``on_result(key, payload)`` fires (in the parent) for every completed
-    cell — the parallel engine checkpoints there.  ``on_quarantine(key,
-    record)`` fires when a cell is poisoned.  ``on_event(message)``
-    carries human-readable supervision events (crashes, kills, retries).
+    ``journal(key, payload)`` (picklable) runs in the worker that finished
+    a cell, before the cell is reported — the cell engine checkpoints
+    there.  ``on_result(key, payload)`` fires in the parent for every
+    completed cell, ``on_quarantine(key, record)`` when a cell is
+    poisoned.  ``on_event(message)`` carries human-readable supervision
+    events (crashes, kills, retries).
     """
 
     def __init__(
         self,
         cells: List[CellSpec],
         config: SupervisorConfig,
-        identity: str = "sweep",
-        partial_path_for: Optional[Callable[[int], str]] = None,
+        journal: Optional[Callable[[str, Dict[str, object]], None]] = None,
         on_result: Optional[Callable[[str, Dict[str, object]], None]] = None,
         on_quarantine: Optional[Callable[[str, Dict[str, object]], None]] = None,
         on_event: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.config = config
-        self.identity = identity
-        self.partial_path_for = partial_path_for
+        self.journal = journal
         self.on_result = on_result
         self.on_quarantine = on_quarantine
         self.on_event = on_event
@@ -319,10 +319,10 @@ class Supervisor:
     def start(self) -> None:
         """Spawn the pool.  Raises on startup failure (caller may then
         degrade to the serial path — the run has not begun)."""
-        for slot in range(self.config.jobs):
-            self._spawn_worker(slot)
+        for _ in range(self.config.jobs):
+            self._spawn_worker()
 
-    def _spawn_worker(self, slot: int) -> _Worker:
+    def _spawn_worker(self) -> _Worker:
         self._next_worker_id += 1
         worker_id = self._next_worker_id
         task_queue: multiprocessing.Queue = self._ctx.Queue()
@@ -335,17 +335,15 @@ class Supervisor:
         # dying worker can only poison its own channel, which the parent
         # discards when it reaps the death.
         result_queue: multiprocessing.Queue = self._ctx.Queue()
-        partial = (self.partial_path_for(slot)
-                   if self.partial_path_for is not None else None)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, slot, task_queue, result_queue,
-                  self.config.heartbeat_interval_s, partial, self.identity),
-            name=f"sweep-worker-{slot}",
+            args=(worker_id, task_queue, result_queue,
+                  self.config.heartbeat_interval_s, self.journal),
+            name=f"sweep-worker{worker_id}",
             daemon=True,
         )
         process.start()
-        worker = _Worker(worker_id=worker_id, slot=slot, process=process,
+        worker = _Worker(worker_id=worker_id, process=process,
                          task_queue=task_queue, result_queue=result_queue,
                          last_change=time.monotonic())
         self._workers[worker_id] = worker
@@ -514,7 +512,7 @@ class Supervisor:
             self._emit(str(timeout))
             self._kill_worker(worker)
             self._record_failure(key, CellFailure("timeout", str(timeout)))
-            self._spawn_worker(worker.slot)
+            self._spawn_worker()
 
     def _check_liveness(self) -> None:
         for worker in list(self._workers.values()):
@@ -544,7 +542,7 @@ class Supervisor:
                     f"consecutive worker deaths without a completed cell; "
                     f"aborting (completed cells are checkpointed)"
                 )
-            self._spawn_worker(worker.slot)
+            self._spawn_worker()
 
     # -- teardown --------------------------------------------------------------
 

@@ -50,6 +50,7 @@ from repro.vm.isa import (
     SYS_READ,
     SYS_SBRK,
     SYS_WRITE,
+    SYSCALL_NAMES,
     Reg,
     to_signed,
 )
@@ -65,21 +66,6 @@ A0 = int(Reg.a0)
 A1 = int(Reg.a1)
 A2 = int(Reg.a2)
 A3 = int(Reg.a3)
-
-#: Syscall number -> trace-friendly name.
-SYSCALL_NAMES = {
-    SYS_EXIT: "exit",
-    SYS_OPEN: "open",
-    SYS_CLOSE: "close",
-    SYS_READ: "read",
-    SYS_WRITE: "write",
-    SYS_LSEEK: "lseek",
-    SYS_FSTAT: "fstat",
-    SYS_SBRK: "sbrk",
-    SYS_HINT_SEG: "hint_seg",
-    SYS_HINT_FD_SEG: "hint_fd_seg",
-    SYS_CANCEL_ALL: "cancel_all",
-}
 
 
 class Kernel:

@@ -160,14 +160,10 @@ def record_results(
     byte form, which persists the batch atomically.  Returns the run ids.
     """
     registry = RunRegistry.open(registry_path)
-    try:
-        ids: List[str] = []
-        for key in sorted(results):
-            ids += record_payload(registry, key, results[key], ctx,
-                                  durable=False)
-        registry.compact()
-    finally:
-        registry.close()
+    ids: List[str] = []
+    for key in sorted(results):
+        ids += record_payload(registry, key, results[key], ctx, durable=False)
+    registry.compact()
     return ids
 
 
@@ -186,13 +182,10 @@ def record_group(
     """
     version = code_version()
     registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(
-            RunRecord(kind=kind, code_version=version, meta=meta)
-        )
-        registry.compact()
-    finally:
-        registry.close()
+    parent_id = registry.record(
+        RunRecord(kind=kind, code_version=version, meta=meta)
+    )
+    registry.compact()
     ctx: Dict[str, object] = {"parent_id": parent_id, "code_version": version}
     if cell_kind is not None:
         ctx["kind"] = cell_kind

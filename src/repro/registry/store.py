@@ -1,14 +1,17 @@
-"""The crash-safe persistent store of the run registry.
+"""The crash-safe persistent store under the run registry and checkpoints.
 
-:class:`JsonlStore` is an append-only ledger of one canonical JSON line
-per record.  Appends are fsynced; a torn final line (power-loss
-mid-append) is ignored on load and healed by the next
-:meth:`~JsonlStore.compact`, which rewrites the file through
-:func:`atomic_write_text` — the one durable whole-file write the harness
-and the registry share.
+This module is the only place that knows how a durable set of keyed JSON
+payloads is laid out on disk: a *journal* of one canonical JSON line per
+record.  It has one reader (:func:`read_journal`: an unterminated final
+line is a torn append and is ignored, any other damage is a typed
+error), one durable append (:func:`append_line`: exclusive ``flock``,
+torn tail healed, fsync) and one whole-file write
+(:func:`atomic_write_text`, which compaction goes through).
 
-The store deduplicates by ``run_id``: recording the same content twice
-is a no-op, which is what makes resume-replays idempotent.
+:class:`JsonlStore` is the keyed view over a journal.  The run ledger
+keys it by content-addressed ``run_id`` — recording the same content
+twice is a no-op, which is what makes resume-replays idempotent — and
+the sweep checkpoint (:mod:`repro.harness.checkpoint`) keys it by cell.
 
 No imports from :mod:`repro.harness` — the harness imports this package
 while its own package init is still running, so the registry must stay a
@@ -18,10 +21,11 @@ leaf (stdlib + ``repro.errors`` + sibling registry modules only).
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.errors import RegistryError, UnknownRunError
 from repro.registry.fingerprint import canonical_json
@@ -78,95 +82,134 @@ def atomic_write_text(path: str, text: str) -> None:
     _fsync_directory(directory)
 
 
-class JsonlStore:
-    """Append-only JSONL ledger, one canonical record line per run."""
+def read_journal(path: str) -> List[Dict[str, object]]:
+    """Every complete record line of the journal at ``path``, in file order.
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        if raw.startswith(_SQLITE_MAGIC):
+    A missing file is an empty journal.  Bytes after the last newline are
+    a torn final append (a writer died mid-line): ignored here, truncated
+    away by the next :func:`append_line`.  A complete line that is not a
+    JSON object is damage no crash of ours produces, and a typed error.
+    """
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if raw.startswith(_SQLITE_MAGIC):
+        raise RegistryError(
+            f"{path!r} is a SQLite database, which this version does not "
+            "read; the registry is a JSONL ledger"
+        )
+    records: List[Dict[str, object]] = []
+    lines = raw.split(b"\n")
+    del lines[-1]  # what follows the last newline: a torn append, or nothing
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except ValueError:
+            data = None
+        if not isinstance(data, dict):
             raise RegistryError(
-                f"registry {self.path!r} is a SQLite database, which this "
-                "version does not read; the registry is a JSONL ledger"
+                f"journal {path!r} line {number} is not a JSON record "
+                "(corrupt; only an unterminated *final* line may be torn)"
             )
-        lines = raw.decode("utf-8", errors="replace").splitlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                if index == len(lines) - 1:
-                    # Torn final append (crash mid-write): ignore; the next
-                    # compact() rewrites the file without it.
-                    continue
+        records.append(data)
+    return records
+
+
+def _heal_torn_tail(handle: BinaryIO) -> None:
+    """Truncate the journal open at ``handle`` to just after its last newline."""
+    end = handle.seek(0, os.SEEK_END)
+    while end > 0:
+        start = max(0, end - 65536)
+        handle.seek(start)
+        newline = handle.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            end = start + newline + 1
+            break
+        end = start
+    handle.truncate(end)
+
+
+def append_line(path: str, data: Dict[str, object]) -> None:
+    """Durably append one record to the journal at ``path``.
+
+    Safe from any number of processes at once: the append holds an
+    exclusive ``flock`` on the journal, which the kernel drops when the
+    holder exits — however it dies — so a SIGKILLed writer can leave a
+    torn line but never a held lock.  That torn line is cut off before
+    the new record goes in, so every acknowledged record sits on a line
+    of its own.
+    """
+    line = (canonical_json(data) + "\n").encode("utf-8")
+    with open(path, "a+b") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        _heal_torn_tail(handle)
+        handle.write(line)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+class JsonlStore:
+    """Keyed view of a journal: the last line for a key is its record."""
+
+    def __init__(self, path: str, key: str = "run_id") -> None:
+        self.path = path
+        self.key = key
+        self._records: Dict[str, Dict[str, object]] = {}
+        for number, data in enumerate(read_journal(path), start=1):
+            if key not in data:
                 raise RegistryError(
-                    f"registry {self.path!r} line {index + 1} is not JSON "
-                    "(corrupt ledger; only the *final* line may be torn)"
+                    f"journal {path!r} record {number} has no {key!r}"
                 )
-            run_id = str(data.get("run_id", ""))
-            if run_id:
-                self._records[run_id] = data
+            self._records[str(data[key])] = data
 
     def put(self, data: Dict[str, object], durable: bool = True) -> bool:
-        """Add a record; returns False on content-addressed dedup.
+        """Add a record; returns False on content-addressed dedup."""
+        if str(data[self.key]) in self._records:
+            return False
+        self.set(data, durable=durable)
+        return True
+
+    def set(self, data: Dict[str, object], durable: bool = True) -> None:
+        """Store a record, superseding any earlier one under its key.
 
         With ``durable=False`` the record lands in memory only and is
         persisted by the next :meth:`compact` (one atomic rename instead
         of one fsync per record) — the bulk path for recording a finished
-        sweep, whose payloads already survive in the checkpoint.
+        sweep, whose payloads already survive in the checkpoint, and for
+        cells a ``--jobs N`` worker has already appended itself.
         """
-        run_id = str(data["run_id"])
-        if run_id in self._records:
-            return False
-        self._records[run_id] = data
+        self._records[str(data[self.key])] = data
         if durable:
-            line = canonical_json(data) + "\n"
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return True
+            append_line(self.path, data)
 
-    def get(self, run_id: str) -> Optional[Dict[str, object]]:
-        return self._records.get(run_id)
+    def get(self, key: str) -> Optional[Dict[str, object]]:
+        return self._records.get(key)
 
     def ids(self) -> List[str]:
         return sorted(self._records)
 
     def all(self) -> List[Dict[str, object]]:
-        return [self._records[run_id] for run_id in self.ids()]
+        return [self._records[key] for key in self.ids()]
 
-    def delete(self, run_id: str) -> bool:
-        if run_id not in self._records:
+    def delete(self, key: str) -> bool:
+        if key not in self._records:
             return False
-        del self._records[run_id]
+        del self._records[key]
         self.compact()
         return True
 
     def compact(self) -> None:
-        """Rewrite the ledger as one canonical line per record, sorted.
+        """Rewrite the journal as one canonical line per record, sorted.
 
-        Sorting by content-addressed ``run_id`` is what erases insertion
-        -order noise: a serial sweep and a parallel sweep arrive at the
-        same set of records in different orders, and compaction folds
-        both into identical bytes.
+        Sorting by key is what erases insertion-order noise: a serial
+        sweep and a parallel sweep arrive at the same set of records in
+        different orders, and compaction folds both into identical bytes.
         """
-        text = "".join(
-            canonical_json(self._records[run_id]) + "\n" for run_id in self.ids()
-        )
+        text = "".join(canonical_json(data) + "\n" for data in self.all())
         atomic_write_text(self.path, text)
-
-    def close(self) -> None:
-        return None
 
 
 class RunRegistry:
@@ -182,9 +225,6 @@ class RunRegistry:
     @property
     def path(self) -> str:
         return self.store.path
-
-    def close(self) -> None:
-        self.store.close()
 
     # -- writing -----------------------------------------------------------
 

@@ -13,9 +13,6 @@ from typing import Iterator, Optional
 from repro.vm.binary import Binary
 from repro.vm.isa import Insn, Op, Reg, SYSCALL_NAMES
 
-#: Opcodes whose ``c`` operand is a text target.
-_TEXT_TARGET = {Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.JMP, Op.CALL}
-
 
 def _reg(index: int) -> str:
     return Reg(index).name

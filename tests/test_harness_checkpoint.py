@@ -203,22 +203,43 @@ class TestSweepCheckpoint:
             SweepCheckpoint.load(str(tmp_path / "absent.json"), "x")
 
     def test_corrupt_json_is_typed_error(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("{ not json")
+        """Damage before the end of the journal is typed; a torn final
+        line is not damage (the writer died mid-append)."""
+        path = str(tmp_path / "ckpt.json")
+        SweepCheckpoint(path, "x").record_payload("a", {"value": 1})
+        with open(path, "a") as handle:
+            handle.write('{"cell": "b", "payl')
+        assert "a" in SweepCheckpoint.load(path, "x")
+        with open(path, "a") as handle:
+            handle.write('oad": garbage}\n{"cell": "c", "payload": {}}\n')
         with pytest.raises(CheckpointError, match="corrupt"):
-            SweepCheckpoint.load(str(path), "x")
+            SweepCheckpoint.load(path, "x")
 
     def test_wrong_version_is_typed_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION + 1, "identity": "x", "cells": {},
-        }))
-        with pytest.raises(CheckpointError, match="version"):
+            "cell": "", "version": CHECKPOINT_VERSION + 1, "identity": "x",
+        }) + "\n")
+        with pytest.raises(CheckpointError, match=r"version .*3"):
+            SweepCheckpoint.load(str(path), "x")
+
+    @pytest.mark.parametrize("text", [
+        # A version-1 checkpoint: one indented JSON document.
+        json.dumps({"version": 1, "identity": "x", "cells": {}}, indent=2,
+                   sort_keys=True),
+        "not a journal at all\n",
+        "",
+    ], ids=["version-1-document", "text-file", "empty-file"])
+    def test_non_journal_file_is_typed_error(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError,
+                           match=f"version {CHECKPOINT_VERSION} cell journal"):
             SweepCheckpoint.load(str(path), "x")
 
     def test_wrong_identity_is_typed_error(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        SweepCheckpoint(path, "sweep:disks").flush()
+        SweepCheckpoint(path, "sweep:disks")
         with pytest.raises(CheckpointError, match="belongs to sweep"):
             SweepCheckpoint.load(path, "sweep:cache")
 
@@ -229,18 +250,22 @@ class TestSweepCheckpoint:
 
     def test_unwritable_flush_is_typed_error(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir"
-        checkpoint = SweepCheckpoint(str(missing_dir / "c.json"), "x")
         with pytest.raises(CheckpointError, match="cannot write"):
-            checkpoint.flush()
+            SweepCheckpoint(str(missing_dir / "c.json"), "x")
+        checkpoint = SweepCheckpoint(str(tmp_path / "c.json"), "x")
+        checkpoint.path = checkpoint._store.path = str(missing_dir / "c.json")
+        with pytest.raises(CheckpointError, match="cannot write"):
+            checkpoint.record_payload("a", {"value": 1})
+        with pytest.raises(CheckpointError, match="cannot write"):
+            checkpoint.compact()
 
     def test_bad_quarantine_table_is_typed_error(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION, "identity": "x", "cells": {},
-            "quarantined": ["not", "a", "dict"],
-        }))
-        with pytest.raises(CheckpointError, match="quarantine table"):
-            SweepCheckpoint.load(str(path), "x")
+        path = str(tmp_path / "ckpt.json")
+        SweepCheckpoint(path, "x")
+        with open(path, "a") as handle:
+            handle.write('{"cell": "p", "quarantined": ["not", "a", "dict"]}\n')
+        with pytest.raises(CheckpointError, match="quarantine record"):
+            SweepCheckpoint.load(path, "x")
 
     def test_quarantine_roundtrip_and_clear_on_success(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -252,25 +277,30 @@ class TestSweepCheckpoint:
         assert reloaded.quarantined == {"poisoned": record}
         assert "poisoned" not in reloaded  # quarantine is not a result
 
-        # A later success supersedes the quarantine record.
+        # A later success supersedes the quarantine record, in the journal
+        # as appended and in its compacted form.
         reloaded.record_payload("poisoned", {"value": 1})
         assert SweepCheckpoint.load(path, "x").quarantined == {}
+        reloaded.compact()
+        assert SweepCheckpoint.load(path, "x").quarantined == {}
+        with open(path) as handle:
+            assert "quarantined" not in handle.read()
 
-    def test_merge_from_adopts_only_missing_cells(self, tmp_path):
-        main = SweepCheckpoint(str(tmp_path / "a.json"), "x")
-        main.record_payload("shared", {"value": 1})
-        other = SweepCheckpoint(str(tmp_path / "b.json"), "x")
-        other.record_payload("shared", {"value": 999})
-        other.record_payload("extra", {"value": 2})
-        assert main.merge_from(other) == 1
-        assert main.payload("shared") == {"value": 1}  # ours wins
-        assert main.payload("extra") == {"value": 2}
-
-    def test_merge_from_identity_mismatch_is_typed_error(self, tmp_path):
-        main = SweepCheckpoint(str(tmp_path / "a.json"), "sweep-a")
-        other = SweepCheckpoint(str(tmp_path / "b.json"), "sweep-b")
-        with pytest.raises(CheckpointError, match="cannot merge"):
-            main.merge_from(other)
+    def test_compacted_form_is_independent_of_append_order(self, tmp_path):
+        cells = {f"cell-{i}": {"value": i} for i in range(5)}
+        texts = []
+        for name, order in (("a", sorted(cells)), ("b", sorted(cells)[::-1])):
+            checkpoint = SweepCheckpoint(str(tmp_path / name), "x")
+            for key in order:
+                checkpoint.record_payload(key, cells[key])
+            checkpoint.record_payload(order[0], cells[order[0]])  # duplicate
+            checkpoint.compact()
+            texts.append((tmp_path / name).read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        assert json.loads(lines[0]) == {
+            "cell": "", "identity": "x", "version": CHECKPOINT_VERSION}
+        assert [json.loads(line)["cell"] for line in lines[1:]] == sorted(cells)
 
 
 class _Killed(Exception):

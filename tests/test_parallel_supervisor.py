@@ -3,12 +3,11 @@
 The matrix the ISSUE requires: determinism (parallel byte-identical to
 serial), worker crash mid-cell, hung cell, poisoned cell quarantine,
 pool-startup degradation, parent SIGKILL + resume, SIGTERM checkpoint
-flush, the CLI ``--jobs`` wiring, and the one-pipeline guarantees (every
+exit, the CLI ``--jobs`` wiring, and the one-pipeline guarantees (every
 sweep mode prints the same tables; a serial resume picks up what a killed
 parallel run left; a failing registry update is reported in every mode).
 """
 
-import glob
 import json
 import os
 import signal
@@ -20,17 +19,14 @@ import pytest
 
 from repro.errors import QuarantinedCell, WorkerCrash
 from repro.faults.plan import PROFILES
-from repro.harness.checkpoint import SweepCheckpoint
+from repro.harness.checkpoint import SweepCheckpoint, append_cell
 from repro.harness.experiments import (
     chaos_parallel_cells,
     sweep_parallel_cells,
 )
-from repro.harness.parallel import (
-    merge_worker_partials,
-    require_complete,
-    run_cells,
-)
+from repro.harness.parallel import require_complete, run_cells
 from repro.harness.supervisor import SupervisorConfig
+from repro.registry.store import read_journal
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
@@ -76,6 +72,16 @@ def crash_once_cell(key, marker_dir):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
     return {"key": key, "recovered": True}
+
+
+def append_then_crash_once(path, marker_dir, key, payload):
+    """A worker journal that SIGKILLs its worker after its first append."""
+    append_cell(path, key, payload)
+    marker = os.path.join(marker_dir, f"{key}.appended")
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def crash_always_cell(key):
@@ -154,11 +160,34 @@ class TestDeterminism:
                   identity="determinism")
         run_cells(cells, jobs=2, checkpoint_path=parallel_path,
                   identity="determinism", config=FAST)
-        with open(serial_path) as handle:
-            serial_state = json.load(handle)
-        with open(parallel_path) as handle:
-            parallel_state = json.load(handle)
-        assert serial_state == parallel_state
+        with open(serial_path, "rb") as handle:
+            serial_bytes = handle.read()
+        with open(parallel_path, "rb") as handle:
+            parallel_bytes = handle.read()
+        assert serial_bytes == parallel_bytes
+        assert sorted(_recorded_cells(serial_path)) == sorted(
+            key for key, _, _ in cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_cell_is_appended_exactly_once(self, tmp_path, jobs,
+                                                monkeypatch):
+        """Whoever ran a cell writes it, once: before compaction the journal
+        is the header plus one line per cell, and about as long as the
+        compacted file (bytes written are O(result), not O(cells x result))."""
+        monkeypatch.setattr(SweepCheckpoint, "compact", lambda self: None)
+        cells = sweep_parallel_cells("cache", workload_scale=0.2)[:6]
+        path = str(tmp_path / "sweep.ckpt")
+        run_cells(cells, jobs=jobs, checkpoint_path=path, identity="once",
+                  config=FAST)
+        with open(path, "rb") as handle:
+            appended = handle.read()
+        lines = appended.splitlines()
+        assert len(lines) == 1 + len(cells)
+        assert sorted(json.loads(line)["cell"] for line in lines[1:]) == sorted(
+            key for key, _, _ in cells)
+        monkeypatch.undo()
+        SweepCheckpoint.load(path, "once").compact()
+        assert os.path.getsize(path) == len(appended)
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +315,49 @@ class TestCheckpointIntegration:
         assert "flaky" in reloaded
         assert "flaky" not in reloaded.quarantined
 
-    def test_merge_worker_partials_adopts_and_deletes(self, tmp_path):
-        path = str(tmp_path / "sweep.ckpt")
-        main = SweepCheckpoint(path, "merge-test")
-        main.record_payload("done-before", {"value": 1})
-
-        partial = SweepCheckpoint(path + ".worker-0", "merge-test")
-        partial.record_payload("done-before", {"value": 1})
-        partial.record_payload("orphaned", {"value": 2})
-
-        adopted = merge_worker_partials(main)
-        assert adopted == 1
-        assert not os.path.exists(path + ".worker-0")
-        reloaded = SweepCheckpoint.load(path, "merge-test")
-        assert reloaded.payload("orphaned") == {"value": 2}
-
-    def test_merge_ignores_foreign_identity_partials(self, tmp_path):
-        path = str(tmp_path / "sweep.ckpt")
-        main = SweepCheckpoint(path, "merge-test")
-        main.flush()
-        foreign = SweepCheckpoint(path + ".worker-1", "other-sweep")
-        foreign.record_payload("alien", {"value": 9})
-
-        events = []
-        adopted = merge_worker_partials(main, on_event=events.append)
-        assert adopted == 0
-        assert "alien" not in main
-        assert any("ignoring stale partial" in message for message in events)
-        assert not os.path.exists(path + ".worker-1")
-
     def test_fresh_start_clears_stale_partials(self, tmp_path):
+        """A non-resume start owns the file: the partial checkpoint of an
+        abandoned run — of this sweep or another — never leaks in."""
         path = str(tmp_path / "sweep.ckpt")
-        stale = SweepCheckpoint(path + ".worker-0", "fresh-test")
-        stale.record_payload("stale-cell", {"value": 1})
-        outcome = run_cells(
-            [("a", ok_cell, ("a", 1))], jobs=1,
-            checkpoint_path=path, identity="fresh-test",
+        for stale_identity in ("fresh-test", "another-sweep"):
+            stale = SweepCheckpoint(path, stale_identity)
+            stale.record_payload("stale-cell", {"value": 1})
+            outcome = run_cells(
+                [("a", ok_cell, ("a", 1))], jobs=1,
+                checkpoint_path=path, identity="fresh-test",
+            )
+            assert "stale-cell" not in outcome.results
+            assert _recorded_cells(path) == {"a"}
+
+    def test_worker_death_between_append_and_report(self, tmp_path):
+        """A worker that dies after appending its cell but before reporting
+        it gets the cell re-run; the second line for the key compacts away."""
+        import functools
+
+        from repro.harness.supervisor import Supervisor
+
+        path = str(tmp_path / "sweep.ckpt")
+        checkpoint = SweepCheckpoint(path, "crash-test")
+        cells = [("a", ok_cell, ("a", 1)), ("b", ok_cell, ("b", 2))]
+        supervisor = Supervisor(
+            cells, FAST,
+            journal=functools.partial(append_then_crash_once, path,
+                                      str(tmp_path)),
+            on_result=functools.partial(checkpoint.record_payload,
+                                        durable=False),
         )
-        assert "stale-cell" not in outcome.results
-        assert not os.path.exists(path + ".worker-0")
+        supervisor.start()
+        outcome = supervisor.run()
+        assert sorted(outcome.results) == ["a", "b"]
+        assert not outcome.quarantined
+        assert outcome.stats.worker_crashes >= 1
+        with open(path) as handle:
+            assert len(handle.readlines()) > 3  # header, a, b and a re-run
+        checkpoint.compact()
+        with open(path) as handle:
+            assert len(handle.readlines()) == 3
+        reloaded = SweepCheckpoint.load(path, "crash-test")
+        assert reloaded.payload("b") == {"key": "b", "value": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +381,9 @@ print("COMPLETED")
 
 
 def _recorded_cells(path):
-    """Cells durably recorded in the main checkpoint plus any partials."""
-    keys = set()
-    for candidate in [path] + sorted(glob.glob(glob.escape(path) + ".worker-*")):
-        try:
-            with open(candidate) as handle:
-                keys.update(json.load(handle).get("cells", {}))
-        except (OSError, ValueError):
-            continue
-    return keys
+    """Cells durably recorded in the checkpoint journal at ``path``."""
+    return {record["cell"] for record in read_journal(path)
+            if "payload" in record}
 
 
 class TestKillMatrix:
@@ -561,6 +588,9 @@ class TestOnePipeline:
         assert _tables(parallel) == plain.splitlines()
 
     def test_serial_resume_adopts_worker_partials(self, tmp_path, capsys):
+        """A serial ``--resume`` adopts the partial journal a killed
+        ``--jobs N`` run leaves: cells appended by the parent and by
+        workers (some twice), then a torn line."""
         from repro import cli
 
         path = str(tmp_path / "ck.json")
@@ -568,20 +598,41 @@ class TestOnePipeline:
             sweep_parallel_cells("cache", workload_scale=0.1)[:12], jobs=1,
         ).results
         keys = sorted(done)
-        identity = "sweep:cache:scale=0.1"
-        main = SweepCheckpoint(path, identity)
+        main = SweepCheckpoint(path, "sweep:cache:scale=0.1")
         for key in keys[:5]:
             main.record_payload(key, done[key])
-        partial = SweepCheckpoint(path + ".worker-0", identity)
-        for key in keys[5:]:
-            partial.record_payload(key, done[key])
+        for key in keys[3:]:
+            append_cell(path, key, done[key])
+        with open(path, "a") as handle:
+            handle.write('{"cell": "cache=12/xds/manual", "payl')
 
         assert cli.main(["sweep", "cache", "--scale", "0.1",
                          "--checkpoint", path, "--resume"]) == 0
         out = capsys.readouterr().out
         assert out.count("[resumed]") == 12
         assert out.count("[ran    ]") == 27 - 12
-        assert glob.glob(glob.escape(path) + ".worker-*") == []
+
+        reference = str(tmp_path / "reference.json")
+        assert cli.main(["sweep", "cache", "--scale", "0.1",
+                         "--checkpoint", reference]) == 0
+        with open(path, "rb") as ours, open(reference, "rb") as theirs:
+            assert ours.read() == theirs.read()
+
+    def test_resume_of_a_version_1_checkpoint_is_a_typed_cli_error(
+            self, tmp_path, capsys):
+        from repro import cli
+
+        path = tmp_path / "old.ckpt"
+        path.write_text(json.dumps(
+            {"version": 1, "identity": "sweep:cache:scale=0.1", "cells": {}},
+            indent=2, sort_keys=True))
+        assert cli.main(["sweep", "cache", "--scale", "0.1",
+                         "--checkpoint", str(path), "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert "[ran    ]" not in captured.out
+        assert "CheckpointError" in captured.err
+        assert "version 2 cell journal" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_serial_sweep_reports_failing_registry_update(
             self, tmp_path, capsys, monkeypatch):
@@ -616,8 +667,8 @@ class TestOnePipeline:
     def test_parent_sigkill_then_serial_resume_loses_nothing(
             self, tmp_path, capsys):
         """SIGKILL a ``--jobs 2`` CLI sweep mid-run; a *serial* ``--resume``
-        restores every completed cell from checkpoint and partials, and
-        ends with the registry an uninterrupted serial run writes."""
+        restores every completed cell from the journal, and ends with the
+        checkpoint and registry an uninterrupted serial run writes."""
         from repro import cli
 
         path = str(tmp_path / "ck.json")
@@ -645,10 +696,13 @@ class TestOnePipeline:
         out = capsys.readouterr().out
         assert out.count("[resumed]") == len(survivors) >= 4
         assert out.count("[ran    ]") == 27 - len(survivors)
-        assert glob.glob(glob.escape(path) + ".worker-*") == []
+        assert sorted(os.listdir(tmp_path)) == ["ck.json", "reg.jsonl"]
 
         reference = str(tmp_path / "reference.jsonl")
+        reference_ckpt = str(tmp_path / "reference.json")
         assert cli.main(["sweep", "cache", "--scale", "0.2",
+                         "--checkpoint", reference_ckpt,
                          "--registry", reference]) == 0
-        with open(registry, "rb") as ours, open(reference, "rb") as theirs:
-            assert ours.read() == theirs.read()
+        for ours, theirs in ((registry, reference), (path, reference_ckpt)):
+            with open(ours, "rb") as left, open(theirs, "rb") as right:
+                assert left.read() == right.read()

@@ -9,8 +9,13 @@ replay, and the ``repro runs`` / ``--auto-tune`` CLI surface.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import sqlite3
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -47,7 +52,12 @@ from repro.registry.regression import (
     parse_match_keys,
 )
 from repro.registry.similarity import similar_runs
-from repro.registry.store import JsonlStore, RunRegistry
+from repro.registry.store import (
+    JsonlStore,
+    RunRegistry,
+    append_line,
+    read_journal,
+)
 from repro.registry.tuner import (
     AutoTuner,
     apply_proposal,
@@ -56,6 +66,14 @@ from repro.registry.tuner import (
 )
 
 SCALE = 0.1
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+
+
+def _append_many(path, writer, count, pad):
+    """One journal writer process (module-level: runs in a forked child)."""
+    for index in range(count):
+        append_line(path, {"run_id": f"w{writer}-{index}", "pad": pad})
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +229,119 @@ class TestStores:
         store = JsonlStore(path)
         assert store.put(record.to_jsonable()) is True
         assert store.put(record.to_jsonable()) is False  # content dedup
-        store.close()
         store = JsonlStore(path)
         assert store.ids() == [record.run_id]
         assert store.get(record.run_id) == record.to_jsonable()
-        store.close()
 
     def test_jsonl_tolerates_torn_final_line(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         store = JsonlStore(path)
         store.put(make_record(seed=1).to_jsonable())
         store.put(make_record(seed=2).to_jsonable())
-        store.close()
         with open(path, "a") as handle:
             handle.write('{"schema_version": 1, "app": "agr')  # torn write
         reloaded = JsonlStore(path)
         assert len(reloaded.ids()) == 2
 
+    def test_put_after_torn_tail_lands_on_its_own_line(self, tmp_path):
+        """An append after a torn final line heals the tail first: the
+        acknowledged record is there at the next load, and the ledger
+        still loads one append later."""
+        path = str(tmp_path / "ledger.jsonl")
+        a, b, c = (make_record(seed=seed).to_jsonable() for seed in (1, 2, 3))
+        JsonlStore(path).put(a)
+        with open(path, "a") as handle:
+            handle.write('{"run_id": "torn", "v"')  # writer died mid-line
+        store = JsonlStore(path)
+        assert store.ids() == [a["run_id"]]
+        assert store.put(b) is True
+        assert sorted(JsonlStore(path).ids()) == sorted(
+            [a["run_id"], b["run_id"]])
+        JsonlStore(path).put(c)
+        assert len(JsonlStore(path).ids()) == 3
+        with open(path) as handle:
+            assert [json.loads(line)["run_id"] for line in handle] == [
+                a["run_id"], b["run_id"], c["run_id"]]
+
+    def test_torn_tail_longer_than_one_read_is_healed(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        for body in ("", '{"run_id":"a"}\n'):
+            with open(path, "w") as handle:
+                handle.write(body + '{"run_id": "torn", "pad": "' + "x" * 200_000)
+            append_line(path, {"run_id": "b"})
+            with open(path) as handle:
+                assert handle.read() == body + '{"run_id":"b"}\n'
+
+    def test_concurrent_appends_never_interleave(self, tmp_path):
+        """4 processes x 50 appends of > 64 KB lines to one journal: every
+        line parses and every key is present."""
+        path = str(tmp_path / "shared.jsonl")
+        pad = "x" * 70_000
+        ctx = multiprocessing.get_context("fork")
+        writers = [ctx.Process(target=_append_many, args=(path, w, 50, pad))
+                   for w in range(4)]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=120)
+            assert process.exitcode == 0
+        records = read_journal(path)  # raises on any damaged line
+        assert all(record["pad"] == pad for record in records)
+        assert sorted(r["run_id"] for r in records) == sorted(
+            f"w{w}-{i}" for w in range(4) for i in range(50))
+        with open(path, "rb") as handle:
+            assert handle.read().endswith(b"\n")
+
+    def test_sigkill_mid_append_loses_only_the_torn_line(self, tmp_path):
+        """SIGKILL a writer while it appends; reopening loads every record
+        acknowledged before the kill, the dead writer holds no lock, and
+        the next append lands on a line of its own."""
+        path = str(tmp_path / "killed.jsonl")
+        acked = str(tmp_path / "acked.txt")
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC_DIR!r})\n"
+            "from repro.registry.store import append_line\n"
+            "i = 0\n"
+            "while True:\n"
+            f"    append_line({path!r}, {{'run_id': 'r%d' % i, 'pad': 'x' * 300_000}})\n"
+            f"    with open({acked!r}, 'a') as handle:\n"
+            "        handle.write('r%d\\n' % i)\n"
+            "    i += 1\n"
+        )
+        for attempt in range(4):
+            process = subprocess.Popen([sys.executable, "-c", script])
+            try:
+                deadline = time.monotonic() + 60.0
+                while not os.path.exists(acked):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.02 + 0.013 * attempt)  # vary the kill point
+            finally:
+                process.send_signal(signal.SIGKILL)
+                process.wait(timeout=30)
+            with open(acked) as handle:
+                acknowledged = handle.read().split()
+            loaded = {r["run_id"] for r in read_journal(path)}
+            assert set(acknowledged) <= loaded
+            append_line(path, {"run_id": f"after-{attempt}"})
+            records = read_journal(path)
+            assert records[-1] == {"run_id": f"after-{attempt}"}
+            with open(path, "rb") as handle:
+                assert handle.read().endswith(b'{"run_id":"after-%d"}\n' % attempt)
+            os.unlink(acked)
+            os.unlink(path)
+
+    def test_record_without_its_key_is_typed_error(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"not_run_id": 1}\n')
+        with pytest.raises(RegistryError, match="run_id"):
+            JsonlStore(str(path))
+
     def test_jsonl_rejects_mid_file_corruption(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         store = JsonlStore(path)
         store.put(make_record(seed=1).to_jsonable())
-        store.close()
         with open(path) as handle:
             good = handle.read()
         with open(path, "w") as handle:
@@ -257,7 +366,6 @@ class TestStores:
             for record in order:
                 store.put(record.to_jsonable())
             store.compact()
-            store.close()
         with open(first, "rb") as handle:
             left = handle.read()
         with open(second, "rb") as handle:
@@ -271,7 +379,6 @@ class TestStores:
         assert registry.find(record.run_id[:6]).run_id == record.run_id
         with pytest.raises(UnknownRunError, match="no registry record"):
             registry.find("ffffff")
-        registry.close()
 
     def test_registry_find_ambiguous_prefix(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -282,7 +389,6 @@ class TestStores:
         if shared:
             with pytest.raises(UnknownRunError, match="ambiguous"):
                 registry.find(shared[:1])
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +421,6 @@ class TestLineageAndGc:
         view = registry.lineage(parent.run_id)
         assert view["ancestors"] == []
         assert len(view["tree"]["children"]) == 3
-        registry.close()
 
     def test_gc_keeps_n_per_population_and_prunes_orphans(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -331,7 +436,6 @@ class TestLineageAndGc:
         assert len(remaining) == 2
         with pytest.raises(RegistryError):
             registry.gc(keep=0)
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +502,6 @@ class TestSimilarity:
             [twin.run_id, cousin.run_id]
         assert neighbors[0].score > neighbors[1].score
         assert any("same app" in why for why in neighbors[0].why)
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +528,6 @@ class TestRegressionDetector:
         assert finding.run_id == slow.run_id
         assert finding.drift_pct > 10.0
         assert "elapsed_cycles" in finding.describe()
-        registry.close()
 
     def test_identical_rerun_stays_silent(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -436,7 +538,6 @@ class TestRegressionDetector:
         report = check_all(registry)
         assert report.clean
         assert report.checked == 5
-        registry.close()
 
     def test_improvement_is_not_flagged(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -444,7 +545,6 @@ class TestRegressionDetector:
         fast = make_record(seed=2042, cycles=2_000_000)
         registry.record(fast)
         assert check_run(registry, fast).clean
-        registry.close()
 
     def test_small_population_is_skipped(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -454,7 +554,6 @@ class TestRegressionDetector:
         report = check_run(registry, slow)
         assert report.clean
         assert report.skipped_no_baseline == 1
-        registry.close()
 
     def test_chaos_runs_never_pool_with_fault_free(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -466,7 +565,6 @@ class TestRegressionDetector:
         loose = check_run(registry, chaotic,
                           parse_match_keys("app,variant"))
         assert not loose.clean  # relaxed keys pool it in, and it's 10x
-        registry.close()
 
     def test_parse_match_keys_rejects_unknown(self):
         assert parse_match_keys(None) == \
@@ -501,7 +599,6 @@ class TestAutoTuner:
         assert best.run_id in proposal.source_run_ids
         assert tripped.run_id not in proposal.source_run_ids
         assert "stuck-disk" in proposal.basis
-        registry.close()
 
     def test_falls_back_to_fault_free_tier(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
@@ -510,12 +607,10 @@ class TestAutoTuner:
         proposal = AutoTuner(registry).propose("agrep", "stuck-disk")
         assert proposal is not None
         assert "fallback from chaos profile 'none'" in proposal.basis
-        registry.close()
 
     def test_empty_registry_proposes_nothing(self, tmp_path):
         registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
         assert AutoTuner(registry).propose("agrep") is None
-        registry.close()
 
     def test_validate_rejects_unknown_knob(self):
         with pytest.raises(RegistryError, match="cache_capacity"):
@@ -541,7 +636,6 @@ class TestAutoTuner:
         assert spec_tunables(tuned.system.spechint) == self.FAST_PARAMS
         replayed = apply_provenance(base, tuned.tuning_provenance)
         assert replayed == tuned
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +666,6 @@ class TestEndToEnd:
         assert replay.to_jsonable() == tuned.to_jsonable()
         (replay_id,) = record_payload(registry, None, replay.to_jsonable())
         assert replay_id == tuned_id
-        registry.close()
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +741,6 @@ class TestRunsCli:
         slow = make_record(seed=2042, cycles=int(4_000_000 * 1.2))
         registry.record(slow)
         registry.compact()
-        registry.close()
         return path, slow.run_id
 
     def _main(self, *argv):
@@ -706,7 +798,6 @@ class TestRunsCli:
         capsys.readouterr()
         registry = RunRegistry.open(path)
         records = registry.records()
-        registry.close()
         assert sorted(r.variant for r in records) == \
             ["manual", "original", "speculating"]
         assert {(r.kind, r.seed) for r in records} == {("run", 5)}
