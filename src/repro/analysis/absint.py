@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, TypeVar
 
-from repro.analysis.cfg import CFG, table_targets
+from repro.analysis.cfg import CFG, BasicBlock, table_targets
+from repro.analysis.dataflow import CALL_CLOBBERS
 from repro.errors import AnalysisError
 from repro.vm.binary import Binary
 from repro.vm.isa import BRANCH_OPS, NUM_REGS, SYS_READ, Insn, Op, Reg
@@ -55,17 +56,6 @@ _RA = int(Reg.ra)
 _SP = int(Reg.sp)
 _A1 = int(Reg.a1)
 _V0 = int(Reg.v0)
-
-#: Registers forgotten across a call (must match dataflow.CALL_CLOBBERS).
-_CALL_CLOBBERS: Tuple[int, ...] = tuple(
-    int(r)
-    for r in (
-        Reg.at, Reg.v0, Reg.v1,
-        Reg.a0, Reg.a1, Reg.a2, Reg.a3, Reg.a4, Reg.a5,
-        Reg.t0, Reg.t1, Reg.t2, Reg.t3, Reg.t4,
-        Reg.t5, Reg.t6, Reg.t7, Reg.t8, Reg.t9,
-    )
-)
 
 #: The stack segment ([base, top)) assumed for may-alias checks.
 STACK_BASE = STACK_TOP - DEFAULT_STACK_BYTES
@@ -375,10 +365,14 @@ class AbsState:
             self.slots.clear()
 
     def apply_call(self) -> None:
-        for reg in _CALL_CLOBBERS:
+        for reg in CALL_CLOBBERS:
             self.regs[reg] = TOP
         self.regs[_RA] = RETADDR
         self.slots.clear()
+
+    def along_edge(self, refine: "EdgeRefinement") -> Optional["AbsState"]:
+        """:class:`FlowState`: the whole state is what an edge refines."""
+        return refine(self)
 
 
 def address_of(base: AbsVal, imm: int) -> AbsVal:
@@ -499,50 +493,74 @@ class FunctionFacts:
     read_buf: Dict[int, AbsVal] = field(default_factory=dict)
 
 
-def _edge_states(
-    binary: Binary, cfg: CFG, state: AbsState, term_index: int
-) -> Dict[int, Optional[AbsState]]:
-    """Out-state per successor block of the block ending at ``term_index``."""
-    insn = binary.text[term_index]
-    block = cfg.blocks[cfg.block_at[term_index]]
-    out: Dict[int, Optional[AbsState]] = {}
+#: What crossing one CFG edge proves about the values: the refined copy,
+#: or None when the edge is provably infeasible.
+EdgeRefinement = Callable[[AbsState], Optional[AbsState]]
+
+S = TypeVar("S", bound="FlowState")
+
+
+class FlowState(Protocol):
+    """What :func:`solve_function` needs of the state it carries."""
+
+    def copy(self: S) -> S: ...
+
+    def join_with(self: S, other: S, *, widening: bool) -> S: ...
+
+    def along_edge(self: S, refine: EdgeRefinement) -> Optional[S]:
+        """This state carried across one edge, its :class:`AbsState`
+        component passed through ``refine``."""
+
+
+def _edge_refinements(
+    binary: Binary, cfg: CFG, block: BasicBlock
+) -> Dict[int, EdgeRefinement]:
+    """What each successor edge of ``block`` proves, by successor block."""
+    insn = binary.text[block.terminator]
+    out: Dict[int, EdgeRefinement] = {
+        succ: AbsState.copy for succ in block.successors
+    }
     if insn.op in BRANCH_OPS and cfg.function.contains(insn.c):
         taken_block = cfg.block_at[insn.c]
-        fall_block = (
-            cfg.block_at.get(term_index + 1)
-            if term_index + 1 < cfg.function.end else None
-        )
-        for succ in block.successors:
-            if taken_block == fall_block:
-                # Both edges land on the same block: no refinement holds.
-                out[succ] = state.copy()
-            elif succ == taken_block:
-                out[succ] = refine_branch(state, insn, taken=True)
-            elif succ == fall_block:
-                out[succ] = refine_branch(state, insn, taken=False)
-            else:
-                out[succ] = state.copy()
-        return out
-    if insn.op is Op.SWITCH:
-        n = len(table_targets(binary, insn.c))
-        for succ in block.successors:
+        # ``block_at`` covers this function only: no entry past its end.
+        fall_block = cfg.block_at.get(block.terminator + 1)
+        # Both edges landing on the same block: no refinement holds.
+        if taken_block != fall_block:
+            out[taken_block] = lambda s: refine_branch(s, insn, taken=True)
+            if fall_block is not None:
+                out[fall_block] = lambda s: refine_branch(s, insn, taken=False)
+    elif insn.op is Op.SWITCH:
+        last = max(0, len(table_targets(binary, insn.c)) - 1)
+
+        def in_table(state: AbsState) -> AbsState:
             refined = state.copy()
-            idx_val = _intersect(refined.get(insn.a), 0, max(0, n - 1))
+            idx_val = _intersect(refined.get(insn.a), 0, last)
             if idx_val is not None:
                 refined.set(insn.a, idx_val)
-            out[succ] = refined
-        return out
-    for succ in block.successors:
-        out[succ] = state.copy()
+            return refined
+
+        for succ in block.successors:
+            out[succ] = in_table
     return out
 
 
-def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
-    """Run the abstract interpreter over one function to a fixed point."""
-    entry_block = cfg.entry_block
-    in_states: Dict[int, AbsState] = {entry_block: AbsState()}
+def solve_function(
+    binary: Binary,
+    cfg: CFG,
+    entry: S,
+    transfer: Callable[[S, Insn, int], None],
+) -> Dict[int, S]:
+    """Block-entry states of one function at the fixed point of ``transfer``.
+
+    The one worklist solver: blocks in FIFO order, ``transfer`` applied in
+    place per instruction, branch/switch edges refined (infeasible ones
+    pruned), joins widened after ``_WIDEN_AFTER`` visits.  Branches and
+    switches have no register effects, so the refinements apply to the
+    block's final state.
+    """
+    in_states: Dict[int, S] = {cfg.entry_block: entry}
     visits: Dict[int, int] = {}
-    worklist: List[int] = [entry_block]
+    worklist: List[int] = [cfg.entry_block]
     steps = 0
 
     while worklist:
@@ -556,19 +574,12 @@ def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
         visits[block_id] = visits.get(block_id, 0) + 1
         state = in_states[block_id].copy()
         block = cfg.blocks[block_id]
-        for index in range(block.start, block.end - 1):
-            step(state, binary.text[index])
-        term = block.terminator
-        term_edges = _edge_states(binary, cfg, state, term)
-        step(state, binary.text[term])
-        for succ, edge_state in term_edges.items():
+        for index in block.indices():
+            transfer(state, binary.text[index], index)
+        for succ, refine in _edge_refinements(binary, cfg, block).items():
+            edge_state = state.along_edge(refine)
             if edge_state is None:
                 continue  # provably infeasible edge
-            if binary.text[term].op not in BRANCH_OPS \
-                    and binary.text[term].op is not Op.SWITCH:
-                edge_state = state.copy()
-            else:
-                step(edge_state, binary.text[term])
             existing = in_states.get(succ)
             if existing is None:
                 in_states[succ] = edge_state
@@ -580,7 +591,14 @@ def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
                 in_states[succ] = merged
                 if succ not in worklist:
                     worklist.append(succ)
+    return in_states
 
+
+def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
+    """Run the abstract interpreter over one function to a fixed point."""
+    in_states = solve_function(
+        binary, cfg, AbsState(), lambda state, insn, _index: step(state, insn)
+    )
     facts = FunctionFacts(name=cfg.function.name)
     for block_id, in_state in in_states.items():
         state = in_state.copy()

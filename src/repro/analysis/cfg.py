@@ -24,7 +24,7 @@ Intraprocedural conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.vm.binary import Binary, Function
 from repro.vm.isa import BRANCH_OPS, SYS_EXIT, Op
@@ -92,6 +92,21 @@ def intra_successors(
     return tuple(deduped)
 
 
+def reachable(
+    roots: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> Set[int]:
+    """Every node a depth-first walk from ``roots`` along ``successors``
+    visits (the roots included)."""
+    seen: Set[int] = set(roots)
+    stack = list(seen)
+    while stack:
+        for succ in successors(stack.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
+
+
 @dataclass
 class BasicBlock:
     """A maximal straight-line run of instructions ``[start, end)``."""
@@ -143,15 +158,9 @@ class CFG:
 
     def reachable_blocks(self) -> FrozenSet[int]:
         """Block ids reachable from the function entry."""
-        seen: Set[int] = {self.entry_block}
-        stack = [self.entry_block]
-        while stack:
-            block = self.blocks[stack.pop()]
-            for succ in block.successors:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return frozenset(seen)
+        return frozenset(reachable(
+            [self.entry_block], lambda b: self.blocks[b].successors
+        ))
 
 
 def _leaders(binary: Binary, func: Function) -> List[int]:
@@ -172,54 +181,53 @@ def _leaders(binary: Binary, func: Function) -> List[int]:
     return sorted(leaders)
 
 
-def _dominators(
-    blocks: List[BasicBlock], reachable: FrozenSet[int]
+def dominator_sets(
+    entry: int, nodes: Iterable[int], predecessors: Callable[[int], Iterable[int]]
 ) -> Dict[int, FrozenSet[int]]:
-    entry = 0
-    dom: Dict[int, Set[int]] = {entry: {entry}}
-    others = [b for b in sorted(reachable) if b != entry]
-    for block_id in others:
-        dom[block_id] = set(reachable)
+    """Dominator set of every node of a graph given by ``predecessors``.
+
+    The one dominator fixpoint: block dominators run it over the CFG from
+    the entry block, postdominators over the reversed CFG from a virtual
+    exit.  A node ``entry`` cannot reach keeps the full node set.
+    """
+    everything = frozenset(nodes)
+    dom: Dict[int, FrozenSet[int]] = {n: everything for n in everything}
+    dom[entry] = frozenset({entry})
+    others = sorted(everything - {entry})
     changed = True
     while changed:
         changed = False
-        for block_id in others:
-            preds = [
-                p for p in blocks[block_id].predecessors if p in reachable
-            ]
-            new: Set[int] = set(reachable)
-            for pred in preds:
+        for node in others:
+            new = everything
+            for pred in predecessors(node):
                 new &= dom[pred]
-            new.add(block_id)
-            if new != dom[block_id]:
-                dom[block_id] = new
+            new |= {node}
+            if new != dom[node]:
+                dom[node] = new
                 changed = True
-    return {block_id: frozenset(doms) for block_id, doms in dom.items()}
+    return dom
 
 
 def _natural_loops(
     blocks: List[BasicBlock],
     dominators: Dict[int, FrozenSet[int]],
-    reachable: FrozenSet[int],
+    live: FrozenSet[int],
 ) -> List[Loop]:
-    loops: List[Loop] = []
-    for block_id in sorted(reachable):
-        for succ in blocks[block_id].successors:
-            if succ not in reachable or succ not in dominators[block_id]:
-                continue
-            # Back edge block_id -> succ: collect the natural loop body.
-            body: Set[int] = {succ}
-            stack = [block_id]
-            while stack:
-                node = stack.pop()
-                if node in body:
-                    continue
-                body.add(node)
-                stack.extend(
-                    p for p in blocks[node].predecessors if p in reachable
-                )
-            loops.append(Loop(head=succ, body=frozenset(body)))
-    return loops
+    def body(tail: int, head: int) -> FrozenSet[int]:
+        # Back edge tail -> head: everything that reaches ``tail``
+        # backwards without passing through ``head``.
+        return frozenset({head} | reachable(
+            [tail], lambda b: () if b == head else [
+                p for p in blocks[b].predecessors if p in live
+            ],
+        ))
+
+    return [
+        Loop(head=head, body=body(block_id, head))
+        for block_id in sorted(live)
+        for head in blocks[block_id].successors
+        if head in live and head in dominators[block_id]
+    ]
 
 
 def build_cfg(binary: Binary, func: Function) -> CFG:
@@ -251,12 +259,14 @@ def build_cfg(binary: Binary, func: Function) -> CFG:
         loops=[],
         falls_off_end=False,
     )
-    reachable = cfg.reachable_blocks()
-    cfg.dominators = _dominators(blocks, reachable)
-    cfg.loops = _natural_loops(blocks, cfg.dominators, reachable)
+    live = cfg.reachable_blocks()
+    cfg.dominators = dominator_sets(cfg.entry_block, live, lambda b: [
+        p for p in blocks[b].predecessors if p in live
+    ])
+    cfg.loops = _natural_loops(blocks, cfg.dominators, live)
     cfg.falls_off_end = any(
         blocks[b].end == func.end and falls_through(binary, blocks[b].terminator)
-        for b in reachable
+        for b in live
     )
     return cfg
 

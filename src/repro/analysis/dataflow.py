@@ -24,11 +24,12 @@ DefSite = Tuple[int, int]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
-_THREE_REG_ALU = frozenset(
+#: ``op rd, rs, rt`` and ``op rd, rs, imm`` ALU opcodes.
+THREE_REG_ALU = frozenset(
     {Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR, Op.XOR,
      Op.SHL, Op.SHR, Op.SLT}
 )
-_IMM_ALU = frozenset(
+IMM_ALU = frozenset(
     {Op.ADDI, Op.MULI, Op.ANDI, Op.ORI, Op.SHLI, Op.SHRI, Op.SLTI}
 )
 
@@ -54,9 +55,9 @@ def defs_uses(insn: Insn) -> Tuple[RegSet, RegSet]:
         return frozenset({insn.a}), _EMPTY
     if op is Op.MOV:
         return frozenset({insn.a}), frozenset({insn.b})
-    if op in _THREE_REG_ALU:
+    if op in THREE_REG_ALU:
         return frozenset({insn.a}), frozenset({insn.b, insn.c})
-    if op in _IMM_ALU:
+    if op in IMM_ALU:
         return frozenset({insn.a}), frozenset({insn.b})
     if op in (Op.LOAD, Op.LOADB):
         return frozenset({insn.a}), frozenset({insn.b})
@@ -86,16 +87,17 @@ def worklist_solve(
 ) -> Tuple[Dict[int, FrozenSet[T]], Dict[int, FrozenSet[T]]]:
     """Union-join fixed point of ``transfer`` over the blocks of ``cfg``.
 
-    Forward: returns (in, out) per block, ``in`` joined over predecessor
-    ``out`` values, ``boundary`` seeding the entry block.  Backward:
-    returns (out, in) per block with the roles of the edge directions
-    swapped (``boundary`` seeds blocks with no successors).
+    Returns (facts where the flow enters each block, facts where it leaves
+    it).  Forward, that is (in, out) per block: ``in`` joined over
+    predecessor ``out`` values, ``boundary`` seeding the entry block.
+    Backward it is (out, in) with the roles of the edge directions swapped
+    (``boundary`` seeds blocks with no successors).
     """
     blocks = cfg.blocks
     n = len(blocks)
     empty: FrozenSet[T] = frozenset()
-    in_map: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
-    out_map: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
+    enter: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
+    leave: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
 
     pending: List[int] = list(range(n))
     on_list = [True] * n
@@ -104,34 +106,23 @@ def worklist_solve(
         on_list[block_id] = False
         block = blocks[block_id]
         if forward:
-            sources = block.predecessors
-            joined: FrozenSet[T] = boundary if block_id == cfg.entry_block else empty
-            for src in sources:
-                joined |= out_map[src]
-            in_map[block_id] = joined
-            result = transfer(block_id, joined)
-            if result != out_map[block_id]:
-                out_map[block_id] = result
-                for succ in block.successors:
-                    if not on_list[succ]:
-                        pending.append(succ)
-                        on_list[succ] = True
+            sources, sinks = block.predecessors, block.successors
+            seeded = block_id == cfg.entry_block
         else:
-            sources = block.successors
-            joined = boundary if not sources else empty
-            for src in sources:
-                joined |= in_map[src]
-            out_map[block_id] = joined
-            result = transfer(block_id, joined)
-            if result != in_map[block_id]:
-                in_map[block_id] = result
-                for pred in block.predecessors:
-                    if not on_list[pred]:
-                        pending.append(pred)
-                        on_list[pred] = True
-    if forward:
-        return in_map, out_map
-    return out_map, in_map
+            sources, sinks = block.successors, block.predecessors
+            seeded = not sources
+        joined: FrozenSet[T] = boundary if seeded else empty
+        for src in sources:
+            joined |= leave[src]
+        enter[block_id] = joined
+        result = transfer(block_id, joined)
+        if result != leave[block_id]:
+            leave[block_id] = result
+            for sink in sinks:
+                if not on_list[sink]:
+                    pending.append(sink)
+                    on_list[sink] = True
+    return enter, leave
 
 
 def reaching_definitions(

@@ -26,10 +26,11 @@ entry — quarantine costs performance, never correctness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.absint import (
+    STACK_BASE,
     AbsVal,
     FunctionFacts,
     ValueKind,
@@ -37,7 +38,7 @@ from repro.analysis.absint import (
     range_avoids,
     range_within,
 )
-from repro.analysis.cfg import CFG, build_cfg, table_targets
+from repro.analysis.cfg import CFG, build_cfg, reachable, table_targets
 from repro.analysis.dataflow import live_out
 from repro.errors import AnalysisError
 from repro.params import SpecHintParams
@@ -48,13 +49,10 @@ from repro.vm.isa import (
     SYS_EXIT,
     SYS_READ,
     SYSCALL_NAMES,
+    Insn,
     Op,
 )
 from repro.vm.memory import DATA_BASE, SPEC_HEAP_BASE, SPEC_HEAP_MAX
-from repro.vm.memory import STACK_TOP as _STACK_TOP
-from repro.vm.memory import DEFAULT_STACK_BYTES as _STACK_BYTES
-
-_STACK_BASE = _STACK_TOP - _STACK_BYTES
 
 
 class CheckCosts(NamedTuple):
@@ -125,6 +123,31 @@ class LintFinding:
                 f"{self.message}")
 
 
+class SiteCheck(enum.Enum):
+    """What the shadow copy of one load/store site pays for isolation."""
+
+    #: Assembler-marked stack access: no check (the stack was pre-copied
+    #: at restart time, paper footnote 3) and none in the baseline either.
+    STACK_MARKED = "stack_marked"
+    #: Store speculation can never reach: stays a plain store (the armed
+    #: write guard is the backstop if the analysis were ever wrong).
+    DEAD_STORE = "dead_store"
+    #: Load speculation can never reach: COW semantics, no check cycles.
+    DEAD_LOAD = "dead_load"
+    #: Store provably confined to the speculative heap, where the write
+    #: guard explicitly allows direct stores: stays a plain store.
+    HEAP_STORE = "heap_store"
+    #: Provably stack-relative though not assembler-marked: no check.
+    STACK_PROVED = "stack_proved"
+    #: The full COW check.
+    FULL = "full"
+
+    @property
+    def elided(self) -> bool:
+        """The COW wrapper is removed entirely (a plain store remains)."""
+        return self in (SiteCheck.DEAD_STORE, SiteCheck.HEAP_STORE)
+
+
 @dataclass(frozen=True)
 class ElisionPlan:
     """Optimizations the SpecHint tool may apply, by original text index."""
@@ -145,6 +168,20 @@ class ElisionPlan:
     def empty(self) -> bool:
         return not (self.dead or self.stack_proved or self.heap_stores
                     or self.resolved)
+
+    def site_check(self, index: int, insn: Insn) -> SiteCheck:
+        """The one per-site decision: what the load/store ``insn`` at
+        original text ``index`` gets in the shadow code."""
+        is_store = insn.op in (Op.STORE, Op.STOREB)
+        if insn.get_meta("stack"):
+            return SiteCheck.STACK_MARKED
+        if index in self.dead:
+            return SiteCheck.DEAD_STORE if is_store else SiteCheck.DEAD_LOAD
+        if is_store and index in self.heap_stores:
+            return SiteCheck.HEAP_STORE
+        if index in self.stack_proved:
+            return SiteCheck.STACK_PROVED
+        return SiteCheck.FULL
 
 
 @dataclass
@@ -191,23 +228,23 @@ class BinaryAnalysis:
     def transfer_count(self, kind: TransferKind) -> int:
         return sum(1 for t in self.transfers.values() if t.kind is kind)
 
+    def _store_sites(self) -> List[SiteCheck]:
+        return [
+            self.elision_plan.site_check(index, self.binary.text[index])
+            for index in self.store_classes
+        ]
+
     @property
     def wrapped_store_sites(self) -> int:
         """Stores the mechanical transformation would wrap with a check
         (assembler-marked stack stores carry none and are excluded)."""
         return sum(
-            1 for index in self.store_classes
-            if not self.binary.text[index].get_meta("stack")
+            site is not SiteCheck.STACK_MARKED for site in self._store_sites()
         )
 
     @property
     def elidable_store_sites(self) -> int:
-        plan = self.elision_plan
-        return sum(
-            1 for index in self.store_classes
-            if not self.binary.text[index].get_meta("stack")
-            and (index in plan.dead or index in plan.heap_stores)
-        )
+        return sum(site.elided for site in self._store_sites())
 
     @property
     def lint_errors(self) -> List[LintFinding]:
@@ -226,15 +263,7 @@ class BinaryAnalysis:
         return {
             "binary": self.binary_name,
             "functions": [
-                {
-                    "name": s.name,
-                    "blocks": s.blocks,
-                    "loops": s.loops,
-                    "max_live_regs": s.max_live_regs,
-                    "stores": s.stores,
-                    "spec_reachable": s.spec_reachable,
-                    "syscalls": list(s.syscalls),
-                }
+                {**asdict(s), "syscalls": list(s.syscalls)}
                 for s in self.summaries
             ],
             "stores": {
@@ -272,16 +301,7 @@ class BinaryAnalysis:
                 "optimized": self.check_cycles_optimized,
                 "saved_pct": round(self.check_cycles_saved_pct, 2),
             },
-            "lint": [
-                {
-                    "severity": f.severity,
-                    "code": f.code,
-                    "function": f.function,
-                    "index": f.index,
-                    "message": f.message,
-                }
-                for f in self.lint
-            ],
+            "lint": [asdict(f) for f in self.lint],
         }
 
     def format_text(self) -> str:
@@ -395,6 +415,22 @@ def _classify_transfers(
     return transfers
 
 
+def resolved_callee(
+    binary: Binary, transfers: Dict[int, TransferFact], index: int
+) -> Optional[str]:
+    """The one function the CALL/CALLR at ``index`` provably enters
+    (None: a computed call the analysis could not resolve)."""
+    insn = binary.text[index]
+    entry: Optional[int] = insn.c
+    if insn.op is Op.CALLR:
+        fact = transfers.get(index)
+        if fact is None or fact.kind is not TransferKind.RESOLVED:
+            return None
+        entry = fact.target
+    callee = None if entry is None else binary.function_at_entry(entry)
+    return None if callee is None else callee.name
+
+
 # -- speculation reachability -------------------------------------------------
 
 
@@ -417,47 +453,33 @@ def _spec_successors(
     """Successors of ``index`` under shadow-code semantics."""
     insn = binary.text[index]
     op = insn.op
-    n = len(binary.text)
-    fall = index + 1 if index + 1 < n else None
+    falls = (index + 1,) if index + 1 < len(binary.text) else ()
 
     if op in BRANCH_OPS:
-        return tuple({insn.c, fall} - {None})  # type: ignore[arg-type]
+        return (insn.c, *falls)
     if op is Op.JMP:
         return (insn.c,)
     if op is Op.CALL:
-        target_name = insn.get_meta("call_target")
-        if target_name in binary.output_routines:
-            return (fall,) if fall is not None else ()
-        out = [insn.c]
-        if fall is not None:
-            out.append(fall)
-        return tuple(out)
+        if insn.get_meta("call_target") in binary.output_routines:
+            return falls  # stripped from the shadow code
+        return (insn.c, *falls)
     if op in (Op.JR, Op.CALLR):
+        returns = falls if op is Op.CALLR else ()
         fact = transfers.get(index)
         kind = fact.kind if fact is not None else TransferKind.UNKNOWN
         if kind is TransferKind.RESOLVED and fact is not None \
                 and fact.target is not None:
-            out = [fact.target]
-            if op is Op.CALLR and fall is not None:
-                out.append(fall)
-            return tuple(out)
+            return (fact.target, *returns)
         if kind is TransferKind.RETURN:
             return ()  # covered by the caller's fallthrough edge
         if kind is TransferKind.UNMAPPABLE:
             return ()  # the handling routine parks speculation
-        out = list(all_entries)
-        if op is Op.CALLR and fall is not None:
-            out.append(fall)
-        return tuple(out)
+        return (*all_entries, *returns)
     if op is Op.SWITCH:
         return table_targets(binary, insn.c)
-    if op is Op.HALT:
-        return ()  # becomes a guarded exit: parks
-    if op is Op.SYSCALL:
-        if insn.c == SYS_EXIT:
-            return ()
-        return (fall,) if fall is not None else ()
-    return (fall,) if fall is not None else ()
+    if op is Op.HALT or (op is Op.SYSCALL and insn.c == SYS_EXIT):
+        return ()  # HALT becomes a guarded exit: both park
+    return falls
 
 
 def spec_reachability(
@@ -467,15 +489,9 @@ def spec_reachability(
 ) -> FrozenSet[int]:
     """Original-text indices the speculating thread can reach."""
     all_entries = tuple(sorted(f.entry for f in binary.functions))
-    seen: Set[int] = set(roots)
-    stack = list(roots)
-    while stack:
-        index = stack.pop()
-        for succ in _spec_successors(binary, index, transfers, all_entries):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return frozenset(seen)
+    return frozenset(reachable(
+        roots, lambda i: _spec_successors(binary, i, transfers, all_entries)
+    ))
 
 
 # -- syscall reachability -----------------------------------------------------
@@ -496,21 +512,13 @@ def _syscall_reachability(
             insn = binary.text[index]
             if insn.op is Op.SYSCALL:
                 direct[func.name].add(insn.c)
-            elif insn.op is Op.CALL:
-                target_name = insn.get_meta("call_target")
-                if target_name in binary.output_routines:
+            elif insn.op in (Op.CALL, Op.CALLR):
+                if insn.get_meta("call_target") in binary.output_routines:
                     continue
-                callee = binary.function_at_entry(insn.c)
+                callee = resolved_callee(binary, transfers, index)
                 if callee is not None:
-                    callees[func.name].add(callee.name)
-            elif insn.op is Op.CALLR:
-                fact = transfers.get(index)
-                if fact is not None and fact.kind is TransferKind.RESOLVED \
-                        and fact.target is not None:
-                    callee = binary.function_at_entry(fact.target)
-                    if callee is not None:
-                        callees[func.name].add(callee.name)
-                else:
+                    callees[func.name].add(callee)
+                elif insn.op is Op.CALLR:
                     callees[func.name].update(all_names)
 
     result = {name: set(nums) for name, nums in direct.items()}
@@ -538,12 +546,21 @@ def _classify_store(insn_meta_stack: bool, addr: Optional[AbsVal]) -> StoreClass
         return StoreClass.SPEC_LOCAL
     if range_within(addr, SPEC_HEAP_BASE, SPEC_HEAP_MAX):
         return StoreClass.SPEC_LOCAL
-    if range_within(addr, DATA_BASE, _STACK_BASE):
+    if range_within(addr, DATA_BASE, STACK_BASE):
         return StoreClass.MAY_ESCAPE
     return StoreClass.UNKNOWN
 
 
 # -- the driver ---------------------------------------------------------------
+
+
+def require_original(binary: Binary) -> None:
+    """Every analysis runs over original text, never a tool output."""
+    if getattr(binary, "spec_meta", None) is not None:
+        raise AnalysisError(
+            f"{binary.name}: analyze the original binary, not the "
+            f"transformed one (shadow code is generated, not analyzed)"
+        )
 
 
 def analyze_binary(
@@ -558,11 +575,7 @@ def analyze_binary(
     the entry-state assumptions every optimization rests on, so the
     returned :class:`ElisionPlan` is empty (the report is still useful).
     """
-    if getattr(binary, "spec_meta", None) is not None:
-        raise AnalysisError(
-            f"{binary.name}: analyze the original binary, not the "
-            f"transformed one (shadow code is generated, not analyzed)"
-        )
+    require_original(binary)
     params = params or SpecHintParams()
 
     cfgs: Dict[str, CFG] = {}
@@ -588,10 +601,9 @@ def analyze_binary(
                 continue
             addr = fn_facts.store_addr.get(index)
             store_addr[index] = addr
-            if insn.get_meta("stack"):
-                store_classes[index] = StoreClass.SPEC_LOCAL
-            else:
-                store_classes[index] = _classify_store(False, addr)
+            store_classes[index] = _classify_store(
+                bool(insn.get_meta("stack")), addr
+            )
 
     plan = _build_plan(
         binary, facts, transfers, reachable, store_classes, store_addr,
@@ -781,13 +793,13 @@ def _check_cycle_totals(
         for index in range(func.entry, func.end):
             insn = binary.text[index]
             if insn.op in (Op.LOAD, Op.LOADB, Op.STORE, Op.STOREB):
-                if insn.get_meta("stack"):
+                site = plan.site_check(index, insn)
+                if site is SiteCheck.STACK_MARKED:
                     continue
                 cost = (costs.store if insn.op in (Op.STORE, Op.STOREB)
                         else costs.load)
                 baseline += cost
-                if not (index in plan.dead or index in plan.stack_proved
-                        or index in plan.heap_stores):
+                if site is SiteCheck.FULL:
                     optimized += cost
             elif insn.op is Op.CWORK:
                 dilation = insn.b * costs.load + insn.c * costs.store

@@ -15,18 +15,21 @@ This module proves it can't (or produces a witness when it can):
   *label*;
 * a taint domain — ``Taint = FrozenSet[label]``, join = union — runs in
   lockstep with the interval/function-pointer/stack-slot domain from
-  :mod:`repro.analysis.absint` through the same worklist solver, so taint
-  decisions can lean on value information (a provably *constant* result
-  carries no data taint: ``andi x, secret, 0`` sanitizes);
+  :mod:`repro.analysis.absint` through the same worklist solver
+  (:func:`~repro.analysis.absint.solve_function`, carrying the product
+  of the two states), so taint decisions can lean on value information
+  (a provably *constant* result carries no data taint: ``andi x,
+  secret, 0`` sanitizes);
 * memory taint is bucketed per data symbol (plus a catch-all for
   non-data addresses), stack-slot taint rides the tracked slots;
 * **implicit flows**: a branch (or switch) on a tainted condition taints
   every value defined in its control-dependent region, computed from
-  postdominators (Ferrante–Ottenstein regions) and iterated to a fixed
-  point;
-* **interprocedural**: context-insensitive call summaries (return and
-  scratch-register taint, memory taint effects) iterated with the
-  per-call-site entry environments to a global fixed point;
+  postdominators (Ferrante–Ottenstein regions; stage 1's dominator
+  routine over the reversed CFG) and iterated to a fixed point;
+* **interprocedural**: context-insensitive call summaries (the join of
+  a function's taint states at its returns: return and scratch-register
+  taint, memory taint effects) iterated with the per-call-site entry
+  environments to a global fixed point;
 * **sinks**: every speculation-reachable ``read`` (it becomes a
   ``SPEC_READ`` hint disclosure in shadow code) and every manual hint
   ioctl.  Channels: ``ino`` (fd identity, register ``a0``), ``offset``
@@ -47,26 +50,32 @@ never marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.absint import (
-    _MAX_STEPS,
-    _WIDEN_AFTER,
     AbsState,
     AbsVal,
+    EdgeRefinement,
     ValueKind,
-    _edge_states,
     address_of,
+    solve_function,
     step,
 )
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import CALL_CLOBBERS, defs_uses, reaching_definitions
+from repro.analysis.cfg import CFG, dominator_sets, reachable
+from repro.analysis.dataflow import (
+    CALL_CLOBBERS,
+    IMM_ALU,
+    THREE_REG_ALU,
+    defs_uses,
+    reaching_definitions,
+)
 from repro.analysis.driver import (
     BinaryAnalysis,
     LintFinding,
-    TransferKind,
     analyze_binary,
+    require_original,
+    resolved_callee,
 )
 from repro.errors import AnalysisError
 from repro.params import SpecHintParams
@@ -121,14 +130,6 @@ _ARG_REGS = tuple(int(r) for r in (Reg.a0, Reg.a1, Reg.a2, Reg.a3, Reg.a4, Reg.a
 #: (speculative heap, unmapped): one conflated cell.
 _HEAP_BUCKET = "@heap"
 
-_THREE_REG_ALU = frozenset({
-    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR, Op.XOR,
-    Op.SHL, Op.SHR, Op.SLT,
-})
-_IMM_ALU = frozenset({
-    Op.ADDI, Op.MULI, Op.ANDI, Op.ORI, Op.SHLI, Op.SHRI, Op.SLTI,
-})
-
 #: Ordered leak channels (report order is stable).
 CHANNELS = ("ino", "offset", "length", "control")
 
@@ -180,6 +181,10 @@ class TaintState:
             out |= taint
         return out
 
+    def caller_saved(self) -> Taint:
+        """Everything the call-clobbered registers (v0/v1 included) carry."""
+        return EMPTY_TAINT.union(*(self.regs[r] for r in CALL_CLOBBERS))
+
     def join_with(self, other: "TaintState") -> "TaintState":
         regs = [a | b for a, b in zip(self.regs, other.regs)]
         slots: Dict[int, Taint] = dict(self.slots)
@@ -210,6 +215,28 @@ class TaintState:
 
     def __hash__(self) -> int:  # pragma: no cover - never used as a key
         raise TypeError("TaintState is mutable and unhashable")
+
+
+@dataclass
+class _Product:
+    """What the taint fixpoint carries through the stage 3 solver: the
+    abstract values and, in lockstep, their taint."""
+
+    values: AbsState
+    taint: TaintState
+
+    def copy(self) -> "_Product":
+        return _Product(self.values.copy(), self.taint.copy())
+
+    def join_with(self, other: "_Product", *, widening: bool) -> "_Product":
+        return _Product(
+            self.values.join_with(other.values, widening=widening),
+            self.taint.join_with(other.taint),
+        )
+
+    def along_edge(self, refine: EdgeRefinement) -> Optional["_Product"]:
+        values = refine(self.values)
+        return None if values is None else _Product(values, self.taint.copy())
 
 
 # -- reports ------------------------------------------------------------------
@@ -305,15 +332,7 @@ class SecurityPlan:
                         name: list(labels)
                         for name, labels in sorted(leak.channels.items())
                     },
-                    "witness": [
-                        {
-                            "index": step.index,
-                            "function": step.function,
-                            "text": step.text,
-                            "note": step.note,
-                        }
-                        for step in leak.witness
-                    ],
+                    "witness": [asdict(step) for step in leak.witness],
                 }
                 for leak in self.leaks
             ],
@@ -383,27 +402,14 @@ _EXIT = -1
 
 
 def _postdominators(cfg: CFG) -> Dict[int, FrozenSet[int]]:
-    """Postdominator sets over blocks, against a virtual exit node."""
-    succs: Dict[int, List[int]] = {
-        b.block_id: (list(b.successors) or [_EXIT]) for b in cfg.blocks
-    }
-    nodes = set(succs) | {_EXIT}
-    pdom: Dict[int, Set[int]] = {_EXIT: {_EXIT}}
-    others = sorted(nodes - {_EXIT}, reverse=True)
-    for n in others:
-        pdom[n] = set(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for n in others:
-            new: Set[int] = set(nodes)
-            for s in succs[n]:
-                new &= pdom[s]
-            new.add(n)
-            if new != pdom[n]:
-                pdom[n] = new
-                changed = True
-    return {n: frozenset(v) for n, v in pdom.items()}
+    """Postdominator sets over blocks: dominators of the reversed CFG,
+    entered at a virtual exit every successor-less block flows into."""
+    blocks = cfg.blocks
+    return dominator_sets(
+        _EXIT,
+        [_EXIT] + [b.block_id for b in blocks],
+        lambda n: blocks[n].successors or [_EXIT],
+    )
 
 
 def _control_region(
@@ -413,52 +419,14 @@ def _control_region(
     everything reachable from its successors short of a block that
     postdominates the branch."""
     stop = pdom[block_id] - {block_id}
-    region_blocks: Set[int] = set()
-    stack = list(cfg.blocks[block_id].successors)
-    while stack:
-        b = stack.pop()
-        if b in stop or b in region_blocks:
-            continue
-        region_blocks.add(b)
-        stack.extend(cfg.blocks[b].successors)
+
+    def onward(b: int) -> List[int]:
+        return [s for s in cfg.blocks[b].successors if s not in stop]
+
     out: Set[int] = set()
-    for b in region_blocks:
+    for b in reachable(onward(block_id), onward):
         out.update(cfg.blocks[b].indices())
     return frozenset(out)
-
-
-# -- interprocedural summaries ------------------------------------------------
-
-
-@dataclass
-class _Summary:
-    """What a call to one function may do to its caller's taint state."""
-
-    ret: Taint = EMPTY_TAINT        # v0/v1 taint at returns
-    scratch: Taint = EMPTY_TAINT    # caller-saved register residue
-    mem: Dict[str, Taint] = field(default_factory=dict)
-    smear: Taint = EMPTY_TAINT
-    offset: Taint = EMPTY_TAINT
-
-    def join_in_place(self, other: "_Summary") -> bool:
-        changed = False
-        if other.ret - self.ret:
-            self.ret |= other.ret
-            changed = True
-        if other.scratch - self.scratch:
-            self.scratch |= other.scratch
-            changed = True
-        for name, taint in other.mem.items():
-            if taint - self.mem.get(name, EMPTY_TAINT):
-                self.mem[name] = self.mem.get(name, EMPTY_TAINT) | taint
-                changed = True
-        if other.smear - self.smear:
-            self.smear |= other.smear
-            changed = True
-        if other.offset - self.offset:
-            self.offset |= other.offset
-            changed = True
-        return changed
 
 
 @dataclass
@@ -484,12 +452,14 @@ class _TaintInterp:
         self.analysis = analysis
         self.datamap = _DataMap(binary)
         self.labels: Tuple[str, ...] = tuple(sorted(binary.secret_symbols))
-        self.cfgs: Dict[str, CFG] = dict(analysis.cfgs)
+        self.cfgs: Dict[str, CFG] = analysis.cfgs
         self.pdoms: Dict[str, Dict[int, FrozenSet[int]]] = {}
         #: Per-function entry taint environment (join over call sites).
         self.entry_env: Dict[str, TaintState] = {}
-        self.summaries: Dict[str, _Summary] = {
-            f.name: _Summary() for f in binary.functions
+        #: Per-function call summary (join over the states at its returns):
+        #: what a call may do to its caller's taint state.
+        self.summaries: Dict[str, TaintState] = {
+            f.name: TaintState() for f in binary.functions
         }
         self.reports: Dict[str, _FuncReport] = {}
         self._recording: Optional[_FuncReport] = None
@@ -514,25 +484,18 @@ class _TaintInterp:
         for name in buckets:
             state.mem[name] = state.mem.get(name, EMPTY_TAINT) | taint
 
-    def _callee_of(self, index: int, insn: Insn) -> Optional[str]:
-        if insn.op is Op.CALL:
-            target = self.binary.function_at_entry(insn.c)
-            return target.name if target is not None else None
-        fact = self.analysis.transfers.get(index)
-        if fact is not None and fact.kind is TransferKind.RESOLVED \
-                and fact.target is not None:
-            target = self.binary.function_at_entry(fact.target)
-            return target.name if target is not None else None
-        return None
+    def _callee_of(self, index: int) -> Optional[str]:
+        return resolved_callee(self.binary, self.analysis.transfers, index)
 
-    def _flow_into(self, name: str, env: TaintState) -> bool:
-        existing = self.entry_env.get(name)
-        if existing is None:
-            self.entry_env[name] = env
-            return True
-        merged = existing.join_with(env)
+    @staticmethod
+    def _join_into(
+        table: Dict[str, TaintState], name: str, state: TaintState
+    ) -> bool:
+        """Join ``state`` into ``table[name]``; True when that grew it."""
+        existing = table.get(name)
+        merged = state if existing is None else existing.join_with(state)
         if merged != existing:
-            self.entry_env[name] = merged
+            table[name] = merged
             return True
         return False
 
@@ -541,10 +504,10 @@ class _TaintInterp:
         env.slots = {}
         env.regs[_RA] = EMPTY_TAINT
         if callee is not None:
-            return self._flow_into(callee, env)
+            return self._join_into(self.entry_env, callee, env)
         changed = False
         for func in self.binary.functions:
-            if self._flow_into(func.name, env.copy()):
+            if self._join_into(self.entry_env, func.name, env.copy()):
                 changed = True
         return changed
 
@@ -553,8 +516,8 @@ class _TaintInterp:
     ) -> None:
         if callee is not None:
             summ = self.summaries[callee]
-            scratch = summ.scratch | imp
-            ret = summ.ret | imp
+            scratch = summ.caller_saved() | imp
+            ret = summ.get(_V0) | summ.get(_V1) | imp
             for name, taint in summ.mem.items():
                 t.mem[name] = t.mem.get(name, EMPTY_TAINT) | taint
             t.smear |= summ.smear
@@ -566,7 +529,7 @@ class _TaintInterp:
             for reg in _ARG_REGS:
                 u |= t.regs[reg]
             for summ in self.summaries.values():
-                u |= summ.ret | summ.scratch
+                u |= summ.caller_saved()
             scratch = ret = u
             t.smear |= u
             t.offset |= u
@@ -627,9 +590,9 @@ class _TaintInterp:
             t.set(insn.a, imp)
         elif op is Op.MOV:
             t.set(insn.a, rt(insn.b) | imp)
-        elif op in _THREE_REG_ALU:
+        elif op in THREE_REG_ALU:
             t.set(insn.a, rt(insn.b) | rt(insn.c) | imp)
-        elif op in _IMM_ALU:
+        elif op in IMM_ALU:
             t.set(insn.a, rt(insn.b) | imp)
         elif op in (Op.LOAD, Op.LOADB):
             addr = address_of(a.get(insn.b), insn.c)
@@ -655,7 +618,7 @@ class _TaintInterp:
             else:
                 self._mem_store(t, addr, val)
         elif op in (Op.CALL, Op.CALLR):
-            callee = self._callee_of(index, insn)
+            callee = self._callee_of(index)
             self._apply_call(t, callee, imp)
         elif op is Op.SYSCALL:
             self._syscall_taint(t, a, insn, index, imp)
@@ -667,7 +630,7 @@ class _TaintInterp:
         # Constant sanitization: a provably constant result cannot carry
         # data taint (its value is the same under every secret).  Implicit
         # taint survives — *which* constant ran can still be the leak.
-        if op in _THREE_REG_ALU or op in _IMM_ALU or op is Op.MOV:
+        if op in THREE_REG_ALU or op in IMM_ALU or op is Op.MOV:
             if a.get(insn.a).is_const:
                 t.set(insn.a, imp)
 
@@ -682,66 +645,18 @@ class _TaintInterp:
             return t.get(insn.a)
         return EMPTY_TAINT
 
-    def _solve(
-        self, func: Function, entry_taint: TaintState
-    ) -> Tuple[Dict[int, AbsState], Dict[int, TaintState]]:
+    def _solve(self, func: Function, entry_taint: TaintState) -> Dict[int, _Product]:
         """Product fixpoint under the current implicit-taint map."""
-        binary = self.binary
-        cfg = self.cfgs[func.name]
-        abs_in: Dict[int, AbsState] = {cfg.entry_block: AbsState()}
-        taint_in: Dict[int, TaintState] = {cfg.entry_block: entry_taint.copy()}
-        visits: Dict[int, int] = {}
-        worklist: List[int] = [cfg.entry_block]
-        steps = 0
-
-        while worklist:
-            block_id = worklist.pop(0)
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise AnalysisError(
-                    f"{binary.name}/{func.name}: taint fixpoint did not "
-                    f"converge within {_MAX_STEPS} steps"
-                )
-            visits[block_id] = visits.get(block_id, 0) + 1
-            a_state = abs_in[block_id].copy()
-            t_state = taint_in[block_id].copy()
-            block = cfg.blocks[block_id]
-            for index in range(block.start, block.end - 1):
-                self._exec(a_state, t_state, binary.text[index], index)
-            term = block.terminator
-            term_insn = binary.text[term]
-            term_edges = _edge_states(binary, cfg, a_state, term)
-            self._exec(a_state, t_state, term_insn, term)
-            for succ, abs_edge in term_edges.items():
-                if abs_edge is None:
-                    continue  # provably infeasible edge
-                if term_insn.op not in BRANCH_OPS \
-                        and term_insn.op is not Op.SWITCH:
-                    abs_edge = a_state.copy()
-                else:
-                    step(abs_edge, term_insn)
-                t_edge = t_state.copy()
-                existing_a = abs_in.get(succ)
-                if existing_a is None:
-                    abs_in[succ] = abs_edge
-                    taint_in[succ] = t_edge
-                    worklist.append(succ)
-                    continue
-                widening = visits.get(succ, 0) >= _WIDEN_AFTER
-                merged_a = existing_a.join_with(abs_edge, widening=widening)
-                merged_t = taint_in[succ].join_with(t_edge)
-                if merged_a != existing_a or merged_t != taint_in[succ]:
-                    abs_in[succ] = merged_a
-                    taint_in[succ] = merged_t
-                    if succ not in worklist:
-                        worklist.append(succ)
-        return abs_in, taint_in
+        return solve_function(
+            self.binary, self.cfgs[func.name],
+            _Product(AbsState(), entry_taint.copy()),
+            lambda p, insn, index: self._exec(p.values, p.taint, insn, index),
+        )
 
     def _implicit_for(
         self,
         func: Function,
-        abs_in: Dict[int, AbsState],
-        taint_in: Dict[int, TaintState],
+        states: Dict[int, _Product],
         implicit: Dict[int, Taint],
         controllers: Dict[int, Set[int]],
     ) -> bool:
@@ -751,10 +666,9 @@ class _TaintInterp:
         cfg = self.cfgs[func.name]
         pdom = self.pdoms[func.name]
         changed = False
-        for block_id, t_in in taint_in.items():
+        for block_id, state in states.items():
             block = cfg.blocks[block_id]
-            a_state = abs_in[block_id].copy()
-            t_state = t_in.copy()
+            a_state, t_state = state.values.copy(), state.taint.copy()
             for index in range(block.start, block.end - 1):
                 self._exec(a_state, t_state, binary.text[index], index)
             term = block.terminator
@@ -771,11 +685,10 @@ class _TaintInterp:
     def _final_pass(
         self,
         func: Function,
-        abs_in: Dict[int, AbsState],
-        taint_in: Dict[int, TaintState],
+        states: Dict[int, _Product],
         implicit: Dict[int, Taint],
         controllers: Dict[int, Set[int]],
-    ) -> Tuple[_Summary, bool]:
+    ) -> Tuple[TaintState, bool]:
         """Record per-index snapshots, sinks, call flows and the summary."""
         binary = self.binary
         cfg = self.cfgs[func.name]
@@ -785,12 +698,11 @@ class _TaintInterp:
         )
         self.reports[func.name] = report
         self._recording = report
-        summary = _Summary()
+        summary = TaintState()
         env_changed = False
 
-        for block_id, t_in in taint_in.items():
-            a_state = abs_in[block_id].copy()
-            t_state = t_in.copy()
+        for block_id, state in states.items():
+            a_state, t_state = state.values.copy(), state.taint.copy()
             block = cfg.blocks[block_id]
             for index in block.indices():
                 insn = binary.text[index]
@@ -801,23 +713,14 @@ class _TaintInterp:
                     if sink is not None:
                         report.sinks.append(sink)
                 if insn.op in (Op.CALL, Op.CALLR):
-                    callee = self._callee_of(index, insn)
+                    callee = self._callee_of(index)
                     if self._record_call_flow(callee, t_state):
                         env_changed = True
                 self._exec(a_state, t_state, insn, index)
             if binary.text[block.terminator].op is Op.JR:
                 # Intraprocedurally a JR ends the function: fold this exit
                 # state into the call summary.
-                exit_summ = _Summary(
-                    ret=t_state.get(_V0) | t_state.get(_V1),
-                    scratch=EMPTY_TAINT.union(
-                        *(t_state.regs[r] for r in CALL_CLOBBERS)
-                    ),
-                    mem=dict(t_state.mem),
-                    smear=t_state.smear,
-                    offset=t_state.offset,
-                )
-                summary.join_in_place(exit_summ)
+                summary = summary.join_with(t_state)
         self._recording = None
         return summary, env_changed
 
@@ -860,10 +763,8 @@ class _TaintInterp:
             raise AnalysisError(
                 f"{binary.name}: entry point outside every function"
             )
-        for func in binary.functions:
-            if func.name not in self.cfgs:
-                self.cfgs[func.name] = build_cfg(binary, func)
-            self.pdoms[func.name] = _postdominators(self.cfgs[func.name])
+        for name, cfg in self.cfgs.items():
+            self.pdoms[name] = _postdominators(cfg)
 
         entry_state = TaintState(
             mem={name: frozenset({name}) for name in self.labels}
@@ -892,9 +793,9 @@ class _TaintInterp:
                 # Inner loop: stabilize implicit flows for this function.
                 for _ in range(_MAX_ROUNDS):
                     self._implicit = implicit
-                    abs_in, taint_in = self._solve(func, env)
+                    states = self._solve(func, env)
                     if not self._implicit_for(
-                        func, abs_in, taint_in, implicit, controllers
+                        func, states, implicit, controllers
                     ):
                         break
                 else:  # pragma: no cover - finite lattice
@@ -904,11 +805,11 @@ class _TaintInterp:
                     )
                 self._implicit = implicit
                 summary, env_changed = self._final_pass(
-                    func, abs_in, taint_in, implicit, controllers
+                    func, states, implicit, controllers
                 )
                 if env_changed:
                     changed = True
-                if self.summaries[func.name].join_in_place(summary):
+                if self._join_into(self.summaries, func.name, summary):
                     changed = True
 
         leaks = self._build_leaks()
@@ -1059,16 +960,24 @@ class _TaintInterp:
                     note = "loads secret-tainted memory"
             elif insn.op is Op.MOV and regs is not None and regs[insn.b]:
                 nxt = (d, insn.b)
-            elif insn.op in _THREE_REG_ALU and regs is not None:
+            elif insn.op in THREE_REG_ALU and regs is not None:
                 for operand in (insn.b, insn.c):
                     if regs[operand]:
                         nxt = (d, operand)
                         break
-            elif insn.op in _IMM_ALU and regs is not None and regs[insn.b]:
+            elif insn.op in IMM_ALU and regs is not None and regs[insn.b]:
                 nxt = (d, insn.b)
             elif insn.op is Op.SYSCALL:
                 note = "syscall result derives from tainted operands"
                 nxt = self._tainted_operand(report, d)
+            elif insn.op in (Op.CALL, Op.CALLR):
+                callee = self._callee_of(d) or "an unresolved callee"
+                nxt = self._tainted_operand(report, d)
+                if nxt is not None:
+                    note = (f"result of {callee} derives from tainted call "
+                            f"operand {Reg(nxt[1]).name}")
+                else:
+                    note = f"{callee} returns secret-tainted data"
             if nxt is None and imp:
                 ctrl = report.controllers.get(d)
                 if ctrl:
@@ -1102,11 +1011,7 @@ def analyze_security(
     Reuses ``analysis`` (the :func:`repro.analysis.driver.analyze_binary`
     result) when the caller already has it; computes it otherwise.
     """
-    if getattr(binary, "spec_meta", None) is not None:
-        raise AnalysisError(
-            f"{binary.name}: analyze the original binary, not the "
-            f"transformed one (shadow code is generated, not analyzed)"
-        )
+    require_original(binary)
     if analysis is None:
         analysis = analyze_binary(binary, params)
 

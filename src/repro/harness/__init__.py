@@ -8,7 +8,7 @@ and formats the paper's tables and figures from the collected statistics.
 from repro.harness.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
-    flush_on_signals,
+    unwind_on_signals,
 )
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
@@ -61,7 +61,7 @@ __all__ = [
     "SupervisorConfig",
     "SupervisorOutcome",
     "atomic_write_json",
-    "flush_on_signals",
+    "unwind_on_signals",
     "run_cells",
     "OracleCell",
     "OracleReport",

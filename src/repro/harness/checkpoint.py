@@ -27,7 +27,7 @@ import json
 import os
 import signal
 import threading
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import CheckpointError, RegistryError
 from repro.registry.fingerprint import canonical_json
@@ -49,19 +49,19 @@ def atomic_write_json(path: str, obj: object) -> None:
 
 
 @contextlib.contextmanager
-def flush_on_signals(
-    flush: Callable[[], None],
+def unwind_on_signals(
     signums: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
 ) -> Iterator[None]:
-    """Install handlers that run ``flush`` and then die in an orderly way.
+    """Install handlers that turn a signal into an orderly unwinding.
 
     A Ctrl-C'd (SIGINT) or terminated (SIGTERM) sweep exits the way the
     signal intended — SIGINT re-raises as :class:`KeyboardInterrupt`,
     SIGTERM as ``SystemExit`` with the conventional ``128 + signum``
-    status — by unwinding the stack, so worker pools are torn down and
-    the next ``--resume`` restores every completed cell.  Outside the
-    main thread (where Python forbids installing handlers) this is a
-    no-op.
+    status — by unwinding the stack, so worker pools are torn down.
+    There is nothing to flush first: every cell record is durable the
+    moment it is appended, and the next ``--resume`` restores them all.
+    Outside the main thread (where Python forbids installing handlers)
+    this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -70,11 +70,8 @@ def flush_on_signals(
     previous: Dict[int, object] = {}
 
     def handler(signum: int, frame: object) -> None:
-        try:
-            flush()
-        finally:
-            for num, old in previous.items():
-                signal.signal(num, old)  # type: ignore[arg-type]
+        for num, old in previous.items():
+            signal.signal(num, old)  # type: ignore[arg-type]
         if signum == signal.SIGINT:
             raise KeyboardInterrupt
         raise SystemExit(128 + signum)

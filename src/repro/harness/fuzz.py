@@ -55,7 +55,13 @@ from repro.harness.invariants import (
     check_all,
 )
 from repro.harness.parallel import run_cells
-from repro.harness.results import RunResult
+from repro.harness.results import (
+    FIELD_DECODERS,
+    Decoder,
+    RunResult,
+    decode_fields,
+    encode_fields,
+)
 from repro.harness.runner import (
     add_system_observer,
     remove_system_observer,
@@ -174,42 +180,29 @@ class FuzzCellResult:
         return case_dimensions(self.case.plan, self.case.spec_overrides)
 
     def to_jsonable(self, with_results: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "case": self.case.to_jsonable(),
-            "violations": [v.to_jsonable() for v in self.violations],
-            "digest": self.digest,
-            "cycles": dict(self.cycles),
-            "escapes": dict(self.escapes),
-            "params_digest": self.params_digest,
-            "seed": self.seed,
-        }
         if with_results:
-            payload["results"] = {
-                name: result.to_jsonable()
-                for name, result in self.results.items()
-            }
-        return payload
+            return encode_fields(self)
+        return encode_fields(self, "results")
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "FuzzCellResult":
-        return cls(
-            case=FuzzCase.from_jsonable(data["case"]),
-            violations=[
-                Violation.from_jsonable(v)  # type: ignore[arg-type]
-                for v in data.get("violations", ())
-            ],
-            digest=str(data.get("digest", "")),
-            cycles={str(k): int(v)  # type: ignore[call-overload]
-                    for k, v in dict(data.get("cycles", {})).items()},
-            escapes={str(k): (str(v) if v is not None else None)
-                     for k, v in dict(data.get("escapes", {})).items()},
-            params_digest=str(data.get("params_digest", "")),
-            seed=int(data.get("seed", 0)),  # type: ignore[call-overload]
-            results={
-                str(name): RunResult.from_jsonable(sub)
-                for name, sub in dict(data.get("results", {})).items()
-            },
-        )
+        return cls(**decode_fields(cls, data, _CELL_DECODERS))
+
+
+#: The shared field decoders plus the declared types only a cell carries.
+_CELL_DECODERS: Dict[str, Decoder] = {
+    **FIELD_DECODERS,
+    "FuzzCase": FuzzCase.from_jsonable,
+    "List[Violation]": lambda value: [
+        Violation.from_jsonable(v) for v in value
+    ],
+    "Dict[str, Optional[str]]": lambda value: {
+        str(k): None if v is None else str(v) for k, v in dict(value).items()
+    },
+    "Dict[str, RunResult]": lambda value: {
+        str(k): RunResult.from_jsonable(v) for k, v in dict(value).items()
+    },
+}
 
 
 def _cell_digest(

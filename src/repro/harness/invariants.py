@@ -36,7 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DataLossError, IsolationViolation, ReproError
 from repro.faults.plan import FaultPlan
-from repro.harness.results import RunResult
+from repro.harness.results import (
+    FIELD_DECODERS,
+    RunResult,
+    decode_fields,
+    encode_fields,
+)
 from repro.trace.lifecycle import CANCELLED
 
 
@@ -44,24 +49,16 @@ from repro.trace.lifecycle import CANCELLED
 class Violation:
     """One invariant breach, with enough witness to reproduce and debug."""
 
-    monitor: str
-    detail: str
+    monitor: str = "?"
+    detail: str = ""
     witness: Dict[str, object] = field(default_factory=dict)
 
     def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "monitor": self.monitor,
-            "detail": self.detail,
-            "witness": dict(self.witness),
-        }
+        return encode_fields(self)
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "Violation":
-        return cls(
-            monitor=str(data.get("monitor", "?")),
-            detail=str(data.get("detail", "")),
-            witness=dict(data.get("witness", {})),  # type: ignore[arg-type]
-        )
+        return cls(**decode_fields(cls, data, FIELD_DECODERS))
 
     def __str__(self) -> str:
         return f"[{self.monitor}] {self.detail}"

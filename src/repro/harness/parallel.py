@@ -43,7 +43,7 @@ from repro.errors import QuarantinedCell
 from repro.harness.checkpoint import (
     SweepCheckpoint,
     append_cell,
-    flush_on_signals,
+    unwind_on_signals,
 )
 from repro.harness.supervisor import (
     CellSpec,
@@ -130,11 +130,10 @@ def run_cells(
         if progress is not None:
             progress(key, False)
 
-    # Every record is durable the moment it is appended, so there is
-    # nothing to flush: the guard only turns the signal into an exception
-    # that unwinds through the pool teardown.
+    # The guard turns a signal into an exception that unwinds through
+    # the pool teardown.
     guard = (
-        flush_on_signals(lambda: None)
+        unwind_on_signals()
         if checkpoint is not None
         else contextlib.nullcontext()
     )

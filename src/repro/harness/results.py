@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RegistryError
 from repro.sim import metrics
@@ -345,22 +345,17 @@ class RunResult:
     def to_jsonable(self) -> Dict[str, object]:
         """JSON-safe dict for harness checkpoints: every field, in order.
 
-        Three fields are not stored as they are: ``output`` travels as
-        base64 under ``output_b64``, ``read_trace`` as lists, and the
-        transform report is deliberately excluded (it is derivable by
-        re-running the transform and is not needed to resume a sweep).
+        Two fields are not stored as they are: ``output`` travels as
+        base64 under ``output_b64`` and the transform report is
+        deliberately excluded (it is derivable by re-running the
+        transform and is not needed to resume a sweep).
         """
         data: Dict[str, object] = {"schema_version": RESULT_SCHEMA_VERSION}
-        for spec in fields(self):
-            if spec.name == "transform_report":
-                continue
-            value = getattr(self, spec.name)
-            if spec.name == "output":
-                data["output_b64"] = base64.b64encode(value).decode("ascii")
-            elif spec.name == "read_trace":
-                data[spec.name] = [list(entry) for entry in value]
-            else:
-                data[spec.name] = dict(value) if isinstance(value, dict) else value
+        for name, value in encode_fields(self, "transform_report").items():
+            if name == "output":
+                name = "output_b64"
+                value = base64.b64encode(self.output).decode("ascii")
+            data[name] = value
         return data
 
     @classmethod
@@ -380,37 +375,64 @@ class RunResult:
                 f"code reads versions {SUPPORTED_RESULT_SCHEMAS} — the "
                 f"payload was written by an incompatible code version"
             )
-        values: Dict[str, object] = {
-            "output": base64.b64decode(str(data["output_b64"])),
-            "read_trace": tuple(
-                tuple(int(x) for x in entry)
-                for entry in data.get("read_trace", [])  # type: ignore[union-attr]
-            ),
-        }
-        for spec in fields(cls):
-            if spec.name in values or spec.name == "transform_report":
-                continue
-            if spec.name in data:
-                values[spec.name] = _DECODERS[spec.type](data[spec.name])
-        return cls(**values)  # type: ignore[arg-type]
+        values = decode_fields(cls, data, FIELD_DECODERS)
+        values["output"] = base64.b64decode(str(data["output_b64"]))
+        return cls(**values)
 
 
-def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
+def encode_fields(record: Any, *skip: str) -> Dict[str, object]:
+    """The dataclass fields of ``record`` (but ``skip``), in declaration
+    order, JSON-safe: containers are copied (tuples as lists) and nested
+    records go through their own ``to_jsonable``."""
+    return {
+        spec.name: _encode(getattr(record, spec.name))
+        for spec in fields(record) if spec.name not in skip
+    }
+
+
+def _encode(value: Any) -> object:
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value.to_jsonable() if hasattr(value, "to_jsonable") else value
+
+
+#: Rebuilds one field's value from what :func:`encode_fields` stored.
+Decoder = Callable[[Any], object]
+
+
+def decode_fields(
+    cls: Any, data: Dict[str, object], decoders: Dict[str, Decoder]
+) -> Dict[str, Any]:
+    """Constructor arguments for dataclass ``cls`` out of a stored payload:
+    each field the payload carries, decoded by its declared type; a field
+    it lacks is left to its default."""
+    return {
+        spec.name: decoders[spec.type](data[spec.name])
+        for spec in fields(cls) if spec.name in data
+    }
+
+
+def _optional(decode: Decoder) -> Decoder:
     return lambda value: None if value is None else decode(value)
 
 
 #: Decoder of a stored value, by the declared type of its field.
-_DECODERS: Dict[str, Callable[[object], object]] = {
+FIELD_DECODERS: Dict[str, Decoder] = {
     "str": str,
     "int": int,
     "float": float,
     "bool": bool,
     "Dict[str, int]": lambda value: {
-        str(k): int(v) for k, v in dict(value).items()  # type: ignore[call-overload]
+        str(k): int(v) for k, v in dict(value).items()
     },
     "Dict[str, object]": dict,
     "Optional[str]": _optional(str),
     "Optional[Dict[str, object]]": _optional(dict),
+    "Tuple[Tuple[int, int, int], ...]": lambda value: tuple(
+        tuple(int(x) for x in entry) for entry in value
+    ),
 }
 
 

@@ -10,31 +10,30 @@ class TransformReport:
     """What the SpecHint tool did to one binary."""
 
     binary_name: str
-    #: Wall-clock seconds the transformation took (Table 3 "Modification time").
-    modification_time_s: float
-
     #: Original executable size in bytes.
     original_size_bytes: int
+    #: Instruction counts (the shadow is instruction-for-instruction).
+    original_insns: int
+    shadow_insns: int = 0
+
+    #: Wall-clock seconds the transformation took (Table 3 "Modification time").
+    modification_time_s: float = 0.0
     #: Transformed executable size in bytes (shadow code + SpecHint runtime
     #: objects + threading libraries).
-    transformed_size_bytes: int
+    transformed_size_bytes: int = 0
 
-    #: Instruction counts.
-    original_insns: int
-    shadow_insns: int
-
-    #: Transformation detail counters.
-    loads_wrapped: int
-    stores_wrapped: int
-    stack_relative_skipped: int
-    cwork_dilated: int
-    static_transfers_redirected: int
-    dynamic_transfers_routed: int
-    jump_tables_remapped: int
-    jump_tables_unrecognized: int
-    output_calls_stripped: int
-    reads_substituted: int
-    syscalls_guarded: int
+    #: Transformation detail counters: the tool counts straight into them.
+    loads_wrapped: int = 0
+    stores_wrapped: int = 0
+    stack_relative_skipped: int = 0
+    cwork_dilated: int = 0
+    static_transfers_redirected: int = 0
+    dynamic_transfers_routed: int = 0
+    jump_tables_remapped: int = 0
+    jump_tables_unrecognized: int = 0
+    output_calls_stripped: int = 0
+    reads_substituted: int = 0
+    syscalls_guarded: int = 0
 
     #: Static-analysis optimization counters (all zero when the tool runs
     #: without ``optimize=True``).

@@ -37,6 +37,7 @@ from repro.analysis.driver import (
     BinaryAnalysis,
     CheckCosts,
     ElisionPlan,
+    SiteCheck,
     analyze_binary,
     check_costs,
 )
@@ -60,6 +61,13 @@ THREADING_LIB_BYTES = 420 * 1024
 #: sequence around each shadow load/store (address mask, table lookup,
 #: conditional branch, redirect) — about five extra instructions.
 COW_CHECK_INSNS = 5
+
+_COW_OPS = {
+    Op.LOAD: Op.COW_LOAD,
+    Op.LOADB: Op.COW_LOADB,
+    Op.STORE: Op.COW_STORE,
+    Op.STOREB: Op.COW_STOREB,
+}
 
 
 @dataclass
@@ -126,9 +134,6 @@ class SpecHintTool:
         self._validate(binary)
 
         shadow_base = len(binary.text)
-        counters = _TransformCounters()
-        func_names = self._function_name_by_index(binary)
-
         analysis: Optional[BinaryAnalysis] = None
         plan = ElisionPlan()
         if self.optimize:
@@ -136,6 +141,12 @@ class SpecHintTool:
                 binary, self.params, self.map_all_addresses
             )
             plan = analysis.elision_plan
+        report = TransformReport(
+            binary_name=binary.name,
+            original_size_bytes=self.original_size(binary),
+            original_insns=len(binary.text),
+            analysis_applied=analysis is not None,
+        )
 
         # Recognized jump tables get shadow twins; remember the id mapping.
         jump_tables: List[JumpTable] = list(binary.jump_tables)
@@ -149,22 +160,23 @@ class SpecHintTool:
                 )
                 jump_tables.append(twin)
                 shadow_table_ids[table.table_id] = twin.table_id
-                counters.jump_tables_remapped += 1
+                report.jump_tables_remapped += 1
             else:
-                counters.jump_tables_unrecognized += 1
+                report.jump_tables_unrecognized += 1
 
-        shadow_text: List[Insn] = []
-        hint_sites: Dict[int, int] = {}
-        for index, insn in enumerate(binary.text):
-            func = func_names[index]
-            shadow_text.append(
-                self._transform_insn(
-                    index, insn, shadow_base, binary, func, shadow_table_ids,
-                    plan, counters,
-                )
+        costs = self._check_costs_by_index(binary)
+        shadow_text = [
+            self._transform_insn(
+                index, insn, shadow_base, binary, costs[index],
+                shadow_table_ids, plan, report,
             )
-            if insn.op is Op.SYSCALL and insn.c == SYS_READ:
-                hint_sites[index] = index + shadow_base
+            for index, insn in enumerate(binary.text)
+        ]
+        hint_sites = {
+            index: index + shadow_base
+            for index, insn in enumerate(binary.text)
+            if insn.op is Op.SYSCALL and insn.c == SYS_READ
+        }
 
         text = list(binary.text) + shadow_text
         functions = list(binary.functions) + [
@@ -173,34 +185,9 @@ class SpecHintTool:
         ]
         function_map = {f.entry: f.entry + shadow_base for f in binary.functions}
 
-        elapsed = time.perf_counter() - started
-        report = TransformReport(
-            binary_name=binary.name,
-            modification_time_s=elapsed,
-            original_size_bytes=self.original_size(binary),
-            transformed_size_bytes=self.transformed_size(binary, counters),
-            original_insns=len(binary.text),
-            shadow_insns=len(shadow_text),
-            loads_wrapped=counters.loads_wrapped,
-            stores_wrapped=counters.stores_wrapped,
-            stack_relative_skipped=counters.stack_relative_skipped,
-            cwork_dilated=counters.cwork_dilated,
-            static_transfers_redirected=counters.static_redirected,
-            dynamic_transfers_routed=counters.dynamic_routed,
-            jump_tables_remapped=counters.jump_tables_remapped,
-            jump_tables_unrecognized=counters.jump_tables_unrecognized,
-            output_calls_stripped=counters.output_calls_stripped,
-            reads_substituted=counters.reads_substituted,
-            syscalls_guarded=counters.syscalls_guarded,
-            analysis_applied=analysis is not None,
-            stores_elided_dead=counters.stores_elided_dead,
-            loads_unchecked_dead=counters.loads_unchecked_dead,
-            stack_proved_unchecked=counters.stack_proved_unchecked,
-            heap_stores_elided=counters.heap_stores_elided,
-            transfers_statically_resolved=counters.transfers_resolved_static,
-            check_cycles_baseline=counters.check_cycles_baseline,
-            check_cycles_emitted=counters.check_cycles_emitted,
-        )
+        report.shadow_insns = len(shadow_text)
+        report.transformed_size_bytes = self.transformed_size(binary, report)
+        report.modification_time_s = time.perf_counter() - started
 
         meta = SpecMeta(
             shadow_base=shadow_base,
@@ -242,19 +229,15 @@ class SpecHintTool:
         if getattr(binary, "spec_meta", None) is not None:
             raise UnsupportedBinary(f"{binary.name}: already transformed")
 
-    @staticmethod
-    def _function_name_by_index(binary: Binary) -> List[Optional[str]]:
-        names: List[Optional[str]] = [None] * len(binary.text)
+    def _check_costs_by_index(self, binary: Binary) -> List[CheckCosts]:
+        """COW check cycle costs of each text index, built once per
+        function (only hand-optimized string routines get the divisor)."""
+        costs = [check_costs(self.params, False)] * len(binary.text)
         for func in binary.functions:
-            for i in range(func.entry, func.end):
-                names[i] = func.name
-        return names
-
-    def _check_costs(self, binary: Binary, func: Optional[str]) -> CheckCosts:
-        """COW check cycle costs for loads and stores within ``func``."""
-        return check_costs(
-            self.params, func is not None and func in binary.optimized_stdlib
-        )
+            costs[func.entry:func.end] = [
+                check_costs(self.params, func.name in binary.optimized_stdlib)
+            ] * (func.end - func.entry)
+        return costs
 
     def _transform_insn(
         self,
@@ -262,83 +245,63 @@ class SpecHintTool:
         insn: Insn,
         shadow_base: int,
         binary: Binary,
-        func: Optional[str],
+        costs: CheckCosts,
         shadow_table_ids: Dict[int, int],
         plan: ElisionPlan,
-        counters: "_TransformCounters",
+        report: TransformReport,
     ) -> Insn:
         op = insn.op
-        load_cost, store_cost = self._check_costs(binary, func)
 
-        if op in (Op.LOAD, Op.LOADB, Op.STORE, Op.STOREB):
+        if op in _COW_OPS:
             is_store = op in (Op.STORE, Op.STOREB)
-            new_op = {
-                Op.LOAD: Op.COW_LOAD,
-                Op.LOADB: Op.COW_LOADB,
-                Op.STORE: Op.COW_STORE,
-                Op.STOREB: Op.COW_STOREB,
-            }[op]
-            if insn.get_meta("stack"):
-                # Stack accesses need no check: the stack was pre-copied at
-                # restart time (paper footnote 3).
-                check = 0
-                counters.stack_relative_skipped += 1
+            site = plan.site_check(index, insn)
+            cost = costs.store if is_store else costs.load
+            if site is SiteCheck.STACK_MARKED:
+                report.stack_relative_skipped += 1
             else:
-                check = store_cost if is_store else load_cost
-                counters.check_cycles_baseline += check
-                if index in plan.dead:
-                    # Speculation can never reach this site.  Stores keep
-                    # their plain form (the armed write guard is the
-                    # backstop if the analysis were ever wrong); loads keep
-                    # COW semantics but drop the check cycles.
-                    if is_store:
-                        counters.stores_elided_dead += 1
-                        return insn.clone()
-                    counters.loads_unchecked_dead += 1
-                    check = 0
-                elif is_store and index in plan.heap_stores:
-                    # Provably confined to the speculative heap: the write
-                    # guard explicitly allows direct stores there.
-                    counters.heap_stores_elided += 1
-                    return insn.clone()
-                elif index in plan.stack_proved:
-                    # Provably stack-relative (though not assembler-marked):
-                    # the pre-copied stack needs no check.
-                    counters.stack_proved_unchecked += 1
-                    check = 0
+                report.check_cycles_baseline += cost
+                if site is SiteCheck.DEAD_STORE:
+                    report.stores_elided_dead += 1
+                elif site is SiteCheck.DEAD_LOAD:
+                    report.loads_unchecked_dead += 1
+                elif site is SiteCheck.HEAP_STORE:
+                    report.heap_stores_elided += 1
+                elif site is SiteCheck.STACK_PROVED:
+                    report.stack_proved_unchecked += 1
                 else:
-                    counters.check_cycles_emitted += check
+                    report.check_cycles_emitted += cost
                     if is_store:
-                        counters.stores_wrapped += 1
+                        report.stores_wrapped += 1
                     else:
-                        counters.loads_wrapped += 1
+                        report.loads_wrapped += 1
             out = insn.clone()
-            out.op = new_op
-            out.d = check
+            if not site.elided:
+                out.op = _COW_OPS[op]
+                out.d = cost if site is SiteCheck.FULL else 0
             return out
 
         if op is Op.CWORK:
-            dilation = insn.b * load_cost + insn.c * store_cost
-            counters.check_cycles_baseline += dilation
-            counters.check_cycles_emitted += dilation
-            counters.cwork_dilated += 1
+            dilation = insn.b * costs.load + insn.c * costs.store
+            report.check_cycles_baseline += dilation
+            report.check_cycles_emitted += dilation
+            report.cwork_dilated += 1
             return Insn(Op.SCWORK, insn.a + dilation, 0, 0, 0, insn.meta)
 
         if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.JMP):
             out = insn.clone()
             out.c = insn.c + shadow_base
-            counters.static_redirected += 1
+            report.static_transfers_redirected += 1
             return out
 
         if op is Op.CALL:
             target_name = insn.get_meta("call_target")
             if target_name in binary.output_routines:
                 # Strip output routine calls from the shadow code.
-                counters.output_calls_stripped += 1
+                report.output_calls_stripped += 1
                 return Insn(Op.NOP, meta=insn.meta)
             out = insn.clone()
             out.c = insn.c + shadow_base
-            counters.static_redirected += 1
+            report.static_transfers_redirected += 1
             return out
 
         if op is Op.JR:
@@ -347,11 +310,11 @@ class SpecHintTool:
                 # The analysis proved the only possible target: jump
                 # straight to its shadow twin instead of routing through
                 # the handling routine.
-                counters.transfers_resolved_static += 1
-                counters.static_redirected += 1
+                report.transfers_statically_resolved += 1
+                report.static_transfers_redirected += 1
                 return Insn(Op.JMP, 0, 0, target + shadow_base,
                             meta=insn.meta)
-            counters.dynamic_routed += 1
+            report.dynamic_transfers_routed += 1
             out = insn.clone()
             out.op = Op.SPEC_JR
             return out
@@ -363,15 +326,15 @@ class SpecHintTool:
                 if callee is not None and callee.name in binary.output_routines:
                     # A resolved indirect call to an output routine is
                     # stripped exactly like a direct one.
-                    counters.output_calls_stripped += 1
+                    report.output_calls_stripped += 1
                     return Insn(Op.NOP, meta=insn.meta)
-                counters.transfers_resolved_static += 1
-                counters.static_redirected += 1
+                report.transfers_statically_resolved += 1
+                report.static_transfers_redirected += 1
                 meta = dict(insn.meta) if insn.meta else {}
                 if callee is not None:
                     meta["call_target"] = callee.name
                 return Insn(Op.CALL, 0, 0, target + shadow_base, meta=meta)
-            counters.dynamic_routed += 1
+            report.dynamic_transfers_routed += 1
             out = insn.clone()
             out.op = Op.SPEC_CALLR
             return out
@@ -383,21 +346,21 @@ class SpecHintTool:
                 out.c = shadow_id
             else:
                 out.op = Op.SPEC_SWITCH
-                counters.dynamic_routed += 1
+                report.dynamic_transfers_routed += 1
             return out
 
         if op is Op.SYSCALL:
             if insn.c == SYS_READ:
-                counters.reads_substituted += 1
+                report.reads_substituted += 1
                 return Insn(Op.SPEC_READ, meta=insn.meta)
-            counters.syscalls_guarded += 1
+            report.syscalls_guarded += 1
             out = insn.clone()
             out.op = Op.SPEC_SYSCALL
             return out
 
         if op is Op.HALT:
             # HALT is an implicit exit(0): guard it like a syscall.
-            counters.syscalls_guarded += 1
+            report.syscalls_guarded += 1
             return Insn(Op.SPEC_SYSCALL, 0, 0, 1, meta=insn.meta)  # SYS_EXIT
 
         # Everything else (ALU, LI/LA, NOP...) copies verbatim.  LA of a
@@ -416,7 +379,7 @@ class SpecHintTool:
             return int(declared)
         return binary.size_bytes
 
-    def transformed_size(self, binary: Binary, counters: "_TransformCounters") -> int:
+    def transformed_size(self, binary: Binary, report: TransformReport) -> int:
         """Model of the speculating executable's size.
 
         The shadow text grows by the inserted check sequences; the SpecHint
@@ -427,7 +390,7 @@ class SpecHintTool:
         applied to the declared text proportionally.
         """
         original = self.original_size(binary)
-        mem_ops = counters.loads_wrapped + counters.stores_wrapped
+        mem_ops = report.loads_wrapped + report.stores_wrapped
         plain = max(1, len(binary.text))
         expansion_ratio = (plain + mem_ops * COW_CHECK_INSNS) / plain
 
@@ -438,32 +401,3 @@ class SpecHintTool:
         else:
             shadow_bytes = int(binary.text_bytes * expansion_ratio)
         return original + shadow_bytes + SPECHINT_RUNTIME_BYTES + THREADING_LIB_BYTES
-
-
-class _TransformCounters:
-    """Mutable counters accumulated during one transformation."""
-
-    __slots__ = (
-        "loads_wrapped",
-        "stores_wrapped",
-        "stack_relative_skipped",
-        "cwork_dilated",
-        "static_redirected",
-        "dynamic_routed",
-        "jump_tables_remapped",
-        "jump_tables_unrecognized",
-        "output_calls_stripped",
-        "reads_substituted",
-        "syscalls_guarded",
-        "stores_elided_dead",
-        "loads_unchecked_dead",
-        "stack_proved_unchecked",
-        "heap_stores_elided",
-        "transfers_resolved_static",
-        "check_cycles_baseline",
-        "check_cycles_emitted",
-    )
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)

@@ -34,7 +34,7 @@ from repro.fs.filesystem import FileSystem
 from repro.harness.runner import _BUILDERS
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
-from repro.vm.isa import SYS_EXIT, Reg
+from repro.vm.isa import SEEK_SET, SYS_EXIT, SYS_LSEEK, SYS_OPEN, SYS_READ, Reg
 from repro.vm.memory import DATA_BASE
 
 from tests.conftest import make_system, small_system_config
@@ -220,6 +220,106 @@ class TestWitnessChains:
             for step in leak.witness:
                 assert 0 <= step.index < len(binary.text)
                 assert step.function == "main"
+
+
+def _call_program(source="secret", via="call", callee="scale"):
+    """``main`` loads a byte of ``source``, hands it to ``callee`` (directly,
+    through an ``LA``-resolved ``CALLR``, or through a pointer reloaded from
+    memory that the analysis cannot resolve), seeks to what came back and
+    reads: the read's disclosed offset is whatever the call let through."""
+    asm = Assembler("call-program")
+    asm.data_bytes("secret", bytes([5]), secret=True)
+    asm.data_bytes("public", bytes([5]))
+    asm.data_word("cell", 0)
+    asm.data_word("fptr", 0)
+    asm.data_asciiz("path", "pub.dat")
+    asm.data_space("buf", 64)
+    with asm.function("main"):
+        asm.la(Reg.a0, "path")
+        asm.syscall(SYS_OPEN)
+        asm.mov(Reg.s1, Reg.v0)
+        asm.mov(Reg.a0, Reg.s1)
+        asm.la(Reg.a1, "buf")
+        asm.li(Reg.a2, 16)
+        asm.syscall(SYS_READ)  # the blocking read speculation resumes after
+        asm.la(Reg.t0, source)
+        asm.loadb(Reg.a0, Reg.t0, 0)
+        if via == "call":
+            asm.call(callee)
+        else:
+            asm.la(Reg.t5, callee)
+            if via == "unresolved":
+                asm.la(Reg.t6, "fptr")
+                asm.store(Reg.t5, Reg.t6, 0)
+                asm.load(Reg.t5, Reg.t6, 0)
+            asm.callr(Reg.t5)
+        if callee == "stash":
+            asm.la(Reg.t0, "cell")
+            asm.load(Reg.v0, Reg.t0, 0)
+        asm.mov(Reg.a1, Reg.v0)
+        asm.mov(Reg.a0, Reg.s1)
+        asm.li(Reg.a2, SEEK_SET)
+        asm.syscall(SYS_LSEEK)
+        asm.mov(Reg.a0, Reg.s1)
+        asm.la(Reg.a1, "buf")
+        asm.li(Reg.a2, 64)
+        asm.syscall(SYS_READ)
+        asm.li(Reg.a0, 0)
+        asm.syscall(SYS_EXIT)
+    with asm.function("scale"):
+        asm.andi(Reg.v0, Reg.a0, 7)
+        asm.shli(Reg.v0, Reg.v0, 12)
+        asm.ret()
+    with asm.function("stash"):
+        asm.la(Reg.t1, "cell")
+        asm.store(Reg.a0, Reg.t1, 0)
+        asm.li(Reg.v0, 0)
+        asm.ret()
+    asm.entry("main")
+    return asm.finish()
+
+
+class TestInterprocedural:
+    """Taint through calls: summaries, entry environments, witnesses."""
+
+    @pytest.mark.parametrize("via", ["call", "callr"])
+    def test_secret_through_return_value_leaks_with_full_witness(self, via):
+        binary = _call_program(via=via)
+        plan = analyze_security(binary)
+        (leak,) = plan.leaks
+        assert leak.channels == {"offset": ("secret",)}
+        assert plan.functions_analyzed == ("main", "scale")
+        # The witness crosses the call and ends at the secret load.
+        call = next(s for s in leak.witness if s.text.startswith("call"))
+        assert "scale" in call.note and "a0" in call.note
+        last = leak.witness[-1]
+        assert last.text.startswith("loadb") and "secret" in last.note
+        assert leak.witness.index(call) < leak.witness.index(last)
+
+    def test_same_callee_fed_a_public_byte_is_clean(self):
+        plan = analyze_security(_call_program(source="public"))
+        assert plan.secret_labels == ("secret",)
+        assert plan.clean
+
+    def test_callee_store_taints_a_later_load_in_the_caller(self):
+        plan = analyze_security(_call_program(callee="stash"))
+        (leak,) = plan.leaks
+        assert leak.channels == {"offset": ("secret",)}
+        assert leak.witness[-1].text.startswith("load ")
+        assert analyze_security(
+            _call_program(source="public", callee="stash")
+        ).clean
+
+    def test_unresolved_callr_is_maximally_conservative(self):
+        # The callee is unknown: it may return anything derived from
+        # reachable memory (the secret included) even for a public
+        # argument, and control may enter every function.
+        plan = analyze_security(_call_program(source="public", via="unresolved"))
+        (leak,) = plan.leaks
+        assert leak.channels == {"offset": ("secret",)}
+        assert plan.functions_analyzed == ("main", "scale", "stash")
+        call = next(s for s in leak.witness if s.text.startswith("callr"))
+        assert "unresolved callee" in call.note
 
 
 class TestSecurityPlanSurface:

@@ -16,7 +16,7 @@ from repro.harness.checkpoint import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
     atomic_write_json,
-    flush_on_signals,
+    unwind_on_signals,
 )
 from repro.harness.experiments import SWEEP_POINTS, sweep_parallel_cells
 from repro.harness.parallel import run_cells
@@ -111,20 +111,17 @@ class TestAtomicWrite:
             assert len(state["pad"]) == 4096
 
 
-class TestFlushOnSignals:
-    def test_sigterm_flushes_then_exits_with_143(self):
-        flushed = []
-        with pytest.raises(SystemExit) as excinfo, \
-                flush_on_signals(lambda: flushed.append("yes")):
+class TestUnwindOnSignals:
+    def test_sigterm_exits_with_143(self):
+        with pytest.raises(SystemExit) as excinfo, unwind_on_signals():
             os.kill(os.getpid(), signal.SIGTERM)
             time.sleep(1)  # handler fires before the sleep finishes
             pytest.fail("SIGTERM handler did not fire")
         assert excinfo.value.code == 128 + signal.SIGTERM
-        assert flushed == ["yes"]
 
     def test_handlers_restored_after_scope(self):
         before = signal.getsignal(signal.SIGTERM)
-        with flush_on_signals(lambda: None):
+        with unwind_on_signals():
             assert signal.getsignal(signal.SIGTERM) is not before
         assert signal.getsignal(signal.SIGTERM) is before
 

@@ -44,10 +44,16 @@ class TestAlu:
             asm.li(Reg.t1, 5)
             asm.div(Reg.s0, Reg.t0, Reg.t1)
             asm.mod(Reg.s1, Reg.t0, Reg.t1)
+            asm.mul(Reg.s2, Reg.t0, Reg.t1)
+            asm.li(Reg.t2, (1 << 63) + 3)
+            asm.li(Reg.t3, 2)
+            asm.mul(Reg.s3, Reg.t2, Reg.t3)  # 2**64 + 6: wraps to 6
 
         system, process = run_program(body)
         assert process.original_thread.reg(Reg.s0) == 3
         assert process.original_thread.reg(Reg.s1) == 2
+        assert process.original_thread.reg(Reg.s2) == 85
+        assert process.original_thread.reg(Reg.s3) == 6
 
     def test_signed_division(self):
         def body(asm):
@@ -80,6 +86,36 @@ class TestAlu:
         assert t.reg(Reg.s2) == 0b0100
         assert t.reg(Reg.s3) == 0b1101
 
+        def three_register_forms(asm):
+            asm.li(Reg.t0, 0b1100)
+            asm.li(Reg.t1, 0b0110)
+            asm.and_(Reg.s0, Reg.t0, Reg.t1)
+            asm.or_(Reg.s1, Reg.t0, Reg.t1)
+            asm.li(Reg.t2, 2)
+            asm.shl(Reg.s2, Reg.t0, Reg.t2)
+            asm.shr(Reg.s3, Reg.t0, Reg.t2)
+            # Shift counts are masked to 6 bits: 66 shifts by 2, 64 by 0.
+            asm.li(Reg.t3, 66)
+            asm.shl(Reg.s4, Reg.t0, Reg.t3)
+            asm.shr(Reg.s5, Reg.t0, Reg.t3)
+            asm.li(Reg.t4, 64)
+            asm.shl(Reg.s6, Reg.t0, Reg.t4)
+            # Bits shifted past bit 63 are dropped (64-bit wrap).
+            asm.li(Reg.t5, (1 << 63) | 1)
+            asm.li(Reg.t6, 1)
+            asm.shl(Reg.s7, Reg.t5, Reg.t6)
+
+        system, process = run_program(three_register_forms)
+        t = process.original_thread
+        assert t.reg(Reg.s0) == 0b0100
+        assert t.reg(Reg.s1) == 0b1110
+        assert t.reg(Reg.s2) == 0b110000
+        assert t.reg(Reg.s3) == 0b11
+        assert t.reg(Reg.s4) == 0b110000
+        assert t.reg(Reg.s5) == 0b11
+        assert t.reg(Reg.s6) == 0b1100
+        assert t.reg(Reg.s7) == 2
+
     def test_slt_signed(self):
         def body(asm):
             asm.li(Reg.t0, -1)
@@ -99,6 +135,16 @@ class TestAlu:
 
 
 class TestControlFlow:
+    def test_halt_is_exit_zero(self):
+        def body(asm):
+            asm.li(Reg.s0, 5)
+            asm.halt()
+            asm.li(Reg.s0, 9)  # never reached
+
+        system, process = run_program(body)
+        assert process.exited and process.exit_code == 0
+        assert process.original_thread.reg(Reg.s0) == 5
+
     def test_loop_with_branch(self):
         def body(asm):
             asm.li(Reg.s0, 0)

@@ -6,7 +6,7 @@ from repro.fs.filesystem import FileSystem
 from repro.kernel.thread import ThreadState
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
-from repro.vm.isa import Reg, SYS_EXIT
+from repro.vm.isa import Op, Reg, SYS_EXIT
 
 from tests.conftest import make_system, small_system_config
 
@@ -171,6 +171,55 @@ class TestDynamicTransfers:
         thread, reason = run_spec_thread(system, process)
         assert reason == "spec_idle"
         assert system.stats.get("spec.park.left_shadow") == 1
+
+    @staticmethod
+    def _spec_switch(index):
+        """Run the shadow of ``switch t0`` over an unrecognized table whose
+        slot 0 is a function entry and slot 1 a mid-function label."""
+        asm = Assembler("specswitch")
+        asm.entry("main")
+        with asm.function("helper"):
+            asm.li(Reg.s0, 77)
+            asm.label("inside")
+            asm.li(Reg.a0, 0)
+            asm.syscall(SYS_EXIT)
+        with asm.function("main"):
+            table = asm.jump_table(["helper", "inside"], recognized=False)
+            asm.li(Reg.t0, index)
+            asm.switch(Reg.t0, table)
+            asm.li(Reg.a0, 0)
+            asm.syscall(SYS_EXIT)
+        binary = SpecHintTool().transform(asm.finish())
+        meta = binary.spec_meta
+        switch = next(
+            i for i in binary.text[meta.shadow_base:] if i.op is Op.SPEC_SWITCH
+        )
+        assert switch.c == table  # unrecognized: no shadow twin of the table
+        system = make_system(FileSystem(), small_system_config())
+        process = system.kernel.spawn(binary)
+        thread = process.spec_thread
+        thread.state = ThreadState.RUNNABLE
+        thread.pc = meta.function_map[binary.function("main").entry]
+        reason = system.kernel.machine.execute(thread, budget=1_000_000)
+        assert reason == "spec_idle"
+        return system, process, thread
+
+    def test_spec_switch_maps_a_function_entry_to_its_shadow_twin(self):
+        system, process, thread = self._spec_switch(0)
+        assert thread.reg(Reg.s0) == 77  # the helper's shadow ran
+        assert process.spec.signals == 0
+        assert system.stats.get("spec.park.unrecognized_jump_table") == 0
+
+    def test_spec_switch_out_of_range_becomes_signal(self):
+        system, process, thread = self._spec_switch(2)
+        assert process.spec.signals == 1
+        assert thread.reg(Reg.s0) == 0
+
+    def test_spec_switch_to_unmappable_target_parks(self):
+        system, process, thread = self._spec_switch(1)
+        assert system.stats.get("spec.park.unrecognized_jump_table") == 1
+        assert process.spec.signals == 0
+        assert thread.reg(Reg.s0) == 0
 
 
 class TestSpeculativeFaults:
