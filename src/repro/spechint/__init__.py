@@ -17,7 +17,7 @@ SpecVM substrate:
   Section 5 cancel-based throttle;
 * :mod:`repro.spechint.report` — transformation statistics;
 * :mod:`repro.spechint.auditor` — the isolation auditor: write-containment
-  guard, tamper-evident audit table, restart-boundary digests, and the
+  guard, tamper-evident audit table, restart-boundary snapshots, and the
   bounded quarantine imposed on violations.
 """
 

@@ -20,11 +20,11 @@ tested contract, in three parts:
   re-verified at each restart boundary, so a record rewritten after the
   fact is detected;
 
-* **restart-boundary digest** — the original thread digests its non-shadow
-  state (fd-table bindings, heap break, the saved register snapshot) at
-  every read call; the speculating thread re-digests and compares before
-  consuming the saved state in :meth:`perform_restart`.  Speculation can
-  only restart from state it provably did not disturb.
+* **restart-boundary snapshot** — the original thread snapshots its
+  non-shadow state (fd-table bindings, heap break, the saved registers) at
+  every read call; the speculating thread takes the snapshot again and
+  compares before consuming the saved state in :meth:`perform_restart`.
+  Speculation can only restart from state it provably did not disturb.
 
 On any violation the runtime imposes a :class:`IsolationQuarantine` —
 speculation is suspended for a bounded, exponentially growing number of
@@ -52,12 +52,18 @@ _GENESIS = "spechint-audit-genesis"
 
 
 def _digest(*parts: object) -> str:
-    """Short, stable hex digest of a tuple of printable parts."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")
-    return h.hexdigest()[:24]
+    """Short, stable hex digest of a tuple of printable parts (each part's
+    ``repr`` followed by a unit separator)."""
+    data = "".join(repr(part) + "\x1f" for part in parts)
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()[:24]
+
+
+def _chain_digest(previous: str, seq: int, kind: str, detail: str) -> str:
+    """``_digest(previous, seq, kind, detail)``, the audit chain's link,
+    spelled out: the table re-hashes every retained record at every
+    restart, so this is the one digest that is hot."""
+    data = f"{previous!r}\x1f{seq!r}\x1f{kind!r}\x1f{detail!r}\x1f"
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()[:24]
 
 
 class AuditRecord:
@@ -96,7 +102,7 @@ class AuditTable:
     def record(self, kind: str, detail: str = "") -> AuditRecord:
         seq = self.records_total
         self.records_total += 1
-        digest = _digest(self.head_digest, seq, kind, detail)
+        digest = _chain_digest(self.head_digest, seq, kind, detail)
         entry = AuditRecord(seq, kind, detail, digest)
         self._records.append(entry)
         self.head_digest = digest
@@ -113,7 +119,7 @@ class AuditTable:
         retained record was altered after it was written."""
         running = self.anchor_digest
         for entry in self._records:
-            expected = _digest(running, entry.seq, entry.kind, entry.detail)
+            expected = _chain_digest(running, entry.seq, entry.kind, entry.detail)
             if entry.digest != expected:
                 raise IsolationViolation(
                     f"audit record #{entry.seq} ({entry.kind}) fails its "
@@ -180,10 +186,10 @@ class IsolationAuditor:
         self.process = process
         self.table = AuditTable(capacity)
 
-        #: Boundary digests (captured by the original thread, verified by
+        #: Boundary snapshots (captured by the original thread, verified by
         #: the speculating thread at the next restart).
-        self._boundary_digest: Optional[str] = None
-        self._saved_regs_digest: Optional[str] = None
+        self._boundary_state: Optional[Tuple] = None
+        self._saved_regs: Optional[Tuple[int, ...]] = None
 
         #: Lifetime statistics.
         self.cow_writes_checked = 0
@@ -232,27 +238,24 @@ class IsolationAuditor:
                     f"{region:#x} out of the containment map"
                 )
 
-    # -- restart-boundary digest ---------------------------------------------
+    # -- restart-boundary snapshot -------------------------------------------
 
-    def _state_digest(self) -> str:
-        """Digest of non-shadow state speculation must never disturb:
-        fd-table bindings (fd -> inode; offsets excluded because the
-        blocked read legitimately advances its own offset) and the heap
-        break."""
-        bindings: Tuple = tuple(sorted(
+    def _boundary(self) -> Tuple:
+        """The non-shadow state speculation must never disturb: fd-table
+        bindings (fd -> inode; offsets excluded because the blocked read
+        legitimately advances its own offset) and the heap break."""
+        bindings = tuple(sorted(
             (fd, state.inode.ino if state.inode is not None else -1)
             for fd, state in self.process.fds.items()
         ))
-        return _digest(bindings, self.process.mem.brk)
+        return (bindings, self.process.mem.brk)
 
     def capture_boundary(self, saved_regs: Optional[List[int]]) -> None:
-        """Original-thread side: snapshot the boundary digests at a read
-        call (the last capture before a restart is the blocking read)."""
+        """Original-thread side: snapshot the boundary at a read call (the
+        last capture before a restart is the blocking read)."""
         self.boundary_captures += 1
-        self._boundary_digest = self._state_digest()
-        self._saved_regs_digest = (
-            _digest(tuple(saved_regs)) if saved_regs is not None else None
-        )
+        self._boundary_state = self._boundary()
+        self._saved_regs = tuple(saved_regs) if saved_regs is not None else None
 
     def verify_restart_boundary(self, saved_regs: Optional[List[int]]) -> None:
         """Speculating-thread side: nothing non-shadow may have changed
@@ -261,16 +264,15 @@ class IsolationAuditor:
         the audit chain."""
         self.boundary_verifies += 1
         self.table.verify()
-        if self._boundary_digest is not None:
-            current = self._state_digest()
-            if current != self._boundary_digest:
+        if self._boundary_state is not None:
+            if self._boundary() != self._boundary_state:
                 self.violations += 1
                 raise IsolationViolation(
                     "non-shadow state (fd table / heap break) changed "
                     "across the speculation-only window"
                 )
-        if self._saved_regs_digest is not None and saved_regs is not None:
-            if _digest(tuple(saved_regs)) != self._saved_regs_digest:
+        if self._saved_regs is not None and saved_regs is not None:
+            if tuple(saved_regs) != self._saved_regs:
                 self.violations += 1
                 raise IsolationViolation(
                     "saved register snapshot was mutated between the "

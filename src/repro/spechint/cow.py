@@ -21,7 +21,7 @@ a simulated signal (speculation halts until the next restart).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.kernel.vmstat import PageAccounting
 from repro.params import PAGE_SIZE, SpecHintParams
@@ -62,6 +62,10 @@ class CowMap:
         self.stats = stats
         self.tracer = tracer
         self._copies: Dict[int, bytearray] = {}
+        #: Regions seen to lie wholly inside a mapped segment: an access
+        #: within one needs no range test of its own.  Mapped ranges only
+        #: grow (no break ever moves down), so the fact cannot go stale.
+        self._mapped_regions: Set[int] = set()
         #: Lifetime counters (across clears).
         self.regions_copied_total = 0
         self.bytes_copied_total = 0
@@ -86,7 +90,7 @@ class CowMap:
     # -- internals ------------------------------------------------------------
 
     def _check(self, addr: int, length: int) -> None:
-        if not self.mem.valid(addr, length):
+        if not self.mem.mapped(addr, length):
             raise SpeculationFault(f"speculative access to [{addr:#x}+{length}]")
 
     def _ensure_copied(self, region: int) -> int:
@@ -152,7 +156,8 @@ class CowMap:
             region = cursor // size
             off = cursor - region * size
             chunk = min(remaining, size - off)
-            extra += self._ensure_copied(region)
+            if region not in self._copies:
+                extra += self._ensure_copied(region)
             self._copies[region][off:off + chunk] = payload[index:index + chunk]
             cursor += chunk
             index += chunk
@@ -161,19 +166,67 @@ class CowMap:
             self.auditor.check_cow_containment(self, addr, len(payload))
         return extra
 
-    # -- word/byte interface (machine COW_* handlers) ------------------------------
+    # -- word/byte interface (machine COW_* handlers, translated blocks) ----------
+    #
+    # Each accessor is the whole software check of one shadow load/store in
+    # one call: address validity, region lookup, first-write copy and the
+    # auditor's containment check.  An access that straddles two regions
+    # takes the bulk path, which does the same steps piecewise.
+
+    def _validate(self, region: int, addr: int, length: int) -> None:
+        """The address-validity test of an access inside ``region`` that
+        is not known to be wholly mapped yet."""
+        size = self.region_size
+        if self.mem.mapped(region * size, size):
+            self._mapped_regions.add(region)
+        else:
+            self._check(addr, length)
 
     def load_word(self, addr: int) -> int:
-        return int.from_bytes(self._read(addr, 8), "little")
+        size = self.region_size
+        region = addr // size
+        off = addr - region * size
+        if off + 8 > size:
+            return int.from_bytes(self._read(addr, 8), "little")
+        if region not in self._mapped_regions:
+            self._validate(region, addr, 8)
+        copy = self._copies.get(region)
+        if copy is None:
+            return int.from_bytes(self.mem.raw_read(addr, 8), "little")
+        return int.from_bytes(copy[off:off + 8], "little")
 
     def store_word(self, addr: int, value: int) -> int:
-        return self._write(addr, (value & MASK64).to_bytes(8, "little"))
+        size = self.region_size
+        region = addr // size
+        off = addr - region * size
+        if off + 8 > size:
+            return self._write(addr, (value & MASK64).to_bytes(8, "little"))
+        if region not in self._mapped_regions:
+            self._validate(region, addr, 8)
+        extra = 0 if region in self._copies else self._ensure_copied(region)
+        self._copies[region][off:off + 8] = (value & MASK64).to_bytes(8, "little")
+        if self.auditor is not None:
+            self.auditor.check_cow_containment(self, addr, 8)
+        return extra
 
     def load_byte(self, addr: int) -> int:
-        return self._read(addr, 1)[0]
+        region = addr // self.region_size
+        if region not in self._mapped_regions:
+            self._validate(region, addr, 1)
+        copy = self._copies.get(region)
+        if copy is None:
+            return self.mem.raw_read(addr, 1)[0]
+        return copy[addr - region * self.region_size]
 
     def store_byte(self, addr: int, value: int) -> int:
-        return self._write(addr, bytes((value & 0xFF,)))
+        region = addr // self.region_size
+        if region not in self._mapped_regions:
+            self._validate(region, addr, 1)
+        extra = 0 if region in self._copies else self._ensure_copied(region)
+        self._copies[region][addr - region * self.region_size] = value & 0xFF
+        if self.auditor is not None:
+            self.auditor.check_cow_containment(self, addr, 1)
+        return extra
 
     # -- bulk interface (SpecHint runtime) -------------------------------------------
 
@@ -214,12 +267,25 @@ class CowMap:
                 f"speculative string at unmapped address {addr:#x}"
             )
         limit = min(max_len, seg_end - addr)
+        size = self.region_size
         out = bytearray()
-        for i in range(limit):
-            byte = self.load_byte(addr + i)
-            if byte == 0:
+        cursor = addr
+        end = addr + limit
+        while cursor < end:
+            region = cursor // size
+            base = region * size
+            stop = min(end, base + size)
+            copy = self._copies.get(region)
+            if copy is None:
+                chunk = self.mem.raw_read(cursor, stop - cursor)
+            else:
+                chunk = copy[cursor - base:stop - base]
+            nul = chunk.find(b"\0")
+            if nul >= 0:
+                out += chunk[:nul]
                 return bytes(out)
-            out.append(byte)
+            out += chunk
+            cursor = stop
         if limit < max_len:
             raise SpeculationFault(
                 f"speculative string at {addr:#x} crosses the region "

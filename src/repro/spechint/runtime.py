@@ -297,7 +297,7 @@ class SpecProcessState:
         return cost
 
     def _capture_boundary(self) -> None:
-        """Snapshot the restart-boundary digests at this read call.  The
+        """Snapshot the restart boundary at this read call.  The
         last capture before a restart is the blocking read itself, so the
         speculating thread verifies against exactly the state the original
         thread stalled with."""

@@ -1,0 +1,258 @@
+"""Translated basic blocks: hot straight-line SpecVM code as Python functions.
+
+The interpreter pays one handler call, one clock call and a dozen attribute
+reads per instruction.  A *block* is a maximal run of non-system
+instructions that starts at a leader (a branch, call, jump-table or
+fall-through target, a function entry, the instruction after a system one)
+and ends with the first control transfer, or just before the next leader or
+system instruction.  Once a leader has been entered :data:`HOT_ENTRIES`
+times its block is translated into one generated function — registers as
+``r[n]``, operands as constants, the terminating transfer as the returned
+pc — and the machine calls that function in place of per-instruction
+dispatch, charging the block's cycles once (:mod:`repro.vm.machine` decides
+when a block may run and does the bookkeeping; this module only knows how
+to turn instructions into source).
+
+What generated code promises the machine:
+
+* it returns the next pc after executing *every* instruction of the block,
+  whose static cycle costs are ``prefix`` (cumulative, one entry per
+  instruction boundary);
+* before any instruction that can fault or cost extra cycles it stores that
+  instruction's index in ``thread.pc``, so a typed fault leaves the thread
+  exactly where the interpreter would, and
+* an instruction that incurs *dynamic* cycles (a page reclaim or fault after
+  a plain load/store, a first COW copy) raises :class:`BlockLeave` after it
+  completes: such events are rare, so the block is simply left at that
+  instruction boundary and the interpreter finishes it.
+
+Memory goes through the same accessors the interpreter uses
+(``AddressSpace``/``CowMap`` bound methods, ``PageAccounting.touch_addr``),
+so validity tests, the armed write guard and the auditor's containment
+check all still run.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Tuple, cast
+
+from repro.vm.binary import Binary
+from repro.vm.isa import (
+    ALU_COST,
+    BRANCH_COST,
+    CALL_COST,
+    MASK64,
+    MEM_COST,
+    SWITCH_COST,
+    TEXT_TARGET_OPS,
+    Insn,
+    Op,
+)
+
+#: Entries into a leader before its block is translated.  ``compile()``
+#: costs 15-25 us per generated line here (about 150 us for an 8-instruction
+#: block) against about 1 us saved per executed instruction, so a block
+#: pays for itself after a few dozen runs.  Leaders are static, which bounds
+#: the cost either way: on the four-app speculating matrix, translating at
+#: the first entry builds 222 blocks (1,584 lines, 23 ms a pass) that retire
+#: 91.6 % of the instructions, translating at the 49th 148 blocks (1,193
+#: lines, 17 ms) that retire 88.6 %, and the pass times cannot be told
+#: apart; the threshold keeps start-up and error paths, and most of a short
+#: sweep cell, out of the compiler.
+HOT_ENTRIES = 48
+
+#: ``(function, need, count, cost, prefix)``: the generated function, the
+#: static cycles before the last instruction (the block may start only with
+#: more room than that), the instruction count, the total static cycles,
+#: and the cumulative cycles at every instruction boundary.  A plain tuple
+#: because the machine unpacks one per block run.
+Block = Tuple[Callable[..., int], int, int, int, Tuple[int, ...]]
+
+#: Generated code objects carry a file name inside this package, so that
+#: profilers attribute block execution to the VM, and the program's name, so
+#: that blocks of different programs at the same pc stay distinct there.
+_FILENAME = os.path.join(os.path.dirname(os.path.abspath(__file__)), "<{} blocks>")
+
+
+class BlockLeave(Exception):
+    """Raised by generated code after an instruction that cost dynamic
+    cycles (``args[0]``); ``thread.pc`` is that instruction's index."""
+
+
+# -- instruction templates ------------------------------------------------------
+#
+# Fields: a/b/c are the raw operands, cm = c & MASK64, sh = c & 63, pc the
+# instruction's index, nxt = pc + 1.  X and Y stand for the signed reading of
+# the locals x and y (isa.to_signed, inlined).
+
+Templates = Dict[Op, Tuple[int, str]]
+
+
+def _expand(templates: Templates) -> Templates:
+    signed = "({v} - {wrap:#x} if {v} >= {sign:#x} else {v})"
+    x, y = (signed.format(v=v, wrap=1 << 64, sign=1 << 63) for v in "xy")
+    return {
+        op: (cost, source.replace("M64", f"{MASK64:#x}").replace("X", x).replace("Y", y))
+        for op, (cost, source) in templates.items()
+    }
+
+
+_ADDR = "t.pc = {pc}; m = (r[{b}] + {c}) & M64\n"
+_PAGE = "\ne = page_cost[touch(m)]\nif e: raise Leave(e)"
+_COW_EXTRA = "\nif e: raise Leave(e)"
+
+#: op -> (static cycles, source); ``d`` is added to the cycles of COW ops.
+_STRAIGHT = _expand({
+    Op.NOP: (ALU_COST, ""),
+    Op.LI: (ALU_COST, "r[{a}] = {cm}"),
+    Op.LA: (ALU_COST, "r[{a}] = {cm}"),
+    Op.MOV: (ALU_COST, "r[{a}] = r[{b}]"),
+    Op.ADD: (ALU_COST, "r[{a}] = (r[{b}] + r[{c}]) & M64"),
+    Op.SUB: (ALU_COST, "r[{a}] = (r[{b}] - r[{c}]) & M64"),
+    Op.MUL: (ALU_COST, "r[{a}] = (r[{b}] * r[{c}]) & M64"),
+    Op.DIV: (ALU_COST, "t.pc = {pc}; y = r[{c}]\n"
+                       "if not y: zero_divisor(t, 'division')\n"
+                       "x = r[{b}]; r[{a}] = (X // Y) & M64"),
+    Op.MOD: (ALU_COST, "t.pc = {pc}; y = r[{c}]\n"
+                       "if not y: zero_divisor(t, 'modulus')\n"
+                       "x = r[{b}]; r[{a}] = (X % Y) & M64"),
+    Op.AND: (ALU_COST, "r[{a}] = r[{b}] & r[{c}]"),
+    Op.OR: (ALU_COST, "r[{a}] = r[{b}] | r[{c}]"),
+    Op.XOR: (ALU_COST, "r[{a}] = r[{b}] ^ r[{c}]"),
+    Op.SHL: (ALU_COST, "r[{a}] = (r[{b}] << (r[{c}] & 63)) & M64"),
+    Op.SHR: (ALU_COST, "r[{a}] = r[{b}] >> (r[{c}] & 63)"),
+    Op.SLT: (ALU_COST, "x = r[{b}]; y = r[{c}]; r[{a}] = 1 if X < Y else 0"),
+    Op.ADDI: (ALU_COST, "r[{a}] = (r[{b}] + {c}) & M64"),
+    Op.MULI: (ALU_COST, "r[{a}] = (r[{b}] * {c}) & M64"),
+    Op.ANDI: (ALU_COST, "r[{a}] = r[{b}] & {cm}"),
+    Op.ORI: (ALU_COST, "r[{a}] = r[{b}] | {cm}"),
+    Op.SHLI: (ALU_COST, "r[{a}] = (r[{b}] << {sh}) & M64"),
+    Op.SHRI: (ALU_COST, "r[{a}] = r[{b}] >> {sh}"),
+    Op.SLTI: (ALU_COST, "x = r[{b}]; r[{a}] = 1 if X < {c} else 0"),
+    Op.LOAD: (MEM_COST, _ADDR + "r[{a}] = load_word(m)" + _PAGE),
+    Op.STORE: (MEM_COST, _ADDR + "store_word(m, r[{a}])" + _PAGE),
+    Op.LOADB: (MEM_COST, _ADDR + "r[{a}] = load_byte(m)" + _PAGE),
+    Op.STOREB: (MEM_COST, _ADDR + "store_byte(m, r[{a}])" + _PAGE),
+    Op.COW_LOAD: (MEM_COST, _ADDR + "r[{a}] = cow_load_word(m)"),
+    Op.COW_STORE: (MEM_COST, _ADDR + "e = cow_store_word(m, r[{a}])" + _COW_EXTRA),
+    Op.COW_LOADB: (MEM_COST, _ADDR + "r[{a}] = cow_load_byte(m)"),
+    Op.COW_STOREB: (MEM_COST, _ADDR + "e = cow_store_byte(m, r[{a}])" + _COW_EXTRA),
+})
+
+#: Control transfers end a block; their source returns the next pc.
+_TRANSFER = _expand({
+    Op.BEQ: (BRANCH_COST, "return {c} if r[{a}] == r[{b}] else {nxt}"),
+    Op.BNE: (BRANCH_COST, "return {c} if r[{a}] != r[{b}] else {nxt}"),
+    Op.BLT: (BRANCH_COST, "x = r[{a}]; y = r[{b}]\nreturn {c} if X < Y else {nxt}"),
+    Op.BGE: (BRANCH_COST, "x = r[{a}]; y = r[{b}]\nreturn {c} if X >= Y else {nxt}"),
+    Op.JMP: (BRANCH_COST, "return {c}"),
+    Op.JR: (BRANCH_COST, "t.pc = {pc}; x = r[{a}]; check_target(t, x)\nreturn x"),
+    Op.CALL: (CALL_COST, "r[31] = {nxt}\nreturn {c}"),
+    Op.CALLR: (CALL_COST, "t.pc = {pc}; x = r[{a}]; check_target(t, x)\n"
+                          "r[31] = {nxt}\nreturn x"),
+    Op.SWITCH: (SWITCH_COST, "t.pc = {pc}; x = r[{a}]\n"
+                             "if x >= {ntargets}: switch_fault(t, x)\n"
+                             "return {targets}[x]"),
+})
+
+_COW_OPS = frozenset({Op.COW_LOAD, Op.COW_STORE, Op.COW_LOADB, Op.COW_STOREB})
+_COW_STORES = frozenset({Op.COW_STORE, Op.COW_STOREB})
+
+
+@functools.lru_cache(maxsize=8192)
+def _compile(source: str, program: str) -> CodeType:
+    """Generated code is built once per distinct source text per process:
+    every cell of a sweep that runs the same program reuses it."""
+    return compile(source, _FILENAME.format(program), "exec")
+
+
+def _leaders(binary: Binary) -> List[int]:
+    """Per text index: 0 where a block may start, -1 elsewhere."""
+    text = binary.text
+    starts = {binary.entry_point}
+    starts.update(func.entry for func in binary.functions)
+    for table in binary.jump_tables:
+        starts.update(table.targets)
+    for index, insn in enumerate(text):
+        if insn.op in TEXT_TARGET_OPS:
+            starts.add(insn.c)
+        if insn.op not in _STRAIGHT:
+            starts.add(index + 1)
+    return [0 if index in starts else -1 for index in range(len(text))]
+
+
+class BlockTable:
+    """The blocks of one process's text, translated as they get hot."""
+
+    def __init__(
+        self, binary: Binary, bindings: Dict[str, object], clock_observed: bool
+    ) -> None:
+        self.binary = binary
+        #: A tracer stamps events with the clock, which a block advances
+        #: only when it ends: under one, the instruction that can emit an
+        #: event in mid-block (a COW store making a first copy) is left to
+        #: the interpreter like a system instruction.
+        self.clock_observed = clock_observed
+        #: Per text index: entries seen so far at a leader whose block is
+        #: not translated yet; -1 once it is, and at every other index.
+        self.heat: List[int] = _leaders(binary)
+        #: Per text index: the translated block that starts there.
+        self.blocks: List[Optional[Block]] = [None] * len(binary.text)
+        #: What generated code calls — the process's memory, COW map and
+        #: page accounting, the machine's fault helpers — under the names
+        #: the templates use, bound when the table is built.  Blocks with
+        #: COW instructions stay untranslated without a COW map.
+        self._namespace: Dict[str, object] = dict(bindings, Leave=BlockLeave)
+
+    def translate(self, start: int) -> Optional[Block]:
+        """Translate the block at leader ``start`` and stop counting its
+        entries; None when no instruction there can be translated."""
+        self.heat[start] = -1
+        text = self.binary.text
+        lines: List[str] = []
+        prefix = [0]
+        pc = start
+        while pc < len(text):
+            insn = text[pc]
+            op = insn.op
+            template = _STRAIGHT.get(op) or _TRANSFER.get(op)
+            if template is None or (self.clock_observed and op in _COW_STORES):
+                break  # a system instruction: the interpreter's business
+            cost, source = template
+            if op in _COW_OPS:
+                if "cow_load_word" not in self._namespace:
+                    return None
+                cost += insn.d
+            lines.append(self._format(source, insn, pc))
+            prefix.append(prefix[-1] + cost)
+            pc += 1
+            if op in _TRANSFER or (
+                pc < len(text)
+                and (self.heat[pc] >= 0 or self.blocks[pc] is not None)
+            ):
+                break  # a control transfer, or the next block's leader
+        if pc == start:
+            return None
+        if text[pc - 1].op not in _TRANSFER:
+            lines.append(f"return {pc}")
+        name = f"block_{start}"
+        body = "\n".join(lines).replace("\n", "\n    ")
+        source = f"def {name}(t, r):\n    {body}\n"
+        exec(_compile(source, self.binary.name), self._namespace)
+        function = cast(Callable[..., int], self._namespace.pop(name))
+        block = (function, prefix[-2], pc - start, prefix[-1], tuple(prefix))
+        self.blocks[start] = block
+        return block
+
+    def _format(self, source: str, insn: Insn, pc: int) -> str:
+        fields: Dict[str, object] = dict(
+            a=insn.a, b=insn.b, c=insn.c, cm=insn.c & MASK64, sh=insn.c & 63,
+            pc=pc, nxt=pc + 1,
+        )
+        if insn.op is Op.SWITCH:
+            targets = tuple(self.binary.jump_table(insn.c).targets)
+            fields.update(ntargets=len(targets), targets=targets)
+        return source.format(**fields)

@@ -11,6 +11,13 @@ execution modes:
   speculating thread runs on a second CPU, consuming a cycle *budget* equal
   to the wall time that has passed, without advancing the global clock.
 
+In both modes hot basic blocks run as translated straight-line code
+(:mod:`repro.vm.blocks`) and are charged once per block; everything else —
+system instructions, cold code, a block that no longer fits before the
+preemption point, a pending restart — goes through the per-instruction
+handlers below.  The two are indistinguishable from outside: same cycles,
+same instruction counts, same state at every stop and at every fault.
+
 Speculative execution faults (bad addresses, division by zero on garbage
 data) are converted to simulated signals: the fault is counted and the
 speculating thread parks until the next restart — the paper's
@@ -19,12 +26,13 @@ signal-handler design (Section 3.2.1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ArithmeticFault, IsolationViolation, MachineFault
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.trace.tracer import CAT_SCHED, TID_ORIGINAL, TID_SPECULATING
+from repro.vm.blocks import HOT_ENTRIES, BlockLeave, BlockTable
 from repro.vm.isa import (
     ALU_COST,
     BRANCH_COST,
@@ -39,6 +47,7 @@ from repro.vm.isa import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.kernel.process import Process
     from repro.kernel.thread import Thread
 
 
@@ -53,6 +62,9 @@ _STOPPED = -1
 #: Dynamic-handling-routine overhead for SPEC_JR / SPEC_CALLR / SPEC_SWITCH.
 _HANDLER_COST = 24
 
+#: What an instruction inside a translated block can raise.
+_BLOCK_FAULTS = (SpeculationFault, MachineFault, IsolationViolation)
+
 
 class Machine:
     """Interprets SpecVM instructions for the kernel."""
@@ -64,6 +76,11 @@ class Machine:
         self._dispatch: List[Callable[["Thread", Insn], int]] = self._build_dispatch()
         #: Total instructions executed (all threads).
         self.instructions = 0
+        #: Of those, the ones retired inside translated blocks, and the
+        #: number of blocks translated (see :mod:`repro.vm.blocks`).
+        self.block_instructions = 0
+        self.blocks_translated = 0
+        self._block_tables: Dict["Process", BlockTable] = {}
         #: Cycle charges for page events (paper: speculation's memory
         #: side effects — reclaims and faults — cost real time).
         cpu = kernel.config.cpu
@@ -132,9 +149,11 @@ class Machine:
         poll_interval = 0
         if is_spec and spec is not None:
             poll_interval = spec.params.restart_poll_interval
-
+        table = self._block_tables.get(process) or self._new_block_table(process)
+        blocks = table.blocks
+        heat = table.heat
         # Budget tracking lives on the thread so the except path can see it.
-        thread.pending_budget = budget  # type: ignore[attr-defined]
+        thread.pending_budget = budget
 
         while True:
             # Charge any cost deferred from a wakeup (e.g. read-copy cycles).
@@ -144,7 +163,7 @@ class Machine:
                 self._charge(thread, cost, budget)
                 if budget is not None:
                     budget -= cost
-                    thread.pending_budget = budget  # type: ignore[attr-defined]
+                    thread.pending_budget = budget
 
             # Drain interruptible computation (CWORK/SCWORK remainder).
             if thread.cwork_remaining:
@@ -152,17 +171,78 @@ class Machine:
                 if stopped is not None:
                     return stopped
                 if budget is not None:
-                    budget = thread.pending_budget  # type: ignore[attr-defined]
+                    budget = thread.pending_budget
 
             # Preemption points.
             if budget is None:
                 horizon = engine.horizon
                 if until is not None and until < horizon:
                     horizon = until
-                if clock.now >= horizon:
+                room = horizon - clock.now
+                if room <= 0:
                     return "event"
-            elif budget <= 0:
-                return "budget"
+            else:
+                room = budget
+                if room <= 0:
+                    return "budget"
+
+            pc = thread.pc
+            block = blocks[pc]
+            if block is None:
+                entries = heat[pc]
+                if entries >= HOT_ENTRIES:
+                    block = table.translate(pc)
+                    if block is not None:
+                        self.blocks_translated += 1
+                elif entries >= 0:
+                    heat[pc] = entries + 1
+
+            # A translated block runs whole when nothing can happen
+            # inside it that per-instruction execution would notice:
+            # every instruction starts before the preemption point
+            # (only system instructions move the horizon), and the
+            # restart poll only counts (the flag is set by the original
+            # thread alone, so it cannot change under a running block).
+            if block is not None:
+                function, need, count, cost, prefix = block
+                polls = thread.poll_counter if poll_interval else 0
+                if room > need and not (
+                    poll_interval and spec is not None
+                    and (spec.restart_flag or polls >= poll_interval)
+                ):
+                    fault: Optional[Exception] = None
+                    try:
+                        thread.pc = function(thread, thread.regs)
+                    except BlockLeave as leave:
+                        # The instruction at thread.pc completed with
+                        # dynamic cycles: go round at that boundary.
+                        count = thread.pc - pc + 1
+                        cost = prefix[count] + leave.args[0]
+                        thread.pc += 1
+                    except _BLOCK_FAULTS as exc:
+                        # The interpreter's state at a fault: pc at the
+                        # faulting instruction, which is counted but not
+                        # charged; everything before it charged.
+                        fault = exc
+                        cost = prefix[thread.pc - pc]
+                        count = thread.pc - pc + 1
+                    self.instructions += count
+                    self.block_instructions += count
+                    if poll_interval:
+                        thread.poll_counter = (polls + count) % poll_interval
+                    thread.cpu_cycles += cost
+                    if budget is None:
+                        # A sum of cycle costs: never negative.
+                        clock.now += cost
+                    else:
+                        budget -= cost
+                        thread.spec_clock += cost
+                        thread.pending_budget = budget
+                    if fault is None:
+                        continue
+                    if isinstance(fault, MachineFault):
+                        self._spec_mem_fault(thread, fault)
+                    raise fault
 
             # Restart-flag poll (speculating thread only).
             if poll_interval:
@@ -177,10 +257,10 @@ class Machine:
                         self._charge(thread, cost, budget)
                         if budget is not None:
                             budget -= cost
-                            thread.pending_budget = budget  # type: ignore[attr-defined]
+                            thread.pending_budget = budget
                         continue
 
-            insn = text[thread.pc]
+            insn = text[pc]
             self.instructions += 1
             cost = dispatch[insn.op](thread, insn)
             if cost == _STOPPED:
@@ -192,7 +272,32 @@ class Machine:
                 else:
                     budget -= cost
                     thread.spec_clock += cost
-                    thread.pending_budget = budget  # type: ignore[attr-defined]
+                    thread.pending_budget = budget
+
+    def _new_block_table(self, process: "Process") -> BlockTable:
+        """The process's block table, with the names generated code calls
+        bound to this process's memory, page accounting and COW map."""
+        mem = process.mem
+        bindings: Dict[str, object] = {
+            "load_word": mem.load_word,
+            "store_word": mem.store_word,
+            "load_byte": mem.load_byte,
+            "store_byte": mem.store_byte,
+            "touch": process.vmstat.touch_addr,
+            "page_cost": self._page_event_cost,
+            "check_target": self._check_text_target,
+            "zero_divisor": self._zero_divisor,
+            "switch_fault": self._switch_fault,
+        }
+        if process.spec is not None:
+            cow = process.spec.cow
+            bindings.update(
+                cow_load_word=cow.load_word, cow_store_word=cow.store_word,
+                cow_load_byte=cow.load_byte, cow_store_byte=cow.store_byte,
+            )
+        table = self._block_tables[process] = BlockTable(
+            process.binary, bindings, clock_observed=self.kernel.tracer.enabled)
+        return table
 
     def _charge(self, thread: "Thread", cost: int, budget: Optional[int]) -> None:
         """Charge cycles outside the main dispatch."""
@@ -228,7 +333,7 @@ class Machine:
         thread.spec_clock += chunk
         thread.cpu_cycles += chunk
         thread.cwork_remaining = remaining - chunk
-        thread.pending_budget = budget - chunk  # type: ignore[attr-defined]
+        thread.pending_budget = budget - chunk
         if thread.cwork_remaining:
             return "budget"
         return None
@@ -340,9 +445,7 @@ class Machine:
         r = thread.regs
         divisor = r[insn.c]
         if divisor == 0:
-            if thread.is_spec:
-                raise SpeculationFault("speculative division by zero")
-            raise ArithmeticFault(f"division by zero at pc={thread.pc}")
+            self._zero_divisor(thread, "division")
         r[insn.a] = (to_signed(r[insn.b]) // to_signed(divisor)) & MASK64
         thread.pc += 1
         return ALU_COST
@@ -351,12 +454,16 @@ class Machine:
         r = thread.regs
         divisor = r[insn.c]
         if divisor == 0:
-            if thread.is_spec:
-                raise SpeculationFault("speculative modulus by zero")
-            raise ArithmeticFault(f"modulus by zero at pc={thread.pc}")
+            self._zero_divisor(thread, "modulus")
         r[insn.a] = (to_signed(r[insn.b]) % to_signed(divisor)) & MASK64
         thread.pc += 1
         return ALU_COST
+
+    @staticmethod
+    def _zero_divisor(thread: "Thread", what: str) -> None:
+        if thread.is_spec:
+            raise SpeculationFault(f"speculative {what} by zero")
+        raise ArithmeticFault(f"{what} by zero at pc={thread.pc}")
 
     def _op_and(self, thread: "Thread", insn: Insn) -> int:
         r = thread.regs
@@ -537,15 +644,15 @@ class Machine:
         table = thread.process.binary.jump_table(insn.c)
         index = thread.regs[insn.a]
         if index >= len(table.targets):
-            if thread.is_spec:
-                raise SpeculationFault(
-                    f"speculative switch index {index} out of range"
-                )
-            raise MachineFault(
-                f"switch index {index} out of range at pc={thread.pc}"
-            )
+            self._switch_fault(thread, index)
         thread.pc = table.targets[index]
         return SWITCH_COST
+
+    @staticmethod
+    def _switch_fault(thread: "Thread", index: int) -> None:
+        if thread.is_spec:
+            raise SpeculationFault(f"speculative switch index {index} out of range")
+        raise MachineFault(f"switch index {index} out of range at pc={thread.pc}")
 
     def _check_text_target(self, thread: "Thread", target: int) -> None:
         if not 0 <= target < len(thread.process.binary.text):

@@ -61,26 +61,26 @@ class AddressSpace:
 
     # -- validity ---------------------------------------------------------------
 
+    def mapped(self, addr: int, length: int) -> bool:
+        """True when [addr, addr+length) lies inside one mapped segment.
+
+        The one range test: :meth:`check_range` (and through it every
+        typed accessor) and the COW map, which turns a miss into a
+        speculation fault instead, all decide validity here.
+        """
+        end = addr + length
+        return length >= 0 and (
+            self.data_start <= addr and end <= self.brk
+            or self.stack_limit <= addr and end <= self.stack_top
+            or SPEC_HEAP_BASE <= addr and end <= self.spec_brk
+        )
+
     def check_range(self, addr: int, length: int) -> None:
         """Raise :class:`IllegalAddress` unless [addr, addr+length) is mapped."""
-        if length < 0:
-            raise IllegalAddress(f"negative length {length} at {addr:#x}")
-        end = addr + length
-        if self.data_start <= addr and end <= self.brk:
-            return
-        if self.stack_limit <= addr and end <= self.stack_top:
-            return
-        if SPEC_HEAP_BASE <= addr and end <= self.spec_brk:
-            return
-        raise IllegalAddress(f"access to unmapped [{addr:#x}, {end:#x})")
-
-    def valid(self, addr: int, length: int) -> bool:
-        """Non-raising :meth:`check_range`."""
-        try:
-            self.check_range(addr, length)
-        except IllegalAddress:
-            return False
-        return True
+        if not self.mapped(addr, length):
+            if length < 0:
+                raise IllegalAddress(f"negative length {length} at {addr:#x}")
+            raise IllegalAddress(f"access to unmapped [{addr:#x}, {addr + length:#x})")
 
     def segment_end(self, addr: int) -> Optional[int]:
         """Exclusive end of the mapped segment containing ``addr``.

@@ -21,6 +21,7 @@ from repro.spechint.auditor import (
 from repro.spechint.cow import CowMap
 from repro.vm.memory import (
     DATA_BASE,
+    MASK64,
     SPEC_HEAP_BASE,
     AddressSpace,
 )
@@ -272,6 +273,83 @@ class TestEndToEnd:
         events = result.fault_events()
         assert events.get("spec.isolation_violations", 0) > 0
         assert events.get("spec.quarantines", 0) > 0
+
+    def test_broken_fused_store_is_caught_and_quarantined(self, monkeypatch):
+        """A shadow word store is one ``CowMap.store_word`` call that never
+        enters ``_write``, from the interpreter and from translated blocks
+        alike: rewritten to hit main memory, it must trip the write guard
+        (armed around block execution too) and quarantine."""
+
+        def broken_store(self, addr, value):
+            self.mem.raw_write(addr, (value & MASK64).to_bytes(8, "little"))
+            return 0
+
+        monkeypatch.setattr(CowMap, "store_word", broken_store)
+        self._assert_quarantined_with_baseline_output(_result(app="xds"))
+
+    def test_fused_store_outside_the_containment_map_is_caught(self, monkeypatch):
+        """A copy table that loses the regions it is given: every fused
+        store lands in a scratch buffer and main memory stays clean, so the
+        write guard sees nothing — only the containment check inside
+        ``store_word``/``store_byte`` notices the write is not contained."""
+
+        class LossyTable(dict):
+            def __setitem__(self, region, copy):
+                pass
+
+            def __missing__(self, region):
+                return bytearray(8192)
+
+        real_init = CowMap.__init__
+
+        def lossy_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self._copies = LossyTable()
+
+        monkeypatch.setattr(CowMap, "__init__", lossy_init)
+        self._assert_quarantined_with_baseline_output(_result(app="xds"))
+
+    def test_plain_store_escaping_from_a_translated_block_is_caught(self, monkeypatch):
+        """An analysis that wrongly proves every store heap-confined leaves
+        plain stores in the shadow code.  With blocks translated at first
+        entry the escaping store runs as generated code; the armed write
+        guard must veto it there exactly as under the interpreter."""
+        import traceback
+
+        import repro.vm.machine as machine_module
+        from repro.analysis.driver import ElisionPlan, SiteCheck
+        from repro.spechint.runtime import SpecProcessState
+        from repro.vm.isa import Op
+
+        real_site_check = ElisionPlan.site_check
+
+        def all_stores_elided(self, index, insn):
+            if insn.op in (Op.STORE, Op.STOREB):
+                return SiteCheck.HEAP_STORE
+            return real_site_check(self, index, insn)
+
+        raised_in = []
+        real_quarantine = SpecProcessState.quarantine
+
+        def spying_quarantine(self, thread, violation):
+            raised_in.append(
+                [frame.name for frame in traceback.extract_tb(violation.__traceback__)])
+            return real_quarantine(self, thread, violation)
+
+        monkeypatch.setattr(ElisionPlan, "site_check", all_stores_elided)
+        monkeypatch.setattr(SpecProcessState, "quarantine", spying_quarantine)
+        monkeypatch.setattr(machine_module, "HOT_ENTRIES", 0)
+        self._assert_quarantined_with_baseline_output(_result(app="xds"))
+        assert any(name.startswith("block_") for name in raised_in[0])
+
+    @staticmethod
+    def _assert_quarantined_with_baseline_output(result):
+        assert result.isolation_violations > 0
+        assert result.quarantines > 0
+        assert result.spec_parks.get("isolation_quarantine", 0) > 0
+        baseline = _result(app=result.app, variant=Variant.ORIGINAL)
+        assert result.output == baseline.output
+        assert result.read_trace == baseline.read_trace
 
     def test_leaked_hints_at_restart_are_a_violation(self, monkeypatch):
         """If TIPIO_CANCEL_ALL fails to drain the queue, the restart's
