@@ -44,10 +44,7 @@ from _baseline import (  # noqa: E402
 )
 
 from repro.faults.plan import PROFILES  # noqa: E402
-from repro.harness.experiments import (  # noqa: E402
-    chaos_parallel_cells,
-    sweep_parallel_cells,
-)
+from repro.harness.experiments import sweep_parallel_cells  # noqa: E402
 from repro.harness.parallel import run_cells  # noqa: E402
 
 SCALE = 0.2
@@ -63,9 +60,9 @@ CHAOS_PROFILES = tuple(sorted(
 def full_grid():
     """The guard's workload: a cache sweep plus an all-profile chaos grid."""
     cells = sweep_parallel_cells("cache", workload_scale=SCALE)
-    cells += chaos_parallel_cells(
-        apps=("agrep",), profiles=(None,) + CHAOS_PROFILES,
-        workload_scale=SCALE,
+    cells += sweep_parallel_cells(
+        "degraded", workload_scale=SCALE,
+        points=("none",) + CHAOS_PROFILES, apps=("agrep",),
     )
     return cells
 

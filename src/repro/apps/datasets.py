@@ -178,7 +178,7 @@ def generate_gnuld_objects(
             cursor += OBJ_RECORD_BYTES
 
         path = f"{directory}/module{i:04d}.o"
-        fs.create(path, bytes(blob))
+        fs.create(path, blob)
         specs.append(
             ObjectFileSpec(
                 path=path,
@@ -219,7 +219,7 @@ def generate_xds_dataset(
     for _ in range(min(4096, size // 64)):
         pos = rng.randint(0, size - 1)
         blob[pos] = rng.randint(1, 255)
-    return fs.create(path, bytes(blob))
+    return fs.create(path, blob)
 
 
 def xds_slice_plan(

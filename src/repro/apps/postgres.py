@@ -134,7 +134,7 @@ def generate_postgres_relations(
         matched += match
         outer[offset:offset + 8] = _u64(key)
         outer[offset + 8:offset + 16] = _u64(match)
-    outer_inode = fs.create("db/outer.heap", bytes(outer))
+    outer_inode = fs.create("db/outer.heap", outer)
 
     # Index: root page + leaves.
     nleaves = workload.nleaves
@@ -148,7 +148,7 @@ def generate_postgres_relations(
                 break
             at = leaf_offset + within * 8
             index[at:at + 8] = _u64(inner_offset_of_key[key])
-    index_inode = fs.create("db/inner.idx", bytes(index))
+    index_inode = fs.create("db/inner.idx", index)
 
     # Inner heap (contents otherwise irrelevant to control flow).
     inner_inode = fs.create(

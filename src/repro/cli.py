@@ -444,7 +444,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     analyzer = TraceAnalyzer(
         tracer,
-        lifecycle=getattr(system.manager, "lifecycle", None),
+        lifecycle=system.manager.lifecycle,
         breakdown=stall_breakdown(system.kernel),
         result=result,
     )

@@ -1,15 +1,15 @@
 """Simulated file system substrate.
 
 Provides inodes with real byte contents (benchmark programs parse headers and
-offsets out of what they read), a block cache whose replacement is delegated
-to a pluggable manager (baseline UBC-LRU or TIP), and the Digital UNIX
-sequential read-ahead policy described in the paper's Section 4.
+offsets out of what they read), the block cache (mechanism only: replacement
+and prefetching are decided by :class:`repro.tip.manager.TipManager`, the
+kernel's cache manager), and the Digital UNIX sequential read-ahead policy
+described in the paper's Section 4.
 """
 
 from repro.fs.cache import BlockCache, CacheEntry, EntryState, FetchOrigin
 from repro.fs.filesystem import FileSystem, Inode
 from repro.fs.readahead import SequentialReadAhead
-from repro.fs.ubc import UbcManager
 
 __all__ = [
     "BlockCache",
@@ -19,5 +19,4 @@ __all__ = [
     "FileSystem",
     "Inode",
     "SequentialReadAhead",
-    "UbcManager",
 ]

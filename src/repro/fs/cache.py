@@ -1,10 +1,9 @@
 """The file block cache.
 
-Pure mechanism: entries, states, LRU ordering, pinning, and the Table 5
-accounting (fully / partially / unused prefetched blocks, cache block
-reuses).  *Policy* — which block to evict, what to prefetch — lives in the
-cache managers (:mod:`repro.fs.ubc` for the baseline LRU manager,
-:mod:`repro.tip.manager` for TIP).
+Pure mechanism: entries, states, LRU ordering, pinning of in-flight
+blocks, and the Table 5 accounting (fully / partially / unused prefetched
+blocks, cache block reuses).  *Policy* — which block to evict, what to
+prefetch — lives in the cache manager, :mod:`repro.tip.manager`.
 
 Entries are keyed by ``(ino, file_block)``.  The cache stores presence
 metadata only; file bytes live in the inode and are copied to the
@@ -66,7 +65,7 @@ class CacheEntry:
         self.accessed = False
         #: Number of application accesses (reuse = access_count - 1).
         self.access_count = 0
-        #: Pinned entries may not be evicted (in-flight or hint-protected).
+        #: Pinned entries may not be evicted (the fetch is in flight).
         self.pinned = 0
 
         #: Number of threads currently blocked waiting for this fetch —
@@ -185,32 +184,11 @@ class BlockCache:
             metrics.CACHE_SHED_DEGRADED_PREFIX + origin.value
         ).add()
 
-    def pin(self, key: BlockKey) -> None:
-        """Protect an entry from eviction (e.g. hinted within the horizon)."""
-        self._entries[key].pinned += 1
-
-    def unpin(self, key: BlockKey) -> None:
-        entry = self._entries.get(key)
-        if entry is not None and entry.pinned > 0:
-            entry.pinned -= 1
-
     def evict(self, key: BlockKey) -> None:
         """Remove a VALID, unpinned entry; accounts unused prefetches."""
         entry = self._entries.pop(key)
         self._account_departure(entry)
         self.stats.counter(metrics.CACHE_EVICTIONS).add()
-
-    def find_lru_victim(self) -> Optional[CacheEntry]:
-        """Least recently used VALID, unpinned entry, or None."""
-        for entry in self._entries.values():
-            if entry.state is EntryState.VALID and entry.pinned == 0:
-                return entry
-        return None
-
-    def touch_lru_position(self, key: BlockKey) -> None:
-        """Move an entry to most-recently-used without counting an access."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
 
     def finalize(self) -> None:
         """End-of-run accounting: residual never-accessed prefetched blocks

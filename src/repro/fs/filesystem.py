@@ -13,7 +13,7 @@ scripted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import FileExistsInFS, FileNotFoundInFS, InvalidBlockError
 from repro.params import BLOCK_SIZE
@@ -24,10 +24,13 @@ class Inode:
 
     __slots__ = ("ino", "path", "data", "first_lbn")
 
-    def __init__(self, ino: int, path: str, data: bytes, first_lbn: int) -> None:
+    def __init__(
+        self, ino: int, path: str, data: Union[bytes, bytearray], first_lbn: int
+    ) -> None:
         self.ino = ino
         self.path = path
-        self.data = bytearray(data)
+        #: A ``bytearray`` is adopted, not copied (see ``FileSystem.create``).
+        self.data = data if isinstance(data, bytearray) else bytearray(data)
         #: First logical block in the striped address space; the file's
         #: blocks are contiguous from here.
         self.first_lbn = first_lbn
@@ -90,9 +93,12 @@ class FileSystem:
 
             self._rng = DeterministicRng(seed, "fs-allocation")
 
-    def create(self, path: str, data: bytes) -> Inode:
+    def create(self, path: str, data: Union[bytes, bytearray]) -> Inode:
         """Create a file with the given contents; blocks are allocated
-        contiguously, after a pseudo-random inter-file gap."""
+        contiguously, after a pseudo-random inter-file gap.  A ``bytearray``
+        becomes the file's storage (a dataset generator hands over the
+        volume it built, which is then held once): the caller must not
+        touch it again.  ``bytes`` are copied."""
         if path in self._by_path:
             raise FileExistsInFS(path)
         if self._rng is not None and self._by_ino:

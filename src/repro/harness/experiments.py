@@ -163,26 +163,6 @@ def sweep_parallel_cells(
     ]
 
 
-def chaos_parallel_cells(
-    apps: Tuple[str, ...],
-    profiles: Tuple[Optional[str], ...],
-    variants: Tuple[Variant, ...] = tuple(Variant),
-    workload_scale: float = 1.0,
-    fault_seed: int = 7,
-) -> List[CellSpec]:
-    """Cell specs of an app x variant x chaos-profile matrix."""
-    return [
-        (f"chaos={name or 'fault-free'}/{app}/{variant.value}",
-         run_config_payload,
-         (ExperimentConfig(app=app, variant=variant,
-                           workload_scale=workload_scale,
-                           fault_plan=profile(name or "none", fault_seed)),))
-        for name in profiles
-        for app in apps
-        for variant in variants
-    ]
-
-
 def run_sweep(
     kind: str,
     points: Optional[Iterable[SweepPoint]] = None,

@@ -213,11 +213,10 @@ def run_experiment_with_system(
     result.tuning_provenance = cfg.tuning_provenance
     result.read_trace = tuple(process.read_trace)
     result.stall_breakdown = stall_breakdown(system.kernel).to_jsonable()
-    lifecycle = getattr(system.manager, "lifecycle", None)
-    if lifecycle is not None:
-        result.hint_lifecycle = lifecycle.summary_counts()
-        result.hint_lead_median = lifecycle.lead_times.percentile(50.0)
-        result.pct_prefetches_before_demand = lifecycle.pct_ready_before_demand
+    lifecycle = system.manager.lifecycle
+    result.hint_lifecycle = lifecycle.summary_counts()
+    result.hint_lead_median = lifecycle.lead_times.percentile(50.0)
+    result.pct_prefetches_before_demand = lifecycle.pct_ready_before_demand
     if process.spec is not None:
         result.spec_restarts = process.spec.restarts
         result.spec_signals = process.spec.signals

@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.errors import BadFileDescriptor, InvalidSyscall, SimulationError
 from repro.fs.filesystem import FileSystem, Inode
-from repro.fs.manager import CacheManagerBase
 from repro.kernel.process import Process
 from repro.kernel.thread import Thread, ThreadState
 from repro.params import BLOCK_SIZE, SystemConfig
@@ -34,7 +33,7 @@ from repro.trace.tracer import (
     TID_SPECULATING,
     Tracer,
 )
-from repro.tip.hints import HintSegment, Ioctl
+from repro.tip.manager import TipManager
 from repro.vm.isa import (
     SEEK_CUR,
     SEEK_END,
@@ -75,7 +74,7 @@ class Kernel:
         self,
         config: SystemConfig,
         fs: FileSystem,
-        manager: CacheManagerBase,
+        manager: TipManager,
         array: StripedArray,
         engine: EventEngine,
         clock: SimClock,
@@ -319,7 +318,7 @@ class Kernel:
         last = (offset + n - 1) // BLOCK_SIZE
         self.stats.counter(metrics.APP_READ_BLOCKS).add(last - first + 1)
         self.stats.counter(metrics.APP_READ_BYTES).add(n)
-        hinted = self.manager.consume_hints(proc.pid, inode, first, last, offset, n)
+        hinted = self.manager.consume_hints(proc.pid, inode, first, last, n)
         copy_cost = int(n * cpu.read_copy_cycles_per_byte)
 
         def finish() -> None:
@@ -433,16 +432,16 @@ class Kernel:
         inode: Optional[Inode],
         offset: int,
         length: int,
-        via: Ioctl,
     ) -> int:
-        """Issue one hint segment to the cache manager (used both by the
-        hint syscalls and by the SpecHint runtime).
+        """Issue one hint segment to TIP (used both by the hint syscalls
+        and by the SpecHint runtime).  Returns the blocks TIP queued.
 
         The hint channel is lossy under fault injection (hints may be
         dropped or rewritten to garbage), and TIP must tolerate whatever
-        arrives: segments are validated and clamped to the file before they
-        reach the manager.  Hints are pure advice — losing or mangling one
-        can only degrade toward the unhinted baseline.
+        arrives: this is the one place a segment is counted, validated and
+        clamped to the file before it reaches the manager.  Hints are pure
+        advice — losing or mangling one can only degrade toward the
+        unhinted baseline.
         """
         self.stats.counter(metrics.APP_HINT_CALLS).add()
         if inode is None or length <= 0:
@@ -460,31 +459,27 @@ class Kernel:
             self.stats.counter(metrics.APP_HINT_CALLS_UNRESOLVABLE).add()
             return 0
         length = min(length, inode.size - offset)
-
-        segment = HintSegment(inode, offset, length, pid, via)
-        return self.manager.hint_segments(pid, [segment])
+        return self.manager.disclose(pid, inode, offset, length)
 
     def _sys_hint_seg(self, thread: Thread) -> int:
+        """TIPIO_SEG: hint a segment of a named file."""
         proc = thread.process
         path = proc.mem.read_cstring(thread.regs[A0]).decode("ascii", "replace")
         inode = self.fs.lookup_or_none(path)
-        self.hint_from(
-            proc.pid, inode, thread.regs[A1], thread.regs[A2], Ioctl.TIPIO_SEG
-        )
+        self.hint_from(proc.pid, inode, thread.regs[A1], thread.regs[A2])
         thread.regs[V0] = 0
         thread.pc += 1
         return self.config.cpu.syscall_cycles + self.config.cpu.hint_call_cycles
 
     def _sys_hint_fd_seg(self, thread: Thread) -> int:
+        """TIPIO_FD_SEG: hint a segment of an open file."""
         proc = thread.process
         try:
             fdstate = proc.fd(thread.regs[A0])
             inode = fdstate.inode
         except BadFileDescriptor:
             inode = None
-        self.hint_from(
-            proc.pid, inode, thread.regs[A1], thread.regs[A2], Ioctl.TIPIO_FD_SEG
-        )
+        self.hint_from(proc.pid, inode, thread.regs[A1], thread.regs[A2])
         thread.regs[V0] = 0
         thread.pc += 1
         return self.config.cpu.syscall_cycles + self.config.cpu.hint_call_cycles

@@ -234,12 +234,13 @@ class TipParams:
     #: ratio of disk time to per-access CPU time; we expose it directly.
     prefetch_horizon: int = 96
 
-    #: Below this measured hint accuracy, TIP halves the prefetch depth it
-    #: will pursue for the offending process's hints.
+    #: Below this measured hint accuracy, TIP scales the prefetch depth it
+    #: will pursue for the offending process's hints by that accuracy
+    #: (floor 0.1 x the horizon, never below 4 blocks).
     accuracy_discount_threshold: float = 0.85
 
     #: If True, TIP ignores all hints and behaves exactly like the baseline
-    #: UBC manager (used for Figure 4).
+    #: UBC (used for Figure 4).
     ignore_hints: bool = False
 
     #: Maximum hinted prefetches TIP keeps in flight per disk.

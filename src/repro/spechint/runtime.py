@@ -47,7 +47,6 @@ from repro.spechint.cow import CowMap
 from repro.spechint.hintlog import HintLog
 from repro.spechint.throttle import SpeculationThrottle
 from repro.spechint.tool import SpecMeta
-from repro.tip.hints import Ioctl
 from repro.vm.isa import (
     SEEK_CUR,
     SEEK_END,
@@ -444,8 +443,7 @@ class SpecProcessState:
         self.predictions += 1
 
         if hinted:
-            via = Ioctl.TIPIO_SEG if sfd.pseudo else Ioctl.TIPIO_FD_SEG
-            self.kernel.hint_from(self.process.pid, inode, offset, n, via)
+            self.kernel.hint_from(self.process.pid, inode, offset, n)
             self.hints_issued += 1
             self.kernel.stats.counter(metrics.SPEC_HINTS_ISSUED).add()
             self.kernel.stats.distribution(metrics.APP_HINT_CALL_CPU).observe(

@@ -1,9 +1,17 @@
 """The TIP cache manager: hint queues, cost-benefit prefetching, eviction.
 
+The kernel's one cache manager.  It owns replacement and prefetch policy
+over the :class:`~repro.fs.cache.BlockCache`: the kernel's read path calls
+into it, it talks to the striped array.  Every run of the paper's
+evaluation executes on TIP; a :class:`TipManager` that was never given a
+hint is the stock Digital UNIX Unified Buffer Cache (LRU replacement plus
+sequential read-ahead).
+
 Behavioural summary (matching Sections 2.1 and 4 of the paper):
 
-* hints arrive as segments (``TIPIO_SEG`` / ``TIPIO_FD_SEG``) and are
-  expanded to per-block queue entries in disclosure order;
+* hints arrive as segments (``TIPIO_SEG`` / ``TIPIO_FD_SEG``), one
+  :meth:`TipManager.disclose` call each, and are expanded to per-block
+  queue entries in disclosure order;
 * TIP prefetches down each process's queue up to an *effective depth* —
   the prefetch horizon scaled by the process's measured hint accuracy —
   subject to a per-disk in-flight limit;
@@ -15,25 +23,25 @@ Behavioural summary (matching Sections 2.1 and 4 of the paper):
 * ``TIPIO_CANCEL_ALL`` empties the issuing process's queue (prefetches
   already issued to the disks proceed and may become unused blocks);
 * in ``ignore_hints`` mode all hint calls are accepted-and-dropped, making
-  TIP behave exactly like the baseline UBC manager (Figure 4).
+  TIP behave exactly like the baseline UBC (Figure 4).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional
 
+from repro.errors import DataLossError, RetriesExhausted
 from repro.fs.cache import BlockCache, BlockKey, CacheEntry, EntryState, FetchOrigin
 from repro.fs.filesystem import FileSystem, Inode
-from repro.fs.manager import CacheManagerBase
-from repro.fs.readahead import SequentialReadAhead
-from repro.params import TipParams
+from repro.fs.readahead import ReadAheadState, SequentialReadAhead
+from repro.params import BLOCK_SIZE, TipParams
 from repro.sim import metrics
 from repro.sim.stats import StatRegistry
+from repro.storage.request import IOKind, IORequest
 from repro.storage.striping import StripedArray
 from repro.tip.accuracy import HintAccuracyTracker
-from repro.tip.hints import HintSegment
 from repro.trace.lifecycle import HintLifecycle
 from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 
@@ -83,7 +91,7 @@ class _ProcessHints:
         return entries
 
 
-class TipManager(CacheManagerBase):
+class TipManager:
     """Informed prefetching and caching manager."""
 
     #: How many queue entries an arriving read scans for a match before the
@@ -104,7 +112,11 @@ class TipManager(CacheManagerBase):
         params: TipParams,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        super().__init__(fs, array, cache, readahead, stats)
+        self.fs = fs
+        self.array = array
+        self.cache = cache
+        self.readahead = readahead
+        self.stats = stats
         self.params = params
         self.tracer = tracer
         #: Always-on per-hint lifecycle ledger (disclosed -> terminal).
@@ -127,7 +139,137 @@ class TipManager(CacheManagerBase):
         #: Min hint seq per key across all queues, for eviction decisions.
         self._hinted_seqs: Dict[BlockKey, List[int]] = {}
 
-    # -- hint intake ----------------------------------------------------------
+    # -- read path (called by the kernel) -----------------------------------
+
+    def access_block(
+        self, inode: Inode, file_block: int, on_ready: Callable[[], None]
+    ) -> bool:
+        """Application demand access to one block.
+
+        Returns True when the block is resident (``on_ready`` is *not*
+        called).  Otherwise starts/joins a fetch, arranges for ``on_ready``
+        to run once the block arrives, and returns False.
+        """
+        key: BlockKey = (inode.ino, file_block)
+        entry = self.cache.get(key)
+        if entry is not None and entry.state is EntryState.VALID:
+            self.cache.note_access(key)
+            return True
+
+        if entry is not None:
+            # In flight: join the outstanding request at demand priority.
+            entry.demand_waiters += 1
+            self.cache.note_access(key)
+
+            def joined(req: IORequest) -> None:
+                self._check_demand_failure(req)
+                on_ready()
+
+            self.array.submit(inode.lbn_of_block(file_block), IOKind.DEMAND, joined)
+            self.stats.counter(metrics.CACHE_DEMAND_JOINS_INFLIGHT).add()
+            return False
+
+        # Full miss: bring the block in at demand priority.  Evict one block
+        # for it; overcommit if no victim is available (demand must not be
+        # refused).
+        if self.cache.free_blocks == 0:
+            self._evict_one()
+        entry = self.cache.insert_fetching(key, FetchOrigin.DEMAND)
+        entry.demand_waiters += 1
+        self.cache.note_access(key)
+        self.stats.counter(metrics.CACHE_DEMAND_MISSES).add()
+
+        def completed(req: IORequest) -> None:
+            self._check_demand_failure(req)
+            self.cache.mark_valid(key)
+            self.on_block_arrived(key)
+            on_ready()
+
+        self.array.submit(inode.lbn_of_block(file_block), IOKind.DEMAND, completed)
+        return False
+
+    def _check_demand_failure(self, request: IORequest) -> None:
+        """Demand reads must not be refused: exhausted retries are a hard,
+        typed failure (never silent data corruption)."""
+        if request.failed:
+            cause = StripedArray.failure_cause(request)
+            if isinstance(cause, DataLossError):
+                # Unrecoverable, not merely slow: surface the loss directly
+                # (retrying cannot bring a dead disk's blocks back).
+                raise cause
+            raise RetriesExhausted(
+                f"demand read for lbn {request.lbn} failed after "
+                f"{request.attempts} attempts"
+            ) from cause
+
+    def peek_valid(self, inode: Inode, file_block: int) -> bool:
+        """Non-blocking residency check (used by speculative reads).
+
+        Does not count as an access and does not disturb LRU order.
+        """
+        return self.cache.contains_valid((inode.ino, file_block))
+
+    def read_call_completed(
+        self,
+        pid: int,
+        ra_state: ReadAheadState,
+        inode: Inode,
+        first_block: int,
+        last_block: int,
+        hinted: bool,
+    ) -> None:
+        """Post-read bookkeeping: unhinted calls invoke sequential
+        read-ahead (the paper's policy); every call lets the process's
+        hint window advance."""
+        if not hinted:
+            for file_block in self.readahead.on_read(ra_state, inode, first_block, last_block):
+                if self.array.degraded:
+                    # Load shedding: sequential read-ahead is a pure
+                    # performance bet, and while a dead disk is being
+                    # reconstructed every speculative read competes with
+                    # demand and rebuild traffic.  Skip it for the duration.
+                    self.cache.note_prefetch_shed(FetchOrigin.READAHEAD)
+                    continue
+                self.start_prefetch(inode, file_block, FetchOrigin.READAHEAD)
+        self._schedule_prefetches(pid)
+
+    # -- prefetch mechanics ---------------------------------------------------
+
+    def start_prefetch(self, inode: Inode, file_block: int, origin: FetchOrigin) -> bool:
+        """Bring a block in ahead of need.  Returns False if the block is
+        already present/in-flight or no cache room could be made."""
+        key: BlockKey = (inode.ino, file_block)
+        if self.cache.get(key) is not None:
+            return False
+        if self.cache.free_blocks == 0 and not self._evict_one():
+            self.stats.counter(metrics.CACHE_PREFETCH_DENIED_NO_ROOM).add()
+            return False
+        self.cache.insert_fetching(key, origin)
+
+        def completed(req: IORequest) -> None:
+            if req.failed:
+                # Dropped prefetch: discard the entry silently.  A later
+                # demand access simply misses — the unhinted baseline, never
+                # an error surfaced to the application.
+                self.cache.discard_fetching(key)
+                self.stats.counter(metrics.CACHE_PREFETCHES_DROPPED).add()
+                self.on_prefetch_dropped(key)
+                return
+            self.cache.mark_valid(key)
+            self.on_block_arrived(key)
+
+        self.array.submit(inode.lbn_of_block(file_block), IOKind.PREFETCH, completed)
+        return True
+
+    def _evict_one(self) -> bool:
+        victim = self.find_victim()
+        if victim is None:
+            return False
+        self.cache.evict(victim.key)
+        self.on_block_evicted(victim.key)
+        return True
+
+    # -- hint surface (Table 2) -------------------------------------------------
 
     def _proc(self, pid: int) -> _ProcessHints:
         state = self._procs.get(pid)
@@ -136,31 +278,39 @@ class TipManager(CacheManagerBase):
             self._procs[pid] = state
         return state
 
-    def hint_segments(self, pid: int, segments: Sequence[HintSegment]) -> int:
-        """Accept hint segments (TIPIO_SEG / TIPIO_FD_SEG)."""
+    def disclose(self, pid: int, inode: Inode, offset: int, length: int) -> int:
+        """Accept one hint segment (TIPIO_SEG / TIPIO_FD_SEG): ``length``
+        bytes of ``inode`` at ``offset``.  Returns the blocks queued.
+
+        Precondition: ``0 <= offset < inode.size`` and
+        ``1 <= length <= inode.size - offset``.  Outside input is validated
+        and clamped to the file where it arrives, in ``Kernel.hint_from``.
+        """
         self.stats.counter(metrics.TIP_HINT_CALLS).add()
         if self.params.ignore_hints:
-            self.stats.counter(metrics.TIP_HINTS_IGNORED).add(len(segments))
+            self.stats.counter(metrics.TIP_HINTS_IGNORED).add()
             return 0
         state = self._proc(pid)
-        accepted = 0
+        ino = inode.ino
+        first_lbn = inode.first_lbn
         disk_of = self.array.disk_of
-        for segment in segments:
-            first_lbn = segment.inode.first_lbn
-            for key in segment.blocks():
-                self._next_seq += 1
-                entry = _HintedBlock(key, self._next_seq, disk_of(first_lbn + key[1]))
-                state.queue.append(entry)
-                self._hinted_seqs.setdefault(key, []).append(entry.seq)
-                self.lifecycle.disclosed(entry.seq, key, pid)
-                accepted += 1
+        first = offset // BLOCK_SIZE
+        last = (offset + length - 1) // BLOCK_SIZE
+        for file_block in range(first, last + 1):
+            key = (ino, file_block)
+            self._next_seq += 1
+            entry = _HintedBlock(key, self._next_seq, disk_of(first_lbn + file_block))
+            state.queue.append(entry)
+            self._hinted_seqs.setdefault(key, []).append(entry.seq)
+            self.lifecycle.disclosed(entry.seq, key, pid)
+        accepted = last - first + 1
         self.stats.counter(metrics.TIP_HINTED_BLOCKS).add(accepted)
-        if accepted:
-            self._schedule_prefetches(pid)
+        self._schedule_prefetches(pid)
         return accepted
 
     def cancel_all(self, pid: int) -> int:
-        """TIPIO_CANCEL_ALL: drop every outstanding hint from ``pid``."""
+        """TIPIO_CANCEL_ALL: drop every outstanding hint from ``pid``.
+        Returns the number cancelled; prefetches already issued proceed."""
         self.stats.counter(metrics.TIP_CANCEL_CALLS).add()
         state = self._procs.get(pid)
         if state is None or not state.queue:
@@ -190,10 +340,9 @@ class TipManager(CacheManagerBase):
         inode: Inode,
         first_block: int,
         last_block: int,
-        offset: int,
         length: int,
     ) -> bool:
-        """Match a read call against the process's hint queue.
+        """Match a ``length``-byte read call against the process's hint queue.
 
         Returns True (the call was hinted) when every block of the call
         matches a queue entry within the scan window.
@@ -333,6 +482,7 @@ class TipManager(CacheManagerBase):
         state.visited = min(depth, len(state.queue))
 
     def on_block_arrived(self, key: BlockKey) -> None:
+        """Any fetch completed: free its hint slot and prefetch further."""
         self.lifecycle.filled(key)
         disk = self._inflight_hint_fetch.pop(key, None)
         if disk is not None:
@@ -355,19 +505,18 @@ class TipManager(CacheManagerBase):
             self._schedule_prefetches(pid, disk)
 
     def on_block_evicted(self, key: BlockKey) -> None:
+        """A block left the cache (evicted, or its read-ahead died)."""
         if key in self._hinted_seqs:
             # A window may have seen this key resident: rescan them all.
             for state in self._procs.values():
                 state.dirty = True
 
-    def after_read(self, pid: int) -> None:
-        self._schedule_prefetches(pid)
-
     # -- eviction policy -------------------------------------------------------------
 
     def find_victim(self) -> Optional[CacheEntry]:
-        """Unhinted LRU block if any; else a hinted block far beyond the
-        prefetch horizon (largest hint distance first); else None."""
+        """Choose an evictable entry (VALID, unpinned): the unhinted LRU
+        block if any; else a hinted block far beyond the prefetch horizon
+        (largest hint distance first); else None."""
         best_hinted: Optional[CacheEntry] = None
         best_distance = -1
         front_seq = self._front_seq()
@@ -399,6 +548,8 @@ class TipManager(CacheManagerBase):
         return self._proc(pid).accuracy
 
     def outstanding_hints(self, pid: int) -> int:
+        """Hints still queued for ``pid`` (the restart protocol's drain
+        check reads this)."""
         state = self._procs.get(pid)
         return len(state.queue) if state is not None else 0
 
@@ -412,4 +563,4 @@ class TipManager(CacheManagerBase):
                     self.lifecycle.wasted(entry.seq, pid, "unconsumed")
                 state.accuracy.observe_stale(leftover)
                 self.stats.counter(metrics.TIP_HINTS_UNCONSUMED_AT_END).add(leftover)
-        super().finalize()
+        self.cache.finalize()

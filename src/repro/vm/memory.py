@@ -1,6 +1,6 @@
 """Process address space.
 
-Layout (one flat bytearray, ranges validated on access)::
+Layout (one flat anonymous mapping, ranges validated on access)::
 
     0x0000_0000 .. 0x0000_FFFF   unmapped guard (null dereferences fault)
     0x0001_0000 .. data_end      data segment (globals from the binary)
@@ -17,6 +17,7 @@ addresses that range.
 
 from __future__ import annotations
 
+import mmap
 from typing import Callable, Optional
 
 from repro.errors import IllegalAddress
@@ -35,7 +36,11 @@ class AddressSpace:
     """Memory of one simulated process."""
 
     def __init__(self, data_image: bytes, stack_bytes: int = DEFAULT_STACK_BYTES) -> None:
-        self._mem = bytearray(SPACE_SIZE)
+        #: A private anonymous mapping, not a ``bytearray`` (DESIGN §5.1):
+        #: pages are zero on first touch and go back to the OS with the
+        #: space, never onto the malloc heap.  ``ACCESS_COPY`` keeps a forked
+        #: worker's copy its own.  A store of the wrong length raises.
+        self._mem = mmap.mmap(-1, SPACE_SIZE, access=mmap.ACCESS_COPY)
         self._mem[DATA_BASE:DATA_BASE + len(data_image)] = data_image
 
         self.data_start = DATA_BASE

@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generators."""
 
+import tracemalloc
+
 from repro.apps.datasets import (
     OBJ_MAGIC,
     generate_agrep_corpus,
@@ -106,6 +108,19 @@ class TestXdsDataset:
         fs = FileSystem()
         inode = generate_xds_dataset(fs, 32, seed=1)
         assert inode.size == 32 ** 3 * 4
+
+    def test_volume_is_built_in_place(self):
+        """The generator hands its buffer to the file system: the volume is
+        held once while it is created, not three times over."""
+        size = 64 ** 3 * 4
+        tracemalloc.start()
+        try:
+            inode = generate_xds_dataset(FileSystem(), 64, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inode.size == size
+        assert peak <= 1.5 * size
 
     def test_slice_plan_shape(self):
         plan = xds_slice_plan(64, 10, seed=2)

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.fs.cache import BlockCache, EntryState, FetchOrigin
+from repro.fs.filesystem import FileSystem
+from repro.fs.readahead import SequentialReadAhead
+from repro.params import ArrayParams, CpuParams, DiskParams, TipParams
+from repro.sim.clock import SimClock
+from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
+from repro.storage.striping import StripedArray
+from repro.tip.manager import TipManager
 
 
 @pytest.fixture
@@ -14,6 +21,16 @@ def stats():
 @pytest.fixture
 def cache(stats):
     return BlockCache(4, stats)
+
+
+@pytest.fixture
+def manager(cache, stats):
+    """A manager that is never given a hint: its victim is the LRU one."""
+    fs = FileSystem()
+    array = StripedArray(
+        8, ArrayParams(), DiskParams(), CpuParams(), EventEngine(SimClock()), stats
+    )
+    return TipManager(fs, array, cache, SequentialReadAhead(), stats, TipParams())
 
 
 KEY = (0, 0)
@@ -111,37 +128,31 @@ class TestLruOrdering:
             cache.insert_fetching((0, i), FetchOrigin.DEMAND)
             cache.mark_valid((0, i))
 
-    def test_lru_victim_is_least_recent(self, cache):
+    def test_lru_victim_is_least_recent(self, cache, manager):
         self._fill_valid(cache, 3)
         cache.note_access((0, 0))  # 0 becomes most recent
-        victim = cache.find_lru_victim()
+        victim = manager.find_victim()
         assert victim.key == (0, 1)
 
-    def test_lru_victim_skips_pinned(self, cache):
+    def test_lru_victim_skips_pinned(self, cache, manager):
         self._fill_valid(cache, 2)
-        cache.pin((0, 0))
-        assert cache.find_lru_victim().key == (0, 1)
-        cache.unpin((0, 0))
-        assert cache.find_lru_victim().key == (0, 0)
+        cache.get((0, 0)).pinned += 1
+        assert manager.find_victim().key == (0, 1)
+        cache.get((0, 0)).pinned -= 1
+        assert manager.find_victim().key == (0, 0)
 
-    def test_lru_victim_skips_fetching(self, cache):
+    def test_lru_victim_skips_fetching(self, cache, manager):
         cache.insert_fetching((0, 0), FetchOrigin.DEMAND)  # stays FETCHING
         cache.insert_fetching((0, 1), FetchOrigin.DEMAND)
         cache.mark_valid((0, 1))
-        assert cache.find_lru_victim().key == (0, 1)
+        assert manager.find_victim().key == (0, 1)
 
-    def test_no_victim_when_all_pinned(self, cache):
+    def test_no_victim_when_all_pinned(self, cache, manager):
         cache.insert_fetching(KEY, FetchOrigin.DEMAND)
-        assert cache.find_lru_victim() is None
+        assert manager.find_victim() is None
 
     def test_entries_in_lru_order(self, cache):
         self._fill_valid(cache, 3)
         cache.note_access((0, 0))
         keys = [e.key for e in cache.entries()]
         assert keys == [(0, 1), (0, 2), (0, 0)]
-
-    def test_touch_lru_position_without_access_count(self, cache):
-        self._fill_valid(cache, 2)
-        cache.touch_lru_position((0, 0))
-        assert cache.find_lru_victim().key == (0, 1)
-        assert cache.get((0, 0)).access_count == 0

@@ -64,6 +64,16 @@ class TestFileSystem:
         assert fs.lookup("dir/file") is created
         assert fs.inode(created.ino) is created
 
+    def test_create_adopts_a_bytearray_and_copies_bytes(self):
+        fs = FileSystem()
+        blob = bytearray(b"abc")
+        assert fs.create("adopted", blob).data is blob
+        data = b"abc"
+        copied = fs.create("copied", data)
+        copied.write_at(0, b"x")
+        assert copied.read_at(0, 3) == b"xbc"
+        assert data == b"abc"
+
     def test_duplicate_create_rejected(self):
         fs = FileSystem()
         fs.create("a", b"")

@@ -1,15 +1,19 @@
-"""Tests for the cache-manager base mechanics and the baseline UBC."""
+"""Tests for the cache-manager mechanics and the baseline UBC behaviour.
+
+A ``TipManager`` that was never given a hint *is* the stock Unified Buffer
+Cache: LRU replacement plus sequential read-ahead.
+"""
 
 
 from repro.fs.cache import BlockCache, FetchOrigin
 from repro.fs.filesystem import FileSystem
 from repro.fs.readahead import SequentialReadAhead
-from repro.fs.ubc import UbcManager
-from repro.params import ArrayParams, BLOCK_SIZE, CpuParams, DiskParams
+from repro.params import ArrayParams, BLOCK_SIZE, CpuParams, DiskParams, TipParams
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.striping import StripedArray
+from repro.tip.manager import TipManager
 
 PID = 1
 
@@ -24,7 +28,7 @@ def make_ubc(cache_blocks=8, file_blocks=64):
         fs.total_blocks, ArrayParams(), DiskParams(), CpuParams(), engine, stats
     )
     cache = BlockCache(cache_blocks, stats)
-    manager = UbcManager(fs, array, cache, SequentialReadAhead(), stats, )
+    manager = TipManager(fs, array, cache, SequentialReadAhead(), stats, TipParams())
     return manager, fs.lookup("f"), engine, stats
 
 
@@ -124,9 +128,3 @@ class TestReadCallCompleted:
                                         hinted=True)
         drain(engine)
         assert stats.get("cache.prefetched_blocks") == 0
-
-    def test_ubc_ignores_hints(self):
-        manager, inode, _, _ = make_ubc()
-        assert manager.hint_segments(PID, []) == 0
-        assert manager.cancel_all(PID) == 0
-        assert not manager.consume_hints(PID, inode, 0, 0, 0, 10)

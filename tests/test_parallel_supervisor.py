@@ -20,10 +20,7 @@ import pytest
 from repro.errors import QuarantinedCell, WorkerCrash
 from repro.faults.plan import PROFILES
 from repro.harness.checkpoint import SweepCheckpoint, append_cell
-from repro.harness.experiments import (
-    chaos_parallel_cells,
-    sweep_parallel_cells,
-)
+from repro.harness.experiments import sweep_parallel_cells
 from repro.harness.parallel import require_complete, run_cells
 from repro.harness.supervisor import SupervisorConfig
 from repro.registry.store import read_journal
@@ -130,8 +127,9 @@ class TestDeterminism:
 
     def test_parallel_chaos_cells_byte_identical_to_serial(self):
         profile = next(name for name in sorted(PROFILES) if name != "none")
-        cells = chaos_parallel_cells(
-            apps=("agrep",), profiles=(None, profile), workload_scale=0.2,
+        cells = sweep_parallel_cells(
+            "degraded", workload_scale=0.2,
+            points=("none", profile), apps=("agrep",),
         )
         serial = run_cells(cells, jobs=1)
         parallel = run_cells(cells, jobs=2, config=FAST)

@@ -25,7 +25,6 @@ from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.request import IOKind
 from repro.storage.striping import StripedArray
-from repro.tip.hints import HintSegment, Ioctl
 from repro.tip.manager import TipManager
 from tests.tip_reference import ReferenceTipManager
 
@@ -92,11 +91,12 @@ class Stack:
         getattr(self, op)(*args)
 
     def hint(self, pid, runs):
-        self.manager.hint_segments(pid, [
-            HintSegment(self.fs.inode(f), first * BLOCK_SIZE,
-                        count * BLOCK_SIZE, pid, Ioctl.TIPIO_FD_SEG)
-            for f, first, count in runs
-        ])
+        """One disclosure per run (so one scheduling pass after each),
+        clamped to the file as ``Kernel.hint_from`` would."""
+        for f, first, count in runs:
+            count = min(count, FILE_BLOCKS - first)
+            self.manager.disclose(pid, self.fs.inode(f), first * BLOCK_SIZE,
+                                  count * BLOCK_SIZE)
 
     def cancel(self, pid):
         self.manager.cancel_all(pid)
@@ -107,8 +107,7 @@ class Stack:
         inode = self.fs.inode(f)
         last = min(first + count, FILE_BLOCKS) - 1
         hinted = self.manager.consume_hints(
-            pid, inode, first, last, first * BLOCK_SIZE,
-            (last - first + 1) * BLOCK_SIZE)
+            pid, inode, first, last, (last - first + 1) * BLOCK_SIZE)
         for block in range(first, last + 1):
             self.manager.access_block(inode, block, lambda: None)
         self.events(events_before_completion)

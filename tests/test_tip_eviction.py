@@ -14,7 +14,6 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.striping import StripedArray
-from repro.tip.hints import HintSegment, Ioctl
 from repro.tip.manager import TipManager
 
 PID = 1
@@ -45,11 +44,7 @@ def fill_valid(manager, inode, blocks, engine):
 
 def hint_blocks(manager, inode, blocks):
     for b in blocks:
-        manager.hint_segments(
-            PID,
-            [HintSegment(inode, b * BLOCK_SIZE, BLOCK_SIZE, PID,
-                         Ioctl.TIPIO_FD_SEG)],
-        )
+        manager.disclose(PID, inode, b * BLOCK_SIZE, BLOCK_SIZE)
 
 
 class TestVictimSelection:
@@ -73,14 +68,18 @@ class TestVictimSelection:
         """Blocks whose hints sit far beyond the prefetch horizon may be
         displaced by prefetches for the front of the queue."""
         manager, inode, engine, stats = make_tip(cache_blocks=2, horizon=4)
-        fill_valid(manager, inode, [100, 101], engine)
-        # One disclosure: 30 near-future blocks, then the two cached ones.
-        segments = [
-            HintSegment(inode, b * BLOCK_SIZE, BLOCK_SIZE, PID,
-                        Ioctl.TIPIO_FD_SEG)
-            for b in list(range(0, 30)) + [100, 101]
-        ]
-        manager.hint_segments(PID, segments)
+        # Two demand fetches in flight fill the cache: nothing is evictable,
+        # so the prefetches the disclosures ask for are refused for now.
+        for b in (100, 101):
+            manager.access_block(inode, b, lambda: None)
+        # Two disclosures (a segment is one byte range, so the batch this
+        # test used to pass in one call is two calls): 30 near-future
+        # blocks, then the two being fetched.
+        manager.disclose(PID, inode, 0, 30 * BLOCK_SIZE)
+        manager.disclose(PID, inode, 100 * BLOCK_SIZE, 2 * BLOCK_SIZE)
+        assert stats.get("tip.hinted_evictions") == 0
+        while engine.advance_to_next():
+            pass
         # Prefetching the queue front evicted the far-future hinted blocks.
         assert stats.get("tip.hinted_evictions") >= 1
         assert not manager.peek_valid(inode, 100) or \
@@ -100,7 +99,7 @@ class TestQueueHygiene:
         fill_valid(manager, inode, [60], engine)
         hint_blocks(manager, inode, [60])
         assert manager.find_victim() is None
-        manager.consume_hints(PID, inode, 60, 60, 60 * BLOCK_SIZE, BLOCK_SIZE)
+        manager.consume_hints(PID, inode, 60, 60, BLOCK_SIZE)
         victim = manager.find_victim()
         assert victim is not None and victim.key == (inode.ino, 60)
 
@@ -116,6 +115,6 @@ class TestQueueHygiene:
         hint_blocks(manager, inode, [99])  # never read
         state = manager._proc(PID)
         state.queue[0].skips = manager.STALE_SKIP_LIMIT + 1
-        manager.consume_hints(PID, inode, 0, 0, 0, 64)
+        manager.consume_hints(PID, inode, 0, 0, 64)
         assert stats.get("tip.hints_stale_dropped") == 1
         assert manager.outstanding_hints(PID) == 0

@@ -1,44 +1,48 @@
-"""Tests for hint segments (Table 2 types) and accuracy tracking."""
+"""Tests for hint segments (Table 2) and accuracy tracking."""
 
 import pytest
 
-from repro.fs.filesystem import Inode
+from repro.fs.filesystem import FileSystem
 from repro.params import BLOCK_SIZE
 from repro.tip.accuracy import HintAccuracyTracker
-from repro.tip.hints import HintSegment, Ioctl
+from tests.conftest import make_system
+
+PID = 1
 
 
-def inode(nbytes):
-    return Inode(3, "f", bytes(nbytes), 0)
+def hinted_blocks(nbytes, offset, length):
+    """What one segment of an ``nbytes`` file, hinted through
+    ``Kernel.hint_from`` (which validates and clamps it), makes TIP queue:
+    the file blocks, and how many calls were unresolvable."""
+    fs = FileSystem()
+    inode = fs.create("f", bytes(nbytes))
+    system = make_system(fs)
+    queued = system.kernel.hint_from(PID, inode, offset, length)
+    keys = system.manager.lifecycle.disclosed_keys()
+    assert len(keys) == queued
+    assert all(ino == inode.ino for ino, _ in keys)
+    unresolvable = system.stats.get("app.hint_calls_unresolvable")
+    return [block for _, block in keys], unresolvable
 
 
 class TestHintSegment:
     def test_block_range_single_block(self):
-        seg = HintSegment(inode(BLOCK_SIZE * 4), 100, 200, 1, Ioctl.TIPIO_SEG)
-        assert seg.block_range() == (0, 0)
+        assert hinted_blocks(BLOCK_SIZE * 4, 100, 200) == ([0], 0)
 
     def test_block_range_spanning(self):
-        seg = HintSegment(
-            inode(BLOCK_SIZE * 4), BLOCK_SIZE - 1, 2, 1, Ioctl.TIPIO_FD_SEG
-        )
-        assert seg.block_range() == (0, 1)
+        assert hinted_blocks(BLOCK_SIZE * 4, BLOCK_SIZE - 1, 2) == ([0, 1], 0)
 
     def test_block_range_clamped_to_file(self):
-        seg = HintSegment(inode(BLOCK_SIZE + 1), 0, 100 * BLOCK_SIZE, 1, Ioctl.TIPIO_SEG)
-        assert seg.block_range() == (0, 1)
+        assert hinted_blocks(BLOCK_SIZE + 1, 0, 100 * BLOCK_SIZE) == ([0, 1], 0)
 
     def test_empty_segment(self):
-        seg = HintSegment(inode(BLOCK_SIZE), 0, 0, 1, Ioctl.TIPIO_SEG)
-        assert seg.block_range() == (0, -1)
-        assert seg.blocks() == []
+        assert hinted_blocks(BLOCK_SIZE, 0, 0) == ([], 1)
 
     def test_offset_past_eof(self):
-        seg = HintSegment(inode(10), 20, 5, 1, Ioctl.TIPIO_SEG)
-        assert seg.blocks() == []
+        assert hinted_blocks(10, 20, 5) == ([], 1)
 
     def test_blocks_keys(self):
-        seg = HintSegment(inode(BLOCK_SIZE * 3), 0, 3 * BLOCK_SIZE, 1, Ioctl.TIPIO_SEG)
-        assert seg.blocks() == [(3, 0), (3, 1), (3, 2)]
+        assert hinted_blocks(BLOCK_SIZE * 3, 0, 3 * BLOCK_SIZE) == ([0, 1, 2], 0)
 
 
 class TestHintAccuracyTracker:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fs.cache import BlockCache
 from repro.fs.filesystem import FileSystem
-from repro.fs.readahead import SequentialReadAhead
+from repro.fs.readahead import ReadAheadState, SequentialReadAhead
 from repro.harness.runner import (
     ExperimentConfig,
     Variant,
@@ -23,8 +23,8 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.striping import StripedArray
-from repro.tip.hints import HintSegment, Ioctl
 from repro.tip.manager import TipManager
+from tests.conftest import make_system
 
 PID = 1
 
@@ -46,8 +46,18 @@ def make_tip(cache_blocks=16, nfiles=2, file_blocks=32, tip_params=None):
     return manager, fs, engine, stats
 
 
-def seg(fs, path, offset, length, via=Ioctl.TIPIO_FD_SEG):
-    return HintSegment(fs.lookup(path), offset, length, PID, via)
+def hint(manager, fs, path, offset, length):
+    """Disclose one in-file segment of ``path`` straight to TIP."""
+    return manager.disclose(PID, fs.lookup(path), offset, length)
+
+
+def make_kernel(file_blocks):
+    """A wired system whose one file, ``f0``, has ``file_blocks`` blocks:
+    ``Kernel.hint_from`` is where outside hints are validated and clamped."""
+    fs = FileSystem()
+    fs.create("f0", bytes(file_blocks * BLOCK_SIZE))
+    system = make_system(fs)
+    return system.kernel, fs.lookup("f0"), system.stats
 
 
 def drain(engine):
@@ -58,35 +68,45 @@ def drain(engine):
 class TestHintIntake:
     def test_hint_expands_to_blocks(self):
         manager, fs, _, stats = make_tip()
-        accepted = manager.hint_segments(PID, [seg(fs, "f0", 0, 3 * BLOCK_SIZE)])
+        accepted = hint(manager, fs, "f0", 0, 3 * BLOCK_SIZE)
         assert accepted == 3
         assert stats.get("tip.hinted_blocks") == 3
 
     def test_zero_length_hint_accepted_empty(self):
-        manager, fs, _, _ = make_tip()
-        assert manager.hint_segments(PID, [seg(fs, "f0", 0, 0)]) == 0
+        kernel, inode, stats = make_kernel(file_blocks=2)
+        assert kernel.hint_from(PID, inode, 0, 0) == 0
+        assert stats.get("app.hint_calls_unresolvable") == 1
+        assert stats.get("tip.hint_calls") == 0  # never reached TIP
 
     def test_hint_beyond_eof_clamped(self):
-        manager, fs, _, _ = make_tip(file_blocks=2)
-        accepted = manager.hint_segments(PID, [seg(fs, "f0", 0, 10 * BLOCK_SIZE)])
-        assert accepted == 2
+        kernel, inode, stats = make_kernel(file_blocks=2)
+        assert kernel.hint_from(PID, inode, 0, 10 * BLOCK_SIZE) == 2
+        assert stats.get("app.hint_calls_unresolvable") == 0
+        assert kernel.manager.lifecycle.disclosed_keys() == [
+            (inode.ino, 0), (inode.ino, 1)]
 
     def test_hint_offset_past_eof_empty(self):
-        manager, fs, _, _ = make_tip(file_blocks=2)
-        accepted = manager.hint_segments(PID, [seg(fs, "f0", 5 * BLOCK_SIZE, 100)])
-        assert accepted == 0
+        kernel, inode, stats = make_kernel(file_blocks=2)
+        assert kernel.hint_from(PID, inode, 5 * BLOCK_SIZE, 100) == 0
+        assert kernel.hint_from(PID, inode, -1, 100) == 0
+        assert stats.get("app.hint_calls") == 2
+        assert stats.get("app.hint_calls_unresolvable") == 2
+        assert kernel.manager.outstanding_hints(PID) == 0
 
     def test_ignore_hints_mode(self):
         manager, fs, _, stats = make_tip(tip_params=TipParams(ignore_hints=True))
-        assert manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)]) == 0
+        assert hint(manager, fs, "f0", 0, BLOCK_SIZE) == 0
         assert manager.outstanding_hints(PID) == 0
         assert stats.get("tip.hints_ignored") == 1
+        # The baseline UBC: nothing to cancel, no read is ever hinted.
+        assert manager.cancel_all(PID) == 0
+        assert not manager.consume_hints(PID, fs.lookup("f0"), 0, 0, 10)
 
 
 class TestPrefetching:
     def test_hints_trigger_prefetch(self):
         manager, fs, engine, stats = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
         assert stats.get("tip.prefetches_issued") == 4
         drain(engine)
         inode = fs.lookup("f0")
@@ -95,20 +115,20 @@ class TestPrefetching:
     def test_prefetch_depth_limited_by_horizon(self):
         params = TipParams(prefetch_horizon=4, max_inflight_per_disk=16)
         manager, fs, _, stats = make_tip(cache_blocks=64, tip_params=params)
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 20 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 20 * BLOCK_SIZE)
         assert stats.get("tip.prefetches_issued") == 4
 
     def test_inflight_per_disk_limit(self):
         params = TipParams(prefetch_horizon=64, max_inflight_per_disk=1)
         manager, fs, _, stats = make_tip(cache_blocks=64, tip_params=params)
         # f0's first 8 blocks live in one stripe unit = one disk.
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 8 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 8 * BLOCK_SIZE)
         assert stats.get("tip.prefetches_issued") == 1
 
     def test_more_prefetches_after_arrival(self):
         params = TipParams(prefetch_horizon=64, max_inflight_per_disk=1)
         manager, fs, engine, stats = make_tip(cache_blocks=64, tip_params=params)
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
         drain(engine)
         assert stats.get("tip.prefetches_issued") == 4
 
@@ -117,8 +137,8 @@ class TestConsume:
     def test_matching_read_consumes(self):
         manager, fs, _, stats = make_tip()
         inode = fs.lookup("f0")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
-        hinted = manager.consume_hints(PID, inode, 0, 1, 0, 2 * BLOCK_SIZE)
+        hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
+        hinted = manager.consume_hints(PID, inode, 0, 1, 2 * BLOCK_SIZE)
         assert hinted
         assert stats.get("tip.hinted_read_calls") == 1
         assert stats.get("tip.hints_consumed") == 2
@@ -127,51 +147,49 @@ class TestConsume:
     def test_unhinted_read_not_matched(self):
         manager, fs, _, _ = make_tip()
         inode = fs.lookup("f1")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)])
-        assert not manager.consume_hints(PID, inode, 0, 0, 0, 100)
+        hint(manager, fs, "f0", 0, BLOCK_SIZE)
+        assert not manager.consume_hints(PID, inode, 0, 0, 100)
 
     def test_no_hints_no_match(self):
         manager, fs, _, _ = make_tip()
         inode = fs.lookup("f0")
-        assert not manager.consume_hints(PID, inode, 0, 0, 0, 100)
+        assert not manager.consume_hints(PID, inode, 0, 0, 100)
 
     def test_repeated_partial_block_reads_stay_hinted(self):
         """Several short reads of one hinted block all count as hinted."""
         manager, fs, _, _ = make_tip()
         inode = fs.lookup("f0")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)])
-        assert manager.consume_hints(PID, inode, 0, 0, 0, 512)
-        assert manager.consume_hints(PID, inode, 0, 0, 512, 512)
+        hint(manager, fs, "f0", 0, BLOCK_SIZE)
+        assert manager.consume_hints(PID, inode, 0, 0, 512)
+        assert manager.consume_hints(PID, inode, 0, 0, 512)
 
     def test_match_deep_in_queue(self):
         manager, fs, _, _ = make_tip(file_blocks=64, cache_blocks=4)
         inode = fs.lookup("f0")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 40 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 40 * BLOCK_SIZE)
         # Read block 30 (well past the front of the queue).
-        assert manager.consume_hints(
-            PID, inode, 30, 30, 30 * BLOCK_SIZE, BLOCK_SIZE
-        )
+        assert manager.consume_hints(PID, inode, 30, 30, BLOCK_SIZE)
 
     def test_accuracy_improves_on_consume(self):
         manager, fs, _, _ = make_tip()
         inode = fs.lookup("f0")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, BLOCK_SIZE)
         before = manager.accuracy_of(PID).consumed
-        manager.consume_hints(PID, inode, 0, 0, 0, BLOCK_SIZE)
+        manager.consume_hints(PID, inode, 0, 0, BLOCK_SIZE)
         assert manager.accuracy_of(PID).consumed == before + 1
 
 
 class TestCancelAll:
     def test_cancel_empties_queue(self):
         manager, fs, _, stats = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 5 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 5 * BLOCK_SIZE)
         assert manager.cancel_all(PID) == 5
         assert manager.outstanding_hints(PID) == 0
         assert stats.get("tip.hints_cancelled") == 5
 
     def test_cancel_counts_as_inaccurate(self):
         manager, fs, _, _ = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
         manager.cancel_all(PID)
         assert manager.accuracy_of(PID).cancelled == 2
         assert manager.accuracy_of(PID).value < 1.0
@@ -182,7 +200,7 @@ class TestCancelAll:
 
     def test_issued_prefetches_proceed_after_cancel(self):
         manager, fs, engine, _ = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
         manager.cancel_all(PID)
         drain(engine)
         inode = fs.lookup("f0")
@@ -194,7 +212,7 @@ class TestAccuracyDiscount:
         manager, fs, _, _ = make_tip(cache_blocks=128, file_blocks=200)
         full_depth = manager.params.prefetch_horizon
         for _ in range(40):
-            manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+            hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
             manager.cancel_all(PID)
         assert manager.accuracy_of(PID).value < 0.5
         assert manager.effective_depth(PID) < full_depth
@@ -208,7 +226,7 @@ class TestEviction:
         for b in range(4):
             manager.access_block(inode, b, lambda: None)
         drain(engine)
-        manager.hint_segments(PID, [seg(fs, "f1", 0, BLOCK_SIZE)])
+        hint(manager, fs, "f1", 0, BLOCK_SIZE)
         drain(engine)
         # One unhinted block was evicted to make room.
         valid = [b for b in range(4) if manager.peek_valid(inode, b)]
@@ -217,16 +235,16 @@ class TestEviction:
     def test_hinted_blocks_protected_within_horizon(self):
         params = TipParams(prefetch_horizon=64)
         manager, fs, engine, stats = make_tip(cache_blocks=4, tip_params=params)
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
         drain(engine)
         # All 4 cached blocks are hinted within the horizon (well, their
         # hints were consumed... re-hint to protect them):
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
         assert manager.find_victim() is None
 
     def test_finalize_counts_unconsumed(self):
         manager, fs, _, stats = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 3 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 3 * BLOCK_SIZE)
         manager.finalize()
         assert stats.get("tip.hints_unconsumed_at_end") == 3
 
@@ -237,7 +255,7 @@ class TestCancelDrain:
 
     def test_cancel_all_drains_outstanding_hints(self):
         manager, fs, _, stats = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 5 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 5 * BLOCK_SIZE)
         assert manager.outstanding_hints(PID) == 5
         cancelled = manager.cancel_all(PID)
         assert cancelled == 5
@@ -249,11 +267,11 @@ class TestCancelDrain:
         """A hint the application never consumed (leaked from its point of
         view) must still be drained by the cancel, not linger."""
         manager, fs, engine, _ = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 3 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 3 * BLOCK_SIZE)
         drain(engine)
         # Consume two of three; the third leaks.
         inode = fs.lookup("f0")
-        manager.consume_hints(PID, inode, 0, 1, 0, 2 * BLOCK_SIZE)
+        manager.consume_hints(PID, inode, 0, 1, 2 * BLOCK_SIZE)
         assert manager.outstanding_hints(PID) == 1
         assert manager.cancel_all(PID) == 1
         assert manager.outstanding_hints(PID) == 0
@@ -261,16 +279,16 @@ class TestCancelDrain:
     def test_cancel_idempotent_on_empty_queue(self):
         manager, fs, _, _ = make_tip()
         assert manager.cancel_all(PID) == 0
-        manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, BLOCK_SIZE)
         manager.cancel_all(PID)
         assert manager.cancel_all(PID) == 0
         assert manager.cancelled_total == 1
 
     def test_cancelled_total_accumulates_across_calls(self):
         manager, fs, _, _ = make_tip()
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
         manager.cancel_all(PID)
-        manager.hint_segments(PID, [seg(fs, "f1", 0, 3 * BLOCK_SIZE)])
+        hint(manager, fs, "f1", 0, 3 * BLOCK_SIZE)
         manager.cancel_all(PID)
         assert manager.cancelled_total == 5
 
@@ -305,7 +323,7 @@ class TestSchedulingCost:
     def test_unhinted_arrival_with_resident_window_is_free(self):
         params = TipParams(prefetch_horizon=8, max_inflight_per_disk=16)
         manager, fs, engine, stats = make_tip(cache_blocks=64, tip_params=params)
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 20 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 20 * BLOCK_SIZE)
         drain(engine)
         assert stats.get("tip.prefetches_issued") == 8  # full, resident window
         lookups = count_scheduler_lookups(manager)
@@ -320,7 +338,7 @@ class TestSchedulingCost:
         params = TipParams(prefetch_horizon=8, max_inflight_per_disk=16)
         manager, fs, engine, stats = make_tip(cache_blocks=2, tip_params=params)
         inode = fs.lookup("f0")
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 4 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 4 * BLOCK_SIZE)
         # Two blocks fit; the other two are refused, and again on every
         # arrival while the first two stay hinted (so unevictable).
         assert stats.get("tip.prefetches_issued") == 2
@@ -328,8 +346,8 @@ class TestSchedulingCost:
         drain(engine)
         assert stats.get("cache.prefetch_denied_no_room") == 6
         # Reading the first two frees them for eviction: the retry succeeds.
-        manager.consume_hints(PID, inode, 0, 1, 0, 2 * BLOCK_SIZE)
-        manager.after_read(PID)
+        manager.consume_hints(PID, inode, 0, 1, 2 * BLOCK_SIZE)
+        manager.read_call_completed(PID, ReadAheadState(), inode, 0, 1, hinted=True)
         drain(engine)
         assert stats.get("tip.prefetches_issued") == 4
         # Nothing is owed any more: an unrelated arrival looks nothing up.
@@ -350,7 +368,7 @@ class TestSchedulingCost:
 
         manager.array.submit = recording_submit
         # Blocks 0-7 share a stripe unit (disk 0), 8-15 the next (disk 1).
-        manager.hint_segments(PID, [seg(fs, "f0", 0, 12 * BLOCK_SIZE)])
+        hint(manager, fs, "f0", 0, 12 * BLOCK_SIZE)
         inode = fs.lookup("f0")
         assert submitted == [inode.first_lbn, inode.first_lbn + 8]  # one per disk
         del submitted[:]

@@ -24,7 +24,6 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.striping import StripedArray
-from repro.tip.hints import HintSegment, Ioctl
 from repro.tip.manager import TipManager
 from repro.trace import (
     ALL_CATEGORIES,
@@ -270,10 +269,7 @@ class TestLifecycleReconciliation:
     def test_reconciles_through_cancel_all(self):
         manager, fs, engine = make_tip_with_lifecycle()
         ino = fs.lookup("f0")
-        manager.hint_segments(
-            PID,
-            [HintSegment(ino, 0, 5 * BLOCK_SIZE, PID, Ioctl.TIPIO_FD_SEG)],
-        )
+        manager.disclose(PID, ino, 0, 5 * BLOCK_SIZE)
         assert manager.outstanding_hints(PID) == 5
         assert manager.lifecycle.open_for(PID) == 5
         manager.cancel_all(PID)
@@ -284,22 +280,16 @@ class TestLifecycleReconciliation:
     def test_reconciles_through_consumption(self):
         manager, fs, engine = make_tip_with_lifecycle()
         ino = fs.lookup("f0")
-        manager.hint_segments(
-            PID,
-            [HintSegment(ino, 0, 3 * BLOCK_SIZE, PID, Ioctl.TIPIO_FD_SEG)],
-        )
+        manager.disclose(PID, ino, 0, 3 * BLOCK_SIZE)
         while engine.advance_to_next():
             pass
-        manager.consume_hints(PID, ino, 0, 2, 0, 3 * BLOCK_SIZE)
+        manager.consume_hints(PID, ino, 0, 2, 3 * BLOCK_SIZE)
         assert manager.outstanding_hints(PID) == manager.lifecycle.open_for(PID) == 0
 
     def test_finalize_closes_every_hint(self):
         manager, fs, engine = make_tip_with_lifecycle()
         ino = fs.lookup("f0")
-        manager.hint_segments(
-            PID,
-            [HintSegment(ino, 0, 4 * BLOCK_SIZE, PID, Ioctl.TIPIO_FD_SEG)],
-        )
+        manager.disclose(PID, ino, 0, 4 * BLOCK_SIZE)
         while engine.advance_to_next():
             pass
         manager.finalize()

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import IllegalAddress
 from repro.vm.memory import (
     DATA_BASE,
+    SPACE_SIZE,
     SPEC_HEAP_BASE,
     STACK_TOP,
     AddressSpace,
@@ -106,3 +107,9 @@ class TestTypedAccess:
     def test_raw_access_skips_validation(self, mem):
         # raw_read of an unmapped region returns stale zeroes, no fault.
         assert mem.raw_read(mem.heap_max + 64, 4) == b"\x00" * 4
+
+    def test_raw_write_past_the_end_raises_and_cannot_grow_the_space(self, mem):
+        # The unvalidated path: the backing store itself must refuse.
+        with pytest.raises(IndexError):
+            mem.raw_write(SPACE_SIZE - 4, b"x" * 8)
+        assert mem.raw_read(SPACE_SIZE - 4, 64) == b"\x00" * 4

@@ -5,10 +5,11 @@ learnt to visit only what may have become issuable: walk the whole prefetch
 window on every hint, read, arrival and drop, re-deriving each block's disk
 from the file system.  It is deliberately naive and must stay that way —
 ``test_property_tip_scheduler.py`` drives it beside the real manager and
-requires identical disk traffic, counters and hint ledger.  The scan and
-the two fetch-completion hooks are overridden, so none of the incremental
-bookkeeping (``_HintedBlock.disk``, ``_ProcessHints.visited``/``dirty``,
-``released``, ``on_block_evicted``) takes part.
+requires identical disk traffic, counters and hint ledger.  Three methods
+are overridden, the scan and the two fetch-completion hooks, so none of the
+incremental bookkeeping (``_HintedBlock.disk``, ``_ProcessHints.visited`` /
+``dirty``, ``released``) takes part; ``on_block_evicted`` still runs and
+marks windows dirty, which this scan never reads.
 """
 
 from repro.fs.cache import BlockKey, FetchOrigin
