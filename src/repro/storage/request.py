@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Event
+    from repro.storage.striping import _ChildSet
 
 
 class IOKind(enum.Enum):
@@ -21,6 +25,37 @@ class IOKind(enum.Enum):
     PREFETCH = "prefetch"
 
 
+class State(enum.IntEnum):
+    """Where a top-level request is in the striped array.
+
+    A request is in exactly one of these; the only writer is
+    ``StripedArray._move``, which checks every move against the table
+    ``striping._MOVES``.  Internal child reads never move.  (The members
+    are ints only so that the table lookup hashes in C on every move;
+    ``Enum.__hash__`` is a Python function.)
+    """
+
+    #: Not at any disk yet: fresh from ``submit``, or parked behind the
+    #: per-disk prefetch limit.
+    HELD = 0
+    #: Queued or in service at ``disk_id``; its timeout runs.
+    AT_DISK = 1
+    #: An attempt faulted or timed out and the retry is not due yet (a
+    #: hedge may still be racing).
+    BACKOFF = 2
+    #: The home disk is dead: the surviving-peer reads (``recon``) are out.
+    RECONSTRUCTING = 3
+    #: No attempt of its own is left — retries exhausted, or its disk
+    #: died — while a hedge still races: the hedge's outcome decides.
+    HEDGE_ONLY = 4
+    #: An unrecoverable prefetch, one event before it is dropped.
+    DROPPING = 5
+    #: Read off the media; the delayed completion notice is not due yet.
+    NOTIFYING = 6
+    #: The callbacks have run.
+    DONE = 7
+
+
 class IORequest:
     """One block read moving through the storage stack.
 
@@ -30,15 +65,17 @@ class IORequest:
         Logical block number in the striped address space.
     kind:
         Demand or prefetch.
-    callback:
-        Invoked (with the request) when the requesting layer is *notified*
-        of completion — i.e. after any completion-delay factor.
+    callbacks:
+        Invoked in joining order (each with the request) when the
+        requesting layers are *notified* of completion — i.e. after any
+        completion-delay factor.
     """
 
     __slots__ = (
         "lbn",
         "kind",
-        "callback",
+        "callbacks",
+        "state",
         "disk_id",
         "physical_block",
         "submit_time",
@@ -57,8 +94,6 @@ class IORequest:
         "reconstructed",
     )
 
-    _COUNTER = 0
-
     def __init__(
         self,
         lbn: int,
@@ -67,7 +102,8 @@ class IORequest:
     ) -> None:
         self.lbn = lbn
         self.kind = kind
-        self.callback = callback
+        self.callbacks = [] if callback is None else [callback]
+        self.state = State.HELD
         #: Filled in by the striping device.
         self.disk_id: int = -1
         self.physical_block: int = -1
@@ -85,18 +121,18 @@ class IORequest:
         #: with ``failed`` set so upper layers can degrade (or surface it).
         self.failed: bool = False
         #: Pending per-request timeout event, cancelled on completion.
-        self.timeout_event: Optional[object] = None
+        self.timeout_event: Optional["Event"] = None
         #: Redundancy plumbing (None/False on the fault-free fast path).
         #: Internal child reads (reconstruction peers, rebuild I/O) carry
         #: the owning child-set here and bypass the normal completion path.
-        self.owner: Optional[object] = None
+        self.owner: Optional["_ChildSet"] = None
         #: The reconstruction serving this request when its home disk is
         #: dead (degraded read).
-        self.recon: Optional[object] = None
+        self.recon: Optional["_ChildSet"] = None
         #: The racing hedged reconstruction, if one is in flight.
-        self.hedge: Optional[object] = None
-        #: Pending hedge-arm event, cancelled on completion.
-        self.hedge_event: Optional[object] = None
+        self.hedge: Optional["_ChildSet"] = None
+        #: Pending hedge-arm event, cancelled once the read is off the media.
+        self.hedge_event: Optional["Event"] = None
         #: True when the block was rebuilt from parity rather than read
         #: from its home disk.
         self.reconstructed: bool = False
@@ -117,5 +153,5 @@ class IORequest:
     def __repr__(self) -> str:
         return (
             f"IORequest(lbn={self.lbn}, kind={self.kind.value}, "
-            f"disk={self.disk_id}, done={self.done})"
+            f"disk={self.disk_id}, state={self.state.name})"
         )

@@ -24,12 +24,32 @@ resilvers the lost disk onto a hot spare.  Demand reads may additionally be
 races the original request and the first completion wins (the loser is
 cancelled).  All of it is strictly opt-in — the default geometry and the
 fault-free event stream are bit-identical to the plain striping device.
+
+The request lifecycle
+---------------------
+
+A top-level request is in exactly one :class:`~repro.storage.request.State`.
+:meth:`StripedArray._move` is the only writer and checks every move against
+``_MOVES``; :meth:`StripedArray._place` is the only code that routes; a
+timer or completion that can fire late decides whether it still applies
+from the state alone (DESIGN §12.4 gives the reasons)::
+
+    HELD           -> AT_DISK RECONSTRUCTING DROPPING DONE
+    AT_DISK        -> AT_DISK BACKOFF RECONSTRUCTING HEDGE_ONLY DROPPING
+                      NOTIFYING DONE
+    BACKOFF        -> AT_DISK RECONSTRUCTING DROPPING DONE
+    RECONSTRUCTING -> DONE
+    HEDGE_ONLY     -> AT_DISK RECONSTRUCTING DONE
+    DROPPING       -> DONE
+    NOTIFYING      -> DONE
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from repro.errors import (
     DataLossError,
@@ -45,13 +65,44 @@ from repro.sim.stats import StatRegistry
 from repro.storage.disk import Disk
 from repro.storage.parity import ParityGeometry
 from repro.storage.rebuild import RebuildEngine
-from repro.storage.request import IOKind, IORequest
+from repro.storage.request import IOKind, IORequest, State
 from repro.trace.tracer import CAT_STORAGE, NULL_TRACER, TID_DISK_BASE, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
 
-from repro.faults.injector import FAULT_DATA_LOSS, FAULT_DEAD
+from repro.faults.injector import FAULT_DATA_LOSS, FAULT_DEAD, FAULT_TIMEOUT
+
+#: Every move a request can make (the table in the module docstring).
+#: ``tests/test_storage_lifecycle.py`` takes each one and no other.
+_MOVES: Dict[State, FrozenSet[State]] = {
+    # Placed: at its disk or the spare, on the peers, or unrecoverable —
+    # dropped one event later (prefetch) or failed on the spot (demand).
+    State.HELD: frozenset({
+        State.AT_DISK, State.RECONSTRUCTING, State.DROPPING, State.DONE,
+    }),
+    # The attempt ended: read (notice now or delayed), beaten by its hedge,
+    # faulted with or without retries left, or its disk died — re-placed
+    # (AT_DISK again is the spare), unless a racing hedge is left to decide.
+    State.AT_DISK: frozenset({
+        State.AT_DISK, State.BACKOFF, State.RECONSTRUCTING, State.HEDGE_ONLY,
+        State.DROPPING, State.NOTIFYING, State.DONE,
+    }),
+    # Retry due: placed afresh.  DONE is also a hedge winning meanwhile.
+    State.BACKOFF: frozenset({
+        State.AT_DISK, State.RECONSTRUCTING, State.DROPPING, State.DONE,
+    }),
+    # The peers answered, gave up, or a racing hedge finished first.
+    State.RECONSTRUCTING: frozenset({State.DONE}),
+    # The hedge won, or lost: then a dead disk's request is placed afresh
+    # and one out of retries fails.  Hedged requests are demands: no drop.
+    State.HEDGE_ONLY: frozenset({
+        State.AT_DISK, State.RECONSTRUCTING, State.DONE,
+    }),
+    State.DROPPING: frozenset({State.DONE}),
+    State.NOTIFYING: frozenset({State.DONE}),
+    State.DONE: frozenset(),
+}
 
 
 class _ChildSet:
@@ -136,13 +187,24 @@ class StripedArray:
         #: True once any block was declared unrecoverable.
         self.data_loss = False
 
-        #: Hedge delay and rebuild share, overridable per fault plan.
-        self._hedge_cycles = array.hedge_after_cycles
+        #: Per-attempt timeout and hedge delay, resolved once: 0 — never
+        #: armed — without an injector (fault-free runs keep a bit-identical
+        #: event stream), the hedge 0 without parity too (only one copy of a
+        #: block exists, so the duplicate must come from the peers).  The
+        #: fault-free path is the same machine with no timer to arm.  A
+        #: fault plan may override the hedge delay and the rebuild share.
+        self._timeout_cycles = 0
+        self._hedge_cycles = 0
+        self._xor_cycles = max(1, array.reconstruct_xor_cycles)
         self._rebuild_share = array.rebuild_bandwidth_share
         if injector is not None:
             plan = injector.plan
-            if plan.hedge_after_s > 0.0:
-                self._hedge_cycles = cpu.cycles(plan.hedge_after_s)
+            self._timeout_cycles = array.request_timeout_cycles
+            if self.parity is not None:
+                self._hedge_cycles = (
+                    cpu.cycles(plan.hedge_after_s)
+                    if plan.hedge_after_s > 0.0 else array.hedge_after_cycles
+                )
             if plan.rebuild_share > 0.0:
                 self._rebuild_share = plan.rebuild_share
 
@@ -207,9 +269,6 @@ class StripedArray:
         """The rebuild engines started so far (complete or not)."""
         return [r for r in self._dead_disks.values() if r is not None]
 
-    def _is_dead(self, disk_id: int) -> bool:
-        return disk_id in self._dead_disks
-
     def _route(self, disk_id: int, physical: int) -> Optional[int]:
         """The disk that can serve ``(disk_id, physical)`` right now:
         the disk itself while alive, its spare once the block is
@@ -221,19 +280,28 @@ class StripedArray:
             return rebuild.spare_id
         return None
 
-    def _can_reconstruct(self, home_disk: int, physical: int) -> bool:
-        """Can ``(home_disk, physical)`` be rebuilt from its parity row?"""
+    def _survivors(self, home_disk: int, physical: int) -> Optional[List[int]]:
+        """The disks whose copies of ``physical`` XOR back to ``home_disk``'s
+        — every peer of the parity row, or its spare once resilvered — or
+        None when one of them cannot be read (or there is no parity)."""
         if self.parity is None or home_disk >= self.array.ndisks:
-            return False
-        return all(
-            self._route(peer, physical) is not None
-            for peer in self.parity.peer_disks(home_disk)
-        )
+            return None
+        survivors: List[int] = []
+        for peer in self.parity.peer_disks(home_disk):
+            serving = self._route(peer, physical)
+            if serving is None:
+                return None
+            survivors.append(serving)
+        return survivors
+
+    def can_reconstruct(self, home_disk: int, physical: int) -> bool:
+        """Can ``(home_disk, physical)`` be rebuilt from its parity row?"""
+        return self._survivors(home_disk, physical) is not None
 
     def _note_disk_death(self, disk_id: int) -> None:
         """First observation of a permanent death: mark the disk dead,
-        hand its held prefetches to the reconstruction path, and start
-        resilvering onto a spare when one is free."""
+        start resilvering onto a spare when one is free, and place its
+        held prefetches elsewhere."""
         if disk_id in self._dead_disks or disk_id >= self.array.ndisks:
             return
         self._dead_disks[disk_id] = None
@@ -253,11 +321,7 @@ class StripedArray:
         # Prefetches held for the dead disk can never dispatch there.
         held = self._held_prefetches[disk_id]
         while held:
-            request = held.popleft()
-            if self.parity is not None:
-                self._start_degraded_read(request)
-            else:
-                self._fail_data_loss(request)
+            self._place(held.popleft())
 
     # -- request path ------------------------------------------------------
 
@@ -270,42 +334,22 @@ class StripedArray:
         """Submit a block read; ``callback`` runs at notification time.
 
         A read for a block that is already outstanding coalesces: the new
-        callback chains onto the existing request, and a demand read
-        promotes a queued prefetch for the same block.
+        callback joins the existing request's, and a demand read promotes
+        a prefetch for the same block.
         """
         existing = self._outstanding.get(lbn)
         if existing is not None:
-            self._chain_callback(existing, callback)
+            existing.callbacks.append(callback)
             if kind is IOKind.DEMAND and not existing.is_demand:
                 self._promote(existing)
                 self.stats.counter(metrics.ARRAY_DEMAND_COALESCED).add()
             return existing
 
         request = IORequest(lbn, kind, callback)
-        disk_id, physical = self.map_block(lbn)
-        request.disk_id = disk_id
-        request.physical_block = physical
+        request.disk_id, request.physical_block = self.map_block(lbn)
         self._outstanding[lbn] = request
         self.stats.counter(f"array.{kind.value}_submitted").add()
-
-        if self._is_dead(disk_id):
-            serving = self._route(disk_id, physical)
-            if serving is None:
-                self._start_degraded_read(request)
-                return request
-            request.disk_id = disk_id = serving
-
-        limit = self.array.max_prefetches_per_disk
-        if (
-            kind is IOKind.PREFETCH
-            and limit > 0
-            and self._inflight_prefetches[disk_id] >= limit
-        ):
-            self._held_prefetches[disk_id].append(request)
-            self.stats.counter(metrics.ARRAY_PREFETCHES_HELD).add()
-            return request
-
-        self._dispatch(request)
+        self._place(request, may_hold=True)
         return request
 
     def outstanding_for(self, lbn: int) -> Optional[IORequest]:
@@ -316,244 +360,226 @@ class StripedArray:
     def total_outstanding(self) -> int:
         return len(self._outstanding)
 
-    def _promote(self, request: IORequest) -> None:
-        """Raise an outstanding prefetch to demand priority where possible."""
-        if request.recon is not None:
-            # Being reconstructed from peers: promote the surviving-peer
-            # reads so the reconstruction finishes at demand priority.
-            request.promote_to_demand()
-            self._promote_reconstruction(request.recon)
-            return
-        if request.fault is not None:
-            # Waiting out a retry backoff (not at any disk): flip the kind so
-            # the resubmit dispatches at demand priority with demand retry
-            # limits — a demand waiter must never ride a droppable prefetch.
-            request.promote_to_demand()
-            return
-        disk_id = request.disk_id
-        held = self._held_prefetches[disk_id]
-        for i, held_request in enumerate(held):
-            if held_request is request:
-                # Never dispatched: send it straight to the disk as demand.
-                del held[i]
-                request.promote_to_demand()
-                self.disks[disk_id].submit(request)
-                return
-        if self.disks[disk_id].promote_queued(request.lbn):
-            # Was waiting in the disk's prefetch queue.
-            self._inflight_prefetches[disk_id] -= 1
-            request.kind = IOKind.DEMAND
-            self._release_held(disk_id)
-            return
-        # Already on the media: the platters can't be re-prioritized, and
-        # fault-free the attempt always completes, so leave it alone.  Under
-        # fault injection the retry budget must still become demand's — a
-        # blocked reader now waits on this request, so it may not be silently
-        # dropped if the current attempt faults.
-        if self.injector is not None:
-            self._inflight_prefetches[disk_id] -= 1
-            request.promote_to_demand()
-            self._release_held(disk_id)
+    def _count(self, name: str, disk_id: int, suffix: str) -> None:
+        """Count one event for the array and for the disk it happened at."""
+        self.stats.counter(name).add()
+        self.stats.counter(f"{metrics.DISK_PREFIX}{disk_id}.{suffix}").add()
 
-    def _promote_reconstruction(self, recon: _ChildSet) -> None:
-        for child in recon.children:
-            if child.is_demand:
-                continue
-            if not self.disks[child.disk_id].promote_queued(child.lbn):
-                # In service (can't be re-prioritized) or in retry backoff
-                # (the resubmit will enqueue at demand priority).
-                child.promote_to_demand()
-
-    def _dispatch(self, request: IORequest) -> None:
-        if self._is_dead(request.disk_id):
-            serving = self._route(request.disk_id, request.physical_block)
-            if serving is None:
-                # The home disk died while the request waited (held queue
-                # or retry backoff): reconstruct instead.
-                self._start_degraded_read(request)
-                return
-            request.disk_id = serving
-        if request.kind is IOKind.PREFETCH:
-            self._inflight_prefetches[request.disk_id] += 1
-        self._arm_timeout(request)
-        self._arm_hedge(request)
-        self.disks[request.disk_id].submit(request)
-
-    def _arm_timeout(self, request: IORequest) -> None:
-        """Per-attempt request timeout; only armed under fault injection
-        (fault-free runs keep a bit-identical event stream)."""
-        timeout = self.array.request_timeout_cycles
-        if self.injector is None or timeout <= 0:
-            return
-        request.timeout_event = self.engine.schedule_after(
-            timeout,
-            lambda: self._timeout_fired(request),
-            label=f"array:timeout lbn={request.lbn}",
+    def _move(self, request: IORequest, new: State) -> None:
+        """The only writer of ``request.state``."""
+        assert new in _MOVES[request.state], (
+            f"{request!r} cannot move to {new.name}"
         )
+        request.state = new
 
-    def _disarm_timeout(self, request: IORequest) -> None:
-        event = request.timeout_event
-        if event is not None:
-            event.cancel()
+    def _place(self, request: IORequest, may_hold: bool = False) -> None:
+        """The only code that routes: send ``request`` to what can serve
+        its block now — the disk, its spare once the block is resilvered,
+        else the surviving peers, else nothing (data loss).  A prefetch
+        that ``may_hold`` waits behind the per-disk prefetch limit."""
+        request.fault = None
+        disk_id = self._route(request.disk_id, request.physical_block)
+        if disk_id is None:
+            peers = self._survivors(request.disk_id, request.physical_block)
+            if peers is None:
+                self._fail_data_loss(request)
+                return
+            request.reconstructed = True
+            self.stats.counter(metrics.ARRAY_DEGRADED_READS).add()
+            self._move(request, State.RECONSTRUCTING)
+            request.recon = self._spawn(
+                peers, request.physical_block, request.lbn, request.kind,
+                self._xor_cycles,
+                on_complete=lambda cs: self._degraded_read_ended(request, None),
+                on_failed=lambda cs, fault: self._degraded_read_ended(request, fault),
+                label=f"array:reconstruct lbn={request.lbn}",
+            )
+            return
+        request.disk_id = disk_id
+        if request.kind is IOKind.PREFETCH:
+            limit = self.array.max_prefetches_per_disk
+            if may_hold and 0 < limit <= self._inflight_prefetches[disk_id]:
+                self._held_prefetches[disk_id].append(request)
+                self.stats.counter(metrics.ARRAY_PREFETCHES_HELD).add()
+                return
+            self._inflight_prefetches[disk_id] += 1
+        self._move(request, State.AT_DISK)
+        # Timeout event, hedge event, then the disk: the engine breaks ties
+        # by scheduling order, so this order is part of the event stream.
+        if self._timeout_cycles > 0:
+            request.timeout_event = self.engine.schedule_after(
+                self._timeout_cycles,
+                lambda: self._timeout_fired(request),
+                label=f"array:timeout lbn={request.lbn}",
+            )
+        if (self._hedge_cycles > 0 and request.is_demand
+                and request.hedge is None and request.hedge_event is None):
+            request.hedge_event = self.engine.schedule_after(
+                self._hedge_cycles,
+                lambda: self._hedge_fired(request),
+                label=f"array:hedge lbn={request.lbn}",
+            )
+        self.disks[disk_id].submit(request)
+
+    def _promote(self, request: IORequest) -> None:
+        """A demand read joined this outstanding prefetch: raise it to
+        demand priority where its state still allows."""
+        state = request.state
+        disk_id = request.disk_id
+        if state is State.HELD:
+            # Never dispatched: straight to its disk's demand queue.
+            self._held_prefetches[disk_id].remove(request)
+            request.promote_to_demand()
+            self._move(request, State.AT_DISK)
+            self.disks[disk_id].submit(request)
+        elif state is State.AT_DISK:
+            # Waiting in the disk's prefetch queue, it moves to the demand
+            # queue and gives up its slot.  In service, the platters can't
+            # be re-prioritized: fault-free the attempt always completes, so
+            # it stays a prefetch until the disk finishes (freeing the slot
+            # at join time would move every Figure 6 number); under an
+            # injector it is promoted at once — a blocked reader now waits
+            # on it, so it may not be silently dropped if the attempt faults.
+            queued = self.disks[disk_id].promote_queued(request.lbn)
+            if queued or self.injector is not None:
+                request.promote_to_demand()
+                self._free_slot(disk_id)
+        elif state is State.RECONSTRUCTING:
+            # Promote the surviving-peer reads so the reconstruction
+            # finishes at demand priority.
+            request.promote_to_demand()
+            assert request.recon is not None
+            for child in request.recon.children:
+                disk = self.disks[child.disk_id]
+                if not (child.is_demand or disk.promote_queued(child.lbn)):
+                    # In service (can't be re-prioritized) or in retry
+                    # backoff (the resubmit enqueues at demand priority).
+                    child.promote_to_demand()
+        elif state is not State.NOTIFYING:
+            # BACKOFF, DROPPING: at no disk.  Flip the kind so the retry
+            # dispatches at demand priority with demand retry limits, and a
+            # drop surfaces as the reader's typed error.  In NOTIFYING the
+            # block is already in hand: there is nothing left to promote.
+            request.promote_to_demand()
+
+    def _free_slot(self, disk_id: int) -> None:
+        """A prefetch left ``disk_id``: hand its slot to the held queue."""
+        self._inflight_prefetches[disk_id] -= 1
+        held = self._held_prefetches[disk_id]
+        limit = self.array.max_prefetches_per_disk
+        while held and self._inflight_prefetches[disk_id] < limit:
+            self._place(held.popleft())
+
+    def _leave_disk(self, request: IORequest) -> None:
+        """``request``'s attempt at its disk is over — finished, aborted by
+        its timeout, or beaten by its hedge: stop the timeout, free the
+        prefetch slot."""
+        if request.timeout_event is not None:
+            request.timeout_event.cancel()
             request.timeout_event = None
+        if request.kind is IOKind.PREFETCH:
+            self._free_slot(request.disk_id)
 
     def _timeout_fired(self, request: IORequest) -> None:
+        """The attempt outlived ``request_timeout_cycles`` (every way out
+        of AT_DISK cancels this event, so the request is still there)."""
         request.timeout_event = None
-        if request.done or request.fault is not None:
-            return  # completed or already in the retry path
-        if not self.disks[request.disk_id].abort(request):
-            return  # finishing this very cycle; let completion win
-        if request.kind is IOKind.PREFETCH:
-            self._inflight_prefetches[request.disk_id] -= 1
-            self._release_held(request.disk_id)
-        request.fault = "timeout"
-        self.stats.counter(metrics.ARRAY_TIMEOUTS).add()
-        self.stats.counter(
-            f"{metrics.DISK_PREFIX}{request.disk_id}."
-            f"{metrics.DISK_TIMEOUTS_SUFFIX}"
-        ).add()
-        self._handle_fault(request)
-
-    def _chain_callback(self, request: IORequest, callback: Callable[[IORequest], None]) -> None:
-        previous = request.callback
-
-        def chained(req: IORequest) -> None:
-            if previous is not None:
-                previous(req)
-            callback(req)
-
-        request.callback = chained
+        self.disks[request.disk_id].abort(request)
+        self._leave_disk(request)
+        request.fault = FAULT_TIMEOUT
+        self._count(metrics.ARRAY_TIMEOUTS, request.disk_id,
+                    metrics.DISK_TIMEOUTS_SUFFIX)
+        self._attempt_failed(request)
 
     # -- hedged reads --------------------------------------------------------
 
-    def _arm_hedge(self, request: IORequest) -> None:
-        """Arm a hedged duplicate for a demand read.  The hedge is a parity
-        reconstruction racing the primary (only one copy of a block exists,
-        so the duplicate must come from the peers).  Only armed under fault
-        injection on a parity array."""
-        if (
-            self._hedge_cycles <= 0
-            or self.injector is None
-            or self.parity is None
-            or not request.is_demand
-            or request.hedge is not None
-            or request.hedge_event is not None
-        ):
-            return
-        request.hedge_event = self.engine.schedule_after(
-            self._hedge_cycles,
-            lambda: self._hedge_fired(request),
-            label=f"array:hedge lbn={request.lbn}",
-        )
-
     def _hedge_fired(self, request: IORequest) -> None:
+        """The primary is still out after the hedge delay: race it with a
+        parity reconstruction.  The timer survives a backoff, so it can
+        fire while the retry, death or reconstruction paths own the
+        request — then there is nothing at a disk to race.  Nor is a
+        request hedged that waits at a disk another has already seen die:
+        the death path re-places it (the peers alone would say yes)."""
         request.hedge_event = None
-        if request.done or request.fault is not None:
-            return  # completed, or the retry/death paths own it now
-        if self._is_dead(request.disk_id):
-            return  # the death path reroutes this request itself
-        if not self._can_reconstruct(request.disk_id, request.physical_block):
+        if request.state is not State.AT_DISK or request.disk_id in self._dead_disks:
             return
-        self.stats.counter(metrics.ARRAY_HEDGES_ISSUED).add()
-        self.stats.counter(
-            f"{metrics.DISK_PREFIX}{request.disk_id}."
-            f"{metrics.DISK_HEDGES_SUFFIX}"
-        ).add()
-        request.hedge = self._spawn_reconstruction(
-            home_disk=request.disk_id,
-            physical=request.physical_block,
-            lbn=request.lbn,
-            kind=IOKind.DEMAND,
-            on_complete=lambda cs: self._hedge_completed(request),
-            on_failed=lambda cs, fault: self._hedge_failed(request),
+        peers = self._survivors(request.disk_id, request.physical_block)
+        if peers is None:
+            return
+        self._count(metrics.ARRAY_HEDGES_ISSUED, request.disk_id,
+                    metrics.DISK_HEDGES_SUFFIX)
+        request.hedge = self._spawn(
+            peers, request.physical_block, request.lbn, IOKind.DEMAND,
+            self._xor_cycles,
+            on_complete=lambda cs: self._hedge_won(request),
+            on_failed=lambda cs, fault: self._hedge_lost(request),
             label=f"array:hedge-reconstruct lbn={request.lbn}",
         )
 
-    def _hedge_completed(self, request: IORequest) -> None:
-        """The hedged reconstruction finished first: first-wins."""
-        recon = request.hedge
-        if recon is None or request.done:
-            return
-        if request.fault is None:
-            # The primary is still at its disk; abort it there.
-            if not self.disks[request.disk_id].abort(request):
-                # Finishing this very cycle: let the primary win.
-                request.hedge = None
-                recon.cancelled = True
-                return
+    def _hedge_won(self, request: IORequest) -> None:
+        """The hedged reconstruction finished first: first-wins, whatever
+        the request's own attempt is doing (a retry or reconstruction that
+        ends later finds the request DONE and is ignored)."""
+        if request.state is State.AT_DISK:
+            self.disks[request.disk_id].abort(request)
+            self._leave_disk(request)
         request.hedge = None
-        recon.cancelled = True
-        self._disarm_timeout(request)
         request.fault = None
-        request.failed = False
         request.reconstructed = True
-        self.stats.counter(metrics.ARRAY_HEDGES_WON).add()
-        self.stats.counter(
-            f"{metrics.DISK_PREFIX}{request.disk_id}."
-            f"{metrics.DISK_HEDGES_WON_SUFFIX}"
-        ).add()
+        self._count(metrics.ARRAY_HEDGES_WON, request.disk_id,
+                    metrics.DISK_HEDGES_WON_SUFFIX)
         self._notify(request)
 
-    def _hedge_failed(self, request: IORequest) -> None:
-        """The hedged reconstruction lost (peer faults exhausted it)."""
+    def _hedge_lost(self, request: IORequest) -> None:
+        """The hedged reconstruction failed (peer faults exhausted it)."""
         self.stats.counter(metrics.ARRAY_HEDGES_LOST).add()
         request.hedge = None
-        if request.done:
-            return
-        if request.failed:
-            # The primary exhausted its retries while the hedge raced;
-            # the hedge was the last hope.
-            self._fail_request(request)
-            return
+        if request.state is not State.HEDGE_ONLY:
+            return  # its own attempt is still working and finishes normally
+        # The hedge was the last hope of a request out of retries; one
+        # whose disk died is placed afresh (spare, peers or data loss).
         if request.fault == FAULT_DEAD:
-            # The primary's disk died while the hedge raced.
-            self._redispatch_after_death(request)
-        # Otherwise the primary is still working (at its disk or in
-        # backoff) and finishes normally.
+            self._place(request)
+        else:
+            self._fail_request(request)
 
-    def _cancel_hedge(self, request: IORequest) -> None:
-        """The primary finished first: cancel the racing reconstruction."""
-        recon = request.hedge
-        request.hedge = None
-        if recon is None:
-            return
-        recon.cancelled = True
-        for child in recon.children:
-            self.disks[child.disk_id].abort(child)
-        self.stats.counter(metrics.ARRAY_HEDGES_CANCELLED).add()
+    def _stop_hedging(self, request: IORequest) -> None:
+        """The block is in hand (or given up on): no hedge may fire, and
+        one still racing is cancelled at the disks."""
+        if request.hedge_event is not None:
+            request.hedge_event.cancel()
+            request.hedge_event = None
+        if request.hedge is not None:
+            self._cancel(request.hedge)
+            request.hedge = None
+            self.stats.counter(metrics.ARRAY_HEDGES_CANCELLED).add()
 
     # -- parity reconstruction ----------------------------------------------
 
-    def _spawn_reconstruction(
+    def _spawn(
         self,
-        home_disk: int,
+        targets: List[int],
         physical: int,
         lbn: int,
         kind: IOKind,
+        xor_cycles: int,
         on_complete: Callable[[_ChildSet], None],
         on_failed: Callable[[_ChildSet, str], None],
         label: str,
     ) -> _ChildSet:
-        """Read ``physical`` on every surviving peer of ``home_disk``; when
-        all arrive, charge the XOR cost and call ``on_complete``.  The
-        caller must have checked :meth:`_can_reconstruct`."""
-        recon = _ChildSet(
-            max(1, self.array.reconstruct_xor_cycles),
-            on_complete, on_failed, label,
-        )
-        assert self.parity is not None
-        for peer in self.parity.peer_disks(home_disk):
-            serving = self._route(peer, physical)
-            assert serving is not None, "caller must check _can_reconstruct"
+        """Issue one child access of ``physical`` per target disk; when all
+        arrive, charge ``xor_cycles`` and call ``on_complete``."""
+        child_set = _ChildSet(xor_cycles, on_complete, on_failed, label)
+        for disk_id in targets:
             child = IORequest(lbn, kind)
-            child.disk_id = serving
+            child.disk_id = disk_id
             child.physical_block = physical
-            child.owner = recon
-            recon.children.append(child)
-        recon.remaining = len(recon.children)
-        for child in recon.children:
+            child.owner = child_set
+            child_set.children.append(child)
+        child_set.remaining = len(child_set.children)
+        for child in child_set.children:
             self.disks[child.disk_id].submit(child)
-        return recon
+        return child_set
 
     def spawn_spare_write(
         self,
@@ -564,15 +590,10 @@ class StripedArray:
         label: str,
     ) -> _ChildSet:
         """One rebuild write landing a resilvered block on the spare."""
-        write_set = _ChildSet(0, on_complete, on_failed, label)
-        child = IORequest(-1, IOKind.PREFETCH)
-        child.disk_id = spare_id
-        child.physical_block = physical
-        child.owner = write_set
-        write_set.children.append(child)
-        write_set.remaining = 1
-        self.disks[spare_id].submit(child)
-        return write_set
+        return self._spawn(
+            [spare_id], physical, -1, IOKind.PREFETCH, 0,
+            on_complete, on_failed, label,
+        )
 
     def spawn_rebuild_read(
         self,
@@ -583,242 +604,194 @@ class StripedArray:
     ) -> _ChildSet:
         """One rebuild row read: reconstruct ``physical`` of the dead disk
         at prefetch priority (demand traffic wins at every disk queue)."""
-        return self._spawn_reconstruction(
-            home_disk=dead_disk,
-            physical=physical,
-            lbn=-1,
-            kind=IOKind.PREFETCH,
-            on_complete=on_complete,
-            on_failed=on_failed,
+        peers = self._survivors(dead_disk, physical)
+        assert peers is not None, "caller must check can_reconstruct"
+        return self._spawn(
+            peers, physical, -1, IOKind.PREFETCH, self._xor_cycles,
+            on_complete, on_failed,
             label=f"array:rebuild disk{dead_disk} block={physical}",
         )
 
-    def can_reconstruct(self, home_disk: int, physical: int) -> bool:
-        """Public probe used by the rebuild engine."""
-        return self._can_reconstruct(home_disk, physical)
-
-    def _child_finished(self, child: IORequest) -> None:
-        recon = child.owner
-        assert isinstance(recon, _ChildSet)
-        if recon.cancelled:
+    def _child_finished(self, child: IORequest, owner: _ChildSet) -> None:
+        if owner.cancelled:
             return
         if child.fault is None:
-            recon.remaining -= 1
-            if recon.remaining == 0:
-                if recon.xor_cycles > 0:
-                    self.engine.schedule_after(
-                        recon.xor_cycles,
-                        lambda: self._child_set_complete(recon),
-                        label=recon.label + ":xor",
-                    )
-                else:
-                    self._child_set_complete(recon)
-            return
-        if child.fault == FAULT_DEAD:
-            # A surviving peer died mid-reconstruction: the row is gone.
-            self._note_disk_death(child.disk_id)
-            self.data_loss = True
-            self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
-            self._child_set_failed(recon, FAULT_DATA_LOSS)
-            return
-        # Transient/offline fault: retry with the demand backoff budget
-        # (reconstruction always serves someone who is waiting).
-        if child.attempts < max(1, self.array.retry_max_attempts):
-            delay = int(
-                self.array.retry_backoff_cycles
-                * self.array.retry_backoff_multiplier ** (child.attempts - 1)
-            )
-            child.attempts += 1
-            self.stats.counter(metrics.ARRAY_RETRIES).add()
-            self.stats.counter(
-                f"{metrics.DISK_PREFIX}{child.disk_id}."
-                f"{metrics.DISK_RETRIES_SUFFIX}"
-            ).add()
-            self.engine.schedule_after(
-                max(1, delay),
-                lambda: self._resubmit_child(child),
-                label=recon.label + ":retry",
-            )
-            return
-        self._child_set_failed(recon, child.fault)
+            owner.remaining -= 1
+            if owner.remaining > 0:
+                return
+            if owner.xor_cycles > 0:
+                self.engine.schedule_after(
+                    owner.xor_cycles,
+                    lambda: self._child_set_complete(owner),
+                    label=owner.label + ":xor",
+                )
+            else:
+                self._child_set_complete(owner)
+        elif child.fault == FAULT_DEAD:
+            self._peer_died(child, owner)
+        # Transient/offline fault: retry with the demand budget whatever
+        # the child's kind (reconstruction always serves someone waiting).
+        elif not self._retry_later(
+            child, max(1, self.array.retry_max_attempts),
+            lambda: self._child_retry_due(child, owner),
+            owner.label + ":retry",
+        ):
+            self._child_set_failed(owner, child.fault)
 
-    def _resubmit_child(self, child: IORequest) -> None:
-        recon = child.owner
-        assert isinstance(recon, _ChildSet)
-        if recon.cancelled:
+    def _child_retry_due(self, child: IORequest, owner: _ChildSet) -> None:
+        if owner.cancelled:
             return
-        if self._is_dead(child.disk_id):
-            self._note_disk_death(child.disk_id)
-            self.data_loss = True
-            self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
-            self._child_set_failed(recon, FAULT_DATA_LOSS)
+        if child.disk_id in self._dead_disks:
+            self._peer_died(child, owner)
             return
         child.fault = None
         self.disks[child.disk_id].submit(child)
 
-    def _child_set_failed(self, recon: _ChildSet, fault: str) -> None:
-        recon.cancelled = True
-        for child in recon.children:
-            if child.fault is None:
-                self.disks[child.disk_id].abort(child)
-        recon.on_failed(recon, fault)
+    def _peer_died(self, child: IORequest, owner: _ChildSet) -> None:
+        """A surviving peer died mid-reconstruction: the row is gone."""
+        self._note_disk_death(child.disk_id)
+        self.data_loss = True
+        self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
+        self._child_set_failed(owner, FAULT_DATA_LOSS)
 
-    def _child_set_complete(self, recon: _ChildSet) -> None:
-        if recon.cancelled:
+    def _cancel(self, child_set: _ChildSet) -> None:
+        """Nobody waits for ``child_set`` any more: pull what is still at
+        a disk (a finished or backed-off child is at none)."""
+        child_set.cancelled = True
+        for child in child_set.children:
+            self.disks[child.disk_id].abort(child)
+
+    def _child_set_failed(self, child_set: _ChildSet, fault: str) -> None:
+        self._cancel(child_set)
+        child_set.on_failed(child_set, fault)
+
+    def _child_set_complete(self, child_set: _ChildSet) -> None:
+        if child_set.cancelled:
             return
-        if recon.xor_cycles > 0:
+        if child_set.xor_cycles > 0:
             self.stats.counter(metrics.ARRAY_RECONSTRUCTED_BLOCKS).add()
-        recon.on_complete(recon)
+        child_set.on_complete(child_set)
 
-    # -- degraded reads ------------------------------------------------------
-
-    def _start_degraded_read(self, request: IORequest) -> None:
-        """Serve a read whose home disk is dead by reconstructing the block
-        from the surviving peers (or declare data loss)."""
-        if not self._can_reconstruct(request.disk_id, request.physical_block):
-            self._fail_data_loss(request)
-            return
-        request.reconstructed = True
-        self.stats.counter(metrics.ARRAY_DEGRADED_READS).add()
-        request.recon = self._spawn_reconstruction(
-            home_disk=request.disk_id,
-            physical=request.physical_block,
-            lbn=request.lbn,
-            kind=request.kind,
-            on_complete=lambda cs: self._degraded_read_done(request),
-            on_failed=lambda cs, fault: self._degraded_read_failed(request, fault),
-            label=f"array:reconstruct lbn={request.lbn}",
-        )
-
-    def _degraded_read_done(self, request: IORequest) -> None:
-        if request.done:
-            return
+    def _degraded_read_ended(self, request: IORequest, fault: Optional[str]) -> None:
+        """The reconstruction serving ``request`` completed (``fault`` is
+        None) or gave up."""
+        if request.state is not State.RECONSTRUCTING:
+            return  # a racing hedge finished first
         request.recon = None
-        self._notify(request)
-
-    def _degraded_read_failed(self, request: IORequest, fault: str) -> None:
-        request.recon = None
-        request.fault = fault
-        self._fail_request(request)
+        if fault is None:
+            self._notify(request)
+        else:
+            request.fault = fault
+            self._fail_request(request)
 
     def _fail_data_loss(self, request: IORequest) -> None:
         """No redundancy (or no survivors): the block is gone for good."""
         self.data_loss = True
         self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
         request.fault = FAULT_DATA_LOSS
-        if not request.is_demand:
-            # Defer the drop to its own event: the prefetcher reacts to a
-            # dropped prefetch by submitting the next one, which on a
-            # multi-dead array may be unrecoverable too — failing it
-            # synchronously would recurse through TIP once per pending
-            # hint and overflow the stack.  Demand failures stay
-            # synchronous so the typed DataLossError surfaces at the
+        if request.is_demand:
+            # Synchronous, so the typed DataLossError surfaces at the
             # faulting read() itself.
-            self.engine.schedule_after(
-                1,
-                lambda: None if request.done else self._fail_request(request),
-                label=f"array:data-loss lbn={request.lbn}",
-            )
+            self._fail_request(request)
             return
-        self._fail_request(request)
-
-    def _redispatch_after_death(self, request: IORequest) -> None:
-        """The request's home disk died under it: route to the spare if
-        the block is already resilvered, else reconstruct from peers."""
-        if request.hedge is not None:
-            # A hedged reconstruction is already reading the survivors; it
-            # completes (or fails over) this request — avoid duplicate work.
-            request.fault = FAULT_DEAD
-            return
-        if self.parity is None:
-            self._fail_data_loss(request)
-            return
-        request.fault = None
-        serving = self._route(request.disk_id, request.physical_block)
-        if serving is not None:
-            request.disk_id = serving
-            self._dispatch(request)
-            return
-        self._start_degraded_read(request)
+        # Defer the drop to its own event: the prefetcher reacts to a
+        # dropped prefetch by submitting the next one, which on a
+        # multi-dead array may be unrecoverable too — failing it
+        # synchronously would recurse through TIP once per pending
+        # hint and overflow the stack.
+        self._move(request, State.DROPPING)
+        self.engine.schedule_after(
+            1,
+            lambda: self._fail_request(request),
+            label=f"array:data-loss lbn={request.lbn}",
+        )
 
     # -- completion path ----------------------------------------------------
 
     def _disk_finished(self, request: IORequest) -> None:
         if request.owner is not None:
-            self._child_finished(request)
+            self._child_finished(request, request.owner)
             return
-        self._disarm_timeout(request)
-        if request.kind is IOKind.PREFETCH:
-            self._inflight_prefetches[request.disk_id] -= 1
-            self._release_held(request.disk_id)
-
-        if request.fault == FAULT_DEAD:
+        self._leave_disk(request)
+        fault = request.fault
+        if fault == FAULT_DEAD:
             self._note_disk_death(request.disk_id)
-            self._redispatch_after_death(request)
+            if request.hedge is not None:
+                # A hedged reconstruction is already reading the survivors;
+                # it completes (or fails over) this request — avoid
+                # duplicate work.
+                self._move(request, State.HEDGE_ONLY)
+            else:
+                self._place(request)
             return
-        if request.fault is not None:
-            self._handle_fault(request)
+        if fault is not None:
+            self._attempt_failed(request)
             return
-
-        if request.hedge is not None:
-            self._cancel_hedge(request)
 
         factor = self.array.completion_delay_factor
-        if factor > 1.0:
-            service = request.finish_time - request.start_time
-            delay = max(0, int(round(service * (factor - 1.0))))
-            self.engine.schedule_after(
-                delay,
-                lambda: self._notify(request),
-                label=f"array:delayed-notify lbn={request.lbn}",
-            )
-        else:
+        if factor <= 1.0:
             self._notify(request)
-
-    def _release_held(self, disk_id: int) -> None:
-        limit = self.array.max_prefetches_per_disk
-        held = self._held_prefetches[disk_id]
-        while held and (limit <= 0 or self._inflight_prefetches[disk_id] < limit):
-            self._dispatch(held.popleft())
+            return
+        # The block is in hand but its notice is not due: a join has
+        # nothing to promote and a hedge nothing to race.
+        self._stop_hedging(request)
+        self._move(request, State.NOTIFYING)
+        service = request.finish_time - request.start_time
+        self.engine.schedule_after(
+            max(0, int(round(service * (factor - 1.0)))),
+            lambda: self._notify(request),
+            label=f"array:delayed-notify lbn={request.lbn}",
+        )
 
     # -- degraded mode: retry with backoff / terminal failure ----------------
 
-    def _retry_limit(self, request: IORequest) -> int:
-        if request.is_demand:
-            return max(1, self.array.retry_max_attempts)
-        return max(1, self.array.prefetch_retry_attempts)
+    def _retry_later(
+        self,
+        request: IORequest,
+        limit: int,
+        resubmit: Callable[[], None],
+        label: str,
+    ) -> bool:
+        """The one backoff, for primaries and reconstruction children:
+        unless ``request`` has used its ``limit`` of attempts, schedule
+        ``resubmit`` after the exponential delay and return True."""
+        if request.attempts >= limit:
+            return False
+        delay = int(
+            self.array.retry_backoff_cycles
+            * self.array.retry_backoff_multiplier ** (request.attempts - 1)
+        )
+        request.attempts += 1
+        self._count(metrics.ARRAY_RETRIES, request.disk_id,
+                    metrics.DISK_RETRIES_SUFFIX)
+        self.engine.schedule_after(max(1, delay), resubmit, label=label)
+        return True
 
-    def _handle_fault(self, request: IORequest) -> None:
+    def _attempt_failed(self, request: IORequest) -> None:
         """One attempt failed (transient/offline error or timeout)."""
         self.stats.counter(metrics.ARRAY_FAULTED_ATTEMPTS).add()
-        if request.attempts < self._retry_limit(request):
-            delay = int(
-                self.array.retry_backoff_cycles
-                * self.array.retry_backoff_multiplier ** (request.attempts - 1)
-            )
-            request.attempts += 1
-            self.stats.counter(metrics.ARRAY_RETRIES).add()
-            self.stats.counter(
-                f"{metrics.DISK_PREFIX}{request.disk_id}."
-                f"{metrics.DISK_RETRIES_SUFFIX}"
-            ).add()
-            self.engine.schedule_after(
-                max(1, delay),
-                lambda: self._resubmit(request),
-                label=f"array:retry lbn={request.lbn}",
-            )
-            return
-
-        if request.hedge is not None:
+        limit = (
+            self.array.retry_max_attempts if request.is_demand
+            else self.array.prefetch_retry_attempts
+        )
+        if self._retry_later(
+            request, max(1, limit), lambda: self._retry_due(request),
+            f"array:retry lbn={request.lbn}",
+        ):
+            self._move(request, State.BACKOFF)
+        elif request.hedge is not None:
             # The hedged reconstruction is still racing: it either
             # completes the request or fails it for good when it loses.
-            request.failed = True
-            return
+            self._move(request, State.HEDGE_ONLY)
+        else:
+            # Retries exhausted: notify with ``failed`` set.  Demand callers
+            # surface RetriesExhausted; prefetch callers drop the block
+            # silently and the read degrades to the unhinted baseline.
+            self._fail_request(request)
 
-        # Retries exhausted: notify with ``failed`` set.  Demand callers
-        # surface RetriesExhausted; prefetch callers drop the block silently
-        # and the read degrades to the unhinted baseline.
-        self._fail_request(request)
+    def _retry_due(self, request: IORequest) -> None:
+        if request.state is State.BACKOFF:  # else a hedge won meanwhile
+            self._place(request)
 
     def _fail_request(self, request: IORequest) -> None:
         request.failed = True
@@ -827,12 +800,6 @@ class StripedArray:
         else:
             self.stats.counter(metrics.ARRAY_PREFETCHES_DROPPED).add()
         self._notify(request)
-
-    def _resubmit(self, request: IORequest) -> None:
-        if request.done:
-            return
-        request.fault = None
-        self._dispatch(request)
 
     @staticmethod
     def failure_cause(request: IORequest) -> Exception:
@@ -843,24 +810,21 @@ class StripedArray:
                 f"block {where} is unrecoverable: its disk died and the "
                 f"parity row cannot be rebuilt from the survivors"
             )
-        if request.fault == "timeout":
+        if request.fault == FAULT_TIMEOUT:
             return IOTimeoutError(f"request {where} timed out after "
                                   f"{request.attempts} attempts")
         return DiskFaultError(f"request {where} faulted "
                               f"({request.fault}) after {request.attempts} attempts")
 
     def _notify(self, request: IORequest) -> None:
-        if request.hedge_event is not None:
-            request.hedge_event.cancel()
-            request.hedge_event = None
-        if request.hedge is not None:
-            self._cancel_hedge(request)
+        self._stop_hedging(request)
         request.notify_time = self.engine.clock.now
+        self._move(request, State.DONE)
         request.done = True
         self._outstanding.pop(request.lbn, None)
         self.stats.counter(metrics.ARRAY_COMPLETED).add()
-        if request.callback is not None:
-            request.callback(request)
+        for callback in request.callbacks:
+            callback(request)
 
     # -- post-run drain ------------------------------------------------------
 
