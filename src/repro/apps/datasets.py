@@ -12,15 +12,75 @@ keep their structural properties:
   dependences);
 * **XDataSlice dataset** — one large z-major 3-D voxel file read far
   beyond file-cache capacity.
+
+The paper runs every benchmark as original, speculating and manual over the
+same files, and sweeps cache size and disk count over them too.  Generating
+the bytes is therefore separate from creating the files: each
+``generate_*`` function takes the bytes from :data:`LAST_DATASET` — which
+generates them when its arguments differ from the last call's — and lays
+them out in the file system it was handed.  The buffers are ``bytes`` or
+read-only views, which an :class:`~repro.fs.filesystem.Inode` shares until
+it is first written, so consecutive cells of one app read the same memory
+and none of them can change what the next one reads.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List, Tuple, TypeVar
 
 from repro.fs.filesystem import FileSystem, Inode
 from repro.sim.rng import DeterministicRng
+
+_T = TypeVar("_T")
+
+
+class _LastDataset:
+    """The one dataset this process keeps: the last one generated.
+
+    One entry by construction — there is no size to choose.  A grid runs
+    the variants and sweep points of one app next to each other, so the
+    last dataset is the one the next cell wants.  Any other is evicted
+    *before* its successor is generated, so the slot never holds two (a
+    dataset is tens of MB and sets a cell's peak memory); besides the
+    slot, only file systems that are still in use keep a dataset alive.
+    """
+
+    __slots__ = ("_key", "_dataset")
+
+    def __init__(self) -> None:
+        self._key: Tuple[object, ...] = ()
+        self._dataset: object = None
+
+    def get(self, generate: Callable[..., _T], *args: object) -> _T:
+        """``generate(*args)``, from the slot when that was the last call.
+
+        The key is the generator and every argument it was given, so no
+        input that shapes the bytes can be left out of it.  What is
+        returned is shared with every later caller that asks for the same:
+        hand its buffers to ``FileSystem.create`` and keep no other
+        reference to them.
+        """
+        key = (generate, *args)
+        if key != self._key:
+            if self._dataset is not None:
+                self._key, self._dataset = (), None
+                # A finished system is cyclic garbage and still pins the
+                # files it was built over.  In a loop that does not collect
+                # per cell, whether the allocation-driven collector gets to
+                # it before the next dataset exists is luck (peak RSS of a
+                # pass of eight full-scale cells: 59 to 71 MB by where a
+                # young collection happens to fall, 50 MB with this).
+                gc.collect()
+            self._dataset = generate(*args)
+            self._key = key
+        return self._dataset  # type: ignore[return-value]
+
+
+#: The process's dataset slot.  Only the ``generate_*`` functions (here and
+#: in ``apps/postgres.py``) call it.
+LAST_DATASET = _LastDataset()
 
 # Gnuld object-file layout (u64 little-endian fields) -------------------------
 
@@ -52,13 +112,20 @@ def generate_agrep_corpus(
     directory: str = "src",
 ) -> List[Inode]:
     """Create ``nfiles`` text files with a heavy-tailed size distribution."""
+    files = LAST_DATASET.get(
+        _agrep_files, nfiles, seed, min_kb, max_kb, directory)
+    return [fs.create(path, data) for path, data in files]
+
+
+def _agrep_files(
+    nfiles: int, seed: int, min_kb: int, max_kb: int, directory: str
+) -> List[Tuple[str, bytes]]:
     rng = DeterministicRng(seed, "agrep-corpus")
-    inodes = []
+    files = []
     for i in range(nfiles):
         size = rng.pareto_int(1.3, min_kb * 1024, max_kb * 1024)
-        data = rng.bytes(size)
-        inodes.append(fs.create(f"{directory}/file{i:04d}.c", data))
-    return inodes
+        files.append((f"{directory}/file{i:04d}.c", rng.bytes(size)))
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +169,18 @@ def generate_gnuld_objects(
     file header) so that reading it *requires* the header's contents —
     the data dependence that limits speculative Gnuld.
     """
+    files = LAST_DATASET.get(
+        _gnuld_files, nfiles, seed, max_sections, directory)
+    for spec, blob in files:
+        fs.create(spec.path, blob)
+    return [spec for spec, _ in files]
+
+
+def _gnuld_files(
+    nfiles: int, seed: int, max_sections: int, directory: str
+) -> List[Tuple[ObjectFileSpec, memoryview]]:
     rng = DeterministicRng(seed, "gnuld-objects")
-    specs = []
+    files = []
     for i in range(nfiles):
         nsections = rng.randint(4, max_sections)
         ndebug = rng.randint(6, 9)
@@ -177,23 +254,20 @@ def generate_gnuld_objects(
             blob[cursor + 8:cursor + 16] = _u64(length)
             cursor += OBJ_RECORD_BYTES
 
-        path = f"{directory}/module{i:04d}.o"
-        fs.create(path, blob)
-        specs.append(
-            ObjectFileSpec(
-                path=path,
-                size=size,
-                nsections=nsections,
-                ndebug=ndebug,
-                section_offsets=section_offsets,
-                section_lengths=section_lengths,
-                debug_offsets=debug_offsets,
-                debug_lengths=debug_lengths,
-                reloc_offsets=reloc_offsets,
-                reloc_lengths=reloc_lengths,
-            )
+        spec = ObjectFileSpec(
+            path=f"{directory}/module{i:04d}.o",
+            size=size,
+            nsections=nsections,
+            ndebug=ndebug,
+            section_offsets=section_offsets,
+            section_lengths=section_lengths,
+            debug_offsets=debug_offsets,
+            debug_lengths=debug_lengths,
+            reloc_offsets=reloc_offsets,
+            reloc_lengths=reloc_lengths,
         )
-    return specs
+        files.append((spec, memoryview(blob).toreadonly()))
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +286,10 @@ def generate_xds_dataset(
     Voxel values are irrelevant to control flow, so the bulk is zeros with
     a thin deterministic sprinkle for realism.
     """
+    return fs.create(path, LAST_DATASET.get(_xds_volume, dim, seed, voxel_bytes))
+
+
+def _xds_volume(dim: int, seed: int, voxel_bytes: int) -> memoryview:
     rng = DeterministicRng(seed, "xds-dataset")
     size = dim * dim * dim * voxel_bytes
     blob = bytearray(size)
@@ -219,7 +297,8 @@ def generate_xds_dataset(
     for _ in range(min(4096, size // 64)):
         pos = rng.randint(0, size - 1)
         blob[pos] = rng.randint(1, 255)
-    return fs.create(path, blob)
+    # Built in place and sealed: a read-only view costs no second copy.
+    return memoryview(blob).toreadonly()
 
 
 def xds_slice_plan(

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.apps.datasets import LAST_DATASET
 from repro.fs.filesystem import FileSystem
 from repro.sim.rng import DeterministicRng
 from repro.vm.assembler import Assembler
@@ -114,6 +115,17 @@ def generate_postgres_relations(
     Index layout: root page of leaf *offsets*; each leaf holds
     KEYS_PER_LEAF inner-heap byte offsets, indexed by key % KEYS_PER_LEAF.
     """
+    outer, index, inner = LAST_DATASET.get(_postgres_relations, workload)
+    return (
+        fs.create("db/outer.heap", outer),
+        fs.create("db/inner.idx", index),
+        fs.create("db/inner.heap", inner),
+    )
+
+
+def _postgres_relations(
+    workload: PostgresWorkload,
+) -> Tuple[memoryview, memoryview, bytes]:
     rng = DeterministicRng(workload.seed, "postgres")
     ntuples = workload.ntuples
 
@@ -134,7 +146,6 @@ def generate_postgres_relations(
         matched += match
         outer[offset:offset + 8] = _u64(key)
         outer[offset + 8:offset + 16] = _u64(match)
-    outer_inode = fs.create("db/outer.heap", outer)
 
     # Index: root page + leaves.
     nleaves = workload.nleaves
@@ -148,13 +159,11 @@ def generate_postgres_relations(
                 break
             at = leaf_offset + within * 8
             index[at:at + 8] = _u64(inner_offset_of_key[key])
-    index_inode = fs.create("db/inner.idx", index)
 
     # Inner heap (contents otherwise irrelevant to control flow).
-    inner_inode = fs.create(
-        "db/inner.heap", rng.bytes(workload.inner_pages * PAGE)
-    )
-    return outer_inode, index_inode, inner_inode
+    inner = rng.bytes(workload.inner_pages * PAGE)
+    return (memoryview(outer).toreadonly(), memoryview(index).toreadonly(),
+            inner)
 
 
 def build_postgres(

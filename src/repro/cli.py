@@ -838,8 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
     flags(
         sw_p,
         scale=None,
-        checkpoint="checkpoint finished cells to PATH (atomic "
-                   "write-then-rename after every cell)",
+        checkpoint="checkpoint finished cells to PATH (one fsynced "
+                   "journal append per cell, compacted when the "
+                   "sweep ends)",
         resume="restore completed cells from --checkpoint "
                "instead of re-running them",
         jobs="shard sweep cells across N supervised worker "

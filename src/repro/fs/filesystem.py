@@ -19,18 +19,35 @@ from repro.errors import FileExistsInFS, FileNotFoundInFS, InvalidBlockError
 from repro.params import BLOCK_SIZE
 
 
+#: What a file can be created from (see ``Inode``).
+FileData = Union[bytes, bytearray, memoryview]
+
+
 class Inode:
-    """One file: metadata plus contents."""
+    """One file: metadata plus contents.
+
+    Who owns the bytes is read off the type of ``data`` (DESIGN.md
+    section 5.1).  A ``bytearray`` is adopted: it becomes the file's
+    storage and the caller must not touch it again.  ``bytes`` and a
+    read-only ``memoryview`` over bytes cannot be written through, so they
+    are kept as they are and may back any number of inodes (the dataset
+    generators hand every cell of one app the same buffers); the first
+    ``write_at`` replaces them by a private ``bytearray``.  Anything else
+    is copied.
+    """
 
     __slots__ = ("ino", "path", "data", "first_lbn")
 
     def __init__(
-        self, ino: int, path: str, data: Union[bytes, bytearray], first_lbn: int
+        self, ino: int, path: str, data: FileData, first_lbn: int
     ) -> None:
         self.ino = ino
         self.path = path
-        #: A ``bytearray`` is adopted, not copied (see ``FileSystem.create``).
-        self.data = data if isinstance(data, bytearray) else bytearray(data)
+        sealed_view = (isinstance(data, memoryview) and data.readonly
+                       and data.nbytes == len(data))
+        if not (sealed_view or isinstance(data, (bytes, bytearray))):
+            data = bytearray(data)
+        self.data = data
         #: First logical block in the striped address space; the file's
         #: blocks are contiguous from here.
         self.first_lbn = first_lbn
@@ -63,10 +80,14 @@ class Inode:
         """Overwrite/extend contents at ``offset`` (write-behind, no I/O)."""
         if offset < 0:
             raise InvalidBlockError(f"negative write offset {offset}")
+        data = self.data
+        if not isinstance(data, bytearray):
+            # Shared until written: the buffer may back other inodes.
+            data = self.data = bytearray(data)
         end = offset + len(payload)
-        if end > len(self.data):
-            self.data.extend(b"\x00" * (end - len(self.data)))
-        self.data[offset:end] = payload
+        if end > len(data):
+            data.extend(b"\x00" * (end - len(data)))
+        data[offset:end] = payload
 
     def __repr__(self) -> str:
         return f"Inode({self.ino}, {self.path!r}, {self.size}B @ lbn {self.first_lbn})"
@@ -93,12 +114,12 @@ class FileSystem:
 
             self._rng = DeterministicRng(seed, "fs-allocation")
 
-    def create(self, path: str, data: Union[bytes, bytearray]) -> Inode:
+    def create(self, path: str, data: FileData) -> Inode:
         """Create a file with the given contents; blocks are allocated
-        contiguously, after a pseudo-random inter-file gap.  A ``bytearray``
-        becomes the file's storage (a dataset generator hands over the
-        volume it built, which is then held once): the caller must not
-        touch it again.  ``bytes`` are copied."""
+        contiguously, after a pseudo-random inter-file gap.  Nothing is
+        copied here: a ``bytearray`` becomes the file's storage (the caller
+        must not touch it again), ``bytes`` or a read-only view are shared
+        until the file is first written (see :class:`Inode`)."""
         if path in self._by_path:
             raise FileExistsInFS(path)
         if self._rng is not None and self._by_ino:

@@ -25,6 +25,14 @@ the policy layer above :mod:`repro.harness.supervisor`:
   its canonical bytes when the run ends;
 * the finished outcome feeds the persistent run registry.
 
+What a cell costs besides its simulation is paid per process and per
+dataset, not per cell: the in-process loop (and each pool worker) freezes
+the heap it starts with, so the collection that ends every cell
+(``supervisor.run_cell``) walks the cell and not the imports, and
+consecutive cells of one app are built over the same input buffers
+(``apps/datasets.py``; a file a cell writes becomes that cell's own copy).
+The freeze ends with the loop, however the loop ends.
+
 The determinism guard (tests + ``benchmarks/bench_parallel_sweep.py``)
 asserts the parallel result set is byte-identical to serial across all
 chaos profiles.
@@ -35,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -147,11 +156,19 @@ def run_cells(
             outcome = SupervisorOutcome(
                 stats=SupervisorStats(mode="serial", jobs=1)
             )
-            for key, fn, args in remaining:
-                payload = run_cell(fn, args)
-                outcome.results[key] = payload
-                outcome.stats.cells_completed += 1
-                on_result(key, payload)
+            # Everything alive now outlives the loop (the imports, the
+            # caller's state): frozen, it is not re-walked by the
+            # collection that ends every cell.
+            gc.collect()
+            gc.freeze()
+            try:
+                for key, fn, args in remaining:
+                    payload = run_cell(fn, args)
+                    outcome.results[key] = payload
+                    outcome.stats.cells_completed += 1
+                    on_result(key, payload)
+            finally:
+                gc.unfreeze()
 
     outcome.results.update(restored)
     outcome.stats.cells_restored = len(restored)

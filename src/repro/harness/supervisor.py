@@ -128,18 +128,33 @@ def run_cell(fn: Callable[..., Dict[str, object]],
              args: Tuple[object, ...]) -> Dict[str, object]:
     """Run one cell in this process and reclaim what it built.
 
-    A finished cell's simulated system is cyclic garbage that holds its
-    file system, and with it the generated dataset (tens of MB; the
-    address space is an anonymous mapping and costs only the pages it
-    touched).  Left to the allocation-driven collector, several cells'
-    worth pile up before a full collection happens to run, so peak memory
-    is a multiple of one cell's footprint; collecting here keeps it at one
-    (measured on the ``fuzz_cli`` / ``sweep_cli`` benchmark workloads:
-    31 / 34 MB peak with this collect, 56 / 63 MB without).
+    A finished cell's simulated system is cyclic garbage: its file system
+    with every input file the cell wrote (and so owns), its cache and
+    ledgers, its address-space mapping.  Left to the allocation-driven
+    collector, several cells' worth pile up before a full collection
+    happens to run; collecting here keeps memory at one cell's footprint.
+    Measured on the ``fuzz_cli`` / ``sweep_cli`` benchmark workloads:
+    30.2 / 36.6 MB peak with this collect, 32.2 / 37.5 MB without — the
+    unwritten inputs, most of a cell's bytes, are shared with the dataset
+    slot (``apps/datasets.py``), which collects when it evicts.
+
+    The loops that call this (``parallel.run_cells``, ``_worker_main``)
+    freeze what was alive before their first cell, so the collection walks
+    what the cell allocated and not everything the process ever imported
+    (1.3 ms a call, not 6).
+
+    A cell that raises is reclaimed too.  Its system is a local of a frame
+    the traceback holds, and whoever catches the exception may keep it (a
+    worker formats it, which needs no locals), so the finished frames are
+    cleared before the collection.
     """
-    payload = fn(*args)
-    gc.collect()
-    return payload
+    try:
+        return fn(*args)
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        gc.collect()
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +235,11 @@ def _worker_main(
               parent_pid),
         daemon=True,
     ).start()
+
+    # A worker lives for its cells: what the imports left behind is frozen
+    # for good, so ``run_cell``'s collection walks only the cell.
+    gc.collect()
+    gc.freeze()
 
     result_queue.put(("ready", worker_id))
     while True:

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import pytest
+
 from repro.apps.datasets import (
     OBJ_MAGIC,
     generate_agrep_corpus,
@@ -9,6 +11,7 @@ from repro.apps.datasets import (
     generate_xds_dataset,
     xds_slice_plan,
 )
+from repro.apps.postgres import PostgresWorkload, generate_postgres_relations
 from repro.fs.filesystem import FileSystem
 from repro.params import BLOCK_SIZE
 
@@ -133,3 +136,79 @@ class TestXdsDataset:
     def test_plan_deterministic(self):
         assert xds_slice_plan(64, 10, seed=2) == xds_slice_plan(64, 10, seed=2)
         assert xds_slice_plan(64, 10, seed=2) != xds_slice_plan(64, 10, seed=3)
+
+
+# Four datasets of about 2 MB each, one per generator.  The inner heap is
+# kept small: ``randbytes`` draws it through an int of its own size.
+_POSTGRES = PostgresWorkload(outer_pages=160, inner_pages=48)
+GENERATORS = {
+    "agrep": lambda fs: generate_agrep_corpus(fs, 300, seed=1),
+    "gnuld": lambda fs: generate_gnuld_objects(fs, 14, seed=3),
+    "xds": lambda fs: generate_xds_dataset(fs, 80, seed=1),
+    "postgres": lambda fs: generate_postgres_relations(fs, _POSTGRES),
+}
+
+
+def _built(app):
+    fs = FileSystem(allocation_jitter_blocks=24, seed=7)
+    GENERATORS[app](fs)
+    return [fs.inode(ino) for ino in range(fs.nfiles)]
+
+
+def _evict():
+    """Only a generator changes the slot: building something else empties it."""
+    generate_xds_dataset(FileSystem(), 2, seed=0)
+
+
+class TestLastDataset:
+    @pytest.mark.parametrize("app", sorted(GENERATORS))
+    def test_warm_build_equals_cold_build(self, app):
+        """File systems built from one slot entry share its buffers, lay
+        the files out alike, and hold what a fresh generation holds."""
+        _evict()
+        first = _built(app)
+        second = _built(app)
+        _evict()
+        cold = _built(app)
+        assert len(first) > 0
+        for a, b, c in zip(first, second, cold):
+            assert b.data is a.data
+            assert c.data is not a.data
+            assert (a.path, a.first_lbn, bytes(a.data)) \
+                == (b.path, b.first_lbn, bytes(b.data)) \
+                == (c.path, c.first_lbn, bytes(c.data))
+        assert len(first) == len(second) == len(cold)
+
+    def test_a_different_argument_is_a_different_dataset(self):
+        a = generate_xds_dataset(FileSystem(), 8, seed=1)
+        b = generate_xds_dataset(FileSystem(), 8, seed=2)
+        assert bytes(a.data) != bytes(b.data)
+        assert generate_xds_dataset(FileSystem(), 8, seed=2).data is b.data
+
+    def test_gnuld_specs_describe_the_shared_files(self):
+        fs1, fs2 = FileSystem(), FileSystem()
+        specs1 = generate_gnuld_objects(fs1, 6, seed=3)
+        specs2 = generate_gnuld_objects(fs2, 6, seed=3)
+        assert specs1 == specs2
+        assert [s.path for s in specs2] == fs2.paths()
+
+    @pytest.mark.parametrize("pinned_by_garbage", [False, True])
+    def test_one_dataset_is_held_at_a_time(self, pinned_by_garbage):
+        """The old dataset is gone before the next one is allocated — also
+        when what still holds its files is an unreachable cycle, as a
+        finished simulated system is."""
+        _evict()
+        tracemalloc.start()
+        try:
+            largest = 0
+            for app in ("agrep", "gnuld", "postgres", "xds", "agrep"):
+                inodes = _built(app)
+                largest = max(largest, sum(inode.size for inode in inodes))
+                if pinned_by_garbage:
+                    inodes.append(inodes)
+                del inodes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert largest > 2_000_000
+        assert peak <= 1.5 * largest

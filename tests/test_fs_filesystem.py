@@ -57,6 +57,73 @@ class TestInode:
         assert inode.size == 6
 
 
+def _readonly_view(data):
+    return memoryview(bytearray(data)).toreadonly()
+
+
+@pytest.mark.parametrize("shared", [bytes, _readonly_view])
+class TestSharedContents:
+    """``bytes`` and read-only views back an inode without being copied,
+    and stop backing it at its first write."""
+
+    CONTENT = b"x" * BLOCK_SIZE + b"hello world"
+
+    def test_reads_like_an_owned_file(self, shared):
+        source = shared(self.CONTENT)
+        inode = Inode(0, "a", source, first_lbn=10)
+        owned = Inode(0, "a", bytearray(self.CONTENT), first_lbn=10)
+        assert inode.data is source
+        assert (inode.size, inode.nblocks) == (owned.size, owned.nblocks)
+        assert inode.lbn_of_block(1) == owned.lbn_of_block(1) == 11
+        for offset, length in [(0, 4), (BLOCK_SIZE + 6, 5), (BLOCK_SIZE + 9, 100),
+                               (len(self.CONTENT) + 5, 5)]:
+            got = inode.read_at(offset, length)
+            assert type(got) is bytes
+            assert got == owned.read_at(offset, length)
+
+    @pytest.mark.parametrize("offset", [0, len(CONTENT) + 3],
+                             ids=["overwrite", "extend"])
+    def test_a_write_reaches_only_that_inode(self, shared, offset):
+        source = shared(self.CONTENT)
+        writer = Inode(0, "a", source, 0)
+        reader = Inode(1, "b", source, 0)
+        writer.write_at(offset, b"HE")
+        assert writer.read_at(offset, 2) == b"HE"
+        assert writer.data is not source
+        assert reader.data is source
+        assert bytes(reader.data) == self.CONTENT
+        assert bytes(source) == self.CONTENT
+        # The private copy is taken once.
+        private = writer.data
+        writer.write_at(1, b"!")
+        assert writer.data is private
+
+
+class TestOwnedContents:
+    def test_an_adopted_bytearray_is_never_copied(self):
+        blob = bytearray(b"abc")
+        inode = Inode(0, "a", blob, 0)
+        inode.write_at(1, b"X")
+        inode.write_at(5, b"Y")
+        assert inode.data is blob
+        assert blob == b"aXc\x00\x00Y"
+
+    def test_a_writable_view_is_copied(self):
+        """Sharedness is read off the type: a view that can be written
+        through does not promise its bytes will stay put."""
+        source = bytearray(b"abc")
+        inode = Inode(0, "a", memoryview(source), 0)
+        source[0] = ord("z")
+        assert inode.read_at(0, 3) == b"abc"
+        inode.write_at(0, b"X")
+        assert source == b"zbc"
+
+    def test_a_view_of_wider_items_is_copied_as_bytes(self):
+        words = memoryview(bytearray(16)).cast("I").toreadonly()
+        assert len(words) == 4
+        assert Inode(0, "a", words, 0).size == 16
+
+
 class TestFileSystem:
     def test_create_and_lookup(self):
         fs = FileSystem()
