@@ -113,22 +113,22 @@ class FaultInjector:
         if self.disk_dead(disk_id, now):
             # The controller gives up almost immediately: no media access,
             # the drive does not answer at all.
-            self.stats.counter("faults.disk_dead_rejects").add()
+            self.stats.bump("faults.disk_dead_rejects")
             return max(1, int(service_cycles * 0.02)), FAULT_DEAD
 
         if self.disk_offline(disk_id, now):
             # Fail fast: the controller rejects after a fraction of the
             # normal service time (command overhead, no media access).
-            self.stats.counter("faults.disk_offline_rejects").add()
+            self.stats.bump("faults.disk_offline_rejects")
             return max(1, int(service_cycles * 0.05)), FAULT_OFFLINE
 
         if plan.slow_factor != 1.0 and self._slow_lo <= now < self._slow_hi:
             service_cycles = max(1, int(service_cycles * plan.slow_factor))
-            self.stats.counter("faults.disk_slow_services").add()
+            self.stats.bump("faults.disk_slow_services")
 
         if plan.disk_error_rate > 0.0:
             if self._disk_rng(disk_id).uniform(0.0, 1.0) < plan.disk_error_rate:
-                self.stats.counter("faults.disk_transient_errors").add()
+                self.stats.bump("faults.disk_transient_errors")
                 return service_cycles, FAULT_TRANSIENT
 
         return service_cycles, None
@@ -147,11 +147,11 @@ class FaultInjector:
         plan = self.plan
         if plan.hint_drop_rate > 0.0:
             if self._hint_drop_rng.uniform(0.0, 1.0) < plan.hint_drop_rate:
-                self.stats.counter("faults.hints_dropped").add()
+                self.stats.bump("faults.hints_dropped")
                 return None
         if plan.hint_corrupt_rate > 0.0:
             if self._hint_corrupt_rng.uniform(0.0, 1.0) < plan.hint_corrupt_rate:
-                self.stats.counter("faults.hints_corrupted").add()
+                self.stats.bump("faults.hints_corrupted")
                 span = max(inode.size, BLOCK_SIZE)
                 offset = self._hint_garble_rng.randint(0, 2 * span)
                 length = self._hint_garble_rng.randint(1, span + BLOCK_SIZE)
@@ -165,6 +165,6 @@ class FaultInjector:
         if rate <= 0.0:
             return False
         if self._spec_rng.uniform(0.0, 1.0) < rate:
-            self.stats.counter("faults.spec_divergence").add()
+            self.stats.bump("faults.spec_divergence")
             return True
         return False

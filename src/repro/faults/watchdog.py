@@ -49,6 +49,8 @@ class SpeculationWatchdog:
         self.accuracy_window = accuracy_window
 
         self._window: Deque[bool] = deque(maxlen=max(1, accuracy_window))
+        #: ``sum(self._window)``, kept as checks enter and leave the window.
+        self._window_matches = 0
         self._consecutive_restarts = 0
 
         #: Lifetime statistics.
@@ -73,13 +75,18 @@ class SpeculationWatchdog:
         if matched:
             self.matches += 1
             self._consecutive_restarts = 0
-        self._window.append(matched)
+        window = self._window
+        if len(window) == window.maxlen and window[0]:
+            self._window_matches -= 1  # the oldest check leaves the window
+        window.append(matched)
+        if matched:
+            self._window_matches += 1
         if (
             self.min_accuracy > 0.0
             and self.accuracy_window > 0
-            and len(self._window) == self._window.maxlen
+            and len(window) == window.maxlen
         ):
-            accuracy = sum(self._window) / len(self._window)
+            accuracy = self._window_matches / len(window)
             if accuracy < self.min_accuracy:
                 return self._trip("low_accuracy")
         return False
@@ -121,7 +128,7 @@ class SpeculationWatchdog:
         """Match fraction over the current window (1.0 when empty)."""
         if not self._window:
             return 1.0
-        return sum(self._window) / len(self._window)
+        return self._window_matches / len(self._window)
 
     def _trip(self, reason: str) -> bool:
         if not self.disabled:

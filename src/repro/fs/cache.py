@@ -122,13 +122,13 @@ class BlockCache:
         fetches may overcommit, which is recorded but allowed.
         """
         if len(self._entries) >= self.capacity:
-            self.stats.counter(metrics.CACHE_OVERCOMMITTED_INSERTS).add()
+            self.stats.bump(metrics.CACHE_OVERCOMMITTED_INSERTS)
         entry = CacheEntry(key, origin)
         entry.pinned += 1  # in-flight blocks are not evictable
         self._entries[key] = entry
         self._entries.move_to_end(key)
         if origin.is_prefetch:
-            self.stats.counter(metrics.CACHE_PREFETCHED_BLOCKS).add()
+            self.stats.bump(metrics.CACHE_PREFETCHED_BLOCKS)
         return entry
 
     def mark_valid(self, key: BlockKey) -> Optional[CacheEntry]:
@@ -143,7 +143,7 @@ class BlockCache:
         if entry.origin.is_prefetch:
             if entry.demand_waiters > 0:
                 # The application blocked on this block mid-prefetch.
-                self.stats.counter(metrics.CACHE_PREFETCHED_PARTIAL).add()
+                self.stats.bump(metrics.CACHE_PREFETCHED_PARTIAL)
             else:
                 entry.arrived_clean = True
         return entry
@@ -159,7 +159,7 @@ class BlockCache:
         if entry is None or entry.state is not EntryState.FETCHING:
             return None
         del self._entries[key]
-        self.stats.counter(metrics.CACHE_FETCH_FAILURES).add()
+        self.stats.bump(metrics.CACHE_FETCH_FAILURES)
         return entry
 
     def note_access(self, key: BlockKey) -> CacheEntry:
@@ -170,25 +170,23 @@ class BlockCache:
         if entry.arrived_clean:
             # First request of a prefetch that had fully completed.
             entry.arrived_clean = False
-            self.stats.counter(metrics.CACHE_PREFETCHED_FULLY).add()
+            self.stats.bump(metrics.CACHE_PREFETCHED_FULLY)
         if entry.access_count > 1:
-            self.stats.counter(metrics.CACHE_BLOCK_REUSES).add()
+            self.stats.bump(metrics.CACHE_BLOCK_REUSES)
         self._entries.move_to_end(key)
-        self.stats.counter(metrics.CACHE_BLOCK_READS).add()
+        self.stats.bump(metrics.CACHE_BLOCK_READS)
         return entry
 
     def note_prefetch_shed(self, origin: FetchOrigin) -> None:
         """Record a prefetch the manager declined to start while the array
         was degraded (load shedding, not a failure)."""
-        self.stats.counter(
-            metrics.CACHE_SHED_DEGRADED_PREFIX + origin.value
-        ).add()
+        self.stats.bump(metrics.CACHE_SHED_DEGRADED_PREFIX + origin.value)
 
     def evict(self, key: BlockKey) -> None:
         """Remove a VALID, unpinned entry; accounts unused prefetches."""
         entry = self._entries.pop(key)
         self._account_departure(entry)
-        self.stats.counter(metrics.CACHE_EVICTIONS).add()
+        self.stats.bump(metrics.CACHE_EVICTIONS)
 
     def finalize(self) -> None:
         """End-of-run accounting: residual never-accessed prefetched blocks
@@ -199,4 +197,4 @@ class BlockCache:
 
     def _account_departure(self, entry: CacheEntry) -> None:
         if entry.origin.is_prefetch and not entry.accessed:
-            self.stats.counter(metrics.CACHE_PREFETCHED_UNUSED).add()
+            self.stats.bump(metrics.CACHE_PREFETCHED_UNUSED)

@@ -181,8 +181,7 @@ def run_experiment_with_system(
     # workload + drain, and consumers comparing against a healthy run need
     # the pre-drain mark to measure demand-path slowdown.
     if system.array.rebuild_active:
-        system.stats.counter(metrics.WORKLOAD_COMPLETED_CYCLE).add(
-            system.clock.now)
+        system.stats.bump(metrics.WORKLOAD_COMPLETED_CYCLE, system.clock.now)
         system.array.drain_rebuild()
     system.manager.finalize()
 

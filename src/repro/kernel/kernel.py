@@ -143,7 +143,7 @@ class Kernel:
             self._run_mp(cycle_limit)
         else:
             self._run_up(cycle_limit)
-        self.stats.counter(metrics.KERNEL_RUNS).add()
+        self.stats.bump(metrics.KERNEL_RUNS)
 
     def _alive(self) -> bool:
         return any(not p.exited for p in self.processes)
@@ -218,7 +218,7 @@ class Kernel:
     def _charge_switch(self, thread: Thread) -> None:
         if self._last_thread is not thread and self._last_thread is not None:
             self.clock.advance(self.config.cpu.context_switch_cycles)
-            self.stats.counter(metrics.KERNEL_CONTEXT_SWITCHES).add()
+            self.stats.bump(metrics.KERNEL_CONTEXT_SWITCHES)
             if self.tracer.enabled:
                 self.tracer.instant(
                     CAT_SCHED, "ctx_switch",
@@ -262,7 +262,7 @@ class Kernel:
         else:
             fdstate = proc.open_fd(inode, path)
             thread.regs[V0] = fdstate.fd
-        self.stats.counter(metrics.APP_OPEN_CALLS).add()
+        self.stats.bump(metrics.APP_OPEN_CALLS)
         thread.pc += 1
         return self.config.cpu.syscall_cycles + self.config.cpu.namei_cycles
 
@@ -284,7 +284,7 @@ class Kernel:
         buf = thread.regs[A1]
         length = thread.regs[A2]
         cost = cpu.syscall_cycles
-        self.stats.counter(metrics.APP_READ_CALLS).add()
+        self.stats.bump(metrics.APP_READ_CALLS)
         if not thread.is_spec:
             self.stats.distribution(metrics.APP_READ_CALL_CPU).observe(thread.cpu_cycles)
 
@@ -316,8 +316,8 @@ class Kernel:
 
         first = offset // BLOCK_SIZE
         last = (offset + n - 1) // BLOCK_SIZE
-        self.stats.counter(metrics.APP_READ_BLOCKS).add(last - first + 1)
-        self.stats.counter(metrics.APP_READ_BYTES).add(n)
+        self.stats.bump(metrics.APP_READ_BLOCKS, last - first + 1)
+        self.stats.bump(metrics.APP_READ_BYTES, n)
         hinted = self.manager.consume_hints(proc.pid, inode, first, last, n)
         copy_cost = int(n * cpu.read_copy_cycles_per_byte)
 
@@ -339,7 +339,7 @@ class Kernel:
             if thread.pending_io == 0:
                 if not thread.is_spec:
                     stall = self.clock.now - thread.blocked_at
-                    self.stats.counter(metrics.KERNEL_DEMAND_STALL_CYCLES).add(stall)
+                    self.stats.bump(metrics.KERNEL_DEMAND_STALL_CYCLES, stall)
                     self.stats.distribution(metrics.KERNEL_STALL_CYCLES).observe(stall)
                     if self.tracer.enabled:
                         self.tracer.complete(
@@ -358,7 +358,7 @@ class Kernel:
             finish()
             return cost + copy_cost
 
-        self.stats.counter(metrics.APP_READ_STALLS).add()
+        self.stats.bump(metrics.APP_READ_STALLS)
         thread.block()
         thread.stop_reason = "blocked"
         thread.cpu_cycles += cost
@@ -375,14 +375,14 @@ class Kernel:
         length = thread.regs[A2]
         payload = proc.mem.read_bytes(buf, length)
         fdstate = proc.fd(fd_num)
-        self.stats.counter(metrics.APP_WRITE_CALLS).add()
-        self.stats.counter(metrics.APP_WRITE_BYTES).add(length)
+        self.stats.bump(metrics.APP_WRITE_CALLS)
+        self.stats.bump(metrics.APP_WRITE_BYTES, length)
         if fdstate.inode is None:
             proc.output.extend(payload)
         else:
             start_block = fdstate.offset // BLOCK_SIZE
             end_block = (fdstate.offset + max(0, length - 1)) // BLOCK_SIZE
-            self.stats.counter(metrics.APP_WRITE_BLOCKS).add(end_block - start_block + 1)
+            self.stats.bump(metrics.APP_WRITE_BLOCKS, end_block - start_block + 1)
             fdstate.inode.write_at(fdstate.offset, payload)
             fdstate.offset += length
         thread.regs[V0] = length
@@ -443,9 +443,9 @@ class Kernel:
         advice — losing or mangling one can only degrade toward the
         unhinted baseline.
         """
-        self.stats.counter(metrics.APP_HINT_CALLS).add()
+        self.stats.bump(metrics.APP_HINT_CALLS)
         if inode is None or length <= 0:
-            self.stats.counter(metrics.APP_HINT_CALLS_UNRESOLVABLE).add()
+            self.stats.bump(metrics.APP_HINT_CALLS_UNRESOLVABLE)
             return 0
 
         if self.injector is not None:
@@ -456,7 +456,7 @@ class Kernel:
 
         # Defensive validation: garbage offsets/lengths must not crash TIP.
         if offset < 0 or offset >= inode.size or length <= 0:
-            self.stats.counter(metrics.APP_HINT_CALLS_UNRESOLVABLE).add()
+            self.stats.bump(metrics.APP_HINT_CALLS_UNRESOLVABLE)
             return 0
         length = min(length, inode.size - offset)
         return self.manager.disclose(pid, inode, offset, length)

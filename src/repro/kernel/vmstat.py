@@ -32,6 +32,11 @@ class PageAccounting:
         self._mapped: "OrderedDict[int, None]" = OrderedDict()
         #: Resident but unmapped pages.
         self._unmapped: Set[int] = set()
+        #: The last page of the LRU (the most recently referenced one), or
+        #: -1 before any: touching it again is a HIT that changes nothing,
+        #: so translated code (``vm/blocks.py``) skips the call for it.
+        #: Shrinking never unmaps it (the mapped set keeps at least one page).
+        self.mru = -1
         self.faults = 0
         self.reclaims = 0
 
@@ -65,6 +70,7 @@ class PageAccounting:
     def touch_page(self, page: int) -> int:
         """Reference one page; returns HIT, RECLAIM or FAULT."""
         mapped = self._mapped
+        self.mru = page
         if page in mapped:
             mapped.move_to_end(page)
             return self.HIT
@@ -108,6 +114,7 @@ class PageAccounting:
         if page in self._mapped or page in self._unmapped:
             return
         self._mapped[page] = None
+        self.mru = page
         self._shrink_mapped()
 
     def _shrink_mapped(self) -> None:

@@ -126,6 +126,15 @@ class StatRegistry:
             self._counters[name] = found
         return found
 
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the counter called ``name`` (creating it on
+        first use, so counters appear in the order they were first bumped).
+        The one way code increments a counter."""
+        found = self._counters.get(name)
+        if found is None:
+            found = self._counters[name] = Counter(name)
+        found.value += amount
+
     def distribution(self, name: str) -> Distribution:
         """Get (creating on first use) the distribution called ``name``."""
         found = self._distributions.get(name)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import IsolationViolation
 from repro.vm.memory import SPEC_HEAP_BASE, SPEC_HEAP_MAX, AddressSpace
@@ -60,8 +60,9 @@ def _digest(*parts: object) -> str:
 
 def _chain_digest(previous: str, seq: int, kind: str, detail: str) -> str:
     """``_digest(previous, seq, kind, detail)``, the audit chain's link,
-    spelled out: the table re-hashes every retained record at every
-    restart, so this is the one digest that is hot."""
+    spelled out as one string and one hash call: every record is hashed
+    when written, and again by :meth:`AuditTable.verify` whenever its link
+    is no longer what was written."""
     data = f"{previous!r}\x1f{seq!r}\x1f{kind!r}\x1f{detail!r}\x1f"
     return hashlib.sha256(data.encode("utf-8")).hexdigest()[:24]
 
@@ -89,6 +90,16 @@ class AuditTable:
     retained record breaks :meth:`verify`.  Old records fold into the
     anchor digest when the table exceeds its capacity — the chain stays
     verifiable end to end while memory stays bounded.
+
+    A record is hashed when it is written; :meth:`verify` hashes it again
+    only if its link content — the digest it follows, its seq, kind and
+    detail — is not what was written.  ``_written`` maps the content of
+    every retained link, as written, to its digest: it is a memo of
+    :func:`_chain_digest` restricted to content the table itself hashed, so
+    a lookup that hits returns exactly what re-hashing would, and the
+    verdict of every table state is the full re-hash's.  What a tamper can
+    reach (a record's fields, the anchor, the head, the record sequence)
+    only makes lookups miss.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -98,16 +109,23 @@ class AuditTable:
         self.anchor_digest = _digest(_GENESIS)
         self.head_digest = self.anchor_digest
         self.records_total = 0
+        self._written: Dict[Tuple[str, int, str, str], str] = {}
 
     def record(self, kind: str, detail: str = "") -> AuditRecord:
         seq = self.records_total
         self.records_total += 1
-        digest = _chain_digest(self.head_digest, seq, kind, detail)
+        link = (self.head_digest, seq, kind, detail)
+        digest = _chain_digest(*link)
+        self._written[link] = digest
         entry = AuditRecord(seq, kind, detail, digest)
         self._records.append(entry)
         self.head_digest = digest
         while len(self._records) > self.capacity:
             folded = self._records.popleft()
+            # The folded record's link as written follows the old anchor
+            # (a tampered one is simply not found).
+            self._written.pop(
+                (self.anchor_digest, folded.seq, folded.kind, folded.detail), None)
             self.anchor_digest = folded.digest
         return entry
 
@@ -115,11 +133,15 @@ class AuditTable:
         return list(self._records)
 
     def verify(self) -> None:
-        """Recompute the chain; raises :class:`IsolationViolation` when any
+        """Check the chain; raises :class:`IsolationViolation` when any
         retained record was altered after it was written."""
+        written = self._written
         running = self.anchor_digest
         for entry in self._records:
-            expected = _chain_digest(running, entry.seq, entry.kind, entry.detail)
+            link = (running, entry.seq, entry.kind, entry.detail)
+            expected = written.get(link)
+            if expected is None:
+                expected = _chain_digest(*link)
             if entry.digest != expected:
                 raise IsolationViolation(
                     f"audit record #{entry.seq} ({entry.kind}) fails its "

@@ -103,15 +103,15 @@ class CowMap:
         self.regions_copied_total += 1
         self.bytes_copied_total += size
         if self.stats is not None:
-            self.stats.counter(SPEC_COW_REGIONS_COPIED).add()
+            self.stats.bump(SPEC_COW_REGIONS_COPIED)
         if self.tracer.enabled:
             self.tracer.instant(
                 CAT_SPEC, "cow.copy", tid=TID_SPECULATING, base=base, size=size,
             )
         if self.vmstat is not None:
             # COW copies occupy real memory: account them as distinct pages.
-            first = _COW_PAGE_BASE + (region * size) // PAGE_SIZE
-            last = _COW_PAGE_BASE + (region * size + size - 1) // PAGE_SIZE
+            first = _COW_PAGE_BASE + base // PAGE_SIZE
+            last = _COW_PAGE_BASE + (base + size - 1) // PAGE_SIZE
             for page in range(first, last + 1):
                 self.vmstat.touch_page(page)
         return self._copy_cost_per_region
@@ -148,6 +148,8 @@ class CowMap:
         """Write through COW; returns extra cycles from first-copies."""
         self._check(addr, len(payload))
         size = self.region_size
+        copies = self._copies
+        source = memoryview(payload)
         extra = 0
         cursor = addr
         index = 0
@@ -156,9 +158,9 @@ class CowMap:
             region = cursor // size
             off = cursor - region * size
             chunk = min(remaining, size - off)
-            if region not in self._copies:
+            if region not in copies:
                 extra += self._ensure_copied(region)
-            self._copies[region][off:off + chunk] = payload[index:index + chunk]
+            copies[region][off:off + chunk] = source[index:index + chunk]
             cursor += chunk
             index += chunk
             remaining -= chunk
@@ -171,7 +173,10 @@ class CowMap:
     # Each accessor is the whole software check of one shadow load/store in
     # one call: address validity, region lookup, first-write copy and the
     # auditor's containment check.  An access that straddles two regions
-    # takes the bulk path, which does the same steps piecewise.
+    # takes the bulk path, which does the same steps piecewise.  Translated
+    # blocks do the case of an access inside a region already in
+    # ``_mapped_regions`` (for a store: already copied) inline, over the same
+    # ``_copies`` and ``_mapped_regions``, and call these for the rest.
 
     def _validate(self, region: int, addr: int, length: int) -> None:
         """The address-validity test of an access inside ``region`` that

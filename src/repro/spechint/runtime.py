@@ -171,17 +171,14 @@ class SpecProcessState:
         report = meta.report
         if report is not None and report.analysis_applied:
             stats = kernel.stats
-            stats.counter(metrics.SPECHINT_ANALYSIS_STORES_ELIDED).add(
-                report.stores_elided
-            )
-            stats.counter(metrics.SPECHINT_ANALYSIS_LOADS_UNCHECKED).add(
-                report.loads_unchecked_dead
-            )
-            stats.counter(metrics.SPECHINT_ANALYSIS_TRANSFERS_RESOLVED).add(
-                report.transfers_statically_resolved
-            )
+            stats.bump(metrics.SPECHINT_ANALYSIS_STORES_ELIDED,
+                       report.stores_elided)
+            stats.bump(metrics.SPECHINT_ANALYSIS_LOADS_UNCHECKED,
+                       report.loads_unchecked_dead)
+            stats.bump(metrics.SPECHINT_ANALYSIS_TRANSFERS_RESOLVED,
+                       report.transfers_statically_resolved)
             saved = report.check_cycles_baseline - report.check_cycles_emitted
-            stats.counter(metrics.SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED).add(saved)
+            stats.bump(metrics.SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED, saved)
             if self.auditor is not None:
                 self.auditor.table.record(
                     "analysis",
@@ -200,7 +197,7 @@ class SpecProcessState:
         any restart request — is the "checks" phase of the stall breakdown.
         """
         cost = self._before_read_inner(thread, fd_num, length)
-        self.kernel.stats.counter(metrics.SPEC_CHECK_CYCLES).add(cost)
+        self.kernel.stats.bump(metrics.SPEC_CHECK_CYCLES, cost)
         return cost
 
     def _before_read_inner(self, thread: "Thread", fd_num: int, length: int) -> int:
@@ -218,14 +215,14 @@ class SpecProcessState:
             # the duration; the spec thread benches itself at its next poll.
             transition = self.watchdog.set_degraded(self.kernel.array.degraded)
             if transition == "suspended":
-                self.kernel.stats.counter(metrics.SPEC_DEGRADED_SUSPENSIONS).add()
+                self.kernel.stats.bump(metrics.SPEC_DEGRADED_SUSPENSIONS)
                 self.restart_flag = True
                 if self.kernel.tracer.enabled:
                     self.kernel.tracer.instant(
                         CAT_SPEC, "degraded_suspend", tid=TID_ORIGINAL,
                     )
             elif transition == "resumed":
-                self.kernel.stats.counter(metrics.SPEC_DEGRADED_RESUMES).add()
+                self.kernel.stats.bump(metrics.SPEC_DEGRADED_RESUMES)
                 if self.kernel.tracer.enabled:
                     self.kernel.tracer.instant(
                         CAT_SPEC, "degraded_resume", tid=TID_ORIGINAL,
@@ -244,7 +241,7 @@ class SpecProcessState:
                 return cost
             # This read released the quarantine: resume the normal path —
             # the stale hint log will mismatch and request a restart.
-            self.kernel.stats.counter(metrics.SPEC_QUARANTINE_RELEASED).add()
+            self.kernel.stats.bump(metrics.SPEC_QUARANTINE_RELEASED)
             if self.auditor is not None:
                 self.auditor.table.record("quarantine_released")
 
@@ -276,7 +273,7 @@ class SpecProcessState:
 
         # Off track (strayed or behind): request a restart.
         if not self.throttle.allow_restart():
-            self.kernel.stats.counter(metrics.SPEC_THROTTLE_SUPPRESSED).add()
+            self.kernel.stats.bump(metrics.SPEC_THROTTLE_SUPPRESSED)
             self._capture_boundary()
             return cost
 
@@ -290,17 +287,26 @@ class SpecProcessState:
         else:
             self._saved_read_n = 0
         self.restart_flag = True
-        self.kernel.stats.counter(metrics.SPEC_RESTART_REQUESTS).add()
+        self.kernel.stats.bump(metrics.SPEC_RESTART_REQUESTS)
         self._capture_boundary()
         self._wake_spec_thread()
         return cost
 
     def _capture_boundary(self) -> None:
-        """Snapshot the restart boundary at this read call.  The
-        last capture before a restart is the blocking read itself, so the
-        speculating thread verifies against exactly the state the original
-        thread stalled with."""
-        if self.auditor is not None:
+        """Snapshot the restart boundary at this read call, when a restart
+        can consume it.  The last capture before a restart is the blocking
+        read itself, so the speculating thread verifies against exactly the
+        state the original thread stalled with.
+
+        Only a read that finds ``restart_flag`` set (a restart requested at
+        this read or an earlier one and not yet performed) can be the last
+        read before a verify: the flag is set only by a restart request,
+        which captures, and by a degraded-mode suspension, which parks the
+        restart until a later read resumes it and reaches this call.  A
+        matched or throttled read with the flag clear would be overwritten
+        before any verify, so it takes no snapshot.
+        """
+        if self.auditor is not None and self.restart_flag:
             self.auditor.capture_boundary(self._saved_regs)
 
     def _wake_spec_thread(self) -> None:
@@ -351,7 +357,7 @@ class SpecProcessState:
             self.auditor.verify_restart_boundary(self._saved_regs)
 
         self.restarts += 1
-        self.kernel.stats.counter(metrics.SPEC_RESTARTS).add()
+        self.kernel.stats.bump(metrics.SPEC_RESTARTS)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(
                 CAT_SPEC, "restart", tid=TID_SPECULATING,
@@ -361,7 +367,7 @@ class SpecProcessState:
         # Cancel outstanding hints (the CANCEL_ALL call added to TIP).
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
         self.cancel_calls += 1
-        self.kernel.stats.counter(metrics.SPEC_CANCEL_CALLS).add()
+        self.kernel.stats.bump(metrics.SPEC_CANCEL_CALLS)
         self.throttle.note_cancel(cancelled)
 
         # The restart's safety depends on the cancel having drained the
@@ -373,7 +379,7 @@ class SpecProcessState:
                 f"TIPIO_CANCEL_ALL left {outstanding} hint(s) outstanding "
                 f"before restart"
             )
-        self.kernel.stats.counter(metrics.SPEC_CANCEL_DRAIN_VERIFIED).add()
+        self.kernel.stats.bump(metrics.SPEC_CANCEL_DRAIN_VERIFIED)
         if self.auditor is not None:
             self.auditor.table.record("restart", f"cancelled={cancelled}")
 
@@ -445,7 +451,7 @@ class SpecProcessState:
         if hinted:
             self.kernel.hint_from(self.process.pid, inode, offset, n)
             self.hints_issued += 1
-            self.kernel.stats.counter(metrics.SPEC_HINTS_ISSUED).add()
+            self.kernel.stats.bump(metrics.SPEC_HINTS_ISSUED)
             self.kernel.stats.distribution(metrics.APP_HINT_CALL_CPU).observe(
                 thread.cpu_cycles
             )
@@ -551,7 +557,7 @@ class SpecProcessState:
             # suppression itself is a recorded, auditable event.
             regs[V0] = regs[A2]
             thread.pc += 1
-            self.kernel.stats.counter(metrics.SPEC_WRITES_SUPPRESSED).add()
+            self.kernel.stats.bump(metrics.SPEC_WRITES_SUPPRESSED)
             if self.auditor is not None:
                 self.auditor.table.record(
                     "write_suppressed", f"fd={regs[A0]} len={regs[A2]}"
@@ -566,7 +572,7 @@ class SpecProcessState:
             return self.park(thread, "spec_exit")
 
         # Any other system call would be an externally visible side effect.
-        self.kernel.stats.counter(metrics.SPEC_SYSCALLS_BLOCKED).add()
+        self.kernel.stats.bump(metrics.SPEC_SYSCALLS_BLOCKED)
         if self.auditor is not None:
             self.auditor.table.record("syscall_blocked", f"num={num}")
         return self.park(thread, "forbidden_syscall")
@@ -605,12 +611,12 @@ class SpecProcessState:
         continues with baseline correctness, minus hinting.
         """
         self.isolation_violations += 1
-        self.kernel.stats.counter(metrics.SPEC_ISOLATION_VIOLATIONS).add()
+        self.kernel.stats.bump(metrics.SPEC_ISOLATION_VIOLATIONS)
         self.restart_flag = False
         self.quarantine_state.impose(str(violation))
-        self.kernel.stats.counter(metrics.SPEC_QUARANTINES).add()
+        self.kernel.stats.bump(metrics.SPEC_QUARANTINES)
         if self.quarantine_state.permanent:
-            self.kernel.stats.counter(metrics.SPEC_QUARANTINE_PERMANENT).add()
+            self.kernel.stats.bump(metrics.SPEC_QUARANTINE_PERMANENT)
         if self.auditor is not None:
             self.auditor.table.record("quarantine", str(violation))
         if self.kernel.tracer.enabled:
@@ -620,9 +626,8 @@ class SpecProcessState:
             )
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
         if cancelled:
-            self.kernel.stats.counter(metrics.SPEC_QUARANTINE_HINTS_CANCELLED).add(
-                cancelled
-            )
+            self.kernel.stats.bump(metrics.SPEC_QUARANTINE_HINTS_CANCELLED,
+                                   cancelled)
         return self.park(thread, "isolation_quarantine")
 
     # ------------------------------------------------------------ park / signals
@@ -634,7 +639,7 @@ class SpecProcessState:
         thread.state = ThreadState.SPEC_IDLE
         thread.stop_reason = "spec_idle"
         self.parks[reason] = self.parks.get(reason, 0) + 1
-        self.kernel.stats.counter(metrics.SPEC_PARK_PREFIX + reason).add()
+        self.kernel.stats.bump(metrics.SPEC_PARK_PREFIX + reason)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(
                 CAT_SPEC, "park", tid=TID_SPECULATING, reason=reason,
@@ -646,7 +651,7 @@ class SpecProcessState:
         from repro.kernel.thread import ThreadState
 
         self.signals += 1
-        self.kernel.stats.counter(metrics.SPEC_SIGNALS).add()
+        self.kernel.stats.bump(metrics.SPEC_SIGNALS)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(CAT_SPEC, "signal", tid=TID_SPECULATING)
         thread.state = ThreadState.SPEC_IDLE
@@ -671,10 +676,10 @@ class SpecProcessState:
             self.thread.state = ThreadState.SPEC_IDLE
             self.thread.stop_reason = "spec_idle"
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
-        self.kernel.stats.counter(metrics.SPEC_WATCHDOG_DISABLED).add()
-        self.kernel.stats.counter(metrics.SPEC_WATCHDOG_TRIP_PREFIX + reason).add()
+        self.kernel.stats.bump(metrics.SPEC_WATCHDOG_DISABLED)
+        self.kernel.stats.bump(metrics.SPEC_WATCHDOG_TRIP_PREFIX + reason)
         if cancelled:
-            self.kernel.stats.counter(metrics.SPEC_WATCHDOG_HINTS_CANCELLED).add(cancelled)
+            self.kernel.stats.bump(metrics.SPEC_WATCHDOG_HINTS_CANCELLED, cancelled)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(
                 CAT_SPEC, "watchdog_disabled", tid=TID_SPECULATING, reason=reason,

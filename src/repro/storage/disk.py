@@ -74,7 +74,18 @@ class Disk:
         self._buffer_end: int = 0  # exclusive; empty buffer when start == end
 
         # Per-disk counters.
-        self._prefix = f"{DISK_PREFIX}{disk_id}."
+        self._prefix = prefix = f"{DISK_PREFIX}{disk_id}."
+        self._submitted = prefix + "submitted"
+        self._accesses = prefix + "accesses"
+        self._service_dist = prefix + "service_cycles"
+        #: (counter, cycles) of each service regime (params are frozen).
+        overhead = params.overhead_s
+        self._buffer_hit = (prefix + "buffer_hits", max(1, cpu.cycles(
+            overhead + params.buffer_transfer_s(BLOCK_SIZE))))
+        self._sequential = (prefix + "sequential_accesses", max(1, cpu.cycles(
+            overhead + params.media_transfer_s(BLOCK_SIZE))))
+        self._random = (prefix + "random_accesses", max(1, cpu.cycles(
+            overhead + params.positioning_s + params.media_transfer_s(BLOCK_SIZE))))
 
     # -- queueing ----------------------------------------------------------
 
@@ -90,7 +101,7 @@ class Disk:
             self._demand_queue.append(request)
         else:
             self._prefetch_queue.append(request)
-        self.stats.counter(self._prefix + "submitted").add()
+        self.stats.bump(self._submitted)
         if self.tracer.enabled:
             self._sample_queue_depth()
         self._maybe_start()
@@ -143,9 +154,9 @@ class Disk:
                 self.disk_id, request, service_cycles
             )
             if fault is not None:
-                self.stats.counter(self._prefix + "faulted_accesses").add()
-        self.stats.counter(self._prefix + "accesses").add()
-        self.stats.distribution(self._prefix + "service_cycles").observe(service_cycles)
+                self.stats.bump(self._prefix + "faulted_accesses")
+        self.stats.bump(self._accesses)
+        self.stats.distribution(self._service_dist).observe(service_cycles)
         self._active_event = self.engine.schedule_after(
             service_cycles,
             lambda: self._finish(request, fault),
@@ -153,20 +164,17 @@ class Disk:
         )
 
     def _service_cycles(self, block: int) -> int:
-        p = self.params
         if self._buffer_start <= block < self._buffer_end:
             # Track-buffer hit: no media access, no buffer refill.
-            seconds = p.overhead_s + p.buffer_transfer_s(BLOCK_SIZE)
-            self.stats.counter(self._prefix + "buffer_hits").add()
-        elif block == self._last_media_block + 1:
-            seconds = p.overhead_s + p.media_transfer_s(BLOCK_SIZE)
-            self._after_media_access(block)
-            self.stats.counter(self._prefix + "sequential_accesses").add()
+            counter, cycles = self._buffer_hit
         else:
-            seconds = p.overhead_s + p.positioning_s + p.media_transfer_s(BLOCK_SIZE)
+            if block == self._last_media_block + 1:
+                counter, cycles = self._sequential
+            else:
+                counter, cycles = self._random
             self._after_media_access(block)
-            self.stats.counter(self._prefix + "random_accesses").add()
-        return max(1, self.cpu.cycles(seconds))
+        self.stats.bump(counter)
+        return cycles
 
     def _after_media_access(self, block: int) -> None:
         self._last_media_block = block
@@ -210,13 +218,13 @@ class Disk:
                 self._active_event.cancel()
                 self._active_event = None
             self._active = None
-            self.stats.counter(self._prefix + "aborted").add()
+            self.stats.bump(self._prefix + "aborted")
             self._maybe_start()
             return True
         for queue in (self._demand_queue, self._prefetch_queue):
             for i, queued in enumerate(queue):
                 if queued is request:
                     del queue[i]
-                    self.stats.counter(self._prefix + "aborted").add()
+                    self.stats.bump(self._prefix + "aborted")
                     return True
         return False

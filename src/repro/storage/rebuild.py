@@ -65,7 +65,7 @@ class RebuildEngine:
     # -- the resilver loop ---------------------------------------------------
 
     def start(self) -> None:
-        self.array.stats.counter(metrics.REBUILD_STARTED).add()
+        self.array.stats.bump(metrics.REBUILD_STARTED)
         if self.array.tracer.enabled:
             self.array.tracer.instant(
                 CAT_STORAGE, f"rebuild.start disk{self.dead_disk}",
@@ -103,7 +103,7 @@ class RebuildEngine:
 
     def _row_written(self, write_set: "_ChildSet") -> None:
         self.watermark += 1
-        self.array.stats.counter(metrics.REBUILD_BLOCKS).add()
+        self.array.stats.bump(metrics.REBUILD_BLOCKS)
         if self.watermark >= self.total_blocks:
             self._finish()
             return
@@ -139,8 +139,8 @@ class RebuildEngine:
         self.complete = True
         self.completed_at = self.array.engine.clock.now
         stats = self.array.stats
-        stats.counter(metrics.REBUILD_COMPLETED).add()
-        stats.counter(metrics.REBUILD_COMPLETED_CYCLE).add(self.completed_at)
+        stats.bump(metrics.REBUILD_COMPLETED)
+        stats.bump(metrics.REBUILD_COMPLETED_CYCLE, self.completed_at)
         if self.array.tracer.enabled:
             self.array.tracer.instant(
                 CAT_STORAGE, f"rebuild.complete disk{self.dead_disk}",

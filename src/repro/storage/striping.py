@@ -164,6 +164,7 @@ class StripedArray:
         self.stats = stats
         self.injector = injector
         self.tracer = tracer
+        self._submitted = {kind: f"array.{kind.value}_submitted" for kind in IOKind}
         self.blocks_per_unit = array.stripe_unit // BLOCK_SIZE
         self.nblocks = nblocks
 
@@ -305,7 +306,7 @@ class StripedArray:
         if disk_id in self._dead_disks or disk_id >= self.array.ndisks:
             return
         self._dead_disks[disk_id] = None
-        self.stats.counter(metrics.ARRAY_DISK_DEATHS).add()
+        self.stats.bump(metrics.ARRAY_DISK_DEATHS)
         if self.tracer.enabled:
             self.tracer.instant(
                 CAT_STORAGE, f"disk{disk_id}.death",
@@ -342,13 +343,13 @@ class StripedArray:
             existing.callbacks.append(callback)
             if kind is IOKind.DEMAND and not existing.is_demand:
                 self._promote(existing)
-                self.stats.counter(metrics.ARRAY_DEMAND_COALESCED).add()
+                self.stats.bump(metrics.ARRAY_DEMAND_COALESCED)
             return existing
 
         request = IORequest(lbn, kind, callback)
         request.disk_id, request.physical_block = self.map_block(lbn)
         self._outstanding[lbn] = request
-        self.stats.counter(f"array.{kind.value}_submitted").add()
+        self.stats.bump(self._submitted[kind])
         self._place(request, may_hold=True)
         return request
 
@@ -362,8 +363,8 @@ class StripedArray:
 
     def _count(self, name: str, disk_id: int, suffix: str) -> None:
         """Count one event for the array and for the disk it happened at."""
-        self.stats.counter(name).add()
-        self.stats.counter(f"{metrics.DISK_PREFIX}{disk_id}.{suffix}").add()
+        self.stats.bump(name)
+        self.stats.bump(f"{metrics.DISK_PREFIX}{disk_id}.{suffix}")
 
     def _move(self, request: IORequest, new: State) -> None:
         """The only writer of ``request.state``."""
@@ -385,7 +386,7 @@ class StripedArray:
                 self._fail_data_loss(request)
                 return
             request.reconstructed = True
-            self.stats.counter(metrics.ARRAY_DEGRADED_READS).add()
+            self.stats.bump(metrics.ARRAY_DEGRADED_READS)
             self._move(request, State.RECONSTRUCTING)
             request.recon = self._spawn(
                 peers, request.physical_block, request.lbn, request.kind,
@@ -400,7 +401,7 @@ class StripedArray:
             limit = self.array.max_prefetches_per_disk
             if may_hold and 0 < limit <= self._inflight_prefetches[disk_id]:
                 self._held_prefetches[disk_id].append(request)
-                self.stats.counter(metrics.ARRAY_PREFETCHES_HELD).add()
+                self.stats.bump(metrics.ARRAY_PREFETCHES_HELD)
                 return
             self._inflight_prefetches[disk_id] += 1
         self._move(request, State.AT_DISK)
@@ -532,7 +533,7 @@ class StripedArray:
 
     def _hedge_lost(self, request: IORequest) -> None:
         """The hedged reconstruction failed (peer faults exhausted it)."""
-        self.stats.counter(metrics.ARRAY_HEDGES_LOST).add()
+        self.stats.bump(metrics.ARRAY_HEDGES_LOST)
         request.hedge = None
         if request.state is not State.HEDGE_ONLY:
             return  # its own attempt is still working and finishes normally
@@ -552,7 +553,7 @@ class StripedArray:
         if request.hedge is not None:
             self._cancel(request.hedge)
             request.hedge = None
-            self.stats.counter(metrics.ARRAY_HEDGES_CANCELLED).add()
+            self.stats.bump(metrics.ARRAY_HEDGES_CANCELLED)
 
     # -- parity reconstruction ----------------------------------------------
 
@@ -651,7 +652,7 @@ class StripedArray:
         """A surviving peer died mid-reconstruction: the row is gone."""
         self._note_disk_death(child.disk_id)
         self.data_loss = True
-        self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
+        self.stats.bump(metrics.FAULTS_DATA_LOSS)
         self._child_set_failed(owner, FAULT_DATA_LOSS)
 
     def _cancel(self, child_set: _ChildSet) -> None:
@@ -669,7 +670,7 @@ class StripedArray:
         if child_set.cancelled:
             return
         if child_set.xor_cycles > 0:
-            self.stats.counter(metrics.ARRAY_RECONSTRUCTED_BLOCKS).add()
+            self.stats.bump(metrics.ARRAY_RECONSTRUCTED_BLOCKS)
         child_set.on_complete(child_set)
 
     def _degraded_read_ended(self, request: IORequest, fault: Optional[str]) -> None:
@@ -687,7 +688,7 @@ class StripedArray:
     def _fail_data_loss(self, request: IORequest) -> None:
         """No redundancy (or no survivors): the block is gone for good."""
         self.data_loss = True
-        self.stats.counter(metrics.FAULTS_DATA_LOSS).add()
+        self.stats.bump(metrics.FAULTS_DATA_LOSS)
         request.fault = FAULT_DATA_LOSS
         if request.is_demand:
             # Synchronous, so the typed DataLossError surfaces at the
@@ -769,7 +770,7 @@ class StripedArray:
 
     def _attempt_failed(self, request: IORequest) -> None:
         """One attempt failed (transient/offline error or timeout)."""
-        self.stats.counter(metrics.ARRAY_FAULTED_ATTEMPTS).add()
+        self.stats.bump(metrics.ARRAY_FAULTED_ATTEMPTS)
         limit = (
             self.array.retry_max_attempts if request.is_demand
             else self.array.prefetch_retry_attempts
@@ -796,9 +797,9 @@ class StripedArray:
     def _fail_request(self, request: IORequest) -> None:
         request.failed = True
         if request.is_demand:
-            self.stats.counter(metrics.ARRAY_DEMAND_FAILURES).add()
+            self.stats.bump(metrics.ARRAY_DEMAND_FAILURES)
         else:
-            self.stats.counter(metrics.ARRAY_PREFETCHES_DROPPED).add()
+            self.stats.bump(metrics.ARRAY_PREFETCHES_DROPPED)
         self._notify(request)
 
     @staticmethod
@@ -822,7 +823,7 @@ class StripedArray:
         self._move(request, State.DONE)
         request.done = True
         self._outstanding.pop(request.lbn, None)
-        self.stats.counter(metrics.ARRAY_COMPLETED).add()
+        self.stats.bump(metrics.ARRAY_COMPLETED)
         for callback in request.callbacks:
             callback(request)
 

@@ -166,7 +166,7 @@ class TipManager:
                 on_ready()
 
             self.array.submit(inode.lbn_of_block(file_block), IOKind.DEMAND, joined)
-            self.stats.counter(metrics.CACHE_DEMAND_JOINS_INFLIGHT).add()
+            self.stats.bump(metrics.CACHE_DEMAND_JOINS_INFLIGHT)
             return False
 
         # Full miss: bring the block in at demand priority.  Evict one block
@@ -177,7 +177,7 @@ class TipManager:
         entry = self.cache.insert_fetching(key, FetchOrigin.DEMAND)
         entry.demand_waiters += 1
         self.cache.note_access(key)
-        self.stats.counter(metrics.CACHE_DEMAND_MISSES).add()
+        self.stats.bump(metrics.CACHE_DEMAND_MISSES)
 
         def completed(req: IORequest) -> None:
             self._check_demand_failure(req)
@@ -242,7 +242,7 @@ class TipManager:
         if self.cache.get(key) is not None:
             return False
         if self.cache.free_blocks == 0 and not self._evict_one():
-            self.stats.counter(metrics.CACHE_PREFETCH_DENIED_NO_ROOM).add()
+            self.stats.bump(metrics.CACHE_PREFETCH_DENIED_NO_ROOM)
             return False
         self.cache.insert_fetching(key, origin)
 
@@ -252,7 +252,7 @@ class TipManager:
                 # demand access simply misses — the unhinted baseline, never
                 # an error surfaced to the application.
                 self.cache.discard_fetching(key)
-                self.stats.counter(metrics.CACHE_PREFETCHES_DROPPED).add()
+                self.stats.bump(metrics.CACHE_PREFETCHES_DROPPED)
                 self.on_prefetch_dropped(key)
                 return
             self.cache.mark_valid(key)
@@ -286,32 +286,41 @@ class TipManager:
         ``1 <= length <= inode.size - offset``.  Outside input is validated
         and clamped to the file where it arrives, in ``Kernel.hint_from``.
         """
-        self.stats.counter(metrics.TIP_HINT_CALLS).add()
+        self.stats.bump(metrics.TIP_HINT_CALLS)
         if self.params.ignore_hints:
-            self.stats.counter(metrics.TIP_HINTS_IGNORED).add()
+            self.stats.bump(metrics.TIP_HINTS_IGNORED)
             return 0
         state = self._proc(pid)
         ino = inode.ino
         first_lbn = inode.first_lbn
         disk_of = self.array.disk_of
-        first = offset // BLOCK_SIZE
-        last = (offset + length - 1) // BLOCK_SIZE
-        for file_block in range(first, last + 1):
-            key = (ino, file_block)
-            self._next_seq += 1
-            entry = _HintedBlock(key, self._next_seq, disk_of(first_lbn + file_block))
-            state.queue.append(entry)
-            self._hinted_seqs.setdefault(key, []).append(entry.seq)
-            self.lifecycle.disclosed(entry.seq, key, pid)
-        accepted = last - first + 1
-        self.stats.counter(metrics.TIP_HINTED_BLOCKS).add(accepted)
-        self._schedule_prefetches(pid)
+        queue = state.queue
+        hinted_seqs = self._hinted_seqs
+        keys = [(ino, file_block) for file_block in range(
+            offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE + 1)]
+        first_seq = seq = self._next_seq + 1
+        for key in keys:
+            queue.append(_HintedBlock(key, seq, disk_of(first_lbn + key[1])))
+            seqs = hinted_seqs.get(key)
+            if seqs is None:
+                hinted_seqs[key] = [seq]
+            else:
+                seqs.append(seq)
+            seq += 1
+        self._next_seq = seq - 1
+        accepted = len(keys)
+        self.lifecycle.disclosed(first_seq, keys, pid)
+        self.stats.bump(metrics.TIP_HINTED_BLOCKS, accepted)
+        # Appending to a window whose visited prefix already spans the whole
+        # depth leaves the scan nothing to visit (and nothing to count).
+        if state.dirty or state.visited != self._depth(state) or self.array.degraded:
+            self._schedule_prefetches(pid)
         return accepted
 
     def cancel_all(self, pid: int) -> int:
         """TIPIO_CANCEL_ALL: drop every outstanding hint from ``pid``.
         Returns the number cancelled; prefetches already issued proceed."""
-        self.stats.counter(metrics.TIP_CANCEL_CALLS).add()
+        self.stats.bump(metrics.TIP_CANCEL_CALLS)
         state = self._procs.get(pid)
         if state is None or not state.queue:
             return 0
@@ -321,7 +330,7 @@ class TipManager:
             self.lifecycle.cancelled(entry.seq, pid)
         state.accuracy.observe_cancelled(cancelled)
         self.cancelled_total += cancelled
-        self.stats.counter(metrics.TIP_HINTS_CANCELLED).add(cancelled)
+        self.stats.bump(metrics.TIP_HINTS_CANCELLED, cancelled)
         if self.tracer.enabled:
             self.tracer.instant(CAT_TIP, "cancel_all", tid=TID_SYSTEM,
                                 pid=pid, cancelled=cancelled)
@@ -329,7 +338,7 @@ class TipManager:
         # restart protocol restarts speculation on the strength of this —
         # a leaked hint would let a cancelled prediction keep prefetching.
         assert not state.queue, f"cancel_all leaked {len(state.queue)} hints"
-        self.stats.counter(metrics.TIP_CANCEL_DRAINED).add()
+        self.stats.bump(metrics.TIP_CANCEL_DRAINED)
         return cancelled
 
     # -- read-path matching -----------------------------------------------------
@@ -358,8 +367,8 @@ class TipManager:
             if not self._consume_one(state, (inode.ino, file_block), pid):
                 matched_all = False
         if matched_all:
-            self.stats.counter(metrics.TIP_HINTED_READ_CALLS).add()
-            self.stats.counter(metrics.TIP_HINTED_READ_BYTES).add(length)
+            self.stats.bump(metrics.TIP_HINTED_READ_CALLS)
+            self.stats.bump(metrics.TIP_HINTED_READ_BYTES, length)
         self._drop_stale(state, pid)
         return matched_all
 
@@ -372,7 +381,7 @@ class TipManager:
                 state.remove(i)
                 self._forget_seq(entry.key, entry.seq)
                 state.accuracy.observe_consumed()
-                self.stats.counter(metrics.TIP_HINTS_CONSUMED).add()
+                self.stats.bump(metrics.TIP_HINTS_CONSUMED)
                 self.lifecycle.consumed(entry.seq, pid)
                 self._remember_consumed(key)
                 return True
@@ -398,7 +407,7 @@ class TipManager:
             entry = state.remove(0)
             self._forget_seq(entry.key, entry.seq)
             state.accuracy.observe_stale()
-            self.stats.counter(metrics.TIP_HINTS_STALE_DROPPED).add()
+            self.stats.bump(metrics.TIP_HINTS_STALE_DROPPED)
             self.lifecycle.wasted(entry.seq, pid, "stale")
 
     def _forget_seq(self, key: BlockKey, seq: int) -> None:
@@ -419,6 +428,10 @@ class TipManager:
         state = self._procs.get(pid)
         if state is None:
             return 0
+        return self._depth(state)
+
+    def _depth(self, state: _ProcessHints) -> int:
+        """:meth:`effective_depth` of the process whose hint state is ``state``."""
         accuracy = state.accuracy.value
         if accuracy >= self.params.accuracy_discount_threshold:
             return self.params.prefetch_horizon
@@ -442,7 +455,7 @@ class TipManager:
         state = self._procs.get(pid)
         if state is None or not state.queue:
             return
-        depth = self.effective_depth(pid)
+        depth = self._depth(state)
         limit = self.params.max_inflight_per_disk
         degraded = self.array.degraded
         if degraded:
@@ -468,17 +481,17 @@ class TipManager:
             disk = entry.disk
             if limit > 0 and self._inflight_per_disk.get(disk, 0) >= limit:
                 if degraded:
-                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+                    self.stats.bump(metrics.TIP_PREFETCHES_SHED_DEGRADED)
                 continue
             if self.start_prefetch(self.fs.inode(key[0]), key[1], FetchOrigin.HINT):
                 self._inflight_hint_fetch[key] = disk
                 self._inflight_per_disk[disk] = self._inflight_per_disk.get(disk, 0) + 1
-                self.stats.counter(metrics.TIP_PREFETCHES_ISSUED).add()
+                self.stats.bump(metrics.TIP_PREFETCHES_ISSUED)
                 self.lifecycle.prefetch_issued(key)
             else:
                 state.dirty = True  # no room: neither resident nor blocked
         if degraded and len(state.queue) > depth:
-            self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+            self.stats.bump(metrics.TIP_PREFETCHES_SHED_DEGRADED)
         state.visited = min(depth, len(state.queue))
 
     def on_block_arrived(self, key: BlockKey) -> None:
@@ -496,7 +509,7 @@ class TipManager:
         disk = self._inflight_hint_fetch.pop(key, None)
         if disk is not None:
             self._inflight_per_disk[disk] -= 1
-            self.stats.counter(metrics.TIP_PREFETCHES_DROPPED).add()
+            self.stats.bump(metrics.TIP_PREFETCHES_DROPPED)
             self.lifecycle.prefetch_dropped(key)
         else:
             # A read-ahead fetch died: no slot to free, but its key is gone.
@@ -531,7 +544,7 @@ class TipManager:
                 best_distance = distance
                 best_hinted = entry
         if best_hinted is not None and best_distance > self.params.prefetch_horizon:
-            self.stats.counter(metrics.TIP_HINTED_EVICTIONS).add()
+            self.stats.bump(metrics.TIP_HINTED_EVICTIONS)
             return best_hinted
         return None
 
@@ -562,5 +575,5 @@ class TipManager:
                     self._forget_seq(entry.key, entry.seq)
                     self.lifecycle.wasted(entry.seq, pid, "unconsumed")
                 state.accuracy.observe_stale(leftover)
-                self.stats.counter(metrics.TIP_HINTS_UNCONSUMED_AT_END).add(leftover)
+                self.stats.bump(metrics.TIP_HINTS_UNCONSUMED_AT_END, leftover)
         self.cache.finalize()

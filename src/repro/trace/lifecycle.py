@@ -26,7 +26,7 @@ accounting).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.metrics import TIP_HINT_LEAD_CYCLES, TIP_HINTS_READY_BEFORE_DEMAND
@@ -131,18 +131,23 @@ class HintLifecycle:
 
     # -- intake -------------------------------------------------------------
 
-    def disclosed(self, seq: int, key: BlockKey, pid: int) -> None:
-        """A hint entered a process's queue."""
+    def disclosed(self, seq: int, keys: Sequence[BlockKey], pid: int) -> None:
+        """One segment's hints entered a process's queue: ``keys[i]`` with
+        hint seq ``seq + i``.  One record per block."""
         now = self.clock.now
-        self.disclosed_total += 1
-        self._open_by_pid[pid] = self._open_by_pid.get(pid, 0) + 1
-        if len(self._records) < self.capacity:
-            self._records[seq] = HintRecord(seq, key, pid, now)
-            self._open_by_key.setdefault(key, []).append(seq)
+        self.disclosed_total += len(keys)
+        self._open_by_pid[pid] = self._open_by_pid.get(pid, 0) + len(keys)
+        records = self._records
+        open_by_key = self._open_by_key
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.instant(CAT_HINT, "hint.disclosed", tid=TID_SYSTEM,
-                           seq=seq, ino=key[0], block=key[1], pid=pid)
+        for key in keys:
+            if len(records) < self.capacity:
+                records[seq] = HintRecord(seq, key, pid, now)
+                open_by_key.setdefault(key, []).append(seq)
+            if tracer.enabled:
+                tracer.instant(CAT_HINT, "hint.disclosed", tid=TID_SYSTEM,
+                               seq=seq, ino=key[0], block=key[1], pid=pid)
+            seq += 1
 
     # -- prefetch progress ---------------------------------------------------
 
@@ -200,7 +205,7 @@ class HintLifecycle:
             if record.ready_before_demand:
                 self.ready_before_demand += 1
                 if self.stats is not None:
-                    self.stats.counter(TIP_HINTS_READY_BEFORE_DEMAND).add()
+                    self.stats.bump(TIP_HINTS_READY_BEFORE_DEMAND)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.complete(CAT_HINT, "hint.lifetime",

@@ -4,8 +4,9 @@ The interpreter pays one handler call, one clock call and a dozen attribute
 reads per instruction.  A *block* is a maximal run of non-system
 instructions that starts at a leader (a branch, call, jump-table or
 fall-through target, a function entry, the instruction after a system one)
-and ends with the first control transfer, or just before the next leader or
-system instruction.  Once a leader has been entered :data:`HOT_ENTRIES`
+and ends with the first control transfer or computation (``CWORK``/``SCWORK``,
+whose cycles join the block's static cost), or just before the next leader
+or system instruction.  Once a leader has been entered :data:`HOT_ENTRIES`
 times its block is translated into one generated function — registers as
 ``r[n]``, operands as constants, the terminating transfer as the returned
 pc — and the machine calls that function in place of per-instruction
@@ -26,10 +27,17 @@ What generated code promises the machine:
   completes: such events are rare, so the block is simply left at that
   instruction boundary and the interpreter finishes it.
 
-Memory goes through the same accessors the interpreter uses
-(``AddressSpace``/``CowMap`` bound methods, ``PageAccounting.touch_addr``),
-so validity tests, the armed write guard and the auditor's containment
-check all still run.
+Memory accesses do the accessors' common case inline and call the accessor
+the interpreter uses (``AddressSpace``/``CowMap`` bound methods,
+``PageAccounting.touch_addr``) for everything else: a plain access inside
+the stack or data segment reads or writes the mapping directly (a store only
+while no write guard is armed), a COW access inside a region already seen
+wholly mapped goes to its copy or to main memory (a store only when the copy
+exists), and the page reference is skipped for the page the accounting saw
+last.  The validity tests and the armed write guard still run.  So does the
+auditor's containment check after every COW store: the accessor makes it,
+and an inline store writes only into the existing copy of the one region it
+covers, which is what the check asks, so there it is counted as passed.
 """
 
 from __future__ import annotations
@@ -101,8 +109,20 @@ def _expand(templates: Templates) -> Templates:
 
 
 _ADDR = "t.pc = {pc}; m = (r[{b}] + {c}) & M64\n"
-_PAGE = "\ne = page_cost[touch(m)]\nif e: raise Leave(e)"
-_COW_EXTRA = "\nif e: raise Leave(e)"
+#: The page reference after a plain access, skipped for the page the
+#: accounting saw last (``PageAccounting.mru``): touching it is a HIT that
+#: changes nothing.
+_PAGE = "\nif m // {page} != vm.mru:\n    e = page_cost[touch(m)]\n    if e: raise Leave(e)"
+#: ``AddressSpace.mapped`` for a word / a byte in the stack or the data
+#: segment; the speculative heap and every invalid address take the accessor.
+_WORD_MAPPED = "({stack} <= m <= {stack_word} or {data} <= m and m + 8 <= space.brk)"
+_BYTE_MAPPED = "({stack} <= m < {stack_end} or {data} <= m < space.brk)"
+#: A COW access inside one region already seen wholly mapped (the test
+#: ``CowMap._validate`` records); a first copy, a straddling word and a
+#: region not known to be mapped take the accessor.  ``{contained}`` counts
+#: the auditor's containment check of the store, or is nothing without one.
+_REGION = "g = m // {region}; o = m - g * {region}\n"
+_COW_SLOW_STORE = "else:\n    e = cow_store_{kind}(m, r[{a}])\n    if e: raise Leave(e)"
 
 #: op -> (static cycles, source); ``d`` is added to the cycles of COW ops.
 _STRAIGHT = _expand({
@@ -132,15 +152,48 @@ _STRAIGHT = _expand({
     Op.SHLI: (ALU_COST, "r[{a}] = (r[{b}] << {sh}) & M64"),
     Op.SHRI: (ALU_COST, "r[{a}] = r[{b}] >> {sh}"),
     Op.SLTI: (ALU_COST, "x = r[{b}]; r[{a}] = 1 if X < {c} else 0"),
-    Op.LOAD: (MEM_COST, _ADDR + "r[{a}] = load_word(m)" + _PAGE),
-    Op.STORE: (MEM_COST, _ADDR + "store_word(m, r[{a}])" + _PAGE),
-    Op.LOADB: (MEM_COST, _ADDR + "r[{a}] = load_byte(m)" + _PAGE),
-    Op.STOREB: (MEM_COST, _ADDR + "store_byte(m, r[{a}])" + _PAGE),
-    Op.COW_LOAD: (MEM_COST, _ADDR + "r[{a}] = cow_load_word(m)"),
-    Op.COW_STORE: (MEM_COST, _ADDR + "e = cow_store_word(m, r[{a}])" + _COW_EXTRA),
-    Op.COW_LOADB: (MEM_COST, _ADDR + "r[{a}] = cow_load_byte(m)"),
-    Op.COW_STOREB: (MEM_COST, _ADDR + "e = cow_store_byte(m, r[{a}])" + _COW_EXTRA),
+    Op.LOAD: (MEM_COST, _ADDR + "if " + _WORD_MAPPED + ":\n"
+                        "    r[{a}] = from_bytes(mm[m:m + 8], 'little')\n"
+                        "else:\n    r[{a}] = load_word(m)" + _PAGE),
+    Op.STORE: (MEM_COST, _ADDR + "if space.write_guard is None and " + _WORD_MAPPED + ":\n"
+                         "    mm[m:m + 8] = (r[{a}] & M64).to_bytes(8, 'little')\n"
+                         "else:\n    store_word(m, r[{a}])" + _PAGE),
+    Op.LOADB: (MEM_COST, _ADDR + "if " + _BYTE_MAPPED + ":\n"
+                         "    r[{a}] = mm[m]\n"
+                         "else:\n    r[{a}] = load_byte(m)" + _PAGE),
+    Op.STOREB: (MEM_COST, _ADDR + "if space.write_guard is None and " + _BYTE_MAPPED + ":\n"
+                          "    mm[m] = r[{a}] & 255\n"
+                          "else:\n    store_byte(m, r[{a}])" + _PAGE),
+    Op.COW_LOAD: (MEM_COST, _ADDR + _REGION +
+                  "if o <= {region_word} and g in mapped_regions:\n"
+                  "    cp = copies.get(g)\n"
+                  "    r[{a}] = from_bytes(mm[m:m + 8] if cp is None else cp[o:o + 8], 'little')\n"
+                  "else:\n    r[{a}] = cow_load_word(m)"),
+    Op.COW_STORE: (MEM_COST, _ADDR + _REGION + "cp = copies.get(g)\n"
+                   "if cp is not None and o <= {region_word} and g in mapped_regions:\n"
+                   "    cp[o:o + 8] = (r[{a}] & M64).to_bytes(8, 'little'){contained}\n"
+                   + _COW_SLOW_STORE.replace("{kind}", "word")),
+    Op.COW_LOADB: (MEM_COST, _ADDR + _REGION +
+                   "if g in mapped_regions:\n"
+                   "    cp = copies.get(g)\n"
+                   "    r[{a}] = mm[m] if cp is None else cp[o]\n"
+                   "else:\n    r[{a}] = cow_load_byte(m)"),
+    Op.COW_STOREB: (MEM_COST, _ADDR + _REGION + "cp = copies.get(g)\n"
+                    "if cp is not None and g in mapped_regions:\n"
+                    "    cp[o] = r[{a}] & 255{contained}\n"
+                    + _COW_SLOW_STORE.replace("{kind}", "byte")),
 })
+
+#: The containment check (``IsolationAuditor.check_cow_containment``) of a
+#: COW store that took the inline path: the store wrote into the existing
+#: copy of the one region it covers, so the check passes and is counted.
+_CONTAINED = "\n    audit.cow_writes_checked += 1"
+
+#: Computation (CWORK/SCWORK) with a non-negative amount may end a block as
+#: static cycles: the interpreter drains them right after the instruction,
+#: in one go whenever they fit before the preemption point.  (A negative
+#: amount is the interpreter's error.)
+_CWORK_OPS = frozenset({Op.CWORK, Op.SCWORK})
 
 #: Control transfers end a block; their source returns the next pc.
 _TRANSFER = _expand({
@@ -188,7 +241,11 @@ class BlockTable:
     """The blocks of one process's text, translated as they get hot."""
 
     def __init__(
-        self, binary: Binary, bindings: Dict[str, object], clock_observed: bool
+        self,
+        binary: Binary,
+        bindings: Dict[str, object],
+        layout: Dict[str, int],
+        clock_observed: bool,
     ) -> None:
         self.binary = binary
         #: A tracer stamps events with the clock, which a block advances
@@ -201,11 +258,19 @@ class BlockTable:
         self.heat: List[int] = _leaders(binary)
         #: Per text index: the translated block that starts there.
         self.blocks: List[Optional[Block]] = [None] * len(binary.text)
-        #: What generated code calls — the process's memory, COW map and
-        #: page accounting, the machine's fault helpers — under the names
-        #: the templates use, bound when the table is built.  Blocks with
-        #: COW instructions stay untranslated without a COW map.
+        #: What generated code calls and reads — the process's memory and
+        #: its mapping, COW map, copy table and page accounting, the
+        #: machine's fault helpers — under the names the templates use,
+        #: bound when the table is built.  Blocks with COW instructions stay
+        #: untranslated without a COW map.
         self._namespace: Dict[str, object] = dict(bindings, Leave=BlockLeave)
+        #: The constants the templates inline: the address-space layout
+        #: (``page``, ``stack``, ``stack_word``, ``stack_end``, ``data``),
+        #: the COW region size, and the containment count if audited.
+        self._layout: Dict[str, object] = dict(layout)
+        if "region" in layout:
+            self._layout["region_word"] = layout["region"] - 8
+        self._layout["contained"] = _CONTAINED if "audit" in bindings else ""
 
     def translate(self, start: int) -> Optional[Block]:
         """Translate the block at leader ``start`` and stop counting its
@@ -218,6 +283,10 @@ class BlockTable:
         while pc < len(text):
             insn = text[pc]
             op = insn.op
+            if op in _CWORK_OPS and insn.a >= 0:
+                prefix.append(prefix[-1] + insn.a)  # static cycles, no code
+                pc += 1
+                break
             template = _STRAIGHT.get(op) or _TRANSFER.get(op)
             if template is None or (self.clock_observed and op in _COW_STORES):
                 break  # a system instruction: the interpreter's business
@@ -243,14 +312,18 @@ class BlockTable:
         source = f"def {name}(t, r):\n    {body}\n"
         exec(_compile(source, self.binary.name), self._namespace)
         function = cast(Callable[..., int], self._namespace.pop(name))
-        block = (function, prefix[-2], pc - start, prefix[-1], tuple(prefix))
+        # Every instruction must start before the preemption point, and a
+        # closing computation's cycles must all fit before it.
+        need = max(prefix[-2], prefix[-1] - 1) if text[pc - 1].op in _CWORK_OPS \
+            else prefix[-2]
+        block = (function, need, pc - start, prefix[-1], tuple(prefix))
         self.blocks[start] = block
         return block
 
     def _format(self, source: str, insn: Insn, pc: int) -> str:
         fields: Dict[str, object] = dict(
-            a=insn.a, b=insn.b, c=insn.c, cm=insn.c & MASK64, sh=insn.c & 63,
-            pc=pc, nxt=pc + 1,
+            self._layout, a=insn.a, b=insn.b, c=insn.c, cm=insn.c & MASK64,
+            sh=insn.c & 63, pc=pc, nxt=pc + 1,
         )
         if insn.op is Op.SWITCH:
             targets = tuple(self.binary.jump_table(insn.c).targets)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ArithmeticFault, IsolationViolation, MachineFault
+from repro.params import PAGE_SIZE
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.trace.tracer import CAT_SCHED, TID_ORIGINAL, TID_SPECULATING
@@ -268,7 +269,8 @@ class Machine:
             if cost:
                 thread.cpu_cycles += cost
                 if budget is None:
-                    clock.advance(cost)
+                    # A handler's cycle cost: never negative.
+                    clock.now += cost
                 else:
                     budget -= cost
                     thread.spec_clock += cost
@@ -279,24 +281,36 @@ class Machine:
         bound to this process's memory, page accounting and COW map."""
         mem = process.mem
         bindings: Dict[str, object] = {
+            "space": mem,
+            "mm": mem._mem,
+            "from_bytes": int.from_bytes,
             "load_word": mem.load_word,
             "store_word": mem.store_word,
             "load_byte": mem.load_byte,
             "store_byte": mem.store_byte,
+            "vm": process.vmstat,
             "touch": process.vmstat.touch_addr,
             "page_cost": self._page_event_cost,
             "check_target": self._check_text_target,
             "zero_divisor": self._zero_divisor,
             "switch_fault": self._switch_fault,
         }
+        layout = {"page": PAGE_SIZE, "stack": mem.stack_limit,
+                  "stack_word": mem.stack_top - 8, "stack_end": mem.stack_top,
+                  "data": mem.data_start}
         if process.spec is not None:
             cow = process.spec.cow
             bindings.update(
+                copies=cow._copies, mapped_regions=cow._mapped_regions,
                 cow_load_word=cow.load_word, cow_store_word=cow.store_word,
                 cow_load_byte=cow.load_byte, cow_store_byte=cow.store_byte,
             )
+            if cow.auditor is not None:
+                bindings["audit"] = cow.auditor
+            layout["region"] = cow.region_size
         table = self._block_tables[process] = BlockTable(
-            process.binary, bindings, clock_observed=self.kernel.tracer.enabled)
+            process.binary, bindings, layout,
+            clock_observed=self.kernel.tracer.enabled)
         return table
 
     def _charge(self, thread: "Thread", cost: int, budget: Optional[int]) -> None:

@@ -69,9 +69,13 @@ class AddressSpace:
     def mapped(self, addr: int, length: int) -> bool:
         """True when [addr, addr+length) lies inside one mapped segment.
 
-        The one range test: :meth:`check_range` (and through it every
-        typed accessor) and the COW map, which turns a miss into a
-        speculation fault instead, all decide validity here.
+        The range test: :meth:`check_range` (and through it every typed
+        accessor) and the COW map, which turns a miss into a speculation
+        fault instead, all decide validity here.  Translated blocks inline
+        its stack and data-segment halves for their fast path
+        (``_WORD_MAPPED`` / ``_BYTE_MAPPED`` in :mod:`repro.vm.blocks`,
+        with the layout bound per process) and call an accessor, and so
+        this test, for every other address.
         """
         end = addr + length
         return length >= 0 and (

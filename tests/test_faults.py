@@ -1,6 +1,10 @@
 """Unit tests for the fault-injection subsystem: plans, injector, watchdog."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DiskFaultError,
@@ -281,6 +285,26 @@ class TestWatchdog:
         dog.note_restart()
         dog.note_fault()
         assert dog.trip_reason == "restart_storm"
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 12),
+           min_accuracy=st.sampled_from([0.02, 0.25, 0.5, 0.75, 1.0]),
+           checks=st.lists(st.booleans(), max_size=80))
+    def test_running_count_trips_where_the_window_sum_does(
+            self, window, min_accuracy, checks):
+        """The accuracy is kept as a running match count; the sliding
+        window's ``sum()`` gives the same fraction at every check, so the
+        trip comes at the same read."""
+        dog = SpeculationWatchdog(restart_limit=0, fault_limit=0,
+                                  min_accuracy=min_accuracy,
+                                  accuracy_window=window)
+        recent = deque(maxlen=window)
+        for matched in checks:
+            recent.append(matched)
+            expected = (len(recent) == window
+                        and sum(recent) / len(recent) < min_accuracy)
+            assert dog.note_check(matched) == expected
+            assert dog.sliding_accuracy == sum(recent) / len(recent)
 
     def test_repr_mentions_state(self):
         dog = SpeculationWatchdog(restart_limit=1)

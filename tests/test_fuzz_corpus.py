@@ -41,3 +41,24 @@ def test_corpus_entry_replays_green(path):
         f"{os.path.basename(path)} replayed RED: "
         + "; ".join(str(v) for v in result.violations)
     )
+
+
+def test_forged_restart_entry_replays_red_under_its_planted_bug(monkeypatch):
+    """The audit-chain reproducer's planted bug — a forger that rewrites
+    restart records after they were chained — must still turn it red: a
+    record whose content is no longer what was written is re-hashed."""
+    from repro.spechint.auditor import AuditTable
+
+    real_record = AuditTable.record
+
+    def forging_record(self, kind, detail=""):
+        entry = real_record(self, kind, detail)
+        if kind == "restart":
+            entry.detail += " (rewritten)"
+        return entry
+
+    monkeypatch.setattr(AuditTable, "record", forging_record)
+    reproducer = Reproducer.load(os.path.join(CORPUS_DIR, "audit-chain-forged-restart.json"))
+    result = run_fuzz_case(reproducer.case, workload_scale=reproducer.workload_scale)
+    assert not result.passed
+    assert reproducer.monitor in {v.monitor for v in result.violations}

@@ -1,5 +1,8 @@
 """Tests for the page residency model (Table 6)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.kernel.vmstat import PageAccounting
 from repro.params import PAGE_SIZE
 
@@ -80,3 +83,28 @@ class TestTouchRange:
         vm.touch_addr(PAGE_SIZE * 5 + 3)
         assert vm.resident_pages == 1
         assert vm.touch_addr(PAGE_SIZE * 5) == PageAccounting.HIT
+
+
+class TestMostRecentPage:
+    """Translated code skips the page reference for ``mru``; that is exact
+    only while ``mru`` is the last page of the mapped LRU."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60))
+    def test_mru_is_the_last_page_of_the_lru_after_every_reference(self, ops):
+        vm = PageAccounting()
+        assert vm.mru == -1
+        for preload, page in ops:
+            if preload:
+                vm.preload_page(page)
+            else:
+                vm.touch_page(page)
+            assert vm.mru == next(reversed(vm._mapped))
+
+    def test_touching_the_mru_page_again_changes_nothing(self):
+        vm = PageAccounting()
+        for page in (1, 2, 3, 4, 2):
+            vm.touch_page(page)
+        before = (list(vm._mapped), set(vm._unmapped), vm.faults, vm.reclaims)
+        assert vm.touch_page(vm.mru) == PageAccounting.HIT
+        assert (list(vm._mapped), set(vm._unmapped), vm.faults, vm.reclaims) == before

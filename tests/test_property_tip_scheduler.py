@@ -16,7 +16,7 @@ invalidate a window wholesale.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fs.cache import BlockCache
+from repro.fs.cache import BlockCache, FetchOrigin
 from repro.fs.filesystem import FileSystem
 from repro.fs.readahead import SequentialReadAhead
 from repro.params import ArrayParams, BLOCK_SIZE, CpuParams, DiskParams, TipParams
@@ -26,7 +26,7 @@ from repro.sim.stats import StatRegistry
 from repro.storage.request import IOKind
 from repro.storage.striping import StripedArray
 from repro.tip.manager import TipManager
-from tests.tip_reference import ReferenceTipManager
+from tests.tip_reference import ReferenceTipManager, reference_victim
 
 NFILES = 3
 FILE_BLOCKS = 24
@@ -137,6 +137,13 @@ class Stack:
     def degrade(self, flag):
         self.array.degraded = flag
 
+    def resident(self, f, block):
+        """Put a block in the cache as if a demand read had brought it."""
+        key = (f, block)
+        if self.manager.cache.get(key) is None:
+            self.manager.cache.insert_fetching(key, FetchOrigin.DEMAND)
+            self.manager.cache.mark_valid(key)
+
     def swing(self, pid, up, n):
         """Move ``pid``'s measured accuracy, and with it its depth."""
         accuracy = self.manager.accuracy_of(pid)
@@ -179,10 +186,18 @@ STEPS = st.lists(
         st.tuples(st.just("cancel"), pids),
         st.tuples(st.just("doom"), st.integers(0, 7)),
         st.tuples(st.just("degrade"), st.booleans()),
+        st.tuples(st.just("resident"), files, blocks),
         st.tuples(st.just("swing"), pids, st.booleans(), st.integers(5, 40)),
     ),
     min_size=20, max_size=80,
 )
+
+
+def assert_victim_matches_reference(stack, context):
+    """``find_victim`` against the brute-force rule.  It counts a hinted
+    victim, so the check runs on both twins alike."""
+    expected = reference_victim(stack.manager)
+    assert stack.manager.find_victim() is expected, context
 
 
 def run_twins(cache_blocks, horizon, inflight, steps):
@@ -191,6 +206,8 @@ def run_twins(cache_blocks, horizon, inflight, steps):
     for index, step in enumerate(steps):
         real.apply(step)
         model.apply(step)
+        assert_victim_matches_reference(real, (index, step))
+        assert_victim_matches_reference(model, (index, step))
         assert real.observed() == model.observed(), (index, step)
     # Run on a while (a tiny cache can thrash for ever) and close out: the
     # ledgers must also end the same way.
@@ -246,3 +263,67 @@ def test_dropped_readahead_of_a_hinted_block_is_prefetched_again():
     assert real.stats.get("cache.prefetches_dropped") == 1
     assert real.stats.get("tip.prefetches_dropped") == 0
     assert real.stats.get("tip.prefetches_issued") == 1
+
+
+# What a scan costs: a disclosure into a full window walks nothing.
+
+def counting_scans(stack):
+    """Record every scheduling pass of ``stack``'s manager (its released
+    disk)."""
+    passes = []
+    manager = stack.manager
+    scan = manager._schedule_prefetches
+
+    def counted_scan(pid, released=None):
+        passes.append(released)
+        scan(pid, released)
+
+    manager._schedule_prefetches = counted_scan
+    return passes
+
+
+def run_steps(real, model, steps):
+    for step in steps:
+        real.apply(step)
+        model.apply(step)
+        for stack in (real, model):
+            assert_victim_matches_reference(stack, step)
+        assert real.observed() == model.observed(), step
+
+
+def test_disclosure_into_a_full_window_scans_nothing():
+    real = Stack(TipManager, 32, 4, 1)
+    model = Stack(ReferenceTipManager, 32, 4, 1)
+    # Depth 4: blocks 0 and 2 issued, 1 and 3 blocked — a full window.
+    run_steps(real, model, [("hint", 1, [(0, 0, 8)])])
+    passes = counting_scans(real)
+    run_steps(real, model, [("hint", 1, [(1, 0, 3)]), ("hint", 1, [(2, 5, 1)])])
+    assert passes == []
+    # A freed slot still refills the window.
+    run_steps(real, model, [("events", 1)])
+    assert passes and real.stats.get("tip.prefetches_issued") == 4
+
+
+def test_a_released_slot_that_evicts_a_hinted_block_widens_the_scan():
+    """Two processes hint one file into a seven-block cache, so refilling a
+    freed slot from the released disk's entries must evict a hinted block;
+    that dirties the window, and the scan must go on to visit everything
+    after the entry it was refilling — stopping there diverges from the
+    full scan."""
+    real = Stack(TipManager, 7, 4, 1)
+    model = Stack(ReferenceTipManager, 7, 4, 1)
+    run_steps(real, model, [
+        ("hint", 2, [(0, 0, 4)]),
+        ("hint", 1, [(0, 5, 4)]),
+        ("events", 4),
+    ])
+
+
+def test_a_dropped_hinted_prefetch_is_prefetched_again():
+    real = run_twins(cache_blocks=32, horizon=8, inflight=1, steps=[
+        ("hint", 1, [(0, 0, 8)]),
+        ("doom", 0),
+        ("events", 8),
+    ])
+    assert real.stats.get("tip.prefetches_dropped") == 1
+    assert real.stats.get("tip.prefetches_issued") == 9

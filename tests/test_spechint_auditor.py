@@ -8,6 +8,8 @@ quarantined without corrupting the run's output.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IsolationViolation
 from repro.harness.config import ExperimentConfig, Variant
@@ -17,6 +19,7 @@ from repro.spechint.auditor import (
     AuditTable,
     IsolationAuditor,
     IsolationQuarantine,
+    _chain_digest,
 )
 from repro.spechint.cow import CowMap
 from repro.vm.memory import (
@@ -80,6 +83,125 @@ class TestAuditTable:
         table.records()[-1].kind = "restart"
         with pytest.raises(IsolationViolation):
             table.verify()
+
+
+def full_rehash_verdict(table):
+    """``AuditTable.verify`` as it was before it remembered what it wrote:
+    re-hash every retained record.  The message it would raise, or None."""
+    running = table.anchor_digest
+    for entry in table.records():
+        if entry.digest != _chain_digest(running, entry.seq, entry.kind, entry.detail):
+            return (f"audit record #{entry.seq} ({entry.kind}) fails its "
+                    f"chain digest: table was tampered with")
+        running = entry.digest
+    return None if running == table.head_digest else "audit table head digest mismatch"
+
+
+def verdict(table):
+    try:
+        table.verify()
+    except IsolationViolation as exc:
+        return str(exc)
+    return None
+
+
+def _history(capacity=6):
+    """An auditor whose table has been verified at one restart (with
+    records folded out of the window) and has grown since."""
+    auditor = IsolationAuditor(_Proc(), capacity=capacity)
+    table = auditor.table
+    for i in range(8):
+        table.record("write_suppressed", f"fd=1 len={i}")
+    auditor.capture_boundary(None)
+    auditor.verify_restart_boundary(None)
+    table.record("restart", "cancelled=3")
+    table.record("syscall_blocked", "num=9")
+    return auditor
+
+
+def _swap(table, i, j):
+    records = table._records
+    records[i], records[j] = records[j], records[i]
+
+
+#: Tampers each caught at the next restart boundary, by the memoised check
+#: exactly as by the full re-hash.
+TAMPERS = {
+    "rewritten record an earlier restart verified":
+        lambda table: setattr(table.records()[1], "detail", "fd=1 len=999"),
+    "anchor after a fold":
+        lambda table: setattr(table, "anchor_digest", "0" * 24),
+    "lone digest field":
+        lambda table: setattr(table.records()[2], "digest", "f" * 24),
+    "dropped record":
+        lambda table: table._records.remove(table.records()[3]),
+    "dropped last record":
+        lambda table: table._records.pop(),
+    "two swapped records":
+        lambda table: _swap(table, 2, 3),
+    "rewritten seq":
+        lambda table: setattr(table.records()[0], "seq", 1),
+}
+
+
+class TestTamperMatrix:
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_caught_at_the_next_restart_boundary(self, tamper):
+        auditor = _history()
+        table = auditor.table
+        assert table.records_total > table.capacity  # records were folded
+        auditor.verify_restart_boundary(None)  # a clean restart first
+        TAMPERS[tamper](table)
+        expected = full_rehash_verdict(table)
+        assert expected is not None
+        with pytest.raises(IsolationViolation) as caught:
+            auditor.verify_restart_boundary(None)
+        assert str(caught.value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(["restart", "write_suppressed"]),
+                  st.text(max_size=3)),
+        st.tuples(st.just("field"), st.integers(0, 20),
+                  st.sampled_from(["seq", "kind", "detail", "digest"]), st.text(max_size=3)),
+        st.tuples(st.just("anchor"), st.text(max_size=3)),
+        st.tuples(st.just("head"), st.text(max_size=3)),
+        st.tuples(st.just("drop"), st.integers(0, 20)),
+        st.tuples(st.just("swap"), st.integers(0, 20), st.integers(0, 20)),
+        st.tuples(st.just("restore"), st.integers(0, 20)),
+    ), max_size=40), capacity=st.integers(1, 6))
+    def test_verdict_equals_the_full_rehash_for_every_table_state(self, ops, capacity):
+        """Any interleaving of writes, tampers and restorations of what was
+        written: the memoised ``verify`` says what re-hashing says."""
+        table = AuditTable(capacity=capacity)
+        written = {}
+        for op in ops:
+            records = table._records
+            if op[0] == "record":
+                entry = table.record(op[1], op[2])
+                written[entry.seq] = (entry.seq, entry.kind, entry.detail, entry.digest)
+            elif op[0] == "field" and records:
+                entry = records[op[1] % len(records)]
+                value = op[3]
+                if op[2] == "seq":
+                    value = entry.seq + 1 + len(value)
+                setattr(entry, op[2], value)
+            elif op[0] == "anchor":
+                table.anchor_digest = op[1]
+            elif op[0] == "head":
+                table.head_digest = op[1]
+            elif op[0] == "drop" and records:
+                del records[op[1] % len(records)]
+            elif op[0] == "swap" and records:
+                _swap(table, op[1] % len(records), op[2] % len(records))
+            elif op[0] == "restore" and records:
+                # Put a record back the way it was written: a forged state
+                # that happens to equal an honest one must verify again.
+                entry = records[op[1] % len(records)]
+                original = written.get(entry.seq)
+                if original is not None:
+                    entry.seq, entry.kind, entry.detail, entry.digest = original
+            assert verdict(table) == full_rehash_verdict(table), op
 
 
 class TestQuarantine:
@@ -364,6 +486,73 @@ class TestEndToEnd:
         assert result.spec_parks.get("isolation_quarantine", 0) > 0
         baseline = _result(variant=Variant.ORIGINAL)
         assert result.output == baseline.output
+
+    def test_a_restart_hashes_only_what_was_appended_since_the_last(self, monkeypatch):
+        """The engagement check of the memoised chain: between two restart
+        boundaries the auditor issues exactly one SHA-256 per record
+        appended (each hashed once, when written) and none to re-verify."""
+        import hashlib
+        from types import SimpleNamespace
+
+        import repro.spechint.auditor as auditor_module
+
+        calls = [0]
+
+        def counting_sha256(data=b""):
+            calls[0] += 1
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(auditor_module, "hashlib",
+                            SimpleNamespace(sha256=counting_sha256))
+        seen = []
+        real_verify = IsolationAuditor.verify_restart_boundary
+
+        def noting_verify(self, saved_regs):
+            seen.append((calls[0], self.table.records_total, len(self.table)))
+            return real_verify(self, saved_regs)
+
+        monkeypatch.setattr(IsolationAuditor, "verify_restart_boundary", noting_verify)
+        result = _result(app="gnuld")
+        assert result.spec_restarts >= 3 and len(seen) == result.spec_restarts
+        grew = []
+        for before, at in zip(seen, seen[1:]):
+            appended = at[1] - before[1]
+            assert at[0] - before[0] == appended
+            grew.append(appended < at[2])
+        # A re-hash of the window would have hashed more than was appended.
+        assert any(grew)
+
+    @pytest.mark.parametrize("app", ["gnuld", "xds"])
+    def test_every_restart_verifies_the_boundary_of_the_last_read(self, app, monkeypatch):
+        """The boundary is captured only while a restart is pending, yet
+        each restart verifies exactly the snapshot that capturing at every
+        matched, throttled or restart-requesting read would have left."""
+        from repro.spechint.runtime import SpecProcessState
+
+        every_read = {}
+        reads = [0]
+        real_capture = SpecProcessState._capture_boundary
+
+        def capture(self):
+            reads[0] += 1
+            regs = self._saved_regs
+            every_read[id(self.auditor)] = (
+                self.auditor._boundary(), tuple(regs) if regs is not None else None)
+            real_capture(self)
+
+        verified = []
+        real_verify = IsolationAuditor.verify_restart_boundary
+
+        def verify(self, saved_regs):
+            assert (self._boundary_state, self._saved_regs) == every_read[id(self)]
+            verified.append(self)
+            return real_verify(self, saved_regs)
+
+        monkeypatch.setattr(SpecProcessState, "_capture_boundary", capture)
+        monkeypatch.setattr(IsolationAuditor, "verify_restart_boundary", verify)
+        result = _result(app=app)
+        assert verified and len(verified) == result.spec_restarts
+        assert verified[0].boundary_captures < reads[0]
 
     def test_audit_disabled_param_runs_without_auditor(self):
         from repro.params import SystemConfig

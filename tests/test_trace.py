@@ -164,7 +164,7 @@ class TestHintLifecycleUnit:
     def test_full_consumed_path(self):
         clock = SimClock()
         cycle = HintLifecycle(clock)
-        cycle.disclosed(1, (5, 0), PID)
+        cycle.disclosed(1, [(5, 0)], PID)
         clock.advance(10)
         cycle.prefetch_issued((5, 0))
         clock.advance(10)
@@ -183,7 +183,7 @@ class TestHintLifecycleUnit:
 
     def test_double_terminal_asserts(self):
         cycle = HintLifecycle(SimClock())
-        cycle.disclosed(1, (5, 0), PID)
+        cycle.disclosed(1, [(5, 0)], PID)
         cycle.consumed(1, PID)
         with pytest.raises(AssertionError):
             cycle.cancelled(1, PID)
@@ -191,7 +191,7 @@ class TestHintLifecycleUnit:
     def test_dropped_prefetch_resets_issue_stamp(self):
         clock = SimClock()
         cycle = HintLifecycle(clock)
-        cycle.disclosed(1, (5, 0), PID)
+        cycle.disclosed(1, [(5, 0)], PID)
         cycle.prefetch_issued((5, 0))
         cycle.prefetch_dropped((5, 0))
         (record,) = cycle.records()
@@ -203,7 +203,7 @@ class TestHintLifecycleUnit:
         clock = SimClock()
         cycle = HintLifecycle(clock, capacity=2)
         for seq in range(5):
-            cycle.disclosed(seq, (1, seq), PID)
+            cycle.disclosed(seq, [(1, seq)], PID)
         assert len(cycle.records()) == 2  # detail capped...
         assert cycle.disclosed_total == 5  # ...aggregates exact
         assert cycle.open_for(PID) == 5
@@ -215,7 +215,7 @@ class TestHintLifecycleUnit:
         clock = SimClock()
         stats = StatRegistry()
         cycle = HintLifecycle(clock, stats=stats)
-        cycle.disclosed(1, (5, 0), PID)
+        cycle.disclosed(1, [(5, 0)], PID)
         cycle.filled((5, 0))
         clock.advance(4)
         cycle.consumed(1, PID)

@@ -1,4 +1,5 @@
-"""The full-window TIP scheduler, kept as the reference model.
+"""The full-window TIP scheduler and a brute-force victim choice, kept as
+reference models.
 
 This is the scan ``TipManager._schedule_prefetches`` performed before it
 learnt to visit only what may have become issuable: walk the whole prefetch
@@ -9,12 +10,47 @@ requires identical disk traffic, counters and hint ledger.  Three methods
 are overridden, the scan and the two fetch-completion hooks, so none of the
 incremental bookkeeping (``_HintedBlock.disk``, ``_ProcessHints.visited`` /
 ``dirty``, ``released``) takes part; ``on_block_evicted`` still runs and
-marks windows dirty, which this scan never reads.
+marks windows dirty, which this scan never reads, and ``disclose`` skips a
+scan only when the window is full of visited entries, which here never
+holds.
+
+:func:`reference_victim` is the eviction rule read straight off the hint
+queues, without the manager's per-key seq index.
 """
 
-from repro.fs.cache import BlockKey, FetchOrigin
+from typing import Dict, Optional
+
+from repro.fs.cache import BlockKey, CacheEntry, EntryState, FetchOrigin
 from repro.sim import metrics
 from repro.tip.manager import TipManager
+
+
+def reference_victim(manager: TipManager) -> Optional[CacheEntry]:
+    """The entry ``manager.find_victim()`` must choose: among the VALID,
+    unpinned cache entries, the least recently used one no queue hints;
+    else the hinted one whose earliest hint lies farthest beyond the front
+    of the queues (the first in LRU order among equals), if that distance
+    exceeds the prefetch horizon; else None."""
+    earliest: Dict[BlockKey, int] = {}
+    fronts = []
+    for state in manager._procs.values():
+        for entry in state.queue:
+            earliest[entry.key] = min(earliest.get(entry.key, entry.seq), entry.seq)
+        if state.queue:
+            fronts.append(state.queue[0].seq)
+    front = min(fronts) if fronts else manager._next_seq
+    candidates = [entry for entry in manager.cache.entries()
+                  if entry.state is EntryState.VALID and entry.pinned == 0]
+    for entry in candidates:
+        if entry.key not in earliest:
+            return entry
+    best = None
+    for entry in candidates:
+        if best is None or earliest[entry.key] > earliest[best.key]:
+            best = entry
+    if best is not None and earliest[best.key] - front > manager.params.prefetch_horizon:
+        return best
+    return None
 
 
 class ReferenceTipManager(TipManager):
@@ -40,7 +76,7 @@ class ReferenceTipManager(TipManager):
         for entry in state.queue:
             if scanned >= depth:
                 if degraded:
-                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+                    self.stats.bump(metrics.TIP_PREFETCHES_SHED_DEGRADED)
                 break
             scanned += 1
             key = entry.key
@@ -50,12 +86,12 @@ class ReferenceTipManager(TipManager):
             disk = self.array.disk_of(inode.lbn_of_block(key[1]))
             if limit > 0 and self._inflight_per_disk.get(disk, 0) >= limit:
                 if degraded:
-                    self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
+                    self.stats.bump(metrics.TIP_PREFETCHES_SHED_DEGRADED)
                 continue
             if self.start_prefetch(inode, key[1], FetchOrigin.HINT):
                 self._inflight_hint_fetch[key] = disk
                 self._inflight_per_disk[disk] = self._inflight_per_disk.get(disk, 0) + 1
-                self.stats.counter(metrics.TIP_PREFETCHES_ISSUED).add()
+                self.stats.bump(metrics.TIP_PREFETCHES_ISSUED)
                 self.lifecycle.prefetch_issued(key)
 
     def on_block_arrived(self, key: BlockKey) -> None:
@@ -72,7 +108,7 @@ class ReferenceTipManager(TipManager):
         disk = self._inflight_hint_fetch.pop(key, None)
         if disk is not None:
             self._inflight_per_disk[disk] -= 1
-            self.stats.counter(metrics.TIP_PREFETCHES_DROPPED).add()
+            self.stats.bump(metrics.TIP_PREFETCHES_DROPPED)
             self.lifecycle.prefetch_dropped(key)
         for pid in self._procs:
             self._schedule_prefetches(pid)
