@@ -71,10 +71,6 @@ def main(argv=None) -> int:
     parallel, parallel_s = timed_campaign(budget, jobs=jobs)
 
     for name, report in (("serial", serial), ("parallel", parallel)):
-        if report.quarantined:
-            print(f"FAIL: {name} campaign quarantined cells: "
-                  f"{sorted(report.quarantined)}", file=sys.stderr)
-            return 1
         if not report.passed:
             print(f"FAIL: {name} campaign found violations on a healthy "
                   f"tree: {[c.key for c in report.failures()]}",

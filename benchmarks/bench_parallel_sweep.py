@@ -1,26 +1,24 @@
 #!/usr/bin/env python
-"""Parallel sweep guard: determinism first, speedup second.
+"""Parallel sweep guard: the parallel result set is the serial one.
 
-The supervised parallel engine (``repro sweep --jobs N``) shards sealed
-simulation cells across worker processes.  Its contract has two halves,
-and this guard makes both a CI failure instead of a slow drift:
+The cell engine (``repro sweep --jobs N``) shards sealed simulation cells
+across worker processes.  Its contract is that parallelism is invisible
+in the results, and this guard makes a breach a CI failure: the parallel
+result set must be *byte-identical* to the serial one — same cells, same
+payloads, same checkpoint contents — for a plain sweep grid and for a
+chaos grid spanning every built-in fault profile.  The canonical digest
+(sha256 over the sorted JSON of every cell payload) is also compared
+against the committed baseline in ``BENCH_parallel_sweep.json``: the
+simulation is seeded, so the digest is machine-independent and any
+change means results moved.
 
-1. **Determinism.**  The parallel result set must be *byte-identical* to
-   the serial one — same cells, same payloads, same checkpoint contents —
-   for a plain sweep grid and for a chaos grid spanning every built-in
-   fault profile.  The canonical digest (sha256 over the sorted JSON of
-   every cell payload) is also compared against the committed baseline in
-   ``BENCH_parallel_sweep.json``: the simulation is seeded, so the digest
-   is machine-independent and any change means results moved.
-2. **Speedup.**  On a multi-core runner, ``--jobs 4`` must beat serial by
-   the core-aware floor ``min(3.0, 0.75 * effective_cores)`` (the full
-   3x on a 4-core CI runner).  On a single-core machine the floor is not
-   enforceable — process-level parallelism cannot beat serial there — so
-   the guard reports the ratio and enforces determinism only.
+The guard prints the wall-clock speedup and gates nothing on it: on a
+shared runner it is noise, and speed is tracked by the end-to-end
+ledger's ``harness.jobs2_speedup`` (``benchmarks/e2e``).
 
-``--quick`` runs a 4-cell grid at ``--jobs 2`` and checks determinism
-only (for fast CI smoke); ``--update-baseline`` records the current
-digests after an intentional simulation change.
+``--quick`` runs a 4-cell grid at ``--jobs 2`` (for fast CI smoke);
+``--update-baseline`` records the current digests after an intentional
+simulation change.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ def quick_grid():
 
 
 def timed_run(cells, jobs: int):
-    """One run of the grid; returns (results, quarantined, wall seconds)."""
+    """One run of the grid; returns (outcome, wall seconds)."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         outcome = run_cells(
@@ -86,16 +84,12 @@ def timed_run(cells, jobs: int):
     return outcome, elapsed
 
 
-def effective_cores(jobs: int) -> int:
-    return min(jobs, os.cpu_count() or 1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker count of the parallel leg (default 4)")
     parser.add_argument("--quick", action="store_true",
-                        help="4-cell grid at --jobs 2, determinism only")
+                        help="4-cell grid at --jobs 2")
     add_baseline_arguments(parser, "BENCH_parallel_sweep.json",
                            "record the current digests as the baseline")
     args = parser.parse_args(argv)
@@ -108,24 +102,13 @@ def main(argv=None) -> int:
     serial, serial_s = timed_run(cells, jobs=1)
     parallel, parallel_s = timed_run(cells, jobs=jobs)
 
-    for name, outcome in (("serial", serial), ("parallel", parallel)):
-        if outcome.quarantined:
-            print(f"FAIL: {name} run quarantined cells: "
-                  f"{sorted(outcome.quarantined)}", file=sys.stderr)
-            return 1
-    if len(serial.results) != len(cells):
-        print(f"FAIL: serial run completed {len(serial.results)} of "
-              f"{len(cells)} cells", file=sys.stderr)
-        return 1
-
     # -- determinism ---------------------------------------------------------
     serial_digest = digest_of(serial.results)
     parallel_digest = digest_of(parallel.results)
     print(f"serial:   {serial_s:7.2f} s  digest {serial_digest[:16]}…")
     print(f"parallel: {parallel_s:7.2f} s  digest {parallel_digest[:16]}…  "
           f"(workers spawned: {parallel.stats.workers_spawned}, "
-          f"crashes: {parallel.stats.worker_crashes}, "
-          f"timeouts: {parallel.stats.cell_timeouts})")
+          f"crashes: {parallel.stats.worker_crashes})")
     if parallel_digest != serial_digest:
         diverging = sorted(
             key for key in serial.results
@@ -150,24 +133,9 @@ def main(argv=None) -> int:
                       "result digest", "simulation results changed") is None:
         return 1
 
-    # -- speedup (core-aware) ------------------------------------------------
-    if args.quick:
-        print("speedup: skipped (--quick checks determinism only)")
-        return 0
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    cores = effective_cores(jobs)
-    if cores < 2:
-        print(f"speedup: {speedup:.2f}x at --jobs {jobs} on {cores} core(s) "
-              f"— floor not enforceable on a single-core machine")
-        return 0
-    floor = min(3.0, 0.75 * cores)
-    verdict = "ok" if speedup >= floor else "REGRESSION"
-    print(f"speedup: {speedup:.2f}x at --jobs {jobs} on {cores} cores "
-          f"(floor {floor:.2f}x) -> {verdict}")
-    if speedup < floor:
-        print(f"FAIL: parallel speedup {speedup:.2f}x is below the "
-              f"{floor:.2f}x floor", file=sys.stderr)
-        return 1
+    print(f"speedup: {speedup:.2f}x at --jobs {jobs} on "
+          f"{os.cpu_count() or 1} cores")
     return 0
 
 

@@ -523,12 +523,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         atomic_write_json(args.coverage_report, report.to_jsonable())
         print(f"coverage report written to {args.coverage_report}")
 
-    failures = report.failures()
-    shrinkable = [
-        cell for cell in failures
-        if cell.violations and cell.violations[0].monitor != "supervisor"
-    ]
-    for cell in shrinkable[:args.max_shrink]:
+    for cell in report.failures()[:args.max_shrink]:
         monitor = cell.violations[0].monitor
         print(f"\nshrinking {cell.key} (monitor: {monitor})...")
 
@@ -843,9 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "sweep ends)",
         resume="restore completed cells from --checkpoint "
                "instead of re-running them",
-        jobs="shard sweep cells across N supervised worker "
-             "processes (crashed/hung cells are rescheduled, "
-             "poisoned cells quarantined); 1 = serial",
+        jobs="shard sweep cells across N worker processes (a "
+             "dead worker's cell is re-run); 1 = serial",
         registry="record every sweep cell (plus a sweep lineage "
                  "record) in the run registry at PATH",
     )
@@ -888,9 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
           seed=dict(default=7,
                     help="campaign seed; same seed = same schedules, "
                          "same coverage ledger, same cell digests"),
-          jobs="shard fuzz cells across N supervised worker "
-               "processes (crashed/hung cells quarantined); "
-               "1 = serial")
+          jobs="shard fuzz cells across N worker processes (a "
+               "dead worker's cell is re-run); 1 = serial")
     fuzz_p.add_argument("--apps", default="agrep", metavar="A,B",
                         help="comma-separated benchmark apps to fuzz")
     flags(fuzz_p, scale=dict(default=0.25,

@@ -214,34 +214,14 @@ class CheckpointError(HarnessError):
     """A harness checkpoint file is missing, corrupt, or incompatible."""
 
 
-class SupervisorError(HarnessError):
-    """Base class for parallel-sweep supervision failures.
+class WorkerCrash(HarnessError):
+    """Worker processes of a parallel run keep dying.
 
-    The supervisor treats worker processes as untrusted: they can crash,
-    hang, or fail the same cell repeatedly.  Each of those conditions has
-    a typed error below; all of them leave the sweep checkpoint intact,
-    so a supervised sweep that dies with one of these resumes without
-    losing completed cells.
-    """
-
-
-class WorkerCrash(SupervisorError):
-    """A worker process died without delivering a result.
-
-    Individual crashes are handled by the supervisor (the cell is
-    rescheduled with exponential backoff and the worker respawned); this
-    error escapes only when the pool is unhealthy — workers keep dying
-    without completing any cell — and the parallel run aborts.
-    """
-
-
-class CellTimeout(SupervisorError):
-    """A cell's simulation stopped making progress and was killed.
-
-    The hung-cell watchdog judges progress by the *simulation clock*
-    reported in worker heartbeats, not by wall-clock guesswork: a slow
-    cell whose sim cycles keep advancing is healthy, while one whose
-    clock freezes past the stall deadline is killed and rescheduled.
+    A single death is handled by the cell engine (the cell re-runs on a
+    fresh worker); this error escapes only when workers die again and
+    again with no cell finished in between, and the run aborts.  Cells
+    finished before are in the checkpoint, so the run resumes without
+    losing them.
     """
 
 
@@ -254,17 +234,6 @@ class FuzzError(HarnessError):
     data (:class:`repro.harness.invariants.Violation` records with
     structured witnesses) so a campaign can collect, shrink, and report
     every one of them.
-    """
-
-
-class QuarantinedCell(SupervisorError):
-    """A cell failed ``max_cell_failures`` times and was quarantined.
-
-    Mirroring the runtime's ``IsolationQuarantine``, a poisoned cell is
-    recorded in the checkpoint as quarantined — with the traceback of
-    every failed attempt — instead of sinking the whole sweep.  Raised
-    when a caller needs the quarantined cell's result (e.g. assembling a
-    complete sweep matrix).
     """
 
 

@@ -17,12 +17,7 @@ from repro.harness.experiments import (
     run_sweep,
     sweep_parallel_cells,
 )
-from repro.harness.parallel import run_cells
-from repro.harness.supervisor import (
-    Supervisor,
-    SupervisorConfig,
-    SupervisorOutcome,
-)
+from repro.harness.parallel import EngineOutcome, run_cells
 from repro.harness.fuzz import (
     FuzzCellResult,
     FuzzReport,
@@ -57,9 +52,7 @@ __all__ = [
     "run_sweep",
     "sweep_parallel_cells",
     "SweepCheckpoint",
-    "Supervisor",
-    "SupervisorConfig",
-    "SupervisorOutcome",
+    "EngineOutcome",
     "atomic_write_json",
     "unwind_on_signals",
     "run_cells",

@@ -118,11 +118,10 @@ class SweepCheckpoint:
     against a checkpoint written by a different sweep is a typed error.
 
     A journal line is ``{"cell": key, "payload": {...}}`` for a finished
-    cell or ``{"cell": key, "quarantined": {...}}`` for a poisoned one
-    (failure kinds and tracebacks).  The last line for a key wins, so a
-    later success supersedes a quarantine and resuming retries poisoned
-    cells — quarantine documents a completed run, it is not a permanent
-    verdict on the cell.
+    cell; the last line for a key wins, so the duplicate a re-run cell
+    leaves is harmless.  An older journal may also hold ``{"cell": key,
+    "quarantined": {...}}`` lines: such a cell reads as unfinished, so a
+    resume re-runs it and its payload line supersedes the quarantine.
     """
 
     def __init__(self, path: str, identity: str, resume: bool = False) -> None:
@@ -201,18 +200,3 @@ class SweepCheckpoint:
         if "payload" not in record:
             raise CheckpointError(f"checkpoint has no cell {key!r}")
         return record["payload"]  # type: ignore[return-value]
-
-    # -- quarantine ------------------------------------------------------------
-
-    @property
-    def quarantined(self) -> Dict[str, Dict[str, object]]:
-        """Quarantine records of poisoned cells (read-only view)."""
-        return {
-            str(record[_KEY]): record["quarantined"]  # type: ignore[misc]
-            for record in self._store.all() if "quarantined" in record
-        }
-
-    def record_quarantine(self, key: str, record: Dict[str, object]) -> None:
-        """Mark one cell as poisoned (with its failure record), durably."""
-        with _writing(self.path):
-            self._store.set({_KEY: key, "quarantined": record})

@@ -7,10 +7,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.faults.plan import profile
 from repro.harness.config import APPS, ExperimentConfig, Variant
-from repro.harness.parallel import Payload, require_complete, run_cells
+from repro.harness.parallel import CellSpec, Payload, run_cells
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
-from repro.harness.supervisor import CellSpec, SupervisorConfig
 from repro.params import SystemConfig
 from repro.registry.recorder import record_group
 
@@ -173,7 +172,6 @@ def run_sweep(
     resume: bool = False,
     progress: Optional[Callable[[str, bool], None]] = None,
     jobs: int = 1,
-    supervisor_config: Optional[SupervisorConfig] = None,
     stats_out: Optional[Dict[str, object]] = None,
     registry_path: Optional[str] = None,
 ) -> Dict[SweepPoint, Matrix]:
@@ -191,14 +189,12 @@ def run_sweep(
     seeded independently, so the assembled nested mapping is identical
     however the cells were run.
 
-    ``jobs`` above 1 shards the cells across the supervised worker pool:
-    crashed and hung cells are rescheduled, poisoned cells are
-    quarantined, and per-worker partial checkpoints make even a SIGKILL
-    of this process resumable.  A quarantined cell raises
-    :class:`~repro.errors.QuarantinedCell` *after* every other cell has
-    completed and been checkpointed — the sweep's work is preserved,
-    only the assembly of the full matrix fails.  ``stats_out`` (if
-    given) is filled with the engine's counters.
+    ``jobs`` above 1 shards the cells across worker processes under the
+    serial loop's failure policy: a cell whose worker dies is re-run, and
+    a cell that raises ends the sweep with its exception.  The workers
+    append finished cells to the one checkpoint themselves, so even a
+    SIGKILL of this process is resumable.  ``stats_out`` (if given) is
+    filled with the engine's counters.
 
     With ``registry_path`` set, a ``sweep`` group record is written to
     the persistent run registry and every cell is recorded as a
@@ -226,13 +222,11 @@ def run_sweep(
         identity=identity,
         resume=resume,
         progress=progress,
-        config=supervisor_config,
         registry_path=registry_path,
         registry_meta=registry_meta,
     )
     if stats_out is not None:
         stats_out.update(outcome.stats.to_jsonable())
-    require_complete(outcome, what=f"{kind} sweep")
     return {
         point: {
             app: {

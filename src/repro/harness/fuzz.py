@@ -8,7 +8,7 @@ fuzzer runs it under *generated* plans; the oracle
 profiles.  Every cell:
 
 1. reconstructs its :class:`~repro.faults.generate.FuzzCase` from JSON
-   (cells cross the supervised worker pool as plain payloads);
+   (cells cross the worker pool's pipes as plain payloads);
 2. runs both variants, capturing the live system through the runner's
    observer hook so monitors can inspect audit tables, the hint-lifecycle
    ledger and the TIP queue even when the run escaped with an exception;
@@ -22,10 +22,10 @@ profiles.  Every cell:
    divergence trace dumps are written.
 
 A campaign (:func:`run_fuzz`) fans cells over the cell engine
-(:func:`~repro.harness.parallel.run_cells`), so crash/hang quarantine,
-per-worker partial checkpoints, and graceful serial degradation all
-apply; a quarantined fuzz cell surfaces as a ``supervisor`` violation,
-never silently.
+(:func:`~repro.harness.parallel.run_cells`), so checkpoint/resume,
+``--jobs N`` and graceful serial degradation all apply.  A failing cell
+is data, never an exception: :func:`run_fuzz_case` returns its
+violations, so a campaign reports every failing cell.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FuzzError
 from repro.faults.generate import (
@@ -67,7 +67,6 @@ from repro.harness.runner import (
     remove_system_observer,
     run_experiment_with_system,
 )
-from repro.harness.supervisor import SupervisorOutcome
 from repro.params import SystemConfig
 from repro.registry.fingerprint import params_digest
 from repro.registry.recorder import record_group
@@ -324,33 +323,6 @@ def run_fuzz_cell_payload(
     ).to_jsonable(with_results=with_results)
 
 
-def cells_in_order(
-    outcome: SupervisorOutcome, grid: Sequence[Tuple[str, FuzzCase]]
-) -> Iterator[FuzzCellResult]:
-    """The cells of ``grid`` in grid order, not arrival order.
-
-    A cell the supervisor had to quarantine (repeated crash/hang) comes
-    back as a failed cell with a ``supervisor`` violation — a campaign
-    never silently drops a cell.
-    """
-    for key, case in grid:
-        payload = outcome.results.get(key)
-        if payload is not None:
-            yield FuzzCellResult.from_jsonable(payload)
-            continue
-        failures = outcome.quarantined.get(key, {}).get("failures", [])
-        yield FuzzCellResult(
-            case=case,
-            violations=[Violation(
-                "supervisor",
-                f"cell quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                f"failure(s) (crash/hang); see checkpoint record",
-                {"failures": len(failures)},  # type: ignore[arg-type]
-            )],
-            digest="quarantined",
-        )
-
-
 @dataclass
 class FuzzReport:
     """Everything one campaign produced."""
@@ -359,11 +331,10 @@ class FuzzReport:
     budget: int
     ledger: CoverageLedger
     cells: List[FuzzCellResult] = field(default_factory=list)
-    quarantined: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return not self.failures() and not self.quarantined
+        return not self.failures()
 
     def failures(self) -> List[FuzzCellResult]:
         return [cell for cell in self.cells if not cell.passed]
@@ -387,11 +358,8 @@ class FuzzReport:
     def summary(self) -> str:
         failures = self.failures()
         verdict = "PASS" if self.passed else "FAIL"
-        extra = ""
-        if self.quarantined:
-            extra = f", {len(self.quarantined)} quarantined"
         return (f"fuzz: {verdict} ({len(self.cells) - len(failures)}/"
-                f"{len(self.cells)} cells clean{extra}; "
+                f"{len(self.cells)} cells clean; "
                 f"digest {self.digest})")
 
 
@@ -455,13 +423,8 @@ def run_fuzz(
 
     return FuzzReport(
         seed=seed, budget=budget, ledger=ledger,
-        cells=list(cells_in_order(
-            outcome, [(case.key, case) for case in cases]
-        )),
-        quarantined={
-            case.key: dict(outcome.quarantined.get(case.key, {}))
-            for case in cases if case.key not in outcome.results
-        },
+        cells=[FuzzCellResult.from_jsonable(outcome.results[case.key])
+               for case in cases],
     )
 
 
@@ -470,7 +433,6 @@ __all__ = [
     "FuzzCellResult",
     "FuzzReport",
     "case_config",
-    "cells_in_order",
     "observe_variant",
     "run_fuzz",
     "run_fuzz_case",

@@ -28,7 +28,6 @@ from repro.faults.generate import FuzzCase
 from repro.faults.plan import PROFILES, profile
 from repro.harness.fuzz import (
     FuzzCellResult,
-    cells_in_order,
     run_fuzz_case,
     run_fuzz_cell_payload,
 )
@@ -167,7 +166,7 @@ def run_oracle(
 
     The (app, profile) cells go through the cell engine
     (:func:`repro.harness.parallel.run_cells`): in-process by default,
-    on the supervised pool with ``jobs > 1``.  Each cell is the same two
+    on the worker pool with ``jobs > 1``.  Each cell is the same two
     same-seed runs either way, so the reports are identical.
 
     With ``registry_path`` set, an ``oracle`` group record plus one
@@ -196,8 +195,8 @@ def run_oracle(
     )
 
     report = OracleReport()
-    for result in cells_in_order(outcome, grid):
-        cell = OracleCell.of(result)
+    for key, _ in grid:
+        cell = OracleCell.of(FuzzCellResult.from_jsonable(outcome.results[key]))
         report.cells.append(cell)
         if strict and not cell.passed:
             raise OracleMismatch(

@@ -96,33 +96,22 @@ def build_report(matrix: Optional[Matrix] = None) -> str:
 
 
 def format_supervisor_stats(stats: Dict[str, object]) -> str:
-    """One-paragraph summary of a supervised parallel run.
+    """One-paragraph summary of a parallel run.
 
-    ``stats`` is ``SupervisorStats.to_jsonable()`` (or the ``stats_out``
-    dict filled by ``run_sweep``).  Shows the reader at a
-    glance whether the run was clean or the supervisor had to intervene.
+    ``stats`` is ``EngineStats.to_jsonable()`` (the ``stats_out`` dict
+    filled by ``run_sweep``).  Shows the reader at a glance whether the
+    run was clean or workers died under it (each death re-ran its cell).
     """
     mode = stats.get("mode", "parallel")
     jobs = stats.get("jobs", 1)
-    lines = [
+    crashes = stats.get("worker_crashes")
+    return "\n".join([
         f"supervisor: {mode} x{jobs} — "
         f"{stats.get('cells_completed', 0)} cells run, "
-        f"{stats.get('cells_restored', 0)} restored from checkpoint"
-    ]
-    interventions = []
-    if stats.get("worker_crashes"):
-        interventions.append(f"{stats['worker_crashes']} worker crash(es)")
-    if stats.get("cell_timeouts"):
-        interventions.append(f"{stats['cell_timeouts']} hung cell(s) killed")
-    if stats.get("cell_errors"):
-        interventions.append(f"{stats['cell_errors']} cell error(s)")
-    if stats.get("retries"):
-        interventions.append(f"{stats['retries']} reschedule(s)")
-    if interventions:
-        lines.append("  interventions: " + ", ".join(interventions))
-    else:
-        lines.append("  interventions: none")
-    return "\n".join(lines)
+        f"{stats.get('cells_restored', 0)} restored from checkpoint",
+        "  interventions: "
+        + (f"{crashes} worker crash(es)" if crashes else "none"),
+    ])
 
 
 def write_report(

@@ -89,10 +89,10 @@ def build_system(
 
 
 #: Callbacks invoked with every freshly wired :class:`System` just before
-#: its kernel starts running.  The parallel sweep supervisor's worker
-#: registers one to expose the live sim clock to its heartbeat thread —
-#: the hung-cell watchdog judges health by sim-cycle progress, which is
-#: only observable from inside the run.
+#: its kernel starts running.  The differential cell registers one to keep
+#: the live system for its monitors even when the run raises
+#: (``fuzz.observe_variant``), and so can a benchmark that counts what
+#: each run built.
 _SYSTEM_OBSERVERS: List[Callable[[System], None]] = []
 
 

@@ -265,21 +265,24 @@ class TestSweepCheckpoint:
             SweepCheckpoint.load(path, "x")
 
     def test_quarantine_roundtrip_and_clear_on_success(self, tmp_path):
+        """An older journal's ``quarantined`` line reads as an unfinished
+        cell, and a later success supersedes it, in the journal as
+        appended and in its compacted form."""
         path = str(tmp_path / "ckpt.json")
-        checkpoint = SweepCheckpoint(path, "x")
+        SweepCheckpoint(path, "x")
         record = {"status": "QUARANTINED", "failures": [], "traceback": "tb"}
-        checkpoint.record_quarantine("poisoned", record)
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"cell": "poisoned",
+                                     "quarantined": record}) + "\n")
 
         reloaded = SweepCheckpoint.load(path, "x")
-        assert reloaded.quarantined == {"poisoned": record}
         assert "poisoned" not in reloaded  # quarantine is not a result
 
-        # A later success supersedes the quarantine record, in the journal
-        # as appended and in its compacted form.
         reloaded.record_payload("poisoned", {"value": 1})
-        assert SweepCheckpoint.load(path, "x").quarantined == {}
+        assert SweepCheckpoint.load(path, "x").payload("poisoned") == {
+            "value": 1}
         reloaded.compact()
-        assert SweepCheckpoint.load(path, "x").quarantined == {}
+        assert "poisoned" in SweepCheckpoint.load(path, "x")
         with open(path) as handle:
             assert "quarantined" not in handle.read()
 

@@ -23,9 +23,8 @@ from repro.apps.agrep import AgrepWorkload, build_agrep
 from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import run_config_payload, sweep_parallel_cells
-from repro.harness.parallel import run_cells
+from repro.harness.parallel import run_cell, run_cells
 from repro.harness.runner import build_system
-from repro.harness.supervisor import run_cell
 from repro.vm.isa import SYS_OPEN, SYS_WRITE, Reg
 
 from tests.conftest import assemble, make_system, small_system_config
