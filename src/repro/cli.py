@@ -36,11 +36,12 @@ Commands
     file that loads directly into Perfetto (https://ui.perfetto.dev).
 
 ``fuzz [--budget N] [--seed S] [--jobs N] [--apps A,B] [--scale S]
-[--coverage-report PATH] [--failures-dir DIR] [--max-shrink N]``
+[--coverage-report PATH] [--failures-dir DIR]``
     Chaos fuzzing: generate ``--budget`` randomized fault schedules,
     run each as a spec-off/spec-on cell under the invariant monitors,
-    print the fault-space coverage ledger, and shrink any failing cell
-    to a minimal reproducer JSON in ``--failures-dir``.
+    print the fault-space coverage ledger, and shrink the first
+    ``SHRINK_LIMIT`` failing cells to minimal reproducer JSONs in
+    ``--failures-dir``.
 
 ``fuzz replay FILE``
     Re-run one reproducer JSON (e.g. from ``tests/corpus/``) under the
@@ -51,10 +52,8 @@ Commands
     diff two runs, rank past runs by similarity, walk sweep/campaign
     lineage, prune old populations, and flag performance regressions
     against each run's matched baseline population (exit 1 on drift).
-    Recording happens via ``--registry PATH`` on ``run`` / ``sweep`` /
-    ``trace`` / ``fuzz``; ``run --auto-tune`` additionally picks
-    speculation parameters from the best similar past run and records
-    replayable provenance (``run --tuned-from RUN``).
+    Recording happens via ``--registry PATH`` on ``run`` / ``compare`` /
+    ``sweep`` / ``trace`` / ``fuzz``.
 
 ``paper``
     Print the paper's published reference numbers.
@@ -80,6 +79,10 @@ from repro.harness.tables import (
     format_table8,
 )
 from repro.params import ArrayParams, SystemConfig
+
+#: Failing fuzz cells a campaign shrinks into reproducers; any further
+#: failures are reported but not shrunk.
+SHRINK_LIMIT = 3
 
 
 def _base_system(args: argparse.Namespace) -> SystemConfig:
@@ -115,45 +118,6 @@ def _print_progress(key: str, resumed: bool) -> None:
     print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
 
 
-def _auto_tune(
-    cfg: ExperimentConfig, registry_path: str, chaos: Optional[str]
-) -> ExperimentConfig:
-    """``run --auto-tune``: propose speculation tunables from the registry."""
-    from repro.registry.fingerprint import chaos_key
-    from repro.registry.store import RunRegistry
-    from repro.registry.tuner import AutoTuner, apply_proposal
-
-    registry = RunRegistry.open(registry_path)
-    proposal = AutoTuner(registry).propose(cfg.app, chaos_key(chaos))
-    if proposal is None:
-        print("auto-tune: registry has no usable past runs; "
-              "keeping default speculation parameters")
-        return cfg
-    print(f"auto-tune: {proposal.basis}")
-    print(f"  source runs: {', '.join(proposal.source_run_ids)}")
-    for name, value in sorted(proposal.spec_params.items()):
-        print(f"  {name} = {value}")
-    return apply_proposal(cfg, proposal)  # type: ignore[return-value]
-
-
-def _tune_from_provenance(
-    cfg: ExperimentConfig, registry_path: str, run_ref: str
-) -> ExperimentConfig:
-    """``run --tuned-from RUN``: replay a recorded tuned configuration."""
-    from repro.errors import RegistryError
-    from repro.registry.store import RunRegistry
-    from repro.registry.tuner import apply_provenance
-
-    record = RunRegistry.open(registry_path).find(run_ref)
-    if record.tuning is None:
-        raise RegistryError(
-            f"run {record.run_id} carries no tuning provenance; only runs "
-            "recorded with --auto-tune can seed --tuned-from"
-        )
-    print(f"replaying tuning provenance of {record.run_id}")
-    return apply_provenance(cfg, record.tuning)  # type: ignore[return-value]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.oracle:
         return _run_oracle(args)
@@ -164,15 +128,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "`repro trace APP --export jsonl --out FILE`"
         )
     cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
-    if args.auto_tune or args.tuned_from:
-        if args.registry is None:
-            raise ReproError(
-                "--auto-tune and --tuned-from require --registry PATH"
-            )
-    if args.tuned_from:
-        cfg = _tune_from_provenance(cfg, args.registry, args.tuned_from)
-    elif args.auto_tune:
-        cfg = _auto_tune(cfg, args.registry, args.chaos)
     result = run_experiment(cfg)
     print(result.summary())
     print(f"  elapsed:          {result.elapsed_s:.3f} s simulated")
@@ -347,7 +302,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.driver import analyze_binary
 
     binary = _build_app_binary(args.app, args.scale)
-    analysis = analyze_binary(binary, map_all_addresses=args.map_all)
+    analysis = analyze_binary(binary)
 
     if args.security:
         from repro.analysis.taint import analyze_security
@@ -523,7 +478,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         atomic_write_json(args.coverage_report, report.to_jsonable())
         print(f"coverage report written to {args.coverage_report}")
 
-    for cell in report.failures()[:args.max_shrink]:
+    for cell in report.failures()[:SHRINK_LIMIT]:
         monitor = cell.violations[0].monitor
         print(f"\nshrinking {cell.key} (monitor: {monitor})...")
 
@@ -555,15 +510,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _runs_list(args: argparse.Namespace, registry) -> int:
-    records = registry.query(
-        app=args.app,
-        variant=args.variant,
-        kind=args.kind,
-        chaos_profile=args.chaos,
-        limit=args.limit,
-    )
+    records = registry.records()
     if not records:
-        print("registry is empty (or no record matches the filters)")
+        print("registry is empty")
         return 0
     print(f"  {'run id':24s} {'kind':13s} {'app':10s} {'variant':12s} "
           f"{'seed':>6} {'chaos':18s} {'cycles':>12}")
@@ -600,12 +549,6 @@ def _runs_diff(args: argparse.Namespace, registry) -> int:
             a, b = lv[metric], rv[metric]
             drift = f"{100.0 * (b - a) / a:+.1f}%" if a else "n/a"
             print(f"    {metric:26s} {a:>14.1f}  {b:>14.1f}  {drift}")
-    lp = (left.result or {}).get("spec_params") or {}
-    rp = (right.result or {}).get("spec_params") or {}
-    for name in sorted(set(lp) | set(rp)):
-        if lp.get(name) != rp.get(name):
-            print(f"    spec_params.{name}: {lp.get(name)!r} -> "
-                  f"{rp.get(name)!r}")
     return 0
 
 
@@ -657,20 +600,10 @@ def _runs_gc(args: argparse.Namespace, registry) -> int:
 
 
 def _runs_regressions(args: argparse.Namespace, registry) -> int:
-    from repro.registry.regression import (
-        check_all,
-        check_run,
-        parse_match_keys,
-    )
+    from repro.registry.regression import check_all, parse_match_keys
 
     match_keys = parse_match_keys(args.match)
-    if args.run:
-        candidate = registry.find(args.run)
-        report = check_run(registry, candidate, match_keys,
-                           min_baseline=args.min_baseline)
-    else:
-        report = check_all(registry, match_keys,
-                           min_baseline=args.min_baseline)
+    report = check_all(registry, match_keys, min_baseline=args.min_baseline)
     print(f"checked {report.checked} run(s) against matched baselines "
           f"({report.skipped_no_baseline} without a large-enough "
           f"population; match keys: {','.join(match_keys)})")
@@ -778,15 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="trace_out",
                        help="with --oracle: directory for JSONL trace dumps "
                             "of any diverging cell (both variants)")
-    run_p.add_argument("--auto-tune", action="store_true", dest="auto_tune",
-                       help="ask the registry's auto-tuner for speculation "
-                            "parameters learned from similar past runs "
-                            "(requires --registry; provenance is recorded "
-                            "on the result)")
-    run_p.add_argument("--tuned-from", default=None, metavar="RUN",
-                       dest="tuned_from",
-                       help="replay the tuning provenance recorded on past "
-                            "run RUN (id prefix ok; requires --registry)")
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="compare all variants")
@@ -823,9 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "no secret-marked data region can influence the "
                            "(ino, offset, length) operands of a disclosed "
                            "I/O hint")
-    an_p.add_argument("--map-all", action="store_true", dest="map_all",
-                      help="analyze under the map-all-addresses ablation "
-                           "(reports only; the elision plan is empty)")
     an_p.set_defaults(func=cmd_analyze)
 
     sw_p = sub.add_parser("sweep", help="regenerate a sweep experiment")
@@ -896,9 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="DIR", dest="failures_dir",
                         help="directory for shrunk reproducer JSONs of "
                              "failing cells")
-    fuzz_p.add_argument("--max-shrink", type=int, default=3,
-                        metavar="N", dest="max_shrink",
-                        help="shrink at most N failing cells")
     flags(
         fuzz_p,
         checkpoint="checkpoint finished cells to PATH",
@@ -927,22 +845,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_p = runs_sub.add_parser("list", help="list recorded runs")
     runs_common(list_p)
-    list_p.add_argument("--app", default=None, choices=ALL_APPS)
-    list_p.add_argument("--variant", default=None,
-                        help="filter by variant (or 'differential')")
-    list_p.add_argument("--kind", default=None,
-                        help="filter by record kind (run, sweep-cell, ...)")
-    list_p.add_argument("--chaos", default=None, metavar="KEY",
-                        help="filter by chaos key ('none', a profile name, "
-                             "or a fuzz plan key)")
-    list_p.add_argument("--limit", type=int, default=None, metavar="N")
 
     show_p = runs_sub.add_parser("show", help="dump one record as JSON")
     runs_common(show_p)
     show_p.add_argument("run", **run_id)
 
     diff_p = runs_sub.add_parser(
-        "diff", help="compare identity, metrics and tunables of two runs"
+        "diff", help="compare identity and metrics of two runs"
     )
     runs_common(diff_p)
     diff_p.add_argument("run_a", **run_id)
@@ -977,9 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 1 when any regression is found)",
     )
     runs_common(reg_p)
-    reg_p.add_argument("--run", default=None, metavar="RUN",
-                       help="check only this run (id prefix ok); default: "
-                            "check every leaf run against its own baseline")
     reg_p.add_argument("--match", default=None, metavar="K1,K2",
                        help="baseline match keys (subset of "
                             "app,variant,kind,chaos,params); default: all")

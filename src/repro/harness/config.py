@@ -66,13 +66,6 @@ class ExperimentConfig:
     #: sequences.
     fault_plan: Optional[FaultPlan] = None
 
-    #: AutoTuner provenance (see :mod:`repro.registry.tuner`): when the
-    #: speculation tunables in ``system.spechint`` were proposed from the
-    #: run registry, this records where they came from (source run ids,
-    #: ranking basis, the chosen parameter values) so the tuned run is
-    #: reproducible from the record alone.  None for hand-picked configs.
-    tuning_provenance: Optional[dict] = None
-
     def __post_init__(self) -> None:
         if self.app not in ALL_APPS:
             raise ValueError(

@@ -12,8 +12,10 @@ from repro.sim import metrics
 #: Serialization format version of :meth:`RunResult.to_jsonable`.
 #: Version 1 (implicit, no ``schema_version`` key) predates the run
 #: registry; version 2 adds the registry key fields (``params_digest``,
-#: ``seed``, ``spec_params``) and optional tuning provenance.  Bump on
-#: any incompatible layout change.
+#: ``seed``).  Adding or dropping a field is compatible both ways and
+#: needs no bump: :func:`decode_fields` ignores a stored key the class
+#: lacks, and a field the payload lacks takes its default.  Bump on any
+#: incompatible layout change.
 RESULT_SCHEMA_VERSION = 2
 
 #: Versions :meth:`RunResult.from_jsonable` can still deserialize.
@@ -78,15 +80,10 @@ class RunResult:
 
     #: Run-registry key fields (see :mod:`repro.registry`): a digest of
     #: the resolved configuration (excluding the system seed, the chaos
-    #: plan, and the variant — those are separate registry keys), the
-    #: system seed the run executed under, and the effective speculation
-    #: tunables (throttle + watchdog) — the knobs the AutoTuner turns.
+    #: plan, and the variant — those are separate registry keys) and the
+    #: system seed the run executed under.
     params_digest: str = ""
     seed: int = 0
-    spec_params: Dict[str, object] = field(default_factory=dict)
-    #: AutoTuner provenance: where ``spec_params`` came from when the run
-    #: was tuned from the registry (None for hand-configured runs).
-    tuning_provenance: Optional[Dict[str, object]] = None
 
     # -- elapsed time ---------------------------------------------------------
 
@@ -429,7 +426,6 @@ FIELD_DECODERS: Dict[str, Decoder] = {
     },
     "Dict[str, object]": dict,
     "Optional[str]": _optional(str),
-    "Optional[Dict[str, object]]": _optional(dict),
     "Tuple[Tuple[int, int, int], ...]": lambda value: tuple(
         tuple(int(x) for x in entry) for entry in value
     ),

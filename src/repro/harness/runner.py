@@ -18,7 +18,7 @@ from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import RunResult, median_interval
 from repro.kernel.kernel import Kernel
 from repro.params import SystemConfig
-from repro.registry.fingerprint import params_digest, spec_tunables
+from repro.registry.fingerprint import params_digest
 from repro.sim import metrics
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
@@ -208,8 +208,6 @@ def run_experiment_with_system(
     # carries its own keys (the recorder never sees the config).
     result.params_digest = params_digest(cfg)
     result.seed = system_config.seed
-    result.spec_params = spec_tunables(system_config.spechint)
-    result.tuning_provenance = cfg.tuning_provenance
     result.read_trace = tuple(process.read_trace)
     result.stall_breakdown = stall_breakdown(system.kernel).to_jsonable()
     lifecycle = system.manager.lifecycle

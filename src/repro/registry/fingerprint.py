@@ -26,20 +26,6 @@ from typing import Dict, Mapping, Optional, Tuple
 #: schemes never silently pool into one baseline population.
 FINGERPRINT_REVISION = 1
 
-#: The speculation tunables the AutoTuner is allowed to propose — the
-#: throttle and watchdog knobs (paper Section 5 future work plus our
-#: watchdog extension).  Everything else in ``SpecHintParams`` models
-#: hardware/runtime cost and is not a policy choice.
-TUNABLE_SPEC_PARAMS = (
-    "throttle_cancel_limit",
-    "throttle_disable_reads",
-    "watchdog_restart_limit",
-    "watchdog_fault_limit",
-    "watchdog_min_accuracy",
-    "watchdog_accuracy_window",
-)
-
-
 def canonical_json(value: object) -> str:
     """The one JSON encoding used for every digest in the registry."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -63,11 +49,6 @@ def code_version() -> str:
     if env:
         return env
     return f"repro-fp{FINGERPRINT_REVISION}"
-
-
-def spec_tunables(spechint: object) -> Dict[str, object]:
-    """The tunable subset of a ``SpecHintParams`` as a jsonable dict."""
-    return {name: getattr(spechint, name) for name in TUNABLE_SPEC_PARAMS}
 
 
 def params_fingerprint(cfg: object) -> Dict[str, object]:

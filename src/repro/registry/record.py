@@ -23,8 +23,11 @@ from repro.registry.fingerprint import digest_of
 from repro.sim import metrics
 
 #: Version of the *record* envelope (independent of the RunResult payload
-#: schema, which carries its own ``schema_version``).
-REGISTRY_SCHEMA_VERSION = 1
+#: schema, which carries its own ``schema_version``).  Any change to the
+#: record's fields bumps it: the run id hashes every field, so a line
+#: written under another field set would otherwise fail its content check
+#: and read as tampered.  Version 2 dropped the ``tuning`` field.
+REGISTRY_SCHEMA_VERSION = 2
 
 #: Record kinds.  Leaf kinds carry a result payload; group kinds are
 #: lineage parents (a sweep, an oracle matrix, a fuzz campaign).
@@ -59,8 +62,6 @@ class RunRecord:
     result: Optional[Dict[str, object]] = None
     trace_summary: Optional[Dict[str, object]] = None
     verdicts: List[Dict[str, object]] = field(default_factory=list)
-    #: AutoTuner provenance, copied out of the result for direct querying.
-    tuning: Optional[Dict[str, object]] = None
     #: Free-form extras (sweep grids, campaign budgets, identities).
     meta: Dict[str, object] = field(default_factory=dict)
     run_id: str = ""

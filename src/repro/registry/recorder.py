@@ -61,7 +61,6 @@ def _run_record(
         cell_key=key,
         result=dict(payload),
         trace_summary=_ctx_value(ctx, "trace_summary", None),  # type: ignore[arg-type]
-        tuning=payload.get("tuning_provenance"),  # type: ignore[arg-type]
         **_base_kwargs(ctx),  # type: ignore[arg-type]
     )
 

@@ -3,8 +3,8 @@
 Scores past runs against a target by configuration identity (app,
 variant, chaos profile, parameter digest) plus the distance between
 stall-breakdown feature vectors — "which previous runs behaved like this
-one", not merely "which were configured like it".  The AutoTuner and the
-``repro runs similar`` command both sit on this.
+one", not merely "which were configured like it".  ``repro runs similar``
+sits on this.
 """
 
 from __future__ import annotations

@@ -266,43 +266,11 @@ class RunRegistry:
     def records(self) -> List[RunRecord]:
         return [RunRecord.from_jsonable(data) for data in self.store.all()]
 
-    def query(
-        self,
-        app: Optional[str] = None,
-        variant: Optional[str] = None,
-        kind: Optional[str] = None,
-        chaos_profile: Optional[str] = None,
-        params_digest: Optional[str] = None,
-        seed: Optional[int] = None,
-        parent_id: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[RunRecord]:
-        """Filter records by identity columns (sorted by run id)."""
-        out: List[RunRecord] = []
-        for record in self.records():
-            if app is not None and record.app != app:
-                continue
-            if variant is not None and record.variant != variant:
-                continue
-            if kind is not None and record.kind != kind:
-                continue
-            if chaos_profile is not None and record.chaos_profile != chaos_profile:
-                continue
-            if params_digest is not None and record.params_digest != params_digest:
-                continue
-            if seed is not None and record.seed != seed:
-                continue
-            if parent_id is not None and record.parent_id != parent_id:
-                continue
-            out.append(record)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
     # -- lineage -----------------------------------------------------------
 
     def children(self, run_id: str) -> List[RunRecord]:
-        return self.query(parent_id=run_id)
+        return [record for record in self.records()
+                if record.parent_id == run_id]
 
     def ancestors(self, run_id: str) -> List[RunRecord]:
         """Parent chain, nearest first; tolerates a pruned parent."""

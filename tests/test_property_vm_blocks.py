@@ -123,7 +123,7 @@ def make_insn(raw, n, ntables, shadow):
 class Program:
     """A generated SpecVM program plus the state it starts from."""
 
-    def __init__(self, text, tables, shadow, regs, data, poll, region, map_all):
+    def __init__(self, text, tables, shadow, regs, data, poll, region, map_all_addresses):
         self.shadow = shadow
         # Falling off the text ends the program instead of the test.
         self.text = text + [Insn(Op.SPEC_SYSCALL, 0, 0, SYS_EXIT) if shadow
@@ -133,13 +133,13 @@ class Program:
         self.data = data
         self.params = SpecHintParams(restart_poll_interval=poll,
                                      cow_region_size=region)
-        self.map_all = map_all
+        self.map_all_addresses = map_all_addresses
 
     def binary(self):
         size = len(self.text)
         meta = SpecMeta(shadow_base=0, original_text_len=size,
                         function_map={0: 0}, params=self.params,
-                        map_all_addresses=self.map_all)
+                        map_all_addresses=self.map_all_addresses)
         return SpeculatingBinary(
             "generated", list(self.text), self.data, {},
             [Function("main", 0, size)],
@@ -179,7 +179,7 @@ def programs(draw, shadow=None):
         data=tile(draw(st.binary(min_size=1, max_size=24))),
         poll=draw(st.integers(1, 12)),
         region=draw(st.sampled_from([128, 1024])),
-        map_all=draw(st.booleans()),
+        map_all_addresses=draw(st.booleans()),
     )
 
 

@@ -1,11 +1,11 @@
-"""Tests for the persistent run registry (ledger, lineage, tuning).
+"""Tests for the persistent run registry (ledger, lineage, regressions).
 
 Covers the full registry stack: identity fingerprints, content-addressed
-records, both store backends (JSONL append log and SQLite) with their
-crash-safety semantics, payload classification, similarity search, the
-baseline-population regression detector (including the planted-slowdown
-acceptance scenario), garbage collection, the auto-tuner with provenance
-replay, and the ``repro runs`` / ``--auto-tune`` CLI surface.
+records and their schema gate, the JSONL journal with its crash-safety
+semantics (and the typed refusal of an old SQLite file), payload
+classification, similarity search, the baseline-population regression
+detector (including the planted-slowdown acceptance scenario), garbage
+collection, and the ``repro runs`` CLI surface.
 """
 
 import json
@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.errors import RegistryError, UnknownRunError
-from repro.faults.plan import profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import (
     RESULT_SCHEMA_VERSION,
@@ -28,24 +27,19 @@ from repro.harness.results import (
 )
 from repro.harness.runner import run_experiment
 from repro.registry.fingerprint import (
-    TUNABLE_SPEC_PARAMS,
     chaos_key,
     code_version,
     digest_of,
     feature_vector,
     params_digest,
     plan_key,
-    spec_tunables,
 )
 from repro.registry.record import (
     REGISTRY_SCHEMA_VERSION,
     RunRecord,
     group_key,
 )
-from repro.registry.recorder import (
-    record_payload,
-    records_for_payload,
-)
+from repro.registry.recorder import records_for_payload
 from repro.registry.regression import (
     check_all,
     check_run,
@@ -57,12 +51,6 @@ from repro.registry.store import (
     RunRegistry,
     append_line,
     read_journal,
-)
-from repro.registry.tuner import (
-    AutoTuner,
-    apply_proposal,
-    apply_provenance,
-    validate_spec_params,
 )
 
 SCALE = 0.1
@@ -82,8 +70,8 @@ def _append_many(path, writer, count, pad):
 
 def run_payload(app="agrep", variant="speculating", seed=1999,
                 cycles=4_000_000, lead=900_000.0, wasted=0, disclosed=27,
-                pdigest="0123456789abcdef", chaos=None, spec_params=None,
-                isolation=0, watchdog=False, **extra):
+                pdigest="0123456789abcdef", chaos=None, isolation=0,
+                watchdog=False, **extra):
     payload = {
         "app": app,
         "variant": variant,
@@ -99,8 +87,6 @@ def run_payload(app="agrep", variant="speculating", seed=1999,
         "pct_prefetches_before_demand": 80.0,
         "params_digest": pdigest,
         "seed": seed,
-        "spec_params": spec_params or {"throttle_cancel_limit": 0,
-                                       "throttle_disable_reads": 32},
         "fault_profile": chaos,
         "isolation_violations": isolation,
         "watchdog_tripped": watchdog,
@@ -138,11 +124,6 @@ class TestFingerprint:
         key = plan_key(plan)
         assert key.startswith("fuzz-7-0:")
         assert plan_key({"name": "fuzz-7-0", "slow_factor": 20.0}) != key
-
-    def test_spec_tunables_covers_exactly_the_knobs(self):
-        cfg = ExperimentConfig(app="agrep")
-        tunables = spec_tunables(cfg.system.spechint)
-        assert tuple(sorted(tunables)) == tuple(sorted(TUNABLE_SPEC_PARAMS))
 
     def test_feature_vector_is_normalized(self):
         vec = feature_vector(run_payload())
@@ -185,6 +166,16 @@ class TestRunRecord:
         data["schema_version"] = 99
         with pytest.raises(RegistryError, match="schema_version"):
             RunRecord.from_jsonable(data)
+
+    def test_version_1_line_is_refused_by_schema_not_as_tampered(self):
+        """A line written before ``tuning`` left the record still hashes
+        that field into its id: the version gate refuses it as an old
+        schema, and does not report an honest ledger as hand-edited."""
+        data = make_record().to_jsonable()
+        data.update(schema_version=1, tuning=None)
+        with pytest.raises(RegistryError, match="schema_version") as excinfo:
+            RunRecord.from_jsonable(data)
+        assert "hand-edited" not in str(excinfo.value)
 
     def test_tampered_record_fails_content_check(self):
         data = make_record().to_jsonable()
@@ -574,101 +565,6 @@ class TestRegressionDetector:
 
 
 # ---------------------------------------------------------------------------
-# Auto-tuner
-# ---------------------------------------------------------------------------
-
-class TestAutoTuner:
-    FAST_PARAMS = {"throttle_cancel_limit": 2, "throttle_disable_reads": 64,
-                   "watchdog_restart_limit": 64, "watchdog_fault_limit": 256,
-                   "watchdog_min_accuracy": 0.02,
-                   "watchdog_accuracy_window": 256}
-
-    def test_proposes_fastest_healthy_same_chaos_run(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        best = make_record(seed=1, chaos="stuck-disk", cycles=1_000_000,
-                           spec_params=self.FAST_PARAMS)
-        slower = make_record(seed=2, chaos="stuck-disk", cycles=2_000_000)
-        tripped = make_record(seed=3, chaos="stuck-disk", cycles=500_000,
-                              watchdog=True)
-        fault_free = make_record(seed=4, cycles=100_000)
-        for record in (best, slower, tripped, fault_free):
-            registry.record(record)
-        proposal = AutoTuner(registry).propose("agrep", "stuck-disk")
-        assert proposal is not None
-        assert proposal.spec_params == self.FAST_PARAMS
-        assert best.run_id in proposal.source_run_ids
-        assert tripped.run_id not in proposal.source_run_ids
-        assert "stuck-disk" in proposal.basis
-
-    def test_falls_back_to_fault_free_tier(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        registry.record(make_record(seed=4, cycles=100_000,
-                                    spec_params=self.FAST_PARAMS))
-        proposal = AutoTuner(registry).propose("agrep", "stuck-disk")
-        assert proposal is not None
-        assert "fallback from chaos profile 'none'" in proposal.basis
-
-    def test_empty_registry_proposes_nothing(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        assert AutoTuner(registry).propose("agrep") is None
-
-    def test_validate_rejects_unknown_knob(self):
-        with pytest.raises(RegistryError, match="cache_capacity"):
-            validate_spec_params({"cache_capacity": 1})
-
-    def test_provenance_version_gate(self):
-        cfg = ExperimentConfig(app="agrep")
-        with pytest.raises(RegistryError, match="version"):
-            apply_provenance(cfg, {"provenance_version": 99})
-        with pytest.raises(RegistryError, match="spec_params"):
-            apply_provenance(cfg, {"provenance_version": 1})
-
-    def test_proposal_and_provenance_replay_agree(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        registry.record(make_record(seed=1, chaos="stuck-disk",
-                                    cycles=1_000_000,
-                                    spec_params=self.FAST_PARAMS))
-        proposal = AutoTuner(registry).propose("agrep", "stuck-disk")
-        base = ExperimentConfig(app="agrep", workload_scale=SCALE,
-                                variant=Variant.SPECULATING,
-                                fault_plan=profile("stuck-disk"))
-        tuned = apply_proposal(base, proposal)
-        assert spec_tunables(tuned.system.spechint) == self.FAST_PARAMS
-        replayed = apply_provenance(base, tuned.tuning_provenance)
-        assert replayed == tuned
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: real runs, tuned replay byte-identity (acceptance)
-# ---------------------------------------------------------------------------
-
-class TestEndToEnd:
-    def test_tuned_postgres_chaos_run_replays_byte_identically(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        base = ExperimentConfig(app="postgres20", workload_scale=SCALE,
-                                variant=Variant.SPECULATING,
-                                fault_plan=profile("stuck-disk"))
-        seeded = base.with_(system=base.system.replace(seed=2000))
-        record_payload(registry, None, run_experiment(seeded).to_jsonable())
-
-        proposal = AutoTuner(registry).propose("postgres20", "stuck-disk")
-        assert proposal is not None
-        tuned_cfg = apply_proposal(base, proposal)
-        tuned = run_experiment(tuned_cfg)
-        assert tuned.tuning_provenance == proposal.to_provenance()
-        (tuned_id,) = record_payload(registry, None, tuned.to_jsonable())
-
-        # Replay purely from the registry's provenance record: same
-        # payload bytes, same content-addressed id (deduplicated).
-        provenance = registry.get(tuned_id).tuning
-        replay_cfg = apply_provenance(base, provenance)
-        replay = run_experiment(replay_cfg)
-        assert replay.to_jsonable() == tuned.to_jsonable()
-        (replay_id,) = record_payload(registry, None, replay.to_jsonable())
-        assert replay_id == tuned_id
-
-
-# ---------------------------------------------------------------------------
 # Satellite: RunResult schema versioning
 # ---------------------------------------------------------------------------
 
@@ -684,15 +580,13 @@ class TestResultSchemaVersion:
         again = RunResult.from_jsonable(data)
         assert again.params_digest == data["params_digest"]
         assert again.seed == data["seed"]
-        assert again.spec_params == data["spec_params"]
         assert again.to_jsonable() == data
 
     def test_v1_payload_still_accepted(self):
         data = self._payload()
         del data["schema_version"]
-        for name in ("params_digest", "seed", "spec_params",
-                     "tuning_provenance"):
-            data.pop(name, None)
+        for name in ("params_digest", "seed"):
+            data.pop(name)
         again = RunResult.from_jsonable(data)
         assert again.params_digest == ""
         assert again.cycles == data["cycles"]
@@ -769,7 +663,8 @@ class TestRunsCli:
         assert self._main("runs", "regressions", "--registry", path) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out and slow_id[:12] in out
-        # Checking only a healthy run stays green.
+        # A baseline of at least six runs is more than any population
+        # here holds, so nothing is judged and the check stays green.
         assert self._main("runs", "regressions", "--registry", path,
                           "--min-baseline", "6") == 0
 
@@ -783,11 +678,6 @@ class TestRunsCli:
         path, _ = populated
         assert self._main("runs", "show", "--registry", path, "ffff") == 1
         assert "UnknownRunError" in capsys.readouterr().err
-
-    def test_run_flags_require_registry(self, capsys):
-        assert self._main("run", "agrep", "--scale", "0.05",
-                          "--auto-tune") == 1
-        assert "--registry" in capsys.readouterr().err
 
     def test_compare_honours_seed_and_registry(self, tmp_path, capsys):
         """``compare`` runs at ``--seed`` and records its three runs; a
