@@ -48,13 +48,25 @@ CASE_VERSION = 1
 
 
 def validate_spec_overrides(overrides: Dict[str, object]) -> None:
-    """Reject override keys outside the whitelist with a typed error."""
+    """Reject override keys outside the whitelist, and values of the wrong
+    type or range, with a typed error that names the key: the rate is a
+    number in [0, 1], every other override a count (an integer >= 0)."""
     unknown = sorted(set(overrides) - set(SPEC_OVERRIDE_FIELDS))
     if unknown:
         raise FuzzError(
             f"unknown speculation override key(s): {', '.join(unknown)}; "
             f"expected a subset of: {', '.join(SPEC_OVERRIDE_FIELDS)}"
         )
+    for key, value in overrides.items():
+        if key == "watchdog_min_accuracy":
+            expected = "a number in [0, 1]"
+            valid = isinstance(value, (int, float)) and 0.0 <= value <= 1.0
+        else:
+            expected = "an integer >= 0"
+            valid = isinstance(value, int) and value >= 0
+        if isinstance(value, bool) or not valid:
+            raise FuzzError(f"speculation override {key!r} must be {expected}, "
+                            f"got {value!r}")
 
 
 @dataclass

@@ -123,18 +123,18 @@ class AuditChainMonitor(InvariantMonitor):
         for vobs in obs.variants.values():
             for process in vobs.processes:
                 spec = getattr(process, "spec", None)
-                auditor = getattr(spec, "auditor", None)
-                if auditor is None:
+                if spec is None:
                     continue
+                table = spec.auditor.table
                 try:
-                    auditor.table.verify()
+                    table.verify()
                 except IsolationViolation as exc:
                     violations.append(self._violation(
                         f"{vobs.variant}: audit chain broken: {exc}",
                         variant=vobs.variant,
                         pid=getattr(process, "pid", -1),
-                        records_total=auditor.table.records_total,
-                        head_digest=auditor.table.head_digest,
+                        records_total=table.records_total,
+                        head_digest=table.head_digest,
                     ))
         return violations
 
@@ -229,10 +229,9 @@ class CancelDrainMonitor(InvariantMonitor):
                             open=lifecycle.open_for(pid),
                         ))
                 spec = getattr(process, "spec", None)
-                auditor = getattr(spec, "auditor", None)
-                if spec is None or auditor is None:
+                if spec is None:
                     continue
-                table = auditor.table
+                table = spec.auditor.table
                 restart_records = [
                     record for record in table.records()
                     if record.kind == "restart"

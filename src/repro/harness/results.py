@@ -43,7 +43,6 @@ class RunResult:
     spec_signals: int = 0
     spec_cancel_calls: int = 0
     spec_hints_issued: int = 0
-    spec_parks: Dict[str, int] = field(default_factory=dict)
     transform_report: Optional[object] = None
 
     #: Table 6 memory accounting.
@@ -52,9 +51,8 @@ class RunResult:
     page_faults: int = 0
 
     #: Chaos-mode provenance: the fault profile the run executed under
-    #: (None = fault-free) and the watchdog trip reason, if it tripped.
+    #: (None = fault-free).
     fault_profile: Optional[str] = None
-    watchdog_tripped: Optional[str] = None
 
     #: Demand-read trace: (ino, offset, length) per original-thread read
     #: call, in program order.  The differential oracle compares this
@@ -62,9 +60,6 @@ class RunResult:
     read_trace: Tuple[Tuple[int, int, int], ...] = ()
 
     #: Isolation-audit outcome (speculating variant only).
-    isolation_violations: int = 0
-    quarantines: int = 0
-    quarantine_permanent: bool = False
     audit_records: int = 0
     audit_head_digest: str = ""
 
@@ -190,6 +185,34 @@ class RunResult:
     @property
     def cache_block_reuses(self) -> int:
         return self.c(metrics.CACHE_BLOCK_REUSES)
+
+    # Speculation gate ----------------------------------------------------------
+
+    def _by_reason(self, prefix: str) -> Dict[str, int]:
+        """Nonzero ``<prefix><reason>`` counters by reason, in first-bump order."""
+        return {name[len(prefix):]: value for name, value in self.counters.items()
+                if name.startswith(prefix) and value}
+
+    @property
+    def spec_parks(self) -> Dict[str, int]:
+        return self._by_reason(metrics.SPEC_PARK_PREFIX)
+
+    @property
+    def watchdog_tripped(self) -> Optional[str]:
+        """Why the speculation watchdog tripped (None: it did not)."""
+        return next(iter(self._by_reason(metrics.SPEC_WATCHDOG_TRIP_PREFIX)), None)
+
+    @property
+    def isolation_violations(self) -> int:
+        return self.c(metrics.SPEC_ISOLATION_VIOLATIONS)
+
+    @property
+    def quarantines(self) -> int:
+        return self.c(metrics.SPEC_QUARANTINES)
+
+    @property
+    def quarantine_permanent(self) -> bool:
+        return self.c(metrics.SPEC_QUARANTINE_PERMANENT) > 0
 
     # Fault injection / degraded mode ------------------------------------------
 
@@ -420,7 +443,6 @@ FIELD_DECODERS: Dict[str, Decoder] = {
     "str": str,
     "int": int,
     "float": float,
-    "bool": bool,
     "Dict[str, int]": lambda value: {
         str(k): int(v) for k, v in dict(value).items()
     },

@@ -219,12 +219,6 @@ def run_experiment_with_system(
         result.spec_signals = process.spec.signals
         result.spec_cancel_calls = process.spec.cancel_calls
         result.spec_hints_issued = process.spec.hints_issued
-        result.spec_parks = dict(process.spec.parks)
-        result.watchdog_tripped = process.spec.watchdog.trip_reason
-        result.isolation_violations = process.spec.isolation_violations
-        result.quarantines = process.spec.quarantine_state.violations
-        result.quarantine_permanent = process.spec.quarantine_state.permanent
-        if process.spec.auditor is not None:
-            result.audit_records = process.spec.auditor.table.records_total
-            result.audit_head_digest = process.spec.auditor.table.head_digest
+        result.audit_records = process.spec.auditor.table.records_total
+        result.audit_head_digest = process.spec.auditor.table.head_digest
     return result, system

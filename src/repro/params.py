@@ -202,11 +202,6 @@ class ArrayParams:
     #: traffic.  1.0 rebuilds flat-out; small values rebuild gently.
     rebuild_bandwidth_share: float = 0.25
 
-    #: Arm a hedged (duplicate, reconstruction-path) read this many cycles
-    #: after a demand read is dispatched; first completion wins and the
-    #: loser is cancelled.  0 disables.  Requires parity and an injector.
-    hedge_after_cycles: int = 0
-
     #: Fixed CPU cost charged for XOR-ing one block back together from its
     #: parity row (reconstruction and rebuild both pay it).
     reconstruct_xor_cycles: int = 4096
@@ -289,16 +284,17 @@ class SpecHintParams:
     #: of the restart flag.
     restart_poll_interval: int = 32
 
-    #: Throttle (Section 5 future work): after this many CANCEL_ALL calls,
-    #: disable speculation for ``throttle_disable_reads`` read calls.  0
+    # -- speculation gate (see repro.spechint.gate) -------------------------
+
+    #: Throttle (Section 5 future work): after this many restarts whose
+    #: CANCEL_ALL cancelled at least one hint, the next
+    #: ``throttle_disable_reads`` off-track reads request no restart.  0
     #: disables the throttle (the paper's default configuration).
     throttle_cancel_limit: int = 0
 
-    #: Number of original-thread read calls for which speculation stays
-    #: disabled once the throttle trips.
+    #: Off-track original-thread reads that request no restart once the
+    #: throttle trips.
     throttle_disable_reads: int = 32
-
-    # -- speculation watchdog (see repro.faults.watchdog) -------------------
 
     #: Consecutive restarts with no hint-log match in between before the
     #: watchdog disables speculation for the rest of the run.  0 disables
@@ -315,31 +311,6 @@ class SpecHintParams:
 
     #: Number of recent hint-log checks in the accuracy window.
     watchdog_accuracy_window: int = 256
-
-    #: Degraded-mode policy: suspend speculation (resumably, unlike a
-    #: watchdog trip) while the storage array is degraded or rebuilding,
-    #: so speculative prefetch load never competes with reconstruction
-    #: and rebuild traffic.
-    watchdog_suspend_when_degraded: bool = True
-
-    # -- isolation auditor (see repro.spechint.auditor) ---------------------
-
-    #: Enable the isolation auditor: COW containment checks, the
-    #: tamper-evident audit table of suppressed syscalls, and the
-    #: restart-boundary digest of non-shadow state.
-    isolation_audit: bool = True
-
-    #: Retained audit records; older records fold into the chain anchor
-    #: (the hash chain stays verifiable end to end).
-    audit_table_capacity: int = 1024
-
-    #: Quarantine length, in original-thread read calls, after the first
-    #: isolation violation; doubles with each further violation.
-    quarantine_base_reads: int = 64
-
-    #: Violations after which the quarantine becomes permanent for the
-    #: rest of the run (generalizes the watchdog's one-way disable).
-    quarantine_max_violations: int = 3
 
 
 @dataclass(frozen=True)

@@ -13,38 +13,37 @@ SpecVM substrate:
   and speculating threads cooperate to detect off-track speculation;
 * :mod:`repro.spechint.runtime` — the per-process runtime: speculative
   reads and hint issue, user-space emulation of open/close/lseek against a
-  speculative fd table, the restart protocol, signal handling, and the
-  Section 5 cancel-based throttle;
+  speculative fd table, the restart protocol and signal handling;
+* :mod:`repro.spechint.gate` — every reason speculation may not run or
+  restart: the watchdog's trips, the degraded-mode suspension, the
+  isolation quarantine and the Section 5 cancel-based throttle;
 * :mod:`repro.spechint.report` — transformation statistics;
 * :mod:`repro.spechint.auditor` — the isolation auditor: write-containment
-  guard, tamper-evident audit table, restart-boundary snapshots, and the
-  bounded quarantine imposed on violations.
+  guard, tamper-evident audit table and restart-boundary snapshots.
 """
 
 from repro.spechint.auditor import (
     AuditRecord,
     AuditTable,
     IsolationAuditor,
-    IsolationQuarantine,
 )
 from repro.spechint.cow import CowMap
+from repro.spechint.gate import SpeculationGate
 from repro.spechint.hintlog import HintLog, HintLogEntry
 from repro.spechint.report import TransformReport
 from repro.spechint.runtime import SpecProcessState
-from repro.spechint.throttle import SpeculationThrottle
 from repro.spechint.tool import SpecHintTool, SpecMeta, SpeculatingBinary
 
 __all__ = [
     "AuditRecord",
     "AuditTable",
     "IsolationAuditor",
-    "IsolationQuarantine",
     "CowMap",
     "HintLog",
     "HintLogEntry",
     "TransformReport",
     "SpecProcessState",
-    "SpeculationThrottle",
+    "SpeculationGate",
     "SpecHintTool",
     "SpecMeta",
     "SpeculatingBinary",

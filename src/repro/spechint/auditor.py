@@ -26,12 +26,12 @@ tested contract, in three parts:
   compares before consuming the saved state in :meth:`perform_restart`.
   Speculation can only restart from state it provably did not disturb.
 
-On any violation the runtime imposes a :class:`IsolationQuarantine` —
-speculation is suspended for a bounded, exponentially growing number of
-original-thread reads, and permanently after a few repeat offences.  This
-generalizes the PR-1 watchdog's one-way disable: a transient corruption
-costs a bounded window of hinting, a persistent one degenerates to vanilla
-execution.  The original thread is never touched either way.
+On any violation the runtime's :class:`~repro.spechint.gate.SpeculationGate`
+quarantines speculation for a bounded, exponentially growing number of
+original-thread reads, and permanently after a few repeat offences: a
+transient corruption costs a bounded window of hinting, a persistent one
+degenerates to vanilla execution.  The original thread is never touched
+either way.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Chain anchor for an empty audit table.
 _GENESIS = "spechint-audit-genesis"
+
+#: Retained audit records; older records fold into the chain anchor (the
+#: hash chain stays verifiable end to end).
+AUDIT_TABLE_CAPACITY = 1024
 
 
 def _digest(*parts: object) -> str:
@@ -102,7 +106,7 @@ class AuditTable:
     only makes lookups miss.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = AUDIT_TABLE_CAPACITY) -> None:
         self.capacity = max(1, capacity)
         self._records: Deque[AuditRecord] = deque()
         #: Digest of everything folded out of the retained window.
@@ -155,56 +159,10 @@ class AuditTable:
         return len(self._records)
 
 
-class IsolationQuarantine:
-    """Bounded-restart quarantine: how long speculation stays benched.
-
-    The first violation suspends speculation for ``base_reads``
-    original-thread read calls; each further violation doubles the window;
-    after ``max_violations`` the quarantine is permanent.  This generalizes
-    the watchdog's one-way disable to a graded response.
-    """
-
-    def __init__(self, base_reads: int = 64, max_violations: int = 3) -> None:
-        self.base_reads = max(1, base_reads)
-        self.max_violations = max(1, max_violations)
-        self.violations = 0
-        self.reads_remaining = 0
-        self.permanent = False
-        self.reasons: List[str] = []
-
-    @property
-    def active(self) -> bool:
-        return self.permanent or self.reads_remaining > 0
-
-    def impose(self, reason: str) -> None:
-        self.violations += 1
-        self.reasons.append(reason)
-        if self.violations >= self.max_violations:
-            self.permanent = True
-            self.reads_remaining = 0
-        else:
-            self.reads_remaining = self.base_reads * (2 ** (self.violations - 1))
-
-    def tick_read(self) -> bool:
-        """Count one original-thread read; True when this read releases the
-        quarantine."""
-        if self.permanent or self.reads_remaining <= 0:
-            return False
-        self.reads_remaining -= 1
-        return self.reads_remaining == 0
-
-    def __repr__(self) -> str:
-        if self.permanent:
-            return f"IsolationQuarantine(permanent, {self.violations} violations)"
-        if self.reads_remaining:
-            return f"IsolationQuarantine({self.reads_remaining} reads left)"
-        return "IsolationQuarantine(clear)"
-
-
 class IsolationAuditor:
     """Checks the isolation invariant for one speculating process."""
 
-    def __init__(self, process: "Process", capacity: int = 1024) -> None:
+    def __init__(self, process: "Process", capacity: int = AUDIT_TABLE_CAPACITY) -> None:
         self.process = process
         self.table = AuditTable(capacity)
 

@@ -37,15 +37,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import IsolationViolation
-from repro.faults.watchdog import SpeculationWatchdog
 from repro.fs.filesystem import Inode
 from repro.params import BLOCK_SIZE
 from repro.sim import metrics
 from repro.trace.tracer import CAT_SPEC, TID_ORIGINAL, TID_SPECULATING
-from repro.spechint.auditor import IsolationAuditor, IsolationQuarantine
+from repro.spechint.auditor import IsolationAuditor
 from repro.spechint.cow import CowMap
+from repro.spechint.gate import HOLD, RESTART, SUSPEND, SpeculationGate
 from repro.spechint.hintlog import HintLog
-from repro.spechint.throttle import SpeculationThrottle
 from repro.spechint.tool import SpecMeta
 from repro.vm.isa import (
     SEEK_CUR,
@@ -115,35 +114,16 @@ class SpecProcessState:
         self.meta = meta
         self.params = meta.params
 
-        #: Isolation auditor + quarantine (the speculation safety net).
-        #: The auditor observes; the quarantine is the graded response.
-        self.auditor: Optional[IsolationAuditor] = None
-        if meta.params.isolation_audit:
-            self.auditor = IsolationAuditor(
-                process, capacity=meta.params.audit_table_capacity
-            )
-        self.quarantine_state = IsolationQuarantine(
-            base_reads=meta.params.quarantine_base_reads,
-            max_violations=meta.params.quarantine_max_violations,
-        )
-        self.isolation_violations = 0
-
+        #: The isolation auditor observes; the gate is the response.
+        self.auditor = IsolationAuditor(process)
         self.cow = CowMap(process.mem, meta.params, vmstat=process.vmstat,
                           auditor=self.auditor, stats=kernel.stats,
                           tracer=kernel.tracer)
         self.hint_log = HintLog()
-        self.throttle = SpeculationThrottle(
-            meta.params.throttle_cancel_limit, meta.params.throttle_disable_reads
-        )
-        #: The safety net: disables speculation for the rest of the run when
-        #: it is demonstrably doing more harm than good (restart storms,
-        #: fault storms, persistently wrong hint logs).
-        self.watchdog = SpeculationWatchdog(
-            restart_limit=meta.params.watchdog_restart_limit,
-            fault_limit=meta.params.watchdog_fault_limit,
-            min_accuracy=meta.params.watchdog_min_accuracy,
-            accuracy_window=meta.params.watchdog_accuracy_window,
-        )
+        #: Every reason speculation may not run or restart: watchdog trips,
+        #: degraded-mode suspension, isolation quarantine, the throttle.
+        self.gate = SpeculationGate(meta.params, kernel.stats, kernel.tracer,
+                                    self.auditor.table, self._disable_speculation)
 
         #: Restart handshake (Section 3.2.2).
         self.restart_flag = False
@@ -163,7 +143,6 @@ class SpecProcessState:
         self.cancel_calls = 0
         self.hints_issued = 0
         self.predictions = 0
-        self.parks: Dict[str, int] = {}
 
         # Surface what the static-analysis pass did to this binary, and
         # chain it into the audit table: elided COW wrappers are exactly
@@ -179,14 +158,13 @@ class SpecProcessState:
                        report.transfers_statically_resolved)
             saved = report.check_cycles_baseline - report.check_cycles_emitted
             stats.bump(metrics.SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED, saved)
-            if self.auditor is not None:
-                self.auditor.table.record(
-                    "analysis",
-                    f"elided={report.stores_elided} "
-                    f"unchecked={report.loads_unchecked_dead} "
-                    f"resolved={report.transfers_statically_resolved} "
-                    f"cycles_saved={saved}",
-                )
+            self.auditor.table.record(
+                "analysis",
+                f"elided={report.stores_elided} "
+                f"unchecked={report.loads_unchecked_dead} "
+                f"resolved={report.transfers_statically_resolved} "
+                f"cycles_saved={saved}",
+            )
 
     # ------------------------------------------------- original-thread side
 
@@ -203,80 +181,24 @@ class SpecProcessState:
     def _before_read_inner(self, thread: "Thread", fd_num: int, length: int) -> int:
         cpu = self.kernel.config.cpu
         cost = cpu.hintlog_check_cycles
-        process = self.process
-
-        if self.watchdog.disabled:
-            return cost  # vanilla execution for the rest of the run
-
-        if self.params.watchdog_suspend_when_degraded:
-            # Degraded-mode load shedding: while the array is rebuilding a
-            # dead disk, speculation's prefetch appetite only competes with
-            # reconstruction and resilver traffic.  Suspend (resumably) for
-            # the duration; the spec thread benches itself at its next poll.
-            transition = self.watchdog.set_degraded(self.kernel.array.degraded)
-            if transition == "suspended":
-                self.kernel.stats.bump(metrics.SPEC_DEGRADED_SUSPENSIONS)
-                self.restart_flag = True
-                if self.kernel.tracer.enabled:
-                    self.kernel.tracer.instant(
-                        CAT_SPEC, "degraded_suspend", tid=TID_ORIGINAL,
-                    )
-            elif transition == "resumed":
-                self.kernel.stats.bump(metrics.SPEC_DEGRADED_RESUMES)
-                if self.kernel.tracer.enabled:
-                    self.kernel.tracer.instant(
-                        CAT_SPEC, "degraded_resume", tid=TID_ORIGINAL,
-                    )
-                # Fall through: the stale hint log will mismatch and the
-                # normal restart-request path wakes the spec thread with a
-                # freshly captured boundary.
-        if self.watchdog.suspended:
-            return cost
-
-        if self.quarantine_state.active:
-            # Bounded-restart quarantine: speculation stays benched for a
-            # window of reads after an isolation violation (forever, when
-            # the violation persisted).  The original thread runs vanilla.
-            if not self.quarantine_state.tick_read():
-                return cost
-            # This read released the quarantine: resume the normal path —
-            # the stale hint log will mismatch and request a restart.
-            self.kernel.stats.bump(metrics.SPEC_QUARANTINE_RELEASED)
-            if self.auditor is not None:
-                self.auditor.table.record("quarantine_released")
-
-        fdstate = process.fds.get(fd_num)
+        fdstate = self.process.fds.get(fd_num)
         ino = fdstate.inode.ino if fdstate is not None and fdstate.inode else -1
         offset = fdstate.offset if fdstate is not None else 0
 
-        matched = self.hint_log.check_and_consume(ino, offset, length)
-        injector = self.kernel.injector
-        if matched and injector is not None and injector.force_divergence():
-            # Wrong-path exercise: the check is forced to judge speculation
-            # off track even though the entry matched (restart-storm chaos).
-            matched = False
-
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                CAT_SPEC,
-                "hint_check.match" if matched else "hint_check.divergence",
-                tid=TID_ORIGINAL, ino=ino, offset=offset, length=length,
-            )
-
-        if self.watchdog.note_check(matched):
-            self._disable_speculation()
-            return cost
-        if matched:
+        verdict = self.gate.on_read(
+            self.kernel.array.degraded,
+            lambda: self._check_hint_log(ino, offset, length),
+        )
+        if verdict == HOLD:
             self._capture_boundary()
-            return cost  # speculation may still be on track
+        elif verdict == SUSPEND:
+            # Degraded-mode load shedding: the spec thread benches itself
+            # at its next poll of the flag.
+            self.restart_flag = True
+        if verdict != RESTART:
+            return cost
 
         # Off track (strayed or behind): request a restart.
-        if not self.throttle.allow_restart():
-            self.kernel.stats.bump(metrics.SPEC_THROTTLE_SUPPRESSED)
-            self._capture_boundary()
-            return cost
-
         cost += cpu.restart_request_cycles
         self._saved_regs = thread.snapshot_regs()
         self._saved_resume_pc = thread.pc + 1
@@ -292,6 +214,24 @@ class SpecProcessState:
         self._wake_spec_thread()
         return cost
 
+    def _check_hint_log(self, ino: int, offset: int, length: int) -> bool:
+        """Does the next hint-log entry predict this read?"""
+        matched = self.hint_log.check_and_consume(ino, offset, length)
+        injector = self.kernel.injector
+        if matched and injector is not None and injector.force_divergence():
+            # Wrong-path exercise: the check is forced to judge speculation
+            # off track even though the entry matched (restart-storm chaos).
+            matched = False
+
+        tracer = self.kernel.tracer
+        if tracer.enabled:
+            tracer.instant(
+                CAT_SPEC,
+                "hint_check.match" if matched else "hint_check.divergence",
+                tid=TID_ORIGINAL, ino=ino, offset=offset, length=length,
+            )
+        return matched
+
     def _capture_boundary(self) -> None:
         """Snapshot the restart boundary at this read call, when a restart
         can consume it.  The last capture before a restart is the blocking
@@ -306,17 +246,13 @@ class SpecProcessState:
         matched or throttled read with the flag clear would be overwritten
         before any verify, so it takes no snapshot.
         """
-        if self.auditor is not None and self.restart_flag:
+        if self.restart_flag:
             self.auditor.capture_boundary(self._saved_regs)
 
     def _wake_spec_thread(self) -> None:
         from repro.kernel.thread import ThreadState
 
-        if (
-            self.watchdog.disabled
-            or self.watchdog.suspended
-            or self.quarantine_state.active
-        ):
+        if self.gate.closed:
             return
         thread = self.thread
         if thread.state is ThreadState.SPEC_IDLE:
@@ -333,28 +269,19 @@ class SpecProcessState:
 
         Returns the cycle cost (cancel call + COW clear + stack copy +
         register reload), charged to the speculating thread, or ``_STOPPED``
-        when the watchdog disabled speculation instead of restarting it.
+        when the gate parks speculation instead of restarting it.
         """
         self.restart_flag = False
-        if self.watchdog.disabled:
-            return self.park(thread, "watchdog_disabled")
-        if self.quarantine_state.active:
-            return self.park(thread, "quarantined")
-        if self.watchdog.suspended:
-            # Degraded-mode shedding, not a safety trip: bench until the
-            # rebuild finishes (the original thread's checks drive resume).
-            return self.park(thread, "degraded_mode")
-        if self.watchdog.note_restart():
-            self._disable_speculation()
-            return self.park(thread, "watchdog_disabled")
+        reason = self.gate.on_restart()
+        if reason is not None:
+            return self.park(thread, reason)
 
         # Isolation audit, *before* any saved state is consumed: the audit
         # chain must verify and the non-shadow state (fd bindings, heap
         # break, saved registers) must be exactly what the original thread
         # captured.  A violation raises and quarantines (see the machine's
         # IsolationViolation handler) without touching the original thread.
-        if self.auditor is not None:
-            self.auditor.verify_restart_boundary(self._saved_regs)
+        self.auditor.verify_restart_boundary(self._saved_regs)
 
         self.restarts += 1
         self.kernel.stats.bump(metrics.SPEC_RESTARTS)
@@ -368,7 +295,7 @@ class SpecProcessState:
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
         self.cancel_calls += 1
         self.kernel.stats.bump(metrics.SPEC_CANCEL_CALLS)
-        self.throttle.note_cancel(cancelled)
+        self.gate.on_cancel(cancelled)
 
         # The restart's safety depends on the cancel having drained the
         # hint queue: a leaked hint would keep prefetching down the
@@ -380,8 +307,7 @@ class SpecProcessState:
                 f"before restart"
             )
         self.kernel.stats.bump(metrics.SPEC_CANCEL_DRAIN_VERIFIED)
-        if self.auditor is not None:
-            self.auditor.table.record("restart", f"cancelled={cancelled}")
+        self.auditor.table.record("restart", f"cancelled={cancelled}")
 
         self.cow.clear()
         self.hint_log.reset()
@@ -558,10 +484,9 @@ class SpecProcessState:
             regs[V0] = regs[A2]
             thread.pc += 1
             self.kernel.stats.bump(metrics.SPEC_WRITES_SUPPRESSED)
-            if self.auditor is not None:
-                self.auditor.table.record(
-                    "write_suppressed", f"fd={regs[A0]} len={regs[A2]}"
-                )
+            self.auditor.table.record(
+                "write_suppressed", f"fd={regs[A0]} len={regs[A2]}"
+            )
             return 4
 
         if num in (SYS_HINT_SEG, SYS_HINT_FD_SEG, SYS_CANCEL_ALL):
@@ -573,8 +498,7 @@ class SpecProcessState:
 
         # Any other system call would be an externally visible side effect.
         self.kernel.stats.bump(metrics.SPEC_SYSCALLS_BLOCKED)
-        if self.auditor is not None:
-            self.auditor.table.record("syscall_blocked", f"num={num}")
+        self.auditor.table.record("syscall_blocked", f"num={num}")
         return self.park(thread, "forbidden_syscall")
 
     # -------------------------------------------------------- control transfers
@@ -602,28 +526,12 @@ class SpecProcessState:
     # ------------------------------------------------------- isolation response
 
     def quarantine(self, thread: "Thread", violation: IsolationViolation) -> int:
-        """Graded response to an isolation violation.
-
-        Speculation is benched for an exponentially growing window of
-        original-thread reads (permanent after repeat offences), its
-        outstanding hints are cancelled, and the speculating thread parks.
-        The original thread and its memory are never touched — the run
-        continues with baseline correctness, minus hinting.
-        """
-        self.isolation_violations += 1
-        self.kernel.stats.bump(metrics.SPEC_ISOLATION_VIOLATIONS)
+        """Graded response to an isolation violation: the gate quarantines
+        speculation, its outstanding hints are cancelled and the speculating
+        thread parks.  The original thread and its memory are never touched
+        — the run continues with baseline correctness, minus hinting."""
         self.restart_flag = False
-        self.quarantine_state.impose(str(violation))
-        self.kernel.stats.bump(metrics.SPEC_QUARANTINES)
-        if self.quarantine_state.permanent:
-            self.kernel.stats.bump(metrics.SPEC_QUARANTINE_PERMANENT)
-        if self.auditor is not None:
-            self.auditor.table.record("quarantine", str(violation))
-        if self.kernel.tracer.enabled:
-            self.kernel.tracer.instant(
-                CAT_SPEC, "quarantine", tid=TID_SPECULATING,
-                permanent=self.quarantine_state.permanent,
-            )
+        self.gate.on_violation(str(violation))
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
         if cancelled:
             self.kernel.stats.bump(metrics.SPEC_QUARANTINE_HINTS_CANCELLED,
@@ -638,7 +546,6 @@ class SpecProcessState:
 
         thread.state = ThreadState.SPEC_IDLE
         thread.stop_reason = "spec_idle"
-        self.parks[reason] = self.parks.get(reason, 0) + 1
         self.kernel.stats.bump(metrics.SPEC_PARK_PREFIX + reason)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(
@@ -656,8 +563,7 @@ class SpecProcessState:
             self.kernel.tracer.instant(CAT_SPEC, "signal", tid=TID_SPECULATING)
         thread.state = ThreadState.SPEC_IDLE
         thread.stop_reason = "spec_idle"
-        if self.watchdog.note_fault():
-            self._disable_speculation()
+        self.gate.on_fault()
 
     def _disable_speculation(self) -> None:
         """Watchdog trip: fall back to vanilla execution for good.
@@ -670,7 +576,7 @@ class SpecProcessState:
         """
         from repro.kernel.thread import ThreadState
 
-        reason = self.watchdog.trip_reason or "unknown"
+        reason = self.gate.trip_reason or "unknown"
         self.restart_flag = False
         if self.thread.state in (ThreadState.RUNNABLE, ThreadState.SPEC_IDLE):
             self.thread.state = ThreadState.SPEC_IDLE

@@ -20,9 +20,9 @@ death: reads whose home disk is dead are *reconstructed* — the same
 physical block is read on every surviving disk and XOR-ed back together on
 the sim clock — while a background :class:`~repro.storage.rebuild.RebuildEngine`
 resilvers the lost disk onto a hot spare.  Demand reads may additionally be
-*hedged*: after ``hedge_after_cycles`` a duplicate reconstruction-path read
-races the original request and the first completion wins (the loser is
-cancelled).  All of it is strictly opt-in — the default geometry and the
+*hedged*: after the fault plan's ``hedge_after_s`` a duplicate
+reconstruction-path read races the original request and the first
+completion wins (the loser is cancelled).  All of it is strictly opt-in — the default geometry and the
 fault-free event stream are bit-identical to the plain striping device.
 
 The request lifecycle
@@ -192,8 +192,9 @@ class StripedArray:
         #: armed — without an injector (fault-free runs keep a bit-identical
         #: event stream), the hedge 0 without parity too (only one copy of a
         #: block exists, so the duplicate must come from the peers).  The
-        #: fault-free path is the same machine with no timer to arm.  A
-        #: fault plan may override the hedge delay and the rebuild share.
+        #: fault-free path is the same machine with no timer to arm.  The
+        #: hedge delay is the fault plan's, which may also override the
+        #: rebuild share.
         self._timeout_cycles = 0
         self._hedge_cycles = 0
         self._xor_cycles = max(1, array.reconstruct_xor_cycles)
@@ -202,10 +203,7 @@ class StripedArray:
             plan = injector.plan
             self._timeout_cycles = array.request_timeout_cycles
             if self.parity is not None:
-                self._hedge_cycles = (
-                    cpu.cycles(plan.hedge_after_s)
-                    if plan.hedge_after_s > 0.0 else array.hedge_after_cycles
-                )
+                self._hedge_cycles = cpu.cycles(plan.hedge_after_s)
             if plan.rebuild_share > 0.0:
                 self._rebuild_share = plan.rebuild_share
 
@@ -249,7 +247,7 @@ class StripedArray:
     def degraded(self) -> bool:
         """True while any dead disk is not yet fully resilvered.
 
-        TIP and the SpecHint watchdog consult this to shed speculative
+        TIP and the speculation gate consult this to shed speculative
         load: while degraded, demand and rebuild traffic win.
         """
         for rebuild in self._dead_disks.values():

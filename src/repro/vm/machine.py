@@ -102,13 +102,11 @@ class Machine:
         budget exhausted), ``"blocked"``, ``"exited"``, ``"spec_idle"``
         (speculation parked).
         """
-        spec = thread.process.spec
-        guard_armed = False
-        if thread.is_spec and spec is not None and spec.auditor is not None:
+        spec = thread.process.spec if thread.is_spec else None
+        if spec is not None:
             # Write containment: while the speculating thread holds the CPU,
             # every main-memory mutation is checked by the auditor.
             spec.auditor.arm(thread.process.mem)
-            guard_armed = True
         tracer = self.kernel.tracer
         slice_start = self.clock.now if tracer.enabled else 0
         try:
@@ -117,12 +115,12 @@ class Machine:
             self._spec_signal(thread)
             return "spec_idle"
         except IsolationViolation as exc:
-            if thread.is_spec and spec is not None:
+            if spec is not None:
                 spec.quarantine(thread, exc)
                 return "spec_idle"
             raise
         finally:
-            if guard_armed:
+            if spec is not None:
                 spec.auditor.disarm(thread.process.mem)
             if tracer.enabled:
                 # One span per scheduling slice that advanced the clock.

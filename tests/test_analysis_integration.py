@@ -131,8 +131,7 @@ class TestRuntimeWithAnalysis:
         transformed = SpecHintTool(optimize=True).transform(reader_binary())
         s_sys, s_proc = run_binary(transformed, corpus_fs())
         assert s_sys.stats.get("spec.isolation_violations") == 0
-        assert s_proc.spec.isolation_violations == 0
-        assert not s_proc.spec.quarantine_state.active
+        assert not s_proc.spec.gate.quarantined
 
 
 class TestOracleWithAnalysis:

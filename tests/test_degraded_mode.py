@@ -25,10 +25,11 @@ from repro.params import (
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
+from repro.spechint.gate import CLOSED, RESTART, SUSPEND
 from repro.storage.parity import ParityGeometry
 from repro.storage.request import IOKind
 from repro.storage.striping import StripedArray
-from repro.faults.watchdog import SpeculationWatchdog
+from tests.spec_gate_reference import build_gate
 
 SCALE = 0.25
 
@@ -314,23 +315,25 @@ class TestHedging:
 
 class TestWatchdogSuspension:
     def test_suspend_resume_cycle(self):
-        dog = SpeculationWatchdog()
-        assert dog.set_degraded(True) == "suspended"
+        built = build_gate()
+        dog = built.gate
+        assert dog.on_read(True, lambda: False) == SUSPEND
         assert dog.suspended
-        assert dog.set_degraded(True) is None  # idempotent
-        assert dog.set_degraded(False) == "resumed"
+        assert dog.on_read(True, lambda: False) == CLOSED  # idempotent
+        assert dog.on_read(False, lambda: False) == RESTART  # resumed
         assert not dog.suspended
-        assert dog.suspensions == 1
+        assert built.stats.get("spec.degraded_suspensions") == 1
+        assert built.stats.get("spec.degraded_resumes") == 1
 
     def test_suspension_is_not_a_trip(self):
-        dog = SpeculationWatchdog()
-        dog.set_degraded(True)
-        assert not dog.disabled
+        dog = build_gate().gate
+        dog.on_read(True, lambda: False)
+        assert dog.closed
         assert dog.trip_reason is None
 
     def test_repr_mentions_suspension(self):
-        dog = SpeculationWatchdog()
-        dog.set_degraded(True)
+        dog = build_gate().gate
+        dog.on_read(True, lambda: False)
         assert "suspended" in repr(dog)
 
 

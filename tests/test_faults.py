@@ -1,4 +1,5 @@
-"""Unit tests for the fault-injection subsystem: plans, injector, watchdog."""
+"""Unit tests for the fault-injection subsystem: plans, injector, and the
+speculation gate's watchdog triggers."""
 
 from collections import deque
 
@@ -19,12 +20,13 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.faults.plan import PROFILES, FaultPlan, profile
-from repro.faults.watchdog import SpeculationWatchdog
 from repro.fs.filesystem import FileSystem
 from repro.params import BLOCK_SIZE, CpuParams
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatRegistry
+from repro.spechint.gate import CLOSED, RESTART
 from repro.storage.request import IOKind, IORequest
+from tests.spec_gate_reference import build_gate
 
 
 class TestErrorHierarchy:
@@ -224,67 +226,80 @@ class TestInjectorSpecFaults:
         assert stats.get("faults.spec_divergence") == 10
 
 
+def read(gate, matched):
+    """One original-thread read on a healthy array."""
+    return gate.on_read(False, lambda: matched)
+
+
 class TestWatchdog:
     def test_restart_storm_trips_at_limit(self):
-        dog = SpeculationWatchdog(restart_limit=3)
-        assert not dog.note_restart()
-        assert not dog.note_restart()
-        assert dog.note_restart()
-        assert dog.disabled
+        built = build_gate(watchdog_restart_limit=3)
+        dog = built.gate
+        assert dog.on_restart() is None
+        assert dog.on_restart() is None
+        assert dog.on_restart() == "watchdog_disabled"
+        assert dog.closed
         assert dog.trip_reason == "restart_storm"
+        assert built.trips == ["restart_storm"]
 
     def test_match_resets_consecutive_restarts(self):
-        dog = SpeculationWatchdog(restart_limit=3)
-        dog.note_restart()
-        dog.note_restart()
-        dog.note_check(matched=True)
-        assert not dog.note_restart()
-        assert not dog.disabled
+        dog = build_gate(watchdog_restart_limit=3).gate
+        dog.on_restart()
+        dog.on_restart()
+        read(dog, matched=True)
+        assert dog.on_restart() is None
+        assert dog.trip_reason is None
 
     def test_mismatch_does_not_reset(self):
-        dog = SpeculationWatchdog(restart_limit=3)
-        dog.note_restart()
-        dog.note_restart()
-        dog.note_check(matched=False)
-        assert dog.note_restart()
+        dog = build_gate(watchdog_restart_limit=3).gate
+        dog.on_restart()
+        dog.on_restart()
+        read(dog, matched=False)
+        assert dog.on_restart() == "watchdog_disabled"
 
     def test_fault_storm_is_cumulative(self):
-        dog = SpeculationWatchdog(fault_limit=5)
+        dog = build_gate(watchdog_fault_limit=5).gate
         for _ in range(4):
-            assert not dog.note_fault()
-        dog.note_check(matched=True)  # matches do not forgive faults
-        assert dog.note_fault()
+            dog.on_fault()
+            assert dog.trip_reason is None
+        read(dog, matched=True)  # matches do not forgive faults
+        dog.on_fault()
         assert dog.trip_reason == "fault_storm"
 
     def test_low_accuracy_needs_full_window(self):
-        dog = SpeculationWatchdog(min_accuracy=0.5, accuracy_window=4)
-        assert not dog.note_check(False)
-        assert not dog.note_check(False)
-        assert not dog.note_check(False)  # window not full yet
-        assert dog.note_check(False)
+        dog = build_gate(watchdog_min_accuracy=0.5,
+                         watchdog_accuracy_window=4).gate
+        assert read(dog, False) == RESTART
+        assert read(dog, False) == RESTART
+        assert read(dog, False) == RESTART  # window not full yet
+        assert read(dog, False) == CLOSED
         assert dog.trip_reason == "low_accuracy"
 
     def test_accurate_window_does_not_trip(self):
-        dog = SpeculationWatchdog(min_accuracy=0.5, accuracy_window=4)
+        dog = build_gate(watchdog_min_accuracy=0.5,
+                         watchdog_accuracy_window=4).gate
         for _ in range(8):
-            dog.note_check(True)
-        assert not dog.disabled
-        assert dog.sliding_accuracy == 1.0
+            read(dog, True)
+        assert dog.trip_reason is None
+        assert dog.accuracy == 1.0
 
     def test_zero_limits_disable_triggers(self):
-        dog = SpeculationWatchdog(restart_limit=0, fault_limit=0,
-                                  min_accuracy=0.0)
+        dog = build_gate(watchdog_restart_limit=0, watchdog_fault_limit=0,
+                         watchdog_min_accuracy=0.0).gate
         for _ in range(1000):
-            dog.note_restart()
-            dog.note_fault()
-            dog.note_check(False)
-        assert not dog.disabled
+            dog.on_restart()
+            dog.on_fault()
+            read(dog, False)
+        assert dog.trip_reason is None
 
     def test_first_trip_reason_sticks(self):
-        dog = SpeculationWatchdog(restart_limit=1, fault_limit=1)
-        dog.note_restart()
-        dog.note_fault()
-        assert dog.trip_reason == "restart_storm"
+        built = build_gate(watchdog_restart_limit=1, watchdog_fault_limit=1)
+        built.gate.on_restart()
+        built.gate.on_fault()
+        assert built.gate.trip_reason == "restart_storm"
+        # A later trigger still reaches the trip response, with the first
+        # reason.
+        assert built.trips == ["restart_storm", "restart_storm"]
 
     @settings(max_examples=300, deadline=None)
     @given(window=st.integers(1, 12),
@@ -295,19 +310,22 @@ class TestWatchdog:
         """The accuracy is kept as a running match count; the sliding
         window's ``sum()`` gives the same fraction at every check, so the
         trip comes at the same read."""
-        dog = SpeculationWatchdog(restart_limit=0, fault_limit=0,
-                                  min_accuracy=min_accuracy,
-                                  accuracy_window=window)
+        dog = build_gate(watchdog_restart_limit=0, watchdog_fault_limit=0,
+                         watchdog_min_accuracy=min_accuracy,
+                         watchdog_accuracy_window=window).gate
         recent = deque(maxlen=window)
         for matched in checks:
             recent.append(matched)
             expected = (len(recent) == window
                         and sum(recent) / len(recent) < min_accuracy)
-            assert dog.note_check(matched) == expected
-            assert dog.sliding_accuracy == sum(recent) / len(recent)
+            assert (read(dog, matched) == CLOSED) == expected
+            assert dog.accuracy == sum(recent) / len(recent)
+            if expected:
+                assert dog.trip_reason == "low_accuracy"
+                break
 
     def test_repr_mentions_state(self):
-        dog = SpeculationWatchdog(restart_limit=1)
-        assert "armed" in repr(dog)
-        dog.note_restart()
+        dog = build_gate(watchdog_restart_limit=1).gate
+        assert "open" in repr(dog)
+        dog.on_restart()
         assert "tripped:restart_storm" in repr(dog)

@@ -9,6 +9,7 @@ from repro.faults.generate import (
     DIMENSIONS,
     CoverageLedger,
     FaultPlanGenerator,
+    FuzzCase,
     case_dimensions,
 )
 
@@ -125,3 +126,27 @@ class TestTypedErrors:
     def test_too_few_disks_rejected(self):
         with pytest.raises(FuzzError, match="disks"):
             FaultPlanGenerator(7, ndisks=1)
+
+    @pytest.mark.parametrize("value", ["8", True, -3, 2.5])
+    def test_mistyped_count_override_names_its_key(self, value):
+        """A hand-edited reproducer is a typed error, not a speculation bug
+        found by the replay: counts are integers >= 0 (no bools, no floats)."""
+        data = FaultPlanGenerator(7).case(0).to_jsonable()
+        data["spec_overrides"] = {"watchdog_restart_limit": value}
+        with pytest.raises(FuzzError, match="'watchdog_restart_limit' must be an integer"):
+            FuzzCase.from_jsonable(data)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, "0.2", True])
+    def test_min_accuracy_override_is_a_number_in_unit_range(self, value):
+        data = FaultPlanGenerator(7).case(0).to_jsonable()
+        data["spec_overrides"] = {"watchdog_min_accuracy": value}
+        with pytest.raises(FuzzError, match="'watchdog_min_accuracy' must be a number"):
+            FuzzCase.from_jsonable(data)
+
+    def test_every_generated_override_is_well_typed(self):
+        for case in FaultPlanGenerator(7).cases(200):
+            again = FuzzCase.from_jsonable(case.to_jsonable())
+            assert again.spec_overrides == case.spec_overrides
+        for value in (0, 1, 0.5):
+            FuzzCase.from_jsonable({"app": "agrep", "plan": {},
+                                    "spec_overrides": {"watchdog_min_accuracy": value}})

@@ -131,7 +131,6 @@ SAMPLE_BY_TYPE = {
     "str": "x",
     "int": 7,
     "float": 2.5,
-    "bool": True,
     "bytes": b"\x00out\xff",
     "Dict[str, int]": {"k": 3},
     "Optional[str]": "why",
@@ -144,12 +143,11 @@ SAMPLE_BY_TYPE = {
 GOLDEN_KEYS = [
     "app", "audit_head_digest", "audit_records", "counters", "cpu_hz",
     "cycles", "fault_profile", "footprint_bytes", "hint_lead_median",
-    "hint_lifecycle", "isolation_violations", "median_hint_interval",
-    "median_read_interval", "output_b64", "page_faults", "page_reclaims",
-    "params_digest", "pct_prefetches_before_demand", "quarantine_permanent",
-    "quarantines", "read_trace", "schema_version", "seed", "spec_cancel_calls",
-    "spec_hints_issued", "spec_parks", "spec_restarts", "spec_signals",
-    "stall_breakdown", "variant", "watchdog_tripped",
+    "hint_lifecycle", "median_hint_interval", "median_read_interval",
+    "output_b64", "page_faults", "page_reclaims", "params_digest",
+    "pct_prefetches_before_demand", "read_trace", "schema_version", "seed",
+    "spec_cancel_calls", "spec_hints_issued", "spec_restarts", "spec_signals",
+    "stall_breakdown", "variant",
 ]
 
 

@@ -274,9 +274,8 @@ class Twin:
                        process.vmstat.footprint_bytes),
             "auditor": (auditor.cow_writes_checked, auditor.guard_checks,
                         auditor.violations, auditor.table.head_digest),
-            "spec": (spec.restarts, spec.signals, dict(spec.parks),
-                     spec.restart_flag, spec.isolation_violations,
-                     spec.quarantine_state.reads_remaining),
+            "spec": (spec.restarts, spec.signals, spec.restart_flag,
+                     spec.gate.quarantine_reads),
             "exited": process.exited,
             "counters": system.stats.snapshot(),
         }

@@ -70,8 +70,7 @@ def _append_many(path, writer, count, pad):
 
 def run_payload(app="agrep", variant="speculating", seed=1999,
                 cycles=4_000_000, lead=900_000.0, wasted=0, disclosed=27,
-                pdigest="0123456789abcdef", chaos=None, isolation=0,
-                watchdog=False, **extra):
+                pdigest="0123456789abcdef", chaos=None, **extra):
     payload = {
         "app": app,
         "variant": variant,
@@ -88,8 +87,6 @@ def run_payload(app="agrep", variant="speculating", seed=1999,
         "params_digest": pdigest,
         "seed": seed,
         "fault_profile": chaos,
-        "isolation_violations": isolation,
-        "watchdog_tripped": watchdog,
     }
     payload.update(extra)
     return payload

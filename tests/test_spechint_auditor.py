@@ -2,7 +2,7 @@
 
 Covers the three layers of the isolation contract — write containment,
 the tamper-evident audit table, and the restart-boundary digest — plus the
-graded quarantine response, and the end-to-end guarantee: a deliberately
+speculation gate's graded quarantine response, and the end-to-end guarantee: a deliberately
 broken COW hook is caught as a typed :class:`IsolationViolation` and
 quarantined without corrupting the run's output.
 """
@@ -18,16 +18,17 @@ from repro.params import SpecHintParams
 from repro.spechint.auditor import (
     AuditTable,
     IsolationAuditor,
-    IsolationQuarantine,
     _chain_digest,
 )
 from repro.spechint.cow import CowMap
+from repro.spechint.gate import CLOSED, RESTART
 from repro.vm.memory import (
     DATA_BASE,
     MASK64,
     SPEC_HEAP_BASE,
     AddressSpace,
 )
+from tests.spec_gate_reference import build_gate
 
 
 class _Proc:
@@ -204,38 +205,47 @@ class TestTamperMatrix:
             assert verdict(table) == full_rehash_verdict(table), op
 
 
+def read(gate):
+    """One off-track original-thread read on a healthy array."""
+    return gate.on_read(False, lambda: False)
+
+
 class TestQuarantine:
     def test_inactive_initially(self):
-        q = IsolationQuarantine(base_reads=4, max_violations=3)
-        assert not q.active
-        assert not q.tick_read()
+        built = build_gate()
+        assert not built.gate.quarantined
+        assert read(built.gate) == RESTART
+        assert built.stats.get("spec.quarantine_released") == 0
 
     def test_windows_double_per_violation(self):
-        q = IsolationQuarantine(base_reads=4, max_violations=5)
-        q.impose("first")
-        assert q.reads_remaining == 4
-        q.impose("second")
-        assert q.reads_remaining == 8
-        q.impose("third")
-        assert q.reads_remaining == 16
+        gate = build_gate().gate
+        gate.on_violation("first")
+        assert gate.quarantine_reads == 64
+        gate.on_violation("second")
+        assert gate.quarantine_reads == 128
 
     def test_tick_releases_after_window(self):
-        q = IsolationQuarantine(base_reads=3, max_violations=5)
-        q.impose("x")
-        assert q.active
-        assert not q.tick_read()
-        assert not q.tick_read()
-        assert q.tick_read()  # third read releases
-        assert not q.active
+        built = build_gate()
+        built.gate.on_violation("x")
+        assert built.gate.quarantined
+        for _ in range(63):
+            assert read(built.gate) == CLOSED
+        assert read(built.gate) == RESTART  # the 64th read releases
+        assert not built.gate.quarantined
+        assert built.stats.get("spec.quarantine_released") == 1
+        assert built.table.records()[-1].kind == "quarantine_released"
 
     def test_permanent_after_max_violations(self):
-        q = IsolationQuarantine(base_reads=2, max_violations=2)
-        q.impose("one")
-        q.impose("two")
-        assert q.permanent
-        assert q.active
-        assert not q.tick_read()  # never releases
-        assert q.reasons == ["one", "two"]
+        built = build_gate()
+        for reason in ("one", "two", "three"):
+            built.gate.on_violation(reason)
+        assert built.gate.permanent
+        assert built.gate.quarantined
+        for _ in range(1000):
+            assert read(built.gate) == CLOSED  # never releases
+        assert [r.detail for r in built.table.records()
+                if r.kind == "quarantine"] == ["one", "two", "three"]
+        assert built.stats.get("spec.quarantine_permanent") == 1
 
 
 class TestWriteContainment:
@@ -553,12 +563,3 @@ class TestEndToEnd:
         result = _result(app=app)
         assert verified and len(verified) == result.spec_restarts
         assert verified[0].boundary_captures < reads[0]
-
-    def test_audit_disabled_param_runs_without_auditor(self):
-        from repro.params import SystemConfig
-
-        params = SpecHintParams(isolation_audit=False)
-        system = SystemConfig(spechint=params)
-        result = _result(system=system)
-        assert result.audit_head_digest == ""
-        assert result.isolation_violations == 0

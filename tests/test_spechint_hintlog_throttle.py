@@ -1,7 +1,9 @@
-"""Tests for the hint log and the cancel-triggered speculation throttle."""
+"""Tests for the hint log and the speculation gate's cancel-triggered
+throttle."""
 
+from repro.spechint.gate import HOLD, RESTART
 from repro.spechint.hintlog import HintLog
-from repro.spechint.throttle import SpeculationThrottle
+from tests.spec_gate_reference import build_gate
 
 
 class TestHintLog:
@@ -75,39 +77,48 @@ class TestHintLog:
         assert log.appended_total == 4
 
 
+def throttle(cancel_limit, disable_reads):
+    return build_gate(throttle_cancel_limit=cancel_limit,
+                      throttle_disable_reads=disable_reads)
+
+
+def off_track_read(gate):
+    return gate.on_read(False, lambda: False)
+
+
 class TestThrottle:
     def test_disabled_by_default_limit_zero(self):
-        throttle = SpeculationThrottle(0, 32)
-        assert not throttle.enabled
+        gate = throttle(0, 32).gate
         for _ in range(100):
-            throttle.note_cancel(10)
-            assert throttle.allow_restart()
+            gate.on_cancel(10)
+            assert off_track_read(gate) == RESTART
 
     def test_trips_after_limit(self):
-        throttle = SpeculationThrottle(3, 5)
-        for _ in range(3):
-            throttle.note_cancel(1)
-        assert throttle.currently_disabled
-        assert throttle.trips == 1
+        gate = throttle(3, 5).gate
+        for _ in range(2):
+            gate.on_cancel(1)
+        assert not gate.throttled_reads
+        gate.on_cancel(1)
+        assert gate.throttled_reads == 5
 
     def test_empty_cancels_do_not_count(self):
-        throttle = SpeculationThrottle(2, 5)
+        gate = throttle(2, 5).gate
         for _ in range(10):
-            throttle.note_cancel(0)
-        assert not throttle.currently_disabled
+            gate.on_cancel(0)
+        assert not gate.throttled_reads
 
     def test_disable_window_counts_down(self):
-        throttle = SpeculationThrottle(1, 3)
-        throttle.note_cancel(1)
-        results = [throttle.allow_restart() for _ in range(4)]
-        assert results == [False, False, False, True]
-        assert throttle.suppressed_restarts == 3
+        built = throttle(1, 3)
+        built.gate.on_cancel(1)
+        results = [off_track_read(built.gate) for _ in range(4)]
+        assert results == [HOLD, HOLD, HOLD, RESTART]
+        assert built.stats.get("spec.throttle_suppressed") == 3
 
     def test_rearms_after_window(self):
-        throttle = SpeculationThrottle(1, 2)
-        throttle.note_cancel(1)
-        throttle.allow_restart()
-        throttle.allow_restart()
-        assert throttle.allow_restart()
-        throttle.note_cancel(1)
-        assert throttle.trips == 2
+        gate = throttle(1, 2).gate
+        gate.on_cancel(1)
+        off_track_read(gate)
+        off_track_read(gate)
+        assert off_track_read(gate) == RESTART
+        gate.on_cancel(1)
+        assert gate.throttled_reads == 2

@@ -94,9 +94,9 @@ class TestBeforeRead:
     def test_throttle_suppresses_restart(self):
         system, process = spawn_spec(trivial_binary)
         spec = process.spec
-        spec.throttle.cancel_limit = 1
-        spec.throttle.disable_reads = 10
-        spec.throttle.note_cancel(5)
+        spec.gate.cancel_limit = 1
+        spec.gate.disable_reads = 10
+        spec.gate.on_cancel(5)
         thread = process.original_thread
         fdstate = process.open_fd(system.fs.lookup("a"), "a")
         spec.before_read(thread, fdstate.fd, 64)

@@ -354,8 +354,8 @@ def primary_finishes_while_its_hedge_is_in_the_xor(edges):
     """The demand waits one service behind a prefetch; its hedge goes out
     2,000 cycles before it starts, so the peers have all answered and the
     XOR (4,096 cycles) is running when the primary finishes."""
-    rig = Rig(edges, FaultPlan(), parity=True,
-              hedge_after_cycles=SERVICE - 2_000)
+    rig = Rig(edges, FaultPlan(hedge_after_s=(SERVICE - 2_000) / HZ),
+              parity=True)
     rig.submit(rig.lbns_on(1)[5], PREFETCH)
     req = rig.submit(0, DEMAND)
     rig.run()
@@ -479,8 +479,8 @@ def hedge_timer_due_while_the_notice_is_delayed(edges):
     """Fix: the parent hedged a read that had finished at 3,389,684 when
     the timer fired at 4,000,000 — three peer accesses issued and aborted
     for a block already in hand."""
-    rig = Rig(edges, FaultPlan(), parity=True, completion_delay_factor=2.0,
-              hedge_after_cycles=4_000_000)
+    rig = Rig(edges, FaultPlan(hedge_after_s=4_000_000 / HZ), parity=True,
+              completion_delay_factor=2.0)
     req = rig.submit(0, DEMAND)
     assert req.hedge_event is not None
     rig.engine.advance_to_next()
@@ -576,9 +576,10 @@ def fault_plans(draw):
                       offline_start_s=draw(SECONDS),
                       offline_duration_s=draw(SECONDS))
     if draw(st.booleans()):
+        fields["hedge_after_s"] = draw(SECONDS)
+    if draw(st.booleans()):
         fields.update(dead_disk=draw(st.integers(0, 3)),
                       dead_at_s=draw(SECONDS),
-                      hedge_after_s=draw(SECONDS),
                       rebuild_share=draw(st.sampled_from([0.0, 0.9])))
         if draw(st.booleans()):
             fields.update(
@@ -598,7 +599,6 @@ ARRAYS = st.fixed_dictionaries(dict(
     prefetch_retry_attempts=st.integers(1, 2),
     retry_backoff_cycles=st.sampled_from([50_000, 2_000_000]),
     request_timeout_cycles=st.sampled_from([0, 5_000_000, 120_000_000]),
-    hedge_after_cycles=st.sampled_from([0, 1_000_000, 4_000_000]),
 ))
 
 STEP = st.one_of(
