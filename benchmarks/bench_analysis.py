@@ -99,7 +99,8 @@ def test_analysis_security_lint(benchmark):
     """The speculation-security taint lint: every app provably clean,
     every crafted leak caught with a witness, the sanitized probe not
     flagged — the no-false-negative / no-false-positive matrix."""
-    from repro.analysis import FIXTURES, LEAKY_FIXTURES, analyze_security
+    from repro.analysis.fixtures import FIXTURES, LEAKY_FIXTURES
+    from repro.analysis.taint import analyze_security
 
     def security_matrix():
         plans = {}

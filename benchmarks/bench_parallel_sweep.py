@@ -42,7 +42,10 @@ from _baseline import (  # noqa: E402
 )
 
 from repro.faults.plan import PROFILES  # noqa: E402
-from repro.harness.experiments import sweep_parallel_cells  # noqa: E402
+from repro.harness.experiments import (  # noqa: E402
+    SWEEP_POINTS,
+    sweep_parallel_cells,
+)
 from repro.harness.parallel import run_cells  # noqa: E402
 
 SCALE = 0.2
@@ -66,7 +69,9 @@ def full_grid():
 
 
 def quick_grid():
-    return sweep_parallel_cells("cache", workload_scale=SCALE)[:4]
+    """The first sweep point's agrep cells and its gnuld original."""
+    first = SWEEP_POINTS["cache"][:1]
+    return sweep_parallel_cells("cache", workload_scale=SCALE, points=first)[:4]
 
 
 def timed_run(cells, jobs: int):

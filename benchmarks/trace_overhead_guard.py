@@ -43,7 +43,8 @@ sys.path.insert(
 from repro.harness.config import ExperimentConfig, Variant  # noqa: E402
 from repro.harness.runner import run_experiment  # noqa: E402
 from repro.sim.clock import SimClock  # noqa: E402
-from repro.trace import Tracer, export_to_path  # noqa: E402
+from repro.trace.export import export_to_path  # noqa: E402
+from repro.trace.tracer import Tracer  # noqa: E402
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "trace_overhead_baseline.json"

@@ -21,31 +21,35 @@ Package map (see DESIGN.md for the full inventory):
 * ``repro.harness`` — experiment drivers for every table and figure.
 """
 
-from repro.harness.config import ExperimentConfig, Variant
-from repro.harness.experiments import (
-    improvements,
-    run_matrix,
-    run_one,
-    run_sweep,
-)
-from repro.harness.results import RunResult
-from repro.harness.runner import build_system, run_experiment
-from repro.params import SystemConfig
-from repro.spechint.tool import SpecHintTool
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExperimentConfig",
-    "Variant",
-    "RunResult",
-    "SystemConfig",
-    "SpecHintTool",
-    "build_system",
-    "run_experiment",
-    "run_one",
-    "run_matrix",
-    "run_sweep",
-    "improvements",
-    "__version__",
-]
+#: The package's public names and the module defining each.  A name is
+#: imported on first use (:func:`__getattr__`), so ``import repro`` loads
+#: nothing else and a process pays only for the modules it runs.
+_EXPORTS = {
+    "ExperimentConfig": "repro.harness.config",
+    "Variant": "repro.harness.config",
+    "RunResult": "repro.harness.results",
+    "SystemConfig": "repro.params",
+    "SpecHintTool": "repro.spechint.tool",
+    "build_system": "repro.harness.runner",
+    "run_experiment": "repro.harness.runner",
+    "run_one": "repro.harness.experiments",
+    "run_matrix": "repro.harness.experiments",
+    "run_sweep": "repro.harness.experiments",
+    "improvements": "repro.harness.experiments",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -27,93 +27,3 @@ The analysis is advisory: the runtime isolation auditor remains the
 soundness oracle, so a wrong fact degrades to a quarantine (performance
 loss), never to corrupted output.
 """
-
-from repro.analysis.absint import (
-    AbsState,
-    AbsVal,
-    FunctionFacts,
-    ValueKind,
-    analyze_function,
-)
-from repro.analysis.cfg import CFG, BasicBlock, Loop, build_cfg, build_cfgs
-from repro.analysis.dataflow import (
-    defs_uses,
-    live_out,
-    reaching_definitions,
-    worklist_solve,
-)
-from repro.analysis.driver import (
-    BinaryAnalysis,
-    CheckCosts,
-    ElisionPlan,
-    LintFinding,
-    SiteCheck,
-    StoreClass,
-    TransferFact,
-    TransferKind,
-    analyze_binary,
-    check_costs,
-)
-from repro.analysis.fixtures import (
-    FIXTURES,
-    LEAKY_FIXTURES,
-    build_safe_fixture,
-    build_taint_branch_fixture,
-    build_taint_safe_fixture,
-    build_taint_sanitized_fixture,
-    build_taint_table_fixture,
-    build_unsafe_fixture,
-)
-from repro.analysis.taint import (
-    EMPTY_TAINT,
-    LeakReport,
-    SecurityPlan,
-    TaintState,
-    WitnessStep,
-    analyze_security,
-    taint_join,
-    taint_widen,
-)
-
-__all__ = [
-    "AbsState",
-    "AbsVal",
-    "BasicBlock",
-    "BinaryAnalysis",
-    "CFG",
-    "CheckCosts",
-    "ElisionPlan",
-    "EMPTY_TAINT",
-    "FIXTURES",
-    "FunctionFacts",
-    "LEAKY_FIXTURES",
-    "LeakReport",
-    "LintFinding",
-    "Loop",
-    "SecurityPlan",
-    "SiteCheck",
-    "StoreClass",
-    "TaintState",
-    "TransferFact",
-    "TransferKind",
-    "ValueKind",
-    "WitnessStep",
-    "analyze_binary",
-    "analyze_function",
-    "analyze_security",
-    "build_cfg",
-    "build_cfgs",
-    "build_safe_fixture",
-    "build_taint_branch_fixture",
-    "build_taint_safe_fixture",
-    "build_taint_sanitized_fixture",
-    "build_taint_table_fixture",
-    "build_unsafe_fixture",
-    "check_costs",
-    "taint_join",
-    "taint_widen",
-    "defs_uses",
-    "live_out",
-    "reaching_definitions",
-    "worklist_solve",
-]

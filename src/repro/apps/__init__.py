@@ -18,24 +18,3 @@ The applications' access patterns are the paper's:
   through a large out-of-core 3-D dataset (no data dependence, little
   locality).
 """
-
-from repro.apps.agrep import AgrepWorkload, build_agrep
-from repro.apps.datasets import (
-    generate_agrep_corpus,
-    generate_gnuld_objects,
-    generate_xds_dataset,
-)
-from repro.apps.gnuld import GnuldWorkload, build_gnuld
-from repro.apps.xdataslice import XdsWorkload, build_xdataslice
-
-__all__ = [
-    "AgrepWorkload",
-    "build_agrep",
-    "GnuldWorkload",
-    "build_gnuld",
-    "XdsWorkload",
-    "build_xdataslice",
-    "generate_agrep_corpus",
-    "generate_gnuld_objects",
-    "generate_xds_dataset",
-]

@@ -39,9 +39,11 @@ _T = TypeVar("_T")
 class _LastDataset:
     """The one dataset this process keeps: the last one generated.
 
-    One entry by construction — there is no size to choose.  A grid runs
-    the variants and sweep points of one app next to each other, so the
-    last dataset is the one the next cell wants.  Any other is evicted
+    One entry by construction — there is no size to choose.  A sweep runs
+    the sweep points and variants of one app next to each other, so the
+    last dataset is the one the next cell wants.  A fuzz campaign
+    interleaves its apps by case index and regenerates at each change of
+    app.  Any other is evicted
     *before* its successor is generated, so the slot never holds two (a
     dataset is tens of MB and sets a cell's peak memory); besides the
     slot, only file systems that are still in use keep a dataset alive.

@@ -64,21 +64,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
+# Only what ``build_parser`` needs loads with this module; each ``cmd_*``
+# imports what it runs, so ``repro runs list`` never loads the simulator.
+from repro.analysis.fixtures import FIXTURES
 from repro.errors import ReproError
 from repro.faults.plan import PROFILES, profile
-from repro.harness import paper
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
-from repro.harness.results import RunResult
-from repro.harness.runner import run_experiment
-from repro.harness.tables import (
-    format_degraded_sweep,
-    format_improvement_series,
-    format_table7,
-    format_table8,
-)
 from repro.params import ArrayParams, SystemConfig
+
+if TYPE_CHECKING:
+    from repro.harness.results import RunResult
 
 #: Failing fuzz cells a campaign shrinks into reproducers; any further
 #: failures are reported but not shrunk.
@@ -119,6 +116,8 @@ def _print_progress(key: str, resumed: bool) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.runner import run_experiment
+
     if args.oracle:
         return _run_oracle(args)
     if args.trace_out is not None:
@@ -218,6 +217,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.runner import run_experiment
+
     for app in args.apps:
         base = _base_config(args, app)
         results = {
@@ -239,12 +240,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _build_app_binary(app: str, scale: float) -> "object":
     """Assemble one example app (or analysis fixture) without running it."""
-    from repro.fs.filesystem import FileSystem
-
-    from repro.analysis.fixtures import FIXTURES
-
     if app in FIXTURES:
         return FIXTURES[app]()
+    from repro.fs.filesystem import FileSystem
     from repro.harness.runner import _BUILDERS
 
     return _BUILDERS[app](FileSystem(), scale, False)
@@ -340,6 +338,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.experiments import run_sweep
     from repro.harness.report import format_supervisor_stats
+    from repro.harness.tables import (
+        format_degraded_sweep,
+        format_improvement_series,
+        format_table7,
+        format_table8,
+    )
 
     _require_checkpoint_for_resume(args)
     # Per-cell progress lines belong to the crash-safe, parallel and
@@ -382,13 +386,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     from repro.harness.runner import run_experiment_with_system
     from repro.sim.clock import SimClock
-    from repro.trace import (
-        TraceAnalyzer,
-        Tracer,
-        export_to_path,
-        parse_categories,
-        stall_breakdown,
-    )
+    from repro.trace.analyzer import TraceAnalyzer
+    from repro.trace.export import export_to_path
+    from repro.trace.phases import stall_breakdown
+    from repro.trace.tracer import Tracer, parse_categories
 
     categories = (
         parse_categories(args.categories) if args.categories else None
@@ -632,6 +633,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_paper(args: argparse.Namespace) -> int:
+    from repro.harness import paper
+
     print("Published results (Chang & Gibson, OSDI 1999):")
     print("\nFigure 3 - % improvement (speculating / manual):")
     for app, (spec, manual) in paper.FIG3_IMPROVEMENT.items():
@@ -731,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="static analysis: CFG, dataflow, store classes, transfers",
     )
-    from repro.analysis.fixtures import FIXTURES
-
     an_p.add_argument("app", choices=ALL_APPS + tuple(sorted(FIXTURES)))
     flags(an_p, scale=None)
     an_p.add_argument("--json", action="store_true",

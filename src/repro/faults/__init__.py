@@ -10,13 +10,3 @@ silent prefetch dropping in the cache managers, the speculation gate)
 must degrade gracefully: every run under every fault plan produces output
 byte-identical to the fault-free run.
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import PROFILES, FaultPlan, profile
-
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "PROFILES",
-    "profile",
-]

@@ -146,18 +146,20 @@ def sweep_parallel_cells(
     apps: Iterable[str] = APPS,
     variants: Iterable[Variant] = tuple(Variant),
 ) -> List[CellSpec]:
-    """The independent cell specs of one sweep.
+    """The independent cell specs of one sweep, app-major.
 
     Each cell runs one (sweep point, app, variant) triple and is seeded
     independently, so any subset can be re-run and merged with previously
-    checkpointed cells without changing a single result.
+    checkpointed cells without changing a single result.  One app's cells
+    come together because they read one dataset, which a process then
+    generates once (:data:`repro.apps.datasets.LAST_DATASET`).
     """
-    apps, variants = tuple(apps), tuple(variants)
+    points, variants = _sweep_points(kind, points), tuple(variants)
     return [
         (sweep_cell_key(kind, point, app, variant), run_config_payload,
          (sweep_cell_config(kind, point, app, variant, workload_scale),))
-        for point in _sweep_points(kind, points)
         for app in apps
+        for point in points
         for variant in variants
     ]
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
-import multiprocessing
 import os
 import signal
 import sys
@@ -353,6 +352,7 @@ def _run_pool(
     only its own pipe, which the parent then closes.
     """
     # Imported here: the serial loop, which most runs take, never needs it.
+    import multiprocessing
     from multiprocessing.connection import wait
 
     # fork when available (cheap, inherits test-registered cell

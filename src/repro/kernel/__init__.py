@@ -5,10 +5,3 @@ prioritized preemptive kernel threads, the UNIX file system calls, TIP's
 hint ioctls, signal handling for the speculating thread, and page-residency
 accounting (Table 6's footprint / reclaims / faults).
 """
-
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import FdState, Process
-from repro.kernel.thread import Thread, ThreadState
-from repro.kernel.vmstat import PageAccounting
-
-__all__ = ["Kernel", "Process", "FdState", "Thread", "ThreadState", "PageAccounting"]

@@ -24,6 +24,7 @@ from repro.sim import metrics
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
+from repro.spechint.runtime import SpecProcessState
 from repro.storage.striping import StripedArray
 from repro.trace.tracer import (
     CAT_KERNEL,
@@ -128,8 +129,6 @@ class Kernel:
 
         spec_meta = getattr(binary, "spec_meta", None)
         if spec_meta is not None:
-            from repro.spechint.runtime import SpecProcessState
-
             spec_thread = process.add_spec_thread()
             process.spec = SpecProcessState(self, process, spec_thread, spec_meta)
             process.original_thread.pending_cost += self.config.cpu.spec_init_cycles

@@ -8,20 +8,6 @@ layer (:mod:`repro.registry.similarity`) and a regression detector
 (:mod:`repro.registry.regression`).
 
 This package never imports from :mod:`repro.harness` at module level:
-the harness runner imports :mod:`repro.registry.fingerprint` while the
-harness package is still initializing, so the registry must remain a
+the harness runner and cell engine import it, so the registry stays a
 dependency leaf.
 """
-
-from repro.registry.fingerprint import chaos_key, code_version, params_digest
-from repro.registry.record import REGISTRY_SCHEMA_VERSION, RunRecord
-from repro.registry.store import RunRegistry
-
-__all__ = [
-    "chaos_key",
-    "code_version",
-    "params_digest",
-    "REGISTRY_SCHEMA_VERSION",
-    "RunRecord",
-    "RunRegistry",
-]

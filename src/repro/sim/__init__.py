@@ -5,18 +5,3 @@ The whole reproduction runs on a single simulated clock measured in
 it executes instructions; the storage substrate schedules I/O completion
 events at absolute cycle times on the shared :class:`~repro.sim.engine.EventEngine`.
 """
-
-from repro.sim.clock import SimClock
-from repro.sim.engine import Event, EventEngine
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, Distribution, StatRegistry
-
-__all__ = [
-    "SimClock",
-    "Event",
-    "EventEngine",
-    "DeterministicRng",
-    "Counter",
-    "Distribution",
-    "StatRegistry",
-]

@@ -21,30 +21,3 @@ SpecVM substrate:
 * :mod:`repro.spechint.auditor` — the isolation auditor: write-containment
   guard, tamper-evident audit table and restart-boundary snapshots.
 """
-
-from repro.spechint.auditor import (
-    AuditRecord,
-    AuditTable,
-    IsolationAuditor,
-)
-from repro.spechint.cow import CowMap
-from repro.spechint.gate import SpeculationGate
-from repro.spechint.hintlog import HintLog, HintLogEntry
-from repro.spechint.report import TransformReport
-from repro.spechint.runtime import SpecProcessState
-from repro.spechint.tool import SpecHintTool, SpecMeta, SpeculatingBinary
-
-__all__ = [
-    "AuditRecord",
-    "AuditTable",
-    "IsolationAuditor",
-    "CowMap",
-    "HintLog",
-    "HintLogEntry",
-    "TransformReport",
-    "SpecProcessState",
-    "SpeculationGate",
-    "SpecHintTool",
-    "SpecMeta",
-    "SpeculatingBinary",
-]

@@ -7,9 +7,3 @@ paper uses for its Figure 6 simulation: delaying completion notification to
 simulate a widening processor/disk speed gap, and limiting outstanding
 prefetches per disk.
 """
-
-from repro.storage.disk import Disk
-from repro.storage.request import IOKind, IORequest
-from repro.storage.striping import StripedArray
-
-__all__ = ["Disk", "IOKind", "IORequest", "StripedArray"]

@@ -21,8 +21,3 @@ the block's distance down the hint queue relative to the prefetch horizon;
 the cost side protects hinted blocks near the horizon from eviction and
 prefers evicting unhinted LRU blocks or hinted blocks far in the future.
 """
-
-from repro.tip.accuracy import HintAccuracyTracker
-from repro.tip.manager import TipManager
-
-__all__ = ["HintAccuracyTracker", "TipManager"]

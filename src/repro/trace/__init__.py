@@ -11,48 +11,3 @@ Public surface:
   (median hint lead time, overlapped speculation, disk utilization);
 * :mod:`~repro.trace.export` — JSONL and Chrome ``trace_event`` writers.
 """
-
-from repro.trace.analyzer import TraceAnalyzer
-from repro.trace.export import chrome_trace, export_to_path, write_chrome_trace, write_jsonl
-from repro.trace.lifecycle import HintLifecycle, HintRecord
-from repro.trace.phases import StallBreakdown, stall_breakdown
-from repro.trace.tracer import (
-    ALL_CATEGORIES,
-    CAT_CACHE,
-    CAT_HINT,
-    CAT_KERNEL,
-    CAT_SCHED,
-    CAT_SPEC,
-    CAT_STORAGE,
-    CAT_TIP,
-    NULL_TRACER,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    parse_categories,
-)
-
-__all__ = [
-    "ALL_CATEGORIES",
-    "CAT_CACHE",
-    "CAT_HINT",
-    "CAT_KERNEL",
-    "CAT_SCHED",
-    "CAT_SPEC",
-    "CAT_STORAGE",
-    "CAT_TIP",
-    "HintLifecycle",
-    "HintRecord",
-    "NULL_TRACER",
-    "NullTracer",
-    "StallBreakdown",
-    "TraceAnalyzer",
-    "TraceEvent",
-    "Tracer",
-    "chrome_trace",
-    "export_to_path",
-    "parse_categories",
-    "stall_breakdown",
-    "write_chrome_trace",
-    "write_jsonl",
-]

@@ -18,10 +18,11 @@ Invariants (tested across every app and chaos profile):
   ``TIPIO_CANCEL_ALL`` drains the queue.
 
 The tracker never reads anything but the simulation clock: like the
-tracer it is purely observational and cannot perturb a run.  Detailed
-records are kept up to ``capacity`` (aggregates stay exact beyond it, so
-a pathological hint storm degrades the *top-hints* listing, never the
-accounting).
+tracer it is purely observational and cannot perturb a run.  Every open
+hint has a record, so its timestamps feed the aggregates however many
+hints came before it; only the first ``capacity`` records are *retained*
+once terminal, so a pathological hint storm degrades the *top-hints*
+listing, never the accounting.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class HintRecord:
 class HintLifecycle:
     """Tracks every hint from disclosure to its terminal state."""
 
-    #: Detailed records kept; aggregates remain exact beyond this.
+    #: Records retained for :meth:`records`; aggregates stay exact beyond.
     DEFAULT_CAPACITY = 1 << 17
 
     def __init__(
@@ -112,8 +113,11 @@ class HintLifecycle:
         #: When given, lead-time aggregates mirror into the stat registry.
         self.stats = stats
         self.capacity = capacity
+        #: The first ``capacity`` hints' records, open or terminal.
         self._records: Dict[int, HintRecord] = {}
-        #: Open (non-terminal) hint seqs per block key, disclosure order.
+        #: Every open (non-terminal) hint's record, whatever the capacity.
+        self._open: Dict[int, HintRecord] = {}
+        #: Open hint seqs per block key, disclosure order.
         self._open_by_key: Dict[BlockKey, List[int]] = {}
         #: Open hints per pid (exact even past capacity).
         self._open_by_pid: Dict[int, int] = {}
@@ -138,12 +142,14 @@ class HintLifecycle:
         self.disclosed_total += len(keys)
         self._open_by_pid[pid] = self._open_by_pid.get(pid, 0) + len(keys)
         records = self._records
+        open_records = self._open
         open_by_key = self._open_by_key
         tracer = self.tracer
         for key in keys:
+            record = open_records[seq] = HintRecord(seq, key, pid, now)
             if len(records) < self.capacity:
-                records[seq] = HintRecord(seq, key, pid, now)
-                open_by_key.setdefault(key, []).append(seq)
+                records[seq] = record
+            open_by_key.setdefault(key, []).append(seq)
             if tracer.enabled:
                 tracer.instant(CAT_HINT, "hint.disclosed", tid=TID_SYSTEM,
                                seq=seq, ino=key[0], block=key[1], pid=pid)
@@ -164,9 +170,10 @@ class HintLifecycle:
     def filled(self, key: BlockKey) -> None:
         """A fetch for ``key`` completed; the block is resident."""
         now = self.clock.now
+        open_records = self._open
         for seq in self._open_by_key.get(key, ()):
-            record = self._records.get(seq)
-            if record is not None and record.filled_ts is None:
+            record = open_records[seq]
+            if record.filled_ts is None:
                 record.filled_ts = now
 
     def prefetch_dropped(self, key: BlockKey) -> None:
@@ -182,10 +189,9 @@ class HintLifecycle:
                            ino=key[0], block=key[1])
 
     def _first_open(self, key: BlockKey, unissued: bool) -> Optional[HintRecord]:
+        open_records = self._open
         for seq in self._open_by_key.get(key, ()):
-            record = self._records.get(seq)
-            if record is None:
-                continue
+            record = open_records[seq]
             if unissued and record.issued_ts is not None:
                 continue
             return record
@@ -229,14 +235,15 @@ class HintLifecycle:
         open_count = self._open_by_pid.get(pid, 0)
         if open_count > 0:
             self._open_by_pid[pid] = open_count - 1
-        record = self._records.get(seq)
+        record = self._open.pop(seq, None)
         if record is None:
+            # Exactly-one-terminal-state invariant: a second terminal for
+            # the same seq is a lifecycle bug, not a counting detail.
+            assert seq not in self._records, (
+                f"hint seq {seq} reached {terminal} after "
+                f"{self._records[seq].terminal}"
+            )
             return None
-        # Exactly-one-terminal-state invariant: a second terminal for the
-        # same seq is a lifecycle bug, not a counting detail.
-        assert record.terminal is None, (
-            f"hint seq {seq} reached {terminal} after {record.terminal}"
-        )
         record.terminal = terminal
         record.terminal_ts = self.clock.now
         seqs = self._open_by_key.get(record.key)
@@ -261,7 +268,7 @@ class HintLifecycle:
         return self._open_by_pid.get(pid, 0)
 
     def records(self) -> List[HintRecord]:
-        """Detailed records, disclosure order (may be capped; see class doc)."""
+        """The first ``capacity`` hints' records, disclosure order."""
         return [self._records[seq] for seq in sorted(self._records)]
 
     def disclosed_keys(self) -> List[BlockKey]:

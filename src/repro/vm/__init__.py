@@ -9,24 +9,3 @@ applications) are written against :class:`~repro.vm.assembler.Assembler`
 and executed by :class:`~repro.vm.machine.Machine` with per-instruction
 cycle accounting on the shared simulation clock.
 """
-
-from repro.vm.assembler import Assembler
-from repro.vm.binary import Binary, Function, JumpTable
-from repro.vm.disasm import format_insn, listing
-from repro.vm.isa import Insn, Op, Reg
-from repro.vm.machine import Machine
-from repro.vm.memory import AddressSpace
-
-__all__ = [
-    "Assembler",
-    "Binary",
-    "Function",
-    "JumpTable",
-    "Insn",
-    "Op",
-    "Reg",
-    "Machine",
-    "AddressSpace",
-    "format_insn",
-    "listing",
-]

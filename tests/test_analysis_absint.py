@@ -1,9 +1,10 @@
 """Tests for the abstract-interpretation domain (intervals, pointers)."""
 
-from repro.analysis import ValueKind, analyze_function, build_cfg
 from repro.analysis.absint import (
     AbsState,
     TOP,
+    ValueKind,
+    analyze_function,
     const,
     eval_alu,
     interval,
@@ -15,6 +16,7 @@ from repro.analysis.absint import (
     step,
     widen,
 )
+from repro.analysis.cfg import build_cfg
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Insn, Op, Reg, SYS_EXIT, SYS_READ
 from repro.vm.memory import DATA_BASE

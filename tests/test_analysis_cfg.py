@@ -5,8 +5,13 @@ a branch sitting on the last instruction of a function, and a function
 whose last block can fall through into the next function.
 """
 
-from repro.analysis import build_cfg, build_cfgs
-from repro.analysis.cfg import falls_through, intra_successors, is_terminator
+from repro.analysis.cfg import (
+    build_cfg,
+    build_cfgs,
+    falls_through,
+    intra_successors,
+    is_terminator,
+)
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, Reg
 

@@ -1,7 +1,12 @@
 """Tests for the worklist dataflow engine (reaching defs, liveness)."""
 
-from repro.analysis import build_cfg, defs_uses, live_out, reaching_definitions
-from repro.analysis.dataflow import CALL_CLOBBERS
+from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import (
+    CALL_CLOBBERS,
+    defs_uses,
+    live_out,
+    reaching_definitions,
+)
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Insn, Op, Reg, SYS_EXIT
 

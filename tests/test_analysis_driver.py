@@ -6,14 +6,15 @@ import json
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.driver import (
+    CheckCosts,
     StoreClass,
     TransferKind,
     analyze_binary,
-    build_safe_fixture,
-    build_unsafe_fixture,
+    check_costs,
+    spec_roots,
 )
-from repro.analysis.driver import CheckCosts, check_costs, spec_roots
+from repro.analysis.fixtures import build_safe_fixture, build_unsafe_fixture
 from repro.apps import agrep as agrep_mod
 from repro.apps import gnuld as gnuld_mod
 from repro.apps import postgres as postgres_mod

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.analysis import analyze_binary
+from repro.analysis.driver import analyze_binary
 from repro.apps.agrep import ANALYSIS_EXPECTATIONS as AGREP_EXPECT
 from repro.apps.postgres import ANALYSIS_EXPECTATIONS as PG_EXPECT
 from repro.cli import main

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.analysis import analyze_binary, analyze_security
+from repro.analysis.driver import analyze_binary
 from repro.analysis.fixtures import (
     FIXTURES,
     LEAKY_FIXTURES,
@@ -25,6 +25,7 @@ from repro.analysis.fixtures import (
 from repro.analysis.taint import (
     EMPTY_TAINT,
     TaintState,
+    analyze_security,
     taint_join,
     taint_widen,
 )

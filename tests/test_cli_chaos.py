@@ -51,12 +51,12 @@ class TestChaosFlags:
 
 class TestErrorExit:
     def test_repro_error_exits_one_with_one_line(self, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.harness.runner as runner
 
         def boom(cfg):
             raise RetriesExhausted("demand read for lbn 5 failed after 12 attempts")
 
-        monkeypatch.setattr(cli, "run_experiment", boom)
+        monkeypatch.setattr(runner, "run_experiment", boom)
         assert main(["run", "agrep"]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1  # exactly one line
@@ -75,9 +75,10 @@ class TestErrorExit:
             "import sys; sys.argv = ['repro', 'run', 'agrep']\n"
             "from unittest import mock\n"
             "import repro.cli as cli\n"
+            "import repro.harness.runner as runner\n"
             "from repro.errors import DiskFaultError\n"
             "def boom(cfg): raise DiskFaultError('disk 0 gave up')\n"
-            "cli.run_experiment = boom\n"
+            "runner.run_experiment = boom\n"
             "sys.exit(cli.main(['run', 'agrep']))\n"
         )
         proc = subprocess.run(

@@ -19,10 +19,15 @@ import weakref
 
 import pytest
 
+from repro.apps import datasets
 from repro.apps.agrep import AgrepWorkload, build_agrep
 from repro.fs.filesystem import FileSystem
-from repro.harness.config import ExperimentConfig
-from repro.harness.experiments import run_config_payload, sweep_parallel_cells
+from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.experiments import (
+    run_config_payload,
+    run_sweep,
+    sweep_parallel_cells,
+)
 from repro.harness.parallel import run_cell, run_cells
 from repro.harness.runner import build_system
 from repro.vm.isa import SYS_OPEN, SYS_WRITE, Reg
@@ -173,6 +178,24 @@ class TestWarmProcess:
             "print(json.dumps(run_cells(cells).results, sort_keys=True))\n"
         ).strip()
         assert first == second == fresh
+
+    def test_a_sweep_generates_each_dataset_once_per_app(self, monkeypatch):
+        """Two apps x two points x two variants: two generations, one per
+        app, because a sweep runs one app's cells together."""
+        generated = []
+        real_get = datasets._LastDataset.get
+
+        def counting_get(slot, generate, *args):
+            if (generate, *args) != slot._key:
+                generated.append(generate.__name__)
+            return real_get(slot, generate, *args)
+
+        monkeypatch.setattr(datasets.LAST_DATASET, "_key", ())
+        monkeypatch.setattr(datasets._LastDataset, "get", counting_get)
+        run_sweep("cache", points=(6.0, 12.0), apps=("agrep", "gnuld"),
+                  variants=(Variant.ORIGINAL, Variant.MANUAL),
+                  workload_scale=SCALE)
+        assert generated == ["_agrep_files", "_gnuld_files"]
 
 
 class TestFreezeScope:

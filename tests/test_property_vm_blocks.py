@@ -318,7 +318,7 @@ def first_copy_program():
 def assert_same_events(program, steps):
     """Twin run under two tracers: same events, same timestamps."""
     from repro.sim.clock import SimClock
-    from repro.trace import Tracer
+    from repro.trace.tracer import Tracer
 
     tracers = (Tracer(SimClock()), Tracer(SimClock()))
     with mock.patch.object(machine_module, "HOT_ENTRIES", 0):

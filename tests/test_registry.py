@@ -602,7 +602,8 @@ class TestResultSchemaVersion:
 class TestHedgeCountersInTraceSummary:
     def test_summary_per_disk_io_includes_hedges_won(self):
         from repro.sim.clock import SimClock
-        from repro.trace import TraceAnalyzer, Tracer
+        from repro.trace.analyzer import TraceAnalyzer
+        from repro.trace.tracer import Tracer
 
         cfg = ExperimentConfig(app="agrep", workload_scale=SCALE,
                                variant=Variant.SPECULATING)

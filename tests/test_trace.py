@@ -25,20 +25,18 @@ from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.storage.striping import StripedArray
 from repro.tip.manager import TipManager
-from repro.trace import (
+from repro.trace.analyzer import TraceAnalyzer
+from repro.trace.export import chrome_trace, export_to_path
+from repro.trace.lifecycle import HintLifecycle
+from repro.trace.phases import StallBreakdown, stall_breakdown
+from repro.trace.tracer import (
     ALL_CATEGORIES,
     CAT_HINT,
     CAT_KERNEL,
     CAT_SPEC,
-    HintLifecycle,
     NULL_TRACER,
-    StallBreakdown,
-    TraceAnalyzer,
     Tracer,
-    chrome_trace,
-    export_to_path,
     parse_categories,
-    stall_breakdown,
 )
 
 SCALE = 0.3
@@ -210,6 +208,25 @@ class TestHintLifecycleUnit:
         for seq in range(5):
             cycle.consumed(seq, PID)
         assert cycle.open_total == 0 and cycle.open_for(PID) == 0
+
+    def test_lead_times_exact_past_detail_capacity(self):
+        """A hint past ``capacity`` still has its disclosure and fill
+        stamps: it counts in the lead times and the readiness tally."""
+        clock = SimClock()
+        stats = StatRegistry()
+        cycle = HintLifecycle(clock, stats=stats, capacity=2)
+        for seq in range(3):
+            cycle.disclosed(seq, [(1, seq)], PID)
+            cycle.filled((1, seq))
+        clock.advance(7)
+        for seq in range(3):
+            cycle.consumed(seq, PID)
+        assert cycle.lead_times.count == 3
+        assert cycle.ready_before_demand == 3
+        assert stats.distribution_or_none("tip.hint_lead_cycles").count == 3
+        assert stats.get("tip.hints_ready_before_demand") == 3
+        assert [record.seq for record in cycle.records()] == [0, 1]
+        assert cycle.disclosed_keys() == [(1, 0), (1, 1)]
 
     def test_stats_mirroring(self):
         clock = SimClock()
