@@ -8,6 +8,7 @@ here as a module that should not be loaded.
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -105,3 +106,19 @@ def test_runs_list_loads_no_simulator(tmp_path):
     )
     assert "repro.registry.store" in loaded
     assert simulator_modules(loaded) == []
+
+
+def test_every_module_imports_on_its_own():
+    """No package ``__init__`` imports its subtree, so an import cycle could
+    hide behind the order a test session happens to import in."""
+    import repro
+
+    failures = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # runs the CLI when imported
+        try:
+            loaded_after(f"import {info.name}")
+        except subprocess.CalledProcessError as error:
+            failures[info.name] = error.stderr.strip().splitlines()[-1]
+    assert failures == {}

@@ -26,12 +26,14 @@ from repro.errors import WorkerCrash
 from repro.faults.plan import PROFILES
 from repro.harness import parallel as engine
 from repro.harness.checkpoint import SweepCheckpoint, append_cell
-from repro.harness.experiments import sweep_parallel_cells
+from repro.harness.experiments import SWEEP_POINTS, sweep_parallel_cells
 from repro.harness.parallel import run_cells
 from repro.registry.store import read_journal
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
+#: Sweep cells come app-major; at one point the first six span two apps.
+FIRST_POINT = SWEEP_POINTS["cache"][:1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,8 @@ def _recorded_cells(path):
 
 class TestDeterminism:
     def test_parallel_sweep_cells_byte_identical_to_serial(self):
-        cells = sweep_parallel_cells("cache", workload_scale=0.2)[:6]
+        cells = sweep_parallel_cells(
+            "cache", workload_scale=0.2, points=FIRST_POINT)[:6]
         serial = run_cells(cells, jobs=1)
         parallel = run_cells(cells, jobs=2)
         assert canonical(serial.results) == canonical(parallel.results)
@@ -154,7 +157,8 @@ class TestDeterminism:
         assert canonical(serial.results) == canonical(parallel.results)
 
     def test_parallel_registry_byte_identical_to_serial(self, tmp_path):
-        cells = sweep_parallel_cells("cache", workload_scale=0.2)[:4]
+        cells = sweep_parallel_cells(
+            "cache", workload_scale=0.2, points=FIRST_POINT)[:4]
         serial_reg = str(tmp_path / "serial-registry.jsonl")
         parallel_reg = str(tmp_path / "parallel-registry.jsonl")
         meta = {"kind": "sweep-cell", "code_version": "repro-test"}
@@ -169,7 +173,8 @@ class TestDeterminism:
         assert serial_bytes == parallel_bytes
 
     def test_parallel_checkpoint_file_matches_serial(self, tmp_path):
-        cells = sweep_parallel_cells("cache", workload_scale=0.2)[:4]
+        cells = sweep_parallel_cells(
+            "cache", workload_scale=0.2, points=FIRST_POINT)[:4]
         serial_path = str(tmp_path / "serial.ckpt")
         parallel_path = str(tmp_path / "parallel.ckpt")
         run_cells(cells, jobs=1, checkpoint_path=serial_path,
@@ -191,7 +196,8 @@ class TestDeterminism:
         is the header plus one line per cell, and about as long as the
         compacted file (bytes written are O(result), not O(cells x result))."""
         monkeypatch.setattr(SweepCheckpoint, "compact", lambda self: None)
-        cells = sweep_parallel_cells("cache", workload_scale=0.2)[:6]
+        cells = sweep_parallel_cells(
+            "cache", workload_scale=0.2, points=FIRST_POINT)[:6]
         path = str(tmp_path / "sweep.ckpt")
         run_cells(cells, jobs=jobs, checkpoint_path=path, identity="once")
         with open(path, "rb") as handle:
