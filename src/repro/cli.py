@@ -12,7 +12,7 @@ Commands
 
 ``transform APP [--optimize]``
     Run the SpecHint tool over a benchmark binary and print the Table 3
-    statistics plus a disassembly excerpt around the shadow boundary.
+    statistics.
 
 ``analyze APP [--json] [--lint] [--security]``
     Run the static-analysis pipeline (CFG, dataflow, abstract
@@ -29,7 +29,7 @@ Commands
     regime (healthy vs. disk-death vs. rebuild-storm) instead.
 
 ``trace APP [--categories C,...] [--export {jsonl,chrome}] [--out PATH]
-[--summary] [--top-hints N]``
+[--summary]``
     Run one benchmark under the event tracer and export / summarize the
     trace: stall breakdown, hint lead times, prefetch readiness, per-disk
     utilization.  ``--export chrome`` writes a Chrome ``trace_event``
@@ -47,13 +47,11 @@ Commands
     Re-run one reproducer JSON (e.g. from ``tests/corpus/``) under the
     monitors; exits non-zero while the recorded violation still trips.
 
-``runs {list,show,diff,similar,lineage,gc,regressions} --registry PATH``
-    Query the persistent run registry: list and inspect recorded runs,
-    diff two runs, rank past runs by similarity, walk sweep/campaign
-    lineage, prune old populations, and flag performance regressions
-    against each run's matched baseline population (exit 1 on drift).
-    Recording happens via ``--registry PATH`` on ``run`` / ``compare`` /
-    ``sweep`` / ``trace`` / ``fuzz``.
+``runs {list,regressions} --registry PATH``
+    Query the persistent run registry: list the recorded runs, and flag
+    performance regressions against each run's matched baseline
+    population (exit 1 on drift).  Recording happens via ``--registry
+    PATH`` on ``run`` / ``compare`` / ``sweep`` / ``trace`` / ``fuzz``.
 
 ``paper``
     Print the paper's published reference numbers.
@@ -250,7 +248,6 @@ def _build_app_binary(app: str, scale: float) -> "object":
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from repro.spechint.tool import SpecHintTool
-    from repro.vm.disasm import listing
 
     binary = _build_app_binary(args.app, args.scale)
     transformed = SpecHintTool(optimize=args.optimize).transform(binary)
@@ -280,10 +277,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
               f"check cycles {report.check_cycles_baseline} -> "
               f"{report.check_cycles_emitted} "
               f"(-{report.check_cycles_saved_pct:.0f}%)")
-    if args.disasm:
-        boundary = transformed.spec_meta.shadow_base
-        lo = max(0, boundary - args.disasm // 2)
-        print("\n" + listing(transformed, lo, boundary + args.disasm // 2))
     return 0
 
 
@@ -398,13 +391,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
     result, system = run_experiment_with_system(cfg, tracer=tracer)
 
-    analyzer = TraceAnalyzer(
-        tracer,
-        lifecycle=system.manager.lifecycle,
-        breakdown=stall_breakdown(system.kernel),
-        result=result,
-    )
-
     out = args.out
     if out is None:
         suffix = "json" if args.export == "chrome" else "jsonl"
@@ -417,26 +403,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("  open in Perfetto: https://ui.perfetto.dev -> Open trace file")
 
     if args.summary:
+        analyzer = TraceAnalyzer(
+            tracer,
+            lifecycle=system.manager.lifecycle,
+            breakdown=stall_breakdown(system.kernel),
+            result=result,
+        )
         print()
         print(analyzer.render_summary())
 
-    if args.top_hints:
-        records = analyzer.top_hints(args.top_hints)
-        if records:
-            print(f"\ntop {len(records)} hints by lead time:")
-            print(f"  {'seq':>6} {'ino':>5} {'block':>7} {'lead cycles':>12} "
-                  f"{'ready':>6}")
-            for record in records:
-                print(f"  {record.seq:>6} {record.key[0]:>5} "
-                      f"{record.key[1]:>7} {record.lead_cycles:>12,} "
-                      f"{'yes' if record.ready_before_demand else 'no':>6}")
-        else:
-            print("\nno consumed hints recorded "
-                  "(original variant, or hint categories filtered out)")
-
     if args.registry is not None:
-        _record_run(args.registry, result,
-                    {"kind": "run", "trace_summary": analyzer.summary()})
+        _record_run(args.registry, result, {"kind": "run"})
     return 0
 
 
@@ -527,79 +504,6 @@ def _runs_list(args: argparse.Namespace, registry) -> int:
     return 0
 
 
-def _runs_show(args: argparse.Namespace, registry) -> int:
-    import json
-
-    record = registry.find(args.run)
-    print(json.dumps(record.to_jsonable(), indent=2, sort_keys=True))
-    return 0
-
-
-def _runs_diff(args: argparse.Namespace, registry) -> int:
-    left = registry.find(args.run_a)
-    right = registry.find(args.run_b)
-    print(f"diff {left.run_id} -> {right.run_id}")
-    for name in ("app", "variant", "kind", "chaos_profile", "params_digest",
-                 "seed", "code_version"):
-        a, b = getattr(left, name), getattr(right, name)
-        marker = " " if a == b else "*"
-        print(f"  {marker} {name:20s} {a!r:>24}  {b!r}")
-    lv, rv = left.metric_values(), right.metric_values()
-    if lv and rv:
-        for metric in sorted(lv):
-            a, b = lv[metric], rv[metric]
-            drift = f"{100.0 * (b - a) / a:+.1f}%" if a else "n/a"
-            print(f"    {metric:26s} {a:>14.1f}  {b:>14.1f}  {drift}")
-    return 0
-
-
-def _runs_similar(args: argparse.Namespace, registry) -> int:
-    from repro.registry.similarity import similar_runs
-
-    target = registry.find(args.run)
-    neighbors = similar_runs(registry, target, limit=args.limit)
-    if not neighbors:
-        print("no other runs in the registry to compare against")
-        return 0
-    print(f"runs most similar to {target.run_id}:")
-    for neighbor in neighbors:
-        print(f"  {neighbor.record.run_id}  score {neighbor.score:.3f}  "
-              f"({'; '.join(neighbor.why)})")
-    return 0
-
-
-def _runs_lineage(args: argparse.Namespace, registry) -> int:
-    view = registry.lineage(args.run)
-
-    def _line(node: dict, depth: int) -> None:
-        label = node.get("cell_key") or node["kind"]
-        prefix = "" if depth == 0 else "  " * depth + "`-> "
-        print(f"{prefix}{node['run_id']}  [{node['kind']}] {label}")
-
-    depth = 0
-    for ancestor in reversed(view["ancestors"]):
-        _line(ancestor, depth)
-        depth += 1
-
-    def _render(node: dict, depth: int) -> None:
-        _line(node, depth)
-        for child in node["children"]:
-            _render(child, depth + 1)
-
-    _render(view["tree"], depth)
-    return 0
-
-
-def _runs_gc(args: argparse.Namespace, registry) -> int:
-    pruned = registry.gc(keep=args.keep, dry_run=args.dry_run)
-    verb = "would prune" if args.dry_run else "pruned"
-    print(f"{verb} {len(pruned)} record(s) "
-          f"(keeping {args.keep} per population)")
-    for run_id in pruned:
-        print(f"  {run_id}")
-    return 0
-
-
 def _runs_regressions(args: argparse.Namespace, registry) -> int:
     from repro.registry.regression import check_all, parse_match_keys
 
@@ -622,11 +526,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
     handlers = {
         "list": _runs_list,
-        "show": _runs_show,
-        "diff": _runs_diff,
-        "similar": _runs_similar,
-        "lineage": _runs_lineage,
-        "gc": _runs_gc,
         "regressions": _runs_regressions,
     }
     return handlers[args.runs_command](args, RunRegistry.open(args.registry))
@@ -668,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         "variant": dict(default="speculating",
                         choices=[v.value for v in Variant]),
     }
-    run_id = dict(help="run id (unique prefix ok)")
 
     def flags(p: argparse.ArgumentParser, **own: object) -> None:
         for name, keywords in own.items():
@@ -726,8 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags(tr_p, scale=None)
     tr_p.add_argument("--optimize", action="store_true",
                       help="apply the static-analysis elision plan")
-    tr_p.add_argument("--disasm", type=int, default=0, metavar="N",
-                      help="print N listing lines around the shadow boundary")
     tr_p.set_defaults(func=cmd_transform)
 
     an_p = sub.add_parser(
@@ -762,8 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
                "instead of re-running them",
         jobs="shard sweep cells across N worker processes (a "
              "dead worker's cell is re-run); 1 = serial",
-        registry="record every sweep cell (plus a sweep lineage "
-                 "record) in the run registry at PATH",
+        registry="record every sweep cell in the run registry at PATH",
     )
     sw_p.set_defaults(func=cmd_sweep)
 
@@ -787,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--summary", action="store_true",
                          help="print the stall breakdown, hint lead times, "
                               "prefetch readiness and disk utilization")
-    trace_p.add_argument("--top-hints", type=int, default=0, metavar="N",
-                         dest="top_hints",
-                         help="list the N consumed hints with the longest "
-                              "lead times")
     trace_p.set_defaults(func=cmd_trace)
 
     fuzz_p = sub.add_parser(
@@ -822,8 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
         fuzz_p,
         checkpoint="checkpoint finished cells to PATH",
         resume="restore completed cells from --checkpoint",
-        registry="record every fuzz case (plus a campaign "
-                 "lineage record) in the run registry at PATH",
+        registry="record every fuzz case in the run registry at PATH",
     )
     fuzz_p.set_defaults(func=cmd_fuzz, fuzz_command=None)
     fuzz_sub = fuzz_p.add_subparsers(dest="fuzz_command")
@@ -846,40 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_p = runs_sub.add_parser("list", help="list recorded runs")
     runs_common(list_p)
-
-    show_p = runs_sub.add_parser("show", help="dump one record as JSON")
-    runs_common(show_p)
-    show_p.add_argument("run", **run_id)
-
-    diff_p = runs_sub.add_parser(
-        "diff", help="compare identity and metrics of two runs"
-    )
-    runs_common(diff_p)
-    diff_p.add_argument("run_a", **run_id)
-    diff_p.add_argument("run_b", **run_id)
-
-    sim_p = runs_sub.add_parser(
-        "similar", help="nearest past runs by config + stall profile"
-    )
-    runs_common(sim_p)
-    sim_p.add_argument("run", **run_id)
-    sim_p.add_argument("--limit", type=int, default=5, metavar="N")
-
-    lin_p = runs_sub.add_parser(
-        "lineage", help="show a record's ancestors and descendants"
-    )
-    runs_common(lin_p)
-    lin_p.add_argument("run", **run_id)
-
-    gc_p = runs_sub.add_parser(
-        "gc", help="prune old runs, keeping N per baseline population"
-    )
-    runs_common(gc_p)
-    gc_p.add_argument("--keep", type=int, default=20, metavar="N",
-                      help="records to keep per (app, variant, kind, chaos, "
-                           "params) population")
-    gc_p.add_argument("--dry-run", action="store_true", dest="dry_run",
-                      help="report what would be pruned without writing")
 
     reg_p = runs_sub.add_parser(
         "regressions",
@@ -912,7 +768,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # Downstream closed the pipe (`repro runs show ... | head`).
+        # Downstream closed the pipe (`repro runs list ... | head`).
         # Point stdout at devnull so interpreter shutdown does not try
         # to flush the dead pipe and print its own noise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -252,15 +252,6 @@ class RegistryError(ReproError):
     """
 
 
-class UnknownRunError(RegistryError):
-    """A registry query named a run id (or prefix) that matches no record.
-
-    Also raised for ambiguous prefixes: ``repro runs show`` accepts any
-    unique prefix of a content-addressed run id, and a prefix matching
-    two records is an error, never a silent first-match.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Tracing / observability
 # ---------------------------------------------------------------------------

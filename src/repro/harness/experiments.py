@@ -11,7 +11,6 @@ from repro.harness.parallel import CellSpec, Payload, run_cells
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
 from repro.params import SystemConfig
-from repro.registry.recorder import record_group
 
 #: Result matrix: {app: {variant_value: RunResult}}.
 Matrix = Dict[str, Dict[str, RunResult]]
@@ -198,34 +197,20 @@ def run_sweep(
     SIGKILL of this process is resumable.  ``stats_out`` (if given) is
     filled with the engine's counters.
 
-    With ``registry_path`` set, a ``sweep`` group record is written to
-    the persistent run registry and every cell is recorded as a
-    ``sweep-cell`` child of it (lineage for ``repro runs lineage``).
+    With ``registry_path`` set, every cell is recorded in the persistent
+    run registry as a ``sweep-cell`` record.
     """
     points = _sweep_points(kind, points)
     apps, variants = tuple(apps), tuple(variants)
-    identity = f"sweep:{kind}:scale={workload_scale:g}"
-    registry_meta: Optional[Dict[str, object]] = None
-    if registry_path is not None:
-        registry_meta = record_group(
-            registry_path, "sweep",
-            {
-                "identity": identity,
-                "sweep_kind": kind,
-                "workload_scale": workload_scale,
-                "points": [point_label(p) for p in points],
-            },
-            cell_kind="sweep-cell",
-        )
     outcome = run_cells(
         sweep_parallel_cells(kind, workload_scale, points, apps, variants),
         jobs=jobs,
         checkpoint_path=checkpoint_path,
-        identity=identity,
+        identity=f"sweep:{kind}:scale={workload_scale:g}",
         resume=resume,
         progress=progress,
         registry_path=registry_path,
-        registry_meta=registry_meta,
+        registry_meta={"kind": "sweep-cell"},
     )
     if stats_out is not None:
         stats_out.update(outcome.stats.to_jsonable())

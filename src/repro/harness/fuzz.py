@@ -69,7 +69,6 @@ from repro.harness.runner import (
 )
 from repro.params import SystemConfig
 from repro.registry.fingerprint import params_digest
-from repro.registry.recorder import record_group
 from repro.sim.clock import SimClock
 from repro.trace.export import export_to_path
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -163,7 +162,7 @@ class FuzzCellResult:
     seed: int = 0
     #: The result record of each variant that completed.  Serialized only
     #: on request: the oracle's report rows and ``oracle-variant`` registry
-    #: children consume them; a fuzz campaign keeps its payload small.
+    #: records consume them; a fuzz campaign keeps its payload small.
     results: Dict[str, RunResult] = field(default_factory=dict)
 
     @property
@@ -381,9 +380,8 @@ def run_fuzz(
     coverage ledger, every cell digest, and the campaign digest are
     identical whether cells ran serially or sharded across workers.
 
-    With ``registry_path`` set, a ``fuzz-campaign`` group record plus a
-    ``fuzz-case`` record per cell (carrying its invariant-monitor
-    verdicts) land in the persistent run registry.
+    With ``registry_path`` set, a ``fuzz-case`` record per cell (carrying
+    its invariant-monitor verdicts) lands in the persistent run registry.
     """
     for app in apps:
         if app not in ALL_APPS:
@@ -395,15 +393,6 @@ def run_fuzz(
     ledger = CoverageLedger()
     for case in cases:
         ledger.note(case)
-
-    registry_meta: Optional[Dict[str, object]] = None
-    if registry_path is not None:
-        registry_meta = record_group(registry_path, "fuzz-campaign", {
-            "budget": budget,
-            "fuzz_seed": seed,
-            "apps": list(apps),
-            "workload_scale": workload_scale,
-        })
 
     cells = [
         (case.key, run_fuzz_cell_payload,
@@ -418,7 +407,7 @@ def run_fuzz(
         cells, jobs=jobs, checkpoint_path=checkpoint_path,
         identity=identity, resume=resume, progress=progress,
         on_event=on_event,
-        registry_path=registry_path, registry_meta=registry_meta,
+        registry_path=registry_path, registry_meta={"kind": "fuzz-case"},
     )
 
     return FuzzReport(

@@ -34,7 +34,6 @@ from repro.harness.fuzz import (
 from repro.harness.parallel import run_cells
 from repro.harness.results import RunResult
 from repro.params import SystemConfig
-from repro.registry.recorder import record_group
 
 #: Chaos profiles the full oracle sweeps (None = fault-free baseline).
 ORACLE_PROFILES: Tuple[Optional[str], ...] = (None,) + tuple(
@@ -169,19 +168,10 @@ def run_oracle(
     on the worker pool with ``jobs > 1``.  Each cell is the same two
     same-seed runs either way, so the reports are identical.
 
-    With ``registry_path`` set, an ``oracle`` group record plus one
-    ``oracle-cell`` record per cell (with its two ``oracle-variant``
-    children) land in the persistent run registry, identically for
-    serial and parallel runs.
+    With ``registry_path`` set, one ``oracle-cell`` record per cell plus
+    one ``oracle-variant`` record per variant run land in the persistent
+    run registry, identically for serial and parallel runs.
     """
-    registry_meta: Optional[Dict[str, object]] = None
-    if registry_path is not None:
-        registry_meta = record_group(registry_path, "oracle", {
-            "apps": list(apps),
-            "profiles": [p or "fault-free" for p in profiles],
-            "workload_scale": workload_scale,
-            "fault_seed": fault_seed,
-        }, cell_kind="oracle-cell")
     grid = [(f"oracle/{app}/{name or 'fault-free'}",
              oracle_case(app, name, fault_seed))
             for app in apps for name in profiles]
@@ -191,7 +181,7 @@ def run_oracle(
            trace_dir, True))  # True: the payload carries both RunResults
          for key, case in grid],
         jobs=jobs, identity="oracle",
-        registry_path=registry_path, registry_meta=registry_meta,
+        registry_path=registry_path, registry_meta={"kind": "oracle-cell"},
     )
 
     report = OracleReport()

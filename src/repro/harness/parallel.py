@@ -186,10 +186,11 @@ def run_cells(
     With ``registry_path`` set, every cell payload (fresh and restored
     alike — recording is idempotent, content-addressed) lands in the
     persistent run registry under the ``registry_meta`` record context
-    (kind, parent run id), and the registry is compacted to its canonical
-    byte form — so a serial run and a ``--jobs N`` run of the same cells
-    produce byte-identical registries.  A failing registry update is
-    reported through ``on_event``; results and checkpoint are unaffected.
+    (the record kind, e.g. ``{"kind": "sweep-cell"}``), and the registry
+    is compacted to its canonical byte form — so a serial run and a
+    ``--jobs N`` run of the same cells produce byte-identical registries.
+    A failing registry update is reported through ``on_event``; results
+    and checkpoint are unaffected.
     """
     if on_event is None:
         def on_event(message: str) -> None:

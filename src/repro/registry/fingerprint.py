@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 #: Bump when registry key derivation (not record schema) changes meaning.
 #: Folded into ``code_version`` so ledgers written by incompatible key
@@ -99,24 +99,3 @@ def chaos_key(fault_profile: Optional[str]) -> str:
     if fault_profile is None or fault_profile == "none":
         return "none"
     return fault_profile
-
-
-def feature_vector(result_payload: Mapping[str, object]) -> Tuple[float, ...]:
-    """Stall-breakdown feature vector for run similarity.
-
-    Normalized phase fractions plus the two hint-quality ratios, so runs
-    of different workload scales still compare by *shape*.  Zeros when a
-    payload predates the stall breakdown.
-    """
-    breakdown = result_payload.get("stall_breakdown") or {}
-    phases = ("compute", "checks", "demand_stall", "other")
-    values = [float(breakdown.get(name, 0.0) or 0.0) for name in phases]  # type: ignore[union-attr]
-    total = sum(values)
-    fractions = [v / total if total > 0 else 0.0 for v in values]
-    lifecycle = result_payload.get("hint_lifecycle") or {}
-    disclosed = float(lifecycle.get("disclosed", 0) or 0)  # type: ignore[union-attr]
-    wasted = float(lifecycle.get("wasted", 0) or 0)  # type: ignore[union-attr]
-    ready_pct = float(result_payload.get("pct_prefetches_before_demand", 0.0) or 0.0)
-    fractions.append(wasted / disclosed if disclosed > 0 else 0.0)
-    fractions.append(ready_pct / 100.0)
-    return tuple(fractions)

@@ -16,7 +16,7 @@ A :class:`RunRecord` is the unit the registry stores.  Its identity — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import RegistryError
 from repro.registry.fingerprint import digest_of
@@ -26,14 +26,14 @@ from repro.sim import metrics
 #: schema, which carries its own ``schema_version``).  Any change to the
 #: record's fields bumps it: the run id hashes every field, so a line
 #: written under another field set would otherwise fail its content check
-#: and read as tampered.  Version 2 dropped the ``tuning`` field.
-REGISTRY_SCHEMA_VERSION = 2
+#: and read as tampered.  Version 2 dropped the ``tuning`` field;
+#: version 3 dropped ``parent_id``, ``trace_summary`` and ``meta``.
+REGISTRY_SCHEMA_VERSION = 3
 
-#: Record kinds.  Leaf kinds carry a result payload; group kinds are
-#: lineage parents (a sweep, an oracle matrix, a fuzz campaign).
-LEAF_KINDS = ("run", "sweep-cell", "oracle-variant", "fuzz-case")
-GROUP_KINDS = ("sweep", "oracle", "oracle-cell", "fuzz-campaign")
-KINDS = LEAF_KINDS + GROUP_KINDS
+#: Record kinds.  Every record carries a result payload: a RunResult
+#: (``run``, ``sweep-cell``, ``oracle-variant``) or a differential cell
+#: (``oracle-cell``, ``fuzz-case``).
+KINDS = ("run", "sweep-cell", "oracle-cell", "oracle-variant", "fuzz-case")
 
 #: Length of a full run id (hex chars of truncated SHA-256).
 RUN_ID_LENGTH = 24
@@ -56,14 +56,10 @@ class RunRecord:
     seed: int = 0
     chaos_profile: str = "none"
     code_version: str = ""
-    parent_id: Optional[str] = None
     #: Harness cell key (checkpoint key) for cells; None for plain runs.
     cell_key: Optional[str] = None
     result: Optional[Dict[str, object]] = None
-    trace_summary: Optional[Dict[str, object]] = None
     verdicts: List[Dict[str, object]] = field(default_factory=list)
-    #: Free-form extras (sweep grids, campaign budgets, identities).
-    meta: Dict[str, object] = field(default_factory=dict)
     run_id: str = ""
 
     def __post_init__(self) -> None:
@@ -123,7 +119,7 @@ class RunRecord:
     # -- derived metrics ---------------------------------------------------
 
     def metric_values(self) -> Optional[Dict[str, float]]:
-        """The regression-detector metrics, or None for group records.
+        """The regression-detector metrics, or None for differential cells.
 
         ``elapsed_cycles`` uses the workload-completion mark when a
         rebuild drain outlived the workload (so chaos runs compare
@@ -152,14 +148,3 @@ class RunRecord:
             "hint_lead_median": float(payload.get("hint_lead_median", 0.0) or 0.0),
             "wasted_prefetch_fraction": wasted / disclosed if disclosed > 0 else 0.0,
         }
-
-
-def group_key(record: RunRecord) -> Tuple[str, str, str, str, str]:
-    """The default population key: runs that are fair to compare."""
-    return (
-        record.app,
-        record.variant,
-        record.kind,
-        record.chaos_profile,
-        record.params_digest,
-    )

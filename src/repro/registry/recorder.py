@@ -7,20 +7,22 @@ shape onto :class:`~repro.registry.record.RunRecord` values, and the one
 place that writes them: the cell engine feeds it the finished outcome
 (:func:`record_results`) whether the cells ran in-process or on
 ``--jobs N`` workers, which is what makes a serial registry and a
-parallel registry byte-identical.
+parallel registry byte-identical.  The caller's record context names
+the kind of record a cell becomes (``{"kind": "sweep-cell"}``); records
+are flat, with no parent or group record above them.
 
 Classification is structural, mirroring how the checkpoints store the
 same payloads without a type tag:
 
 * ``{"case": ..., "violations": ...}`` — a differential cell (a fuzz
-  case, or an oracle cell carrying its variants' RunResult sub-payloads
-  under ``results``);
+  case, or an oracle cell whose variants' RunResult sub-payloads under
+  ``results`` become ``oracle-variant`` records of their own);
 * ``{"app": ..., "cycles": ...}`` — a plain RunResult.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.errors import RegistryError
 from repro.registry.fingerprint import chaos_key, code_version, plan_key
@@ -39,13 +41,8 @@ def _ctx_value(ctx: Optional[Mapping[str, object]], key: str, default: object):
     return ctx.get(key, default)
 
 
-def _base_kwargs(ctx: Optional[Mapping[str, object]]) -> Dict[str, object]:
-    return {
-        "code_version": str(
-            _ctx_value(ctx, "code_version", None) or code_version()
-        ),
-        "parent_id": _ctx_value(ctx, "parent_id", None),
-    }
+def _code_version(ctx: Optional[Mapping[str, object]]) -> str:
+    return str(_ctx_value(ctx, "code_version", None) or code_version())
 
 
 def _run_record(
@@ -59,9 +56,8 @@ def _run_record(
         seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
         chaos_profile=chaos_key(payload.get("fault_profile")),  # type: ignore[arg-type]
         cell_key=key,
+        code_version=_code_version(ctx),
         result=dict(payload),
-        trace_summary=_ctx_value(ctx, "trace_summary", None),  # type: ignore[arg-type]
-        **_base_kwargs(ctx),  # type: ignore[arg-type]
     )
 
 
@@ -81,7 +77,7 @@ def _differential_records(
         chaos = plan_key(plan)
     else:
         # An oracle cell's plan is a built-in profile: it keys by name,
-        # like the variant runs below it.
+        # like the records of its variant runs.
         chaos = chaos_key(plan.get("name"))  # type: ignore[arg-type]
     variants = payload.get("results") or {}
     cell = RunRecord(
@@ -92,25 +88,19 @@ def _differential_records(
         seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
         chaos_profile=chaos,
         cell_key=key,
-        # Variant sub-payloads live in the child records.
+        # Variant sub-payloads live in their own oracle-variant records.
         result={
             name: value for name, value in payload.items()
             if name != "results"
         },
+        code_version=_code_version(ctx),
         verdicts=list(payload.get("violations") or []),  # type: ignore[arg-type]
-        **_base_kwargs(ctx),  # type: ignore[arg-type]
     )
-    records = [cell]
-    for name, sub in sorted(variants.items()):  # type: ignore[union-attr]
-        child_ctx = {
-            "kind": "oracle-variant",
-            "parent_id": cell.run_id,
-            "code_version": cell.code_version,
-        }
-        records.append(_run_record(
-            f"{key}/{name}" if key else name, sub, child_ctx
-        ))
-    return records
+    variant_ctx = {"kind": "oracle-variant", "code_version": cell.code_version}
+    return [cell] + [
+        _run_record(f"{key}/{name}" if key else name, sub, variant_ctx)
+        for name, sub in sorted(variants.items())  # type: ignore[union-attr]
+    ]
 
 
 def records_for_payload(
@@ -164,28 +154,3 @@ def record_results(
         ids += record_payload(registry, key, results[key], ctx, durable=False)
     registry.compact()
     return ids
-
-
-def record_group(
-    registry_path: str,
-    kind: str,
-    meta: Dict[str, object],
-    cell_kind: Optional[str] = None,
-) -> Dict[str, object]:
-    """Write a group record; returns the record context of its cells.
-
-    The group record (a sweep, an oracle matrix, a fuzz campaign) is a
-    pure function of ``kind`` and ``meta`` (no results, no clock), so
-    serial and parallel runs — and re-runs — all produce the same parent
-    run id and deduplicate onto one ledger line.
-    """
-    version = code_version()
-    registry = RunRegistry.open(registry_path)
-    parent_id = registry.record(
-        RunRecord(kind=kind, code_version=version, meta=meta)
-    )
-    registry.compact()
-    ctx: Dict[str, object] = {"parent_id": parent_id, "code_version": version}
-    if cell_kind is not None:
-        ctx["kind"] = cell_kind
-    return ctx

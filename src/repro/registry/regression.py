@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RegistryError
-from repro.registry.record import LEAF_KINDS, RunRecord
+from repro.registry.record import RunRecord
 from repro.registry.store import RunRegistry
 
 #: Identity columns a baseline may be matched on.
@@ -121,6 +121,14 @@ def parse_match_keys(spec: Optional[str]) -> Tuple[str, ...]:
     return keys
 
 
+def _require_min_baseline(min_baseline: int) -> None:
+    # A baseline mean needs at least one sample to divide by.
+    if min_baseline < 1:
+        raise RegistryError(
+            f"min_baseline must be at least 1, got {min_baseline}"
+        )
+
+
 def _matches(candidate: RunRecord, other: RunRecord, keys: Sequence[str]) -> bool:
     return all(
         getattr(candidate, _KEY_ATTR[key]) == getattr(other, _KEY_ATTR[key])
@@ -134,7 +142,7 @@ def baseline_population(
     match_keys: Sequence[str] = MATCH_KEYS,
     records: Optional[Sequence[RunRecord]] = None,
 ) -> List[RunRecord]:
-    """Past leaf runs the candidate is fairly compared against.
+    """Past runs the candidate is fairly compared against.
 
     ``records`` lets a caller checking many candidates deserialize the
     registry once instead of once per candidate.
@@ -145,7 +153,6 @@ def baseline_population(
         record
         for record in records
         if record.run_id != candidate.run_id
-        and record.kind in LEAF_KINDS
         and record.metric_values() is not None
         and _matches(candidate, record, match_keys)
     ]
@@ -159,6 +166,7 @@ def check_run(
     records: Optional[Sequence[RunRecord]] = None,
 ) -> RegressionReport:
     """Judge one run against its matched baseline population."""
+    _require_min_baseline(min_baseline)
     report = RegressionReport()
     values = candidate.metric_values()
     if values is None:
@@ -200,11 +208,16 @@ def check_all(
     match_keys: Sequence[str] = MATCH_KEYS,
     min_baseline: int = DEFAULT_MIN_BASELINE,
 ) -> RegressionReport:
-    """Judge every leaf run in the registry against its own baseline."""
+    """Judge every run in the registry against its own baseline.
+
+    Differential records (fuzz and oracle cells) carry no scalar metrics
+    and are neither judged nor pooled.
+    """
+    _require_min_baseline(min_baseline)
     report = RegressionReport()
     records = registry.records()
     for record in records:
-        if record.kind not in LEAF_KINDS or record.metric_values() is None:
+        if record.metric_values() is None:
             continue
         single = check_run(registry, record, match_keys, min_baseline,
                            records=records)

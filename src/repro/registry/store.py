@@ -25,11 +25,11 @@ import fcntl
 import json
 import os
 import tempfile
-from typing import BinaryIO, Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional
 
-from repro.errors import RegistryError, UnknownRunError
+from repro.errors import RegistryError
 from repro.registry.fingerprint import canonical_json
-from repro.registry.record import GROUP_KINDS, RunRecord, group_key
+from repro.registry.record import RunRecord
 
 #: Header of a SQLite file: an old ``.db`` registry is rejected, not misread.
 _SQLITE_MAGIC = b"SQLite format 3"
@@ -178,8 +178,9 @@ class JsonlStore:
         With ``durable=False`` the record lands in memory only and is
         persisted by the next :meth:`compact` (one atomic rename instead
         of one fsync per record) — the bulk path for recording a finished
-        sweep, whose payloads already survive in the checkpoint, and for
-        cells a ``--jobs N`` worker has already appended itself.
+        sweep into the registry (its payloads already survive in the
+        checkpoint), and for a checkpoint cell that a ``--jobs N`` worker
+        has already appended to the one shared checkpoint journal.
         """
         self._records[str(data[self.key])] = data
         if durable:
@@ -194,13 +195,6 @@ class JsonlStore:
     def all(self) -> List[Dict[str, object]]:
         return [self._records[key] for key in self.ids()]
 
-    def delete(self, key: str) -> bool:
-        if key not in self._records:
-            return False
-        del self._records[key]
-        self.compact()
-        return True
-
     def compact(self) -> None:
         """Rewrite the journal as one canonical line per record, sorted.
 
@@ -213,7 +207,7 @@ class JsonlStore:
 
 
 class RunRegistry:
-    """Facade over a store: typed records, queries, lineage, gc."""
+    """Typed facade over a run-id-keyed store: records in, records out."""
 
     def __init__(self, store: JsonlStore) -> None:
         self.store = store
@@ -221,10 +215,6 @@ class RunRegistry:
     @classmethod
     def open(cls, path: str) -> "RunRegistry":
         return cls(JsonlStore(path))
-
-    @property
-    def path(self) -> str:
-        return self.store.path
 
     # -- writing -----------------------------------------------------------
 
@@ -242,115 +232,5 @@ class RunRegistry:
 
     # -- reading -----------------------------------------------------------
 
-    def get(self, run_id: str) -> RunRecord:
-        data = self.store.get(run_id)
-        if data is None:
-            raise UnknownRunError(f"no registry record with run id {run_id!r}")
-        return RunRecord.from_jsonable(data)
-
-    def find(self, prefix: str) -> RunRecord:
-        """Resolve a unique run-id prefix; ambiguity is an error."""
-        matches = [run_id for run_id in self.store.ids() if run_id.startswith(prefix)]
-        if not matches:
-            raise UnknownRunError(
-                f"no registry record matches run id prefix {prefix!r}"
-            )
-        if len(matches) > 1:
-            shown = ", ".join(matches[:4])
-            raise UnknownRunError(
-                f"run id prefix {prefix!r} is ambiguous ({len(matches)} "
-                f"matches: {shown}{'...' if len(matches) > 4 else ''})"
-            )
-        return self.get(matches[0])
-
     def records(self) -> List[RunRecord]:
         return [RunRecord.from_jsonable(data) for data in self.store.all()]
-
-    # -- lineage -----------------------------------------------------------
-
-    def children(self, run_id: str) -> List[RunRecord]:
-        return [record for record in self.records()
-                if record.parent_id == run_id]
-
-    def ancestors(self, run_id: str) -> List[RunRecord]:
-        """Parent chain, nearest first; tolerates a pruned parent."""
-        chain: List[RunRecord] = []
-        seen = {run_id}
-        current = self.get(run_id)
-        while current.parent_id and current.parent_id not in seen:
-            data = self.store.get(current.parent_id)
-            if data is None:
-                break
-            current = RunRecord.from_jsonable(data)
-            seen.add(current.run_id)
-            chain.append(current)
-        return chain
-
-    def lineage(self, run_id: str) -> Dict[str, object]:
-        """Jsonable lineage view: ancestors, the run, its descendants."""
-        record = self.find(run_id)
-
-        def _tree(node: RunRecord) -> Dict[str, object]:
-            return {
-                "run_id": node.run_id,
-                "kind": node.kind,
-                "app": node.app,
-                "variant": node.variant,
-                "cell_key": node.cell_key,
-                "children": [_tree(child) for child in self.children(node.run_id)],
-            }
-
-        return {
-            "run_id": record.run_id,
-            "ancestors": [
-                {"run_id": a.run_id, "kind": a.kind, "cell_key": a.cell_key}
-                for a in self.ancestors(record.run_id)
-            ],
-            "tree": _tree(record),
-        }
-
-    # -- garbage collection ------------------------------------------------
-
-    def gc(self, keep: int, dry_run: bool = False) -> List[str]:
-        """Prune leaf records beyond ``keep`` per population group.
-
-        Within each :func:`group_key` population the ``keep``
-        lexicographically-greatest run ids survive (content-addressed ids
-        carry no time order, so any deterministic rule is as good as
-        another).  Descendants of pruned records and group records left
-        with no children are pruned too.  Returns the pruned ids, sorted.
-        """
-        if keep < 1:
-            raise RegistryError(f"gc keep must be >= 1, got {keep}")
-        records = self.records()
-        by_group: Dict[Tuple[str, str, str, str, str], List[RunRecord]] = {}
-        for record in records:
-            if record.kind in GROUP_KINDS:
-                continue
-            by_group.setdefault(group_key(record), []).append(record)
-        doomed = set()
-        for members in by_group.values():
-            members.sort(key=lambda r: r.run_id, reverse=True)
-            doomed.update(r.run_id for r in members[keep:])
-        # Cascade: descendants of pruned records go too.
-        parent_of = {r.run_id: r.parent_id for r in records}
-        changed = True
-        while changed:
-            changed = False
-            for run_id, parent in parent_of.items():
-                if run_id not in doomed and parent in doomed:
-                    doomed.add(run_id)
-                    changed = True
-        # Group records whose every child was pruned follow their children.
-        for record in records:
-            if record.kind not in GROUP_KINDS or record.run_id in doomed:
-                continue
-            child_ids = [r.run_id for r in records if r.parent_id == record.run_id]
-            if child_ids and all(c in doomed for c in child_ids):
-                doomed.add(record.run_id)
-        pruned = sorted(doomed)
-        if not dry_run:
-            for run_id in pruned:
-                self.store.delete(run_id)
-            self.compact()
-        return pruned

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.trace.lifecycle import HintLifecycle, HintRecord
+from repro.trace.lifecycle import HintLifecycle
 from repro.trace.phases import StallBreakdown
 from repro.trace.tracer import (
     CAT_KERNEL,
@@ -159,14 +159,6 @@ class TraceAnalyzer:
         if self.lifecycle is None:
             return 0.0
         return self.lifecycle.pct_ready_before_demand
-
-    def top_hints(self, n: int = 10) -> List[HintRecord]:
-        """The ``n`` consumed hints with the longest lead times."""
-        if self.lifecycle is None:
-            return []
-        consumed = [r for r in self.lifecycle.records() if r.terminal == "consumed"]
-        consumed.sort(key=lambda r: (-r.lead_cycles, r.seq))
-        return consumed[:n]
 
     # -- summary -------------------------------------------------------------
 

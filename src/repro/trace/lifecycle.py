@@ -21,8 +21,8 @@ The tracker never reads anything but the simulation clock: like the
 tracer it is purely observational and cannot perturb a run.  Every open
 hint has a record, so its timestamps feed the aggregates however many
 hints came before it; only the first ``capacity`` records are *retained*
-once terminal, so a pathological hint storm degrades the *top-hints*
-listing, never the accounting.
+once terminal, so a pathological hint storm thins the retained
+per-hint records (:meth:`HintLifecycle.records`), never the accounting.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Disassembler for SpecVM binaries.
+"""Assembly-like text for SpecVM instructions.
 
-Produces readable listings of original and transformed binaries — the
-practical way to inspect what the SpecHint tool did to a program (which
-loads were wrapped, which calls were stripped, where the shadow text
-begins).  Used by the CLI's ``disasm`` command and by tests.
+:func:`format_insn` renders one instruction, resolving branch, call and
+jump-table targets to function names when given the binary.  The
+static-analysis reports use it for their per-function listings and lint
+witnesses.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.vm.binary import Binary
 from repro.vm.isa import Insn, Op, Reg, SYSCALL_NAMES
@@ -84,29 +84,3 @@ def _label(target: int, binary: Optional[Binary]) -> str:
         if func is not None:
             return func.name
     return f"@{target}"
-
-
-def disassemble(
-    binary: Binary,
-    start: int = 0,
-    end: Optional[int] = None,
-) -> Iterator[str]:
-    """Yield listing lines for ``binary.text[start:end]``."""
-    end = len(binary.text) if end is None else min(end, len(binary.text))
-    entries = {f.entry: f.name for f in binary.functions}
-    shadow_base = None
-    meta = getattr(binary, "spec_meta", None)
-    if meta is not None:
-        shadow_base = meta.shadow_base
-
-    for index in range(start, end):
-        if shadow_base is not None and index == shadow_base:
-            yield ";; ---------------- shadow code ----------------"
-        if index in entries:
-            yield f"{entries[index]}:"
-        yield f"  {index:6d}  {format_insn(binary.text[index], binary)}"
-
-
-def listing(binary: Binary, start: int = 0, end: Optional[int] = None) -> str:
-    """The full listing as one string."""
-    return "\n".join(disassemble(binary, start, end))

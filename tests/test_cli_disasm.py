@@ -1,29 +1,13 @@
-"""Tests for the CLI and the disassembler."""
+"""Tests for the CLI and the instruction formatter."""
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.spechint.tool import SpecHintTool
-from repro.vm.disasm import format_insn, listing
+from repro.vm.disasm import format_insn
 from repro.vm.isa import Insn, Op, Reg
-
-from tests.conftest import assemble
 
 
 class TestDisasm:
-    def _sample(self):
-        def body(asm):
-            asm.data_space("buf", 64)
-            asm.la(Reg.t0, "buf")
-            asm.li(Reg.t1, 5)
-            asm.store(Reg.t1, Reg.t0, 8)
-            asm.load(Reg.t2, Reg.t0, 8)
-            asm.cwork(100, 10, 2)
-            asm.label("loop")
-            asm.bne(Reg.t1, Reg.zero, "loop")
-
-        return assemble(body, with_stdlib=True)
-
     def test_format_basic_insns(self):
         assert format_insn(Insn(Op.NOP)) == "nop"
         assert "li" in format_insn(Insn(Op.LI, int(Reg.t0), 0, 42))
@@ -39,25 +23,6 @@ class TestDisasm:
     def test_format_syscall_names(self):
         text = format_insn(Insn(Op.SYSCALL, 0, 0, 4))
         assert "read" in text
-
-    def test_listing_has_function_labels(self):
-        binary = self._sample()
-        text = listing(binary)
-        assert "main:" in text
-        assert "memcpy:" in text
-
-    def test_listing_marks_shadow_boundary(self):
-        binary = SpecHintTool().transform(self._sample())
-        text = listing(binary)
-        assert "shadow code" in text
-        assert "main@shadow:" in text
-        assert "scwork" in text
-
-    def test_listing_resolves_call_targets(self):
-        binary = self._sample()
-        text = listing(binary)
-        # Branch target rendered as an index reference.
-        assert "@" in text
 
     def test_every_opcode_formats(self):
         """No opcode may crash the disassembler."""
@@ -102,11 +67,10 @@ class TestCliCommands:
         assert "improvement" in out
 
     def test_transform_command(self, capsys):
-        assert main(["transform", "agrep", "--scale", "0.1",
-                     "--disasm", "8"]) == 0
+        assert main(["transform", "agrep", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "wrapped:" in out
-        assert "shadow code" in out
+        assert "shadow" in out
 
     def test_paper_command(self, capsys):
         assert main(["paper"]) == 0

@@ -1,11 +1,11 @@
-"""Tests for the persistent run registry (ledger, lineage, regressions).
+"""Tests for the persistent run registry (ledger and regressions).
 
 Covers the full registry stack: identity fingerprints, content-addressed
 records and their schema gate, the JSONL journal with its crash-safety
 semantics (and the typed refusal of an old SQLite file), payload
-classification, similarity search, the baseline-population regression
-detector (including the planted-slowdown acceptance scenario), garbage
-collection, and the ``repro runs`` CLI surface.
+classification, the baseline-population regression detector (including
+the planted-slowdown acceptance scenario), and the ``repro runs`` CLI
+surface.
 """
 
 import json
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.errors import RegistryError, UnknownRunError
+from repro.errors import RegistryError
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import (
     RESULT_SCHEMA_VERSION,
@@ -30,22 +30,16 @@ from repro.registry.fingerprint import (
     chaos_key,
     code_version,
     digest_of,
-    feature_vector,
     params_digest,
     plan_key,
 )
-from repro.registry.record import (
-    REGISTRY_SCHEMA_VERSION,
-    RunRecord,
-    group_key,
-)
+from repro.registry.record import REGISTRY_SCHEMA_VERSION, RunRecord
 from repro.registry.recorder import records_for_payload
 from repro.registry.regression import (
     check_all,
     check_run,
     parse_match_keys,
 )
-from repro.registry.similarity import similar_runs
 from repro.registry.store import (
     JsonlStore,
     RunRegistry,
@@ -94,8 +88,8 @@ def run_payload(app="agrep", variant="speculating", seed=1999,
 
 def make_record(**kwargs):
     payload = run_payload(**{k: v for k, v in kwargs.items()
-                             if k not in ("kind", "parent_id", "cell_key")})
-    ctx = {k: kwargs[k] for k in ("kind", "parent_id") if k in kwargs}
+                             if k not in ("kind", "cell_key")})
+    ctx = {"kind": kwargs["kind"]} if "kind" in kwargs else None
     return records_for_payload(kwargs.get("cell_key"), payload, ctx)[0]
 
 
@@ -121,12 +115,6 @@ class TestFingerprint:
         key = plan_key(plan)
         assert key.startswith("fuzz-7-0:")
         assert plan_key({"name": "fuzz-7-0", "slow_factor": 20.0}) != key
-
-    def test_feature_vector_is_normalized(self):
-        vec = feature_vector(run_payload())
-        assert len(vec) == 6
-        assert abs(sum(vec[:4]) - 1.0) < 1e-9
-        assert feature_vector({}) == (0.0,) * 6
 
     def test_code_version_env_override(self, monkeypatch):
         assert code_version() == "repro-fp1"
@@ -165,14 +153,19 @@ class TestRunRecord:
             RunRecord.from_jsonable(data)
 
     def test_version_1_line_is_refused_by_schema_not_as_tampered(self):
-        """A line written before ``tuning`` left the record still hashes
-        that field into its id: the version gate refuses it as an old
-        schema, and does not report an honest ledger as hand-edited."""
-        data = make_record().to_jsonable()
-        data.update(schema_version=1, tuning=None)
-        with pytest.raises(RegistryError, match="schema_version") as excinfo:
-            RunRecord.from_jsonable(data)
-        assert "hand-edited" not in str(excinfo.value)
+        """A line written under an older field set (version 1 still had
+        ``tuning``; version 2 had ``parent_id``, ``trace_summary`` and
+        ``meta``) hashes those fields into its id: the version gate
+        refuses it as an old schema, and does not report an honest ledger
+        as hand-edited."""
+        for old in ({"schema_version": 1, "tuning": None},
+                    {"schema_version": 2, "parent_id": "ab" * 12,
+                     "trace_summary": None, "meta": {}}):
+            data = make_record().to_jsonable()
+            data.update(old)
+            with pytest.raises(RegistryError, match="schema_version") as excinfo:
+                RunRecord.from_jsonable(data)
+            assert "hand-edited" not in str(excinfo.value)
 
     def test_tampered_record_fails_content_check(self):
         data = make_record().to_jsonable()
@@ -197,12 +190,6 @@ class TestRunRecord:
         record.result["cycles"] = {"original": 1, "speculating": 2}
         assert record.metric_values() is None
 
-    def test_group_key_pools_identity(self):
-        a = make_record(seed=1999)
-        b = make_record(seed=2003)
-        c = make_record(chaos="stuck-disk")
-        assert group_key(a) == group_key(b)
-        assert group_key(a) != group_key(c)
 
 
 # ---------------------------------------------------------------------------
@@ -360,74 +347,8 @@ class TestStores:
             right = handle.read()
         assert left == right  # insertion order compacted away
 
-    def test_registry_find_by_prefix(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        record = make_record()
-        registry.record(record)
-        assert registry.find(record.run_id[:6]).run_id == record.run_id
-        with pytest.raises(UnknownRunError, match="no registry record"):
-            registry.find("ffffff")
-
-    def test_registry_find_ambiguous_prefix(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        for seed in range(40):  # enough records to share a hex prefix
-            registry.record(make_record(seed=seed))
-        ids = sorted(r.run_id for r in registry.records())
-        shared = os.path.commonprefix(ids[:2])
-        if shared:
-            with pytest.raises(UnknownRunError, match="ambiguous"):
-                registry.find(shared[:1])
-
-
 # ---------------------------------------------------------------------------
-# Lineage + GC
-# ---------------------------------------------------------------------------
-
-class TestLineageAndGc:
-    def _family(self, registry):
-        parent = RunRecord(app="", variant="", kind="sweep",
-                           params_digest="", seed=0,
-                           code_version=code_version(),
-                           meta={"identity": "t"})
-        registry.record(parent)
-        children = [
-            make_record(seed=seed, kind="sweep-cell",
-                        parent_id=parent.run_id, cell_key=f"cell-{seed}")
-            for seed in (1, 2, 3)
-        ]
-        for child in children:
-            registry.record(child)
-        return parent, children
-
-    def test_lineage_tree(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        parent, children = self._family(registry)
-        assert {c.run_id for c in registry.children(parent.run_id)} == \
-            {c.run_id for c in children}
-        assert [a.run_id for a in registry.ancestors(children[0].run_id)] == \
-            [parent.run_id]
-        view = registry.lineage(parent.run_id)
-        assert view["ancestors"] == []
-        assert len(view["tree"]["children"]) == 3
-
-    def test_gc_keeps_n_per_population_and_prunes_orphans(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        parent, children = self._family(registry)
-        keep = sorted(children, key=lambda r: r.run_id)[-1:]
-        dry = registry.gc(keep=1, dry_run=True)
-        assert len(registry.records()) == 4  # dry run wrote nothing
-        pruned = registry.gc(keep=1)
-        assert sorted(pruned) == sorted(dry)
-        remaining = {r.run_id for r in registry.records()}
-        assert keep[0].run_id in remaining
-        assert parent.run_id in remaining  # still has a child
-        assert len(remaining) == 2
-        with pytest.raises(RegistryError):
-            registry.gc(keep=0)
-
-
-# ---------------------------------------------------------------------------
-# Recorder: payload classification + sidecar merge
+# Recorder: payload classification
 # ---------------------------------------------------------------------------
 
 class TestRecorder:
@@ -456,9 +377,11 @@ class TestRecorder:
         cell, first, second = records
         assert cell.chaos_profile == "stuck-disk"
         assert cell.verdicts[0]["monitor"] == "spec-identity"
-        assert "results" not in cell.result  # sub-payloads live in children
-        assert first.parent_id == cell.run_id
-        assert second.parent_id == cell.run_id
+        assert "results" not in cell.result  # sub-payloads: variant records
+        assert [first.variant, second.variant] == ["original", "speculating"]
+        assert [first.cell_key, second.cell_key] == [
+            "oracle/agrep/stuck-disk/original",
+            "oracle/agrep/stuck-disk/speculating"]
 
     def test_fuzz_payload_is_the_same_mapping_without_children(self):
         payload = {
@@ -471,25 +394,6 @@ class TestRecorder:
         assert record.kind == "fuzz-case"
         assert record.chaos_profile == plan_key(payload["case"]["plan"])
         assert record.result == payload
-
-
-# ---------------------------------------------------------------------------
-# Similarity
-# ---------------------------------------------------------------------------
-
-class TestSimilarity:
-    def test_nearest_neighbor_ranks_same_config_first(self, tmp_path):
-        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
-        target = make_record(seed=1999)
-        twin = make_record(seed=2000)
-        cousin = make_record(app="gnuld", seed=1999, cycles=9_000_000)
-        for record in (target, twin, cousin):
-            registry.record(record)
-        neighbors = similar_runs(registry, target)
-        assert [n.record.run_id for n in neighbors] == \
-            [twin.run_id, cousin.run_id]
-        assert neighbors[0].score > neighbors[1].score
-        assert any("same app" in why for why in neighbors[0].why)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +457,15 @@ class TestRegressionDetector:
         loose = check_run(registry, chaotic,
                           parse_match_keys("app,variant"))
         assert not loose.clean  # relaxed keys pool it in, and it's 10x
+
+    def test_min_baseline_below_one_is_typed(self, tmp_path):
+        registry = RunRegistry.open(str(tmp_path / "r.jsonl"))
+        record = make_record()
+        registry.record(record)
+        with pytest.raises(RegistryError, match="min_baseline"):
+            check_all(registry, min_baseline=0)
+        with pytest.raises(RegistryError, match="min_baseline"):
+            check_run(registry, record, min_baseline=0)
 
     def test_parse_match_keys_rejects_unknown(self):
         assert parse_match_keys(None) == \
@@ -639,21 +552,13 @@ class TestRunsCli:
         from repro.cli import main
         return main(list(argv))
 
-    def test_list_show_diff_similar_lineage(self, populated, capsys):
+    def test_list_names_every_record(self, populated, capsys):
         path, slow_id = populated
         assert self._main("runs", "list", "--registry", path) == 0
-        assert "6 record(s)" in capsys.readouterr().out
-        assert self._main("runs", "show", "--registry", path,
-                          slow_id[:8]) == 0
-        shown = json.loads(capsys.readouterr().out)
-        assert shown["run_id"] == slow_id
-        assert self._main("runs", "diff", "--registry", path,
-                          slow_id, slow_id) == 0
-        assert self._main("runs", "similar", "--registry", path,
-                          slow_id) == 0
-        assert "score" in capsys.readouterr().out
-        assert self._main("runs", "lineage", "--registry", path,
-                          slow_id) == 0
+        out = capsys.readouterr().out
+        assert "6 record(s)" in out
+        assert f"{slow_id} run" in out
+        assert f"{int(4_000_000 * 1.2):,}" in out
 
     def test_regressions_exit_code_and_filtering(self, populated, capsys):
         path, slow_id = populated
@@ -666,16 +571,20 @@ class TestRunsCli:
         assert self._main("runs", "regressions", "--registry", path,
                           "--min-baseline", "6") == 0
 
-    def test_gc_dry_run(self, populated, capsys):
-        path, _ = populated
-        assert self._main("runs", "gc", "--registry", path,
-                          "--keep", "2", "--dry-run") == 0
-        assert "would prune 4" in capsys.readouterr().out
-
-    def test_unknown_run_is_an_error_not_a_crash(self, populated, capsys):
-        path, _ = populated
-        assert self._main("runs", "show", "--registry", path, "ffff") == 1
-        assert "UnknownRunError" in capsys.readouterr().err
+    def test_min_baseline_below_one_is_an_error_not_a_crash(
+            self, tmp_path, capsys):
+        """A zero baseline has no mean to divide by: a typed one-line
+        error, never a traceback a CI gate would read as a finding."""
+        path = str(tmp_path / "registry.jsonl")
+        RunRegistry.open(path).record(make_record())
+        for value in ("0", "-1"):
+            assert self._main("runs", "regressions", "--registry", path,
+                              "--min-baseline", value) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "repro: error: RegistryError: min_baseline must be at "
+                f"least 1, got {value}\n")
+            assert "no regressions" not in captured.out
 
     def test_compare_honours_seed_and_registry(self, tmp_path, capsys):
         """``compare`` runs at ``--seed`` and records its three runs; a

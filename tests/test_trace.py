@@ -389,15 +389,6 @@ class TestAnalyzer:
         text = analyzer.render_summary()
         assert "stall breakdown" in text and "hint lead time" in text
 
-    def test_top_hints_ordering(self):
-        _, system, tracer = self._run()
-        analyzer = TraceAnalyzer(tracer, lifecycle=system.manager.lifecycle)
-        top = analyzer.top_hints(5)
-        assert len(top) == 5
-        leads = [record.lead_cycles for record in top]
-        assert leads == sorted(leads, reverse=True)
-        assert all(record.terminal == "consumed" for record in top)
-
 
 class TestRunResultSerialization:
     def test_observability_fields_round_trip(self):
@@ -457,13 +448,12 @@ class TestTraceCli:
         out = tmp_path / "t.json"
         rc = main(["trace", "agrep", "--scale", str(SCALE),
                    "--export", "chrome", "--out", str(out),
-                   "--summary", "--top-hints", "3"])
+                   "--summary"])
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["traceEvents"]
         printed = capsys.readouterr().out
         assert "stall breakdown" in printed
-        assert "top 3 hints" in printed
         assert "Perfetto" in printed
 
     def test_trace_command_category_filter(self, tmp_path):
