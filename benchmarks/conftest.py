@@ -1,29 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints it with the paper's published values alongside.  Runs are fully
-deterministic; pytest-benchmark measures the wall time of regenerating
-each experiment once (``rounds=1`` — these are simulations, not
-microbenchmarks).
-
-The Figure 3 result matrix is shared by several tables (4, 5, 6), so it is
-computed once per session and cached.
+Runs are fully deterministic; pytest-benchmark measures the wall time of
+running each benchmark once (``rounds=1`` — these are simulations, not
+microbenchmarks).  The paper's tables and figures are not benchmarks
+here: ``python -m repro paper EXPERIMENTS.md`` regenerates them.
 """
 
 from __future__ import annotations
-
-import functools
-from typing import Dict
-
-from repro.harness.config import Variant
-from repro.harness.experiments import run_matrix
-from repro.harness.results import RunResult
-
-
-@functools.lru_cache(maxsize=1)
-def headline_matrix() -> Dict[str, Dict[str, RunResult]]:
-    """The full-scale 3 apps x 3 variants grid (Figure 3 and Tables 4-6)."""
-    return run_matrix()
 
 
 def once(benchmark, fn):

@@ -11,13 +11,7 @@ disks fetch in parallel, and execution time more than halves.
 Run:  python examples/figure1_intuition.py
 """
 
-import sys
-from pathlib import Path
-
-# The Figure 1 machinery lives in the benchmark harness.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-from bench_fig1_intuition import run  # noqa: E402
+from repro.harness.shapes import run_figure1
 
 
 def timeline(label: str, total_mcycles: float, width: int = 48) -> str:
@@ -28,8 +22,8 @@ def timeline(label: str, total_mcycles: float, width: int = 48) -> str:
 def main() -> None:
     print("Figure 1 - how speculative execution reduces stall time")
     print("=" * 62)
-    normal = run(transform=False)
-    speculating = run(transform=True)
+    normal = run_figure1(transform=False)
+    speculating = run_figure1(transform=True)
 
     print()
     print(timeline("normal", normal / 1e6))

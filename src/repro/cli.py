@@ -53,8 +53,11 @@ Commands
     population (exit 1 on drift).  Recording happens via ``--registry
     PATH`` on ``run`` / ``compare`` / ``sweep`` / ``trace`` / ``fuzz``.
 
-``paper``
-    Print the paper's published reference numbers.
+``paper DOC``
+    Run every experiment of the paper's evaluation at three model seeds
+    and regenerate the marked blocks of DOC (EXPERIMENTS.md): each
+    experiment's table and its shape predicates' verdicts.  Exits 1 when
+    a shape fails at the default seed.
 """
 
 from __future__ import annotations
@@ -330,13 +333,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.experiments import run_sweep
-    from repro.harness.report import format_supervisor_stats
-    from repro.harness.tables import (
-        format_degraded_sweep,
-        format_improvement_series,
-        format_table7,
-        format_table8,
-    )
+    from repro.harness.tables import SWEEP_FORMATTERS, format_supervisor_stats
 
     _require_checkpoint_for_resume(args)
     # Per-cell progress lines belong to the crash-safe, parallel and
@@ -356,17 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.jobs > 1:
         print(format_supervisor_stats(stats_out))
-
-    if args.kind == "disks":
-        print(format_table8(sweep))
-        print()
-        print(format_improvement_series(sweep, "number of disks"))
-    elif args.kind == "cache":
-        print(format_table7(sweep))
-    elif args.kind == "degraded":
-        print(format_degraded_sweep(sweep))
-    else:
-        print(format_improvement_series(sweep, "processor/disk speed ratio"))
+    print(SWEEP_FORMATTERS[args.kind](sweep))
     return 0
 
 
@@ -532,19 +519,11 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_paper(args: argparse.Namespace) -> int:
-    from repro.harness import paper
+    from repro.harness.shapes import write_document
 
-    print("Published results (Chang & Gibson, OSDI 1999):")
-    print("\nFigure 3 - % improvement (speculating / manual):")
-    for app, (spec, manual) in paper.FIG3_IMPROVEMENT.items():
-        print(f"  {app:8s} {spec:5.0f}% / {manual:5.0f}%")
-    print("\nSection 4.4 dilation factors:")
-    for app, value in paper.SECTION44_DILATION.items():
-        print(f"  {app:8s} {value}")
-    print("\nTable 4 inaccurate hints (speculating):")
-    for app, row in paper.TABLE4_SPECULATING.items():
-        print(f"  {app:8s} {row[3]}")
-    return 0
+    held, summary = write_document(args.doc)
+    print(f"{args.doc}: {summary.strip()}")
+    return 0 if held else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,7 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimum baseline population size before a "
                             "metric is judged")
 
-    pp_p = sub.add_parser("paper", help="print the paper's numbers")
+    pp_p = sub.add_parser(
+        "paper",
+        help="run the paper's experiments at three seeds and regenerate "
+             "their blocks in DOC",
+    )
+    pp_p.add_argument("doc", metavar="DOC",
+                      help="markdown document with 'repro paper' markers "
+                           "(EXPERIMENTS.md)")
     pp_p.set_defaults(func=cmd_paper)
 
     return parser

@@ -7,7 +7,7 @@ read without the paper at hand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.harness import paper
 from repro.harness.config import Variant
@@ -21,6 +21,16 @@ VARIANTS = [v.value for v in Variant]
 
 def _hr(width: int = 86) -> str:
     return "-" * width
+
+
+def format_fig1(normal_cycles: int, speculating_cycles: int) -> str:
+    """Figure 1: the four-read intuition example, without and with speculation."""
+    return "\n".join([
+        "Figure 1 - how speculative execution reduces stall time", _hr(),
+        f"normal execution:      {normal_cycles / 1e6:7.2f} Mcycles (paper: ~16 Mcycles)",
+        f"speculative execution: {speculating_cycles / 1e6:7.2f} Mcycles (paper: ~7 Mcycles)",
+        f"speedup: {normal_cycles / speculating_cycles:.2f}x (paper: 'more than halve' => >2x)",
+    ])
 
 
 def format_fig3(matrix: Matrix) -> str:
@@ -58,20 +68,35 @@ def format_fig4(overheads: Mapping[str, float]) -> str:
     return "\n".join(lines)
 
 
+def format_table1(matrix: Matrix) -> str:
+    """Table 1 (background): the manual variants' improvement."""
+    lines = ["Table 1 (background) - manually hinted applications", _hr(),
+             f"{'':12} {'measured':>10} {'paper':>8}"]
+    for app, results in matrix.items():
+        measured = results["manual"].improvement_over(results["original"])
+        lines.append(f"{APP_LABEL[app]:12} {measured:>9.1f}% "
+                     f"{paper.TABLE1_MANUAL_IMPROVEMENT[app]:>7.0f}%")
+    return "\n".join(lines)
+
+
 def format_table3(reports: Iterable[object]) -> str:
-    """Table 3: transformation statistics."""
+    """Table 3: transformation statistics.
+
+    The tool's own host time is not a column: it varies from run to run,
+    and the paper's times (a C tool over Alpha binaries) are printed for
+    reference only.
+    """
     lines = [
         "Table 3 - transformed application statistics",
         _hr(),
-        f"{'':12} {'mod time':>10} {'size':>12} {'increase':>10}"
+        f"{'':12} {'size':>12} {'increase':>10}"
         f"   (paper: time / size / increase)",
     ]
     for report in reports:
         app = report.binary_name.replace("-manual", "")
-        key = {"agrep": "agrep", "gnuld": "gnuld", "xds": "xds"}[app]
-        p_time, p_kb, p_pct = paper.TABLE3[key]
+        p_time, p_kb, p_pct = paper.TABLE3[app]
         lines.append(
-            f"{APP_LABEL[key]:12} {report.modification_time_s:>9.3f}s "
+            f"{APP_LABEL[app]:12} "
             f"{report.transformed_size_bytes / 1024:>9,.0f} KB "
             f"{report.size_increase_pct:>8.0f}%"
             f"   ({p_time:.0f}s / {p_kb:,} KB / {p_pct:.0f}%)"
@@ -265,3 +290,116 @@ def format_improvement_series(
                 series.append(f"{value:>7.1f}%")
             lines.append(f"{APP_LABEL[app] + ' - ' + variant:26}" + "".join(series))
     return f"improvement (%) vs {xlabel}\n" + "\n".join(lines)
+
+
+#: The table of each ``repro sweep KIND``, which ``repro paper`` prints
+#: for Table 7, Table 8 with Figure 5, and Figure 6.
+SWEEP_FORMATTERS = {
+    "disks": lambda sweep: format_table8(sweep) + "\n\n"
+    + format_improvement_series(sweep, "number of disks"),
+    "cache": format_table7,
+    "ratio": lambda sweep: format_improvement_series(sweep, "processor/disk speed ratio"),
+    "degraded": format_degraded_sweep,
+}
+
+
+def format_supervisor_stats(stats: Dict[str, object]) -> str:
+    """One-paragraph summary of a parallel run.
+
+    ``stats`` is ``EngineStats.to_jsonable()`` (the ``stats_out`` dict
+    filled by ``run_sweep``).  Shows the reader at a glance whether the
+    run was clean or workers died under it (each death re-ran its cell).
+    """
+    mode = stats.get("mode", "parallel")
+    jobs = stats.get("jobs", 1)
+    crashes = stats.get("worker_crashes")
+    return "\n".join([
+        f"supervisor: {mode} x{jobs} — "
+        f"{stats.get('cells_completed', 0)} cells run, "
+        f"{stats.get('cells_restored', 0)} restored from checkpoint",
+        "  interventions: "
+        + (f"{crashes} worker crash(es)" if crashes else "none"),
+    ])
+
+
+def format_section44(matrix: Matrix) -> str:
+    """Section 4.4: median cycles between read and hint calls of the
+    speculating variants, and their ratio (the dilation factor)."""
+    lines = ["Section 4.4 - dilation factors", _hr(),
+             f"{'':12} {'read interval':>14} {'hint interval':>14} {'dilation':>9} {'paper':>7}"]
+    for app, results in matrix.items():
+        spec = results["speculating"]
+        lines.append(f"{APP_LABEL[app]:12} {spec.median_read_interval:>13.0f}c "
+                     f"{spec.median_hint_interval:>13.0f}c {spec.dilation_factor:>9.2f} "
+                     f"{paper.SECTION44_DILATION[app]:>7.1f}")
+    return "\n".join(lines)
+
+
+def format_cow_region(gains: Mapping[int, Mapping[str, float]]) -> str:
+    """Ablation (§3.2.1): speculating improvement per COW region size."""
+    apps = list(next(iter(gains.values())))
+    lines = ["Ablation - COW region size (paper: no significant difference; "
+             "worst case Gnuld @8KB, -9%)", _hr(),
+             f"{'region':>8}" + "".join(f"{APP_LABEL[app]:>12}" for app in apps)]
+    for region, by_app in gains.items():
+        lines.append(f"{region:>7}B" + "".join(f"{by_app[app]:>11.1f}%" for app in apps))
+    return "\n".join(lines)
+
+
+def format_map_all(results: Mapping[bool, Mapping[str, Tuple[float, int]]]) -> str:
+    """Ablation (§3.2.1): the handling routine mapping function entries only
+    (False) or any text address (True) — improvement and left-shadow parks."""
+    lines = ["Ablation - handling routine address mapping", _hr(),
+             f"{'':12}{'function entries only':>26}{'map all addresses':>26}"]
+    for app in results[False]:
+        lines.append(f"{APP_LABEL[app]:12}" + "".join(
+            f"{results[lifted][app][0]:>15.1f}% ({results[lifted][app][1]:>3} parks)"
+            for lifted in (False, True)))
+    return "\n".join(lines)
+
+
+def format_pairs(title: str, runs: Mapping[str, Tuple[RunResult, RunResult]]) -> str:
+    """Ablations (§5): one (original, speculating) pair per setting — the
+    speculating run's improvement and what its speculation did."""
+    lines = [title, _hr()]
+    for label, (original, spec) in runs.items():
+        lines.append(
+            f"{label:12}: improvement {spec.improvement_over(original):6.1f}%"
+            f"  hints={spec.spec_hints_issued:5d}  restarts={spec.spec_restarts:4d}"
+            f"  cancels={spec.spec_cancel_calls:4d}"
+            f"  inaccurate hints={spec.inaccurate_hints:6d}"
+            f"  unused prefetched={spec.prefetched_unused:4d}"
+        )
+    return "\n".join(lines)
+
+
+def format_multiprogramming(runs: Mapping[bool, Tuple[int, int, int]]) -> str:
+    """Ablation (§3): the speculating Agrep alone and beside a compute-bound
+    process; ``runs`` maps contention to (speculating-thread cycles, hints
+    issued, reads hinted)."""
+    lines = ["Ablation - CPU contention starves speculation", _hr()]
+    for contended, (spec_cycles, hints, hinted_reads) in runs.items():
+        lines.append(
+            f"{'with competitor' if contended else 'alone':16}: speculating-thread CPU "
+            f"{spec_cycles / 1e6:7.2f} Mcycles, {hints} hints issued, {hinted_reads} reads hinted"
+        )
+    return "\n".join(lines)
+
+
+#: Table 1: Patterson's manually hinted Postgres join, % improvement.
+POSTGRES_PAPER_MANUAL = {"postgres20": 48.0, "postgres80": 69.0}
+
+
+def format_postgres(matrix: Matrix) -> str:
+    """Extension: the Table 1 Postgres join through the whole pipeline."""
+    lines = ["Extension - Postgres join (Table 1 workload)", _hr()]
+    for app, results in matrix.items():
+        original, spec = results["original"], results["speculating"]
+        lines.append(
+            f"{app}: original {original.elapsed_s:6.2f}s | speculating "
+            f"{spec.improvement_over(original):5.1f}% (hints {spec.pct_calls_hinted:4.1f}%, "
+            f"restarts {spec.spec_restarts}) | manual "
+            f"{results['manual'].improvement_over(original):5.1f}% "
+            f"[paper manual: {POSTGRES_PAPER_MANUAL[app]:.0f}%]"
+        )
+    return "\n".join(lines)

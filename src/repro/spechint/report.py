@@ -76,11 +76,3 @@ class TransformReport:
             return 0.0
         growth = self.transformed_size_bytes - self.original_size_bytes
         return 100.0 * growth / self.original_size_bytes
-
-    def row(self) -> str:
-        """One formatted Table 3 row."""
-        return (
-            f"{self.binary_name:<12} {self.modification_time_s:>8.3f}s "
-            f"{self.transformed_size_bytes / 1024:>10,.0f} KB "
-            f"{self.size_increase_pct:>8.0f}%"
-        )

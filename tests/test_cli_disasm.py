@@ -72,12 +72,6 @@ class TestCliCommands:
         assert "wrapped:" in out
         assert "shadow" in out
 
-    def test_paper_command(self, capsys):
-        assert main(["paper"]) == 0
-        out = capsys.readouterr().out
-        assert "OSDI 1999" in out
-        assert "gnuld" in out
-
     def test_sweep_cache_small(self, capsys):
         assert main(["sweep", "cache", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out

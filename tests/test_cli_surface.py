@@ -3,7 +3,7 @@
 ``TestDesignTable`` walks ``build_parser()`` against the table of DESIGN.md
 §16 ("The command line and who reads it"): a subcommand or option with no
 row, a row naming a subcommand or option the parser lacks, a row that
-says nothing reads it, or a new **own smoke only** row fails.  ``TestIndependentVariables`` drives the options that set the
+says nothing reads it, or an **own smoke only** row fails.  ``TestIndependentVariables`` drives the options that set the
 paper's independent variables (disks, cache size, processors) and the
 fault seed a chaos run replays from, and fails if any of them is silently
 ignored.
@@ -86,13 +86,12 @@ class TestDesignTable:
         assert sorted(actual - documented) == [], "subcommands with no §16 row"
         assert sorted(documented - actual) == [], "§16 rows the parser lacks"
 
-    def test_only_paper_is_read_by_its_own_smoke_alone(self):
-        # `paper` keeps its own-smoke row until it writes EXPERIMENTS.md
-        # and CI diffs the file (ROADMAP item 10); no other entry may
-        # rely on a test that only checks it ran.
+    def test_no_row_is_own_smoke_only(self):
+        # An entry whose only reader is a test that checks it ran has no
+        # reader.
         own_smoke = [(commands, options) for commands, options, readers
-                     in design_rows() if "**own smoke only**" in readers]
-        assert own_smoke == [(("paper",), ())]
+                     in design_rows() if "own smoke only" in readers]
+        assert own_smoke == []
 
     def test_no_row_is_read_by_nothing(self):
         unread = [(commands, options) for commands, options, readers

@@ -19,7 +19,7 @@ SRC_DIR = os.path.join(ROOT, "src")
 NOT_FOR_A_CELL = (
     *(f"repro.harness.{name}" for name in (
         "experiments", "fuzz", "oracle", "parallel", "checkpoint",
-        "invariants", "tables", "report")),
+        "invariants", "tables", "shapes")),
     *(f"repro.registry.{name}" for name in (
         "store", "record", "recorder", "regression", "similarity")),
     "repro.faults.generate",

@@ -8,31 +8,12 @@ speculating thread.
 """
 
 from repro.harness.runner import build_system
+from repro.harness.shapes import spinner_binary
 from repro.params import SystemConfig
 from repro.spechint.tool import SpecHintTool
-from repro.vm.assembler import Assembler
-from repro.vm.isa import SYS_EXIT, Reg
 
 from tests.conftest import small_system_config
 from tests.test_spechint_runtime import corpus_fs, reader_binary
-
-
-def spinner_binary(iterations=400):
-    """A pure-compute process that monopolizes the CPU for a while."""
-    asm = Assembler("spinner")
-    asm.entry("main")
-    with asm.function("main"):
-        asm.li(Reg.s0, 0)
-        asm.label("spin")
-        asm.li(Reg.at, iterations)
-        asm.bge(Reg.s0, Reg.at, "done")
-        asm.cwork(50_000, 0, 0)
-        asm.addi(Reg.s0, Reg.s0, 1)
-        asm.jmp("spin")
-        asm.label("done")
-        asm.li(Reg.a0, 0)
-        asm.syscall(SYS_EXIT)
-    return asm.finish()
 
 
 def run_speculating_reader(with_spinner: bool):
@@ -42,7 +23,7 @@ def run_speculating_reader(with_spinner: bool):
         SpecHintTool().transform(reader_binary(nfiles=8))
     )
     if with_spinner:
-        system.kernel.spawn(spinner_binary())
+        system.kernel.spawn(spinner_binary(iterations=400))
     system.kernel.run()
     return system, reader
 
