@@ -21,7 +21,10 @@ pair:
   escape a run, and :class:`~repro.errors.DataLossError` only from a plan
   that composes a double fault;
 * ``clock-monotonic`` — the simulation clock never runs backwards and the
-  result's cycle count matches the clock the system actually ended on.
+  result's cycle count matches the clock the system actually ended on;
+* ``prefetch-progress`` — no hint's prefetch is dropped over and over
+  while nothing changes what the array can serve (a livelock passes
+  every safety check above).
 
 A failed check is never an exception: it is a :class:`Violation` carrying
 a structured witness dict, so a campaign can collect, deduplicate, shrink
@@ -42,6 +45,7 @@ from repro.harness.results import (
     decode_fields,
     encode_fields,
 )
+from repro.sim import metrics
 from repro.trace.lifecycle import CANCELLED
 
 
@@ -409,6 +413,47 @@ class ClockMonotonicityMonitor(InvariantMonitor):
         return violations
 
 
+class PrefetchProgressMonitor(InvariantMonitor):
+    """No hint's prefetch is dropped more than ``MAX_DROPS`` times with no
+    disk death or rebuild end in between.
+
+    Only those two events change what the array can serve, and TIP never
+    submits a block it cannot serve; between them a drop needs a prefetch
+    whose every attempt faulted.  The ledger keeps a count per hint, not
+    when each drop fell, so the check is the pigeonhole bound: more than
+    ``MAX_DROPS`` x (changes + 1) drops put more than ``MAX_DROPS`` between
+    two changes."""
+
+    name = "prefetch-progress"
+
+    #: Each faulted-attempt drop waits out at least one retry backoff
+    #: (50 k cycles), so the fuzzer's longest outage (a 12 ms offline
+    #: window, 2.8 M cycles) fits at most 56; a livelock drops thousands.
+    MAX_DROPS = 64
+
+    def check(self, obs: CellObservation) -> List[Violation]:
+        violations: List[Violation] = []
+        for vobs in obs.variants.values():
+            system = vobs.system
+            lifecycle = getattr(getattr(system, "manager", None), "lifecycle", None)
+            if lifecycle is None:
+                continue
+            stats = system.stats
+            changes = (stats.get(metrics.ARRAY_DISK_DEATHS)
+                       + stats.get(metrics.REBUILD_COMPLETED))
+            bound = self.MAX_DROPS * (changes + 1)
+            worst = max(lifecycle.records(), key=lambda r: r.drops, default=None)
+            if worst is not None and worst.drops > bound:
+                violations.append(self._violation(
+                    f"{vobs.variant}: hint seq {worst.seq}'s prefetch was "
+                    f"dropped {worst.drops} times across {changes} disk "
+                    f"death(s) and rebuild end(s) (bound {bound})",
+                    variant=vobs.variant, seq=worst.seq, drops=worst.drops,
+                    changes=changes, bound=bound,
+                ))
+        return violations
+
+
 #: The full contract, in evaluation order.
 DEFAULT_MONITORS: Tuple[InvariantMonitor, ...] = (
     AuditChainMonitor(),
@@ -417,6 +462,7 @@ DEFAULT_MONITORS: Tuple[InvariantMonitor, ...] = (
     SpecIdentityMonitor(),
     TypedErrorMonitor(),
     ClockMonotonicityMonitor(),
+    PrefetchProgressMonitor(),
 )
 
 

@@ -5,7 +5,7 @@ a transformed application produces exactly the output of the original, and
 demands exactly the same data in the same order — hinting changes timing,
 never semantics.  The executable form of that promise is the differential
 cell (:func:`repro.harness.fuzz.run_fuzz_case`): both variants of one app
-on one seed under one fault plan, judged by the six invariant monitors
+on one seed under one fault plan, judged by the invariant monitors
 (:mod:`repro.harness.invariants`).  The oracle is that cell run over a
 grid — every app under the fault-free baseline and every built-in chaos
 profile — so the guarantee is checked while disks fail, hints are

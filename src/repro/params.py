@@ -241,15 +241,6 @@ class TipParams:
     #: Maximum hinted prefetches TIP keeps in flight per disk.
     max_inflight_per_disk: int = 4
 
-    #: While the array is degraded or rebuilding, scale the prefetch depth
-    #: TIP pursues by this factor (load shedding: demand and rebuild
-    #: traffic win; speculation is only ever a performance hint).
-    degraded_horizon_factor: float = 0.25
-
-    #: Per-disk in-flight prefetch cap while degraded (0 = keep the normal
-    #: cap).
-    degraded_max_inflight_per_disk: int = 1
-
 
 @dataclass(frozen=True)
 class SpecHintParams:

@@ -48,12 +48,10 @@ class State(enum.IntEnum):
     #: No attempt of its own is left — retries exhausted, or its disk
     #: died — while a hedge still races: the hedge's outcome decides.
     HEDGE_ONLY = 4
-    #: An unrecoverable prefetch, one event before it is dropped.
-    DROPPING = 5
     #: Read off the media; the delayed completion notice is not due yet.
-    NOTIFYING = 6
+    NOTIFYING = 5
     #: The callbacks have run.
-    DONE = 7
+    DONE = 6
 
 
 class IORequest:

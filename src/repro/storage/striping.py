@@ -32,15 +32,15 @@ A top-level request is in exactly one :class:`~repro.storage.request.State`.
 :meth:`StripedArray._move` is the only writer and checks every move against
 ``_MOVES``; :meth:`StripedArray._place` is the only code that routes; a
 timer or completion that can fire late decides whether it still applies
-from the state alone (DESIGN §12.4 gives the reasons)::
+from the state alone; a prefetch must be :meth:`StripedArray.servable`
+(DESIGN §12.4 gives the reasons)::
 
-    HELD           -> AT_DISK RECONSTRUCTING DROPPING DONE
-    AT_DISK        -> AT_DISK BACKOFF RECONSTRUCTING HEDGE_ONLY DROPPING
-                      NOTIFYING DONE
-    BACKOFF        -> AT_DISK RECONSTRUCTING DROPPING DONE
+    HELD           -> AT_DISK RECONSTRUCTING DONE
+    AT_DISK        -> AT_DISK BACKOFF RECONSTRUCTING HEDGE_ONLY NOTIFYING
+                      DONE
+    BACKOFF        -> AT_DISK RECONSTRUCTING DONE
     RECONSTRUCTING -> DONE
     HEDGE_ONLY     -> AT_DISK RECONSTRUCTING DONE
-    DROPPING       -> DONE
     NOTIFYING      -> DONE
 """
 
@@ -77,29 +77,28 @@ from repro.faults.injector import FAULT_DATA_LOSS, FAULT_DEAD, FAULT_TIMEOUT
 #: ``tests/test_storage_lifecycle.py`` takes each one and no other.
 _MOVES: Dict[State, FrozenSet[State]] = {
     # Placed: at its disk or the spare, on the peers, or unrecoverable —
-    # dropped one event later (prefetch) or failed on the spot (demand).
+    # failed on the spot.
     State.HELD: frozenset({
-        State.AT_DISK, State.RECONSTRUCTING, State.DROPPING, State.DONE,
+        State.AT_DISK, State.RECONSTRUCTING, State.DONE,
     }),
     # The attempt ended: read (notice now or delayed), beaten by its hedge,
     # faulted with or without retries left, or its disk died — re-placed
     # (AT_DISK again is the spare), unless a racing hedge is left to decide.
     State.AT_DISK: frozenset({
         State.AT_DISK, State.BACKOFF, State.RECONSTRUCTING, State.HEDGE_ONLY,
-        State.DROPPING, State.NOTIFYING, State.DONE,
+        State.NOTIFYING, State.DONE,
     }),
     # Retry due: placed afresh.  DONE is also a hedge winning meanwhile.
     State.BACKOFF: frozenset({
-        State.AT_DISK, State.RECONSTRUCTING, State.DROPPING, State.DONE,
+        State.AT_DISK, State.RECONSTRUCTING, State.DONE,
     }),
     # The peers answered, gave up, or a racing hedge finished first.
     State.RECONSTRUCTING: frozenset({State.DONE}),
     # The hedge won, or lost: then a dead disk's request is placed afresh
-    # and one out of retries fails.  Hedged requests are demands: no drop.
+    # and one out of retries fails.
     State.HEDGE_ONLY: frozenset({
         State.AT_DISK, State.RECONSTRUCTING, State.DONE,
     }),
-    State.DROPPING: frozenset({State.DONE}),
     State.NOTIFYING: frozenset({State.DONE}),
     State.DONE: frozenset(),
 }
@@ -185,8 +184,6 @@ class StripedArray:
         #: Observed permanent deaths: disk id -> rebuild engine (None when
         #: no spare was available; the array stays degraded for good).
         self._dead_disks: Dict[int, Optional[RebuildEngine]] = {}
-        #: True once any block was declared unrecoverable.
-        self.data_loss = False
 
         #: Per-attempt timeout and hedge delay, resolved once: 0 — never
         #: armed — without an injector (fault-free runs keep a bit-identical
@@ -297,6 +294,21 @@ class StripedArray:
         """Can ``(home_disk, physical)`` be rebuilt from its parity row?"""
         return self._survivors(home_disk, physical) is not None
 
+    def _sources(self, disk_id: int, physical: int) -> Tuple[Optional[int], Optional[List[int]]]:
+        """What serves ``(disk_id, physical)`` now: ``(disk or spare, None)``,
+        ``(None, peers)`` to reconstruct, or ``(None, None)`` (data loss)."""
+        serving = self._route(disk_id, physical)
+        if serving is not None:
+            return serving, None
+        return None, self._survivors(disk_id, physical)
+
+    def servable(self, lbn: int) -> bool:
+        """Can ``lbn`` be read now?  Only a death or a rebuild's end changes
+        the answer, and TIP prefetches nothing else (DESIGN §12.4)."""
+        if not self._dead_disks:
+            return True
+        return self._sources(*self.map_block(lbn)) != (None, None)
+
     def _note_disk_death(self, disk_id: int) -> None:
         """First observation of a permanent death: mark the disk dead,
         start resilvering onto a spare when one is free, and place its
@@ -334,8 +346,9 @@ class StripedArray:
 
         A read for a block that is already outstanding coalesces: the new
         callback joins the existing request's, and a demand read promotes
-        a prefetch for the same block.
+        a prefetch for the same block.  A prefetch must be :meth:`servable`.
         """
+        assert kind is IOKind.DEMAND or self.servable(lbn), f"unservable prefetch lbn={lbn}"
         existing = self._outstanding.get(lbn)
         if existing is not None:
             existing.callbacks.append(callback)
@@ -377,9 +390,8 @@ class StripedArray:
         else the surviving peers, else nothing (data loss).  A prefetch
         that ``may_hold`` waits behind the per-disk prefetch limit."""
         request.fault = None
-        disk_id = self._route(request.disk_id, request.physical_block)
+        disk_id, peers = self._sources(request.disk_id, request.physical_block)
         if disk_id is None:
-            peers = self._survivors(request.disk_id, request.physical_block)
             if peers is None:
                 self._fail_data_loss(request)
                 return
@@ -454,11 +466,10 @@ class StripedArray:
                     # In service (can't be re-prioritized) or in retry
                     # backoff (the resubmit enqueues at demand priority).
                     child.promote_to_demand()
-        elif state is not State.NOTIFYING:
-            # BACKOFF, DROPPING: at no disk.  Flip the kind so the retry
-            # dispatches at demand priority with demand retry limits, and a
-            # drop surfaces as the reader's typed error.  In NOTIFYING the
-            # block is already in hand: there is nothing left to promote.
+        elif state is State.BACKOFF:
+            # At no disk.  Flip the kind so the retry dispatches at demand
+            # priority with demand retry limits.  In NOTIFYING the block is
+            # already in hand: there is nothing left to promote.
             request.promote_to_demand()
 
     def _free_slot(self, disk_id: int) -> None:
@@ -649,7 +660,6 @@ class StripedArray:
     def _peer_died(self, child: IORequest, owner: _ChildSet) -> None:
         """A surviving peer died mid-reconstruction: the row is gone."""
         self._note_disk_death(child.disk_id)
-        self.data_loss = True
         self.stats.bump(metrics.FAULTS_DATA_LOSS)
         self._child_set_failed(owner, FAULT_DATA_LOSS)
 
@@ -684,26 +694,12 @@ class StripedArray:
             self._fail_request(request)
 
     def _fail_data_loss(self, request: IORequest) -> None:
-        """No redundancy (or no survivors): the block is gone for good."""
-        self.data_loss = True
+        """No redundancy (or no survivors): the block is gone for good.  Failed
+        on the spot: a demand's DataLossError surfaces at its read(), and a
+        stranded prefetch's drop cannot recurse (TIP submits nothing unservable)."""
         self.stats.bump(metrics.FAULTS_DATA_LOSS)
         request.fault = FAULT_DATA_LOSS
-        if request.is_demand:
-            # Synchronous, so the typed DataLossError surfaces at the
-            # faulting read() itself.
-            self._fail_request(request)
-            return
-        # Defer the drop to its own event: the prefetcher reacts to a
-        # dropped prefetch by submitting the next one, which on a
-        # multi-dead array may be unrecoverable too — failing it
-        # synchronously would recurse through TIP once per pending
-        # hint and overflow the stack.
-        self._move(request, State.DROPPING)
-        self.engine.schedule_after(
-            1,
-            lambda: self._fail_request(request),
-            label=f"array:data-loss lbn={request.lbn}",
-        )
+        self._fail_request(request)
 
     # -- completion path ----------------------------------------------------
 

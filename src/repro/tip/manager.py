@@ -46,6 +46,12 @@ from repro.trace.lifecycle import HintLifecycle
 from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 
 
+#: While the array is degraded, TIP pursues this share of its prefetch depth
+#: with at most this many hinted prefetches in flight per disk.
+DEGRADED_HORIZON_FACTOR = 0.25
+DEGRADED_MAX_INFLIGHT_PER_DISK = 1
+
+
 class _HintedBlock:
     """One block-granularity entry in a process's hint queue."""
 
@@ -237,9 +243,12 @@ class TipManager:
 
     def start_prefetch(self, inode: Inode, file_block: int, origin: FetchOrigin) -> bool:
         """Bring a block in ahead of need.  Returns False if the block is
-        already present/in-flight or no cache room could be made."""
+        already present/in-flight, unservable, or no cache room could be made."""
         key: BlockKey = (inode.ino, file_block)
         if self.cache.get(key) is not None:
+            return False
+        lbn = inode.lbn_of_block(file_block)
+        if not self.array.servable(lbn):
             return False
         if self.cache.free_blocks == 0 and not self._evict_one():
             self.stats.bump(metrics.CACHE_PREFETCH_DENIED_NO_ROOM)
@@ -258,7 +267,7 @@ class TipManager:
             self.cache.mark_valid(key)
             self.on_block_arrived(key)
 
-        self.array.submit(inode.lbn_of_block(file_block), IOKind.PREFETCH, completed)
+        self.array.submit(lbn, IOKind.PREFETCH, completed)
         return True
 
     def _evict_one(self) -> bool:
@@ -448,9 +457,9 @@ class TipManager:
         queue) and the entries on ``released``, the disk whose hint slot the
         caller just freed.  The whole window is walked when the state is
         ``dirty`` (a hinted key left the cache, or a prefetch was denied for
-        lack of room and must be re-attempted) and while the array is
-        degraded (the shed counter counts visits and the limit changes back
-        on recovery, so a degraded scan leaves the state dirty).
+        lack of room or of a servable block) and while the array is degraded
+        (the shed counter counts visits and the limit changes back on
+        recovery, so a degraded scan leaves the state dirty).
         """
         state = self._procs.get(pid)
         if state is None or not state.queue:
@@ -463,10 +472,8 @@ class TipManager:
             # reconstructed, demand and rebuild traffic own the spindles.
             # Shrink the hint horizon and clamp the per-disk appetite;
             # hints stay queued, so prefetching catches back up on resume.
-            depth = max(1, int(depth * self.params.degraded_horizon_factor))
-            cap = self.params.degraded_max_inflight_per_disk
-            if cap > 0:
-                limit = cap if limit <= 0 else min(limit, cap)
+            depth = max(1, int(depth * DEGRADED_HORIZON_FACTOR))
+            limit = DEGRADED_MAX_INFLIGHT_PER_DISK
         visited = 0 if state.dirty or degraded else state.visited
         # Cleared before the walk: an eviction or denial below must reach
         # the next scan (and widens the rest of this one).
@@ -489,7 +496,7 @@ class TipManager:
                 self.stats.bump(metrics.TIP_PREFETCHES_ISSUED)
                 self.lifecycle.prefetch_issued(key)
             else:
-                state.dirty = True  # no room: neither resident nor blocked
+                state.dirty = True  # no room, or unservable: neither resident nor blocked
         if degraded and len(state.queue) > depth:
             self.stats.bump(metrics.TIP_PREFETCHES_SHED_DEGRADED)
         state.visited = min(depth, len(state.queue))

@@ -47,7 +47,7 @@ class HintRecord:
 
     __slots__ = (
         "seq", "key", "pid", "disclosed_ts", "issued_ts", "filled_ts",
-        "terminal", "terminal_ts", "detail",
+        "drops", "terminal", "terminal_ts", "detail",
     )
 
     def __init__(self, seq: int, key: BlockKey, pid: int, disclosed_ts: int) -> None:
@@ -59,6 +59,8 @@ class HintRecord:
         self.issued_ts: Optional[int] = None
         #: When the prefetched block became resident (None = never).
         self.filled_ts: Optional[int] = None
+        #: How many times the array dropped this hint's prefetch.
+        self.drops = 0
         #: Terminal state (None while the hint is open).
         self.terminal: Optional[str] = None
         self.terminal_ts: int = 0
@@ -89,6 +91,7 @@ class HintRecord:
             "disclosed_ts": self.disclosed_ts,
             "issued_ts": self.issued_ts,
             "filled_ts": self.filled_ts,
+            "drops": self.drops,
             "terminal": self.terminal,
             "terminal_ts": self.terminal_ts,
             "detail": self.detail,
@@ -130,8 +133,6 @@ class HintLifecycle:
         self.lead_times = Distribution("hint.lead_cycles")
         #: Consumed hints whose block had fully arrived before the read.
         self.ready_before_demand = 0
-        #: Prefetches that failed terminally and fell back to disclosed.
-        self.prefetches_dropped = 0
 
     # -- intake -------------------------------------------------------------
 
@@ -179,10 +180,11 @@ class HintLifecycle:
     def prefetch_dropped(self, key: BlockKey) -> None:
         """The prefetch failed terminally; the hint stays open (TIP may
         re-issue it) but its issue timestamp no longer stands."""
-        self.prefetches_dropped += 1
         record = self._first_open(key, unissued=False)
-        if record is not None and record.filled_ts is None:
-            record.issued_ts = None
+        if record is not None:
+            record.drops += 1
+            if record.filled_ts is None:
+                record.issued_ts = None
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(CAT_HINT, "hint.prefetch_dropped", tid=TID_SYSTEM,

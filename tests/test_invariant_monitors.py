@@ -22,13 +22,18 @@ from repro.harness.invariants import (
     CellObservation,
     ClockMonotonicityMonitor,
     HintLifecycleMonitor,
+    PrefetchProgressMonitor,
     SpecIdentityMonitor,
     TypedErrorMonitor,
     VariantObservation,
     Violation,
     check_all,
 )
+from repro.sim import metrics
+from repro.sim.clock import SimClock
+from repro.sim.stats import StatRegistry
 from repro.spechint.auditor import AuditTable
+from repro.trace.lifecycle import HintLifecycle
 
 
 def _plan(**kwargs) -> FaultPlan:
@@ -352,6 +357,46 @@ class TestClockMonotonicityMonitor:
         assert any("clock ended" in v.detail for v in violations)
 
 
+class TestPrefetchProgressMonitor:
+    LIMIT = PrefetchProgressMonitor.MAX_DROPS
+
+    def _obs(self, drops, deaths=0, rebuilds_ended=0):
+        """One hint whose prefetch was dropped ``drops`` times in a run
+        with that many servability changes."""
+        lifecycle = HintLifecycle(SimClock())
+        lifecycle.disclosed(1, [(5, 0)], 1)
+        for _ in range(drops):
+            lifecycle.prefetch_issued((5, 0))
+            lifecycle.prefetch_dropped((5, 0))
+        stats = StatRegistry()
+        stats.bump(metrics.ARRAY_DISK_DEATHS, deaths)
+        stats.bump(metrics.REBUILD_COMPLETED, rebuilds_ended)
+        system = SimpleNamespace(
+            manager=SimpleNamespace(lifecycle=lifecycle), stats=stats)
+        return _cell({"speculating": VariantObservation(
+            "speculating", system=system)})
+
+    def test_drops_within_the_bound_are_silent(self):
+        assert PrefetchProgressMonitor().check(self._obs(self.LIMIT)) == []
+
+    def test_a_livelocked_hint_trips(self):
+        (violation,) = PrefetchProgressMonitor().check(
+            self._obs(self.LIMIT + 1))
+        assert violation.monitor == "prefetch-progress"
+        assert violation.witness["drops"] == self.LIMIT + 1
+        assert violation.witness["seq"] == 1
+
+    def test_each_death_or_rebuild_end_opens_a_new_window(self):
+        monitor = PrefetchProgressMonitor()
+        drops = 3 * self.LIMIT
+        assert monitor.check(self._obs(drops, deaths=1, rebuilds_ended=1)) == []
+        assert monitor.check(self._obs(drops + 1, deaths=1, rebuilds_ended=1))
+
+    def test_no_ledger_is_silent(self):
+        obs = _cell({"original": VariantObservation("original")})
+        assert PrefetchProgressMonitor().check(obs) == []
+
+
 class TestViolationSerde:
     def test_round_trip(self):
         violation = Violation("audit-chain", "broken", {"pid": 1})
@@ -374,10 +419,11 @@ class TestSilenceOnCleanRuns:
 
     @pytest.mark.parametrize("app", ["agrep", "gnuld", "xds", "postgres20"])
     def test_fault_free_differential_cell_passes_all_six(self, app):
+        """The six safety monitors, and prefetch-progress beside them."""
         from repro.harness.fuzz import run_fuzz_case
         from repro.harness.oracle import oracle_case
 
-        assert len(DEFAULT_MONITORS) == 6
+        assert len(DEFAULT_MONITORS) == 7
         result = run_fuzz_case(oracle_case(app), workload_scale=0.2)
         assert result.passed, [str(v) for v in result.violations]
         assert result.escapes == {"original": None, "speculating": None}
@@ -394,7 +440,7 @@ class TestSilenceOnCleanRuns:
         obs = _cell({"manual": vobs}, plan=FaultPlan())
         monitors = (AuditChainMonitor(), HintLifecycleMonitor(),
                     CancelDrainMonitor(), ClockMonotonicityMonitor(),
-                    TypedErrorMonitor())
+                    TypedErrorMonitor(), PrefetchProgressMonitor())
         assert check_all(obs, monitors) == []
 
     def test_all_monitors_silent_under_builtin_chaos(self):

@@ -4,7 +4,8 @@
 may have become issuable since the last scan.  The reference model
 (``tests/tip_reference.py``) walks the whole window on every event.  Any
 interleaving of hints, cancels, reads, block arrivals, dropped prefetches,
-evictions, degraded-mode toggles and accuracy swings must drive both to the
+lost blocks, evictions, degraded-mode toggles and accuracy swings must drive
+both to the
 same disk traffic, the same counters and the same hint-lifecycle ledger —
 checked after *every* step, so a divergence is reported where it starts.
 
@@ -34,8 +35,8 @@ PIDS = (1, 2)
 
 
 class ScriptedArray(StripedArray):
-    """A striped array the test can degrade and whose prefetches it can
-    doom, recording every submitted lbn."""
+    """A striped array the test can degrade, whose prefetches it can doom
+    and whose blocks it can lose, recording every submitted lbn."""
 
     #: Shadows the property: the managers only ever read the flag.
     degraded = False
@@ -45,6 +46,10 @@ class ScriptedArray(StripedArray):
         self.submitted = []
         self.doomed = set()
         self.demanded = set()
+        self.lost = set()
+
+    def servable(self, lbn):
+        return lbn not in self.lost and super().servable(lbn)
 
     def submit(self, lbn, kind, callback):
         self.submitted.append((lbn, kind.value))
@@ -81,9 +86,7 @@ class Stack:
         self.manager = manager_cls(
             self.fs, self.array, BlockCache(cache_blocks, self.stats),
             self.readahead, self.stats,
-            # Half, not the default quarter: a degraded window worth scanning.
-            TipParams(prefetch_horizon=horizon, max_inflight_per_disk=inflight,
-                      degraded_horizon_factor=0.5),
+            TipParams(prefetch_horizon=horizon, max_inflight_per_disk=inflight),
         )
 
     def apply(self, step):
@@ -135,7 +138,17 @@ class Stack:
             self.array.doomed.add(outstanding[nth % len(outstanding)])
 
     def degrade(self, flag):
+        """Enter or leave degraded mode; leaving it is a rebuild's end,
+        which makes every lost block servable again."""
         self.array.degraded = flag
+        if not flag:
+            self.array.lost.clear()
+
+    def lose(self, f, block):
+        """A second death strands a block: no disk and no parity row can
+        serve it until the rebuild ends."""
+        self.array.lost.add(self.fs.inode(f).lbn_of_block(block))
+        self.array.degraded = True
 
     def resident(self, f, block):
         """Put a block in the cache as if a demand read had brought it."""
@@ -160,7 +173,6 @@ class Stack:
             "ledger": [r.to_jsonable() for r in lifecycle.records()],
             "ledger_counts": lifecycle.summary_counts(),
             "ready_before_demand": lifecycle.ready_before_demand,
-            "prefetches_dropped": lifecycle.prefetches_dropped,
             "now": self.engine.clock.now,
         }
 
@@ -186,6 +198,7 @@ STEPS = st.lists(
         st.tuples(st.just("cancel"), pids),
         st.tuples(st.just("doom"), st.integers(0, 7)),
         st.tuples(st.just("degrade"), st.booleans()),
+        st.tuples(st.just("lose"), files, blocks),
         st.tuples(st.just("resident"), files, blocks),
         st.tuples(st.just("swing"), pids, st.booleans(), st.integers(5, 40)),
     ),
@@ -220,7 +233,8 @@ def run_twins(cache_blocks, horizon, inflight, steps):
 
 @given(
     cache_blocks=st.integers(3, 12),
-    horizon=st.sampled_from([4, 8, 16, 32]),
+    # Up to 64: at the degraded quarter, a window of 16 worth scanning.
+    horizon=st.sampled_from([4, 8, 16, 32, 64]),
     inflight=st.sampled_from([0, 1, 2]),
     steps=STEPS,
 )
@@ -327,3 +341,22 @@ def test_a_dropped_hinted_prefetch_is_prefetched_again():
     ])
     assert real.stats.get("tip.prefetches_dropped") == 1
     assert real.stats.get("tip.prefetches_issued") == 9
+
+
+def test_a_lost_block_is_refused_until_the_rebuild_ends():
+    real = run_twins(cache_blocks=32, horizon=16, inflight=0, steps=[
+        # Degraded: a quarter of the depth, one prefetch per disk.  Block
+        # 0 is lost, so disk 0's slot goes to block 1 instead.
+        ("lose", 0, 0),
+        ("hint", 1, [(0, 0, 4)]),
+        ("events", 8),
+        # Still refused on every rescan while degraded ...
+        ("hint", 1, [(1, 0, 1)]),
+        # ... and issued once the rebuild has ended.
+        ("degrade", False),
+        ("hint", 1, [(2, 0, 1)]),
+    ])
+    # File f's block b is lbn 24 f + b: block 0 of file 0 goes out once,
+    # after the rebuild, ahead of the two hints queued behind it.
+    issued = [lbn for lbn, kind in real.array.submitted if kind == "prefetch"]
+    assert issued == [1, 2, 3, 0, 24, 48]

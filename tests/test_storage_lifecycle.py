@@ -11,7 +11,8 @@ Three layers:
   the table, no untested one;
 * ``test_any_schedule_leaves_the_array_clean`` — a hypothesis property
   over random submit schedules × fault plans × the two Section 4.8
-  knobs, checking the slot accounting after every event and, at drain,
+  knobs, submitting a prefetch only where the array can serve it (as TIP
+  does), checking the slot accounting after every event and, at drain,
   that every callback ran exactly once and nothing is left armed.
 """
 
@@ -180,22 +181,54 @@ def held_prefetch_when_its_disk_dies_without_parity(edges):
 
 def read_of_a_known_dead_disk_without_parity(edges):
     """A demand fails on the spot (the typed error surfaces at the read);
-    a prefetch is dropped one event later."""
+    a prefetch is refused: the array takes none it cannot serve."""
     rig = Rig(edges, FaultPlan(dead_disk=1, dead_at_s=0.0))
     first, demand, prefetch = rig.lbns_on(1)[:3]
+    assert rig.array.servable(prefetch)  # the death is not known yet
     rig.submit(first, DEMAND)
     rig.run()
     failed = rig.submit(demand, DEMAND)
     assert failed.done and failed.failed
     assert isinstance(StripedArray.failure_cause(failed), DataLossError)
-    dropped = rig.submit(prefetch, PREFETCH)
-    assert state_of(dropped) == "DROPPING" and not dropped.done
-    # A reader that joins the doomed prefetch gets the typed error too.
-    rig.submit(prefetch, DEMAND)
+    assert not rig.array.servable(prefetch)
+    assert rig.array.servable(rig.lbns_on(0)[0])
+    with pytest.raises(AssertionError, match="unservable"):
+        rig.submit(prefetch, PREFETCH)
+    assert rig.array.outstanding_for(prefetch) is None
+    assert rig.get("array.prefetch_submitted") == 0
+    assert rig.get("array.demand_failures") == 2
+
+
+def held_prefetch_stranded_by_a_second_death(edges):
+    """Disk 1 is dead with no spare; a demand on disk 2 observes disk 2's
+    death while a prefetch holds its slot and another waits, held.  The
+    held one fails at that very event, and by the time its callback runs
+    the array already answers that the block is unservable — so TIP,
+    which asks before it submits, does not resubmit it."""
+    plan = FaultPlan(dead_disk=1, dead_at_s=0.0,
+                     second_dead_disk=2, second_dead_at_s=0.001)
+    rig = Rig(edges, plan, parity=True, max_prefetches_per_disk=1)
+    rig.submit(rig.lbns_on(1)[0], DEMAND)
+    rig.run(until=70_000)  # disk 1's death is known
+    demand, slotted, parked = rig.lbns_on(2)[:3]
+    observer = rig.submit(demand, DEMAND)
+    rig.submit(slotted, PREFETCH)
+    resubmitted = []
+
+    def tip_reacts(request):
+        rig.done.append(request)
+        if rig.array.servable(request.lbn):  # TipManager.start_prefetch
+            resubmitted.append(rig.submit(request.lbn, PREFETCH))
+
+    held = rig.array.submit(parked, PREFETCH, tip_reacts)
+    assert state_of(held) == "HELD"
     rig.run()
-    assert dropped.done and dropped.failed
-    assert rig.get("array.demand_failures") == 3
-    assert rig.get("array.prefetches_dropped") == 0
+    assert held.failed and held.fault == FAULT_DATA_LOSS
+    assert held.notify_time == observer.finish_time  # no deferral event
+    assert resubmitted == []
+    assert rig.get("array.prefetch_submitted") == 2
+    assert rig.get("array.prefetches_dropped") == 2
+    assert observer.failed and rig.get("array.disk_deaths") == 2
 
 
 def backoff_when_the_disk_dies(edges, kind, parity, hot_spares=0,
@@ -393,7 +426,8 @@ def peer_dies_during_a_childs_backoff(edges):
     assert req.failed and rig.get("array.disk_deaths") == 2
     assert isinstance(StripedArray.failure_cause(req), DataLossError)
     assert rig.get("disk2.retries") == 1
-    assert rig.array.data_loss
+    # The row, and the observer's own block (its peer disk 1 is dead).
+    assert rig.get("faults.data_loss") == 2
 
 
 def demand_joins_a_prefetch_under_reconstruction(edges):
@@ -498,6 +532,7 @@ SCHEDULES = [
     held_prefetch_when_its_disk_dies_with_parity,
     held_prefetch_when_its_disk_dies_without_parity,
     read_of_a_known_dead_disk_without_parity,
+    held_prefetch_stranded_by_a_second_death,
     backoff_when_the_disk_dies_to_the_peers,
     backoff_when_the_disk_dies_to_the_spare,
     backoff_when_the_disk_dies_without_parity,
@@ -623,6 +658,8 @@ class Driven:
         self.completions = []
 
     def submit(self, lbn, kind):
+        if kind is PREFETCH and not self.array.servable(lbn):
+            return  # refused, as TipManager.start_prefetch refuses it
         index = len(self.calls)
         self.calls.append(0)
 

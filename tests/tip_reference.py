@@ -22,7 +22,11 @@ from typing import Dict, Optional
 
 from repro.fs.cache import BlockKey, CacheEntry, EntryState, FetchOrigin
 from repro.sim import metrics
-from repro.tip.manager import TipManager
+from repro.tip.manager import (
+    DEGRADED_HORIZON_FACTOR,
+    DEGRADED_MAX_INFLIGHT_PER_DISK,
+    TipManager,
+)
 
 
 def reference_victim(manager: TipManager) -> Optional[CacheEntry]:
@@ -68,10 +72,8 @@ class ReferenceTipManager(TipManager):
             # reconstructed, demand and rebuild traffic own the spindles.
             # Shrink the hint horizon and clamp the per-disk appetite;
             # hints stay queued, so prefetching catches back up on resume.
-            depth = max(1, int(depth * self.params.degraded_horizon_factor))
-            cap = self.params.degraded_max_inflight_per_disk
-            if cap > 0:
-                limit = cap if limit <= 0 else min(limit, cap)
+            depth = max(1, int(depth * DEGRADED_HORIZON_FACTOR))
+            limit = DEGRADED_MAX_INFLIGHT_PER_DISK
         scanned = 0
         for entry in state.queue:
             if scanned >= depth:
