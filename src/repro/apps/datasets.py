@@ -46,7 +46,8 @@ class _LastDataset:
     app.  Any other is evicted
     *before* its successor is generated, so the slot never holds two (a
     dataset is tens of MB and sets a cell's peak memory); besides the
-    slot, only file systems that are still in use keep a dataset alive.
+    slot, only file systems that are still in use keep a dataset alive —
+    a finished run has released its own (``FileSystem.release``).
     """
 
     __slots__ = ("_key", "_dataset")
@@ -68,12 +69,14 @@ class _LastDataset:
         if key != self._key:
             if self._dataset is not None:
                 self._key, self._dataset = (), None
-                # A finished system is cyclic garbage and still pins the
-                # files it was built over.  In a loop that does not collect
-                # per cell, whether the allocation-driven collector gets to
-                # it before the next dataset exists is luck (peak RSS of a
-                # pass of eight full-scale cells: 59 to 71 MB by where a
-                # young collection happens to fall, 50 MB with this).
+                # A run releases its file system when it ends, but inodes
+                # can still be held by an unreachable cycle that never went
+                # through a run.  In a loop that does not collect per cell,
+                # whether the allocation-driven collector gets to it before
+                # the next dataset exists is luck (peak RSS of a pass of
+                # eight full-scale cells, before runs released their files:
+                # 59 to 71 MB by where a young collection happened to fall,
+                # 50 MB with this).
                 gc.collect()
             self._dataset = generate(*args)
             self._key = key

@@ -13,14 +13,38 @@ scripted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NoReturn, Optional, Union
 
-from repro.errors import FileExistsInFS, FileNotFoundInFS, InvalidBlockError
+from repro.errors import (
+    FileExistsInFS,
+    FileNotFoundInFS,
+    FileSystemError,
+    InvalidBlockError,
+)
 from repro.params import BLOCK_SIZE
 
 
 #: What a file can be created from (see ``Inode``).
 FileData = Union[bytes, bytearray, memoryview]
+
+
+class _Released:
+    """What a released inode holds instead of its bytes.
+
+    Every way the inode reaches its data — a slice to read, ``len`` for
+    the size, iteration to copy before a write — raises, so the live
+    paths need no test of their own for a file system that has ended.
+    """
+
+    __slots__ = ()
+
+    def _closed(self, *_args: object) -> NoReturn:
+        raise FileSystemError("file used after its file system was released")
+
+    __getitem__ = __len__ = __iter__ = _closed
+
+
+_RELEASED = _Released()
 
 
 class Inode:
@@ -90,7 +114,8 @@ class Inode:
         data[offset:end] = payload
 
     def __repr__(self) -> str:
-        return f"Inode({self.ino}, {self.path!r}, {self.size}B @ lbn {self.first_lbn})"
+        size = "released" if self.data is _RELEASED else f"{self.size}B"
+        return f"Inode({self.ino}, {self.path!r}, {size} @ lbn {self.first_lbn})"
 
 
 class FileSystem:
@@ -163,3 +188,16 @@ class FileSystem:
     def paths(self) -> List[str]:
         """All file paths in creation order."""
         return [inode.path for inode in self._by_ino]
+
+    def release(self) -> None:
+        """End the file system: every inode lets go of its bytes.
+
+        Names and block addresses stay; reading, writing or sizing a file
+        raises :class:`~repro.errors.FileSystemError` from now on.  Only
+        references are dropped — a buffer is never cleared or resized,
+        because an unwritten input is shared with the dataset slot and so
+        with the next file system built over the same dataset
+        (``apps/datasets.py``).
+        """
+        for inode in self._by_ino:
+            inode.data = _RELEASED  # type: ignore[assignment]

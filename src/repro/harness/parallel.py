@@ -126,15 +126,16 @@ def run_cell(fn: Callable[..., Dict[str, object]],
              args: Tuple[object, ...]) -> Dict[str, object]:
     """Run one cell in this process and reclaim what it built.
 
-    A finished cell's simulated system is cyclic garbage: its file system
-    with every input file the cell wrote (and so owns), its cache and
-    ledgers, its address-space mapping.  Left to the allocation-driven
-    collector, several cells' worth pile up before a full collection
-    happens to run; collecting here keeps memory at one cell's footprint.
-    Measured on the ``fuzz_cli`` / ``sweep_cli`` benchmark workloads:
-    30.2 / 36.6 MB peak with this collect, 32.2 / 37.5 MB without — the
-    unwritten inputs, most of a cell's bytes, are shared with the dataset
-    slot (``apps/datasets.py``), which collects when it evicts.
+    A finished cell's simulated system is cyclic garbage: its cache and
+    ledgers, its address-space mapping, its file system's names (the run
+    released the files themselves when it ended).  Left to the
+    allocation-driven collector, several cells' worth pile up before a
+    full collection happens to run; collecting here keeps memory at one
+    cell's footprint.  Measured on the ``fuzz_cli`` / ``sweep_cli``
+    benchmark workloads: 30.2 / 36.6 MB peak with this collect, 32.2 /
+    37.5 MB without — the unwritten inputs, most of a cell's bytes, are
+    shared with the dataset slot (``apps/datasets.py``), which collects
+    when it evicts.
 
     The loops that call this (``_run_serial``, ``_worker_main``) freeze
     what was alive before their first cell, so the collection walks what

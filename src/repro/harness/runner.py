@@ -146,79 +146,88 @@ def run_experiment_with_system(
     cfg: ExperimentConfig,
     tracer: Tracer = NULL_TRACER,
 ) -> "tuple[RunResult, System]":
-    """:func:`run_experiment`, but also hands back the wired system.
+    """:func:`run_experiment`, but also hands back the finished system.
 
     Trace consumers (the ``repro trace`` command, tests) need the live
     objects — the hint-lifecycle ledger, the kernel — not just the result
-    record.
+    record.  The returned system still answers for its counters, the
+    lifecycle ledger, the stall breakdown, audit tables and monitors, but
+    its files are closed: the file system lives as long as the run, so
+    when this returns or raises every inode has let go of its bytes
+    (:meth:`FileSystem.release`) and reading one raises.  A caller that
+    keeps the system while the next cell runs keeps no dataset alive.
     """
     system_config = cfg.resolved_system()
     fs = FileSystem(allocation_jitter_blocks=24, seed=system_config.seed)
-    builder = _BUILDERS[cfg.app]
-    binary = builder(fs, cfg.workload_scale, cfg.variant is Variant.MANUAL)
+    try:
+        builder = _BUILDERS[cfg.app]
+        binary = builder(fs, cfg.workload_scale, cfg.variant is Variant.MANUAL)
 
-    transform_report = None
-    if cfg.variant is Variant.SPECULATING:
-        tool = SpecHintTool(
-            params=system_config.spechint,
-            map_all_addresses=cfg.map_all_addresses,
-            optimize=cfg.analysis_optimize,
+        transform_report = None
+        if cfg.variant is Variant.SPECULATING:
+            tool = SpecHintTool(
+                params=system_config.spechint,
+                map_all_addresses=cfg.map_all_addresses,
+                optimize=cfg.analysis_optimize,
+            )
+            binary = tool.transform(binary)
+            transform_report = binary.spec_meta.report
+
+        fault_plan = cfg.resolved_fault_plan()
+        system = build_system(system_config, fs, fault_plan=fault_plan,
+                              tracer=tracer)
+        for observer in _SYSTEM_OBSERVERS:
+            observer(system)
+        process = system.kernel.spawn(binary)
+        system.kernel.run()
+        # A rebuild that outlives the workload finishes on the sim clock here,
+        # so its completion time lands in the run's deterministic results.  The
+        # workload-completion cycle is recorded first (only in this case, so
+        # fault-free counter snapshots are unchanged): total cycles then cover
+        # workload + drain, and consumers comparing against a healthy run need
+        # the pre-drain mark to measure demand-path slowdown.
+        if system.array.rebuild_active:
+            system.stats.bump(metrics.WORKLOAD_COMPLETED_CYCLE, system.clock.now)
+            system.array.drain_rebuild()
+        system.manager.finalize()
+
+        read_dist = system.stats.distribution_or_none(metrics.APP_READ_CALL_CPU)
+        hint_dist = system.stats.distribution_or_none(metrics.APP_HINT_CALL_CPU)
+
+        result = RunResult(
+            app=cfg.app,
+            variant=cfg.variant.value,
+            cycles=system.clock.now,
+            cpu_hz=system_config.cpu.hz,
+            counters=system.stats.snapshot(),
+            output=bytes(process.output),
+            median_read_interval=median_interval(read_dist.values) if read_dist else 0.0,
+            median_hint_interval=median_interval(hint_dist.values) if hint_dist else 0.0,
+            transform_report=transform_report,
+            footprint_bytes=process.vmstat.footprint_bytes,
+            page_reclaims=process.vmstat.reclaims,
+            page_faults=process.vmstat.faults,
+            fault_profile=fault_plan.name if fault_plan is not None else None,
         )
-        binary = tool.transform(binary)
-        transform_report = binary.spec_meta.report
-
-    fault_plan = cfg.resolved_fault_plan()
-    system = build_system(system_config, fs, fault_plan=fault_plan,
-                          tracer=tracer)
-    for observer in _SYSTEM_OBSERVERS:
-        observer(system)
-    process = system.kernel.spawn(binary)
-    system.kernel.run()
-    # A rebuild that outlives the workload finishes on the sim clock here,
-    # so its completion time lands in the run's deterministic results.  The
-    # workload-completion cycle is recorded first (only in this case, so
-    # fault-free counter snapshots are unchanged): total cycles then cover
-    # workload + drain, and consumers comparing against a healthy run need
-    # the pre-drain mark to measure demand-path slowdown.
-    if system.array.rebuild_active:
-        system.stats.bump(metrics.WORKLOAD_COMPLETED_CYCLE, system.clock.now)
-        system.array.drain_rebuild()
-    system.manager.finalize()
-
-    read_dist = system.stats.distribution_or_none(metrics.APP_READ_CALL_CPU)
-    hint_dist = system.stats.distribution_or_none(metrics.APP_HINT_CALL_CPU)
-
-    result = RunResult(
-        app=cfg.app,
-        variant=cfg.variant.value,
-        cycles=system.clock.now,
-        cpu_hz=system_config.cpu.hz,
-        counters=system.stats.snapshot(),
-        output=bytes(process.output),
-        median_read_interval=median_interval(read_dist.values) if read_dist else 0.0,
-        median_hint_interval=median_interval(hint_dist.values) if hint_dist else 0.0,
-        transform_report=transform_report,
-        footprint_bytes=process.vmstat.footprint_bytes,
-        page_reclaims=process.vmstat.reclaims,
-        page_faults=process.vmstat.faults,
-        fault_profile=fault_plan.name if fault_plan is not None else None,
-    )
-    # Registry identity: everything the run ledger keys on must be stamped
-    # on the result itself, so a payload shipped back from a worker process
-    # carries its own keys (the recorder never sees the config).
-    result.params_digest = params_digest(cfg)
-    result.seed = system_config.seed
-    result.read_trace = tuple(process.read_trace)
-    result.stall_breakdown = stall_breakdown(system.kernel).to_jsonable()
-    lifecycle = system.manager.lifecycle
-    result.hint_lifecycle = lifecycle.summary_counts()
-    result.hint_lead_median = lifecycle.lead_times.percentile(50.0)
-    result.pct_prefetches_before_demand = lifecycle.pct_ready_before_demand
-    if process.spec is not None:
-        result.spec_restarts = process.spec.restarts
-        result.spec_signals = process.spec.signals
-        result.spec_cancel_calls = process.spec.cancel_calls
-        result.spec_hints_issued = process.spec.hints_issued
-        result.audit_records = process.spec.auditor.table.records_total
-        result.audit_head_digest = process.spec.auditor.table.head_digest
-    return result, system
+        # Registry identity: everything the run ledger keys on must be stamped
+        # on the result itself, so a payload shipped back from a worker process
+        # carries its own keys (the recorder never sees the config).
+        result.params_digest = params_digest(cfg)
+        result.seed = system_config.seed
+        result.read_trace = tuple(process.read_trace)
+        result.stall_breakdown = stall_breakdown(system.kernel).to_jsonable()
+        lifecycle = system.manager.lifecycle
+        result.hint_lifecycle = lifecycle.summary_counts()
+        result.hint_lead_median = lifecycle.lead_times.percentile(50.0)
+        result.pct_prefetches_before_demand = lifecycle.pct_ready_before_demand
+        if process.spec is not None:
+            result.spec_restarts = process.spec.restarts
+            result.spec_signals = process.spec.signals
+            result.spec_cancel_calls = process.spec.cancel_calls
+            result.spec_hints_issued = process.spec.hints_issued
+            result.audit_records = process.spec.auditor.table.records_total
+            result.audit_head_digest = process.spec.auditor.table.head_digest
+        return result, system
+    finally:
+        # The run's files end with it, raising or not (DESIGN §5.1).
+        fs.release()

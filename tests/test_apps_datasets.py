@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro.apps import datasets
 from repro.apps.datasets import (
     OBJ_MAGIC,
     generate_agrep_corpus,
@@ -13,6 +14,8 @@ from repro.apps.datasets import (
 )
 from repro.apps.postgres import PostgresWorkload, generate_postgres_relations
 from repro.fs.filesystem import FileSystem
+from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.runner import run_experiment_with_system
 from repro.params import BLOCK_SIZE
 
 
@@ -212,3 +215,40 @@ class TestLastDataset:
             tracemalloc.stop()
         assert largest > 2_000_000
         assert peak <= 1.5 * largest
+
+    @pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.SPECULATING])
+    def test_a_kept_finished_cell_pins_no_dataset(self, monkeypatch, variant):
+        """A caller that keeps a finished cell's ``(result, system)`` while
+        a cell of another app runs, as the matrix loop does, keeps none of
+        its files: the first dataset is freed before the second is
+        generated."""
+        _evict()
+        traced = []  # dataset bytes alive (before, after) each generation
+
+        def dataset_bytes():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, datasets.__file__)])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        def measured(generate):
+            def generate_measured(*args):
+                before = dataset_bytes()
+                made = generate(*args)
+                traced.append((before, dataset_bytes()))
+                return made
+            return generate_measured
+
+        for name in ("_gnuld_files", "_xds_volume"):
+            monkeypatch.setattr(datasets, name, measured(getattr(datasets, name)))
+        tracemalloc.start()
+        try:
+            for app in ("gnuld", "xds"):
+                kept = run_experiment_with_system(ExperimentConfig(
+                    app=app, variant=variant, workload_scale=0.2))
+            del kept
+        finally:
+            tracemalloc.stop()
+        (_, gnuld), (left_of_gnuld, _) = traced
+        assert gnuld > 1_000_000
+        # What is left is the file names, which a released file system keeps.
+        assert left_of_gnuld < gnuld / 100

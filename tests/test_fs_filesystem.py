@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import FileExistsInFS, FileNotFoundInFS, InvalidBlockError
+from repro.errors import (
+    FileExistsInFS,
+    FileNotFoundInFS,
+    FileSystemError,
+    InvalidBlockError,
+)
 from repro.fs.filesystem import FileSystem, Inode
 from repro.params import BLOCK_SIZE
 
@@ -200,3 +205,37 @@ class TestFileSystem:
         fs.create("a", b"")
         assert fs.paths() == ["b", "a"]
         assert fs.nfiles == 2
+
+
+class TestRelease:
+    """A released file system keeps its names and addresses; its files
+    let go of their bytes and refuse every use."""
+
+    def _released(self):
+        fs = FileSystem()
+        shared = b"shared bytes"
+        owned = bytearray(b"owned bytes")
+        fs.create("shared", shared)
+        fs.create("owned", owned)
+        fs.release()
+        return fs, shared, owned
+
+    @pytest.mark.parametrize("use", [
+        lambda inode: inode.read_at(0, 4),
+        lambda inode: inode.write_at(0, b"x"),
+        lambda inode: inode.size,
+        lambda inode: inode.nblocks,
+    ], ids=["read", "write", "size", "nblocks"])
+    def test_a_released_inode_raises(self, use):
+        fs, _, _ = self._released()
+        for path in fs.paths():
+            with pytest.raises(FileSystemError):
+                use(fs.lookup(path))
+
+    def test_release_only_drops_references(self):
+        fs, shared, owned = self._released()
+        assert shared == b"shared bytes"
+        assert owned == bytearray(b"owned bytes")
+        assert fs.paths() == ["shared", "owned"]
+        assert fs.lookup("owned").first_lbn == 1
+        assert "released" in repr(fs.lookup("owned"))

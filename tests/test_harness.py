@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.apps.datasets import generate_gnuld_objects
+from repro.apps.gnuld import MAX_SECTIONS, GnuldWorkload
+from repro.errors import DataLossError, FileSystemError
+from repro.faults.plan import profile
+from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import improvements, run_matrix, run_one
+from repro.harness.fuzz import observe_variant
 from repro.harness.results import RunResult, median_interval
+from repro.harness.runner import run_experiment_with_system
 from repro.params import DiskParams, SystemConfig, scaled_cache_blocks
+from repro.trace.phases import stall_breakdown
 
 
 class TestExperimentConfig:
@@ -115,3 +123,49 @@ class TestDrivers:
         assert a.cycles == b.cycles
         assert a.counters == b.counters
         assert a.output == b.output
+
+
+class TestFinishedSystem:
+    """A file system lives as long as its run: the system a run hands back
+    still answers for what it counted, and its files are closed."""
+
+    def _assert_released(self, fs):
+        assert fs.nfiles > 0
+        for path in fs.paths():
+            with pytest.raises(FileSystemError):
+                fs.lookup(path).read_at(0, 1)
+
+    def test_a_kept_cell_does_not_change_the_next(self):
+        cfg = ExperimentConfig(app="gnuld", workload_scale=0.2)
+        workload = GnuldWorkload().scaled(0.2)
+
+        def inputs():
+            fs = FileSystem()
+            generate_gnuld_objects(fs, workload.nfiles, workload.seed,
+                                   max_sections=MAX_SECTIONS)
+            return {path: fs.lookup(path).data for path in fs.paths()}
+
+        slot = inputs()
+        before = {path: bytes(data) for path, data in slot.items()}
+        first, kept = run_experiment_with_system(cfg)
+        second, _ = run_experiment_with_system(cfg)
+        assert first.to_jsonable() == second.to_jsonable()
+        # The runs wrote ``out/kernel``, not their inputs, and releasing
+        # them cleared nothing: the slot still holds the same bytes.
+        after = inputs()
+        assert all(after[path] is data for path, data in slot.items())
+        assert {path: bytes(data) for path, data in after.items()} == before
+        # What a kept system is read for still answers.
+        assert kept.stats.snapshot() == first.counters
+        assert stall_breakdown(kept.kernel).to_jsonable() \
+            == first.stall_breakdown
+        self._assert_released(kept.fs)
+
+    def test_a_raising_run_releases_its_files_too(self):
+        observed = observe_variant(ExperimentConfig(
+            app="agrep", workload_scale=0.3,
+            fault_plan=profile("double-fault"),
+        ))
+        assert isinstance(observed.error, DataLossError)
+        assert observed.result is None
+        self._assert_released(observed.system.fs)
