@@ -18,17 +18,24 @@ same files, and sweeps cache size and disk count over them too.  Generating
 the bytes is therefore separate from creating the files: each
 ``generate_*`` function takes the bytes from :data:`LAST_DATASET` — which
 generates them when its arguments differ from the last call's — and lays
-them out in the file system it was handed.  The buffers are ``bytes`` or
-read-only views, which an :class:`~repro.fs.filesystem.Inode` shares until
-it is first written, so consecutive cells of one app read the same memory
-and none of them can change what the next one reads.
+them out in the file system it was handed.
+
+A generator writes every file's bytes straight into anonymous private
+mappings (:class:`Mappings`, the backing ``vm/memory.py`` uses for an
+address space) and hands out read-only views of them.  An
+:class:`~repro.fs.filesystem.Inode` shares such a view until it is first
+written, so consecutive cells of one app read the same memory and none of
+them can change what the next one reads; and a dataset goes back to the OS
+the moment its last view dies — the slot moved on and the file systems
+built over it were released — instead of staying on the malloc heap.
 """
 
 from __future__ import annotations
 
 import gc
+import mmap
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.fs.filesystem import FileSystem, Inode
 from repro.sim.rng import DeterministicRng
@@ -47,7 +54,8 @@ class _LastDataset:
     *before* its successor is generated, so the slot never holds two (a
     dataset is tens of MB and sets a cell's peak memory); besides the
     slot, only file systems that are still in use keep a dataset alive —
-    a finished run has released its own (``FileSystem.release``).
+    a finished run has released its own (``FileSystem.release``) — and
+    a dataset's mappings are unmapped when its last view dies.
     """
 
     __slots__ = ("_key", "_dataset")
@@ -69,14 +77,15 @@ class _LastDataset:
         if key != self._key:
             if self._dataset is not None:
                 self._key, self._dataset = (), None
-                # A run releases its file system when it ends, but inodes
-                # can still be held by an unreachable cycle that never went
-                # through a run.  In a loop that does not collect per cell,
-                # whether the allocation-driven collector gets to it before
-                # the next dataset exists is luck (peak RSS of a pass of
-                # eight full-scale cells, before runs released their files:
-                # 59 to 71 MB by where a young collection happened to fall,
-                # 50 MB with this).
+                # A run releases its file system when it ends, but views of
+                # the dataset can still be held by an unreachable cycle that
+                # never went through a run, and a mapping is only unmapped
+                # when its last view dies.  In a loop that does not collect
+                # per cell, whether the allocation-driven collector gets to
+                # it before the next dataset exists is luck (peak RSS of a
+                # pass of eight full-scale cells, before runs released their
+                # files: 59 to 71 MB by where a young collection happened to
+                # fall, 50 MB with this).
                 gc.collect()
             self._dataset = generate(*args)
             self._key = key
@@ -86,6 +95,63 @@ class _LastDataset:
 #: The process's dataset slot.  Only the ``generate_*`` functions (here and
 #: in ``apps/postgres.py``) call it.
 LAST_DATASET = _LastDataset()
+
+#: Files smaller than this are packed back to back into shared mappings of
+#: this size; a larger file gets a mapping of its own.  Measured on the
+#: full-scale agrep and gnuld datasets (232 files, 12.6 MB): a mapping per
+#: file costs 232 mappings and each file's partly used last page (peak RSS
+#: of a matrix pass 0.1-0.3 MB higher); 1 MB packs them into 13 mappings;
+#: generating both took 66-70 ms at every size from 64 KB to 4 MB, within
+#: the run-to-run spread.  The unused tail of a mapping is never touched,
+#: so it is address space, not memory.
+PACK_BYTES = 1 << 20
+
+#: ``random_fill`` draws a file's bytes this many at a time.  A multiple of
+#: four, so the stream is the one a single ``rng.bytes(len(view))`` draws
+#: (``randbytes`` takes 32-bit words in order).  Filling a 10.5 MB mapping
+#: (gnuld's dataset) in one draw peaks at 21 MB of heap — the bytes and
+#: the ``int`` ``randbytes`` builds them from — and takes 48 ms; in 64 KB
+#: steps it peaks at 135 KB and takes 30 ms (16 KB: 30 ms, 4 KB: 62 ms,
+#: 1 MB: 40 ms).
+FILL_BYTES = 1 << 16
+
+
+class Mappings:
+    """The anonymous mappings one dataset's files are written into.
+
+    Private (``ACCESS_COPY``: a forked worker's writes stay its own) and
+    zero-filled on first touch.  ``file(n)`` hands out ``n`` fresh bytes: a
+    file smaller than :data:`PACK_BYTES` goes after the last one in the
+    current shared mapping, or starts the next when it does not fit, so no
+    file spans two mappings.  Callers seal what they wrote with
+    ``toreadonly()``; a mapping is unmapped when its last view dies.
+    """
+
+    __slots__ = ("_shared", "_used")
+
+    def __init__(self) -> None:
+        self._shared: Optional[memoryview] = None
+        self._used = 0
+
+    def file(self, size: int) -> memoryview:
+        """A writable, zero-filled view of ``size`` bytes of its own."""
+        if size >= PACK_BYTES:
+            return memoryview(mmap.mmap(-1, size, access=mmap.ACCESS_COPY))
+        if self._shared is None or self._used + size > PACK_BYTES:
+            self._shared = memoryview(
+                mmap.mmap(-1, PACK_BYTES, access=mmap.ACCESS_COPY))
+            self._used = 0
+        view = self._shared[self._used:self._used + size]
+        self._used += size
+        return view
+
+
+def random_fill(rng: DeterministicRng, view: memoryview) -> None:
+    """``view[:] = rng.bytes(len(view))``, :data:`FILL_BYTES` at a time."""
+    for start in range(0, len(view), FILL_BYTES):
+        step = view[start:start + FILL_BYTES]
+        step[:] = rng.bytes(len(step))
+
 
 # Gnuld object-file layout (u64 little-endian fields) -------------------------
 
@@ -124,12 +190,15 @@ def generate_agrep_corpus(
 
 def _agrep_files(
     nfiles: int, seed: int, min_kb: int, max_kb: int, directory: str
-) -> List[Tuple[str, bytes]]:
+) -> List[Tuple[str, memoryview]]:
     rng = DeterministicRng(seed, "agrep-corpus")
+    mappings = Mappings()
     files = []
     for i in range(nfiles):
         size = rng.pareto_int(1.3, min_kb * 1024, max_kb * 1024)
-        files.append((f"{directory}/file{i:04d}.c", rng.bytes(size)))
+        text = mappings.file(size)
+        random_fill(rng, text)
+        files.append((f"{directory}/file{i:04d}.c", text.toreadonly()))
     return files
 
 
@@ -185,6 +254,7 @@ def _gnuld_files(
     nfiles: int, seed: int, max_sections: int, directory: str
 ) -> List[Tuple[ObjectFileSpec, memoryview]]:
     rng = DeterministicRng(seed, "gnuld-objects")
+    mappings = Mappings()
     files = []
     for i in range(nfiles):
         nsections = rng.randint(4, max_sections)
@@ -231,7 +301,8 @@ def _gnuld_files(
             cursor += length + rng.randint(0, 4096)
 
         size = cursor + rng.randint(0, 512)
-        blob = bytearray(rng.bytes(size))
+        blob = mappings.file(size)
+        random_fill(rng, blob)
 
         for off, r_off, r_len in zip(section_offsets, reloc_offsets, reloc_lengths):
             blob[off:off + 8] = _u64(r_off)
@@ -271,7 +342,7 @@ def _gnuld_files(
             reloc_offsets=reloc_offsets,
             reloc_lengths=reloc_lengths,
         )
-        files.append((spec, memoryview(blob).toreadonly()))
+        files.append((spec, blob.toreadonly()))
     return files
 
 
@@ -297,13 +368,13 @@ def generate_xds_dataset(
 def _xds_volume(dim: int, seed: int, voxel_bytes: int) -> memoryview:
     rng = DeterministicRng(seed, "xds-dataset")
     size = dim * dim * dim * voxel_bytes
-    blob = bytearray(size)
+    blob = Mappings().file(size)
     # Sprinkle a deterministic pattern so reads return non-trivial data.
     for _ in range(min(4096, size // 64)):
         pos = rng.randint(0, size - 1)
         blob[pos] = rng.randint(1, 255)
     # Built in place and sealed: a read-only view costs no second copy.
-    return memoryview(blob).toreadonly()
+    return blob.toreadonly()
 
 
 def xds_slice_plan(

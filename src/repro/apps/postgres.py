@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.apps.datasets import LAST_DATASET
+from repro.apps.datasets import LAST_DATASET, Mappings, random_fill
 from repro.fs.filesystem import FileSystem
 from repro.sim.rng import DeterministicRng
 from repro.vm.assembler import Assembler
@@ -125,7 +125,7 @@ def generate_postgres_relations(
 
 def _postgres_relations(
     workload: PostgresWorkload,
-) -> Tuple[memoryview, memoryview, bytes]:
+) -> Tuple[memoryview, memoryview, memoryview]:
     rng = DeterministicRng(workload.seed, "postgres")
     ntuples = workload.ntuples
 
@@ -136,7 +136,8 @@ def _postgres_relations(
         inner_offset_of_key.append(page * PAGE)
 
     # Outer relation.
-    outer = bytearray(workload.outer_pages * PAGE)
+    mappings = Mappings()
+    outer = mappings.file(workload.outer_pages * PAGE)
     keys = list(range(ntuples))
     rng.shuffle(keys)
     matched = 0
@@ -149,7 +150,7 @@ def _postgres_relations(
 
     # Index: root page + leaves.
     nleaves = workload.nleaves
-    index = bytearray((1 + nleaves) * PAGE)
+    index = mappings.file((1 + nleaves) * PAGE)
     for leaf in range(nleaves):
         leaf_offset = (1 + leaf) * PAGE
         index[leaf * 8:leaf * 8 + 8] = _u64(leaf_offset)
@@ -161,9 +162,9 @@ def _postgres_relations(
             index[at:at + 8] = _u64(inner_offset_of_key[key])
 
     # Inner heap (contents otherwise irrelevant to control flow).
-    inner = rng.bytes(workload.inner_pages * PAGE)
-    return (memoryview(outer).toreadonly(), memoryview(index).toreadonly(),
-            inner)
+    inner = mappings.file(workload.inner_pages * PAGE)
+    random_fill(rng, inner)
+    return outer.toreadonly(), index.toreadonly(), inner.toreadonly()
 
 
 def build_postgres(

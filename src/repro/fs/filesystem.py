@@ -53,11 +53,13 @@ class Inode:
     Who owns the bytes is read off the type of ``data`` (DESIGN.md
     section 5.1).  A ``bytearray`` is adopted: it becomes the file's
     storage and the caller must not touch it again.  ``bytes`` and a
-    read-only ``memoryview`` over bytes cannot be written through, so they
-    are kept as they are and may back any number of inodes (the dataset
-    generators hand every cell of one app the same buffers); the first
-    ``write_at`` replaces them by a private ``bytearray``.  Anything else
-    is copied.
+    read-only ``memoryview`` cannot be written through, so they are kept as
+    they are and may back any number of inodes; the first ``write_at``
+    replaces them by a private ``bytearray``.  Anything else is copied.
+    The dataset generators hand every cell of one app the same read-only
+    views of anonymous mappings, so an input file's bytes are not on the
+    malloc heap, and its mapping is unmapped once the last inode and the
+    dataset slot have let go of it (``FileSystem.release``).
     """
 
     __slots__ = ("ino", "path", "data", "first_lbn")

@@ -132,10 +132,11 @@ def run_cell(fn: Callable[..., Dict[str, object]],
     allocation-driven collector, several cells' worth pile up before a
     full collection happens to run; collecting here keeps memory at one
     cell's footprint.  Measured on the ``fuzz_cli`` / ``sweep_cli``
-    benchmark workloads: 30.2 / 36.6 MB peak with this collect, 32.2 /
-    37.5 MB without — the unwritten inputs, most of a cell's bytes, are
-    shared with the dataset slot (``apps/datasets.py``), which collects
-    when it evicts.
+    benchmark commands, each launched from a small parent (a child's peak
+    RSS starts at its forking parent's resident size): 28.1 / 32.6 MB peak
+    with this collect, 29.3 / 33.6-34.4 MB without — the unwritten
+    inputs, most of a cell's bytes, are mappings shared with the dataset
+    slot (``apps/datasets.py``), which collects when it evicts.
 
     The loops that call this (``_run_serial``, ``_worker_main``) freeze
     what was alive before their first cell, so the collection walks what

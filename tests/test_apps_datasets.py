@@ -1,15 +1,19 @@
 """Tests for the synthetic workload generators."""
 
+import mmap
 import tracemalloc
+import weakref
 
 import pytest
 
-from repro.apps import datasets
+from repro.apps import datasets, postgres
 from repro.apps.datasets import (
+    FILL_BYTES,
     OBJ_MAGIC,
     generate_agrep_corpus,
     generate_gnuld_objects,
     generate_xds_dataset,
+    random_fill,
     xds_slice_plan,
 )
 from repro.apps.postgres import PostgresWorkload, generate_postgres_relations
@@ -17,6 +21,7 @@ from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.runner import run_experiment_with_system
 from repro.params import BLOCK_SIZE
+from repro.sim.rng import DeterministicRng
 
 
 class TestAgrepCorpus:
@@ -117,8 +122,11 @@ class TestXdsDataset:
 
     def test_volume_is_built_in_place(self):
         """The generator hands its buffer to the file system: the volume is
-        held once while it is created, not three times over."""
+        held once while it is created, not three times over.  It is written
+        into a mapping, which tracemalloc cannot see, so what is counted is
+        the mapped volume plus the heap's traced peak."""
         size = 64 ** 3 * 4
+        _evict()
         tracemalloc.start()
         try:
             inode = generate_xds_dataset(FileSystem(), 64, seed=1)
@@ -126,7 +134,8 @@ class TestXdsDataset:
         finally:
             tracemalloc.stop()
         assert inode.size == size
-        assert peak <= 1.5 * size
+        assert isinstance(inode.data.obj, mmap.mmap)
+        assert peak + inode.data.nbytes <= 1.5 * size
 
     def test_slice_plan_shape(self):
         plan = xds_slice_plan(64, 10, seed=2)
@@ -163,6 +172,53 @@ def _evict():
     generate_xds_dataset(FileSystem(), 2, seed=0)
 
 
+def _views(made):
+    """The buffers in what a dataset generator returned."""
+    if isinstance(made, memoryview):
+        return [made]
+    if isinstance(made, (list, tuple)):
+        return [view for item in made for view in _views(item)]
+    return []
+
+
+class _Generations:
+    """Watches dataset generators through the mappings their files live in.
+
+    tracemalloc cannot see a mapping, so each watched generator is wrapped:
+    when it returns, weak references to the mappings under its files are
+    taken, with the file bytes in each; when the next one starts, the bytes
+    in earlier mappings that are still alive are summed.  ``generations``
+    holds ``(bytes still mapped at the start, bytes generated)`` per call.
+    """
+
+    def __init__(self, monkeypatch, names):
+        self.generations = []
+        self._mapped = []  # (weak reference to a mapping, file bytes in it)
+        for module, name in names:
+            monkeypatch.setattr(module, name, self._watched(getattr(module, name)))
+
+    def held(self):
+        return sum(nbytes for ref, nbytes in self._mapped if ref() is not None)
+
+    def _watched(self, generate):
+        def generate_watched(*args):
+            before = self.held()
+            made = generate(*args)
+            in_mapping = {}
+            for view in _views(made):
+                ref, nbytes = in_mapping.get(id(view.obj), (weakref.ref(view.obj), 0))
+                in_mapping[id(view.obj)] = (ref, nbytes + view.nbytes)
+            self._mapped.extend(in_mapping.values())
+            self.generations.append(
+                (before, sum(nbytes for _, nbytes in in_mapping.values())))
+            return made
+        return generate_watched
+
+
+ALL_GENERATORS = [(datasets, "_agrep_files"), (datasets, "_gnuld_files"),
+                  (datasets, "_xds_volume"), (postgres, "_postgres_relations")]
+
+
 class TestLastDataset:
     @pytest.mark.parametrize("app", sorted(GENERATORS))
     def test_warm_build_equals_cold_build(self, app):
@@ -195,24 +251,49 @@ class TestLastDataset:
         assert specs1 == specs2
         assert [s.path for s in specs2] == fs2.paths()
 
+    @pytest.mark.parametrize("app", sorted(GENERATORS))
+    def test_files_are_views_of_mappings_unmapped_with_the_dataset(self, app):
+        """Every file is a read-only view into an anonymous mapping, and
+        the mappings are closed once the slot has moved on and the file
+        systems built over them are released."""
+        _evict()
+        fs = FileSystem()
+        GENERATORS[app](fs)
+        mappings = {}
+        for ino in range(fs.nfiles):
+            data = fs.inode(ino).data
+            assert isinstance(data, memoryview) and data.readonly
+            assert isinstance(data.obj, mmap.mmap)
+            mappings[id(data.obj)] = weakref.ref(data.obj)
+        del data
+        fs.release()
+        assert all(ref() is not None for ref in mappings.values())  # the slot's
+        _evict()
+        assert all(ref() is None for ref in mappings.values())
+
+    @pytest.mark.parametrize("size", [0, 5, FILL_BYTES, FILL_BYTES + 3,
+                                      3 * FILL_BYTES - 1])
+    def test_a_file_filled_in_steps_is_the_stream_drawn_at_once(self, size):
+        view = memoryview(bytearray(size))
+        random_fill(DeterministicRng(4, "fill"), view)
+        assert bytes(view) == DeterministicRng(4, "fill").bytes(size)
+
     @pytest.mark.parametrize("pinned_by_garbage", [False, True])
-    def test_one_dataset_is_held_at_a_time(self, pinned_by_garbage):
+    def test_one_dataset_is_held_at_a_time(self, monkeypatch, pinned_by_garbage):
         """The old dataset is gone before the next one is allocated — also
         when what still holds its files is an unreachable cycle, as a
         finished simulated system is."""
         _evict()
-        tracemalloc.start()
-        try:
-            largest = 0
-            for app in ("agrep", "gnuld", "postgres", "xds", "agrep"):
-                inodes = _built(app)
-                largest = max(largest, sum(inode.size for inode in inodes))
-                if pinned_by_garbage:
-                    inodes.append(inodes)
-                del inodes
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        watch = _Generations(monkeypatch, ALL_GENERATORS)
+        largest = 0
+        for app in ("agrep", "gnuld", "postgres", "xds", "agrep"):
+            inodes = _built(app)
+            largest = max(largest, sum(inode.size for inode in inodes))
+            if pinned_by_garbage:
+                inodes.append(inodes)
+            del inodes
+        peak = max(before + made for before, made in watch.generations)
+        assert len(watch.generations) == 5
         assert largest > 2_000_000
         assert peak <= 1.5 * largest
 
@@ -223,32 +304,13 @@ class TestLastDataset:
         its files: the first dataset is freed before the second is
         generated."""
         _evict()
-        traced = []  # dataset bytes alive (before, after) each generation
-
-        def dataset_bytes():
-            snapshot = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, datasets.__file__)])
-            return sum(stat.size for stat in snapshot.statistics("filename"))
-
-        def measured(generate):
-            def generate_measured(*args):
-                before = dataset_bytes()
-                made = generate(*args)
-                traced.append((before, dataset_bytes()))
-                return made
-            return generate_measured
-
-        for name in ("_gnuld_files", "_xds_volume"):
-            monkeypatch.setattr(datasets, name, measured(getattr(datasets, name)))
-        tracemalloc.start()
-        try:
-            for app in ("gnuld", "xds"):
-                kept = run_experiment_with_system(ExperimentConfig(
-                    app=app, variant=variant, workload_scale=0.2))
-            del kept
-        finally:
-            tracemalloc.stop()
-        (_, gnuld), (left_of_gnuld, _) = traced
+        watch = _Generations(
+            monkeypatch, [(datasets, "_gnuld_files"), (datasets, "_xds_volume")])
+        for app in ("gnuld", "xds"):
+            kept = run_experiment_with_system(ExperimentConfig(
+                app=app, variant=variant, workload_scale=0.2))
+        del kept
+        (_, gnuld), (left_of_gnuld, _) = watch.generations
         assert gnuld > 1_000_000
-        # What is left is the file names, which a released file system keeps.
+        # Bytes of the gnuld mappings still alive when xds is generated.
         assert left_of_gnuld < gnuld / 100
