@@ -117,8 +117,8 @@ def main() -> None:
     print(f"\nspeculating:  {spec_s * 1000:8.2f} ms simulated, "
           f"{spec_system.stats.get('app.read_stalls')} read stalls, "
           f"output={bytes(spec_proc.output).strip().decode()}")
-    print(f"              {spec_proc.spec.hints_issued} hints issued, "
-          f"{spec_proc.spec.restarts} speculation restart(s), "
+    print(f"              {spec_system.stats.get('spec.hints_issued')} hints issued, "
+          f"{spec_system.stats.get('spec.restarts')} speculation restart(s), "
           f"{spec_system.stats.get('tip.prefetches_issued')} hinted "
           f"prefetches")
 

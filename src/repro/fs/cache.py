@@ -186,7 +186,6 @@ class BlockCache:
         """Remove a VALID, unpinned entry; accounts unused prefetches."""
         entry = self._entries.pop(key)
         self._account_departure(entry)
-        self.stats.bump(metrics.CACHE_EVICTIONS)
 
     def finalize(self) -> None:
         """End-of-run accounting: residual never-accessed prefetched blocks

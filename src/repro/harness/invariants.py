@@ -242,16 +242,18 @@ class CancelDrainMonitor(InvariantMonitor):
                 ]
                 # Every restart must have logged its drained cancel.  The
                 # table folds old records past capacity, so the count is
-                # exact only while nothing has folded out.
+                # exact only while nothing has folded out.  A run has one
+                # speculating process, so the system's count is its own.
+                restarts = vobs.system.stats.get(metrics.SPEC_RESTARTS)
                 if (table.records_total <= table.capacity
-                        and len(restart_records) != spec.restarts):
+                        and len(restart_records) != restarts):
                     violations.append(self._violation(
                         f"{vobs.variant}: pid {pid} restarted "
-                        f"{spec.restarts} time(s) but the audit table holds "
+                        f"{restarts} time(s) but the audit table holds "
                         f"{len(restart_records)} restart record(s) — a "
                         f"restart skipped its cancel-drain audit",
                         variant=vobs.variant, pid=pid,
-                        restarts=spec.restarts,
+                        restarts=restarts,
                         restart_records=len(restart_records),
                     ))
             if lifecycle is not None and vobs.error is None:

@@ -109,21 +109,6 @@ TABLE8 = {
     "xds": {1: 303.5, 2: 292.0, 4: 324.6, 10: 265.7},
 }
 
-#: Figure 5 qualitative expectations (checked by the bench):
-#: - speculating Gnuld *degrades* with one disk;
-#: - all apps gain much less with one disk than with four;
-#: - manual improvements increase monotonically with disks.
-FIG5_NOTES = (
-    "1 disk: prefetching only overlaps computation; speculating Gnuld "
-    "degrades (erroneous prefetches consume scarce bandwidth). "
-    "10 disks: speculating Agrep cannot generate hints fast enough "
-    "(dilation factor), unlike its manual counterpart."
-)
-
-#: Section 4.4: median cycles between read calls and dilation factors.
-SECTION44_READ_INTERVAL = {"agrep": 30362, "gnuld": 15902, "xds": 4454}
+#: Section 4.4: dilation factors (median hint interval / median read
+#: interval).
 SECTION44_DILATION = {"agrep": 7.5, "gnuld": 1.6, "xds": 1.3}
-
-#: Figure 6: with a processor/disk ratio of 3, speculating Agrep reaches
-#: 87% vs manual 84%.
-FIG6_AGREP_CROSSOVER_RATIO = 3.0

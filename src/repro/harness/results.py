@@ -38,11 +38,6 @@ class RunResult:
     median_read_interval: float = 0.0
     median_hint_interval: float = 0.0
 
-    #: SpecHint runtime statistics (speculating variant only).
-    spec_restarts: int = 0
-    spec_signals: int = 0
-    spec_cancel_calls: int = 0
-    spec_hints_issued: int = 0
     transform_report: Optional[object] = None
 
     #: Table 6 memory accounting.
@@ -185,6 +180,24 @@ class RunResult:
     @property
     def cache_block_reuses(self) -> int:
         return self.c(metrics.CACHE_BLOCK_REUSES)
+
+    # SpecHint runtime (speculating variant only) -------------------------------
+
+    @property
+    def spec_restarts(self) -> int:
+        return self.c(metrics.SPEC_RESTARTS)
+
+    @property
+    def spec_signals(self) -> int:
+        return self.c(metrics.SPEC_SIGNALS)
+
+    @property
+    def spec_cancel_calls(self) -> int:
+        return self.c(metrics.SPEC_CANCEL_CALLS)
+
+    @property
+    def spec_hints_issued(self) -> int:
+        return self.c(metrics.SPEC_HINTS_ISSUED)
 
     # Speculation gate ----------------------------------------------------------
 

@@ -221,10 +221,6 @@ def run_experiment_with_system(
         result.hint_lead_median = lifecycle.lead_times.percentile(50.0)
         result.pct_prefetches_before_demand = lifecycle.pct_ready_before_demand
         if process.spec is not None:
-            result.spec_restarts = process.spec.restarts
-            result.spec_signals = process.spec.signals
-            result.spec_cancel_calls = process.spec.cancel_calls
-            result.spec_hints_issued = process.spec.hints_issued
             result.audit_records = process.spec.auditor.table.records_total
             result.audit_head_digest = process.spec.auditor.table.head_digest
         return result, system

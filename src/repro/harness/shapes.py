@@ -47,6 +47,7 @@ from repro.params import (
     SystemConfig,
     TipParams,
 )
+from repro.sim import metrics
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.binary import Binary
@@ -265,8 +266,10 @@ def run_multiprogrammed_agrep(contended: bool, seed: int) -> Tuple[int, int, int
     if contended:
         system.kernel.spawn(spinner_binary())
     system.kernel.run()
-    return (agrep.spec_thread.cpu_cycles, agrep.spec.hints_issued,
-            system.stats.get("tip.hinted_read_calls"))
+    # The spinner does not speculate: the system's hints are all Agrep's.
+    return (agrep.spec_thread.cpu_cycles,
+            system.stats.get(metrics.SPEC_HINTS_ISSUED),
+            system.stats.get(metrics.TIP_HINTED_READ_CALLS))
 
 
 def _transform_reports(run: RunCell, seed: int) -> List[Any]:

@@ -339,7 +339,6 @@ class Kernel:
                 if not thread.is_spec:
                     stall = self.clock.now - thread.blocked_at
                     self.stats.bump(metrics.KERNEL_DEMAND_STALL_CYCLES, stall)
-                    self.stats.distribution(metrics.KERNEL_STALL_CYCLES).observe(stall)
                     if self.tracer.enabled:
                         self.tracer.complete(
                             CAT_KERNEL, "read.stall", thread.blocked_at, stall,

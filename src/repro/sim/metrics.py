@@ -1,10 +1,16 @@
 """Typed metric-name constants.
 
-Every counter and distribution name used by more than one module (or read
-back by the harness) lives here.  ``StatRegistry.counter`` creates counters
-on first use, which means a typo'd name silently creates a *new* counter
-and the intended one stays at zero — centralizing the names turns that
-class of bug into an ``AttributeError`` / linter finding at the call site.
+Every counter and distribution name lives here.  ``StatRegistry.bump``
+creates a counter on first use, which means a typo'd name silently
+creates a *new* counter and the intended one stays at zero — centralizing
+the names turns that class of bug into an ``AttributeError`` / linter
+finding at the call site.
+
+Every name has one writer in ``src/`` and at least one reader:
+``tests/test_metric_readers.py`` fails on a name read nowhere but at its
+own ``bump`` / ``distribution`` call, and lists the names that only tests
+or benchmarks read.  A name with no reader loses its writer and its
+constant here.
 
 Naming convention: ``<subsystem>.<event>`` with subsystem prefixes matching
 the trace categories (see :mod:`repro.trace.tracer`).  Per-instance metrics
@@ -33,8 +39,6 @@ KERNEL_RUNS = "kernel.runs"
 #: Wall cycles the original thread spent blocked on demand reads (the
 #: "demand stall" phase of the stall breakdown).
 KERNEL_DEMAND_STALL_CYCLES = "kernel.demand_stall_cycles"
-#: Per-stall distribution of the same (for percentiles in summaries).
-KERNEL_STALL_CYCLES = "kernel.stall_cycles"      # distribution
 KERNEL_CONTEXT_SWITCHES = "kernel.context_switches"
 
 # -- block cache (mechanism) ------------------------------------------------
@@ -46,7 +50,6 @@ CACHE_PREFETCHED_PARTIAL = "cache.prefetched_partial"
 CACHE_PREFETCHED_UNUSED = "cache.prefetched_unused"
 CACHE_BLOCK_READS = "cache.block_reads"
 CACHE_BLOCK_REUSES = "cache.block_reuses"
-CACHE_EVICTIONS = "cache.evictions"
 CACHE_FETCH_FAILURES = "cache.fetch_failures"
 CACHE_DEMAND_MISSES = "cache.demand_misses"
 CACHE_DEMAND_JOINS_INFLIGHT = "cache.demand_joins_inflight"
@@ -64,16 +67,10 @@ TIP_HINTS_CONSUMED = "tip.hints_consumed"
 TIP_HINTS_CANCELLED = "tip.hints_cancelled"
 TIP_HINTS_STALE_DROPPED = "tip.hints_stale_dropped"
 TIP_HINTS_UNCONSUMED_AT_END = "tip.hints_unconsumed_at_end"
-TIP_CANCEL_CALLS = "tip.cancel_calls"
 TIP_CANCEL_DRAINED = "tip.cancel_drained"
 TIP_PREFETCHES_ISSUED = "tip.prefetches_issued"
 TIP_PREFETCHES_DROPPED = "tip.prefetches_dropped"
 TIP_HINTED_EVICTIONS = "tip.hinted_evictions"
-#: Distribution of disclosed->consumed lead time per hinted block, in
-#: cycles (the hint-lifecycle layer's headline number).
-TIP_HINT_LEAD_CYCLES = "tip.hint_lead_cycles"    # distribution
-#: Consumed hints whose prefetch had fully arrived before the demand read.
-TIP_HINTS_READY_BEFORE_DEMAND = "tip.hints_ready_before_demand"
 
 # -- SpecHint runtime -------------------------------------------------------
 
@@ -83,8 +80,6 @@ SPEC_CANCEL_CALLS = "spec.cancel_calls"
 SPEC_CANCEL_DRAIN_VERIFIED = "spec.cancel_drain_verified"
 SPEC_HINTS_ISSUED = "spec.hints_issued"
 SPEC_SIGNALS = "spec.signals"
-SPEC_WRITES_SUPPRESSED = "spec.writes_suppressed"
-SPEC_SYSCALLS_BLOCKED = "spec.syscalls_blocked"
 SPEC_THROTTLE_SUPPRESSED = "spec.throttle_suppressed"
 SPEC_ISOLATION_VIOLATIONS = "spec.isolation_violations"
 SPEC_QUARANTINES = "spec.quarantines"
@@ -101,8 +96,6 @@ SPEC_PARK_PREFIX = "spec.park."
 SPEC_WATCHDOG_TRIP_PREFIX = "spec.watchdog_trip."
 
 SPECHINT_ANALYSIS_STORES_ELIDED = "spechint.analysis.stores_elided"
-SPECHINT_ANALYSIS_LOADS_UNCHECKED = "spechint.analysis.loads_unchecked"
-SPECHINT_ANALYSIS_TRANSFERS_RESOLVED = "spechint.analysis.transfers_resolved"
 SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED = "spechint.analysis.check_cycles_saved"
 #: Total COW regions first-copied by speculation (across clears).
 SPEC_COW_REGIONS_COPIED = "spec.cow_regions_copied"
@@ -116,7 +109,6 @@ ARRAY_FAULTED_ATTEMPTS = "array.faulted_attempts"
 ARRAY_DEMAND_FAILURES = "array.demand_failures"
 ARRAY_PREFETCHES_DROPPED = "array.prefetches_dropped"
 ARRAY_PREFETCHES_HELD = "array.prefetches_held"
-ARRAY_DEMAND_COALESCED = "array.demand_coalesced"
 
 # -- degraded mode / redundancy ---------------------------------------------
 

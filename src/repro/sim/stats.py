@@ -7,24 +7,7 @@ end of a run to build the paper's tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
-
-
-class Counter:
-    """A monotonically increasing (or explicitly adjustable) named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        """Increase the count by ``amount``."""
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
+from typing import Dict, List, Optional
 
 
 class Distribution:
@@ -112,28 +95,20 @@ class Distribution:
 
 
 class StatRegistry:
-    """Namespace of counters and distributions for one simulation."""
+    """Named counters (plain ints) and distributions for one simulation."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, int] = {}
         self._distributions: Dict[str, Distribution] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get (creating on first use) the counter called ``name``."""
-        found = self._counters.get(name)
-        if found is None:
-            found = Counter(name)
-            self._counters[name] = found
-        return found
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the counter called ``name`` (creating it on
         first use, so counters appear in the order they were first bumped).
-        The one way code increments a counter."""
-        found = self._counters.get(name)
-        if found is None:
-            found = self._counters[name] = Counter(name)
-        found.value += amount
+        The one way code writes a counter."""
+        try:
+            self._counters[name] += amount
+        except KeyError:
+            self._counters[name] = amount
 
     def distribution(self, name: str) -> Distribution:
         """Get (creating on first use) the distribution called ``name``."""
@@ -145,24 +120,12 @@ class StatRegistry:
 
     def get(self, name: str, default: int = 0) -> int:
         """Current value of a counter, without creating it."""
-        found = self._counters.get(name)
-        return found.value if found is not None else default
-
-    def counters(self) -> Iterator[Tuple[str, int]]:
-        """Iterate (name, value) over all counters, sorted by name."""
-        for name in sorted(self._counters):
-            yield name, self._counters[name].value
+        return self._counters.get(name, default)
 
     def distribution_or_none(self, name: str) -> Optional[Distribution]:
         """The named distribution if any observations were made."""
         return self._distributions.get(name)
 
-    def distributions(self) -> Iterator[Tuple[str, Distribution]]:
-        """Iterate (name, distribution) sorted by name — counters and
-        distributions are queryable mid-run, not just at snapshot time."""
-        for name in sorted(self._distributions):
-            yield name, self._distributions[name]
-
     def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy of all counter values."""
-        return {name: counter.value for name, counter in self._counters.items()}
+        """Plain-dict copy of all counter values, in first-bump order."""
+        return dict(self._counters)

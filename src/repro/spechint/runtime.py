@@ -137,11 +137,8 @@ class SpecProcessState:
         self.spec_fds: Dict[int, SpecFd] = {}
         self._next_pseudo_fd = FIRST_PSEUDO_FD
 
-        #: Lifetime statistics.
-        self.restarts = 0
-        self.signals = 0
-        self.cancel_calls = 0
-        self.hints_issued = 0
+        #: Hint-log predictions, hinted or not.  Restarts, signals, cancel
+        #: calls and hints issued are counted in the stat registry alone.
         self.predictions = 0
 
         # Surface what the static-analysis pass did to this binary, and
@@ -152,10 +149,6 @@ class SpecProcessState:
             stats = kernel.stats
             stats.bump(metrics.SPECHINT_ANALYSIS_STORES_ELIDED,
                        report.stores_elided)
-            stats.bump(metrics.SPECHINT_ANALYSIS_LOADS_UNCHECKED,
-                       report.loads_unchecked_dead)
-            stats.bump(metrics.SPECHINT_ANALYSIS_TRANSFERS_RESOLVED,
-                       report.transfers_statically_resolved)
             saved = report.check_cycles_baseline - report.check_cycles_emitted
             stats.bump(metrics.SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED, saved)
             self.auditor.table.record(
@@ -283,18 +276,18 @@ class SpecProcessState:
         # IsolationViolation handler) without touching the original thread.
         self.auditor.verify_restart_boundary(self._saved_regs)
 
-        self.restarts += 1
-        self.kernel.stats.bump(metrics.SPEC_RESTARTS)
+        stats = self.kernel.stats
+        stats.bump(metrics.SPEC_RESTARTS)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(
                 CAT_SPEC, "restart", tid=TID_SPECULATING,
-                nth=self.restarts, resume_pc=self._saved_resume_pc,
+                nth=stats.get(metrics.SPEC_RESTARTS),
+                resume_pc=self._saved_resume_pc,
             )
 
         # Cancel outstanding hints (the CANCEL_ALL call added to TIP).
         cancelled = self.kernel.manager.cancel_all(self.process.pid)
-        self.cancel_calls += 1
-        self.kernel.stats.bump(metrics.SPEC_CANCEL_CALLS)
+        stats.bump(metrics.SPEC_CANCEL_CALLS)
         self.gate.on_cancel(cancelled)
 
         # The restart's safety depends on the cancel having drained the
@@ -376,7 +369,6 @@ class SpecProcessState:
 
         if hinted:
             self.kernel.hint_from(self.process.pid, inode, offset, n)
-            self.hints_issued += 1
             self.kernel.stats.bump(metrics.SPEC_HINTS_ISSUED)
             self.kernel.stats.distribution(metrics.APP_HINT_CALL_CPU).observe(
                 thread.cpu_cycles
@@ -483,7 +475,6 @@ class SpecProcessState:
             # suppression itself is a recorded, auditable event.
             regs[V0] = regs[A2]
             thread.pc += 1
-            self.kernel.stats.bump(metrics.SPEC_WRITES_SUPPRESSED)
             self.auditor.table.record(
                 "write_suppressed", f"fd={regs[A0]} len={regs[A2]}"
             )
@@ -497,7 +488,6 @@ class SpecProcessState:
             return self.park(thread, "spec_exit")
 
         # Any other system call would be an externally visible side effect.
-        self.kernel.stats.bump(metrics.SPEC_SYSCALLS_BLOCKED)
         self.auditor.table.record("syscall_blocked", f"num={num}")
         return self.park(thread, "forbidden_syscall")
 
@@ -557,7 +547,6 @@ class SpecProcessState:
         """A speculative fault became a signal (Section 3.2.1's handlers)."""
         from repro.kernel.thread import ThreadState
 
-        self.signals += 1
         self.kernel.stats.bump(metrics.SPEC_SIGNALS)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.instant(CAT_SPEC, "signal", tid=TID_SPECULATING)

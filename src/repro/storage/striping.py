@@ -354,7 +354,6 @@ class StripedArray:
             existing.callbacks.append(callback)
             if kind is IOKind.DEMAND and not existing.is_demand:
                 self._promote(existing)
-                self.stats.bump(metrics.ARRAY_DEMAND_COALESCED)
             return existing
 
         request = IORequest(lbn, kind, callback)

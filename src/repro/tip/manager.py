@@ -127,8 +127,7 @@ class TipManager:
         self.tracer = tracer
         #: Always-on per-hint lifecycle ledger (disclosed -> terminal).
         #: Reads the array's clock; never schedules or advances anything.
-        self.lifecycle = HintLifecycle(array.engine.clock, tracer=tracer,
-                                       stats=stats)
+        self.lifecycle = HintLifecycle(array.engine.clock, tracer=tracer)
         self._procs: Dict[int, _ProcessHints] = {}
         self._next_seq = 0
         #: Lifetime count of hints dropped by TIPIO_CANCEL_ALL (the restart
@@ -329,7 +328,6 @@ class TipManager:
     def cancel_all(self, pid: int) -> int:
         """TIPIO_CANCEL_ALL: drop every outstanding hint from ``pid``.
         Returns the number cancelled; prefetches already issued proceed."""
-        self.stats.bump(metrics.TIP_CANCEL_CALLS)
         state = self._procs.get(pid)
         if state is None or not state.queue:
             return 0

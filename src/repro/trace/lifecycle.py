@@ -33,8 +33,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.clock import SimClock
-from repro.sim.metrics import TIP_HINT_LEAD_CYCLES, TIP_HINTS_READY_BEFORE_DEMAND
-from repro.sim.stats import Distribution, StatRegistry
+from repro.sim.stats import Distribution
 from repro.trace.tracer import CAT_HINT, NULL_TRACER, TID_SYSTEM, Tracer
 
 BlockKey = Tuple[int, int]  # (ino, file_block) — mirrors fs.cache.BlockKey
@@ -126,13 +125,10 @@ class HintLifecycle:
         self,
         clock: SimClock,
         tracer: Tracer = NULL_TRACER,
-        stats: Optional[StatRegistry] = None,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.clock = clock
         self.tracer = tracer
-        #: When given, lead-time aggregates mirror into the stat registry.
-        self.stats = stats
         self.capacity = capacity
         #: Every open (non-terminal) hint's record, whatever the capacity.
         self._open: Dict[int, HintRecord] = {}
@@ -235,14 +231,8 @@ class HintLifecycle:
         record = self._finish(seq, pid, CONSUMED)
         if record is not None:
             self.lead_times.observe(record.lead_cycles)
-            if self.stats is not None:
-                self.stats.distribution(TIP_HINT_LEAD_CYCLES).observe(
-                    record.lead_cycles
-                )
             if record.ready_before_demand:
                 self.ready_before_demand += 1
-                if self.stats is not None:
-                    self.stats.bump(TIP_HINTS_READY_BEFORE_DEMAND)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.complete(CAT_HINT, "hint.lifetime",

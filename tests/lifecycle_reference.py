@@ -14,8 +14,7 @@ the count is bumped; the property test never ends a hint twice.
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.clock import SimClock
-from repro.sim.metrics import TIP_HINT_LEAD_CYCLES, TIP_HINTS_READY_BEFORE_DEMAND
-from repro.sim.stats import Distribution, StatRegistry
+from repro.sim.stats import Distribution
 from repro.trace.lifecycle import (
     CANCELLED,
     CONSUMED,
@@ -37,13 +36,10 @@ class ReferenceHintLifecycle:
         self,
         clock: SimClock,
         tracer: Tracer = NULL_TRACER,
-        stats: Optional[StatRegistry] = None,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.clock = clock
         self.tracer = tracer
-        #: When given, lead-time aggregates mirror into the stat registry.
-        self.stats = stats
         self.capacity = capacity
         #: The first ``capacity`` hints' records, open or terminal.
         self._records: Dict[int, HintRecord] = {}
@@ -135,14 +131,8 @@ class ReferenceHintLifecycle:
         record = self._finish(seq, pid, CONSUMED)
         if record is not None:
             self.lead_times.observe(record.lead_cycles)
-            if self.stats is not None:
-                self.stats.distribution(TIP_HINT_LEAD_CYCLES).observe(
-                    record.lead_cycles
-                )
             if record.ready_before_demand:
                 self.ready_before_demand += 1
-                if self.stats is not None:
-                    self.stats.bump(TIP_HINTS_READY_BEFORE_DEMAND)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.complete(CAT_HINT, "hint.lifetime",

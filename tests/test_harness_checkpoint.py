@@ -146,7 +146,6 @@ GOLDEN_KEYS = [
     "hint_lifecycle", "median_hint_interval", "median_read_interval",
     "output_b64", "page_faults", "page_reclaims", "params_digest",
     "pct_prefetches_before_demand", "read_trace", "schema_version", "seed",
-    "spec_cancel_calls", "spec_hints_issued", "spec_restarts", "spec_signals",
     "stall_breakdown", "variant",
 ]
 

@@ -183,12 +183,15 @@ class TestHintLifecycleMonitor:
 
 
 class TestCancelDrainMonitor:
-    def _obs(self, manager, process=None, error=None):
+    def _obs(self, manager, process=None, error=None, restarts=0):
+        stats = StatRegistry()
+        stats.bump(metrics.SPEC_RESTARTS, restarts)
         system = SimpleNamespace(
             manager=manager,
             kernel=SimpleNamespace(
                 processes=[process] if process is not None else []
             ),
+            stats=stats,
         )
         vobs = VariantObservation(variant="speculating", system=system,
                                   error=error)
@@ -207,14 +210,12 @@ class TestCancelDrainMonitor:
         table = AuditTable()
         table.record("restart", "cancelled=2")
         process = SimpleNamespace(
-            pid=1,
-            spec=SimpleNamespace(
-                restarts=2, auditor=SimpleNamespace(table=table)
-            ),
+            pid=1, spec=SimpleNamespace(auditor=SimpleNamespace(table=table)),
         )
         manager = SimpleNamespace(outstanding_hints=lambda pid: 0,
                                   lifecycle=None, cancelled_total=0)
-        violations = CancelDrainMonitor().check(self._obs(manager, process))
+        violations = CancelDrainMonitor().check(
+            self._obs(manager, process, restarts=2))
         assert any("skipped its cancel-drain audit" in v.detail
                    for v in violations)
 
@@ -231,14 +232,12 @@ class TestCancelDrainMonitor:
         table.record("restart", "cancelled=2")
         lifecycle = _FakeLifecycle(disclosed=2, terminals={"cancelled": 2})
         process = SimpleNamespace(
-            pid=1,
-            spec=SimpleNamespace(
-                restarts=1, auditor=SimpleNamespace(table=table)
-            ),
+            pid=1, spec=SimpleNamespace(auditor=SimpleNamespace(table=table)),
         )
         manager = SimpleNamespace(outstanding_hints=lambda pid: 0,
                                   lifecycle=lifecycle, cancelled_total=2)
-        assert CancelDrainMonitor().check(self._obs(manager, process)) == []
+        assert CancelDrainMonitor().check(
+            self._obs(manager, process, restarts=1)) == []
 
 
 def _result(output=b"out", read_trace=((1, 0, 10),), cycles=100):

@@ -77,9 +77,10 @@ class TestCpuContention:
             alone.spec_thread.cpu_cycles
 
     def test_contention_reduces_hinting(self):
-        alone_sys, alone = run_speculating_reader(with_spinner=False)
-        cont_sys, contended = run_speculating_reader(with_spinner=True)
-        assert contended.spec.hints_issued <= alone.spec.hints_issued
+        alone_sys, _ = run_speculating_reader(with_spinner=False)
+        cont_sys, _ = run_speculating_reader(with_spinner=True)
+        assert (cont_sys.stats.get("spec.hints_issued")
+                <= alone_sys.stats.get("spec.hints_issued"))
 
     def test_reader_still_correct_under_contention(self):
         _, alone = run_speculating_reader(with_spinner=False)

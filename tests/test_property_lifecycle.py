@@ -19,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import SimClock
-from repro.sim.metrics import TIP_HINT_LEAD_CYCLES, TIP_HINTS_READY_BEFORE_DEMAND
-from repro.sim.stats import StatRegistry
 from repro.trace.lifecycle import HintLifecycle
 from tests.lifecycle_reference import ReferenceHintLifecycle
 
@@ -41,7 +39,7 @@ STEPS = st.lists(
 )
 
 
-def _state(ledger, stats):
+def _state(ledger):
     return {
         "counts": ledger.summary_counts(),
         "open_for": [ledger.open_for(pid) for pid in PIDS],
@@ -51,9 +49,6 @@ def _state(ledger, stats):
                      record.ready_before_demand)
                     for record in ledger.records()],
         "keys": ledger.disclosed_keys(),
-        "mirrored": (stats.get(TIP_HINTS_READY_BEFORE_DEMAND),
-                     list(getattr(stats.distribution_or_none(
-                         TIP_HINT_LEAD_CYCLES), "values", []))),
     }
 
 
@@ -61,11 +56,9 @@ def _state(ledger, stats):
 @settings(max_examples=300, deadline=None)
 def test_packed_ledger_matches_object_ledger(capacity, steps):
     clock = SimClock()
-    stats = {"packed": StatRegistry(), "reference": StatRegistry()}
     ledgers = {
-        "packed": HintLifecycle(clock, stats=stats["packed"], capacity=capacity),
-        "reference": ReferenceHintLifecycle(
-            clock, stats=stats["reference"], capacity=capacity),
+        "packed": HintLifecycle(clock, capacity=capacity),
+        "reference": ReferenceHintLifecycle(clock, capacity=capacity),
     }
     open_hints = []  # (seq, pid), disclosure order
     next_seq = 1
@@ -98,8 +91,7 @@ def test_packed_ledger_matches_object_ledger(capacity, steps):
                     ledger.cancelled(seq, pid)
                 else:
                     ledger.wasted(seq, pid, step[2])
-        assert _state(ledgers["packed"], stats["packed"]) \
-            == _state(ledgers["reference"], stats["reference"]), step
+        assert _state(ledgers["packed"]) == _state(ledgers["reference"]), step
 
 
 @pytest.mark.parametrize("retained", [True, False])

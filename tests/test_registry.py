@@ -167,6 +167,24 @@ class TestRunRecord:
                 RunRecord.from_jsonable(data)
             assert "hand-edited" not in str(excinfo.value)
 
+    def test_record_with_spec_count_fields_still_loads(self):
+        """``RunResult`` payloads once stored speculation's four counts as
+        fields besides their counters.  Such a line still checks against
+        its run id, and its result decodes with the four keys ignored and
+        the same values read from the counters."""
+        old = {"spec_restarts": 3, "spec_signals": 1, "spec_cancel_calls": 3,
+               "spec_hints_issued": 40}
+        counters = {"app.workload_completed_cycle": 4_000_000,
+                    "spec.restarts": 3, "spec.signals": 1,
+                    "spec.cancel_calls": 3, "spec.hints_issued": 40}
+        data = make_record(counters=counters, cpu_hz=500_000_000,
+                           output_b64="", **old).to_jsonable()
+        record = RunRecord.from_jsonable(json.loads(json.dumps(data)))
+        assert record.run_id == data["run_id"]
+        result = RunResult.from_jsonable(record.result)
+        assert {name: getattr(result, name) for name in old} == old
+        assert not set(old) & set(result.to_jsonable())
+
     def test_tampered_record_fails_content_check(self):
         data = make_record().to_jsonable()
         data["seed"] = 4242

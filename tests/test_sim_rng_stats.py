@@ -1,7 +1,7 @@
 """Tests for deterministic RNG and the statistics registry."""
 
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, Distribution, StatRegistry
+from repro.sim.stats import Distribution, StatRegistry
 
 
 class TestDeterministicRng:
@@ -49,22 +49,6 @@ class TestDeterministicRng:
         assert sorted(items) == list(range(10))
         picked = rng.sample(range(100), 5)
         assert len(set(picked)) == 5
-
-
-class TestCounter:
-    def test_starts_zero(self):
-        assert Counter("c").value == 0
-
-    def test_add_default_one(self):
-        c = Counter("c")
-        c.add()
-        c.add()
-        assert c.value == 2
-
-    def test_add_amount(self):
-        c = Counter("c")
-        c.add(5)
-        assert c.value == 5
 
 
 class TestDistribution:
@@ -141,12 +125,14 @@ class TestDistribution:
 class TestStatRegistry:
     def test_counter_created_on_first_use(self):
         reg = StatRegistry()
-        reg.counter("a.b").add(3)
+        reg.bump("a.b", 3)
         assert reg.get("a.b") == 3
 
-    def test_counter_identity_preserved(self):
+    def test_bump_defaults_to_one(self):
         reg = StatRegistry()
-        assert reg.counter("x") is reg.counter("x")
+        reg.bump("c")
+        reg.bump("c")
+        assert reg.get("c") == 2
 
     def test_get_missing_returns_default(self):
         reg = StatRegistry()
@@ -154,18 +140,20 @@ class TestStatRegistry:
 
     def test_snapshot_is_plain_dict(self):
         reg = StatRegistry()
-        reg.counter("a").add(1)
-        reg.counter("b").add(2)
+        reg.bump("a", 1)
+        reg.bump("b", 2)
         snap = reg.snapshot()
         assert snap == {"a": 1, "b": 2}
-        reg.counter("a").add(1)
+        reg.bump("a", 1)
         assert snap["a"] == 1  # snapshot decoupled
 
-    def test_counters_sorted(self):
+    def test_snapshot_in_first_bump_order(self):
+        """RunResult's reason maps read counters in this order."""
         reg = StatRegistry()
-        reg.counter("z").add()
-        reg.counter("a").add()
-        assert [name for name, _ in reg.counters()] == ["a", "z"]
+        reg.bump("z")
+        reg.bump("a")
+        reg.bump("z")
+        assert list(reg.snapshot()) == ["z", "a"]
 
     def test_distribution_or_none(self):
         reg = StatRegistry()

@@ -98,8 +98,8 @@ class TestCorrectness:
     def test_speculation_actually_happened(self):
         _, (s_sys, s_proc) = run_pair(reader_binary)
         assert s_proc.spec is not None
-        assert s_proc.spec.restarts >= 1
-        assert s_proc.spec.hints_issued > 0
+        assert s_sys.stats.get("spec.restarts") >= 1
+        assert s_sys.stats.get("spec.hints_issued") > 0
 
     def test_transformed_is_faster_with_hints(self):
         (o_sys, _), (s_sys, _) = run_pair(reader_binary)
@@ -132,7 +132,7 @@ class TestHintGeneration:
 
     def test_eof_reads_predicted_but_not_hinted(self):
         _, (s_sys, s_proc) = run_pair(reader_binary)
-        assert s_proc.spec.predictions > s_proc.spec.hints_issued
+        assert s_proc.spec.predictions > s_sys.stats.get("spec.hints_issued")
 
 
 class TestRestartProtocol:
@@ -140,16 +140,16 @@ class TestRestartProtocol:
         """A program with no data-dependent reads should restart once
         (the initial restart) or very few times."""
         _, (s_sys, s_proc) = run_pair(reader_binary)
-        assert s_proc.spec.restarts <= 3
+        assert s_sys.stats.get("spec.restarts") <= 3
 
     def test_dependent_reads_cause_restarts(self):
         _, (s_sys, s_proc) = run_pair(chained_binary, chain_fs)
         # Every chained read strays speculation off track.
-        assert s_proc.spec.restarts >= 4
+        assert s_sys.stats.get("spec.restarts") >= 4
 
     def test_cancel_called_on_mismatch_restarts(self):
         _, (s_sys, s_proc) = run_pair(chained_binary, chain_fs)
-        assert s_proc.spec.cancel_calls == s_proc.spec.restarts
+        assert s_sys.stats.get("spec.cancel_calls") == s_sys.stats.get("spec.restarts")
         assert s_sys.stats.get("tip.hints_cancelled") > 0
 
     def test_erroneous_hints_recorded(self):
@@ -176,7 +176,7 @@ class TestSignals:
         (o_sys, o_proc), (s_sys, s_proc) = run_pair(divider_binary, chain_fs)
         assert bytes(s_proc.output) == bytes(o_proc.output)
         # Speculation divided by a stale (zero) value at least once.
-        assert s_proc.spec.signals >= 1
+        assert s_sys.stats.get("spec.signals") >= 1
 
     def test_signals_do_not_crash_the_run(self):
         _, (s_sys, s_proc) = run_pair(divider_binary, chain_fs)
@@ -187,12 +187,13 @@ class TestSignals:
 class TestThrottleIntegration:
     def test_throttle_reduces_cancels(self):
         params = SpecHintParams(throttle_cancel_limit=2, throttle_disable_reads=16)
-        _, (s_sys_throttled, p_throttled) = run_pair(
+        _, (s_sys_throttled, _) = run_pair(
             chained_binary, chain_fs, spechint_params=params
         )
-        _, (s_sys_free, p_free) = run_pair(chained_binary, chain_fs)
+        _, (s_sys_free, _) = run_pair(chained_binary, chain_fs)
         assert s_sys_throttled.stats.get("spec.throttle_suppressed") >= 1
-        assert p_throttled.spec.cancel_calls < p_free.spec.cancel_calls
+        assert (s_sys_throttled.stats.get("spec.cancel_calls")
+                < s_sys_free.stats.get("spec.cancel_calls"))
 
 
 class TestMapAllAddresses:

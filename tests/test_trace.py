@@ -103,7 +103,7 @@ class TestTracerCore:
     def test_stats_plane_queryable_midrun(self):
         stats = StatRegistry()
         tracer = Tracer(SimClock(), stats=stats)
-        stats.counter("x").add(3)
+        stats.bump("x", 3)
         stats.distribution("d").observe(7)
         assert tracer.query_counter("x") == 3
         assert tracer.query_counter("missing", default=-1) == -1
@@ -212,8 +212,7 @@ class TestHintLifecycleUnit:
         """A hint past ``capacity`` still has its disclosure and fill
         stamps: it counts in the lead times and the readiness tally."""
         clock = SimClock()
-        stats = StatRegistry()
-        cycle = HintLifecycle(clock, stats=stats, capacity=2)
+        cycle = HintLifecycle(clock, capacity=2)
         for seq in range(3):
             cycle.disclosed(seq, [(1, seq)], PID)
             cycle.filled((1, seq))
@@ -222,21 +221,20 @@ class TestHintLifecycleUnit:
             cycle.consumed(seq, PID)
         assert cycle.lead_times.count == 3
         assert cycle.ready_before_demand == 3
-        assert stats.distribution_or_none("tip.hint_lead_cycles").count == 3
-        assert stats.get("tip.hints_ready_before_demand") == 3
         assert [record.seq for record in cycle.records()] == [0, 1]
         assert cycle.disclosed_keys() == [(1, 0), (1, 1)]
 
-    def test_stats_mirroring(self):
+    def test_consumed_hint_counts_in_the_ledger_aggregates(self):
+        """The ledger is the one source of its lead times and readiness
+        tally (nothing mirrors them into the stat registry)."""
         clock = SimClock()
-        stats = StatRegistry()
-        cycle = HintLifecycle(clock, stats=stats)
+        cycle = HintLifecycle(clock)
         cycle.disclosed(1, [(5, 0)], PID)
         cycle.filled((5, 0))
         clock.advance(4)
         cycle.consumed(1, PID)
-        assert stats.get("tip.hints_ready_before_demand") == 1
-        assert stats.distribution_or_none("tip.hint_lead_cycles").count == 1
+        assert cycle.ready_before_demand == 1
+        assert cycle.lead_times.values == [4]
 
 
 class TestStallBreakdown:
