@@ -4,7 +4,9 @@ TIP "estimates the benefit of prefetching in response to a hint based on the
 accuracy of previous hints from the application" (Section 2.1).  We track an
 exponentially weighted moving accuracy per process: hints that a subsequent
 read consumes count as accurate; hints that are cancelled (CANCEL_ALL) or
-grow stale without ever matching a read count as inaccurate.
+grow stale without ever matching a read count as inaccurate.  How many
+hints ended which way is the hint lifecycle ledger's and the ``tip.hints_*``
+counters' business; the tracker keeps only the estimate.
 """
 
 from __future__ import annotations
@@ -19,36 +21,21 @@ class HintAccuracyTracker:
         self.alpha = alpha
         #: Current accuracy estimate in [0, 1] (read on every prefetch scan).
         self.value = initial
-        #: Lifetime outcome counts (reported in hinting statistics).
-        self.consumed = 0
-        self.cancelled = 0
-        self.stale = 0
-
-    @property
-    def inaccurate(self) -> int:
-        """Total hints judged inaccurate so far."""
-        return self.cancelled + self.stale
 
     def observe_consumed(self, n: int = 1) -> None:
         """A hinted block matched an actual read."""
-        self.consumed += n
         for _ in range(n):
             self.value += self.alpha * (1.0 - self.value)
 
     def observe_cancelled(self, n: int = 1) -> None:
         """Hinted blocks were cancelled before being consumed."""
-        self.cancelled += n
         for _ in range(n):
             self.value += self.alpha * (0.0 - self.value)
 
     def observe_stale(self, n: int = 1) -> None:
         """Hinted blocks aged out without ever matching a read."""
-        self.stale += n
         for _ in range(n):
             self.value += self.alpha * (0.0 - self.value)
 
     def __repr__(self) -> str:
-        return (
-            f"HintAccuracyTracker(value={self.value:.3f}, consumed={self.consumed}, "
-            f"cancelled={self.cancelled}, stale={self.stale})"
-        )
+        return f"HintAccuracyTracker(value={self.value:.3f})"

@@ -11,7 +11,10 @@ Behavioural summary (matching Sections 2.1 and 4 of the paper):
 
 * hints arrive as segments (``TIPIO_SEG`` / ``TIPIO_FD_SEG``), one
   :meth:`TipManager.disclose` call each, and are expanded to per-block
-  queue entries in disclosure order;
+  queue entries in disclosure order — each one the hint lifecycle ledger's
+  open :class:`~repro.trace.lifecycle.HintRecord`, so a queued hint is one
+  object (the manager reads its seq, key, pid, disk and skips; the ledger
+  writes its stamps and terminal fields);
 * TIP prefetches down each process's queue up to an *effective depth* —
   the prefetch horizon scaled by the process's measured hint accuracy —
   subject to a per-disk in-flight limit;
@@ -42,7 +45,7 @@ from repro.sim.stats import StatRegistry
 from repro.storage.request import IOKind, IORequest
 from repro.storage.striping import StripedArray
 from repro.tip.accuracy import HintAccuracyTracker
-from repro.trace.lifecycle import HintLifecycle
+from repro.trace.lifecycle import HintLifecycle, HintRecord, OpenIndex
 from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 
 
@@ -52,28 +55,13 @@ DEGRADED_HORIZON_FACTOR = 0.25
 DEGRADED_MAX_INFLIGHT_PER_DISK = 1
 
 
-class _HintedBlock:
-    """One block-granularity entry in a process's hint queue."""
-
-    __slots__ = ("key", "seq", "skips", "disk")
-
-    def __init__(self, key: BlockKey, seq: int, disk: int) -> None:
-        self.key = key
-        self.seq = seq
-        #: How many reads have scanned past this entry without matching it.
-        self.skips = 0
-        #: Disk holding the block, resolved once at intake: the file's
-        #: ``first_lbn`` and the stripe geometry never change.
-        self.disk = disk
-
-
 class _ProcessHints:
     """Hint state for one process."""
 
     __slots__ = ("queue", "accuracy", "visited", "dirty")
 
     def __init__(self, accuracy_alpha: float = 0.05) -> None:
-        self.queue: Deque[_HintedBlock] = deque()
+        self.queue: Deque[HintRecord] = deque()
         self.accuracy = HintAccuracyTracker(alpha=accuracy_alpha)
         #: Scheduler bookkeeping (see ``TipManager._schedule_prefetches``):
         #: the first ``visited`` queue entries held the post-scan invariant
@@ -81,7 +69,7 @@ class _ProcessHints:
         self.visited = 0
         self.dirty = False
 
-    def remove(self, index: int) -> _HintedBlock:
+    def remove(self, index: int) -> HintRecord:
         """Take the entry at ``index`` out of the queue."""
         entry = self.queue[index]
         del self.queue[index]
@@ -89,7 +77,7 @@ class _ProcessHints:
             self.visited -= 1
         return entry
 
-    def drain(self) -> Deque[_HintedBlock]:
+    def drain(self) -> Deque[HintRecord]:
         """Empty the queue, and the scheduler bookkeeping with it; returns
         the entries that were queued."""
         entries, self.queue = self.queue, deque()
@@ -125,14 +113,15 @@ class TipManager:
         self.stats = stats
         self.params = params
         self.tracer = tracer
+        #: Every queued hint across all queues, per key in disclosure
+        #: order: the first record's seq is the key's earliest hint, for
+        #: eviction decisions.  The ledger reads it for its stamps.
+        self._queued: OpenIndex = {}
         #: Always-on per-hint lifecycle ledger (disclosed -> terminal).
         #: Reads the array's clock; never schedules or advances anything.
-        self.lifecycle = HintLifecycle(array.engine.clock, tracer=tracer)
+        self.lifecycle = HintLifecycle(array.engine.clock, self._queued, tracer=tracer)
         self._procs: Dict[int, _ProcessHints] = {}
         self._next_seq = 0
-        #: Lifetime count of hints dropped by TIPIO_CANCEL_ALL (the restart
-        #: protocol's drain check reads this to prove the cancel worked).
-        self.cancelled_total = 0
         #: Blocks whose hint was already consumed: later reads of the same
         #: block (segments often span several short reads) still count as
         #: hinted without consuming fresh queue entries.
@@ -141,8 +130,6 @@ class TipManager:
         #: disk servicing them (enforces the per-disk in-flight limit).
         self._inflight_hint_fetch: Dict[BlockKey, int] = {}
         self._inflight_per_disk: Dict[int, int] = {}
-        #: Min hint seq per key across all queues, for eviction decisions.
-        self._hinted_seqs: Dict[BlockKey, List[int]] = {}
 
     # -- read path (called by the kernel) -----------------------------------
 
@@ -302,22 +289,24 @@ class TipManager:
         ino = inode.ino
         first_lbn = inode.first_lbn
         disk_of = self.array.disk_of
-        queue = state.queue
-        hinted_seqs = self._hinted_seqs
-        keys = [(ino, file_block) for file_block in range(
-            offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE + 1)]
-        first_seq = seq = self._next_seq + 1
-        for key in keys:
-            queue.append(_HintedBlock(key, seq, disk_of(first_lbn + key[1])))
-            seqs = hinted_seqs.get(key)
-            if seqs is None:
-                hinted_seqs[key] = [seq]
-            else:
-                seqs.append(seq)
+        queued = self._queued
+        now = self.array.engine.clock.now
+        seq = self._next_seq
+        records: List[HintRecord] = []
+        for file_block in range(offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE + 1):
             seq += 1
-        self._next_seq = seq - 1
-        accepted = len(keys)
-        self.lifecycle.disclosed(first_seq, keys, pid)
+            key = (ino, file_block)
+            record = HintRecord(seq, key, pid, now, disk_of(first_lbn + file_block))
+            records.append(record)
+            same_key = queued.get(key)
+            if same_key is None:
+                queued[key] = [record]
+            else:
+                same_key.append(record)
+        self._next_seq = seq
+        state.queue.extend(records)
+        accepted = len(records)
+        self.lifecycle.disclosed(records)
         self.stats.bump(metrics.TIP_HINTED_BLOCKS, accepted)
         # Appending to a window whose visited prefix already spans the whole
         # depth leaves the scan nothing to visit (and nothing to count).
@@ -333,10 +322,9 @@ class TipManager:
             return 0
         cancelled = len(state.queue)
         for entry in state.drain():
-            self._forget_seq(entry.key, entry.seq)
-            self.lifecycle.cancelled(entry.seq, pid)
+            self._unindex(entry)
+            self.lifecycle.cancelled(entry)
         state.accuracy.observe_cancelled(cancelled)
-        self.cancelled_total += cancelled
         self.stats.bump(metrics.TIP_HINTS_CANCELLED, cancelled)
         if self.tracer.enabled:
             self.tracer.instant(CAT_TIP, "cancel_all", tid=TID_SYSTEM,
@@ -371,25 +359,25 @@ class TipManager:
 
         matched_all = True
         for file_block in range(first_block, last_block + 1):
-            if not self._consume_one(state, (inode.ino, file_block), pid):
+            if not self._consume_one(state, (inode.ino, file_block)):
                 matched_all = False
         if matched_all:
             self.stats.bump(metrics.TIP_HINTED_READ_CALLS)
             self.stats.bump(metrics.TIP_HINTED_READ_BYTES, length)
-        self._drop_stale(state, pid)
+        self._drop_stale(state)
         return matched_all
 
-    def _consume_one(self, state: _ProcessHints, key: BlockKey, pid: int) -> bool:
+    def _consume_one(self, state: _ProcessHints, key: BlockKey) -> bool:
         queue = state.queue
         window = min(self.MATCH_WINDOW, len(queue))
         for i in range(window):
             entry = queue[i]
             if entry.key == key:
                 state.remove(i)
-                self._forget_seq(entry.key, entry.seq)
+                self._unindex(entry)
                 state.accuracy.observe_consumed()
                 self.stats.bump(metrics.TIP_HINTS_CONSUMED)
-                self.lifecycle.consumed(entry.seq, pid)
+                self.lifecycle.consumed(entry)
                 self._remember_consumed(key)
                 return True
             entry.skips += 1
@@ -408,25 +396,21 @@ class TipManager:
             for old_key, _ in ordered[: len(ordered) // 2]:
                 del self._consumed_blocks[old_key]
 
-    def _drop_stale(self, state: _ProcessHints, pid: int) -> None:
+    def _drop_stale(self, state: _ProcessHints) -> None:
         queue = state.queue
         while queue and queue[0].skips > self.STALE_SKIP_LIMIT:
             entry = state.remove(0)
-            self._forget_seq(entry.key, entry.seq)
+            self._unindex(entry)
             state.accuracy.observe_stale()
             self.stats.bump(metrics.TIP_HINTS_STALE_DROPPED)
-            self.lifecycle.wasted(entry.seq, pid, "stale")
+            self.lifecycle.wasted(entry, "stale")
 
-    def _forget_seq(self, key: BlockKey, seq: int) -> None:
-        seqs = self._hinted_seqs.get(key)
-        if seqs is None:
-            return
-        try:
-            seqs.remove(seq)
-        except ValueError:
-            return
-        if not seqs:
-            del self._hinted_seqs[key]
+    def _unindex(self, record: HintRecord) -> None:
+        """Take a record that just left its queue out of the key index."""
+        same_key = self._queued[record.key]
+        same_key.remove(record)
+        if not same_key:
+            del self._queued[record.key]
 
     # -- prefetch scheduling ------------------------------------------------------
 
@@ -524,7 +508,7 @@ class TipManager:
 
     def on_block_evicted(self, key: BlockKey) -> None:
         """A block left the cache (evicted, or its read-ahead died)."""
-        if key in self._hinted_seqs:
+        if key in self._queued:
             # A window may have seen this key resident: rescan them all.
             for state in self._procs.values():
                 state.dirty = True
@@ -541,10 +525,10 @@ class TipManager:
         for entry in self.cache.entries():
             if entry.state is not EntryState.VALID or entry.pinned > 0:
                 continue
-            seqs = self._hinted_seqs.get(entry.key)
-            if not seqs:
+            queued = self._queued.get(entry.key)
+            if queued is None:
                 return entry  # unhinted LRU block: cheapest eviction
-            distance = min(seqs) - front_seq
+            distance = queued[0].seq - front_seq
             if distance > best_distance:
                 best_distance = distance
                 best_hinted = entry
@@ -573,12 +557,12 @@ class TipManager:
 
     def finalize(self) -> None:
         """Unconsumed hints at end of run count as inaccurate."""
-        for pid, state in self._procs.items():
+        for state in self._procs.values():
             leftover = len(state.queue)
             if leftover:
                 for entry in state.drain():
-                    self._forget_seq(entry.key, entry.seq)
-                    self.lifecycle.wasted(entry.seq, pid, "unconsumed")
+                    self._unindex(entry)
+                    self.lifecycle.wasted(entry, "unconsumed")
                 state.accuracy.observe_stale(leftover)
                 self.stats.bump(metrics.TIP_HINTS_UNCONSUMED_AT_END, leftover)
         self.cache.finalize()

@@ -10,7 +10,11 @@ exists to answer:
 * the stall breakdown, with the trace-only refinement of *overlapped
   compute* — how many of the speculating thread's CPU cycles ran inside
   an original-thread stall (useful speculation) rather than beside it;
-* per-disk busy time and peak queue depth.
+* per-disk busy time, and (given the run's result) per-disk I/O health
+  and the degraded-mode tallies.
+
+:meth:`TraceAnalyzer.render_summary` is the one rendering, the block
+``repro trace --summary`` prints.
 
 Everything here is pure computation over recorded events — importing or
 running the analyzer can never affect a simulation.
@@ -135,73 +139,7 @@ class TraceAnalyzer:
             for disk, cycles in sorted(self.disk_busy_cycles().items())
         }
 
-    def peak_queue_depths(self) -> Dict[str, int]:
-        """Max sampled value of each queue-depth counter track."""
-        peaks: Dict[str, int] = {}
-        for event in self.tracer.events():
-            if event.ph == "C" and event.args:
-                value = event.args.get("value")
-                if isinstance(value, int):
-                    prev = peaks.get(event.name, 0)
-                    if value > prev:
-                        peaks[event.name] = value
-        return peaks
-
-    # -- hint lifecycle ------------------------------------------------------
-
-    def median_hint_lead(self) -> float:
-        """Median disclosed->consumed lead time in cycles (0 if no hints)."""
-        if self.lifecycle is None:
-            return 0.0
-        return self.lifecycle.lead_times.median
-
-    def pct_prefetches_before_demand(self) -> float:
-        if self.lifecycle is None:
-            return 0.0
-        return self.lifecycle.pct_ready_before_demand
-
-    # -- summary -------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        """All derived metrics as one JSON-friendly dict."""
-        breakdown = self.breakdown
-        wall = breakdown.wall if breakdown is not None else 0
-        out: Dict[str, object] = {
-            "events": len(self.tracer),
-            "events_dropped": self.tracer.dropped,
-            "stall_breakdown": breakdown.to_jsonable() if breakdown else None,
-            "overlapped_speculation_cycles": self.overlapped_speculation_cycles(),
-            "disk_utilization": {
-                str(disk): round(util, 4)
-                for disk, util in self.disk_utilization(wall).items()
-            },
-            "peak_queue_depths": self.peak_queue_depths(),
-        }
-        if self.lifecycle is not None:
-            out["hints"] = self.lifecycle.summary_counts()
-            out["hint_lead_cycles_median"] = self.median_hint_lead()
-            out["hint_lead_cycles_p90"] = self.lifecycle.lead_times.percentile(90)
-            out["pct_prefetches_before_demand"] = round(
-                self.pct_prefetches_before_demand(), 2
-            )
-        result = self.result
-        if result is not None:
-            per_disk = result.per_disk_io_counters()  # type: ignore[attr-defined]
-            if per_disk:
-                out["per_disk_io"] = {
-                    str(disk): counters
-                    for disk, counters in sorted(per_disk.items())
-                }
-            if result.disk_deaths:  # type: ignore[attr-defined]
-                out["degraded"] = {
-                    "disk_deaths": result.disk_deaths,  # type: ignore[attr-defined]
-                    "degraded_reads": result.degraded_reads,  # type: ignore[attr-defined]
-                    "reconstructed_blocks": result.reconstructed_blocks,  # type: ignore[attr-defined]
-                    "hedges_won": result.hedges_won,  # type: ignore[attr-defined]
-                    "rebuild_completed": result.rebuild_completed,  # type: ignore[attr-defined]
-                    "rebuild_blocks": result.rebuild_blocks,  # type: ignore[attr-defined]
-                }
-        return out
+    # -- rendering -----------------------------------------------------------
 
     def render_summary(self) -> str:
         """Human-readable summary block for the CLI."""

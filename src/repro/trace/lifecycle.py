@@ -6,31 +6,37 @@ did the block land in the cache, and how did the hint end — consumed by
 the read it predicted, cancelled by ``TIPIO_CANCEL_ALL``, or wasted
 (stale-dropped or never consumed)?  This module tracks exactly that for
 every block-granularity hint queue entry, keyed by the TIP manager's hint
-sequence number: an open hint has a :class:`HintRecord` object, and a
-retained hint that has ended is packed into one fixed-size row.
+sequence number.
+
+An open hint has one :class:`HintRecord`, and it is the TIP manager's
+queue entry itself: the manager creates it, queues it and indexes it by
+block key; this ledger reads that index for its prefetch stamps and
+:meth:`HintLifecycle.records`, and its terminal calls take the record.
+What the ledger owns is history: the ended bitmap, the terminal counts,
+the lead times and readiness tally, and one packed row per retained hint
+that has ended.
 
 Invariants (tested across every app and chaos profile):
 
 * every disclosed hint ends in **exactly one** terminal state —
   ``disclosed == consumed + cancelled + wasted + open`` at all times, and
   ``open == 0`` after :meth:`~repro.tip.manager.TipManager.finalize`;
-* per process, ``open_for(pid)`` equals the manager's
-  ``outstanding_hints(pid)`` — in particular it drops to zero the moment
-  ``TIPIO_CANCEL_ALL`` drains the queue.
+* a process's open hints are its TIP queue, by construction.
 
-The tracker never reads anything but the simulation clock: like the
-tracer it is purely observational and cannot perturb a run.  Every open
-hint has a record, so its timestamps feed the aggregates however many
-hints came before it; only the first ``capacity`` hints are *retained*
-once terminal, so a pathological hint storm thins the retained
-per-hint records (:meth:`HintLifecycle.records`), never the accounting.
+The ledger writes only its stamps and terminal fields, and the manager
+reads none of them; like the tracer it reads nothing but the simulation
+clock and cannot perturb a run.  Every open hint has a record, so its
+timestamps feed the aggregates however many hints came before it; only
+the first ``capacity`` hints are *retained* once terminal, so a
+pathological hint storm thins the retained per-hint records
+(:meth:`HintLifecycle.records`), never the accounting.
 """
 
 from __future__ import annotations
 
 import struct
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.stats import Distribution
@@ -53,14 +59,24 @@ _ROW = struct.Struct("<9qB")
 
 
 class HintRecord:
-    """Lifecycle of one block-granularity hint."""
+    """One block-granularity hint: TIP's queue entry and the ledger's open
+    record at once.
+
+    Who writes what: the TIP manager creates it (``seq``, ``key``, ``pid``,
+    ``disclosed_ts``, ``disk``) and afterwards writes only ``skips``; the
+    ledger writes only the prefetch stamps, ``drops`` and the terminal
+    fields, which the manager never reads.  ``disk`` and ``skips`` are
+    neither packed into a row nor exported.
+    """
 
     __slots__ = (
         "seq", "key", "pid", "disclosed_ts", "issued_ts", "filled_ts",
-        "drops", "terminal", "terminal_ts", "detail",
+        "drops", "terminal", "terminal_ts", "detail", "disk", "skips",
     )
 
-    def __init__(self, seq: int, key: BlockKey, pid: int, disclosed_ts: int) -> None:
+    def __init__(
+        self, seq: int, key: BlockKey, pid: int, disclosed_ts: int, disk: int = -1
+    ) -> None:
         self.seq = seq
         self.key = key
         self.pid = pid
@@ -76,6 +92,12 @@ class HintRecord:
         self.terminal_ts: int = 0
         #: Why a wasted hint was wasted ("stale" / "unconsumed").
         self.detail: str = ""
+        #: Disk holding the block, resolved once at intake: the file's
+        #: ``first_lbn`` and the stripe geometry never change (-1 on a
+        #: record rebuilt from a row).
+        self.disk = disk
+        #: How many reads have scanned past this entry without matching it.
+        self.skips = 0
 
     @property
     def lead_cycles(self) -> int:
@@ -108,10 +130,15 @@ class HintRecord:
         }
 
 
+#: Open records per block key, in disclosure order: the TIP manager's index.
+OpenIndex = Dict[BlockKey, List[HintRecord]]
+
+
 class HintLifecycle:
     """Tracks every hint from disclosure to its terminal state.
 
-    An open hint is a :class:`HintRecord` (its stamps still change); when a
+    An open hint is a :class:`HintRecord` in ``open_by_key``, the index the
+    TIP manager keeps of its queues (its stamps still change); when a
     retained one ends it is packed into one :data:`_ROW` and the object is
     let go, and :meth:`records` builds objects from the rows on demand.  A
     speculating run discloses thousands of hints that ``TIPIO_CANCEL_ALL``
@@ -124,21 +151,18 @@ class HintLifecycle:
     def __init__(
         self,
         clock: SimClock,
+        open_by_key: OpenIndex,
         tracer: Tracer = NULL_TRACER,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.clock = clock
         self.tracer = tracer
         self.capacity = capacity
-        #: Every open (non-terminal) hint's record, whatever the capacity.
-        self._open: Dict[int, HintRecord] = {}
-        #: Open hint seqs per block key, disclosure order.
-        self._open_by_key: Dict[BlockKey, List[int]] = {}
-        #: Open hints per pid (exact even past capacity).
-        self._open_by_pid: Dict[int, int] = {}
-        #: Open hints that are not retained: disclosed once ``capacity``
-        #: hints already were.
-        self._past_capacity: Set[int] = set()
+        #: Every open hint's record: the TIP manager's index, read only.
+        self._queued = open_by_key
+        #: Seqs from here on were disclosed once ``capacity`` hints already
+        #: were, and are not retained (seqs grow in disclosure order).
+        self._retained_below = 1 << 63
         #: The retained hints that have ended, one ``_ROW`` each, in the
         #: order they ended.
         self._rows = bytearray()
@@ -158,36 +182,28 @@ class HintLifecycle:
 
     # -- intake -------------------------------------------------------------
 
-    def disclosed(self, seq: int, keys: Sequence[BlockKey], pid: int) -> None:
-        """One segment's hints entered a process's queue: ``keys[i]`` with
-        hint seq ``seq + i``.  One open record per block."""
-        now = self.clock.now
-        # The first ``retain`` of these keys are among the first
-        # ``capacity`` hints disclosed.
+    def disclosed(self, records: Sequence[HintRecord]) -> None:
+        """One segment's hints entered a process's queue, in seq order."""
         retain = self.capacity - self.disclosed_total
-        self.disclosed_total += len(keys)
-        self._open_by_pid[pid] = self._open_by_pid.get(pid, 0) + len(keys)
-        open_records = self._open
-        open_by_key = self._open_by_key
+        if 0 <= retain < len(records):
+            self._retained_below = records[retain].seq
+        self.disclosed_total += len(records)
         tracer = self.tracer
-        for key in keys:
-            open_records[seq] = HintRecord(seq, key, pid, now)
-            if retain <= 0:
-                self._past_capacity.add(seq)
-            retain -= 1
-            open_by_key.setdefault(key, []).append(seq)
-            if tracer.enabled:
+        if tracer.enabled:
+            for record in records:
                 tracer.instant(CAT_HINT, "hint.disclosed", tid=TID_SYSTEM,
-                               seq=seq, ino=key[0], block=key[1], pid=pid)
-            seq += 1
+                               seq=record.seq, ino=record.key[0],
+                               block=record.key[1], pid=record.pid)
 
     # -- prefetch progress ---------------------------------------------------
 
     def prefetch_issued(self, key: BlockKey) -> None:
-        """TIP sent a prefetch for ``key`` to the array."""
-        record = self._first_open(key, unissued=True)
-        if record is not None:
-            record.issued_ts = self.clock.now
+        """TIP sent a prefetch for ``key`` to the array: the first open
+        hint on it not yet issued is."""
+        for record in self._queued.get(key, ()):
+            if record.issued_ts is None:
+                record.issued_ts = self.clock.now
+                break
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(CAT_HINT, "hint.prefetch_issued", tid=TID_SYSTEM,
@@ -196,17 +212,17 @@ class HintLifecycle:
     def filled(self, key: BlockKey) -> None:
         """A fetch for ``key`` completed; the block is resident."""
         now = self.clock.now
-        open_records = self._open
-        for seq in self._open_by_key.get(key, ()):
-            record = open_records[seq]
+        for record in self._queued.get(key, ()):
             if record.filled_ts is None:
                 record.filled_ts = now
 
     def prefetch_dropped(self, key: BlockKey) -> None:
-        """The prefetch failed terminally; the hint stays open (TIP may
-        re-issue it) but its issue timestamp no longer stands."""
-        record = self._first_open(key, unissued=False)
-        if record is not None:
+        """The prefetch failed terminally; the first open hint on ``key``
+        stays open (TIP may re-issue it) but its issue timestamp no longer
+        stands."""
+        records = self._queued.get(key)
+        if records:
+            record = records[0]
             record.drops += 1
             if record.filled_ts is None:
                 record.issued_ts = None
@@ -215,46 +231,35 @@ class HintLifecycle:
             tracer.instant(CAT_HINT, "hint.prefetch_dropped", tid=TID_SYSTEM,
                            ino=key[0], block=key[1])
 
-    def _first_open(self, key: BlockKey, unissued: bool) -> Optional[HintRecord]:
-        open_records = self._open
-        for seq in self._open_by_key.get(key, ()):
-            record = open_records[seq]
-            if unissued and record.issued_ts is not None:
-                continue
-            return record
-        return None
-
     # -- terminal states -----------------------------------------------------
 
-    def consumed(self, seq: int, pid: int) -> None:
+    def consumed(self, record: HintRecord) -> None:
         """The read this hint predicted arrived and matched it."""
-        record = self._finish(seq, pid, CONSUMED)
-        if record is not None:
-            self.lead_times.observe(record.lead_cycles)
-            if record.ready_before_demand:
-                self.ready_before_demand += 1
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.complete(CAT_HINT, "hint.lifetime",
-                                record.disclosed_ts, record.lead_cycles,
-                                tid=TID_SYSTEM, seq=seq, ino=record.key[0],
-                                block=record.key[1], terminal=CONSUMED,
-                                ready=record.ready_before_demand)
+        self._finish(record, CONSUMED)
+        self.lead_times.observe(record.lead_cycles)
+        if record.ready_before_demand:
+            self.ready_before_demand += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.complete(CAT_HINT, "hint.lifetime",
+                            record.disclosed_ts, record.lead_cycles,
+                            tid=TID_SYSTEM, seq=record.seq, ino=record.key[0],
+                            block=record.key[1], terminal=CONSUMED,
+                            ready=record.ready_before_demand)
 
-    def cancelled(self, seq: int, pid: int) -> None:
+    def cancelled(self, record: HintRecord) -> None:
         """TIPIO_CANCEL_ALL dropped this hint."""
-        self._finish(seq, pid, CANCELLED)
+        self._finish(record, CANCELLED)
 
-    def wasted(self, seq: int, pid: int, detail: str) -> None:
+    def wasted(self, record: HintRecord, detail: str) -> None:
         """The hint never matched a read (stale-dropped or end-of-run)."""
-        self._finish(seq, pid, WASTED, detail)
+        self._finish(record, WASTED, detail)
 
-    def _finish(
-        self, seq: int, pid: int, terminal: str, detail: str = ""
-    ) -> Optional[HintRecord]:
+    def _finish(self, record: HintRecord, terminal: str, detail: str = "") -> None:
         # Exactly-one-terminal-state invariant, for every seq and before
         # anything is counted: a second terminal for the same seq is a
         # lifecycle bug, not a counting detail.
+        seq = record.seq
         ended = self._ended
         byte, bit = seq >> 3, 1 << (seq & 7)
         if byte >= len(ended):
@@ -264,28 +269,11 @@ class HintLifecycle:
         )
         ended[byte] |= bit
         self.terminal_counts[terminal] += 1
-        open_count = self._open_by_pid.get(pid, 0)
-        if open_count > 0:
-            self._open_by_pid[pid] = open_count - 1
-        record = self._open.pop(seq, None)
-        if record is None:
-            return None
         record.terminal = terminal
         record.terminal_ts = self.clock.now
         record.detail = detail
-        seqs = self._open_by_key.get(record.key)
-        if seqs is not None:
-            try:
-                seqs.remove(seq)
-            except ValueError:
-                pass
-            if not seqs:
-                del self._open_by_key[record.key]
-        if seq in self._past_capacity:
-            self._past_capacity.remove(seq)
-        else:
+        if seq < self._retained_below:
             self._rows += _pack(record, self._details)
-        return record
 
     # -- queries -------------------------------------------------------------
 
@@ -293,10 +281,6 @@ class HintLifecycle:
     def open_total(self) -> int:
         """Hints disclosed but not yet terminal."""
         return self.disclosed_total - sum(self.terminal_counts.values())
-
-    def open_for(self, pid: int) -> int:
-        """Open hints of one process (reconciles with TIP's queue length)."""
-        return self._open_by_pid.get(pid, 0)
 
     def records(self) -> List[HintRecord]:
         """The first ``capacity`` hints' records, disclosure order.
@@ -306,9 +290,9 @@ class HintLifecycle:
         """
         details = list(self._details)
         records = [_unpack(row, details) for row in _ROW.iter_unpack(self._rows)]
-        past_capacity = self._past_capacity
-        records.extend(record for seq, record in self._open.items()
-                       if seq not in past_capacity)
+        retained_below = self._retained_below
+        records.extend(record for open_records in self._queued.values()
+                       for record in open_records if record.seq < retained_below)
         records.sort(key=attrgetter("seq"))
         return records
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.fs.filesystem import FileSystem
 from repro.harness.runner import System, build_system
 from repro.kernel.process import Process
+from repro.sim.clock import SimClock
+from repro.trace.lifecycle import CANCELLED, CONSUMED, HintLifecycle, HintRecord
 from repro.params import (
     ArrayParams,
     CacheParams,
@@ -20,6 +22,46 @@ from repro.vm.assembler import Assembler
 from repro.vm.binary import Binary
 from repro.vm.isa import SYS_EXIT, Reg
 from repro.vm.stdlib import emit_stdlib
+
+
+class TipStandIn:
+    """A bare :class:`HintLifecycle` with the TIP manager's part played by
+    hand: the stand-in creates each hint's record, keeps the key index the
+    ledger reads, and takes a record out of it before ending it."""
+
+    def __init__(self, clock: SimClock,
+                 capacity: int = HintLifecycle.DEFAULT_CAPACITY) -> None:
+        self.clock = clock
+        self.index: Dict[Tuple[int, int], List[HintRecord]] = {}
+        self.ledger = HintLifecycle(clock, self.index, capacity=capacity)
+
+    def disclose(self, seq: int, keys: Sequence[Tuple[int, int]],
+                 pid: int) -> List[HintRecord]:
+        """Queue ``keys[i]`` with seq ``seq + i``; returns the records."""
+        records = [HintRecord(seq + i, key, pid, self.clock.now)
+                   for i, key in enumerate(keys)]
+        for record in records:
+            self.index.setdefault(record.key, []).append(record)
+        self.ledger.disclosed(records)
+        return records
+
+    def end(self, record: HintRecord, terminal: str, detail: str = "") -> None:
+        """Dequeue ``record`` and end it in ``terminal``."""
+        same_key = self.index[record.key]
+        same_key.remove(record)
+        if not same_key:
+            del self.index[record.key]
+        if terminal == CONSUMED:
+            self.ledger.consumed(record)
+        elif terminal == CANCELLED:
+            self.ledger.cancelled(record)
+        else:
+            self.ledger.wasted(record, detail)
+
+    def open_for(self, pid: int) -> int:
+        """Open hints of one process: its records still in the index."""
+        return sum(record.pid == pid for records in self.index.values()
+                   for record in records)
 
 
 def small_system_config(

@@ -232,7 +232,7 @@ class TestReproducer:
 # Planted isolation bug: the acceptance loop end to end
 # ---------------------------------------------------------------------------
 
-def _forget_cancelled(self, seq, pid):
+def _forget_cancelled(self, record):
     """``HintLifecycle.cancelled`` with its body deleted: ``cancel_all``
     still drains the queue (so the runtime's own drain check passes) but
     cancelled hints never reach a terminal state in the ledger.  Planted

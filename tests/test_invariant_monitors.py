@@ -33,7 +33,7 @@ from repro.sim import metrics
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatRegistry
 from repro.spechint.auditor import AuditTable
-from repro.trace.lifecycle import HintLifecycle
+from tests.conftest import TipStandIn
 
 
 def _plan(**kwargs) -> FaultPlan:
@@ -86,20 +86,16 @@ class TestAuditChainMonitor:
 class _FakeLifecycle:
     """Just the surface HintLifecycleMonitor/CancelDrainMonitor read."""
 
-    def __init__(self, disclosed=0, terminals=None, open_by_pid=None,
-                 capacity=1 << 17, records=()):
+    def __init__(self, disclosed=0, terminals=None, capacity=1 << 17,
+                 records=()):
         self.disclosed_total = disclosed
         self.terminal_counts = dict(terminals or {})
         self.capacity = capacity
         self._records = list(records)
-        self._open_by_pid = dict(open_by_pid or {})
 
     @property
     def open_total(self):
         return self.disclosed_total - sum(self.terminal_counts.values())
-
-    def open_for(self, pid):
-        return self._open_by_pid.get(pid, 0)
 
     def records(self):
         return list(self._records)
@@ -183,9 +179,10 @@ class TestHintLifecycleMonitor:
 
 
 class TestCancelDrainMonitor:
-    def _obs(self, manager, process=None, error=None, restarts=0):
+    def _obs(self, manager, process=None, error=None, restarts=0, cancelled=0):
         stats = StatRegistry()
         stats.bump(metrics.SPEC_RESTARTS, restarts)
+        stats.bump(metrics.TIP_HINTS_CANCELLED, cancelled)
         system = SimpleNamespace(
             manager=manager,
             kernel=SimpleNamespace(
@@ -200,7 +197,6 @@ class TestCancelDrainMonitor:
     def test_undrained_queue_at_end_trips(self):
         manager = SimpleNamespace(
             outstanding_hints=lambda pid: 3, lifecycle=None,
-            cancelled_total=0,
         )
         process = SimpleNamespace(pid=1, spec=None)
         violations = CancelDrainMonitor().check(self._obs(manager, process))
@@ -213,7 +209,7 @@ class TestCancelDrainMonitor:
             pid=1, spec=SimpleNamespace(auditor=SimpleNamespace(table=table)),
         )
         manager = SimpleNamespace(outstanding_hints=lambda pid: 0,
-                                  lifecycle=None, cancelled_total=0)
+                                  lifecycle=None)
         violations = CancelDrainMonitor().check(
             self._obs(manager, process, restarts=2))
         assert any("skipped its cancel-drain audit" in v.detail
@@ -223,8 +219,8 @@ class TestCancelDrainMonitor:
         lifecycle = _FakeLifecycle(disclosed=4, terminals={"cancelled": 1,
                                                            "consumed": 3})
         manager = SimpleNamespace(outstanding_hints=lambda pid: 0,
-                                  lifecycle=lifecycle, cancelled_total=4)
-        violations = CancelDrainMonitor().check(self._obs(manager))
+                                  lifecycle=lifecycle)
+        violations = CancelDrainMonitor().check(self._obs(manager, cancelled=4))
         assert any("ledger recorded" in v.detail for v in violations)
 
     def test_clean_books_are_silent(self):
@@ -235,9 +231,9 @@ class TestCancelDrainMonitor:
             pid=1, spec=SimpleNamespace(auditor=SimpleNamespace(table=table)),
         )
         manager = SimpleNamespace(outstanding_hints=lambda pid: 0,
-                                  lifecycle=lifecycle, cancelled_total=2)
+                                  lifecycle=lifecycle)
         assert CancelDrainMonitor().check(
-            self._obs(manager, process, restarts=1)) == []
+            self._obs(manager, process, restarts=1, cancelled=2)) == []
 
 
 def _result(output=b"out", read_trace=((1, 0, 10),), cycles=100):
@@ -362,8 +358,9 @@ class TestPrefetchProgressMonitor:
     def _obs(self, drops, deaths=0, rebuilds_ended=0):
         """One hint whose prefetch was dropped ``drops`` times in a run
         with that many servability changes."""
-        lifecycle = HintLifecycle(SimClock())
-        lifecycle.disclosed(1, [(5, 0)], 1)
+        tip = TipStandIn(SimClock())
+        lifecycle = tip.ledger
+        tip.disclose(1, [(5, 0)], 1)
         for _ in range(drops):
             lifecycle.prefetch_issued((5, 0))
             lifecycle.prefetch_dropped((5, 0))

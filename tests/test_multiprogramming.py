@@ -52,10 +52,12 @@ class TestTwoProcesses:
             SpecHintTool().transform(reader_binary(nfiles=8, name="B"))
         )
         system.kernel.run()
-        acc_a = system.manager.accuracy_of(a.pid)
-        acc_b = system.manager.accuracy_of(b.pid)
-        assert acc_a.consumed > 0
-        assert acc_b.consumed > 0
+        manager = system.manager
+        assert manager.accuracy_of(a.pid) is not manager.accuracy_of(b.pid)
+        consumed = [record.pid for record in manager.lifecycle.records()
+                    if record.terminal == "consumed"]
+        assert a.pid in consumed
+        assert b.pid in consumed
 
     def test_second_process_shares_the_cache(self):
         """Process B's reads hit blocks process A brought in."""

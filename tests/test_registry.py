@@ -545,8 +545,10 @@ class TestHedgeCountersInTraceSummary:
         assert per_disk[2] == {"hedges": 3, "hedges_won": 2}
 
         tracer = Tracer(SimClock())
-        summary = TraceAnalyzer(tracer, result=result).summary()
-        assert summary["per_disk_io"]["2"] == {"hedges": 3, "hedges_won": 2}
+        text = TraceAnalyzer(tracer, result=result).render_summary()
+        (health,) = [line for line in text.splitlines()
+                     if line.startswith("disk I/O health")]
+        assert "disk2(hedges=3,hedges_won=2)" in health.split()
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,16 @@ class TestConsume:
         assert manager.consume_hints(PID, inode, 30, 30, BLOCK_SIZE)
 
     def test_accuracy_improves_on_consume(self):
-        manager, fs, _, _ = make_tip()
+        manager, fs, _, stats = make_tip()
         inode = fs.lookup("f0")
         hint(manager, fs, "f0", 0, BLOCK_SIZE)
-        before = manager.accuracy_of(PID).consumed
+        manager.cancel_all(PID)
+        before = manager.accuracy_of(PID).value
+        hint(manager, fs, "f0", 0, BLOCK_SIZE)
         manager.consume_hints(PID, inode, 0, 0, BLOCK_SIZE)
-        assert manager.accuracy_of(PID).consumed == before + 1
+        assert manager.accuracy_of(PID).value > before
+        assert stats.get("tip.hints_consumed") == 1
+        assert manager.lifecycle.terminal_counts["consumed"] == 1
 
 
 class TestCancelAll:
@@ -191,7 +195,7 @@ class TestCancelAll:
         manager, fs, _, _ = make_tip()
         hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
         manager.cancel_all(PID)
-        assert manager.accuracy_of(PID).cancelled == 2
+        assert manager.lifecycle.terminal_counts["cancelled"] == 2
         assert manager.accuracy_of(PID).value < 1.0
 
     def test_cancel_without_hints_is_zero(self):
@@ -260,7 +264,7 @@ class TestCancelDrain:
         cancelled = manager.cancel_all(PID)
         assert cancelled == 5
         assert manager.outstanding_hints(PID) == 0
-        assert manager.cancelled_total == 5
+        assert stats.get("tip.hints_cancelled") == 5
         assert stats.get("tip.cancel_drained") == 1
 
     def test_leaked_unconsumed_hint_is_cancelled(self):
@@ -277,20 +281,21 @@ class TestCancelDrain:
         assert manager.outstanding_hints(PID) == 0
 
     def test_cancel_idempotent_on_empty_queue(self):
-        manager, fs, _, _ = make_tip()
+        manager, fs, _, stats = make_tip()
         assert manager.cancel_all(PID) == 0
         hint(manager, fs, "f0", 0, BLOCK_SIZE)
         manager.cancel_all(PID)
         assert manager.cancel_all(PID) == 0
-        assert manager.cancelled_total == 1
+        assert stats.get("tip.hints_cancelled") == 1
 
     def test_cancelled_total_accumulates_across_calls(self):
-        manager, fs, _, _ = make_tip()
+        manager, fs, _, stats = make_tip()
         hint(manager, fs, "f0", 0, 2 * BLOCK_SIZE)
         manager.cancel_all(PID)
         hint(manager, fs, "f1", 0, 3 * BLOCK_SIZE)
         manager.cancel_all(PID)
-        assert manager.cancelled_total == 5
+        assert stats.get("tip.hints_cancelled") == 5
+        assert manager.lifecycle.terminal_counts["cancelled"] == 5
 
 
 def count_scheduler_lookups(manager):

@@ -27,7 +27,6 @@ from repro.storage.striping import StripedArray
 from repro.tip.manager import TipManager
 from repro.trace.analyzer import TraceAnalyzer
 from repro.trace.export import chrome_trace, export_to_path
-from repro.trace.lifecycle import HintLifecycle
 from repro.trace.phases import StallBreakdown, stall_breakdown
 from repro.trace.tracer import (
     ALL_CATEGORIES,
@@ -38,6 +37,7 @@ from repro.trace.tracer import (
     Tracer,
     parse_categories,
 )
+from tests.conftest import TipStandIn
 
 SCALE = 0.3
 PID = 1
@@ -161,14 +161,15 @@ class TestExport:
 class TestHintLifecycleUnit:
     def test_full_consumed_path(self):
         clock = SimClock()
-        cycle = HintLifecycle(clock)
-        cycle.disclosed(1, [(5, 0)], PID)
+        tip = TipStandIn(clock)
+        cycle = tip.ledger
+        (hint,) = tip.disclose(1, [(5, 0)], PID)
         clock.advance(10)
         cycle.prefetch_issued((5, 0))
         clock.advance(10)
         cycle.filled((5, 0))
         clock.advance(10)
-        cycle.consumed(1, PID)
+        tip.end(hint, "consumed")
         (record,) = cycle.records()
         assert record.issued_ts == 10 and record.filled_ts == 20
         assert record.terminal == "consumed" and record.lead_cycles == 30
@@ -180,45 +181,48 @@ class TestHintLifecycleUnit:
         assert cycle.pct_ready_before_demand == 100.0
 
     def test_double_terminal_asserts(self):
-        cycle = HintLifecycle(SimClock())
-        cycle.disclosed(1, [(5, 0)], PID)
-        cycle.consumed(1, PID)
+        tip = TipStandIn(SimClock())
+        (hint,) = tip.disclose(1, [(5, 0)], PID)
+        tip.end(hint, "consumed")
         with pytest.raises(AssertionError):
-            cycle.cancelled(1, PID)
+            tip.ledger.cancelled(hint)
 
     def test_dropped_prefetch_resets_issue_stamp(self):
         clock = SimClock()
-        cycle = HintLifecycle(clock)
-        cycle.disclosed(1, [(5, 0)], PID)
+        tip = TipStandIn(clock)
+        cycle = tip.ledger
+        tip.disclose(1, [(5, 0)], PID)
         cycle.prefetch_issued((5, 0))
         cycle.prefetch_dropped((5, 0))
         (record,) = cycle.records()
         assert record.issued_ts is None and record.drops == 1
-        assert cycle.open_for(PID) == 1  # still open: TIP may re-issue
+        assert cycle.open_total == 1  # still open: TIP may re-issue
 
     def test_aggregates_exact_past_detail_capacity(self):
         clock = SimClock()
-        cycle = HintLifecycle(clock, capacity=2)
-        for seq in range(5):
-            cycle.disclosed(seq, [(1, seq)], PID)
+        tip = TipStandIn(clock, capacity=2)
+        cycle = tip.ledger
+        hints = [tip.disclose(seq, [(1, seq)], PID)[0] for seq in range(5)]
         assert len(cycle.records()) == 2  # detail capped...
         assert cycle.disclosed_total == 5  # ...aggregates exact
-        assert cycle.open_for(PID) == 5
-        for seq in range(5):
-            cycle.consumed(seq, PID)
-        assert cycle.open_total == 0 and cycle.open_for(PID) == 0
+        assert cycle.open_total == 5
+        for hint in hints:
+            tip.end(hint, "consumed")
+        assert cycle.open_total == 0 and tip.open_for(PID) == 0
 
     def test_lead_times_exact_past_detail_capacity(self):
         """A hint past ``capacity`` still has its disclosure and fill
         stamps: it counts in the lead times and the readiness tally."""
         clock = SimClock()
-        cycle = HintLifecycle(clock, capacity=2)
+        tip = TipStandIn(clock, capacity=2)
+        cycle = tip.ledger
+        hints = []
         for seq in range(3):
-            cycle.disclosed(seq, [(1, seq)], PID)
+            hints += tip.disclose(seq, [(1, seq)], PID)
             cycle.filled((1, seq))
         clock.advance(7)
-        for seq in range(3):
-            cycle.consumed(seq, PID)
+        for hint in hints:
+            tip.end(hint, "consumed")
         assert cycle.lead_times.count == 3
         assert cycle.ready_before_demand == 3
         assert [record.seq for record in cycle.records()] == [0, 1]
@@ -228,11 +232,12 @@ class TestHintLifecycleUnit:
         """The ledger is the one source of its lead times and readiness
         tally (nothing mirrors them into the stat registry)."""
         clock = SimClock()
-        cycle = HintLifecycle(clock)
-        cycle.disclosed(1, [(5, 0)], PID)
+        tip = TipStandIn(clock)
+        cycle = tip.ledger
+        (hint,) = tip.disclose(1, [(5, 0)], PID)
         cycle.filled((5, 0))
         clock.advance(4)
-        cycle.consumed(1, PID)
+        tip.end(hint, "consumed")
         assert cycle.ready_before_demand == 1
         assert cycle.lead_times.values == [4]
 
@@ -278,17 +283,18 @@ def make_tip_with_lifecycle(cache_blocks=16, file_blocks=32):
 
 
 class TestLifecycleReconciliation:
-    """lifecycle.open_for(pid) must track TipManager.outstanding_hints."""
+    """A process's open hints are its TIP queue: the ledger's open count
+    tracks TipManager.outstanding_hints."""
 
     def test_reconciles_through_cancel_all(self):
         manager, fs, engine = make_tip_with_lifecycle()
         ino = fs.lookup("f0")
         manager.disclose(PID, ino, 0, 5 * BLOCK_SIZE)
         assert manager.outstanding_hints(PID) == 5
-        assert manager.lifecycle.open_for(PID) == 5
+        assert manager.lifecycle.open_total == 5
         manager.cancel_all(PID)
         assert manager.outstanding_hints(PID) == 0
-        assert manager.lifecycle.open_for(PID) == 0
+        assert manager.lifecycle.open_total == 0
         assert manager.lifecycle.summary_counts()["cancelled"] == 5
 
     def test_reconciles_through_consumption(self):
@@ -298,7 +304,7 @@ class TestLifecycleReconciliation:
         while engine.advance_to_next():
             pass
         manager.consume_hints(PID, ino, 0, 2, 3 * BLOCK_SIZE)
-        assert manager.outstanding_hints(PID) == manager.lifecycle.open_for(PID) == 0
+        assert manager.outstanding_hints(PID) == manager.lifecycle.open_total == 0
 
     def test_finalize_closes_every_hint(self):
         manager, fs, engine = make_tip_with_lifecycle()
@@ -369,22 +375,23 @@ class TestAnalyzer:
 
     def test_summary_metrics(self):
         result, system, tracer = self._run()
-        analyzer = TraceAnalyzer(
-            tracer,
-            lifecycle=system.manager.lifecycle,
-            breakdown=stall_breakdown(system.kernel),
-        )
-        summary = analyzer.summary()
-        assert summary["events"] == len(tracer)
-        assert summary["hints"]["open"] == 0
-        assert summary["hint_lead_cycles_median"] > 0
-        assert 0.0 <= summary["pct_prefetches_before_demand"] <= 100.0
+        lifecycle = system.manager.lifecycle
+        breakdown = stall_breakdown(system.kernel)
+        analyzer = TraceAnalyzer(tracer, lifecycle=lifecycle, breakdown=breakdown)
+        assert lifecycle.open_total == 0
+        assert lifecycle.lead_times.median > 0
+        assert 0.0 <= lifecycle.pct_ready_before_demand <= 100.0
         # Speculation ran strictly inside demand stalls on one CPU.
-        overlap = summary["overlapped_speculation_cycles"]
-        assert 0 < overlap <= stall_breakdown(system.kernel).demand_stall
-        assert summary["disk_utilization"]  # every disk saw traffic
+        overlap = analyzer.overlapped_speculation_cycles()
+        assert 0 < overlap <= breakdown.demand_stall
+        assert analyzer.disk_utilization(breakdown.wall)  # every disk saw traffic
         text = analyzer.render_summary()
         assert "stall breakdown" in text and "hint lead time" in text
+        assert f"({overlap:,} inside stalls)" in text
+        assert text.splitlines()[-1] == (
+            f"trace                {len(tracer):,} events (0 dropped)")
+        (hints,) = [line for line in text.splitlines() if line.startswith("hints ")]
+        assert hints.endswith(" open=0")
 
 
 class TestRunResultSerialization:
