@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 
 from repro.fs.filesystem import FileSystem
 from repro.harness.runner import build_system
-from repro.params import BLOCK_SIZE, SystemConfig
+from repro.params import BLOCK_SIZE, CPU_HZ, SystemConfig
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_CLOSE, SYS_EXIT, SYS_OPEN, SYS_READ, Reg
@@ -96,7 +96,7 @@ def main() -> None:
 
     # 1) The original program.
     original_system, original_proc = run(make_program())
-    original_s = original_system.clock.seconds(original_system.config.cpu.hz)
+    original_s = original_system.clock.seconds(CPU_HZ)
     print(f"\noriginal:     {original_s * 1000:8.2f} ms simulated, "
           f"{original_system.stats.get('app.read_stalls')} read stalls, "
           f"output={bytes(original_proc.output).strip().decode()}")
@@ -113,7 +113,7 @@ def main() -> None:
 
     # 3) The speculating executable on an identical machine.
     spec_system, spec_proc = run(speculating_binary)
-    spec_s = spec_system.clock.seconds(spec_system.config.cpu.hz)
+    spec_s = spec_system.clock.seconds(CPU_HZ)
     print(f"\nspeculating:  {spec_s * 1000:8.2f} ms simulated, "
           f"{spec_system.stats.get('app.read_stalls')} read stalls, "
           f"output={bytes(spec_proc.output).strip().decode()}")

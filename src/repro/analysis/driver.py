@@ -41,7 +41,6 @@ from repro.analysis.absint import (
 from repro.analysis.cfg import CFG, build_cfg, reachable, table_targets
 from repro.analysis.dataflow import live_out
 from repro.errors import AnalysisError
-from repro.params import SpecHintParams
 from repro.vm.binary import Binary
 from repro.vm.disasm import format_insn
 from repro.vm.isa import (
@@ -55,6 +54,17 @@ from repro.vm.isa import (
 from repro.vm.memory import DATA_BASE, SPEC_HEAP_BASE, SPEC_HEAP_MAX
 
 
+#: Cycles added by the COW check wrapped around each shadow-code load.
+COW_LOAD_CHECK_CYCLES = 5
+
+#: Cycles added by the COW check wrapped around each shadow-code store.
+COW_STORE_CHECK_CYCLES = 7
+
+#: Divisor applied to COW check costs inside the hand-optimized shadow
+#: string routines (strncpy/memcpy analogues, Section 3.3).
+OPTIMIZED_STDLIB_CHECK_DIVISOR = 8
+
+
 class CheckCosts(NamedTuple):
     """COW check cycle costs for one function's loads and stores."""
 
@@ -62,13 +72,12 @@ class CheckCosts(NamedTuple):
     store: int
 
 
-def check_costs(params: SpecHintParams, optimized_stdlib: bool) -> CheckCosts:
+def check_costs(optimized_stdlib: bool) -> CheckCosts:
     """Per-access COW check cycles, honouring the optimized-stdlib divisor."""
-    load, store = params.cow_load_check_cycles, params.cow_store_check_cycles
+    load, store = COW_LOAD_CHECK_CYCLES, COW_STORE_CHECK_CYCLES
     if optimized_stdlib:
-        divisor = max(1, params.optimized_stdlib_check_divisor)
-        load = max(1, load // divisor)
-        store = max(1, store // divisor)
+        load = max(1, load // OPTIMIZED_STDLIB_CHECK_DIVISOR)
+        store = max(1, store // OPTIMIZED_STDLIB_CHECK_DIVISOR)
     return CheckCosts(load, store)
 
 
@@ -202,7 +211,6 @@ class BinaryAnalysis:
     """Everything the analysis learned about one binary."""
 
     binary: Binary
-    params: SpecHintParams
     cfgs: Dict[str, CFG]
     facts: Dict[str, FunctionFacts]
     store_classes: Dict[int, StoreClass]
@@ -564,9 +572,7 @@ def require_original(binary: Binary) -> None:
 
 
 def analyze_binary(
-    binary: Binary,
-    params: Optional[SpecHintParams] = None,
-    map_all_addresses: bool = False,
+    binary: Binary, map_all_addresses: bool = False,
 ) -> BinaryAnalysis:
     """Run the full static-analysis pipeline over one SpecVM binary.
 
@@ -576,7 +582,6 @@ def analyze_binary(
     returned :class:`ElisionPlan` is empty (the report is still useful).
     """
     require_original(binary)
-    params = params or SpecHintParams()
 
     cfgs: Dict[str, CFG] = {}
     facts: Dict[str, FunctionFacts] = {}
@@ -610,7 +615,7 @@ def analyze_binary(
         map_all_addresses,
     )
     lint = _lint(binary, cfgs, transfers, reachable)
-    baseline, optimized = _check_cycle_totals(binary, params, plan)
+    baseline, optimized = _check_cycle_totals(binary, plan)
 
     summaries: List[FunctionSummary] = []
     for func in binary.functions:
@@ -640,7 +645,6 @@ def analyze_binary(
 
     return BinaryAnalysis(
         binary=binary,
-        params=params,
         cfgs=cfgs,
         facts=facts,
         store_classes=store_classes,
@@ -782,14 +786,12 @@ def _lint(
     return findings
 
 
-def _check_cycle_totals(
-    binary: Binary, params: SpecHintParams, plan: ElisionPlan
-) -> Tuple[int, int]:
+def _check_cycle_totals(binary: Binary, plan: ElisionPlan) -> Tuple[int, int]:
     """(baseline, post-analysis) total COW check cycles in the shadow."""
     baseline = 0
     optimized = 0
     for func in binary.functions:
-        costs = check_costs(params, func.name in binary.optimized_stdlib)
+        costs = check_costs(func.name in binary.optimized_stdlib)
         for index in range(func.entry, func.end):
             insn = binary.text[index]
             if insn.op in (Op.LOAD, Op.LOADB, Op.STORE, Op.STOREB):

@@ -78,7 +78,6 @@ from repro.analysis.driver import (
     resolved_callee,
 )
 from repro.errors import AnalysisError
-from repro.params import SpecHintParams
 from repro.vm.binary import Binary, Function
 from repro.vm.disasm import format_insn
 from repro.vm.isa import (
@@ -1003,7 +1002,6 @@ class _TaintInterp:
 
 def analyze_security(
     binary: Binary,
-    params: Optional[SpecHintParams] = None,
     analysis: Optional[BinaryAnalysis] = None,
 ) -> SecurityPlan:
     """Run the speculation-security taint analysis over one binary.
@@ -1013,7 +1011,7 @@ def analyze_security(
     """
     require_original(binary)
     if analysis is None:
-        analysis = analyze_binary(binary, params)
+        analysis = analyze_binary(binary)
 
     sites = sorted(
         index

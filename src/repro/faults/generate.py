@@ -348,7 +348,6 @@ class FaultPlanGenerator:
         seed: int,
         apps: Sequence[str] = ("agrep",),
         ndisks: int = 4,
-        max_dimensions: int = 3,
     ) -> None:
         if not apps:
             raise FuzzError("fuzz generator needs at least one app")
@@ -360,15 +359,13 @@ class FaultPlanGenerator:
         self.seed = seed
         self.apps = tuple(apps)
         self.ndisks = ndisks
-        self.max_dimensions = max(1, max_dimensions)
 
     def _choose_dimensions(self, rng: DeterministicRng) -> List[Dimension]:
         count = 1
         if rng.uniform(0.0, 1.0) < 0.6:
             count += 1
-        if self.max_dimensions >= 3 and rng.uniform(0.0, 1.0) < 0.3:
+        if rng.uniform(0.0, 1.0) < 0.3:
             count += 1
-        count = min(count, self.max_dimensions, len(DIMENSIONS))
         chosen: List[str] = []
         pool = list(DIMENSIONS)
         while pool and len(chosen) < count:

@@ -27,7 +27,7 @@ import json
 import os
 import signal
 import threading
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 from repro.errors import CheckpointError, RegistryError
 from repro.registry.fingerprint import canonical_json
@@ -49,9 +49,7 @@ def atomic_write_json(path: str, obj: object) -> None:
 
 
 @contextlib.contextmanager
-def unwind_on_signals(
-    signums: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-) -> Iterator[None]:
+def unwind_on_signals() -> Iterator[None]:
     """Install handlers that turn a signal into an orderly unwinding.
 
     A Ctrl-C'd (SIGINT) or terminated (SIGTERM) sweep exits the way the
@@ -77,7 +75,7 @@ def unwind_on_signals(
         raise SystemExit(128 + signum)
 
     try:
-        for signum in signums:
+        for signum in (signal.SIGINT, signal.SIGTERM):
             previous[signum] = signal.signal(signum, handler)
     except (ValueError, OSError):
         # Embedded interpreter or exotic platform: run unguarded.
@@ -119,9 +117,7 @@ class SweepCheckpoint:
 
     A journal line is ``{"cell": key, "payload": {...}}`` for a finished
     cell; the last line for a key wins, so the duplicate a re-run cell
-    leaves is harmless.  An older journal may also hold ``{"cell": key,
-    "quarantined": {...}}`` lines: such a cell reads as unfinished, so a
-    resume re-runs it and its payload line supersedes the quarantine.
+    leaves is harmless.  Any other line but the header is a typed error.
     """
 
     def __init__(self, path: str, identity: str, resume: bool = False) -> None:
@@ -154,11 +150,10 @@ class SweepCheckpoint:
                 f"{header.get('identity')!r}, not {identity!r}"
             )
         for record in self._store.all():
-            body = record.get("payload", record.get("quarantined"))
-            if record is not header and not isinstance(body, dict):
+            if record is not header and not isinstance(record.get("payload"), dict):
                 raise CheckpointError(
                     f"checkpoint {path!r}: line for cell {record[_KEY]!r} is "
-                    "neither a result nor a quarantine record"
+                    "not a result record"
                 )
 
     @classmethod

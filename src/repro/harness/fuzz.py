@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import FuzzError
 from repro.faults.generate import (
@@ -47,9 +47,7 @@ from repro.faults.generate import (
 )
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
 from repro.harness.invariants import (
-    DEFAULT_MONITORS,
     CellObservation,
-    InvariantMonitor,
     VariantObservation,
     Violation,
     check_all,
@@ -233,7 +231,6 @@ def _cell_digest(
 def run_fuzz_case(
     case: FuzzCase,
     workload_scale: float = DEFAULT_FUZZ_SCALE,
-    monitors: Tuple[InvariantMonitor, ...] = DEFAULT_MONITORS,
     system: Optional[SystemConfig] = None,
     analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
@@ -275,7 +272,7 @@ def run_fuzz_case(
         spec_overrides=dict(case.spec_overrides),
         variants=observations,
     )
-    violations = check_all(obs, monitors)
+    violations = check_all(obs)
     if violations and trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         plan_name = case.plan.name if case.plan.active else "fault-free"

@@ -17,7 +17,7 @@ from repro.fs.readahead import SequentialReadAhead
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import RunResult, median_interval
 from repro.kernel.kernel import Kernel
-from repro.params import SystemConfig
+from repro.params import CPU_HZ, SystemConfig
 from repro.registry.fingerprint import params_digest
 from repro.sim import metrics
 from repro.sim.clock import SimClock
@@ -60,17 +60,15 @@ def build_system(
     cover every allocated block).  With ``fault_plan`` set, one
     :class:`FaultInjector` is threaded through the storage stack and the
     kernel; without it the machine is bit-identical to the fault-free
-    simulator.  A live ``tracer`` is bound to the run's clock and stat
-    registry and threaded through every layer; the default
-    :data:`NULL_TRACER` keeps the whole pipeline at one boolean test per
-    instrumentation site.
+    simulator.  A live ``tracer`` is bound to the run's clock and threaded
+    through every layer; the default :data:`NULL_TRACER` keeps the whole
+    pipeline at one boolean test per instrumentation site.
     """
     clock = SimClock()
     engine = EventEngine(clock)
     stats = StatRegistry()
     if tracer.enabled:
         tracer.bind_clock(clock)
-        tracer.attach_stats(stats)
     injector: Optional[FaultInjector] = None
     if fault_plan is not None and fault_plan.active:
         injector = FaultInjector(fault_plan, config.cpu, clock, stats)
@@ -198,7 +196,7 @@ def run_experiment_with_system(
             app=cfg.app,
             variant=cfg.variant.value,
             cycles=system.clock.now,
-            cpu_hz=system_config.cpu.hz,
+            cpu_hz=CPU_HZ,
             counters=system.stats.snapshot(),
             output=bytes(process.output),
             median_read_interval=median_interval(read_dist.values) if read_dist else 0.0,

@@ -39,6 +39,7 @@ from repro.harness.results import RunResult
 from repro.harness.runner import build_system
 from repro.params import (
     BLOCK_SIZE,
+    CPU_HZ,
     ArrayParams,
     CacheParams,
     CpuParams,
@@ -175,7 +176,7 @@ def figure1_system_config(seed: int = SEEDS[0]) -> SystemConfig:
     return SystemConfig(
         cpu=idealized_cpu,
         disk=DiskParams(
-            positioning_s=FIG1_DISK_CYCLES / 233_000_000,
+            positioning_s=FIG1_DISK_CYCLES / CPU_HZ,
             transfer_bps=1e12,       # negligible transfer time
             track_buffer_bps=1e12,
             track_readahead_blocks=0,  # no drive read-ahead in the example

@@ -19,7 +19,7 @@ from repro.errors import BadFileDescriptor, InvalidSyscall, SimulationError
 from repro.fs.filesystem import FileSystem, Inode
 from repro.kernel.process import Process
 from repro.kernel.thread import Thread, ThreadState
-from repro.params import BLOCK_SIZE, SystemConfig
+from repro.params import BLOCK_SIZE, HINT_CALL_CYCLES, NAMEI_CYCLES, SystemConfig
 from repro.sim import metrics
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
@@ -60,6 +60,9 @@ _STOPPED = -1
 
 #: Multiprocessor-mode interleave slice, in cycles.
 MP_SLICE = 32_768
+
+#: Cycles per byte for write() data copies (write-behind: no disk wait).
+WRITE_COPY_CYCLES_PER_BYTE = 0.5
 
 V0 = int(Reg.v0)
 A0 = int(Reg.a0)
@@ -263,7 +266,7 @@ class Kernel:
             thread.regs[V0] = fdstate.fd
         self.stats.bump(metrics.APP_OPEN_CALLS)
         thread.pc += 1
-        return self.config.cpu.syscall_cycles + self.config.cpu.namei_cycles
+        return self.config.cpu.syscall_cycles + NAMEI_CYCLES
 
     def _sys_close(self, thread: Thread) -> int:
         proc = thread.process
@@ -367,7 +370,6 @@ class Kernel:
 
     def _sys_write(self, thread: Thread) -> int:
         proc = thread.process
-        cpu = self.config.cpu
         fd_num = thread.regs[A0]
         buf = thread.regs[A1]
         length = thread.regs[A2]
@@ -387,7 +389,7 @@ class Kernel:
         thread.pc += 1
         # Write-behind buffering: the data copy is the only latency.
         return self.config.cpu.syscall_cycles + int(
-            length * cpu.write_copy_cycles_per_byte
+            length * WRITE_COPY_CYCLES_PER_BYTE
         )
 
     def _sys_lseek(self, thread: Thread) -> int:
@@ -467,7 +469,7 @@ class Kernel:
         self.hint_from(proc.pid, inode, thread.regs[A1], thread.regs[A2])
         thread.regs[V0] = 0
         thread.pc += 1
-        return self.config.cpu.syscall_cycles + self.config.cpu.hint_call_cycles
+        return self.config.cpu.syscall_cycles + HINT_CALL_CYCLES
 
     def _sys_hint_fd_seg(self, thread: Thread) -> int:
         """TIPIO_FD_SEG: hint a segment of an open file."""
@@ -480,10 +482,10 @@ class Kernel:
         self.hint_from(proc.pid, inode, thread.regs[A1], thread.regs[A2])
         thread.regs[V0] = 0
         thread.pc += 1
-        return self.config.cpu.syscall_cycles + self.config.cpu.hint_call_cycles
+        return self.config.cpu.syscall_cycles + HINT_CALL_CYCLES
 
     def _sys_cancel_all(self, thread: Thread) -> int:
         cancelled = self.manager.cancel_all(thread.process.pid)
         thread.regs[V0] = cancelled
         thread.pc += 1
-        return self.config.cpu.syscall_cycles + self.config.cpu.hint_call_cycles
+        return self.config.cpu.syscall_cycles + HINT_CALL_CYCLES

@@ -12,6 +12,15 @@ The defaults model the paper's evaluation platform (Section 4):
 Workloads in this reproduction are scaled down roughly 8x from the paper's
 (see DESIGN.md section 2), so harness configurations usually also scale the
 file cache with :func:`scaled_cache_blocks`.
+
+The dataclasses hold only values some caller varies: a field nothing in
+``src/`` sets (``tests/test_settable_values.py`` lists the few that only
+tests set) is a constant instead, kept beside its reader.  The clock rate
+and the two syscall costs the kernel and the speculating thread share are
+defined below; the write-copy rate lives in ``kernel/kernel.py``, the
+retry backoff growth and the XOR cost in ``storage/striping.py``, the
+accuracy discount threshold in ``tip/manager.py``, the COW check costs in
+``analysis/driver.py`` and the COW copy rate in ``spechint/cow.py``.
 """
 
 from __future__ import annotations
@@ -33,13 +42,24 @@ BLOCKS_PER_STRIPE_UNIT = STRIPE_UNIT // BLOCK_SIZE
 #: Page size used for footprint accounting (Table 6).
 PAGE_SIZE = 8192
 
+# Processor ------------------------------------------------------------------
+
+#: Clock frequency in Hz (233 MHz AlphaStation 255).
+CPU_HZ = 233_000_000
+
+#: Path lookup cost for open(), in cycles (metadata I/O is not simulated;
+#: the TIP benchmarks hint only data reads).  The kernel charges it whole;
+#: the speculating thread's user-space lookup a quarter of it.
+NAMEI_CYCLES = 2_000
+
+#: Extra cycles for a hint ioctl beyond the syscall trap, charged by the
+#: kernel's hint calls and by the speculating thread's substituted ones.
+HINT_CALL_CYCLES = 150
+
 
 @dataclass(frozen=True)
 class CpuParams:
     """Processor model parameters."""
-
-    #: Clock frequency in Hz (233 MHz AlphaStation 255).
-    hz: int = 233_000_000
 
     #: Cycles charged for a system call trap + return.
     syscall_cycles: int = 400
@@ -63,16 +83,6 @@ class CpuParams:
     #: application's buffer (bcopy bandwidth of the platform).
     read_copy_cycles_per_byte: float = 0.5
 
-    #: Cycles per byte for write() data copies (write-behind: no disk wait).
-    write_copy_cycles_per_byte: float = 0.5
-
-    #: Path lookup cost for open() (metadata I/O is not simulated;
-    #: the TIP benchmarks hint only data reads).
-    namei_cycles: int = 2_000
-
-    #: Extra cycles for a hint ioctl beyond the syscall trap.
-    hint_call_cycles: int = 150
-
     #: Cycles to service a page reclaim (referenced page resident but not
     #: physically mapped — OS intervention, no disk access).
     page_reclaim_cycles: int = 500
@@ -82,11 +92,11 @@ class CpuParams:
 
     def seconds(self, cycles: int) -> float:
         """Convert a cycle count to seconds on this processor."""
-        return cycles / self.hz
+        return cycles / CPU_HZ
 
     def cycles(self, seconds: float) -> int:
         """Convert seconds to (rounded) cycles on this processor."""
-        return int(round(seconds * self.hz))
+        return int(round(seconds * CPU_HZ))
 
 
 @dataclass(frozen=True)
@@ -173,12 +183,9 @@ class ArrayParams:
     #: dropped silently (degrades to the unhinted baseline, never an error).
     prefetch_retry_attempts: int = 2
 
-    #: Backoff before the first retry, in cycles; doubles (see multiplier)
-    #: each further attempt so retries ride out offline windows.
+    #: Backoff before the first retry, in cycles; doubles each further
+    #: attempt so retries ride out offline windows.
     retry_backoff_cycles: int = 50_000
-
-    #: Exponential backoff growth factor.
-    retry_backoff_multiplier: float = 2.0
 
     #: Per-request timeout in cycles; a request not notified within this
     #: bound is aborted at the disk and retried.  Only armed while a fault
@@ -201,10 +208,6 @@ class ArrayParams:
     #: allowed to consume — the rest is idle, yielding the disks to demand
     #: traffic.  1.0 rebuilds flat-out; small values rebuild gently.
     rebuild_bandwidth_share: float = 0.25
-
-    #: Fixed CPU cost charged for XOR-ing one block back together from its
-    #: parity row (reconstruction and rebuild both pay it).
-    reconstruct_xor_cycles: int = 4096
 
 
 @dataclass(frozen=True)
@@ -229,11 +232,6 @@ class TipParams:
     #: ratio of disk time to per-access CPU time; we expose it directly.
     prefetch_horizon: int = 96
 
-    #: Below this measured hint accuracy, TIP scales the prefetch depth it
-    #: will pursue for the offending process's hints by that accuracy
-    #: (floor 0.1 x the horizon, never below 4 blocks).
-    accuracy_discount_threshold: float = 0.85
-
     #: If True, TIP ignores all hints and behaves exactly like the baseline
     #: UBC (used for Figure 4).
     ignore_hints: bool = False
@@ -250,15 +248,6 @@ class SpecHintParams:
     #: 128 B - 8192 B and settled on 1024 B (Section 3.2.1).
     cow_region_size: int = 1024
 
-    #: Cycles added by the COW check wrapped around each shadow-code load.
-    cow_load_check_cycles: int = 5
-
-    #: Cycles added by the COW check wrapped around each shadow-code store.
-    cow_store_check_cycles: int = 7
-
-    #: Cycles per byte to copy a region the first time it is written.
-    cow_copy_cycles_per_byte: float = 0.25
-
     #: Cycles per byte the speculating thread spends copying the original
     #: thread's stack when restarting speculation.
     restart_stack_copy_cycles_per_byte: float = 0.25
@@ -266,10 +255,6 @@ class SpecHintParams:
     #: Fixed cycles for the rest of the restart bookkeeping (cancel call,
     #: clearing the COW map, reloading registers).
     restart_fixed_cycles: int = 4000
-
-    #: Divisor applied to COW check costs inside the hand-optimized shadow
-    #: string routines (strncpy/memcpy analogues, Section 3.3).
-    optimized_stdlib_check_divisor: int = 8
 
     #: How many instructions the speculating thread executes between polls
     #: of the restart flag.

@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Synthetic page-number base for COW copies in footprint accounting.
 _COW_PAGE_BASE = 1 << 42
 
+#: Cycles per byte to copy a region the first time it is written.
+COW_COPY_CYCLES_PER_BYTE = 0.25
+
 
 class CowMap:
     """The copy-on-write data structure of one speculation era."""
@@ -53,7 +56,7 @@ class CowMap:
         self.mem = mem
         self.region_size = params.cow_region_size
         self._copy_cost_per_region = max(
-            1, int(params.cow_region_size * params.cow_copy_cycles_per_byte)
+            1, int(params.cow_region_size * COW_COPY_CYCLES_PER_BYTE)
         )
         self.vmstat = vmstat
         #: Isolation auditor: checks every write against the containment

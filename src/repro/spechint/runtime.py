@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import IsolationViolation
 from repro.fs.filesystem import Inode
-from repro.params import BLOCK_SIZE
+from repro.params import BLOCK_SIZE, HINT_CALL_CYCLES, NAMEI_CYCLES
 from repro.sim import metrics
 from repro.trace.tracer import CAT_SPEC, TID_ORIGINAL, TID_SPECULATING
 from repro.spechint.auditor import IsolationAuditor
@@ -373,7 +373,7 @@ class SpecProcessState:
             self.kernel.stats.distribution(metrics.APP_HINT_CALL_CPU).observe(
                 thread.cpu_cycles
             )
-            cost += cpu.syscall_cycles + cpu.hint_call_cycles
+            cost += cpu.syscall_cycles + HINT_CALL_CYCLES
 
             # Copy whatever is already cached into the (COW) buffer so that
             # speculation can follow data dependencies once the data has
@@ -424,7 +424,7 @@ class SpecProcessState:
                 self.spec_fds[fd] = SpecFd(inode, 0, True, path)
                 regs[V0] = fd
             thread.pc += 1
-            return cpu.namei_cycles // 4  # user-space lookup, no trap
+            return NAMEI_CYCLES // 4  # user-space lookup, no trap
 
         if num == SYS_CLOSE:
             self.spec_fds.pop(regs[A0], None)

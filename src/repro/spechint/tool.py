@@ -137,9 +137,7 @@ class SpecHintTool:
         analysis: Optional[BinaryAnalysis] = None
         plan = ElisionPlan()
         if self.optimize:
-            analysis = analyze_binary(
-                binary, self.params, self.map_all_addresses
-            )
+            analysis = analyze_binary(binary, self.map_all_addresses)
             plan = analysis.elision_plan
         report = TransformReport(
             binary_name=binary.name,
@@ -232,10 +230,10 @@ class SpecHintTool:
     def _check_costs_by_index(self, binary: Binary) -> List[CheckCosts]:
         """COW check cycle costs of each text index, built once per
         function (only hand-optimized string routines get the divisor)."""
-        costs = [check_costs(self.params, False)] * len(binary.text)
+        costs = [check_costs(False)] * len(binary.text)
         for func in binary.functions:
             costs[func.entry:func.end] = [
-                check_costs(self.params, func.name in binary.optimized_stdlib)
+                check_costs(func.name in binary.optimized_stdlib)
             ] * (func.end - func.entry)
         return costs
 

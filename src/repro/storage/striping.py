@@ -73,6 +73,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.faults.injector import FAULT_DATA_LOSS, FAULT_DEAD, FAULT_TIMEOUT
 
+#: Exponential growth factor of the retry backoff.
+RETRY_BACKOFF_MULTIPLIER = 2.0
+
+#: Fixed CPU cost charged for XOR-ing one block back together from its
+#: parity row (reconstruction, hedges and rebuild all pay it).
+RECONSTRUCT_XOR_CYCLES = 4096
+
 #: Every move a request can make (the table in the module docstring).
 #: ``tests/test_storage_lifecycle.py`` takes each one and no other.
 _MOVES: Dict[State, FrozenSet[State]] = {
@@ -194,7 +201,6 @@ class StripedArray:
         #: rebuild share.
         self._timeout_cycles = 0
         self._hedge_cycles = 0
-        self._xor_cycles = max(1, array.reconstruct_xor_cycles)
         self._rebuild_share = array.rebuild_bandwidth_share
         if injector is not None:
             plan = injector.plan
@@ -399,7 +405,7 @@ class StripedArray:
             self._move(request, State.RECONSTRUCTING)
             request.recon = self._spawn(
                 peers, request.physical_block, request.lbn, request.kind,
-                self._xor_cycles,
+                RECONSTRUCT_XOR_CYCLES,
                 on_complete=lambda cs: self._degraded_read_ended(request, None),
                 on_failed=lambda cs, fault: self._degraded_read_ended(request, fault),
                 label=f"array:reconstruct lbn={request.lbn}",
@@ -519,7 +525,7 @@ class StripedArray:
                     metrics.DISK_HEDGES_SUFFIX)
         request.hedge = self._spawn(
             peers, request.physical_block, request.lbn, IOKind.DEMAND,
-            self._xor_cycles,
+            RECONSTRUCT_XOR_CYCLES,
             on_complete=lambda cs: self._hedge_won(request),
             on_failed=lambda cs, fault: self._hedge_lost(request),
             label=f"array:hedge-reconstruct lbn={request.lbn}",
@@ -616,7 +622,7 @@ class StripedArray:
         peers = self._survivors(dead_disk, physical)
         assert peers is not None, "caller must check can_reconstruct"
         return self._spawn(
-            peers, physical, -1, IOKind.PREFETCH, self._xor_cycles,
+            peers, physical, -1, IOKind.PREFETCH, RECONSTRUCT_XOR_CYCLES,
             on_complete, on_failed,
             label=f"array:rebuild disk{dead_disk} block={physical}",
         )
@@ -753,7 +759,7 @@ class StripedArray:
             return False
         delay = int(
             self.array.retry_backoff_cycles
-            * self.array.retry_backoff_multiplier ** (request.attempts - 1)
+            * RETRY_BACKOFF_MULTIPLIER ** (request.attempts - 1)
         )
         request.attempts += 1
         self._count(metrics.ARRAY_RETRIES, request.disk_id,

@@ -12,30 +12,27 @@ counters' business; the tracker keeps only the estimate.
 from __future__ import annotations
 
 
+#: Weight of each new outcome in the moving average.
+ALPHA = 0.05
+
+
 class HintAccuracyTracker:
     """EWMA of hint outcomes for one process."""
 
-    def __init__(self, alpha: float = 0.05, initial: float = 1.0) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         #: Current accuracy estimate in [0, 1] (read on every prefetch scan).
-        self.value = initial
+        self.value = 1.0
 
     def observe_consumed(self, n: int = 1) -> None:
         """A hinted block matched an actual read."""
         for _ in range(n):
-            self.value += self.alpha * (1.0 - self.value)
+            self.value += ALPHA * (1.0 - self.value)
 
-    def observe_cancelled(self, n: int = 1) -> None:
-        """Hinted blocks were cancelled before being consumed."""
+    def observe_inaccurate(self, n: int = 1) -> None:
+        """Hinted blocks were cancelled, or aged out or reached the end of
+        the run without ever matching a read."""
         for _ in range(n):
-            self.value += self.alpha * (0.0 - self.value)
-
-    def observe_stale(self, n: int = 1) -> None:
-        """Hinted blocks aged out without ever matching a read."""
-        for _ in range(n):
-            self.value += self.alpha * (0.0 - self.value)
+            self.value += ALPHA * (0.0 - self.value)
 
     def __repr__(self) -> str:
         return f"HintAccuracyTracker(value={self.value:.3f})"

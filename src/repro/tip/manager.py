@@ -54,15 +54,20 @@ from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 DEGRADED_HORIZON_FACTOR = 0.25
 DEGRADED_MAX_INFLIGHT_PER_DISK = 1
 
+#: Below this measured hint accuracy, TIP scales the prefetch depth it
+#: will pursue for the offending process's hints by that accuracy
+#: (floor 0.1 x the horizon, never below 4 blocks).
+ACCURACY_DISCOUNT_THRESHOLD = 0.85
+
 
 class _ProcessHints:
     """Hint state for one process."""
 
     __slots__ = ("queue", "accuracy", "visited", "dirty")
 
-    def __init__(self, accuracy_alpha: float = 0.05) -> None:
+    def __init__(self) -> None:
         self.queue: Deque[HintRecord] = deque()
-        self.accuracy = HintAccuracyTracker(alpha=accuracy_alpha)
+        self.accuracy = HintAccuracyTracker()
         #: Scheduler bookkeeping (see ``TipManager._schedule_prefetches``):
         #: the first ``visited`` queue entries held the post-scan invariant
         #: when the last scan ended, unless ``dirty`` says it was broken since.
@@ -324,7 +329,7 @@ class TipManager:
         for entry in state.drain():
             self._unindex(entry)
             self.lifecycle.cancelled(entry)
-        state.accuracy.observe_cancelled(cancelled)
+        state.accuracy.observe_inaccurate(cancelled)
         self.stats.bump(metrics.TIP_HINTS_CANCELLED, cancelled)
         if self.tracer.enabled:
             self.tracer.instant(CAT_TIP, "cancel_all", tid=TID_SYSTEM,
@@ -401,7 +406,7 @@ class TipManager:
         while queue and queue[0].skips > self.STALE_SKIP_LIMIT:
             entry = state.remove(0)
             self._unindex(entry)
-            state.accuracy.observe_stale()
+            state.accuracy.observe_inaccurate()
             self.stats.bump(metrics.TIP_HINTS_STALE_DROPPED)
             self.lifecycle.wasted(entry, "stale")
 
@@ -424,7 +429,7 @@ class TipManager:
     def _depth(self, state: _ProcessHints) -> int:
         """:meth:`effective_depth` of the process whose hint state is ``state``."""
         accuracy = state.accuracy.value
-        if accuracy >= self.params.accuracy_discount_threshold:
+        if accuracy >= ACCURACY_DISCOUNT_THRESHOLD:
             return self.params.prefetch_horizon
         factor = max(0.1, accuracy)
         return max(4, int(self.params.prefetch_horizon * factor))
@@ -563,6 +568,6 @@ class TipManager:
                 for entry in state.drain():
                     self._unindex(entry)
                     self.lifecycle.wasted(entry, "unconsumed")
-                state.accuracy.observe_stale(leftover)
+                state.accuracy.observe_inaccurate(leftover)
                 self.stats.bump(metrics.TIP_HINTS_UNCONSUMED_AT_END, leftover)
         self.cache.finalize()

@@ -18,12 +18,6 @@ bounded ring buffer.  Design constraints, in order:
 Events use the Chrome ``trace_event`` phase vocabulary directly so the
 exporters are trivial: ``"i"`` (instant), ``"X"`` (complete span with a
 duration), ``"C"`` (counter sample).  Timestamps are simulated cycles.
-
-The tracer also carries the run's :class:`~repro.sim.stats.StatRegistry`,
-unifying the two observability planes: trace consumers can query any
-counter or distribution mid-run through :meth:`Tracer.query_counter` /
-:meth:`Tracer.query_distribution` without waiting for the end-of-run
-snapshot.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.sim.clock import SimClock
-from repro.sim.stats import Distribution, StatRegistry
 
 # -- categories -------------------------------------------------------------
 
@@ -127,16 +120,12 @@ class Tracer:
     def __init__(
         self,
         clock: SimClock,
-        stats: Optional[StatRegistry] = None,
         capacity: int = DEFAULT_CAPACITY,
         categories: Optional[Iterable[str]] = None,
     ) -> None:
         if capacity <= 0:
             raise TraceError(f"tracer capacity must be positive, got {capacity}")
         self.clock = clock
-        #: The run's stat registry (mid-run queryable; may be attached late
-        #: by the harness via :meth:`attach_stats`).
-        self.stats = stats
         self.capacity = capacity
         #: None = record every category.
         self.categories: Optional[frozenset] = (
@@ -152,10 +141,6 @@ class Tracer:
         self.emitted = 0
 
     # -- wiring -------------------------------------------------------------
-
-    def attach_stats(self, stats: StatRegistry) -> None:
-        """Bind the run's stat registry (done by ``build_system``)."""
-        self.stats = stats
 
     def bind_clock(self, clock: SimClock) -> None:
         """Rebind to a run's clock.
@@ -224,20 +209,6 @@ class Tracer:
     def events(self) -> Iterator[TraceEvent]:
         """Recorded events, oldest first."""
         return iter(self._events)
-
-    # -- unified stats plane -------------------------------------------------
-
-    def query_counter(self, name: str, default: int = 0) -> int:
-        """Current value of a registry counter, mid-run."""
-        if self.stats is None:
-            return default
-        return self.stats.get(name, default)
-
-    def query_distribution(self, name: str) -> Optional[Distribution]:
-        """A registry distribution, mid-run (None if never observed)."""
-        if self.stats is None:
-            return None
-        return self.stats.distribution_or_none(name)
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,9 @@ import json
 import pytest
 
 from repro.analysis.driver import (
+    COW_LOAD_CHECK_CYCLES,
+    COW_STORE_CHECK_CYCLES,
+    OPTIMIZED_STDLIB_CHECK_DIVISOR,
     CheckCosts,
     StoreClass,
     TransferKind,
@@ -22,7 +25,6 @@ from repro.apps import xdataslice as xds_mod
 from repro.errors import AnalysisError
 from repro.fs.filesystem import FileSystem
 from repro.harness.runner import _BUILDERS
-from repro.params import SpecHintParams
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, SYS_READ, Reg
@@ -45,17 +47,14 @@ def _app_analysis(app):
 
 class TestCheckCosts:
     def test_plain_costs(self):
-        params = SpecHintParams()
-        costs = check_costs(params, optimized_stdlib=False)
-        assert costs == CheckCosts(params.cow_load_check_cycles,
-                                   params.cow_store_check_cycles)
+        costs = check_costs(optimized_stdlib=False)
+        assert costs == CheckCosts(COW_LOAD_CHECK_CYCLES, COW_STORE_CHECK_CYCLES)
 
     def test_optimized_stdlib_divisor(self):
-        params = SpecHintParams()
-        costs = check_costs(params, optimized_stdlib=True)
-        divisor = max(1, params.optimized_stdlib_check_divisor)
-        assert costs.load == max(1, params.cow_load_check_cycles // divisor)
-        assert costs.store == max(1, params.cow_store_check_cycles // divisor)
+        costs = check_costs(optimized_stdlib=True)
+        divisor = OPTIMIZED_STDLIB_CHECK_DIVISOR
+        assert costs.load == max(1, COW_LOAD_CHECK_CYCLES // divisor)
+        assert costs.store == max(1, COW_STORE_CHECK_CYCLES // divisor)
 
 
 class TestTransferClassification:

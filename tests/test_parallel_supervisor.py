@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.errors import WorkerCrash
+from repro.errors import CheckpointError, WorkerCrash
 from repro.faults.plan import PROFILES
 from repro.harness import parallel as engine
 from repro.harness.checkpoint import SweepCheckpoint, append_cell
@@ -290,23 +290,17 @@ class TestCheckpointIntegration:
         for i in range(4):
             assert runs_of(f"cell-{i}", runs_dir) == 1  # never recomputed
 
-    def test_old_quarantined_line_is_rerun(self, tmp_path):
-        """A ``quarantined`` line an older journal holds is an unfinished
-        cell: the resume re-runs it, and its payload line supersedes it."""
+    def test_old_quarantined_line_is_refused(self, tmp_path):
+        """A ``quarantined`` line an older journal holds is a malformed
+        line: the resume refuses the journal before running any cell."""
         path = str(tmp_path / "sweep.ckpt")
         SweepCheckpoint(path, "older")
         with open(path, "a") as handle:
             handle.write(json.dumps({"cell": "flaky", "quarantined": {
                 "status": "QUARANTINED", "failures": []}}) + "\n")
-        outcome = run_cells([("flaky", ok_cell, ("flaky", 7))], jobs=2,
-                            checkpoint_path=path, identity="older",
-                            resume=True)
-        assert outcome.stats.cells_completed == 1
-        assert outcome.stats.cells_restored == 0
-        reloaded = SweepCheckpoint.load(path, "older")
-        assert reloaded.payload("flaky") == {"key": "flaky", "value": 7}
-        with open(path) as handle:
-            assert "quarantined" not in handle.read()
+        with pytest.raises(CheckpointError, match="not a result record"):
+            run_cells([("flaky", ok_cell, ("flaky", 7))], jobs=2,
+                      checkpoint_path=path, identity="older", resume=True)
 
     def test_fresh_start_replaces_old_journal(self, tmp_path):
         """A non-resume start owns the file: the journal of an abandoned

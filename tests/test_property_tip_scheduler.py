@@ -163,7 +163,7 @@ class Stack:
         if up:
             accuracy.observe_consumed(n)
         else:
-            accuracy.observe_stale(n)
+            accuracy.observe_inaccurate(n)
 
     def observed(self):
         lifecycle = self.manager.lifecycle

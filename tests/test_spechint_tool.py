@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import UnsupportedBinary
-from repro.params import SpecHintParams
+from repro.analysis.driver import (
+    COW_LOAD_CHECK_CYCLES,
+    COW_STORE_CHECK_CYCLES,
+    OPTIMIZED_STDLIB_CHECK_DIVISOR,
+)
 from repro.spechint.tool import SpecHintTool, SpeculatingBinary
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Op, Reg, SYS_READ, SYS_EXIT
@@ -108,7 +112,6 @@ class TestShadowStructure:
         assert all(insn.d == 0 for insn in stack_loads)
 
     def test_ordinary_loads_carry_check_cost(self, transformed):
-        params = SpecHintParams()
         meta = transformed.spec_meta
         shadow = transformed.text[meta.shadow_base:]
         plain_loads = [
@@ -117,10 +120,9 @@ class TestShadowStructure:
             and insn.get_meta("func") in ("main", "helper")
         ]
         assert plain_loads
-        assert all(insn.d == params.cow_load_check_cycles for insn in plain_loads)
+        assert all(insn.d == COW_LOAD_CHECK_CYCLES for insn in plain_loads)
 
     def test_cwork_dilated(self, transformed):
-        params = SpecHintParams()
         meta = transformed.spec_meta
         original = build_sample()
         for i, insn in enumerate(original.text):
@@ -129,18 +131,16 @@ class TestShadowStructure:
                 assert twin.op is Op.SCWORK
                 expected = (
                     insn.a
-                    + insn.b * params.cow_load_check_cycles
-                    + insn.c * params.cow_store_check_cycles
+                    + insn.b * COW_LOAD_CHECK_CYCLES
+                    + insn.c * COW_STORE_CHECK_CYCLES
                 )
                 assert twin.a == expected
 
     def test_optimized_stdlib_reduced_checks(self, transformed):
-        params = SpecHintParams()
         meta = transformed.spec_meta
         original = build_sample()
         memcpy = original.function("memcpy")
-        reduced = max(1, params.cow_load_check_cycles
-                      // params.optimized_stdlib_check_divisor)
+        reduced = max(1, COW_LOAD_CHECK_CYCLES // OPTIMIZED_STDLIB_CHECK_DIVISOR)
         for i in range(memcpy.entry, memcpy.end):
             twin = transformed.text[meta.shadow_base + i]
             if twin.op is Op.COW_LOAD and not twin.get_meta("stack"):

@@ -27,7 +27,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.params import BLOCK_SIZE, ArrayParams, CpuParams, DiskParams
+from repro.params import BLOCK_SIZE, CPU_HZ, ArrayParams, CpuParams, DiskParams
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
@@ -35,7 +35,6 @@ from repro.storage import striping
 from repro.storage.request import IOKind
 from repro.storage.striping import StripedArray
 
-HZ = CpuParams().hz
 #: One random disk access at the default parameters, in cycles.
 SERVICE = 3_389_684
 DEMAND, PREFETCH = IOKind.DEMAND, IOKind.PREFETCH
@@ -387,7 +386,7 @@ def primary_finishes_while_its_hedge_is_in_the_xor(edges):
     """The demand waits one service behind a prefetch; its hedge goes out
     2,000 cycles before it starts, so the peers have all answered and the
     XOR (4,096 cycles) is running when the primary finishes."""
-    rig = Rig(edges, FaultPlan(hedge_after_s=(SERVICE - 2_000) / HZ),
+    rig = Rig(edges, FaultPlan(hedge_after_s=(SERVICE - 2_000) / CPU_HZ),
               parity=True)
     rig.submit(rig.lbns_on(1)[5], PREFETCH)
     req = rig.submit(0, DEMAND)
@@ -452,7 +451,7 @@ def second_reconstruction_racing_the_hedge(edges, **plan):
     queued behind it observes the death; the retry finds the disk dead
     and starts a reconstruction beside the hedge."""
     plan = FaultPlan(hedge_after_s=0.002, dead_disk=1,
-                     dead_at_s=2_900_000 / HZ, **STUCK, **plan)
+                     dead_at_s=2_900_000 / CPU_HZ, **STUCK, **plan)
     rig = Rig(edges, plan, parity=True, request_timeout_cycles=3_000_000,
               retry_backoff_cycles=100_000)
     req = rig.submit(0, DEMAND)
@@ -513,7 +512,7 @@ def hedge_timer_due_while_the_notice_is_delayed(edges):
     """Fix: the parent hedged a read that had finished at 3,389,684 when
     the timer fired at 4,000,000 — three peer accesses issued and aborted
     for a block already in hand."""
-    rig = Rig(edges, FaultPlan(hedge_after_s=4_000_000 / HZ), parity=True,
+    rig = Rig(edges, FaultPlan(hedge_after_s=4_000_000 / CPU_HZ), parity=True,
               completion_delay_factor=2.0)
     req = rig.submit(0, DEMAND)
     assert req.hedge_event is not None

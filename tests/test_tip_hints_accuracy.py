@@ -25,6 +25,23 @@ def hinted_blocks(nbytes, offset, length):
     return [block for _, block in keys], unresolvable
 
 
+def hinting_system(nblocks):
+    """A system whose process ``PID`` has hinted a whole ``nblocks``-block
+    file and read none of it."""
+    fs = FileSystem()
+    inode = fs.create("f", bytes(nblocks * BLOCK_SIZE))
+    system = make_system(fs)
+    assert system.kernel.hint_from(PID, inode, 0, inode.size) == nblocks
+    return system
+
+
+def inaccurate(n):
+    """The estimate after ``n`` inaccurate hints and nothing else."""
+    tracker = HintAccuracyTracker()
+    tracker.observe_inaccurate(n)
+    return tracker.value
+
+
 class TestHintSegment:
     def test_block_range_single_block(self):
         assert hinted_blocks(BLOCK_SIZE * 4, 100, 200) == ([0], 0)
@@ -49,47 +66,42 @@ class TestHintAccuracyTracker:
     def test_starts_optimistic(self):
         assert HintAccuracyTracker().value == 1.0
 
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            HintAccuracyTracker(alpha=0.0)
-        with pytest.raises(ValueError):
-            HintAccuracyTracker(alpha=1.5)
-
     def test_consumed_keeps_high(self):
         tracker = HintAccuracyTracker()
         tracker.observe_consumed(50)
         assert tracker.value == pytest.approx(1.0)
 
     def test_cancelled_decays(self):
-        tracker = HintAccuracyTracker()
-        tracker.observe_cancelled(50)
-        assert tracker.value < 0.2
+        """CANCEL_ALL counts every cancelled hint as inaccurate."""
+        system = hinting_system(50)
+        assert system.manager.cancel_all(PID) == 50
+        assert system.manager.accuracy_of(PID).value == inaccurate(50) < 0.2
 
     def test_stale_decays(self):
-        tracker = HintAccuracyTracker()
-        tracker.observe_stale(50)
-        assert tracker.value < 0.2
+        """Hints that never match a read -- here, still queued when the run
+        ends -- count as inaccurate."""
+        system = hinting_system(50)
+        system.manager.finalize()
+        assert system.manager.accuracy_of(PID).value == inaccurate(50) < 0.2
 
     def test_mixed_converges_to_rate(self):
-        tracker = HintAccuracyTracker(alpha=0.05)
+        tracker = HintAccuracyTracker()
         for _ in range(400):
             tracker.observe_consumed()
-            tracker.observe_cancelled()
+            tracker.observe_inaccurate()
         assert tracker.value == pytest.approx(0.5, abs=0.15)
 
     def test_inaccurate_total(self):
-        """Cancelled and stale hints are inaccurate alike: the estimate
-        reflects only their total."""
+        """The estimate reflects only how many hints were inaccurate, not
+        how the calls that reported them were split."""
         tracker = HintAccuracyTracker()
-        tracker.observe_cancelled(3)
-        tracker.observe_stale(4)
-        alike = HintAccuracyTracker()
-        alike.observe_stale(7)
-        assert tracker.value == alike.value < 1.0
+        tracker.observe_inaccurate(3)
+        tracker.observe_inaccurate(4)
+        assert tracker.value == inaccurate(7) < 1.0
 
     def test_recovery_after_bad_patch(self):
         tracker = HintAccuracyTracker()
-        tracker.observe_cancelled(50)
+        tracker.observe_inaccurate(50)
         low = tracker.value
         tracker.observe_consumed(100)
         assert tracker.value > low

@@ -100,16 +100,6 @@ class TestTracerCore:
         with pytest.raises(TraceError):
             parse_categories("hint,typo")
 
-    def test_stats_plane_queryable_midrun(self):
-        stats = StatRegistry()
-        tracer = Tracer(SimClock(), stats=stats)
-        stats.bump("x", 3)
-        stats.distribution("d").observe(7)
-        assert tracer.query_counter("x") == 3
-        assert tracer.query_counter("missing", default=-1) == -1
-        assert tracer.query_distribution("d").count == 1
-        assert tracer.query_distribution("missing") is None
-
 
 class TestExport:
     def _traced(self):

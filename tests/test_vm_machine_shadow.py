@@ -2,6 +2,7 @@
 dynamic control transfers, budget mode, and speculative fault handling."""
 
 
+from repro.analysis.driver import COW_LOAD_CHECK_CYCLES
 from repro.fs.filesystem import FileSystem
 from repro.kernel.thread import ThreadState
 from repro.spechint.tool import SpecHintTool
@@ -85,8 +86,7 @@ class TestCowDispatch:
 
         system, process = build_and_spawn(body, data=data)
         thread, _ = run_spec_thread(system, process)
-        params = system.config.spechint
-        assert thread.cpu_cycles >= params.cow_load_check_cycles
+        assert thread.cpu_cycles >= COW_LOAD_CHECK_CYCLES
 
 
 class TestScwork:
@@ -96,8 +96,7 @@ class TestScwork:
 
         system, process = build_and_spawn(body)
         thread, _ = run_spec_thread(system, process)
-        params = system.config.spechint
-        expected = 10_000 + 1_000 * params.cow_load_check_cycles
+        expected = 10_000 + 1_000 * COW_LOAD_CHECK_CYCLES
         assert thread.cpu_cycles >= expected
 
     def test_budget_mode_interrupts_scwork(self):

@@ -8,7 +8,7 @@ from the file system.  It is deliberately naive and must stay that way —
 ``test_property_tip_scheduler.py`` drives it beside the real manager and
 requires identical disk traffic, counters and hint ledger.  Three methods
 are overridden, the scan and the two fetch-completion hooks, so none of the
-incremental bookkeeping (``_HintedBlock.disk``, ``_ProcessHints.visited`` /
+incremental bookkeeping (``HintRecord.disk``, ``_ProcessHints.visited`` /
 ``dirty``, ``released``) takes part; ``on_block_evicted`` still runs and
 marks windows dirty, which this scan never reads, and ``disclose`` skips a
 scan only when the window is full of visited entries, which here never
