@@ -1,42 +1,48 @@
-"""Translated basic blocks: hot straight-line SpecVM code as Python functions.
+"""One definition per SpecVM instruction, run one at a time or as blocks.
 
-The interpreter pays one handler call, one clock call and a dozen attribute
-reads per instruction.  A *block* is a maximal run of non-system
-instructions that starts at a leader (a branch, call, jump-table or
-fall-through target, a function entry, the instruction after a system one)
-and ends with the first control transfer or computation (``CWORK``/``SCWORK``,
-whose cycles join the block's static cost), or just before the next leader
-or system instruction.  Once a leader has been entered :data:`HOT_ENTRIES`
-times its block is translated into one generated function — registers as
-``r[n]``, operands as constants, the terminating transfer as the returned
-pc — and the machine calls that function in place of per-instruction
-dispatch, charging the block's cycles once (:mod:`repro.vm.machine` decides
-when a block may run and does the bookkeeping; this module only knows how
-to turn instructions into source).
+Every non-system instruction has one template here: a few lines of Python
+source over the registers ``r`` and the thread ``t``.  The machine runs
+those templates in two shapes (:mod:`repro.vm.machine` decides which, and
+does the bookkeeping; this module only knows how to turn instructions into
+source):
+
+* a *single step* — ``single_<OP>(t, r, a, b, c, pc)``, one function per
+  opcode with the operands as arguments, generated once per address-space
+  layout — executes the one instruction at ``pc``;
+* a *block* — a maximal run of non-system instructions that starts at a
+  leader (a branch, call, jump-table or fall-through target, a function
+  entry, the instruction after a system one) and ends with the first
+  control transfer or computation (``CWORK``/``SCWORK``, whose cycles join
+  the block's static cost), or just before the next leader or system
+  instruction — is translated into one generated function once its leader
+  has been entered :data:`HOT_ENTRIES` times: registers as ``r[n]``,
+  operands as constants, the terminating transfer as the returned pc.  The
+  machine calls it in place of single steps and charges the block's cycles
+  once.
 
 What generated code promises the machine:
 
-* it returns the next pc after executing *every* instruction of the block,
-  whose static cycle costs are ``prefix`` (cumulative, one entry per
-  instruction boundary);
+* it returns the next pc after executing *every* instruction it covers,
+  whose static cycle costs are ``BlockTable.cycles`` (for a block
+  ``prefix``, cumulative, one entry per instruction boundary);
 * before any instruction that can fault or cost extra cycles it stores that
   instruction's index in ``thread.pc``, so a typed fault leaves the thread
-  exactly where the interpreter would, and
+  exactly at the faulting instruction, and
 * an instruction that incurs *dynamic* cycles (a page reclaim or fault after
   a plain load/store, a first COW copy) raises :class:`BlockLeave` after it
-  completes: such events are rare, so the block is simply left at that
-  instruction boundary and the interpreter finishes it.
+  completes: such events are rare, so a block is simply left at that
+  instruction boundary and single steps finish it.
 
 Memory accesses do the accessors' common case inline and call the accessor
-the interpreter uses (``AddressSpace``/``CowMap`` bound methods,
-``PageAccounting.touch_addr``) for everything else: a plain access inside
-the stack or data segment reads or writes the mapping directly (a store only
-while no write guard is armed), a COW access inside a region already seen
-wholly mapped goes to its copy or to main memory (a store only when the copy
-exists), and the page reference is skipped for the page the accounting saw
-last.  The validity tests and the armed write guard still run.  So does the
-auditor's containment check after every COW store: the accessor makes it,
-and an inline store writes only into the existing copy of the one region it
+(``AddressSpace``/``CowMap`` bound methods, ``PageAccounting.touch_addr``)
+for everything else: a plain access inside the stack or data segment reads
+or writes the mapping directly (a store only while no write guard is
+armed), a COW access inside a region already seen wholly mapped goes to its
+copy or to main memory (a store only when the copy exists), and the page
+reference is skipped for the page the accounting saw last.  The validity
+tests and the armed write guard still run.  So does the auditor's
+containment check after every COW store: the accessor makes it, and an
+inline store writes only into the existing copy of the one region it
 covers, which is what the check asks, so there it is counted as passed.
 """
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import os
+import zlib
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple, cast
 
@@ -190,9 +197,9 @@ _STRAIGHT = _expand({
 _CONTAINED = "\n    audit.cow_writes_checked += 1"
 
 #: Computation (CWORK/SCWORK) with a non-negative amount may end a block as
-#: static cycles: the interpreter drains them right after the instruction,
-#: in one go whenever they fit before the preemption point.  (A negative
-#: amount is the interpreter's error.)
+#: static cycles: the machine drains them right after the instruction, in
+#: one go whenever they fit before the preemption point.  (A negative amount
+#: is the machine's error.)
 _CWORK_OPS = frozenset({Op.CWORK, Op.SCWORK})
 
 #: Control transfers end a block; their source returns the next pc.
@@ -211,8 +218,30 @@ _TRANSFER = _expand({
                              "return {targets}[x]"),
 })
 
+#: Every instruction with a template; the rest are system instructions,
+#: which the machine executes itself.
+_TEMPLATES = {**_STRAIGHT, **_TRANSFER}
+
 _COW_OPS = frozenset({Op.COW_LOAD, Op.COW_STORE, Op.COW_LOADB, Op.COW_STOREB})
 _COW_STORES = frozenset({Op.COW_STORE, Op.COW_STOREB})
+
+
+def _static_cycles(insn: Insn) -> int:
+    """An instruction's static cycles: its template's, plus the check
+    cycles a COW op carries in ``d``; 0 for a system instruction."""
+    template = _TEMPLATES.get(insn.op)
+    if template is None:
+        return 0
+    return template[0] + insn.d if insn.op in _COW_OPS else template[0]
+
+
+#: A single step's operands are its arguments; a jump table is looked up
+#: when the step runs.
+_SINGLE_FIELDS = dict(
+    a="a", b="b", c="c", cm=f"(c & {MASK64:#x})", sh="(c & 63)", pc="pc",
+    nxt="(pc + 1)", ntargets="len(jump_table(c).targets)",
+    targets="jump_table(c).targets",
+)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -238,7 +267,8 @@ def _leaders(binary: Binary) -> List[int]:
 
 
 class BlockTable:
-    """The blocks of one process's text, translated as they get hot."""
+    """One process's generated code: its single steps, and the blocks of
+    its text, translated as they get hot."""
 
     def __init__(
         self,
@@ -250,20 +280,25 @@ class BlockTable:
         self.binary = binary
         #: A tracer stamps events with the clock, which a block advances
         #: only when it ends: under one, the instruction that can emit an
-        #: event in mid-block (a COW store making a first copy) is left to
-        #: the interpreter like a system instruction.
+        #: event in mid-block (a COW store making a first copy) ends the
+        #: block before it and runs as a single step.
         self.clock_observed = clock_observed
         #: Per text index: entries seen so far at a leader whose block is
         #: not translated yet; -1 once it is, and at every other index.
         self.heat: List[int] = _leaders(binary)
         #: Per text index: the translated block that starts there.
         self.blocks: List[Optional[Block]] = [None] * len(binary.text)
+        #: Per text index: the instruction's static cycles, charged by its
+        #: single step and summed into the blocks that contain it.
+        self.cycles: List[int] = [_static_cycles(insn) for insn in binary.text]
         #: What generated code calls and reads — the process's memory and
         #: its mapping, COW map, copy table and page accounting, the
-        #: machine's fault helpers — under the names the templates use,
-        #: bound when the table is built.  Blocks with COW instructions stay
-        #: untranslated without a COW map.
-        self._namespace: Dict[str, object] = dict(bindings, Leave=BlockLeave)
+        #: machine's fault helpers, the program's jump tables — under the
+        #: names the templates use, bound when the table is built.  COW
+        #: instructions have no generated code without a COW map.
+        self._namespace: Dict[str, object] = dict(
+            bindings, Leave=BlockLeave, jump_table=binary.jump_table)
+        self._cow = "cow_load_word" in bindings
         #: The constants the templates inline: the address-space layout
         #: (``page``, ``stack``, ``stack_word``, ``stack_end``, ``data``),
         #: the COW region size, and the containment count if audited.
@@ -271,6 +306,29 @@ class BlockTable:
         if "region" in layout:
             self._layout["region_word"] = layout["region"] - 8
         self._layout["contained"] = _CONTAINED if "audit" in bindings else ""
+        #: Per opcode: ``single_<OP>(t, r, a, b, c, pc)``, which executes
+        #: one instruction and returns the next pc; None for a system
+        #: instruction (and a COW one without a COW map).
+        self.singles: List[Optional[Callable[..., int]]] = self._single_steps()
+
+    def _single_steps(self) -> List[Optional[Callable[..., int]]]:
+        ops = [op for op in _TEMPLATES if self._cow or op not in _COW_OPS]
+        fields = dict(self._layout, **_SINGLE_FIELDS)
+        functions = []
+        for op in ops:
+            body = _TEMPLATES[op][1].format(**fields)
+            if op not in _TRANSFER:
+                body += "\nreturn pc + 1"
+            functions.append(f"def single_{op.name}(t, r, a, b, c, pc):\n    "
+                             + body.replace("\n", "\n    ") + "\n")
+        source = "".join(functions)
+        # The file name tells one layout's code from another's in a profile.
+        exec(_compile(source, f"single steps {zlib.crc32(source.encode()):08x}"),
+             self._namespace)
+        singles: List[Optional[Callable[..., int]]] = [None] * 64
+        for op in ops:
+            singles[op] = cast(Callable[..., int], self._namespace.pop(f"single_{op.name}"))
+        return singles
 
     def translate(self, start: int) -> Optional[Block]:
         """Translate the block at leader ``start`` and stop counting its
@@ -287,16 +345,13 @@ class BlockTable:
                 prefix.append(prefix[-1] + insn.a)  # static cycles, no code
                 pc += 1
                 break
-            template = _STRAIGHT.get(op) or _TRANSFER.get(op)
+            template = _TEMPLATES.get(op)
             if template is None or (self.clock_observed and op in _COW_STORES):
-                break  # a system instruction: the interpreter's business
-            cost, source = template
-            if op in _COW_OPS:
-                if "cow_load_word" not in self._namespace:
-                    return None
-                cost += insn.d
-            lines.append(self._format(source, insn, pc))
-            prefix.append(prefix[-1] + cost)
+                break  # a system instruction: the machine's business
+            if op in _COW_OPS and not self._cow:
+                return None
+            lines.append(self._format(template[1], insn, pc))
+            prefix.append(prefix[-1] + self.cycles[pc])
             pc += 1
             if op in _TRANSFER or (
                 pc < len(text)

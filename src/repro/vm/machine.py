@@ -11,12 +11,15 @@ execution modes:
   speculating thread runs on a second CPU, consuming a cycle *budget* equal
   to the wall time that has passed, without advancing the global clock.
 
-In both modes hot basic blocks run as translated straight-line code
-(:mod:`repro.vm.blocks`) and are charged once per block; everything else —
-system instructions, cold code, a block that no longer fits before the
-preemption point, a pending restart — goes through the per-instruction
-handlers below.  The two are indistinguishable from outside: same cycles,
-same instruction counts, same state at every stop and at every fault.
+In both modes every non-system instruction runs as code generated from its
+one template in :mod:`repro.vm.blocks`: hot basic blocks as translated
+straight-line code, charged once per block, and everything else — cold
+code, a block that no longer fits before the preemption point, a pending
+restart — one instruction at a time through the same template's single
+step.  The two are indistinguishable from outside: same cycles, same
+instruction counts, same state at every stop and at every fault.  Only the
+system instructions (``HALT``, ``SYSCALL``, ``CWORK``/``SCWORK``, the
+``SPEC_*`` ones) have handlers here.
 
 Speculative execution faults (bad addresses, division by zero on garbage
 data) are converted to simulated signals: the fault is counted and the
@@ -34,17 +37,7 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.trace.tracer import CAT_SCHED, TID_ORIGINAL, TID_SPECULATING
 from repro.vm.blocks import HOT_ENTRIES, BlockLeave, BlockTable
-from repro.vm.isa import (
-    ALU_COST,
-    BRANCH_COST,
-    CALL_COST,
-    MASK64,
-    MEM_COST,
-    SWITCH_COST,
-    Insn,
-    Op,
-    to_signed,
-)
+from repro.vm.isa import BRANCH_COST, CALL_COST, SWITCH_COST, Insn, Op
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -151,6 +144,8 @@ class Machine:
         table = self._block_tables.get(process) or self._new_block_table(process)
         blocks = table.blocks
         heat = table.heat
+        singles = table.singles
+        cycles = table.cycles
         # Budget tracking lives on the thread so the except path can see it.
         thread.pending_budget = budget
 
@@ -219,7 +214,7 @@ class Machine:
                         cost = prefix[count] + leave.args[0]
                         thread.pc += 1
                     except _BLOCK_FAULTS as exc:
-                        # The interpreter's state at a fault: pc at the
+                        # Single steps' state at a fault: pc at the
                         # faulting instruction, which is counted but not
                         # charged; everything before it charged.
                         fault = exc
@@ -261,13 +256,26 @@ class Machine:
 
             insn = text[pc]
             self.instructions += 1
-            cost = dispatch[insn.op](thread, insn)
-            if cost == _STOPPED:
-                return thread.stop_reason
+            single = singles[insn.op]
+            if single is None:
+                cost = dispatch[insn.op](thread, insn)
+                if cost == _STOPPED:
+                    return thread.stop_reason
+            else:
+                # One instruction of generated code, left and faulting the
+                # way an instruction inside a block is.
+                cost = cycles[pc]
+                try:
+                    thread.pc = single(thread, thread.regs, insn.a, insn.b, insn.c, pc)
+                except BlockLeave as leave:
+                    thread.pc = pc + 1
+                    cost += leave.args[0]
+                except MachineFault as exc:
+                    self._spec_mem_fault(thread, exc)
             if cost:
                 thread.cpu_cycles += cost
                 if budget is None:
-                    # A handler's cycle cost: never negative.
+                    # An instruction's cycle cost: never negative.
                     clock.now += cost
                 else:
                     budget -= cost
@@ -360,49 +368,12 @@ class Machine:
     # ------------------------------------------------------------- dispatch
 
     def _build_dispatch(self) -> List[Callable[["Thread", Insn], int]]:
+        """The system instructions, which have no template; every other
+        opcode runs as generated code (see :mod:`repro.vm.blocks`)."""
         table: List[Callable[["Thread", Insn], int]] = [self._op_invalid] * 64
-        table[Op.NOP] = self._op_nop
         table[Op.HALT] = self._op_halt
-        table[Op.LI] = self._op_li
-        table[Op.LA] = self._op_li  # identical at runtime
-        table[Op.MOV] = self._op_mov
-        table[Op.ADD] = self._op_add
-        table[Op.SUB] = self._op_sub
-        table[Op.MUL] = self._op_mul
-        table[Op.DIV] = self._op_div
-        table[Op.MOD] = self._op_mod
-        table[Op.AND] = self._op_and
-        table[Op.OR] = self._op_or
-        table[Op.XOR] = self._op_xor
-        table[Op.SHL] = self._op_shl
-        table[Op.SHR] = self._op_shr
-        table[Op.SLT] = self._op_slt
-        table[Op.ADDI] = self._op_addi
-        table[Op.MULI] = self._op_muli
-        table[Op.ANDI] = self._op_andi
-        table[Op.ORI] = self._op_ori
-        table[Op.SHLI] = self._op_shli
-        table[Op.SHRI] = self._op_shri
-        table[Op.SLTI] = self._op_slti
-        table[Op.LOAD] = self._op_load
-        table[Op.STORE] = self._op_store
-        table[Op.LOADB] = self._op_loadb
-        table[Op.STOREB] = self._op_storeb
-        table[Op.BEQ] = self._op_beq
-        table[Op.BNE] = self._op_bne
-        table[Op.BLT] = self._op_blt
-        table[Op.BGE] = self._op_bge
-        table[Op.JMP] = self._op_jmp
-        table[Op.JR] = self._op_jr
-        table[Op.CALL] = self._op_call
-        table[Op.CALLR] = self._op_callr
-        table[Op.SWITCH] = self._op_switch
         table[Op.SYSCALL] = self._op_syscall
         table[Op.CWORK] = self._op_cwork
-        table[Op.COW_LOAD] = self._op_cow_load
-        table[Op.COW_STORE] = self._op_cow_store
-        table[Op.COW_LOADB] = self._op_cow_loadb
-        table[Op.COW_STOREB] = self._op_cow_storeb
         table[Op.SCWORK] = self._op_cwork
         table[Op.SPEC_READ] = self._op_spec_read
         table[Op.SPEC_SYSCALL] = self._op_spec_syscall
@@ -411,65 +382,7 @@ class Machine:
         table[Op.SPEC_SWITCH] = self._op_spec_switch
         return table
 
-    # -- trivial ----------------------------------------------------------------
-
-    def _op_invalid(self, thread: "Thread", insn: Insn) -> int:
-        raise MachineFault(f"invalid opcode {insn.op} at pc={thread.pc}")
-
-    def _op_nop(self, thread: "Thread", insn: Insn) -> int:
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_halt(self, thread: "Thread", insn: Insn) -> int:
-        return self.kernel.handle_exit(thread, 0)
-
-    def _op_li(self, thread: "Thread", insn: Insn) -> int:
-        thread.regs[insn.a] = insn.c & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_mov(self, thread: "Thread", insn: Insn) -> int:
-        thread.regs[insn.a] = thread.regs[insn.b]
-        thread.pc += 1
-        return ALU_COST
-
-    # -- ALU ---------------------------------------------------------------------
-
-    def _op_add(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] + r[insn.c]) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_sub(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] - r[insn.c]) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_mul(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] * r[insn.c]) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_div(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        divisor = r[insn.c]
-        if divisor == 0:
-            self._zero_divisor(thread, "division")
-        r[insn.a] = (to_signed(r[insn.b]) // to_signed(divisor)) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_mod(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        divisor = r[insn.c]
-        if divisor == 0:
-            self._zero_divisor(thread, "modulus")
-        r[insn.a] = (to_signed(r[insn.b]) % to_signed(divisor)) & MASK64
-        thread.pc += 1
-        return ALU_COST
+    # -- faults raised by generated code ------------------------------------------
 
     @staticmethod
     def _zero_divisor(thread: "Thread", what: str) -> None:
@@ -477,188 +390,15 @@ class Machine:
             raise SpeculationFault(f"speculative {what} by zero")
         raise ArithmeticFault(f"{what} by zero at pc={thread.pc}")
 
-    def _op_and(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] & r[insn.c]
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_or(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] | r[insn.c]
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_xor(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] ^ r[insn.c]
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_shl(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] << (r[insn.c] & 63)) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_shr(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] >> (r[insn.c] & 63)
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_slt(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = 1 if to_signed(r[insn.b]) < to_signed(r[insn.c]) else 0
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_addi(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] + insn.c) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_muli(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] * insn.c) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_andi(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] & (insn.c & MASK64)
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_ori(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] | (insn.c & MASK64)
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_shli(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = (r[insn.b] << (insn.c & 63)) & MASK64
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_shri(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = r[insn.b] >> (insn.c & 63)
-        thread.pc += 1
-        return ALU_COST
-
-    def _op_slti(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        r[insn.a] = 1 if to_signed(r[insn.b]) < insn.c else 0
-        thread.pc += 1
-        return ALU_COST
-
-    # -- memory ---------------------------------------------------------------------
-
-    def _op_load(self, thread: "Thread", insn: Insn) -> int:
-        proc = thread.process
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        try:
-            thread.regs[insn.a] = proc.mem.load_word(addr)
-        except MachineFault as exc:
-            self._spec_mem_fault(thread, exc)
-        thread.pc += 1
-        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
-
-    def _op_store(self, thread: "Thread", insn: Insn) -> int:
-        proc = thread.process
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        try:
-            proc.mem.store_word(addr, thread.regs[insn.a])
-        except MachineFault as exc:
-            self._spec_mem_fault(thread, exc)
-        thread.pc += 1
-        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
-
-    def _op_loadb(self, thread: "Thread", insn: Insn) -> int:
-        proc = thread.process
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        try:
-            thread.regs[insn.a] = proc.mem.load_byte(addr)
-        except MachineFault as exc:
-            self._spec_mem_fault(thread, exc)
-        thread.pc += 1
-        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
-
-    def _op_storeb(self, thread: "Thread", insn: Insn) -> int:
-        proc = thread.process
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        try:
-            proc.mem.store_byte(addr, thread.regs[insn.a])
-        except MachineFault as exc:
-            self._spec_mem_fault(thread, exc)
-        thread.pc += 1
-        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
-
     @staticmethod
     def _spec_mem_fault(thread: "Thread", exc: MachineFault) -> None:
-        """A plain load/store faulted.  On the speculating thread (possible
-        once static analysis elides COW wrappers) the fault becomes a
-        speculation signal; normal execution re-raises the machine fault."""
+        """Generated code raised a machine fault.  On the speculating thread
+        only a plain load/store does (possible once static analysis elides
+        COW wrappers), and the fault becomes a speculation signal; normal
+        execution re-raises the machine fault."""
         if thread.is_spec:
             raise SpeculationFault(f"speculative memory fault: {exc}") from exc
         raise exc
-
-    # -- control --------------------------------------------------------------------
-
-    def _op_beq(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        thread.pc = insn.c if r[insn.a] == r[insn.b] else thread.pc + 1
-        return BRANCH_COST
-
-    def _op_bne(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        thread.pc = insn.c if r[insn.a] != r[insn.b] else thread.pc + 1
-        return BRANCH_COST
-
-    def _op_blt(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        taken = to_signed(r[insn.a]) < to_signed(r[insn.b])
-        thread.pc = insn.c if taken else thread.pc + 1
-        return BRANCH_COST
-
-    def _op_bge(self, thread: "Thread", insn: Insn) -> int:
-        r = thread.regs
-        taken = to_signed(r[insn.a]) >= to_signed(r[insn.b])
-        thread.pc = insn.c if taken else thread.pc + 1
-        return BRANCH_COST
-
-    def _op_jmp(self, thread: "Thread", insn: Insn) -> int:
-        thread.pc = insn.c
-        return BRANCH_COST
-
-    def _op_jr(self, thread: "Thread", insn: Insn) -> int:
-        target = thread.regs[insn.a]
-        self._check_text_target(thread, target)
-        thread.pc = target
-        return BRANCH_COST
-
-    def _op_call(self, thread: "Thread", insn: Insn) -> int:
-        thread.regs[31] = thread.pc + 1  # ra
-        thread.pc = insn.c
-        return CALL_COST
-
-    def _op_callr(self, thread: "Thread", insn: Insn) -> int:
-        target = thread.regs[insn.a]
-        self._check_text_target(thread, target)
-        thread.regs[31] = thread.pc + 1
-        thread.pc = target
-        return CALL_COST
-
-    def _op_switch(self, thread: "Thread", insn: Insn) -> int:
-        table = thread.process.binary.jump_table(insn.c)
-        index = thread.regs[insn.a]
-        if index >= len(table.targets):
-            self._switch_fault(thread, index)
-        thread.pc = table.targets[index]
-        return SWITCH_COST
 
     @staticmethod
     def _switch_fault(thread: "Thread", index: int) -> None:
@@ -674,6 +414,12 @@ class Machine:
 
     # -- system --------------------------------------------------------------------------
 
+    def _op_invalid(self, thread: "Thread", insn: Insn) -> int:
+        raise MachineFault(f"invalid opcode {insn.op} at pc={thread.pc}")
+
+    def _op_halt(self, thread: "Thread", insn: Insn) -> int:
+        return self.kernel.handle_exit(thread, 0)
+
     def _op_syscall(self, thread: "Thread", insn: Insn) -> int:
         return self.kernel.syscall(thread, insn.c)
 
@@ -681,36 +427,6 @@ class Machine:
         thread.cwork_remaining += insn.a
         thread.pc += 1
         return 0
-
-    # -- shadow-code memory (software-enforced copy-on-write) -------------------------------
-
-    def _op_cow_load(self, thread: "Thread", insn: Insn) -> int:
-        spec = thread.process.spec
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        thread.regs[insn.a] = spec.cow.load_word(addr)
-        thread.pc += 1
-        return MEM_COST + insn.d
-
-    def _op_cow_store(self, thread: "Thread", insn: Insn) -> int:
-        spec = thread.process.spec
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        extra = spec.cow.store_word(addr, thread.regs[insn.a])
-        thread.pc += 1
-        return MEM_COST + insn.d + extra
-
-    def _op_cow_loadb(self, thread: "Thread", insn: Insn) -> int:
-        spec = thread.process.spec
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        thread.regs[insn.a] = spec.cow.load_byte(addr)
-        thread.pc += 1
-        return MEM_COST + insn.d
-
-    def _op_cow_storeb(self, thread: "Thread", insn: Insn) -> int:
-        spec = thread.process.spec
-        addr = (thread.regs[insn.b] + insn.c) & MASK64
-        extra = spec.cow.store_byte(addr, thread.regs[insn.a])
-        thread.pc += 1
-        return MEM_COST + insn.d + extra
 
     # -- shadow-code control & system --------------------------------------------------------
 

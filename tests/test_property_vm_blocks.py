@@ -1,13 +1,16 @@
-"""Translated blocks and fused COW accessors against the reference interpreter.
+"""Generated code and fused COW accessors against the reference interpreter.
 
-``Machine`` runs hot basic blocks as generated straight-line code and
-``CowMap`` does a wrapped access in one call; ``tests/vm_reference.py``
-keeps the per-instruction loop and the layered accessors they replaced.
-The two must agree step for step, so every test here drives a twin pair —
-same program, same schedule — and compares complete state after every
-``execute()`` return: over generated programs (hypothesis) with the
-translation threshold patched down so blocks are in use from the first
-entry, and over the paper's applications at the shipped threshold.
+``Machine`` runs every non-system instruction as code generated from its
+template — hot basic blocks as straight-line code, everything else as single
+steps — and ``CowMap`` does a wrapped access in one call;
+``tests/vm_reference.py`` keeps the per-instruction handlers, loop and
+layered accessors they replaced.  The two must agree step for step, so
+every test here drives a twin pair — same program, same schedule — and
+compares complete state after every ``execute()`` return: over generated
+programs (hypothesis) with the translation threshold patched down so blocks
+are in use from the first entry, or up so that single steps run everything,
+and over the paper's applications at the shipped threshold and at one that
+is never reached.
 """
 
 import functools
@@ -29,6 +32,7 @@ from repro.params import SpecHintParams
 from repro.spechint.auditor import _chain_digest, _digest
 from repro.spechint.tool import SpecMeta, SpeculatingBinary
 from repro.vm.binary import Function, JumpTable
+from repro.vm.blocks import HOT_ENTRIES
 from repro.vm.isa import MASK64, SYS_EXIT, SYS_SBRK, Insn, Op
 from repro.vm.machine import SpeculationFault
 from repro.vm.memory import DATA_BASE, SPEC_HEAP_BASE, STACK_TOP
@@ -469,13 +473,23 @@ class TestHotLoop:
         assert after.misses == before.misses and after.hits > before.hits
 
 
+#: A translation threshold no leader reaches: everything single-steps.
+NEVER = 1 << 62
+
+
 class TestGeneratedPrograms:
+    @pytest.mark.parametrize("hot_entries", [0, NEVER], ids=["blocks", "single-steps"])
     @settings(max_examples=300, deadline=None)
     @given(program=programs(), steps=STEPS, as_spec=st.booleans())
     def test_blocks_agree_with_the_reference_at_every_stop(
-            self, program, steps, as_spec):
-        with mock.patch.object(machine_module, "HOT_ENTRIES", 0):
-            run_twins(program, as_spec or program.shadow, steps)
+            self, hot_entries, program, steps, as_spec):
+        """Every leader translated at its first entry, or none ever: the
+        machine's blocks and its single steps each against the
+        reference's handlers."""
+        with mock.patch.object(machine_module, "HOT_ENTRIES", hot_entries):
+            real = run_twins(program, as_spec or program.shadow, steps)
+        if hot_entries == NEVER:
+            assert real.system.kernel.machine.block_instructions == 0
 
     @settings(max_examples=60, deadline=None)
     @given(program=programs(), steps=STEPS)
@@ -521,7 +535,7 @@ APPS = ("agrep", "gnuld", "xds", "postgres20")
 
 
 @functools.lru_cache(maxsize=None)
-def run_app(app, variant, reference, ncpus=1):
+def run_app(app, variant, reference, ncpus=1, hot_entries=HOT_ENTRIES):
     """One cell on the real machine or the reference: what must not differ
     between the two, and the machine that ran it."""
     from repro.params import SystemConfig
@@ -536,7 +550,8 @@ def run_app(app, variant, reference, ncpus=1):
     cow_map = ReferenceCowMap if reference else runtime_module.CowMap
     runner.add_system_observer(install)
     try:
-        with mock.patch.object(runtime_module, "CowMap", cow_map):
+        with mock.patch.object(runtime_module, "CowMap", cow_map), \
+                mock.patch.object(machine_module, "HOT_ENTRIES", hot_entries):
             result = runner.run_experiment(ExperimentConfig(
                 app=app, variant=variant, workload_scale=SCALE,
                 system=SystemConfig(ncpus=ncpus)))
@@ -571,6 +586,13 @@ class TestApplications:
         expected, _ = run_app("gnuld", Variant.SPECULATING, True, ncpus=2)
         assert seen == expected
         assert machine.block_instructions > 0
+
+    def test_never_translated_cell_is_identical_to_the_reference_run(self):
+        """No leader ever gets hot: every instruction is a single step."""
+        seen, machine = run_app("gnuld", Variant.SPECULATING, False, hot_entries=NEVER)
+        expected, _ = run_app("gnuld", Variant.SPECULATING, True)
+        assert seen == expected
+        assert machine.block_instructions == machine.blocks_translated == 0
 
     def test_most_speculating_instructions_retire_inside_blocks(self):
         """The ledger's claim as a count: at least 70 % of gnuld's

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ArithmeticFault, IllegalAddress, MachineFault
-from repro.vm.isa import Reg, SYS_SBRK, to_signed
+from repro.vm.blocks import _STRAIGHT, _TRANSFER
+from repro.vm.isa import Op, Reg, SYS_SBRK, to_signed
+from repro.vm.machine import Machine
 from repro.vm.memory import DATA_BASE
 
 from tests.conftest import run_program
@@ -286,3 +288,18 @@ def _call_program(asm):
     asm.ret()
     asm.label("start")
     asm.call("sub")
+
+
+class TestOneDefinitionPerInstruction:
+    def test_every_opcode_is_templated_or_a_system_instruction(self, system):
+        """An instruction is defined once: by its template in
+        ``vm/blocks.py``, which blocks and single steps both run, or, for a
+        system instruction, by the machine's dispatch entry — never both."""
+        machine = system.kernel.machine
+        for op in Op:
+            templated = op in _STRAIGHT or op in _TRANSFER
+            dispatched = machine._dispatch[op] != machine._op_invalid
+            assert templated != dispatched, op
+            assert not (op in _STRAIGHT and op in _TRANSFER), op
+            if templated:
+                assert not hasattr(Machine, f"_op_{op.name.lower()}"), op

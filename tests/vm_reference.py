@@ -1,34 +1,92 @@
 """The per-instruction SpecVM interpreter and the layered COW accessors,
 kept as the reference model.
 
-This is what ``Machine._run_inner`` and the ``CowMap`` word/byte accessors
-were before hot basic blocks ran as translated code and a COW-wrapped
-access became one call: one handler dispatch, one ``clock.advance`` and one
-preemption/poll check per instruction; every COW access through
-``_read``/``_write``/``_check``; strings scanned a byte at a time; the
-audit digest fed to SHA-256 part by part.  It is deliberately naive and
-must stay that way — ``test_property_vm_blocks.py`` drives it beside the
-real machine over generated programs and over the paper's applications and
-requires the same state after every ``execute()``: stop reason, pc,
-registers, instruction and cycle counts, memory, COW copies, page
-accounting, hint ledger, audit chain.  The instruction handlers
-(``_op_*``) are shared with the real machine; the loop that decides when
-and how they run is not.
+This is what ``Machine._run_inner``, its instruction handlers and the
+``CowMap`` word/byte accessors were before every non-system instruction ran
+as code generated from its ``vm/blocks.py`` template and a COW-wrapped
+access became one call: one hand-written handler (``_op_*``) per
+instruction, one ``clock.advance`` and one preemption/poll check per
+instruction; every COW access through ``_read``/``_write``/``_check``;
+strings scanned a byte at a time; the audit digest fed to SHA-256 part by
+part.  It is deliberately naive and must stay that way —
+``test_property_vm_blocks.py`` drives it beside the real machine over
+generated programs and over the paper's applications and requires the same
+state after every ``execute()``: stop reason, pc, registers, instruction
+and cycle counts, memory, COW copies, page accounting, hint ledger, audit
+chain.  The handlers of the non-system instructions are the reference's
+own, so both the real machine's blocks and its single steps are checked
+against an independent definition; only the system instructions
+(``HALT``, ``SYSCALL``, ``CWORK``/``SCWORK``, ``SPEC_*``) and the fault
+helpers are shared.
 """
 
 import hashlib
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
+from repro.errors import MachineFault
 from repro.spechint.cow import CowMap
+from repro.vm.isa import (
+    ALU_COST,
+    BRANCH_COST,
+    CALL_COST,
+    MASK64,
+    MEM_COST,
+    SWITCH_COST,
+    Insn,
+    Op,
+    to_signed,
+)
 from repro.vm.machine import _STOPPED, Machine, SpeculationFault
-from repro.vm.memory import MASK64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.thread import Thread
 
 
 class ReferenceMachine(Machine):
-    """``Machine`` that single-steps everything."""
+    """``Machine`` that single-steps everything through its own handlers."""
+
+    def _build_dispatch(self) -> List[Callable[["Thread", Insn], int]]:
+        table = super()._build_dispatch()
+        table[Op.NOP] = self._op_nop
+        table[Op.LI] = self._op_li
+        table[Op.LA] = self._op_li  # identical at runtime
+        table[Op.MOV] = self._op_mov
+        table[Op.ADD] = self._op_add
+        table[Op.SUB] = self._op_sub
+        table[Op.MUL] = self._op_mul
+        table[Op.DIV] = self._op_div
+        table[Op.MOD] = self._op_mod
+        table[Op.AND] = self._op_and
+        table[Op.OR] = self._op_or
+        table[Op.XOR] = self._op_xor
+        table[Op.SHL] = self._op_shl
+        table[Op.SHR] = self._op_shr
+        table[Op.SLT] = self._op_slt
+        table[Op.ADDI] = self._op_addi
+        table[Op.MULI] = self._op_muli
+        table[Op.ANDI] = self._op_andi
+        table[Op.ORI] = self._op_ori
+        table[Op.SHLI] = self._op_shli
+        table[Op.SHRI] = self._op_shri
+        table[Op.SLTI] = self._op_slti
+        table[Op.LOAD] = self._op_load
+        table[Op.STORE] = self._op_store
+        table[Op.LOADB] = self._op_loadb
+        table[Op.STOREB] = self._op_storeb
+        table[Op.BEQ] = self._op_beq
+        table[Op.BNE] = self._op_bne
+        table[Op.BLT] = self._op_blt
+        table[Op.BGE] = self._op_bge
+        table[Op.JMP] = self._op_jmp
+        table[Op.JR] = self._op_jr
+        table[Op.CALL] = self._op_call
+        table[Op.CALLR] = self._op_callr
+        table[Op.SWITCH] = self._op_switch
+        table[Op.COW_LOAD] = self._op_cow_load
+        table[Op.COW_STORE] = self._op_cow_store
+        table[Op.COW_LOADB] = self._op_cow_loadb
+        table[Op.COW_STOREB] = self._op_cow_storeb
+        return table
 
     def _run_inner(
         self, thread: "Thread", budget: Optional[int], until: Optional[int] = None
@@ -104,6 +162,264 @@ class ReferenceMachine(Machine):
                     budget -= cost
                     thread.spec_clock += cost
                     thread.pending_budget = budget
+
+    # -- trivial ---------------------------------------------------------------------
+
+    def _op_nop(self, thread: "Thread", insn: Insn) -> int:
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_li(self, thread: "Thread", insn: Insn) -> int:
+        thread.regs[insn.a] = insn.c & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_mov(self, thread: "Thread", insn: Insn) -> int:
+        thread.regs[insn.a] = thread.regs[insn.b]
+        thread.pc += 1
+        return ALU_COST
+
+    # -- ALU -------------------------------------------------------------------------
+
+    def _op_add(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] + r[insn.c]) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_sub(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] - r[insn.c]) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_mul(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] * r[insn.c]) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_div(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        divisor = r[insn.c]
+        if divisor == 0:
+            self._zero_divisor(thread, "division")
+        r[insn.a] = (to_signed(r[insn.b]) // to_signed(divisor)) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_mod(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        divisor = r[insn.c]
+        if divisor == 0:
+            self._zero_divisor(thread, "modulus")
+        r[insn.a] = (to_signed(r[insn.b]) % to_signed(divisor)) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_and(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] & r[insn.c]
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_or(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] | r[insn.c]
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_xor(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] ^ r[insn.c]
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_shl(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] << (r[insn.c] & 63)) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_shr(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] >> (r[insn.c] & 63)
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_slt(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = 1 if to_signed(r[insn.b]) < to_signed(r[insn.c]) else 0
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_addi(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] + insn.c) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_muli(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] * insn.c) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_andi(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] & (insn.c & MASK64)
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_ori(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] | (insn.c & MASK64)
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_shli(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = (r[insn.b] << (insn.c & 63)) & MASK64
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_shri(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = r[insn.b] >> (insn.c & 63)
+        thread.pc += 1
+        return ALU_COST
+
+    def _op_slti(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        r[insn.a] = 1 if to_signed(r[insn.b]) < insn.c else 0
+        thread.pc += 1
+        return ALU_COST
+
+    # -- memory ----------------------------------------------------------------------
+
+    def _op_load(self, thread: "Thread", insn: Insn) -> int:
+        proc = thread.process
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        try:
+            thread.regs[insn.a] = proc.mem.load_word(addr)
+        except MachineFault as exc:
+            self._spec_mem_fault(thread, exc)
+        thread.pc += 1
+        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
+
+    def _op_store(self, thread: "Thread", insn: Insn) -> int:
+        proc = thread.process
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        try:
+            proc.mem.store_word(addr, thread.regs[insn.a])
+        except MachineFault as exc:
+            self._spec_mem_fault(thread, exc)
+        thread.pc += 1
+        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
+
+    def _op_loadb(self, thread: "Thread", insn: Insn) -> int:
+        proc = thread.process
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        try:
+            thread.regs[insn.a] = proc.mem.load_byte(addr)
+        except MachineFault as exc:
+            self._spec_mem_fault(thread, exc)
+        thread.pc += 1
+        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
+
+    def _op_storeb(self, thread: "Thread", insn: Insn) -> int:
+        proc = thread.process
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        try:
+            proc.mem.store_byte(addr, thread.regs[insn.a])
+        except MachineFault as exc:
+            self._spec_mem_fault(thread, exc)
+        thread.pc += 1
+        return MEM_COST + self._page_event_cost[proc.vmstat.touch_addr(addr)]
+
+    # -- control ---------------------------------------------------------------------
+
+    def _op_beq(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        thread.pc = insn.c if r[insn.a] == r[insn.b] else thread.pc + 1
+        return BRANCH_COST
+
+    def _op_bne(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        thread.pc = insn.c if r[insn.a] != r[insn.b] else thread.pc + 1
+        return BRANCH_COST
+
+    def _op_blt(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        taken = to_signed(r[insn.a]) < to_signed(r[insn.b])
+        thread.pc = insn.c if taken else thread.pc + 1
+        return BRANCH_COST
+
+    def _op_bge(self, thread: "Thread", insn: Insn) -> int:
+        r = thread.regs
+        taken = to_signed(r[insn.a]) >= to_signed(r[insn.b])
+        thread.pc = insn.c if taken else thread.pc + 1
+        return BRANCH_COST
+
+    def _op_jmp(self, thread: "Thread", insn: Insn) -> int:
+        thread.pc = insn.c
+        return BRANCH_COST
+
+    def _op_jr(self, thread: "Thread", insn: Insn) -> int:
+        target = thread.regs[insn.a]
+        self._check_text_target(thread, target)
+        thread.pc = target
+        return BRANCH_COST
+
+    def _op_call(self, thread: "Thread", insn: Insn) -> int:
+        thread.regs[31] = thread.pc + 1  # ra
+        thread.pc = insn.c
+        return CALL_COST
+
+    def _op_callr(self, thread: "Thread", insn: Insn) -> int:
+        target = thread.regs[insn.a]
+        self._check_text_target(thread, target)
+        thread.regs[31] = thread.pc + 1
+        thread.pc = target
+        return CALL_COST
+
+    def _op_switch(self, thread: "Thread", insn: Insn) -> int:
+        table = thread.process.binary.jump_table(insn.c)
+        index = thread.regs[insn.a]
+        if index >= len(table.targets):
+            self._switch_fault(thread, index)
+        thread.pc = table.targets[index]
+        return SWITCH_COST
+
+    # -- shadow-code memory (software-enforced copy-on-write) ------------------------
+
+    def _op_cow_load(self, thread: "Thread", insn: Insn) -> int:
+        spec = thread.process.spec
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        thread.regs[insn.a] = spec.cow.load_word(addr)
+        thread.pc += 1
+        return MEM_COST + insn.d
+
+    def _op_cow_store(self, thread: "Thread", insn: Insn) -> int:
+        spec = thread.process.spec
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        extra = spec.cow.store_word(addr, thread.regs[insn.a])
+        thread.pc += 1
+        return MEM_COST + insn.d + extra
+
+    def _op_cow_loadb(self, thread: "Thread", insn: Insn) -> int:
+        spec = thread.process.spec
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        thread.regs[insn.a] = spec.cow.load_byte(addr)
+        thread.pc += 1
+        return MEM_COST + insn.d
+
+    def _op_cow_storeb(self, thread: "Thread", insn: Insn) -> int:
+        spec = thread.process.spec
+        addr = (thread.regs[insn.b] + insn.c) & MASK64
+        extra = spec.cow.store_byte(addr, thread.regs[insn.a])
+        thread.pc += 1
+        return MEM_COST + insn.d + extra
 
 
 class ReferenceCowMap(CowMap):
