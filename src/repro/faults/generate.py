@@ -1,9 +1,11 @@
 """Generative chaos: seeded sampling of the whole fault-dimension space.
 
-The hand-written :data:`~repro.faults.plan.PROFILES` are five points in a
-fault space that spans transient error rates, stuck/offline windows, hint
-channel loss and corruption, restart storms, disk death with rebuilds and
-hedging, double faults, and the speculation throttle/watchdog knobs.
+The built-in :data:`~repro.faults.plan.PROFILES` are eight points (plus
+the inactive ``none``) in a fault space — declared axis by axis in
+:data:`~repro.faults.plan.AXES` — that spans transient error rates,
+stuck/offline windows, hint channel loss and corruption, restart storms,
+disk death with rebuilds and hedging, double faults, and the speculation
+throttle/watchdog knobs.
 :class:`FaultPlanGenerator` samples that space — every case is a valid
 :class:`~repro.faults.plan.FaultPlan` (composition rules enforced: a
 double fault implies a first death and therefore
@@ -25,23 +27,17 @@ budget actually visited.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FuzzError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import AXIS_BY_NAME, OVERRIDE_KINDS, FaultPlan
 from repro.sim.rng import DeterministicRng
 
-#: SpecHintParams fields a fuzz case may override (the speculation-policy
-#: dimensions: throttle and watchdog knobs).
-SPEC_OVERRIDE_FIELDS = (
-    "throttle_cancel_limit",
-    "throttle_disable_reads",
-    "watchdog_restart_limit",
-    "watchdog_fault_limit",
-    "watchdog_min_accuracy",
-    "watchdog_accuracy_window",
-)
+#: SpecHintParams fields a fuzz case may override (the speculation-knob
+#: axes' keys: throttle and watchdog).
+SPEC_OVERRIDE_FIELDS = tuple(OVERRIDE_KINDS)
 
 #: Serialization format version of fuzz cases / reproducers.
 CASE_VERSION = 1
@@ -49,8 +45,8 @@ CASE_VERSION = 1
 
 def validate_spec_overrides(overrides: Dict[str, object]) -> None:
     """Reject override keys outside the whitelist, and values of the wrong
-    type or range, with a typed error that names the key: the rate is a
-    number in [0, 1], every other override a count (an integer >= 0)."""
+    type or range (the key's kind), with a typed error that names the
+    key."""
     unknown = sorted(set(overrides) - set(SPEC_OVERRIDE_FIELDS))
     if unknown:
         raise FuzzError(
@@ -58,15 +54,10 @@ def validate_spec_overrides(overrides: Dict[str, object]) -> None:
             f"expected a subset of: {', '.join(SPEC_OVERRIDE_FIELDS)}"
         )
     for key, value in overrides.items():
-        if key == "watchdog_min_accuracy":
-            expected = "a number in [0, 1]"
-            valid = isinstance(value, (int, float)) and 0.0 <= value <= 1.0
-        else:
-            expected = "an integer >= 0"
-            valid = isinstance(value, int) and value >= 0
-        if isinstance(value, bool) or not valid:
-            raise FuzzError(f"speculation override {key!r} must be {expected}, "
-                            f"got {value!r}")
+        kind = OVERRIDE_KINDS[key]
+        if isinstance(value, bool) or kind.rejects(value):
+            raise FuzzError(f"speculation override {key!r} must be "
+                            f"{kind.override_rule}, got {value!r}")
 
 
 @dataclass
@@ -131,12 +122,8 @@ class _Draft:
     overrides: Dict[str, object] = field(default_factory=dict)
 
 
-def _sample_transient(rng: DeterministicRng, draft: _Draft) -> None:
-    draft.plan["disk_error_rate"] = round(rng.uniform(0.01, 0.10), 4)
-
-
 def _sample_slow_window(rng: DeterministicRng, draft: _Draft) -> None:
-    draft.plan["slow_factor"] = round(rng.uniform(5.0, 60.0), 2)
+    # slow_factor was drawn first, as the dimension's intensity.
     draft.plan["slow_start_s"] = round(rng.uniform(0.0, 0.004), 6)
     draft.plan["slow_duration_s"] = round(rng.uniform(0.002, 0.02), 6)
 
@@ -145,18 +132,6 @@ def _sample_offline_window(rng: DeterministicRng, draft: _Draft) -> None:
     draft.plan["offline_disk"] = rng.randint(0, draft.ndisks - 1)
     draft.plan["offline_start_s"] = round(rng.uniform(0.0, 0.004), 6)
     draft.plan["offline_duration_s"] = round(rng.uniform(0.002, 0.012), 6)
-
-
-def _sample_hint_drop(rng: DeterministicRng, draft: _Draft) -> None:
-    draft.plan["hint_drop_rate"] = round(rng.uniform(0.05, 0.5), 4)
-
-
-def _sample_hint_corrupt(rng: DeterministicRng, draft: _Draft) -> None:
-    draft.plan["hint_corrupt_rate"] = round(rng.uniform(0.05, 0.5), 4)
-
-
-def _sample_restart_storm(rng: DeterministicRng, draft: _Draft) -> None:
-    draft.plan["spec_divergence_rate"] = round(rng.uniform(0.1, 0.99), 4)
 
 
 def _sample_disk_death(rng: DeterministicRng, draft: _Draft) -> None:
@@ -198,35 +173,81 @@ def _sample_watchdog_params(rng: DeterministicRng, draft: _Draft) -> None:
 
 
 @dataclass(frozen=True)
+class Intensity:
+    """A plan field a dimension draws uniformly from ``[lo, hi]``; the
+    coverage ledger buckets the drawn value by thirds of that range."""
+
+    field: str
+    lo: float
+    hi: float
+    digits: int = 4
+
+    def draw(self, rng: DeterministicRng, draft: _Draft) -> None:
+        draft.plan[self.field] = round(rng.uniform(self.lo, self.hi),
+                                       self.digits)
+
+    def bucket(self, plan: FaultPlan) -> str:
+        third = (float(getattr(plan, self.field)) - self.lo) / (self.hi - self.lo)
+        if third < 1.0 / 3.0:
+            return "low"
+        if third < 2.0 / 3.0:
+            return "mid"
+        return "high"
+
+
+@dataclass(frozen=True)
 class Dimension:
-    """One axis of the fault space the generator can activate."""
+    """A fault axis the generator can activate, and how it is drawn."""
 
     name: str
     weight: float
-    sampler: Callable[[DeterministicRng, _Draft], None]
-    #: Dimension this one cannot exist without (composition rule).
-    requires: Optional[str] = None
+    #: The axis of ``faults/plan.py::AXES`` this dimension turns on.
+    axis: str
+    #: The bucketed field, drawn first.
+    intensity: Optional[Intensity] = None
+    #: Draws the dimension's other fields.
+    sampler: Optional[Callable[[DeterministicRng, _Draft], None]] = None
+
+    @property
+    def requires(self) -> Optional[str]:
+        """The dimension this one cannot exist without: the one whose
+        axis this one's axis rides on (composition rule)."""
+        host = AXIS_BY_NAME[self.axis].rides_on
+        return None if host is None else _DIMENSION_BY_AXIS[host].name
+
+    def sample(self, rng: DeterministicRng, draft: _Draft) -> None:
+        if self.intensity is not None:
+            self.intensity.draw(rng, draft)
+        if self.sampler is not None:
+            self.sampler(rng, draft)
 
 
 #: The full fault space, in application order (requirements first).
 DIMENSIONS: Tuple[Dimension, ...] = (
-    Dimension("transient", 1.0, _sample_transient),
-    Dimension("slow-window", 0.8, _sample_slow_window),
-    Dimension("offline-window", 0.8, _sample_offline_window),
-    Dimension("hint-drop", 1.0, _sample_hint_drop),
-    Dimension("hint-corrupt", 1.0, _sample_hint_corrupt),
-    Dimension("restart-storm", 0.9, _sample_restart_storm),
-    Dimension("disk-death", 0.7, _sample_disk_death),
-    Dimension("double-fault", 0.25, _sample_double_fault,
-              requires="disk-death"),
-    Dimension("throttle-params", 0.5, _sample_throttle_params),
-    Dimension("watchdog-params", 0.5, _sample_watchdog_params),
+    Dimension("transient", 1.0, "transient-errors",
+              Intensity("disk_error_rate", 0.01, 0.10)),
+    Dimension("slow-window", 0.8, "slow-window",
+              Intensity("slow_factor", 5.0, 60.0, digits=2),
+              _sample_slow_window),
+    Dimension("offline-window", 0.8, "offline-window",
+              sampler=_sample_offline_window),
+    Dimension("hint-drop", 1.0, "hint-drop",
+              Intensity("hint_drop_rate", 0.05, 0.5)),
+    Dimension("hint-corrupt", 1.0, "hint-corrupt",
+              Intensity("hint_corrupt_rate", 0.05, 0.5)),
+    Dimension("restart-storm", 0.9, "restart-storm",
+              Intensity("spec_divergence_rate", 0.1, 0.99)),
+    Dimension("disk-death", 0.7, "dead-disk", sampler=_sample_disk_death),
+    Dimension("double-fault", 0.25, "second-dead-disk",
+              sampler=_sample_double_fault),
+    Dimension("throttle-params", 0.5, "throttle-params",
+              sampler=_sample_throttle_params),
+    Dimension("watchdog-params", 0.5, "watchdog-params",
+              sampler=_sample_watchdog_params),
 )
 
 _DIMENSION_BY_NAME: Dict[str, Dimension] = {d.name: d for d in DIMENSIONS}
-_DIMENSION_ORDER: Dict[str, int] = {
-    d.name: i for i, d in enumerate(DIMENSIONS)
-}
+_DIMENSION_BY_AXIS: Dict[str, Dimension] = {d.axis: d for d in DIMENSIONS}
 
 
 def case_dimensions(
@@ -234,53 +255,13 @@ def case_dimensions(
 ) -> List[str]:
     """Which dimensions a (plan, overrides) pair actually activates.
 
-    Shared vocabulary of the coverage ledger and the shrinker: the same
-    function that tells the ledger "this case exercised hint-drop +
-    disk-death" tells the shrinker which axes it may try to remove.
+    Each dimension is on when its axis is: the coverage ledger and the
+    shrinker (:func:`repro.faults.shrink.shrink_events`) read the same
+    axis table.
     """
     overrides = spec_overrides or {}
-    dims: List[str] = []
-    if plan.disk_error_rate > 0.0:
-        dims.append("transient")
-    if plan.slow_factor != 1.0 and plan.slow_duration_s > 0.0:
-        dims.append("slow-window")
-    if plan.offline_disk >= 0 and plan.offline_duration_s > 0.0:
-        dims.append("offline-window")
-    if plan.hint_drop_rate > 0.0:
-        dims.append("hint-drop")
-    if plan.hint_corrupt_rate > 0.0:
-        dims.append("hint-corrupt")
-    if plan.spec_divergence_rate > 0.0:
-        dims.append("restart-storm")
-    if plan.dead_disk >= 0:
-        dims.append("disk-death")
-    if plan.second_dead_disk >= 0:
-        dims.append("double-fault")
-    if any(k.startswith("throttle_") for k in overrides):
-        dims.append("throttle-params")
-    if any(k.startswith("watchdog_") for k in overrides):
-        dims.append("watchdog-params")
-    return dims
-
-
-#: Intensity buckets: (plan field, lo, hi) per bucketed dimension.
-_BUCKETED: Dict[str, Tuple[str, float, float]] = {
-    "transient": ("disk_error_rate", 0.01, 0.10),
-    "hint-drop": ("hint_drop_rate", 0.05, 0.5),
-    "hint-corrupt": ("hint_corrupt_rate", 0.05, 0.5),
-    "restart-storm": ("spec_divergence_rate", 0.1, 0.99),
-    "slow-window": ("slow_factor", 5.0, 60.0),
-}
-
-
-def _bucket(value: float, lo: float, hi: float) -> str:
-    span = (hi - lo) or 1.0
-    third = (value - lo) / span
-    if third < 1.0 / 3.0:
-        return "low"
-    if third < 2.0 / 3.0:
-        return "mid"
-    return "high"
+    return [dim.name for dim in DIMENSIONS
+            if AXIS_BY_NAME[dim.axis].on(plan, overrides)]
 
 
 class CoverageLedger:
@@ -288,25 +269,22 @@ class CoverageLedger:
 
     def __init__(self) -> None:
         self.cases = 0
-        self.dimension_counts: Dict[str, int] = {}
-        self.combo_counts: Dict[str, int] = {}
-        self.bucket_counts: Dict[str, int] = {}
-        self.app_counts: Dict[str, int] = {}
+        self.dimension_counts: Counter[str] = Counter()
+        self.combo_counts: Counter[str] = Counter()
+        self.bucket_counts: Counter[str] = Counter()
+        self.app_counts: Counter[str] = Counter()
         self.data_loss_cases = 0
 
     def note(self, case: FuzzCase) -> None:
         self.cases += 1
-        self.app_counts[case.app] = self.app_counts.get(case.app, 0) + 1
+        self.app_counts[case.app] += 1
         dims = case_dimensions(case.plan, case.spec_overrides)
         for dim in dims:
-            self.dimension_counts[dim] = self.dimension_counts.get(dim, 0) + 1
-            bucketed = _BUCKETED.get(dim)
-            if bucketed is not None:
-                name, lo, hi = bucketed
-                key = f"{dim}:{_bucket(float(getattr(case.plan, name)), lo, hi)}"
-                self.bucket_counts[key] = self.bucket_counts.get(key, 0) + 1
-        combo = "+".join(sorted(dims)) or "(none)"
-        self.combo_counts[combo] = self.combo_counts.get(combo, 0) + 1
+            self.dimension_counts[dim] += 1
+            intensity = _DIMENSION_BY_NAME[dim].intensity
+            if intensity is not None:
+                self.bucket_counts[f"{dim}:{intensity.bucket(case.plan)}"] += 1
+        self.combo_counts["+".join(sorted(dims)) or "(none)"] += 1
         if case.plan.expects_data_loss:
             self.data_loss_cases += 1
 
@@ -326,8 +304,7 @@ class CoverageLedger:
     def format_text(self) -> str:
         lines = [f"fault-space coverage over {self.cases} case(s):"]
         for dim in DIMENSIONS:
-            count = self.dimension_counts.get(dim.name, 0)
-            lines.append(f"  {dim.name:18s} {count:4d}")
+            lines.append(f"  {dim.name:18s} {self.dimension_counts[dim.name]:4d}")
         never = sorted(set(_DIMENSION_BY_NAME) - set(self.dimension_counts))
         if never:
             lines.append(f"  never hit: {', '.join(never)}")
@@ -386,8 +363,7 @@ class FaultPlanGenerator:
             required = _DIMENSION_BY_NAME[name].requires
             if required is not None and required not in chosen:
                 chosen.append(required)
-        chosen.sort(key=_DIMENSION_ORDER.__getitem__)
-        return [_DIMENSION_BY_NAME[name] for name in chosen]
+        return [dim for dim in DIMENSIONS if dim.name in chosen]
 
     def case(self, index: int) -> FuzzCase:
         """The ``index``-th case of this seed (stable under any budget)."""
@@ -395,7 +371,7 @@ class FaultPlanGenerator:
         app = root.fork("app").choice(self.apps)
         draft = _Draft(ndisks=self.ndisks)
         for dim in self._choose_dimensions(root.fork("dims")):
-            dim.sampler(root.fork(f"dim/{dim.name}"), draft)
+            dim.sample(root.fork(f"dim/{dim.name}"), draft)
         plan = FaultPlan(
             name=f"fuzz-{self.seed}-{index}",
             seed=root.fork("fault-seed").randint(0, 2**31 - 1),

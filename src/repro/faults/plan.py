@@ -9,6 +9,9 @@ interprets the plan against the simulation clock.
 Times are expressed in (simulated) seconds so plans are independent of the
 processor frequency; the injector converts them to cycles.
 
+Each field's kind, and the fault axis that owns it, is declared once, in
+:data:`AXES`; everything that asks which faults a plan holds reads it.
+
 The built-in :data:`PROFILES` are the chaos modes the harness and the
 ``--chaos`` CLI flag expose.  Each targets one degradation path:
 
@@ -37,9 +40,18 @@ The built-in :data:`PROFILES` are the chaos modes the harness and the
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import InvalidFaultPlan
+
+
+#: A plan field's declared type -> the JSON types it accepts, and their name.
+_JSON_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    # float fields accept ints (JSON writers may emit 0)
+    "float": ((int, float), "a number"),
+}
 
 
 @dataclass(frozen=True)
@@ -105,16 +117,9 @@ class FaultPlan:
 
     @property
     def active(self) -> bool:
-        """True when the plan can actually inject something."""
-        return (
-            self.disk_error_rate > 0.0
-            or (self.slow_factor != 1.0 and self.slow_duration_s > 0.0)
-            or (self.offline_disk >= 0 and self.offline_duration_s > 0.0)
-            or self.dead_disk >= 0
-            or self.hint_drop_rate > 0.0
-            or self.hint_corrupt_rate > 0.0
-            or self.spec_divergence_rate > 0.0
-        )
+        """True when the plan can actually inject something: some axis
+        that rides on no other is on."""
+        return any(axis.on(self, {}) for axis in AXES if axis.rides_on is None)
 
     @property
     def permanent_death(self) -> bool:
@@ -162,58 +167,25 @@ class FaultPlan:
             )
         kwargs: Dict[str, object] = {}
         for name, value in data.items():
-            kind = known[name].type
-            if kind == "str":
-                if not isinstance(value, str):
-                    raise InvalidFaultPlan(
-                        f"fault plan key {name!r} must be a string, "
-                        f"got {type(value).__name__}"
-                    )
-            elif kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise InvalidFaultPlan(
-                        f"fault plan key {name!r} must be an integer, "
-                        f"got {type(value).__name__}"
-                    )
-            else:  # float fields accept ints (JSON writers may emit 0)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise InvalidFaultPlan(
-                        f"fault plan key {name!r} must be a number, "
-                        f"got {type(value).__name__}"
-                    )
-                value = float(value)
-            kwargs[name] = value
+            json_type = known[name].type
+            types, expected = _JSON_TYPES[json_type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidFaultPlan(
+                    f"fault plan key {name!r} must be {expected}, "
+                    f"got {type(value).__name__}"
+                )
+            kwargs[name] = float(value) if json_type == "float" else value
         plan = cls(**kwargs)  # type: ignore[arg-type]
         plan.validate()
         return plan
 
     def validate(self) -> None:
         """Reject out-of-range values with a typed error."""
-        for name in ("disk_error_rate", "hint_drop_rate",
-                     "hint_corrupt_rate", "spec_divergence_rate",
-                     "rebuild_share"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise InvalidFaultPlan(
-                    f"fault plan {name}={rate!r} outside [0, 1]"
-                )
-        for name in ("slow_start_s", "slow_duration_s", "offline_start_s",
-                     "offline_duration_s", "dead_at_s", "second_dead_at_s",
-                     "hedge_after_s"):
+        for name, kind in FIELD_KINDS.items():
             value = getattr(self, name)
-            if value < 0.0:
+            if kind.rejects(value):
                 raise InvalidFaultPlan(
-                    f"fault plan {name}={value!r} must be >= 0"
-                )
-        if self.slow_factor <= 0.0:
-            raise InvalidFaultPlan(
-                f"fault plan slow_factor={self.slow_factor!r} must be > 0"
-            )
-        for name in ("offline_disk", "dead_disk", "second_dead_disk"):
-            disk = getattr(self, name)
-            if disk < -1:
-                raise InvalidFaultPlan(
-                    f"fault plan {name}={disk!r} must be a disk id or -1"
+                    f"fault plan {name}={value!r} {kind.plan_rule}"
                 )
         if self.second_dead_disk >= 0 and self.dead_disk < 0:
             raise InvalidFaultPlan(
@@ -226,6 +198,114 @@ class FaultPlan:
                 f"fault plan second_dead_disk={self.second_dead_disk} "
                 f"must differ from dead_disk"
             )
+
+    def check_disks(self, ndisks: int) -> None:
+        """Reject a disk id the ``ndisks``-disk array lacks (its hot
+        spares are not targets: their ids follow the data disks')."""
+        for name, kind in FIELD_KINDS.items():
+            disk = getattr(self, name)
+            if kind is DISK_ID and disk >= ndisks:
+                raise InvalidFaultPlan(
+                    f"fault plan {name}={disk} names a disk the array "
+                    f"lacks: it has {ndisks} disk(s), ids 0..{ndisks - 1}"
+                )
+
+
+# ---------------------------------------------------------------------------
+# The fault vocabulary: each plan field and speculation override key is
+# declared once, with its kind and the axis that owns it.  A new axis is one
+# row of AXES; everything else reads the table.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """The range a plan field or speculation override must lie in."""
+
+    #: True for a value outside the range (or, for an override, of the
+    #: wrong JSON type).
+    rejects: Callable[[Any], bool]
+    #: How a plan field outside the range is reported.
+    plan_rule: str = ""
+    #: What an override of this kind must be, for its error message.
+    override_rule: str = ""
+
+
+RATE = Kind(lambda v: not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0),
+            "outside [0, 1]", "a number in [0, 1]")
+SECONDS = Kind(lambda v: v < 0.0, "must be >= 0")
+FACTOR = Kind(lambda v: v <= 0.0, "must be > 0")
+#: A disk of the array, or -1 for none.
+DISK_ID = Kind(lambda v: v < -1, "must be a disk id or -1")
+COUNT = Kind(lambda v: not (isinstance(v, int) and v >= 0),
+             override_rule="an integer >= 0")
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One independently removable fault event and the names it owns."""
+
+    name: str
+    #: The plan fields the axis owns (for a speculation-knob axis, the
+    #: ``SpecHintParams`` override keys), each with its kind.
+    owns: Mapping[str, Kind]
+    #: When the axis is on; None for a speculation-knob axis, which is on
+    #: while any of its override keys is set.
+    when: Optional[Callable[[FaultPlan], bool]] = None
+    #: The axis this one cannot exist without: removing that one removes
+    #: this one, and this one alone does not make a plan active.
+    rides_on: Optional[str] = None
+
+    def on(self, plan: FaultPlan, overrides: Mapping[str, object]) -> bool:
+        if self.when is None:
+            return any(key in overrides for key in self.owns)
+        return self.when(plan)
+
+
+#: Every fault axis, in the order the shrinker tries to remove them.
+AXES: Tuple[Axis, ...] = (
+    Axis("transient-errors", {"disk_error_rate": RATE},
+         lambda p: p.disk_error_rate > 0.0),
+    Axis("slow-window", {"slow_factor": FACTOR, "slow_start_s": SECONDS,
+                         "slow_duration_s": SECONDS},
+         lambda p: p.slow_factor != 1.0 and p.slow_duration_s > 0.0),
+    Axis("offline-window", {"offline_disk": DISK_ID,
+                            "offline_start_s": SECONDS,
+                            "offline_duration_s": SECONDS},
+         lambda p: p.offline_disk >= 0 and p.offline_duration_s > 0.0),
+    Axis("second-dead-disk", {"second_dead_disk": DISK_ID,
+                              "second_dead_at_s": SECONDS},
+         lambda p: p.second_dead_disk >= 0, rides_on="dead-disk"),
+    Axis("dead-disk", {"dead_disk": DISK_ID, "dead_at_s": SECONDS},
+         lambda p: p.dead_disk >= 0),
+    Axis("rebuild-share", {"rebuild_share": RATE},
+         lambda p: p.rebuild_share > 0.0, rides_on="dead-disk"),
+    Axis("hedged-reads", {"hedge_after_s": SECONDS},
+         lambda p: p.hedge_after_s > 0.0, rides_on="dead-disk"),
+    Axis("hint-drop", {"hint_drop_rate": RATE},
+         lambda p: p.hint_drop_rate > 0.0),
+    Axis("hint-corrupt", {"hint_corrupt_rate": RATE},
+         lambda p: p.hint_corrupt_rate > 0.0),
+    Axis("restart-storm", {"spec_divergence_rate": RATE},
+         lambda p: p.spec_divergence_rate > 0.0),
+    Axis("throttle-params", {"throttle_cancel_limit": COUNT,
+                             "throttle_disable_reads": COUNT}),
+    Axis("watchdog-params", {"watchdog_restart_limit": COUNT,
+                             "watchdog_fault_limit": COUNT,
+                             "watchdog_min_accuracy": RATE,
+                             "watchdog_accuracy_window": COUNT}),
+)
+
+AXIS_BY_NAME: Dict[str, Axis] = {axis.name: axis for axis in AXES}
+#: Each plan field's kind (every field but ``name`` and ``seed``).
+FIELD_KINDS: Dict[str, Kind] = {
+    name: kind for axis in AXES if axis.when is not None
+    for name, kind in axis.owns.items()
+}
+#: Each speculation override key's kind.
+OVERRIDE_KINDS: Dict[str, Kind] = {
+    name: kind for axis in AXES if axis.when is None
+    for name, kind in axis.owns.items()
+}
 
 
 #: The built-in chaos profiles (see module docstring).

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FuzzError, InvalidFaultPlan, ReproError
-from repro.faults.generate import CASE_VERSION, FuzzCase, validate_spec_overrides
-from repro.faults.plan import FaultPlan
+from repro.faults.generate import CASE_VERSION, FuzzCase
+from repro.faults.plan import AXES, AXIS_BY_NAME, FaultPlan
 
 #: ``evaluate(case) -> violations`` — the shrinker's only window into the
 #: world.  Production passes a closure over the fuzz engine; tests can
@@ -42,84 +42,35 @@ Evaluator = Callable[[FuzzCase], List[object]]
 # ---------------------------------------------------------------------------
 
 def shrink_events(case: FuzzCase) -> List[str]:
-    """The removable fault events of a case, in shrink order.
+    """The removable fault events of a case: its axes that are on, in
+    shrink order (``faults/plan.py::AXES``).
 
     Finer-grained than the generator's dimensions: ``rebuild-share`` and
     ``hedged-reads`` ride on a disk death but can be removed on their
     own.  ``len(shrink_events(case))`` is the "fault event count" a
     minimal reproducer is measured by.
     """
-    plan = case.plan
-    events: List[str] = []
-    if plan.disk_error_rate > 0.0:
-        events.append("transient-errors")
-    if plan.slow_factor != 1.0 and plan.slow_duration_s > 0.0:
-        events.append("slow-window")
-    if plan.offline_disk >= 0 and plan.offline_duration_s > 0.0:
-        events.append("offline-window")
-    if plan.second_dead_disk >= 0:
-        events.append("second-dead-disk")
-    if plan.dead_disk >= 0:
-        events.append("dead-disk")
-    if plan.rebuild_share > 0.0:
-        events.append("rebuild-share")
-    if plan.hedge_after_s > 0.0:
-        events.append("hedged-reads")
-    if plan.hint_drop_rate > 0.0:
-        events.append("hint-drop")
-    if plan.hint_corrupt_rate > 0.0:
-        events.append("hint-corrupt")
-    if plan.spec_divergence_rate > 0.0:
-        events.append("restart-storm")
-    if any(k.startswith("throttle_") for k in case.spec_overrides):
-        events.append("throttle-params")
-    if any(k.startswith("watchdog_") for k in case.spec_overrides):
-        events.append("watchdog-params")
-    return events
+    return [axis.name for axis in AXES
+            if axis.on(case.plan, case.spec_overrides)]
 
 
 def _without(case: FuzzCase, event: str) -> Optional[FuzzCase]:
-    """The case with one event removed (None when not removable)."""
-    plan = case.plan
-    overrides = dict(case.spec_overrides)
-    if event == "transient-errors":
-        plan = replace(plan, disk_error_rate=0.0)
-    elif event == "slow-window":
-        plan = replace(plan, slow_factor=1.0, slow_start_s=0.0,
-                       slow_duration_s=0.0)
-    elif event == "offline-window":
-        plan = replace(plan, offline_disk=-1, offline_start_s=0.0,
-                       offline_duration_s=0.0)
-    elif event == "dead-disk":
-        # Composition: the second death, the rebuild share and hedging
-        # make no sense without the first death — they go with it.
-        plan = replace(plan, dead_disk=-1, dead_at_s=0.0,
-                       second_dead_disk=-1, second_dead_at_s=0.0,
-                       rebuild_share=0.0, hedge_after_s=0.0)
-    elif event == "second-dead-disk":
-        plan = replace(plan, second_dead_disk=-1, second_dead_at_s=0.0)
-    elif event == "rebuild-share":
-        plan = replace(plan, rebuild_share=0.0)
-    elif event == "hedged-reads":
-        plan = replace(plan, hedge_after_s=0.0)
-    elif event == "hint-drop":
-        plan = replace(plan, hint_drop_rate=0.0)
-    elif event == "hint-corrupt":
-        plan = replace(plan, hint_corrupt_rate=0.0)
-    elif event == "restart-storm":
-        plan = replace(plan, spec_divergence_rate=0.0)
-    elif event == "throttle-params":
-        overrides = {k: v for k, v in overrides.items()
-                     if not k.startswith("throttle_")}
-    elif event == "watchdog-params":
-        overrides = {k: v for k, v in overrides.items()
-                     if not k.startswith("watchdog_")}
-    else:
+    """The case with one event removed (None when not removable): the
+    axis's names, and those of every axis riding on it, go back to their
+    defaults (an override key is dropped)."""
+    if event not in AXIS_BY_NAME:
         return None
+    owned = {name for axis in AXES if event in (axis.name, axis.rides_on)
+             for name in axis.owns}
+    defaults: Dict[str, Any] = FaultPlan().to_jsonable()
+    plan = replace(case.plan, **{name: defaults[name] for name in owned
+                                 if name in defaults})
     try:
         plan.validate()
     except InvalidFaultPlan:
         return None
+    overrides = {key: value for key, value in case.spec_overrides.items()
+                 if key not in owned}
     return FuzzCase(index=case.index, app=case.app, plan=plan,
                     spec_overrides=overrides)
 
@@ -181,18 +132,6 @@ class ShrinkResult:
         return shrink_events(self.case)
 
 
-class _Budget:
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.spent = 0
-
-    def take(self) -> bool:
-        if self.spent >= self.limit:
-            return False
-        self.spent += 1
-        return True
-
-
 def shrink_case(
     case: FuzzCase,
     monitor: str,
@@ -207,11 +146,13 @@ def shrink_case(
     survives".  Raises :class:`FuzzError` when the starting case does not
     trip the monitor at all — shrinking a passing cell is a caller bug.
     """
-    budget = _Budget(max_evaluations)
+    spent = 0
 
     def trips(candidate: FuzzCase) -> bool:
-        if not budget.take():
+        nonlocal spent
+        if spent >= max_evaluations:
             return False
+        spent += 1
         violations = evaluate(candidate)
         return any(
             getattr(v, "monitor", None) == monitor for v in violations
@@ -227,7 +168,7 @@ def shrink_case(
     removed: List[str] = []
     reduced: List[str] = []
     changed = True
-    while changed and budget.spent < budget.limit:
+    while changed and spent < max_evaluations:
         changed = False
         for event in shrink_events(current):
             candidate = _without(current, event)
@@ -243,7 +184,7 @@ def shrink_case(
                 reduced.append(label)
                 changed = True
     return ShrinkResult(
-        case=current, monitor=monitor, evaluations=budget.spent,
+        case=current, monitor=monitor, evaluations=spent,
         removed=removed, reduced=reduced,
     )
 
@@ -292,10 +233,8 @@ class Reproducer:
             )
         if "case" not in data:
             raise FuzzError("reproducer missing its 'case' object")
-        case = FuzzCase.from_jsonable(data["case"])
-        validate_spec_overrides(case.spec_overrides)
         return cls(
-            case=case,
+            case=FuzzCase.from_jsonable(data["case"]),
             monitor=str(data.get("monitor", "")),
             detail=str(data.get("detail", "")),
             workload_scale=float(data.get("workload_scale", 0.25)),  # type: ignore[arg-type]

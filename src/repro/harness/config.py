@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import HarnessError
 from repro.faults.plan import FaultPlan
 from repro.params import DiskParams, SystemConfig, scaled_cache_blocks
 
@@ -42,7 +44,8 @@ class ExperimentConfig:
     #: scaling); None keeps ``system.cache.capacity_blocks``.
     cache_paper_mb: Optional[float] = 12.0
 
-    #: Workload scale factor (sweep benches use < 1 to stay fast).
+    #: Workload scale factor (sweep benches use < 1 to stay fast); finite
+    #: and > 0.
     workload_scale: float = 1.0
 
     #: SpecHint tool option: allow the handling routine to map any text
@@ -71,6 +74,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown app {self.app!r}; expected one of {ALL_APPS}"
             )
+        if not (math.isfinite(self.workload_scale) and self.workload_scale > 0):
+            raise HarnessError(
+                f"workload scale must be a finite number > 0, "
+                f"got {self.workload_scale!r}"
+            )
 
     def resolved_fault_plan(self) -> Optional[FaultPlan]:
         """The fault plan for this run, or None when fault-free.
@@ -85,10 +93,11 @@ class ExperimentConfig:
     def resolved_system(self) -> SystemConfig:
         """System config with cache size and disk time scale resolved.
 
-        A fault plan that kills a disk permanently forces redundancy on: a
-        plain striped array cannot survive it, so the array is switched to
-        rotating parity with at least one hot spare unless the caller
-        already configured redundancy explicitly.
+        A fault plan must name only disks the array has.  One that kills a
+        disk permanently forces redundancy on: a plain striped array cannot
+        survive it, so the array is switched to rotating parity with at
+        least one hot spare unless the caller already configured redundancy
+        explicitly.
         """
         system = self.system
         if self.cache_paper_mb is not None:
@@ -100,11 +109,10 @@ class ExperimentConfig:
         if self.disk_time_scale is not None:
             system = system.replace(disk=DiskParams.scaled(self.disk_time_scale))
         plan = self.resolved_fault_plan()
-        if (
-            plan is not None
-            and plan.permanent_death
-            and system.array.redundancy == "none"
-        ):
+        if plan is None:
+            return system
+        plan.check_disks(system.array.ndisks)
+        if plan.permanent_death and system.array.redundancy == "none":
             array = dataclasses.replace(
                 system.array,
                 redundancy="parity",

@@ -42,7 +42,6 @@ from repro.faults.generate import (
     CoverageLedger,
     FaultPlanGenerator,
     FuzzCase,
-    case_dimensions,
     validate_spec_overrides,
 )
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
@@ -170,10 +169,6 @@ class FuzzCellResult:
     @property
     def key(self) -> str:
         return self.case.key
-
-    @property
-    def dimensions(self) -> List[str]:
-        return case_dimensions(self.case.plan, self.case.spec_overrides)
 
     def to_jsonable(self, with_results: bool = False) -> Dict[str, object]:
         if with_results:

@@ -64,6 +64,34 @@ class TestErrorExit:
         assert "lbn 5" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "agrep"],
+        ["compare", "agrep"],
+        ["sweep", "cache"],
+        ["trace", "agrep"],
+        ["fuzz", "--budget", "1"],
+    ])
+    def test_non_positive_scale_exits_one_with_one_line(self, argv, capsys):
+        assert main(argv + ["--scale", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: HarnessError: workload scale" in err
+
+    def test_replay_of_a_non_positive_scale_exits_one(self, tmp_path, capsys):
+        import json
+        import os
+
+        corpus = os.path.join(os.path.dirname(__file__), "corpus")
+        with open(os.path.join(corpus, "audit-chain-forged-restart.json")) as f:
+            data = json.load(f)
+        data["workload_scale"] = -1
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(data))
+        assert main(["fuzz", "replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: HarnessError: workload scale" in err
+
     def test_main_module_maps_error_to_exit_status(self):
         import subprocess
         import sys

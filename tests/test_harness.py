@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.datasets import generate_gnuld_objects
 from repro.apps.gnuld import MAX_SECTIONS, GnuldWorkload
-from repro.errors import DataLossError, FileSystemError
+from repro.errors import DataLossError, FileSystemError, HarnessError
 from repro.faults.plan import profile
 from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig, Variant
@@ -20,6 +20,12 @@ class TestExperimentConfig:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(app="notepad")
+
+    @pytest.mark.parametrize("scale", [0, -1, -0.5, float("nan"),
+                                       float("inf")])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        with pytest.raises(HarnessError, match="workload scale"):
+            ExperimentConfig(workload_scale=scale)
 
     def test_cache_resolution(self):
         cfg = ExperimentConfig(cache_paper_mb=12.0)
