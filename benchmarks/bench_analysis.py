@@ -18,9 +18,8 @@ from typing import Dict, Optional, Tuple
 from conftest import banner, once
 
 from repro.faults.plan import PROFILES
-from repro.fs.filesystem import FileSystem
 from repro.harness.oracle import OracleCell, run_oracle_cell
-from repro.harness.runner import _BUILDERS
+from repro.harness.runner import program
 from repro.spechint.report import TransformReport
 from repro.spechint.tool import SpecHintTool
 
@@ -30,7 +29,7 @@ SCALE = 0.3
 
 
 def _report(app: str, optimize: bool) -> TransformReport:
-    binary = _BUILDERS[app](FileSystem(), SCALE, False)
+    binary = program(app, SCALE)
     tool = SpecHintTool(optimize=optimize)
     return tool.transform(binary).spec_meta.report
 
@@ -105,7 +104,7 @@ def test_analysis_security_lint(benchmark):
     def security_matrix():
         plans = {}
         for app in APPS:
-            binary = _BUILDERS[app](FileSystem(), SCALE, False)
+            binary = program(app, SCALE)
             plans[app] = analyze_security(binary)
         for name, builder in FIXTURES.items():
             if name.startswith("taint-"):

@@ -17,4 +17,10 @@ The applications' access patterns are the paper's:
 * :mod:`repro.apps.xdataslice` — strided scanline reads of random slices
   through a large out-of-core 3-D dataset (no data dependence, little
   locality).
+
+Each module builds an app in two parts: ``build_<app>_files(fs, workload)``
+lays out the files one cell reads in that cell's file system, and
+``build_<app>_program(workload, manual_hints)`` assembles the program, a
+function of the workload alone, which ``repro.harness.runner`` does once
+per process.
 """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.datasets import generate_agrep_corpus
+from repro.apps.datasets import agrep_path, generate_agrep_corpus
 from repro.fs.filesystem import FileSystem
 from repro.vm.assembler import Assembler
 from repro.vm.binary import Binary
@@ -71,20 +71,19 @@ class AgrepWorkload:
         )
 
 
-def build_agrep(
-    fs: FileSystem,
-    workload: AgrepWorkload,
-    manual_hints: bool = False,
-) -> Binary:
-    """Create the corpus in ``fs`` and assemble the Agrep binary."""
-    inodes = generate_agrep_corpus(fs, workload.nfiles, workload.seed, min_kb=4)
+def build_agrep_files(fs: FileSystem, workload: AgrepWorkload) -> None:
+    """Create the corpus Agrep searches in ``fs``."""
+    generate_agrep_corpus(fs, workload.nfiles, workload.seed, min_kb=4)
 
+
+def build_agrep_program(workload: AgrepWorkload, manual_hints: bool = False) -> Binary:
+    """Assemble the Agrep binary that searches the corpus of ``workload``."""
     asm = Assembler("agrep-manual" if manual_hints else "agrep")
     emit_stdlib(asm)
 
     path_addrs = []
-    for i, inode in enumerate(inodes):
-        path_addrs.append(asm.data_asciiz(f"path{i}", inode.path))
+    for i in range(workload.nfiles):
+        path_addrs.append(asm.data_asciiz(f"path{i}", agrep_path(i)))
     asm.data_words("paths", path_addrs)
     asm.data_space("buf", 8192)
 

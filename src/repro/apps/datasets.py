@@ -174,6 +174,11 @@ def _u64(value: int) -> bytes:
 # Agrep
 # ---------------------------------------------------------------------------
 
+def agrep_path(index: int, directory: str = "src") -> str:
+    """The path of the corpus's ``index``-th file."""
+    return f"{directory}/file{index:04d}.c"
+
+
 def generate_agrep_corpus(
     fs: FileSystem,
     nfiles: int,
@@ -198,7 +203,7 @@ def _agrep_files(
         size = rng.pareto_int(1.3, min_kb * 1024, max_kb * 1024)
         text = mappings.file(size)
         random_fill(rng, text)
-        files.append((f"{directory}/file{i:04d}.c", text.toreadonly()))
+        files.append((agrep_path(i, directory), text.toreadonly()))
     return files
 
 
@@ -223,6 +228,11 @@ class ObjectFileSpec:
     #: persists through the section pass, as in the real linker).
     reloc_offsets: List[int] = field(default_factory=list)
     reloc_lengths: List[int] = field(default_factory=list)
+
+
+def gnuld_path(index: int, directory: str = "obj") -> str:
+    """The path of the ``index``-th object file."""
+    return f"{directory}/module{index:04d}.o"
 
 
 def generate_gnuld_objects(
@@ -331,7 +341,7 @@ def _gnuld_files(
             cursor += OBJ_RECORD_BYTES
 
         spec = ObjectFileSpec(
-            path=f"{directory}/module{i:04d}.o",
+            path=gnuld_path(i, directory),
             size=size,
             nsections=nsections,
             ndebug=ndebug,
@@ -350,11 +360,15 @@ def _gnuld_files(
 # XDataSlice
 # ---------------------------------------------------------------------------
 
+#: Where the XDataSlice volume lives.
+XDS_PATH = "data/volume.xds"
+
+
 def generate_xds_dataset(
     fs: FileSystem,
     dim: int,
     seed: int,
-    path: str = "data/volume.xds",
+    path: str = XDS_PATH,
     voxel_bytes: int = 4,
 ) -> Inode:
     """Create the z-major ``dim**3`` voxel dataset file.

@@ -25,13 +25,12 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.apps.datasets import (
     OBJ_HEADER_BYTES,
     OBJ_SYMHDR_BYTES,
-    ObjectFileSpec,
     generate_gnuld_objects,
+    gnuld_path,
 )
 from repro.fs.filesystem import FileSystem
 from repro.vm.assembler import Assembler
@@ -109,32 +108,24 @@ class GnuldWorkload:
         )
 
 
-def build_gnuld(
-    fs: FileSystem,
-    workload: GnuldWorkload,
-    manual_hints: bool = False,
-) -> Binary:
-    """Create the object files in ``fs`` and assemble the Gnuld binary."""
-    specs = generate_gnuld_objects(
+def build_gnuld_files(fs: FileSystem, workload: GnuldWorkload) -> None:
+    """Create the object files Gnuld links, and its empty output, in ``fs``."""
+    generate_gnuld_objects(
         fs, workload.nfiles, workload.seed, max_sections=MAX_SECTIONS
     )
     fs.create("out/kernel", b"")
 
-    builder = _GnuldBuilder(workload, specs, manual_hints)
-    return builder.build()
+
+def build_gnuld_program(workload: GnuldWorkload, manual_hints: bool = False) -> Binary:
+    """Assemble the Gnuld binary that links the objects of ``workload``."""
+    return _GnuldBuilder(workload, manual_hints).build()
 
 
 class _GnuldBuilder:
     """Assembles the (long) Gnuld program."""
 
-    def __init__(
-        self,
-        workload: GnuldWorkload,
-        specs: List[ObjectFileSpec],
-        manual_hints: bool,
-    ) -> None:
+    def __init__(self, workload: GnuldWorkload, manual_hints: bool) -> None:
         self.wl = workload
-        self.specs = specs
         self.manual = manual_hints
         self.asm = Assembler("gnuld-manual" if manual_hints else "gnuld")
 
@@ -143,8 +134,8 @@ class _GnuldBuilder:
     def _emit_data(self) -> None:
         asm = self.asm
         path_addrs = [
-            asm.data_asciiz(f"objpath{i}", spec.path)
-            for i, spec in enumerate(self.specs)
+            asm.data_asciiz(f"objpath{i}", gnuld_path(i))
+            for i in range(self.wl.nfiles)
         ]
         asm.data_words("paths", path_addrs)
         asm.data_asciiz("outpath", "out/kernel")

@@ -167,15 +167,14 @@ def _postgres_relations(
     return outer.toreadonly(), index.toreadonly(), inner.toreadonly()
 
 
-def build_postgres(
-    fs: FileSystem,
-    workload: PostgresWorkload,
-    manual_hints: bool = False,
-) -> Binary:
-    """Create the relations in ``fs`` and assemble the join program."""
+def build_postgres_files(fs: FileSystem, workload: PostgresWorkload) -> None:
+    """Create the relations the join reads in ``fs``."""
     generate_postgres_relations(fs, workload)
-    builder = _PostgresBuilder(workload, manual_hints)
-    return builder.build()
+
+
+def build_postgres_program(workload: PostgresWorkload, manual_hints: bool = False) -> Binary:
+    """Assemble the join program over the relations of ``workload``."""
+    return _PostgresBuilder(workload, manual_hints).build()
 
 
 class _PostgresBuilder:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.datasets import generate_xds_dataset, xds_slice_plan
+from repro.apps.datasets import XDS_PATH, generate_xds_dataset, xds_slice_plan
 from repro.fs.filesystem import FileSystem
 from repro.vm.assembler import Assembler
 from repro.vm.binary import Binary
@@ -80,13 +80,13 @@ class XdsWorkload:
         return self.dim * VOXEL_BYTES
 
 
-def build_xdataslice(
-    fs: FileSystem,
-    workload: XdsWorkload,
-    manual_hints: bool = False,
-) -> Binary:
-    """Create the dataset in ``fs`` and assemble the XDataSlice binary."""
-    inode = generate_xds_dataset(fs, workload.dim, workload.seed)
+def build_xdataslice_files(fs: FileSystem, workload: XdsWorkload) -> None:
+    """Create the voxel volume XDataSlice renders in ``fs``."""
+    generate_xds_dataset(fs, workload.dim, workload.seed)
+
+
+def build_xdataslice_program(workload: XdsWorkload, manual_hints: bool = False) -> Binary:
+    """Assemble the XDataSlice binary that renders the slices of ``workload``."""
     plan = xds_slice_plan(workload.dim, workload.nslices, workload.seed)
 
     dim = workload.dim
@@ -96,7 +96,7 @@ def build_xdataslice(
     asm = Assembler("xds-manual" if manual_hints else "xds")
     emit_stdlib(asm)
 
-    asm.data_asciiz("volpath", inode.path)
+    asm.data_asciiz("volpath", XDS_PATH)
     asm.data_words("plan", plan)
     asm.data_space("linebuf", max(line, 64))
 

@@ -243,10 +243,9 @@ def _build_app_binary(app: str, scale: float) -> "object":
     """Assemble one example app (or analysis fixture) without running it."""
     if app in FIXTURES:
         return FIXTURES[app]()
-    from repro.fs.filesystem import FileSystem
-    from repro.harness.runner import _BUILDERS
+    from repro.harness.runner import program
 
-    return _BUILDERS[app](FileSystem(), scale, False)
+    return program(app, scale)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:

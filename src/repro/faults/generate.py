@@ -99,13 +99,21 @@ class FuzzCase:
             raise FuzzError(
                 f"fuzz case missing key(s): {', '.join(missing)}"
             )
-        overrides = dict(data.get("spec_overrides", {}))
+        index = data.get("index", 0)
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise FuzzError(f"fuzz case index must be an integer, got {index!r}")
+        overrides = data.get("spec_overrides", {})
+        if not isinstance(overrides, dict):
+            raise FuzzError(
+                f"fuzz case spec_overrides must be a JSON object, "
+                f"got {type(overrides).__name__}"
+            )
         validate_spec_overrides(overrides)
         return cls(
-            index=int(data.get("index", 0)),
+            index=index,
             app=str(data["app"]),
             plan=FaultPlan.from_jsonable(data["plan"]),
-            spec_overrides=overrides,
+            spec_overrides=dict(overrides),
         )
 
 

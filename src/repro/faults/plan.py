@@ -39,6 +39,7 @@ The built-in :data:`PROFILES` are the chaos modes the harness and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -232,10 +233,12 @@ class Kind:
 
 RATE = Kind(lambda v: not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0),
             "outside [0, 1]", "a number in [0, 1]")
-SECONDS = Kind(lambda v: v < 0.0, "must be >= 0")
-FACTOR = Kind(lambda v: v <= 0.0, "must be > 0")
+#: The range tests are written so that NaN fails them: every comparison
+#: with NaN is false.  ``json.load`` reads ``NaN`` and ``Infinity``.
+SECONDS = Kind(lambda v: not 0.0 <= v < math.inf, "must be finite and >= 0")
+FACTOR = Kind(lambda v: not 0.0 < v < math.inf, "must be finite and > 0")
 #: A disk of the array, or -1 for none.
-DISK_ID = Kind(lambda v: v < -1, "must be a disk id or -1")
+DISK_ID = Kind(lambda v: not -1 <= v, "must be a disk id or -1")
 COUNT = Kind(lambda v: not (isinstance(v, int) and v >= 0),
              override_rule="an integer >= 0")
 

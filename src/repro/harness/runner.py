@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+import copy
+import functools
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.apps.agrep import AgrepWorkload, build_agrep
-from repro.apps.gnuld import GnuldWorkload, build_gnuld
-from repro.apps.xdataslice import XdsWorkload, build_xdataslice
+from repro.apps.agrep import AgrepWorkload, build_agrep_files, build_agrep_program
+from repro.apps.gnuld import GnuldWorkload, build_gnuld_files, build_gnuld_program
+from repro.apps.postgres import (
+    PostgresWorkload,
+    build_postgres_files,
+    build_postgres_program,
+)
+from repro.apps.xdataslice import (
+    XdsWorkload,
+    build_xdataslice_files,
+    build_xdataslice_program,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.fs.cache import BlockCache
@@ -17,13 +28,13 @@ from repro.fs.readahead import SequentialReadAhead
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.results import RunResult, median_interval
 from repro.kernel.kernel import Kernel
-from repro.params import CPU_HZ, SystemConfig
+from repro.params import CPU_HZ, SpecHintParams, SystemConfig
 from repro.registry.fingerprint import params_digest
 from repro.sim import metrics
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
-from repro.spechint.tool import SpecHintTool
+from repro.spechint.tool import SpecHintTool, SpeculatingBinary
 from repro.storage.striping import StripedArray
 from repro.tip.manager import TipManager
 from repro.trace.phases import stall_breakdown
@@ -105,30 +116,70 @@ def remove_system_observer(callback: Callable[[System], None]) -> None:
         _SYSTEM_OBSERVERS.remove(callback)
 
 
-def _build_postgres(selectivity_pct: int):
-    from repro.apps.postgres import PostgresWorkload, build_postgres
+@dataclass(frozen=True)
+class _App:
+    """How a cell of one app is built: the workload at a scale, the files
+    a cell lays out in its own file system, and the program that reads
+    them, which depends on the workload alone."""
 
-    def build(fs: FileSystem, scale: float, manual: bool) -> Binary:
-        workload = PostgresWorkload(selectivity_pct=selectivity_pct)
-        return build_postgres(fs, workload.scaled(scale), manual_hints=manual)
-
-    return build
+    workload: Callable[[float], Any]
+    files: Callable[[FileSystem, Any], None]
+    program: Callable[[Any, bool], Binary]
 
 
-#: Application builders: (fs, workload_scale, manual) -> Binary.
-_BUILDERS: Dict[str, Callable[[FileSystem, float, bool], Binary]] = {
-    "agrep": lambda fs, scale, manual: build_agrep(
-        fs, AgrepWorkload().scaled(scale), manual_hints=manual
-    ),
-    "gnuld": lambda fs, scale, manual: build_gnuld(
-        fs, GnuldWorkload().scaled(scale), manual_hints=manual
-    ),
-    "xds": lambda fs, scale, manual: build_xdataslice(
-        fs, XdsWorkload().scaled(scale), manual_hints=manual
-    ),
-    "postgres20": _build_postgres(20),
-    "postgres80": _build_postgres(80),
+_APPS: Dict[str, _App] = {
+    "agrep": _App(AgrepWorkload().scaled, build_agrep_files, build_agrep_program),
+    "gnuld": _App(GnuldWorkload().scaled, build_gnuld_files, build_gnuld_program),
+    "xds": _App(XdsWorkload().scaled, build_xdataslice_files, build_xdataslice_program),
+    "postgres20": _App(PostgresWorkload(selectivity_pct=20).scaled,
+                       build_postgres_files, build_postgres_program),
+    "postgres80": _App(PostgresWorkload(selectivity_pct=80).scaled,
+                       build_postgres_files, build_postgres_program),
 }
+
+
+# Files per cell, programs per process (DESIGN §5.1).  A program is a
+# function of its key alone, and nothing writes a built Binary, so every
+# cell that asks for the same one shares it, together with the generated
+# code hanging off it (``repro.vm.blocks.Translation``).  One entry per key
+# the process has run: there is no size to choose.
+
+@functools.cache
+def _assembled(app: str, workload: Any, manual: bool) -> Binary:
+    return _APPS[app].program(workload, manual)
+
+
+def program(app: str, scale: float, manual: bool = False) -> Binary:
+    """The program of ``app`` at workload ``scale`` (the manual-hints
+    variant when ``manual``), assembled once per process."""
+    return _assembled(app, _APPS[app].workload(scale), manual)
+
+
+@functools.cache
+def _transformed(original: Binary, map_all_addresses: bool, optimize: bool) -> SpeculatingBinary:
+    tool = SpecHintTool(map_all_addresses=map_all_addresses, optimize=optimize)
+    return tool.transform(original)
+
+
+def speculating(
+    original: Binary,
+    params: SpecHintParams,
+    map_all_addresses: bool,
+    optimize: bool,
+) -> SpeculatingBinary:
+    """SpecHint's speculating executable of ``original`` whose runtime reads
+    ``params``.  The tool reads none of ``params`` — it only records them
+    for the runtime — so it runs once per program and tool options (the
+    paper's tool, too, transforms each executable once), and executables
+    that differ in ``params`` alone are shallow copies that share their
+    text, tables and generated code (``translations``).
+    ``SpecHintTool.transform`` itself is not memoised: Table 3 times it."""
+    shared = _transformed(original, map_all_addresses, optimize)
+    if params == shared.spec_meta.params:
+        return shared
+    twin = copy.copy(shared)
+    twin.spec_meta = replace(shared.spec_meta, params=params)
+    return twin
 
 
 def run_experiment(
@@ -158,17 +209,15 @@ def run_experiment_with_system(
     system_config = cfg.resolved_system()
     fs = FileSystem(allocation_jitter_blocks=24, seed=system_config.seed)
     try:
-        builder = _BUILDERS[cfg.app]
-        binary = builder(fs, cfg.workload_scale, cfg.variant is Variant.MANUAL)
+        app = _APPS[cfg.app]
+        workload = app.workload(cfg.workload_scale)
+        app.files(fs, workload)
+        binary = _assembled(cfg.app, workload, cfg.variant is Variant.MANUAL)
 
         transform_report = None
         if cfg.variant is Variant.SPECULATING:
-            tool = SpecHintTool(
-                params=system_config.spechint,
-                map_all_addresses=cfg.map_all_addresses,
-                optimize=cfg.analysis_optimize,
-            )
-            binary = tool.transform(binary)
+            binary = speculating(binary, system_config.spechint,
+                                 cfg.map_all_addresses, cfg.analysis_optimize)
             transform_report = binary.spec_meta.report
 
         fault_plan = cfg.resolved_fault_plan()

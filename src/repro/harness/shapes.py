@@ -22,9 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.apps.agrep import AgrepWorkload, build_agrep
-from repro.apps.gnuld import GnuldWorkload, build_gnuld
-from repro.apps.xdataslice import XdsWorkload, build_xdataslice
+from repro.apps.agrep import AgrepWorkload, build_agrep_files
 from repro.errors import HarnessError
 from repro.fs.filesystem import FileSystem
 from repro.harness import paper, tables
@@ -36,7 +34,7 @@ from repro.harness.experiments import (
     sweep_cell_config,
 )
 from repro.harness.results import RunResult
-from repro.harness.runner import build_system
+from repro.harness.runner import build_system, program, speculating
 from repro.params import (
     BLOCK_SIZE,
     CPU_HZ,
@@ -261,9 +259,10 @@ def run_multiprogrammed_agrep(contended: bool, seed: int) -> Tuple[int, int, int
     returns (speculating-thread cycles, hints issued, reads hinted)."""
     config = _config(seed, "agrep", Variant.SPECULATING).resolved_system()
     fs = FileSystem(allocation_jitter_blocks=24, seed=config.seed)
-    binary = SpecHintTool().transform(build_agrep(fs, AgrepWorkload()))
+    build_agrep_files(fs, AgrepWorkload())
     system = build_system(config, fs)
-    agrep = system.kernel.spawn(binary)
+    agrep = system.kernel.spawn(
+        speculating(program("agrep", 1.0), SpecHintParams(), False, False))
     if contended:
         system.kernel.spawn(spinner_binary())
     system.kernel.run()
@@ -276,9 +275,8 @@ def run_multiprogrammed_agrep(contended: bool, seed: int) -> Tuple[int, int, int
 def _transform_reports(run: RunCell, seed: int) -> List[Any]:
     """Table 3's transformations; the tool takes no seed."""
     tool = SpecHintTool()
-    return [tool.transform(build(FileSystem(), workload)).spec_meta.report
-            for build, workload in ((build_agrep, AgrepWorkload()), (build_gnuld, GnuldWorkload()),
-                                    (build_xdataslice, XdsWorkload()))]
+    return [tool.transform(program(app, 1.0)).spec_meta.report
+            for app in ("agrep", "gnuld", "xds")]
 
 
 def _overheads(run: RunCell, seed: int) -> Dict[str, float]:

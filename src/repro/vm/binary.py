@@ -10,7 +10,7 @@ so the Table 3 statistics are comparable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AssemblyError
 from repro.vm.isa import Insn, Op
@@ -76,9 +76,9 @@ class JumpTable:
 
     __slots__ = ("table_id", "targets", "recognized")
 
-    def __init__(self, table_id: int, targets: List[int], recognized: bool = True) -> None:
+    def __init__(self, table_id: int, targets: Sequence[int], recognized: bool = True) -> None:
         self.table_id = table_id
-        self.targets = targets
+        self.targets = tuple(targets)
         self.recognized = recognized
 
     def __repr__(self) -> str:
@@ -87,12 +87,20 @@ class JumpTable:
 
 
 class Binary:
-    """An executable SpecVM program."""
+    """An executable SpecVM program.
+
+    Nothing writes a binary once it is built: its text and jump-table
+    targets are tuples, its data image is ``bytes`` (a process copies it
+    into its own address space), and no code assigns an instruction's
+    fields after the assembler or the SpecHint tool made it.  So one
+    binary serves every process that runs the program, and so does the
+    generated code hanging off it (:attr:`translations`).
+    """
 
     def __init__(
         self,
         name: str,
-        text: List[Insn],
+        text: Sequence[Insn],
         data: bytes,
         data_symbols: Dict[str, int],
         functions: List[Function],
@@ -106,8 +114,8 @@ class Binary:
         secret_symbols: Optional[Set[str]] = None,
     ) -> None:
         self.name = name
-        self.text = text
-        self.data = data
+        self.text: Tuple[Insn, ...] = tuple(text)
+        self.data = bytes(data)
         #: Data symbol name -> absolute address in the address space.
         self.data_symbols = data_symbols
         self.functions = functions
@@ -128,6 +136,10 @@ class Binary:
         self._function_by_name = {f.name: f for f in functions}
         self._function_by_entry = {f.entry: f for f in functions}
         self._validate()
+        #: The program's generated code, one ``repro.vm.blocks.Translation``
+        #: per way a process binds it (``blocks.BlockTable`` finds or makes
+        #: the one it needs).
+        self.translations: Dict[Tuple[object, ...], object] = {}
 
     # -- queries -----------------------------------------------------------------
 

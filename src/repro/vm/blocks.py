@@ -20,6 +20,12 @@ source):
   machine calls it in place of single steps and charges the block's cycles
   once.
 
+The code and the entry counts are the program's, not the process's: a
+:class:`Translation` hangs off the binary and outlives the run, so a later
+process running the same program — the next cell of a sweep — execs the
+code already compiled and translates a leader that was hot before at its
+first entry (:class:`BlockTable` is that per-process binding).
+
 What generated code promises the machine:
 
 * it returns the next pc after executing *every* instruction it covers,
@@ -52,7 +58,7 @@ import functools
 import os
 import zlib
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Callable, Dict, List, Optional, Set, Tuple, cast
 
 from repro.vm.binary import Binary
 from repro.vm.isa import (
@@ -67,7 +73,8 @@ from repro.vm.isa import (
     Op,
 )
 
-#: Entries into a leader before its block is translated.  ``compile()``
+#: Entries into a leader before its block is translated, counted over every
+#: process that ran the program (``Translation.heat``).  ``compile()``
 #: costs 15-25 us per generated line here (about 150 us for an 8-instruction
 #: block) against about 1 us saved per executed instruction, so a block
 #: pays for itself after a few dozen runs.  Leaders are static, which bounds
@@ -75,8 +82,9 @@ from repro.vm.isa import (
 #: the first entry builds 222 blocks (1,584 lines, 23 ms a pass) that retire
 #: 91.6 % of the instructions, translating at the 49th 148 blocks (1,193
 #: lines, 17 ms) that retire 88.6 %, and the pass times cannot be told
-#: apart; the threshold keeps start-up and error paths, and most of a short
-#: sweep cell, out of the compiler.
+#: apart; the threshold keeps start-up and error paths out of the compiler,
+#: and a loop that a short sweep cell leaves below it goes on counting in
+#: the next cell of the same program.
 HOT_ENTRIES = 48
 
 #: ``(function, need, count, cost, prefix)``: the generated function, the
@@ -244,15 +252,8 @@ _SINGLE_FIELDS = dict(
 )
 
 
-@functools.lru_cache(maxsize=8192)
-def _compile(source: str, program: str) -> CodeType:
-    """Generated code is built once per distinct source text per process:
-    every cell of a sweep that runs the same program reuses it."""
-    return compile(source, _FILENAME.format(program), "exec")
-
-
-def _leaders(binary: Binary) -> List[int]:
-    """Per text index: 0 where a block may start, -1 elsewhere."""
+def _leaders(binary: Binary) -> Set[int]:
+    """The text indices where a block may start."""
     text = binary.text
     starts = {binary.entry_point}
     starts.update(func.entry for func in binary.functions)
@@ -263,18 +264,60 @@ def _leaders(binary: Binary) -> List[int]:
             starts.add(insn.c)
         if insn.op not in _STRAIGHT:
             starts.add(index + 1)
-    return [0 if index in starts else -1 for index in range(len(text))]
+    return starts
 
 
-class BlockTable:
-    """One process's generated code: its single steps, and the blocks of
-    its text, translated as they get hot."""
+@functools.cache
+def _single_steps(layout: Tuple[Tuple[str, object], ...], cow: bool) -> CodeType:
+    """The code that defines ``single_<OP>`` for every templated opcode
+    (the COW ones only with a COW map) under one address-space layout.
+    It depends on no program: every program run under the layout shares
+    it, and there are as many as there are layouts."""
+    fields = dict(layout, **_SINGLE_FIELDS)
+    functions = []
+    for op in _single_ops(cow):
+        body = _TEMPLATES[op][1].format(**fields)
+        if op not in _TRANSFER:
+            body += "\nreturn pc + 1"
+        functions.append(f"def single_{op.name}(t, r, a, b, c, pc):\n    "
+                         + body.replace("\n", "\n    ") + "\n")
+    source = "".join(functions)
+    # The file name tells one layout's code from another's in a profile.
+    return compile(source, _FILENAME.format(
+        f"single steps {zlib.crc32(source.encode()):08x}"), "exec")
+
+
+def _single_ops(cow: bool) -> List[Op]:
+    return [op for op in _TEMPLATES if cow or op not in _COW_OPS]
+
+
+#: A translated block as code: ``(code, need, count, cost, prefix)``, the
+#: code object that defines ``block_<start>`` and the rest of :data:`Block`.
+BlockCode = Tuple[CodeType, int, int, int, Tuple[int, ...]]
+
+
+class Translation:
+    """One program's generated code under one binding.
+
+    A binding is what generated code inlines or relies on besides the
+    program: the address-space layout, whether a COW map and an auditor
+    are bound, and whether a tracer observes the clock.  The record hangs
+    off the :class:`~repro.vm.binary.Binary` (``binary.translations``), so
+    every process that runs the program under the same binding, in this
+    cell or a later one, shares it; each process execs the code into its
+    own namespace (:class:`BlockTable`).  It holds no per-run object.
+
+    Block extents are static: a block runs from its leader to the first
+    control transfer or computation, or to just before the next leader or
+    a system instruction — never past a leader — so the order in which
+    leaders get hot cannot change what a block covers.
+    """
 
     def __init__(
         self,
         binary: Binary,
-        bindings: Dict[str, object],
-        layout: Dict[str, int],
+        layout: Dict[str, object],
+        cow: bool,
         clock_observed: bool,
     ) -> None:
         self.binary = binary
@@ -283,57 +326,37 @@ class BlockTable:
         #: event in mid-block (a COW store making a first copy) ends the
         #: block before it and runs as a single step.
         self.clock_observed = clock_observed
-        #: Per text index: entries seen so far at a leader whose block is
-        #: not translated yet; -1 once it is, and at every other index.
-        self.heat: List[int] = _leaders(binary)
-        #: Per text index: the translated block that starts there.
-        self.blocks: List[Optional[Block]] = [None] * len(binary.text)
+        self.cow = cow
+        #: The constants the templates inline (see :meth:`BlockTable.__init__`).
+        self.layout = layout
+        self.leaders = _leaders(binary)
+        #: Per text index: the entries seen at a leader by every process
+        #: that ran the program so far; -1 at every other index and at a
+        #: leader with nothing to translate.  A leader that got hot in an
+        #: earlier cell is translated at its first entry in the next.
+        self.heat: List[int] = [0 if index in self.leaders else -1
+                                for index in range(len(binary.text))]
         #: Per text index: the instruction's static cycles, charged by its
         #: single step and summed into the blocks that contain it.
         self.cycles: List[int] = [_static_cycles(insn) for insn in binary.text]
-        #: What generated code calls and reads — the process's memory and
-        #: its mapping, COW map, copy table and page accounting, the
-        #: machine's fault helpers, the program's jump tables — under the
-        #: names the templates use, bound when the table is built.  COW
-        #: instructions have no generated code without a COW map.
-        self._namespace: Dict[str, object] = dict(
-            bindings, Leave=BlockLeave, jump_table=binary.jump_table)
-        self._cow = "cow_load_word" in bindings
-        #: The constants the templates inline: the address-space layout
-        #: (``page``, ``stack``, ``stack_word``, ``stack_end``, ``data``),
-        #: the COW region size, and the containment count if audited.
-        self._layout: Dict[str, object] = dict(layout)
-        if "region" in layout:
-            self._layout["region_word"] = layout["region"] - 8
-        self._layout["contained"] = _CONTAINED if "audit" in bindings else ""
-        #: Per opcode: ``single_<OP>(t, r, a, b, c, pc)``, which executes
-        #: one instruction and returns the next pc; None for a system
-        #: instruction (and a COW one without a COW map).
-        self.singles: List[Optional[Callable[..., int]]] = self._single_steps()
+        self.singles = _single_steps(tuple(sorted(layout.items())), cow)
+        #: Leader -> its block's code, once some process translated it.
+        self.blocks: Dict[int, BlockCode] = {}
 
-    def _single_steps(self) -> List[Optional[Callable[..., int]]]:
-        ops = [op for op in _TEMPLATES if self._cow or op not in _COW_OPS]
-        fields = dict(self._layout, **_SINGLE_FIELDS)
-        functions = []
-        for op in ops:
-            body = _TEMPLATES[op][1].format(**fields)
-            if op not in _TRANSFER:
-                body += "\nreturn pc + 1"
-            functions.append(f"def single_{op.name}(t, r, a, b, c, pc):\n    "
-                             + body.replace("\n", "\n    ") + "\n")
-        source = "".join(functions)
-        # The file name tells one layout's code from another's in a profile.
-        exec(_compile(source, f"single steps {zlib.crc32(source.encode()):08x}"),
-             self._namespace)
-        singles: List[Optional[Callable[..., int]]] = [None] * 64
-        for op in ops:
-            singles[op] = cast(Callable[..., int], self._namespace.pop(f"single_{op.name}"))
-        return singles
+    def block(self, start: int) -> Optional[BlockCode]:
+        """The block at leader ``start``, compiled on the first request;
+        None (and no more counting there) when no instruction at
+        ``start`` can be translated."""
+        code = self.blocks.get(start)
+        if code is None:
+            code = self._translate(start)
+            if code is None:
+                self.heat[start] = -1
+            else:
+                self.blocks[start] = code
+        return code
 
-    def translate(self, start: int) -> Optional[Block]:
-        """Translate the block at leader ``start`` and stop counting its
-        entries; None when no instruction there can be translated."""
-        self.heat[start] = -1
+    def _translate(self, start: int) -> Optional[BlockCode]:
         text = self.binary.text
         lines: List[str] = []
         prefix = [0]
@@ -348,39 +371,95 @@ class BlockTable:
             template = _TEMPLATES.get(op)
             if template is None or (self.clock_observed and op in _COW_STORES):
                 break  # a system instruction: the machine's business
-            if op in _COW_OPS and not self._cow:
+            if op in _COW_OPS and not self.cow:
                 return None
             lines.append(self._format(template[1], insn, pc))
             prefix.append(prefix[-1] + self.cycles[pc])
             pc += 1
-            if op in _TRANSFER or (
-                pc < len(text)
-                and (self.heat[pc] >= 0 or self.blocks[pc] is not None)
-            ):
+            if op in _TRANSFER or pc in self.leaders:
                 break  # a control transfer, or the next block's leader
         if pc == start:
             return None
         if text[pc - 1].op not in _TRANSFER:
             lines.append(f"return {pc}")
-        name = f"block_{start}"
         body = "\n".join(lines).replace("\n", "\n    ")
-        source = f"def {name}(t, r):\n    {body}\n"
-        exec(_compile(source, self.binary.name), self._namespace)
-        function = cast(Callable[..., int], self._namespace.pop(name))
+        source = f"def block_{start}(t, r):\n    {body}\n"
+        code = compile(source, _FILENAME.format(self.binary.name), "exec")
         # Every instruction must start before the preemption point, and a
         # closing computation's cycles must all fit before it.
         need = max(prefix[-2], prefix[-1] - 1) if text[pc - 1].op in _CWORK_OPS \
             else prefix[-2]
-        block = (function, need, pc - start, prefix[-1], tuple(prefix))
-        self.blocks[start] = block
-        return block
+        return (code, need, pc - start, prefix[-1], tuple(prefix))
 
     def _format(self, source: str, insn: Insn, pc: int) -> str:
         fields: Dict[str, object] = dict(
-            self._layout, a=insn.a, b=insn.b, c=insn.c, cm=insn.c & MASK64,
+            self.layout, a=insn.a, b=insn.b, c=insn.c, cm=insn.c & MASK64,
             sh=insn.c & 63, pc=pc, nxt=pc + 1,
         )
         if insn.op is Op.SWITCH:
-            targets = tuple(self.binary.jump_table(insn.c).targets)
+            targets = self.binary.jump_table(insn.c).targets
             fields.update(ntargets=len(targets), targets=targets)
         return source.format(**fields)
+
+
+class BlockTable:
+    """One process's generated code: the program's :class:`Translation`
+    exec'd against the process's memory, COW map and page accounting —
+    its single steps, and the blocks of its text as they get hot."""
+
+    def __init__(
+        self,
+        binary: Binary,
+        bindings: Dict[str, object],
+        layout: Dict[str, int],
+        clock_observed: bool,
+    ) -> None:
+        #: The constants the templates inline: the address-space layout
+        #: (``page``, ``stack``, ``stack_word``, ``stack_end``, ``data``),
+        #: the COW region size, and the containment count if audited.
+        inlined: Dict[str, object] = dict(layout)
+        if "region" in layout:
+            inlined["region_word"] = layout["region"] - 8
+        inlined["contained"] = _CONTAINED if "audit" in bindings else ""
+        cow = "cow_load_word" in bindings
+        key = (tuple(sorted(inlined.items())), cow, clock_observed)
+        record = cast(Optional[Translation], binary.translations.get(key))
+        if record is None:
+            record = Translation(binary, inlined, cow, clock_observed)
+            binary.translations[key] = record
+        self.translation = record
+        #: Shared with every process that runs the program (see
+        #: :attr:`Translation.heat`).
+        self.heat = self.translation.heat
+        self.cycles = self.translation.cycles
+        #: Per text index: the translated block that starts there, bound
+        #: to this process.
+        self.blocks: List[Optional[Block]] = [None] * len(binary.text)
+        #: What generated code calls and reads — the process's memory and
+        #: its mapping, COW map, copy table and page accounting, the
+        #: machine's fault helpers, the program's jump tables — under the
+        #: names the templates use.  COW instructions have no generated
+        #: code without a COW map.
+        self._namespace: Dict[str, object] = dict(
+            bindings, Leave=BlockLeave, jump_table=binary.jump_table)
+        exec(self.translation.singles, self._namespace)
+        #: Per opcode: ``single_<OP>(t, r, a, b, c, pc)``, which executes
+        #: one instruction and returns the next pc; None for a system
+        #: instruction (and a COW one without a COW map).
+        self.singles: List[Optional[Callable[..., int]]] = [None] * 64
+        for op in _single_ops(cow):
+            self.singles[op] = cast(Callable[..., int],
+                                    self._namespace.pop(f"single_{op.name}"))
+
+    def translate(self, start: int) -> Optional[Block]:
+        """Bind the block at leader ``start`` to this process; None when
+        no instruction there can be translated."""
+        code = self.translation.block(start)
+        if code is None:
+            return None
+        source, need, count, cost, prefix = code
+        exec(source, self._namespace)
+        function = cast(Callable[..., int], self._namespace.pop(f"block_{start}"))
+        block = (function, need, count, cost, prefix)
+        self.blocks[start] = block
+        return block

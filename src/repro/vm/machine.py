@@ -71,7 +71,9 @@ class Machine:
         #: Total instructions executed (all threads).
         self.instructions = 0
         #: Of those, the ones retired inside translated blocks, and the
-        #: number of blocks translated (see :mod:`repro.vm.blocks`).
+        #: number of blocks this machine bound to a process — compiled now,
+        #: or by an earlier run of the same program (see
+        #: :mod:`repro.vm.blocks`).
         self.block_instructions = 0
         self.blocks_translated = 0
         self._block_tables: Dict["Process", BlockTable] = {}
@@ -283,8 +285,9 @@ class Machine:
                     thread.pending_budget = budget
 
     def _new_block_table(self, process: "Process") -> BlockTable:
-        """The process's block table, with the names generated code calls
-        bound to this process's memory, page accounting and COW map."""
+        """The process's block table: the program's generated code, with
+        the names it calls bound to this process's memory, page accounting
+        and COW map."""
         mem = process.mem
         bindings: Dict[str, object] = {
             "space": mem,

@@ -23,8 +23,7 @@ from repro.apps import gnuld as gnuld_mod
 from repro.apps import postgres as postgres_mod
 from repro.apps import xdataslice as xds_mod
 from repro.errors import AnalysisError
-from repro.fs.filesystem import FileSystem
-from repro.harness.runner import _BUILDERS
+from repro.harness.runner import program
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, SYS_READ, Reg
@@ -41,7 +40,7 @@ _EXPECTATIONS = {
 
 
 def _app_analysis(app):
-    binary = _BUILDERS[app](FileSystem(), SCALE, False)
+    binary = program(app, SCALE)
     return analyze_binary(binary)
 
 
@@ -173,7 +172,7 @@ class TestStoreClassification:
 
 class TestElisionPlan:
     def test_map_all_addresses_empties_the_plan(self):
-        binary = _BUILDERS["agrep"](FileSystem(), SCALE, False)
+        binary = program("agrep", SCALE)
         analysis = analyze_binary(binary, map_all_addresses=True)
         assert analysis.elision_plan.empty
         assert analysis.check_cycles_baseline == analysis.check_cycles_optimized
@@ -188,7 +187,7 @@ class TestElisionPlan:
         assert 0 < analysis.check_cycles_saved_pct <= 100
 
     def test_transformed_binary_rejected(self):
-        binary = _BUILDERS["agrep"](FileSystem(), SCALE, False)
+        binary = program("agrep", SCALE)
         transformed = SpecHintTool().transform(binary)
         with pytest.raises(AnalysisError):
             analyze_binary(transformed)

@@ -12,9 +12,8 @@ from repro.apps.agrep import ANALYSIS_EXPECTATIONS as AGREP_EXPECT
 from repro.apps.postgres import ANALYSIS_EXPECTATIONS as PG_EXPECT
 from repro.cli import main
 from repro.errors import MachineFault
-from repro.fs.filesystem import FileSystem
 from repro.harness.oracle import run_oracle_cell
-from repro.harness.runner import _BUILDERS
+from repro.harness.runner import program
 from repro.spechint.tool import SpecHintTool
 from repro.vm.isa import Op
 from repro.vm.machine import Machine, SpeculationFault
@@ -25,7 +24,7 @@ SCALE = 0.3
 
 
 def _build(app):
-    return _BUILDERS[app](FileSystem(), SCALE, False)
+    return program(app, SCALE)
 
 
 class TestToolOptimize:

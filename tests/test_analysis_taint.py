@@ -32,7 +32,8 @@ from repro.analysis.taint import (
 from repro.cli import main as cli_main
 from repro.errors import AnalysisError, AssemblyError
 from repro.fs.filesystem import FileSystem
-from repro.harness.runner import _BUILDERS
+from repro.harness.config import ALL_APPS
+from repro.harness.runner import program
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SEEK_SET, SYS_EXIT, SYS_LSEEK, SYS_OPEN, SYS_READ, Reg
@@ -360,9 +361,9 @@ class TestSecurityPlanSurface:
 class TestAppsAreClean:
     """No shipped app declares secrets: all must pass --security clean."""
 
-    @pytest.mark.parametrize("app", sorted(_BUILDERS))
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
     def test_app_passes_security_lint(self, app):
-        binary = _BUILDERS[app](FileSystem(), 0.3, False)
+        binary = program(app, 0.3)
         plan = analyze_security(binary)
         assert plan.clean
         assert plan.secret_labels == ()

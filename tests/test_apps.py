@@ -109,14 +109,14 @@ class TestGnuldSignatures:
             cfg = ExperimentConfig(app="gnuld", variant=variant,
                                    workload_scale=0.1)
             # Rebuild the world and capture the output file contents.
-            from repro.apps.gnuld import GnuldWorkload, build_gnuld
+            from repro.apps.gnuld import GnuldWorkload, build_gnuld_files
             from repro.fs.filesystem import FileSystem
-            from repro.harness.runner import build_system
+            from repro.harness.runner import build_system, program
             from repro.spechint.tool import SpecHintTool
 
             fs = FileSystem(allocation_jitter_blocks=24, seed=1999)
-            binary = build_gnuld(fs, GnuldWorkload().scaled(0.1),
-                                 manual_hints=variant is Variant.MANUAL)
+            build_gnuld_files(fs, GnuldWorkload().scaled(0.1))
+            binary = program("gnuld", 0.1, manual=variant is Variant.MANUAL)
             if variant is Variant.SPECULATING:
                 binary = SpecHintTool().transform(binary)
             system = build_system(cfg.resolved_system(), fs)

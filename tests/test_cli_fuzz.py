@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+
+import pytest
 
 from repro.cli import main
 
@@ -64,3 +67,28 @@ class TestFuzzReplay:
         rc = main(["fuzz", "replay", "/nonexistent/repro.json"])
         assert rc == 1
         assert "FuzzError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("index", "x", "index"),
+        ("spec_overrides", [1, 2], "spec_overrides"),
+        ("plan", {"slow_duration_s": math.nan, "slow_factor": 5}, "slow_duration_s"),
+    ], ids=["index", "overrides", "nan-plan"])
+    def test_hand_edited_reproducer_is_one_error_line(
+            self, field, value, named, tmp_path, capsys):
+        """A bad value in a hand-edited reproducer ends the replay with one
+        typed line naming it, not a traceback and not a clean replay."""
+        with open(os.path.join(CORPUS, "audit-chain-forged-restart.json")) as f:
+            data = json.load(f)
+        if field == "plan":
+            data["case"]["plan"].update(value)
+        else:
+            data["case"][field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        rc = main(["fuzz", "replay", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "clean" not in captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "FuzzError" in lines[0] and named in lines[0]

@@ -9,6 +9,8 @@ must be lossless over the whole generated fault space — and loudly typed
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -113,6 +115,26 @@ class TestValidate:
         with pytest.raises(InvalidFaultPlan):
             FaultPlan.from_jsonable(data)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "slow_factor", "slow_duration_s", "slow_start_s", "dead_at_s",
+        "hedge_after_s", "disk_error_rate",
+    ])
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        """Every comparison with NaN is false, so a range test written as
+        "reject below the bound" lets NaN through; ``json.load`` reads
+        both ``NaN`` and ``Infinity``."""
+        data = FaultPlan(name="x", seed=1).to_jsonable()
+        data[field] = value
+        with pytest.raises(InvalidFaultPlan, match=field):
+            FaultPlan.from_jsonable(json.loads(json.dumps(data)))
+        with pytest.raises(InvalidFaultPlan, match=field):
+            FaultPlan(name="x", seed=1, **{field: value}).validate()
+
+    def test_non_finite_disk_id_rejected(self):
+        with pytest.raises(InvalidFaultPlan, match="dead_disk"):
+            FaultPlan(name="x", seed=1, dead_disk=math.nan).validate()
+
 
 class TestFuzzCaseSerde:
     def test_case_round_trip(self):
@@ -141,6 +163,18 @@ class TestFuzzCaseSerde:
         data = FaultPlanGenerator(7).case(0).to_jsonable()
         del data["plan"]
         with pytest.raises(FuzzError, match="plan"):
+            FuzzCase.from_jsonable(data)
+
+    def test_non_integer_index_is_a_fuzz_error(self):
+        data = FaultPlanGenerator(7).case(0).to_jsonable()
+        data["index"] = "x"
+        with pytest.raises(FuzzError, match="index"):
+            FuzzCase.from_jsonable(data)
+
+    def test_non_object_overrides_are_a_fuzz_error(self):
+        data = FaultPlanGenerator(7).case(0).to_jsonable()
+        data["spec_overrides"] = [1, 2]
+        with pytest.raises(FuzzError, match="spec_overrides"):
             FuzzCase.from_jsonable(data)
 
     def test_plans_are_frozen(self):

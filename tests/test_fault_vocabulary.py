@@ -58,8 +58,10 @@ OVERRIDE_KEYS = (
     "watchdog_restart_limit", "watchdog_fault_limit",
     "watchdog_min_accuracy", "watchdog_accuracy_window", "throttle_bogus",
 )
-#: sha256 over the dump below, computed before the axis table existed.
-VOCABULARY_DIGEST = "f377eb13a1baca2d"
+#: sha256 over the dump below, computed before the axis table existed and
+#: moved once since, when seconds and factors began to refuse infinities
+#: (and their messages to say "finite").
+VOCABULARY_DIGEST = "9cb18a01e007f156"
 
 
 def _cases():

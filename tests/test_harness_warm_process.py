@@ -20,7 +20,7 @@ import weakref
 import pytest
 
 from repro.apps import datasets
-from repro.apps.agrep import AgrepWorkload, build_agrep
+from repro.apps.agrep import AgrepWorkload, build_agrep_files
 from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
@@ -71,7 +71,7 @@ def wire_and_raise(key):
 def _agrep_fs():
     """The file system an agrep cell at ``SCALE`` is built over."""
     fs = FileSystem(allocation_jitter_blocks=24, seed=1)
-    build_agrep(fs, AgrepWorkload().scaled(SCALE))
+    build_agrep_files(fs, AgrepWorkload().scaled(SCALE))
     return fs
 
 

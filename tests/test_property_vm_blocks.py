@@ -462,15 +462,29 @@ class TestHotLoop:
 
     def test_generated_code_is_shared_between_processes(self):
         """Translate once per program per process: a second system running
-        the same text compiles nothing."""
-        from repro.vm.blocks import _compile
+        the same binary compiles nothing, and starts with the leaders the
+        first one found hot, so it runs more of the loop as blocks."""
+        import repro.vm.blocks as blocks_module
+
+        program = loop_program(False)
+        binary = program.binary()
+        program.binary = lambda: binary
+        compiled = []
+
+        def counting_compile(source, filename, mode):
+            if "<generated blocks>" in filename:
+                compiled.append(source)
+            return compile(source, filename, mode)
 
         steps = [("until", 100_000, None, None)] * 3
-        run_twins(loop_program(False), False, steps)
-        before = _compile.cache_info()
-        run_twins(loop_program(False), False, steps)
-        after = _compile.cache_info()
-        assert after.misses == before.misses and after.hits > before.hits
+        with mock.patch.object(blocks_module, "compile", counting_compile, create=True):
+            first = run_twins(program, False, steps).system.kernel.machine
+            compiled_by_first = len(compiled)
+            second = run_twins(program, False, steps).system.kernel.machine
+        assert compiled_by_first == 3 and len(compiled) == 3
+        assert first.blocks_translated == second.blocks_translated == 3
+        assert second.instructions == first.instructions
+        assert second.block_instructions > first.block_instructions
 
 
 #: A translation threshold no leader reaches: everything single-steps.

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IsolationViolation
 from repro.harness.config import ExperimentConfig, Variant
+from repro.harness import runner
 from repro.harness.runner import run_experiment
 from repro.params import SpecHintParams
 from repro.spechint.auditor import (
@@ -471,6 +472,10 @@ class TestEndToEnd:
         monkeypatch.setattr(ElisionPlan, "site_check", all_stores_elided)
         monkeypatch.setattr(SpecProcessState, "quarantine", spying_quarantine)
         monkeypatch.setattr(machine_module, "HOT_ENTRIES", 0)
+        # The cell must run the tool under the broken analysis instead of
+        # the speculating executable this process already made (and must
+        # not leave its own behind for later cells).
+        monkeypatch.setattr(runner, "_transformed", runner._transformed.__wrapped__)
         self._assert_quarantined_with_baseline_output(_result(app="xds"))
         assert any(name.startswith("block_") for name in raised_in[0])
 

@@ -204,8 +204,8 @@ class TestShadowStructure:
         # A shadow twin with shifted targets exists.
         twins = [
             t for t in transformed.jump_tables
-            if t.targets == [x + meta.shadow_base
-                             for x in original.jump_tables[0].targets]
+            if t.targets == tuple(x + meta.shadow_base
+                                  for x in original.jump_tables[0].targets)
         ]
         assert len(twins) == 1
 

@@ -203,7 +203,7 @@ class TestJumpTables:
             asm.label("b")
             asm.halt()
         binary = asm.finish()
-        assert binary.jump_table(0).targets == [1, 2]
+        assert binary.jump_table(0).targets == (1, 2)
         assert binary.jump_table(0).recognized
 
     def test_unrecognized_flag(self):
