@@ -13,17 +13,15 @@ decision has one home:
    per-function fixpoint engine (``solve_function``) stages 3 and 5 run;
 4. :mod:`repro.analysis.driver` — whole-binary facts: transfer
    resolution, store classification, speculation and syscall
-   reachability, lint findings, and the
-   :class:`~repro.analysis.driver.ElisionPlan` the SpecHint tool
-   consumes — whose ``site_check`` is the only place that decides what
-   check a load/store site gets;
+   reachability, and lint findings;
 5. :mod:`repro.analysis.taint` — the speculation-security lint: a taint
    domain carried through stage 3's engine alongside its lattice,
    proving (or refuting, with a witness def-use chain) that
    secret-marked data regions cannot flow into the operands of a
    disclosed I/O hint.
 
-The analysis is advisory: the runtime isolation auditor remains the
-soundness oracle, so a wrong fact degrades to a quarantine (performance
-loss), never to corrupted output.
+The analysis reports and lints; it changes no binary.  The SpecHint tool
+(:mod:`repro.spechint.tool`) transforms every binary mechanically, giving
+every shadow load and store its COW check as the paper does, and imports
+nothing from this package, so a simulated run loads none of it.
 """

@@ -29,13 +29,10 @@ Soundness boundary — read this before trusting a fact:
 * Facts hold for executions entering the function at its entry point.
   The SpecHint handling routine only maps function entries, so this
   matches speculative control flow; the ``map_all_addresses`` ablation
-  breaks the assumption, and the driver disables every optimization
-  under it.
+  breaks the assumption.
 
-Every consumer of these facts is backstopped at runtime: elided stores
-hit the isolation auditor's write guard, and statically redirected
-transfers land on the same shadow entries the handling routine would
-have produced.
+These facts feed ``repro analyze``'s report and lint and the taint lint;
+the SpecHint tool's transformation reads none of them.
 """
 
 from __future__ import annotations
@@ -485,12 +482,8 @@ class FunctionFacts:
     name: str
     #: STORE/STOREB index -> abstract target address.
     store_addr: Dict[int, AbsVal] = field(default_factory=dict)
-    #: LOAD/LOADB index -> abstract source address.
-    load_addr: Dict[int, AbsVal] = field(default_factory=dict)
     #: JR/CALLR index -> abstract target value.
     transfer_val: Dict[int, AbsVal] = field(default_factory=dict)
-    #: SYSCALL(read) index -> abstract buffer address (register a1).
-    read_buf: Dict[int, AbsVal] = field(default_factory=dict)
 
 
 #: What crossing one CFG edge proves about the values: the refined copy,
@@ -609,13 +602,7 @@ def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
                 facts.store_addr[index] = address_of(
                     state.get(insn.b), insn.c
                 )
-            elif insn.op in (Op.LOAD, Op.LOADB):
-                facts.load_addr[index] = address_of(
-                    state.get(insn.b), insn.c
-                )
             elif insn.op in (Op.JR, Op.CALLR):
                 facts.transfer_val[index] = state.get(insn.a)
-            elif insn.op is Op.SYSCALL and insn.c == SYS_READ:
-                facts.read_buf[index] = state.get(_A1)
             step(state, insn)
     return facts

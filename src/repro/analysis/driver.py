@@ -1,8 +1,8 @@
 """Whole-binary analysis driver (stage 4).
 
 Runs the per-function pipeline (CFG -> dataflow -> abstract
-interpretation), then computes the whole-program facts the SpecHint tool
-consumes:
+interpretation), then computes the whole-program facts ``repro analyze``
+reports and the taint lint (``taint.py``) builds on:
 
 * classification of every computed control transfer (resolved to a
   provable function target / a return / unknown / provably unmappable);
@@ -12,22 +12,18 @@ consumes:
   entries", suppressed syscalls);
 * a store classification (SPEC_LOCAL / MAY_ESCAPE / UNKNOWN);
 * per-function syscall reachability;
-* an :class:`ElisionPlan` of COW checks that can be skipped and computed
-  transfers that can be statically redirected;
 * lint findings for binaries speculation cannot safely pre-execute.
 
-Everything here is *advice*: the runtime isolation auditor remains the
-soundness oracle.  A store the plan wrongly unwraps still hits the
-armed write guard and raises ``IsolationViolation`` before it can land,
-and a wrongly redirected transfer still jumps to a shadow function
-entry — quarantine costs performance, never correctness.
+The SpecHint tool reads none of it: it transforms every binary
+mechanically, and the runtime isolation auditor is what keeps speculation
+from touching original state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.absint import (
     STACK_BASE,
@@ -35,50 +31,20 @@ from repro.analysis.absint import (
     FunctionFacts,
     ValueKind,
     analyze_function,
-    range_avoids,
     range_within,
 )
 from repro.analysis.cfg import CFG, build_cfg, reachable, table_targets
 from repro.analysis.dataflow import live_out
 from repro.errors import AnalysisError
 from repro.vm.binary import Binary
-from repro.vm.disasm import format_insn
 from repro.vm.isa import (
     BRANCH_OPS,
     SYS_EXIT,
     SYS_READ,
     SYSCALL_NAMES,
-    Insn,
     Op,
 )
 from repro.vm.memory import DATA_BASE, SPEC_HEAP_BASE, SPEC_HEAP_MAX
-
-
-#: Cycles added by the COW check wrapped around each shadow-code load.
-COW_LOAD_CHECK_CYCLES = 5
-
-#: Cycles added by the COW check wrapped around each shadow-code store.
-COW_STORE_CHECK_CYCLES = 7
-
-#: Divisor applied to COW check costs inside the hand-optimized shadow
-#: string routines (strncpy/memcpy analogues, Section 3.3).
-OPTIMIZED_STDLIB_CHECK_DIVISOR = 8
-
-
-class CheckCosts(NamedTuple):
-    """COW check cycle costs for one function's loads and stores."""
-
-    load: int
-    store: int
-
-
-def check_costs(optimized_stdlib: bool) -> CheckCosts:
-    """Per-access COW check cycles, honouring the optimized-stdlib divisor."""
-    load, store = COW_LOAD_CHECK_CYCLES, COW_STORE_CHECK_CYCLES
-    if optimized_stdlib:
-        load = max(1, load // OPTIMIZED_STDLIB_CHECK_DIVISOR)
-        store = max(1, store // OPTIMIZED_STDLIB_CHECK_DIVISOR)
-    return CheckCosts(load, store)
 
 
 class StoreClass(enum.Enum):
@@ -89,7 +55,7 @@ class StoreClass(enum.Enum):
     SPEC_LOCAL = "spec_local"
     #: Provably escapes speculation-local memory (data segment).
     MAY_ESCAPE = "may_escape"
-    #: No proof either way; the COW wrapper stays.
+    #: No proof either way.
     UNKNOWN = "unknown"
 
 
@@ -132,67 +98,6 @@ class LintFinding:
                 f"{self.message}")
 
 
-class SiteCheck(enum.Enum):
-    """What the shadow copy of one load/store site pays for isolation."""
-
-    #: Assembler-marked stack access: no check (the stack was pre-copied
-    #: at restart time, paper footnote 3) and none in the baseline either.
-    STACK_MARKED = "stack_marked"
-    #: Store speculation can never reach: stays a plain store (the armed
-    #: write guard is the backstop if the analysis were ever wrong).
-    DEAD_STORE = "dead_store"
-    #: Load speculation can never reach: COW semantics, no check cycles.
-    DEAD_LOAD = "dead_load"
-    #: Store provably confined to the speculative heap, where the write
-    #: guard explicitly allows direct stores: stays a plain store.
-    HEAP_STORE = "heap_store"
-    #: Provably stack-relative though not assembler-marked: no check.
-    STACK_PROVED = "stack_proved"
-    #: The full COW check.
-    FULL = "full"
-
-    @property
-    def elided(self) -> bool:
-        """The COW wrapper is removed entirely (a plain store remains)."""
-        return self in (SiteCheck.DEAD_STORE, SiteCheck.HEAP_STORE)
-
-
-@dataclass(frozen=True)
-class ElisionPlan:
-    """Optimizations the SpecHint tool may apply, by original text index."""
-
-    #: Instructions the speculating thread can never reach: their stores
-    #: need no COW wrapper, their loads no COW check cycles.
-    dead: FrozenSet[int] = frozenset()
-    #: Live loads/stores with a provably stack-relative address that the
-    #: assembler did not mark (the pre-copied stack needs no check).
-    stack_proved: FrozenSet[int] = frozenset()
-    #: Live stores provably confined to the speculative heap (write-guard
-    #: allowed even for plain stores).
-    heap_stores: FrozenSet[int] = frozenset()
-    #: JR/CALLR index -> provable function-entry target.
-    resolved: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def empty(self) -> bool:
-        return not (self.dead or self.stack_proved or self.heap_stores
-                    or self.resolved)
-
-    def site_check(self, index: int, insn: Insn) -> SiteCheck:
-        """The one per-site decision: what the load/store ``insn`` at
-        original text ``index`` gets in the shadow code."""
-        is_store = insn.op in (Op.STORE, Op.STOREB)
-        if insn.get_meta("stack"):
-            return SiteCheck.STACK_MARKED
-        if index in self.dead:
-            return SiteCheck.DEAD_STORE if is_store else SiteCheck.DEAD_LOAD
-        if is_store and index in self.heap_stores:
-            return SiteCheck.HEAP_STORE
-        if index in self.stack_proved:
-            return SiteCheck.STACK_PROVED
-        return SiteCheck.FULL
-
-
 @dataclass
 class FunctionSummary:
     """Per-function roll-up for reports."""
@@ -218,10 +123,7 @@ class BinaryAnalysis:
     spec_roots: FrozenSet[int]
     spec_reachable: FrozenSet[int]
     syscalls_per_function: Dict[str, FrozenSet[int]]
-    elision_plan: ElisionPlan
     lint: List[LintFinding]
-    check_cycles_baseline: int
-    check_cycles_optimized: int
     summaries: List[FunctionSummary]
 
     # -- derived ---------------------------------------------------------
@@ -236,34 +138,9 @@ class BinaryAnalysis:
     def transfer_count(self, kind: TransferKind) -> int:
         return sum(1 for t in self.transfers.values() if t.kind is kind)
 
-    def _store_sites(self) -> List[SiteCheck]:
-        return [
-            self.elision_plan.site_check(index, self.binary.text[index])
-            for index in self.store_classes
-        ]
-
-    @property
-    def wrapped_store_sites(self) -> int:
-        """Stores the mechanical transformation would wrap with a check
-        (assembler-marked stack stores carry none and are excluded)."""
-        return sum(
-            site is not SiteCheck.STACK_MARKED for site in self._store_sites()
-        )
-
-    @property
-    def elidable_store_sites(self) -> int:
-        return sum(site.elided for site in self._store_sites())
-
     @property
     def lint_errors(self) -> List[LintFinding]:
         return [f for f in self.lint if f.severity == "error"]
-
-    @property
-    def check_cycles_saved_pct(self) -> float:
-        if self.check_cycles_baseline <= 0:
-            return 0.0
-        saved = self.check_cycles_baseline - self.check_cycles_optimized
-        return 100.0 * saved / self.check_cycles_baseline
 
     # -- rendering -------------------------------------------------------
 
@@ -294,21 +171,6 @@ class BinaryAnalysis:
             },
             "spec_reachable_insns": len(self.spec_reachable),
             "total_insns": len(self.binary.text),
-            "elision": {
-                "dead_insns": len(self.elision_plan.dead),
-                "elidable_stores": self.elidable_store_sites,
-                "wrapped_stores": self.wrapped_store_sites,
-                "stack_proved": len(self.elision_plan.stack_proved),
-                "heap_stores": len(self.elision_plan.heap_stores),
-                "resolved_transfers": {
-                    str(k): v for k, v in self.elision_plan.resolved.items()
-                },
-            },
-            "check_cycles": {
-                "baseline": self.check_cycles_baseline,
-                "optimized": self.check_cycles_optimized,
-                "saved_pct": round(self.check_cycles_saved_pct, 2),
-            },
             "lint": [asdict(f) for f in self.lint],
         }
 
@@ -322,16 +184,11 @@ class BinaryAnalysis:
             f"instructions",
             f"  stores: {self.store_count(StoreClass.SPEC_LOCAL)} spec-local"
             f" / {self.store_count(StoreClass.MAY_ESCAPE)} may-escape / "
-            f"{self.store_count(StoreClass.UNKNOWN)} unknown; "
-            f"{self.elidable_store_sites}/{self.wrapped_store_sites} "
-            f"COW store wrappers elidable",
+            f"{self.store_count(StoreClass.UNKNOWN)} unknown",
             f"  transfers: {self.transfer_count(TransferKind.RESOLVED)} "
             f"resolved, {self.transfer_count(TransferKind.RETURN)} returns, "
             f"{self.transfer_count(TransferKind.UNKNOWN)} unknown, "
             f"{self.transfer_count(TransferKind.UNMAPPABLE)} unmappable",
-            f"  cow check cycles: {self.check_cycles_baseline} -> "
-            f"{self.check_cycles_optimized} "
-            f"(-{self.check_cycles_saved_pct:.0f}%)",
             "",
             f"  {'function':<16} {'blocks':>6} {'loops':>5} "
             f"{'liveregs':>8} {'stores':>6} {'spec?':>5}  syscalls",
@@ -343,16 +200,6 @@ class BinaryAnalysis:
                 f"{s.max_live_regs:>8} {s.stores:>6} {reach:>5}  "
                 f"{', '.join(s.syscalls) or '-'}"
             )
-        resolved = self.elision_plan.resolved
-        if resolved:
-            lines.append("")
-            for index, entry in sorted(resolved.items()):
-                name = self.binary.function_at_entry(entry)
-                target = name.name if name is not None else f"@{entry}"
-                lines.append(
-                    f"  resolved @{index}: {format_insn(text[index])} "
-                    f"-> {target}"
-                )
         if self.lint:
             lines.append("")
             lines.extend(f"  {f.format()}" for f in self.lint)
@@ -571,16 +418,8 @@ def require_original(binary: Binary) -> None:
         )
 
 
-def analyze_binary(
-    binary: Binary, map_all_addresses: bool = False,
-) -> BinaryAnalysis:
-    """Run the full static-analysis pipeline over one SpecVM binary.
-
-    ``map_all_addresses`` mirrors the SpecHint tool ablation: the
-    handling routine can then enter functions mid-body, which invalidates
-    the entry-state assumptions every optimization rests on, so the
-    returned :class:`ElisionPlan` is empty (the report is still useful).
-    """
+def analyze_binary(binary: Binary) -> BinaryAnalysis:
+    """Run the full static-analysis pipeline over one SpecVM binary."""
     require_original(binary)
 
     cfgs: Dict[str, CFG] = {}
@@ -597,25 +436,17 @@ def analyze_binary(
 
     # Store classification over every store in every function.
     store_classes: Dict[int, StoreClass] = {}
-    store_addr: Dict[int, Optional[AbsVal]] = {}
     for func in binary.functions:
         fn_facts = facts[func.name]
         for index in range(func.entry, func.end):
             insn = binary.text[index]
-            if insn.op not in (Op.STORE, Op.STOREB):
-                continue
-            addr = fn_facts.store_addr.get(index)
-            store_addr[index] = addr
-            store_classes[index] = _classify_store(
-                bool(insn.get_meta("stack")), addr
-            )
+            if insn.op in (Op.STORE, Op.STOREB):
+                store_classes[index] = _classify_store(
+                    bool(insn.get_meta("stack")),
+                    fn_facts.store_addr.get(index),
+                )
 
-    plan = _build_plan(
-        binary, facts, transfers, reachable, store_classes, store_addr,
-        map_all_addresses,
-    )
     lint = _lint(binary, cfgs, transfers, reachable)
-    baseline, optimized = _check_cycle_totals(binary, plan)
 
     summaries: List[FunctionSummary] = []
     for func in binary.functions:
@@ -652,88 +483,8 @@ def analyze_binary(
         spec_roots=roots,
         spec_reachable=reachable,
         syscalls_per_function=syscalls,
-        elision_plan=plan,
         lint=lint,
-        check_cycles_baseline=baseline,
-        check_cycles_optimized=optimized,
         summaries=summaries,
-    )
-
-
-def _build_plan(
-    binary: Binary,
-    facts: Dict[str, FunctionFacts],
-    transfers: Dict[int, TransferFact],
-    reachable: FrozenSet[int],
-    store_classes: Dict[int, StoreClass],
-    store_addr: Dict[int, Optional[AbsVal]],
-    map_all_addresses: bool,
-) -> ElisionPlan:
-    if map_all_addresses:
-        # Garbage jumps can enter functions mid-body with arbitrary
-        # register state: none of the per-function facts apply.
-        return ElisionPlan()
-
-    dead = frozenset(range(len(binary.text))) - reachable
-
-    stack_proved: Set[int] = set()
-    heap_candidates: Set[int] = set()
-    heap_gate_ok = True
-    for func in binary.functions:
-        fn_facts = facts[func.name]
-        for index in range(func.entry, func.end):
-            insn = binary.text[index]
-            if insn.op in (Op.LOAD, Op.LOADB, Op.STORE, Op.STOREB) \
-                    and not insn.get_meta("stack") and index not in dead:
-                is_store = insn.op in (Op.STORE, Op.STOREB)
-                addr = (fn_facts.store_addr if is_store
-                        else fn_facts.load_addr).get(index)
-                if addr is not None and addr.kind is ValueKind.STACK:
-                    stack_proved.add(index)
-                elif is_store and addr is not None \
-                        and range_within(addr, SPEC_HEAP_BASE, SPEC_HEAP_MAX):
-                    heap_candidates.add(index)
-        # Speculative read data is written through the COW map and can
-        # create region copies: a read buffer that may overlap the spec
-        # heap defeats the no-copies precondition below.
-        for index, buf in fn_facts.read_buf.items():
-            if index in reachable and not range_avoids(
-                buf, SPEC_HEAP_BASE, SPEC_HEAP_MAX
-            ):
-                heap_gate_ok = False
-
-    # Plain (unwrapped) spec-heap stores are only coherent with COW loads
-    # if no COW copy of a spec-heap region can ever exist — which holds
-    # exactly when every store still going through the COW map provably
-    # avoids the spec heap.
-    if heap_candidates:
-        for index, cls in store_classes.items():
-            if index in dead or index in heap_candidates:
-                continue
-            insn = binary.text[index]
-            addr = store_addr.get(index)
-            if insn.get_meta("stack") or (
-                addr is not None and addr.kind is ValueKind.STACK
-            ):
-                continue  # stack segment: disjoint from the spec heap
-            if addr is None or not range_avoids(
-                addr, SPEC_HEAP_BASE, SPEC_HEAP_MAX
-            ):
-                heap_gate_ok = False
-                break
-    heap_stores = frozenset(heap_candidates) if heap_gate_ok else frozenset()
-
-    resolved = {
-        index: fact.target
-        for index, fact in transfers.items()
-        if fact.kind is TransferKind.RESOLVED and fact.target is not None
-        and binary.text[index].op in (Op.JR, Op.CALLR)
-    }
-    return ElisionPlan(
-        dead=dead,
-        stack_proved=frozenset(stack_proved),
-        heap_stores=heap_stores,
-        resolved=resolved,
     )
 
 
@@ -784,27 +535,3 @@ def _lint(
     findings.sort(key=lambda f: (order[f.severity], f.function,
                                  -1 if f.index is None else f.index))
     return findings
-
-
-def _check_cycle_totals(binary: Binary, plan: ElisionPlan) -> Tuple[int, int]:
-    """(baseline, post-analysis) total COW check cycles in the shadow."""
-    baseline = 0
-    optimized = 0
-    for func in binary.functions:
-        costs = check_costs(func.name in binary.optimized_stdlib)
-        for index in range(func.entry, func.end):
-            insn = binary.text[index]
-            if insn.op in (Op.LOAD, Op.LOADB, Op.STORE, Op.STOREB):
-                site = plan.site_check(index, insn)
-                if site is SiteCheck.STACK_MARKED:
-                    continue
-                cost = (costs.store if insn.op in (Op.STORE, Op.STOREB)
-                        else costs.load)
-                baseline += cost
-                if site is SiteCheck.FULL:
-                    optimized += cost
-            elif insn.op is Op.CWORK:
-                dilation = insn.b * costs.load + insn.c * costs.store
-                baseline += dilation
-                optimized += dilation
-    return baseline, optimized

@@ -35,12 +35,12 @@ from repro.vm.stdlib import emit_stdlib
 #: Paper Agrep binary size (derived from Table 3: 1648 KB at +610%).
 PAPER_ORIGINAL_SIZE = 232 * 1024
 
-#: What the static-analysis pass (``repro analyze``) is expected to prove
-#: about this binary.  The counts are structural (workload-scale
-#: independent); tests and ``benchmarks/bench_analysis.py`` assert them.
+#: What the static-analysis pass (``repro analyze``) and the SpecHint tool
+#: are expected to find in this binary.  The counts are structural
+#: (workload-scale independent); ``tests/test_analysis_driver.py`` asserts
+#: them.
 ANALYSIS_EXPECTATIONS = {
     "wrapped_stores": 6,      # all in spec-unreachable stdlib routines
-    "elidable_stores": 6,     # ...so every COW store wrapper is elidable
     "resolved_transfers": 0,
     "lint_errors": 0,
     "lint_warnings": 0,

@@ -51,14 +51,12 @@ from repro.vm.stdlib import emit_stdlib
 #: Paper Gnuld binary size (derived from Table 3: 2408 KB at +349%).
 PAPER_ORIGINAL_SIZE = 536 * 1024
 
-#: What the static-analysis pass (``repro analyze``) is expected to prove
-#: about this binary.  Gnuld is the documented limitation: its pass
-#: dispatch loads ``process_fn`` from memory, so the CALLR target is
-#: unprovable, speculation may enter any function, and nothing is dead —
-#: zero elisions, one unresolved-transfer warning.
+#: What the static-analysis pass (``repro analyze``) and the SpecHint tool
+#: are expected to find in this binary.  Its pass dispatch loads
+#: ``process_fn`` from memory, so the CALLR target is unprovable and
+#: speculation may enter any function: one unresolved-transfer warning.
 ANALYSIS_EXPECTATIONS = {
     "wrapped_stores": 15,
-    "elidable_stores": 0,
     "resolved_transfers": 0,
     "lint_errors": 0,
     "lint_warnings": 1,       # the unresolved CALLR in the pass loop

@@ -48,12 +48,11 @@ KEYS_PER_LEAF = 64
 #: Rough size of a statically linked Postgres backend of the era.
 PAPER_ORIGINAL_SIZE = 1800 * 1024
 
-#: What the static-analysis pass (``repro analyze``) is expected to prove
-#: about this binary.  The three live probe-worklist stores stay wrapped;
-#: the comparator dispatch CALLR resolves to ``cmp_keys`` statically.
+#: What the static-analysis pass (``repro analyze``) and the SpecHint tool
+#: are expected to find in this binary.  The comparator dispatch CALLR
+#: resolves to ``cmp_keys`` statically.
 ANALYSIS_EXPECTATIONS = {
     "wrapped_stores": 9,
-    "elidable_stores": 6,
     "resolved_transfers": 1,  # callr through la(cmp_keys)
     "lint_errors": 0,
     "lint_warnings": 0,

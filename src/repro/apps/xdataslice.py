@@ -39,12 +39,11 @@ from repro.vm.stdlib import emit_stdlib
 #: Paper XDataSlice binary size (derived from Table 3: 10792 KB at +138%).
 PAPER_ORIGINAL_SIZE = 4534 * 1024
 
-#: What the static-analysis pass (``repro analyze``) is expected to prove
-#: about this binary.  Tests and ``benchmarks/bench_analysis.py`` assert
-#: these structural (scale-independent) counts.
+#: What the static-analysis pass (``repro analyze``) and the SpecHint tool
+#: are expected to find in this binary.  ``tests/test_analysis_driver.py``
+#: asserts these structural (scale-independent) counts.
 ANALYSIS_EXPECTATIONS = {
     "wrapped_stores": 6,      # all in spec-unreachable stdlib routines
-    "elidable_stores": 6,
     "resolved_transfers": 0,
     "lint_errors": 0,
     "lint_warnings": 0,

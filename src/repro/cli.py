@@ -10,7 +10,7 @@ Commands
     Run all three variants of one or more apps and print a Figure 3-style
     comparison.
 
-``transform APP [--optimize]``
+``transform APP``
     Run the SpecHint tool over a benchmark binary and print the Table 3
     statistics.
 
@@ -252,7 +252,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     from repro.spechint.tool import SpecHintTool
 
     binary = _build_app_binary(args.app, args.scale)
-    transformed = SpecHintTool(optimize=args.optimize).transform(binary)
+    transformed = SpecHintTool().transform(binary)
     report = transformed.spec_meta.report
 
     print(f"transformed {report.binary_name} in "
@@ -271,14 +271,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
     print(f"  size:           {report.original_size_bytes:,} -> "
           f"{report.transformed_size_bytes:,} bytes "
           f"(+{report.size_increase_pct:.0f}%)")
-    if report.analysis_applied:
-        print(f"  analysis:       {report.stores_elided} store wrappers "
-              f"elided ({report.store_elision_pct:.0f}%), "
-              f"{report.loads_unchecked_dead} load checks dropped, "
-              f"{report.transfers_statically_resolved} transfers resolved; "
-              f"check cycles {report.check_cycles_baseline} -> "
-              f"{report.check_cycles_emitted} "
-              f"(-{report.check_cycles_saved_pct:.0f}%)")
     return 0
 
 
@@ -600,8 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p = sub.add_parser("transform", help="show SpecHint tool output")
     tr_p.add_argument("app", choices=ALL_APPS)
     flags(tr_p, scale=None)
-    tr_p.add_argument("--optimize", action="store_true",
-                      help="apply the static-analysis elision plan")
     tr_p.set_defaults(func=cmd_transform)
 
     an_p = sub.add_parser(

@@ -41,7 +41,8 @@ class ExperimentConfig:
     system: SystemConfig = dataclasses.field(default_factory=SystemConfig)
 
     #: File cache size in the paper's units (MB before the ~8x workload
-    #: scaling); None keeps ``system.cache.capacity_blocks``.
+    #: scaling); None keeps ``system.cache.capacity_blocks``, else finite
+    #: and > 0.
     cache_paper_mb: Optional[float] = 12.0
 
     #: Workload scale factor (sweep benches use < 1 to stay fast); finite
@@ -51,11 +52,6 @@ class ExperimentConfig:
     #: SpecHint tool option: allow the handling routine to map any text
     #: address (extension ablation), not just function entries.
     map_all_addresses: bool = False
-
-    #: SpecHint tool option: run the static-analysis pass and apply its
-    #: elision plan (skip provably unnecessary COW checks, statically
-    #: redirect provably resolved computed transfers).
-    analysis_optimize: bool = False
 
     #: Disk speed-up matching the workload scaling (see
     #: ``DiskParams.scaled``); None keeps ``system.disk`` untouched.
@@ -78,6 +74,11 @@ class ExperimentConfig:
             raise HarnessError(
                 f"workload scale must be a finite number > 0, "
                 f"got {self.workload_scale!r}"
+            )
+        mb = self.cache_paper_mb
+        if mb is not None and not (math.isfinite(mb) and mb > 0):
+            raise HarnessError(
+                f"cache size must be a finite number of MB > 0, got {mb!r}"
             )
 
     def resolved_fault_plan(self) -> Optional[FaultPlan]:

@@ -84,7 +84,6 @@ def case_config(
     variant: Variant,
     workload_scale: float,
     system: Optional[SystemConfig] = None,
-    analysis_optimize: bool = False,
 ) -> ExperimentConfig:
     """The experiment configuration one cell variant runs under.
 
@@ -107,7 +106,6 @@ def case_config(
         system=system,
         workload_scale=workload_scale,
         fault_plan=case.plan,
-        analysis_optimize=analysis_optimize,
     )
 
 
@@ -227,16 +225,13 @@ def run_fuzz_case(
     case: FuzzCase,
     workload_scale: float = DEFAULT_FUZZ_SCALE,
     system: Optional[SystemConfig] = None,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
 ) -> FuzzCellResult:
     """Run one cell (both variants) and judge it with every monitor.
 
     Both runs share the system seed and the plan's fault seed; the only
-    difference is whether the binary was transformed (``analysis_optimize``
-    additionally applies the static-analysis elision plan to the
-    transformed side).  Never raises on a failing cell — whatever escaped
-    a variant is data for the monitors.
+    difference is whether the binary was transformed.  Never raises on a
+    failing cell — whatever escaped a variant is data for the monitors.
 
     With ``trace_dir`` set, both variants run under a tracer and a
     *failing* cell dumps both event streams as JSONL to
@@ -251,8 +246,7 @@ def run_fuzz_case(
     identity_digest = ""
     identity_seed = 0
     for variant in (Variant.ORIGINAL, Variant.SPECULATING):
-        cfg = case_config(case, variant, workload_scale, system,
-                          analysis_optimize)
+        cfg = case_config(case, variant, workload_scale, system)
         # params_digest excludes the variant axis, so either variant's
         # config yields the same cell identity.
         identity_digest = params_digest(cfg)
@@ -298,7 +292,6 @@ def run_fuzz_cell_payload(
     case_json: Dict[str, object],
     workload_scale: float,
     system: Optional[SystemConfig] = None,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
     with_results: bool = False,
 ) -> Dict[str, object]:
@@ -310,7 +303,7 @@ def run_fuzz_cell_payload(
     case = FuzzCase.from_jsonable(case_json)
     return run_fuzz_case(
         case, workload_scale=workload_scale, system=system,
-        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
+        trace_dir=trace_dir,
     ).to_jsonable(with_results=with_results)
 
 

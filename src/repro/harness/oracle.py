@@ -132,14 +132,12 @@ def run_oracle_cell(
     workload_scale: float = 1.0,
     fault_seed: int = 7,
     system: Optional[SystemConfig] = None,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
 ) -> OracleCell:
     """One oracle cell, in-process: the report row of its differential cell."""
     return OracleCell.of(run_fuzz_case(
         oracle_case(app, profile, fault_seed),
-        workload_scale=workload_scale, system=system,
-        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
+        workload_scale=workload_scale, system=system, trace_dir=trace_dir,
     ))
 
 
@@ -150,7 +148,6 @@ def run_oracle(
     fault_seed: int = 7,
     system: Optional[SystemConfig] = None,
     strict: bool = False,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
     jobs: int = 1,
     registry_path: Optional[str] = None,
@@ -177,8 +174,8 @@ def run_oracle(
             for app in apps for name in profiles]
     outcome = run_cells(
         [(key, run_fuzz_cell_payload,
-          (case.to_jsonable(), workload_scale, system, analysis_optimize,
-           trace_dir, True))  # True: the payload carries both RunResults
+          # True: the payload carries both RunResults.
+          (case.to_jsonable(), workload_scale, system, trace_dir, True))
          for key, case in grid],
         jobs=jobs, identity="oracle",
         registry_path=registry_path, registry_meta={"kind": "oracle-cell"},

@@ -156,16 +156,14 @@ def program(app: str, scale: float, manual: bool = False) -> Binary:
 
 
 @functools.cache
-def _transformed(original: Binary, map_all_addresses: bool, optimize: bool) -> SpeculatingBinary:
-    tool = SpecHintTool(map_all_addresses=map_all_addresses, optimize=optimize)
-    return tool.transform(original)
+def _transformed(original: Binary, map_all_addresses: bool) -> SpeculatingBinary:
+    return SpecHintTool(map_all_addresses=map_all_addresses).transform(original)
 
 
 def speculating(
     original: Binary,
     params: SpecHintParams,
     map_all_addresses: bool,
-    optimize: bool,
 ) -> SpeculatingBinary:
     """SpecHint's speculating executable of ``original`` whose runtime reads
     ``params``.  The tool reads none of ``params`` — it only records them
@@ -174,7 +172,7 @@ def speculating(
     that differ in ``params`` alone are shallow copies that share their
     text, tables and generated code (``translations``).
     ``SpecHintTool.transform`` itself is not memoised: Table 3 times it."""
-    shared = _transformed(original, map_all_addresses, optimize)
+    shared = _transformed(original, map_all_addresses)
     if params == shared.spec_meta.params:
         return shared
     twin = copy.copy(shared)
@@ -217,7 +215,7 @@ def run_experiment_with_system(
         transform_report = None
         if cfg.variant is Variant.SPECULATING:
             binary = speculating(binary, system_config.spechint,
-                                 cfg.map_all_addresses, cfg.analysis_optimize)
+                                 cfg.map_all_addresses)
             transform_report = binary.spec_meta.report
 
         fault_plan = cfg.resolved_fault_plan()

@@ -262,7 +262,7 @@ def run_multiprogrammed_agrep(contended: bool, seed: int) -> Tuple[int, int, int
     build_agrep_files(fs, AgrepWorkload())
     system = build_system(config, fs)
     agrep = system.kernel.spawn(
-        speculating(program("agrep", 1.0), SpecHintParams(), False, False))
+        speculating(program("agrep", 1.0), SpecHintParams(), False))
     if contended:
         system.kernel.spawn(spinner_binary())
     system.kernel.run()

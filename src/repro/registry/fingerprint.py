@@ -68,7 +68,6 @@ def params_fingerprint(cfg: object) -> Dict[str, object]:
         "system": system_dict,
         "workload_scale": cfg.workload_scale,  # type: ignore[attr-defined]
         "map_all_addresses": cfg.map_all_addresses,  # type: ignore[attr-defined]
-        "analysis_optimize": cfg.analysis_optimize,  # type: ignore[attr-defined]
     }
 
 

@@ -95,8 +95,6 @@ SPEC_CHECK_CYCLES = "spec.check_cycles"
 SPEC_PARK_PREFIX = "spec.park."
 SPEC_WATCHDOG_TRIP_PREFIX = "spec.watchdog_trip."
 
-SPECHINT_ANALYSIS_STORES_ELIDED = "spechint.analysis.stores_elided"
-SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED = "spechint.analysis.check_cycles_saved"
 #: Total COW regions first-copied by speculation (across clears).
 SPEC_COW_REGIONS_COPIED = "spec.cow_regions_copied"
 

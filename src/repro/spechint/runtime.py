@@ -141,24 +141,6 @@ class SpecProcessState:
         #: calls and hints issued are counted in the stat registry alone.
         self.predictions = 0
 
-        # Surface what the static-analysis pass did to this binary, and
-        # chain it into the audit table: elided COW wrappers are exactly
-        # the stores the runtime write guard must now backstop.
-        report = meta.report
-        if report is not None and report.analysis_applied:
-            stats = kernel.stats
-            stats.bump(metrics.SPECHINT_ANALYSIS_STORES_ELIDED,
-                       report.stores_elided)
-            saved = report.check_cycles_baseline - report.check_cycles_emitted
-            stats.bump(metrics.SPECHINT_ANALYSIS_CHECK_CYCLES_SAVED, saved)
-            self.auditor.table.record(
-                "analysis",
-                f"elided={report.stores_elided} "
-                f"unchecked={report.loads_unchecked_dead} "
-                f"resolved={report.transfers_statically_resolved} "
-                f"cycles_saved={saved}",
-            )
-
     # ------------------------------------------------- original-thread side
 
     def before_read(self, thread: "Thread", fd_num: int, length: int) -> int:

@@ -31,16 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.analysis.driver import (
-    BinaryAnalysis,
-    CheckCosts,
-    ElisionPlan,
-    SiteCheck,
-    analyze_binary,
-    check_costs,
-)
 from repro.errors import UnsupportedBinary
 from repro.params import SpecHintParams
 from repro.spechint.report import TransformReport
@@ -61,6 +53,33 @@ THREADING_LIB_BYTES = 420 * 1024
 #: sequence around each shadow load/store (address mask, table lookup,
 #: conditional branch, redirect) — about five extra instructions.
 COW_CHECK_INSNS = 5
+
+#: Cycles added by the COW check wrapped around each shadow-code load.
+COW_LOAD_CHECK_CYCLES = 5
+
+#: Cycles added by the COW check wrapped around each shadow-code store.
+COW_STORE_CHECK_CYCLES = 7
+
+#: Divisor applied to COW check costs inside the hand-optimized shadow
+#: string routines (strncpy/memcpy analogues, Section 3.3).
+OPTIMIZED_STDLIB_CHECK_DIVISOR = 8
+
+
+class CheckCosts(NamedTuple):
+    """COW check cycle costs for one function's loads and stores."""
+
+    load: int
+    store: int
+
+
+def check_costs(optimized_stdlib: bool) -> CheckCosts:
+    """Per-access COW check cycles, honouring the optimized-stdlib divisor."""
+    load, store = COW_LOAD_CHECK_CYCLES, COW_STORE_CHECK_CYCLES
+    if optimized_stdlib:
+        load = max(1, load // OPTIMIZED_STDLIB_CHECK_DIVISOR)
+        store = max(1, store // OPTIMIZED_STDLIB_CHECK_DIVISOR)
+    return CheckCosts(load, store)
+
 
 _COW_OPS = {
     Op.LOAD: Op.COW_LOAD,
@@ -83,8 +102,6 @@ class SpecMeta:
     report: Optional[TransformReport] = None
     #: Names of output routines whose call sites were stripped.
     stripped_routines: List[str] = field(default_factory=list)
-    #: Static-analysis results, when the tool ran with ``optimize=True``.
-    analysis: Optional[BinaryAnalysis] = None
     #: Hint disclosure sites: original SYS_READ index -> shadow SPEC_READ
     #: index.  Security reports key leak findings to these sites.
     hint_sites: Dict[int, int] = field(default_factory=dict)
@@ -112,19 +129,11 @@ class SpecHintTool:
         self,
         params: Optional[SpecHintParams] = None,
         map_all_addresses: bool = False,
-        optimize: bool = False,
     ) -> None:
         self.params = params or SpecHintParams()
         #: Extension ablation: allow the handling routine to map *any*
         #: original-text address, not just function entries.
         self.map_all_addresses = map_all_addresses
-        #: Run the static-analysis pass and apply its elision plan (skip
-        #: provably unnecessary COW wrappers, redirect provably resolved
-        #: computed transfers).  Under ``map_all_addresses`` the analysis
-        #: still runs for its report but its plan is empty: garbage jumps
-        #: can then enter functions mid-body, which breaks the entry-state
-        #: assumptions every per-function fact rests on.
-        self.optimize = optimize
 
     # ------------------------------------------------------------------ API
 
@@ -134,16 +143,10 @@ class SpecHintTool:
         self._validate(binary)
 
         shadow_base = len(binary.text)
-        analysis: Optional[BinaryAnalysis] = None
-        plan = ElisionPlan()
-        if self.optimize:
-            analysis = analyze_binary(binary, self.map_all_addresses)
-            plan = analysis.elision_plan
         report = TransformReport(
             binary_name=binary.name,
             original_size_bytes=self.original_size(binary),
             original_insns=len(binary.text),
-            analysis_applied=analysis is not None,
         )
 
         # Recognized jump tables get shadow twins; remember the id mapping.
@@ -162,13 +165,12 @@ class SpecHintTool:
             else:
                 report.jump_tables_unrecognized += 1
 
-        costs = self._check_costs_by_index(binary)
         shadow_text = [
             self._transform_insn(
-                index, insn, shadow_base, binary, costs[index],
-                shadow_table_ids, plan, report,
+                insn, shadow_base, binary, costs, shadow_table_ids, report,
             )
-            for index, insn in enumerate(binary.text)
+            for insn, costs in zip(binary.text,
+                                   self._check_costs_by_index(binary))
         ]
         hint_sites = {
             index: index + shadow_base
@@ -195,7 +197,6 @@ class SpecHintTool:
             map_all_addresses=self.map_all_addresses,
             report=report,
             stripped_routines=sorted(binary.output_routines),
-            analysis=analysis,
             hint_sites=hint_sites,
         )
 
@@ -239,49 +240,33 @@ class SpecHintTool:
 
     def _transform_insn(
         self,
-        index: int,
         insn: Insn,
         shadow_base: int,
         binary: Binary,
         costs: CheckCosts,
         shadow_table_ids: Dict[int, int],
-        plan: ElisionPlan,
         report: TransformReport,
     ) -> Insn:
         op = insn.op
 
         if op in _COW_OPS:
-            is_store = op in (Op.STORE, Op.STOREB)
-            site = plan.site_check(index, insn)
-            cost = costs.store if is_store else costs.load
-            if site is SiteCheck.STACK_MARKED:
-                report.stack_relative_skipped += 1
-            else:
-                report.check_cycles_baseline += cost
-                if site is SiteCheck.DEAD_STORE:
-                    report.stores_elided_dead += 1
-                elif site is SiteCheck.DEAD_LOAD:
-                    report.loads_unchecked_dead += 1
-                elif site is SiteCheck.HEAP_STORE:
-                    report.heap_stores_elided += 1
-                elif site is SiteCheck.STACK_PROVED:
-                    report.stack_proved_unchecked += 1
-                else:
-                    report.check_cycles_emitted += cost
-                    if is_store:
-                        report.stores_wrapped += 1
-                    else:
-                        report.loads_wrapped += 1
             out = insn.clone()
-            if not site.elided:
-                out.op = _COW_OPS[op]
-                out.d = cost if site is SiteCheck.FULL else 0
+            out.op = _COW_OPS[op]
+            if insn.get_meta("stack"):
+                # The stack was pre-copied at restart time (paper
+                # footnote 3): COW semantics, no check cycles.
+                out.d = 0
+                report.stack_relative_skipped += 1
+            elif op in (Op.STORE, Op.STOREB):
+                out.d = costs.store
+                report.stores_wrapped += 1
+            else:
+                out.d = costs.load
+                report.loads_wrapped += 1
             return out
 
         if op is Op.CWORK:
             dilation = insn.b * costs.load + insn.c * costs.store
-            report.check_cycles_baseline += dilation
-            report.check_cycles_emitted += dilation
             report.cwork_dilated += 1
             return Insn(Op.SCWORK, insn.a + dilation, 0, 0, 0, insn.meta)
 
@@ -302,39 +287,10 @@ class SpecHintTool:
             report.static_transfers_redirected += 1
             return out
 
-        if op is Op.JR:
-            target = plan.resolved.get(index)
-            if target is not None:
-                # The analysis proved the only possible target: jump
-                # straight to its shadow twin instead of routing through
-                # the handling routine.
-                report.transfers_statically_resolved += 1
-                report.static_transfers_redirected += 1
-                return Insn(Op.JMP, 0, 0, target + shadow_base,
-                            meta=insn.meta)
+        if op in (Op.JR, Op.CALLR):
             report.dynamic_transfers_routed += 1
             out = insn.clone()
-            out.op = Op.SPEC_JR
-            return out
-
-        if op is Op.CALLR:
-            target = plan.resolved.get(index)
-            if target is not None:
-                callee = binary.function_at_entry(target)
-                if callee is not None and callee.name in binary.output_routines:
-                    # A resolved indirect call to an output routine is
-                    # stripped exactly like a direct one.
-                    report.output_calls_stripped += 1
-                    return Insn(Op.NOP, meta=insn.meta)
-                report.transfers_statically_resolved += 1
-                report.static_transfers_redirected += 1
-                meta = dict(insn.meta) if insn.meta else {}
-                if callee is not None:
-                    meta["call_target"] = callee.name
-                return Insn(Op.CALL, 0, 0, target + shadow_base, meta=meta)
-            report.dynamic_transfers_routed += 1
-            out = insn.clone()
-            out.op = Op.SPEC_CALLR
+            out.op = Op.SPEC_JR if op is Op.JR else Op.SPEC_CALLR
             return out
 
         if op is Op.SWITCH:

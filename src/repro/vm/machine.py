@@ -396,9 +396,10 @@ class Machine:
     @staticmethod
     def _spec_mem_fault(thread: "Thread", exc: MachineFault) -> None:
         """Generated code raised a machine fault.  On the speculating thread
-        only a plain load/store does (possible once static analysis elides
-        COW wrappers), and the fault becomes a speculation signal; normal
-        execution re-raises the machine fault."""
+        only a plain load/store can (the shadow code wraps every one in a
+        COW check, which signals speculation itself), and the fault becomes
+        a speculation signal; normal execution re-raises the machine
+        fault."""
         if thread.is_spec:
             raise SpeculationFault(f"speculative memory fault: {exc}") from exc
         raise exc

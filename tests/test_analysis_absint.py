@@ -166,19 +166,6 @@ class TestAnalyzeFunction:
         binary, facts = _facts_for(body)
         assert facts.transfer_val[0].kind is ValueKind.RETADDR
 
-    def test_read_buffer_recorded(self):
-        def body(asm):
-            asm.data_space("buf", 64)
-            asm.li(Reg.a0, 0)                  # 0
-            asm.la(Reg.a1, "buf")              # 1
-            asm.li(Reg.a2, 64)                 # 2
-            asm.syscall(SYS_READ)              # 3
-            asm.syscall(SYS_EXIT)              # 4
-
-        binary, facts = _facts_for(body)
-        buf = facts.read_buf[3]
-        assert buf.is_const and buf.lo >= DATA_BASE
-
     def test_loop_converges_with_widening(self):
         def body(asm):
             asm.data_space("arr", 256)

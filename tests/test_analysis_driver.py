@@ -1,5 +1,5 @@
 """Tests for the analysis driver: classification, reachability, lint,
-elision planning, and the per-app expectations the CI lint gate relies on.
+and the per-app expectations the CI lint gate relies on.
 """
 
 import json
@@ -7,14 +7,9 @@ import json
 import pytest
 
 from repro.analysis.driver import (
-    COW_LOAD_CHECK_CYCLES,
-    COW_STORE_CHECK_CYCLES,
-    OPTIMIZED_STDLIB_CHECK_DIVISOR,
-    CheckCosts,
     StoreClass,
     TransferKind,
     analyze_binary,
-    check_costs,
     spec_roots,
 )
 from repro.analysis.fixtures import build_safe_fixture, build_unsafe_fixture
@@ -24,7 +19,14 @@ from repro.apps import postgres as postgres_mod
 from repro.apps import xdataslice as xds_mod
 from repro.errors import AnalysisError
 from repro.harness.runner import program
-from repro.spechint.tool import SpecHintTool
+from repro.spechint.tool import (
+    COW_LOAD_CHECK_CYCLES,
+    COW_STORE_CHECK_CYCLES,
+    OPTIMIZED_STDLIB_CHECK_DIVISOR,
+    CheckCosts,
+    SpecHintTool,
+    check_costs,
+)
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, SYS_READ, Reg
 from repro.vm.memory import SPEC_HEAP_BASE
@@ -170,29 +172,6 @@ class TestStoreClassification:
         assert analysis.store_count(StoreClass.UNKNOWN) == 1
 
 
-class TestElisionPlan:
-    def test_map_all_addresses_empties_the_plan(self):
-        binary = program("agrep", SCALE)
-        analysis = analyze_binary(binary, map_all_addresses=True)
-        assert analysis.elision_plan.empty
-        assert analysis.check_cycles_baseline == analysis.check_cycles_optimized
-        # The report side is still fully populated.
-        assert analysis.summaries
-
-    def test_dead_code_dominates_plan_for_agrep(self):
-        analysis = _app_analysis("agrep")
-        plan = analysis.elision_plan
-        assert plan.dead
-        assert analysis.check_cycles_optimized < analysis.check_cycles_baseline
-        assert 0 < analysis.check_cycles_saved_pct <= 100
-
-    def test_transformed_binary_rejected(self):
-        binary = program("agrep", SCALE)
-        transformed = SpecHintTool().transform(binary)
-        with pytest.raises(AnalysisError):
-            analyze_binary(transformed)
-
-
 class TestAppExpectations:
     """The numbers the CI analysis-lint gate and the PR claims rest on."""
 
@@ -201,26 +180,17 @@ class TestAppExpectations:
         analysis = _app_analysis(app)
         expected = _EXPECTATIONS[app]
         warnings = [f for f in analysis.lint if f.severity == "warning"]
-        assert analysis.wrapped_store_sites == expected["wrapped_stores"]
-        assert analysis.elidable_store_sites == expected["elidable_stores"]
-        assert len(analysis.elision_plan.resolved) == \
+        report = SpecHintTool().transform(program(app, SCALE)).spec_meta.report
+        assert report.stores_wrapped == expected["wrapped_stores"]
+        assert analysis.transfer_count(TransferKind.RESOLVED) == \
             expected["resolved_transfers"]
         assert len(analysis.lint_errors) == expected["lint_errors"]
         assert len(warnings) == expected["lint_warnings"]
 
-    def test_acceptance_floor_two_apps_at_twenty_pct(self):
-        """The headline claim: >=20% of COW store wrappers elided on at
-        least two example applications."""
-        winners = 0
-        for app, expected in _EXPECTATIONS.items():
-            wrapped = expected["wrapped_stores"]
-            if wrapped and 100.0 * expected["elidable_stores"] / wrapped >= 20:
-                winners += 1
-        assert winners >= 2
-
     def test_postgres_resolves_the_comparator_callr(self):
         analysis = _app_analysis("postgres20")
-        (target,) = set(analysis.elision_plan.resolved.values())
+        (target,) = {fact.target for fact in analysis.transfers.values()
+                     if fact.kind is TransferKind.RESOLVED}
         func = analysis.binary.function_at_entry(target)
         assert func is not None and func.name == "cmp_keys"
 
@@ -237,6 +207,12 @@ class TestFixturesAndLint:
     def test_safe_fixture_lints_clean(self):
         analysis = analyze_binary(build_safe_fixture())
         assert analysis.lint_errors == []
+
+    def test_transformed_binary_rejected(self):
+        binary = program("agrep", SCALE)
+        transformed = SpecHintTool().transform(binary)
+        with pytest.raises(AnalysisError):
+            analyze_binary(transformed)
 
     def test_falls_off_end_warning(self):
         asm = Assembler("off-end")
@@ -256,10 +232,10 @@ class TestFixturesAndLint:
         analysis = _app_analysis("agrep")
         payload = json.loads(json.dumps(analysis.to_jsonable()))
         assert payload["binary"] == "agrep"
-        assert payload["elision"]["wrapped_stores"] == \
-            analysis.wrapped_store_sites
-        assert payload["check_cycles"]["baseline"] == \
-            analysis.check_cycles_baseline
+        assert payload["stores"] == {
+            cls.value: analysis.store_count(cls) for cls in StoreClass}
+        assert payload["transfers"]["resolved"] == \
+            analysis.transfer_count(TransferKind.RESOLVED)
         assert {f["name"] for f in payload["functions"]} == \
             set(analysis.cfgs)
 
@@ -281,5 +257,5 @@ class TestFixturesAndLint:
         analysis = _app_analysis("postgres20")
         text = analysis.format_text()
         assert text.startswith(f"analysis of {analysis.binary_name}")
-        assert "COW store wrappers elidable" in text
-        assert "resolved @" in text  # the cmp_keys callr line
+        assert "  stores: " in text
+        assert "  transfers: 1 resolved" in text  # the cmp_keys callr

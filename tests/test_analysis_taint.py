@@ -452,23 +452,42 @@ class TestRuntimeCorrelation:
         # Different secrets hint different inodes: the ino channel leaks.
         assert inos[0] != inos[1]
 
-    def test_safe_fixture_ledger_is_secret_invariant(self):
-        # Control: the clean fixture's hint stream must not vary with the
-        # secret (runs share identical code; only secret data differs).
+    @staticmethod
+    def _ledgers_over_secrets(builder, payloads):
+        """The disclosed hint keys of one run per secret ``payload``, each
+        written over the start of the fixture's ``secret`` region."""
         ledgers = []
-        for payload in (bytes(range(1, 9)), bytes(range(101, 109))):
+        for payload in payloads:
             fs = FileSystem()
-            binary = build_taint_safe_fixture(fs)
-            addr = binary.data_symbols["secret"]
+            binary = builder(fs)
+            offset = binary.data_symbols["secret"] - DATA_BASE
             data = bytearray(binary.data)
-            data[addr - DATA_BASE:addr - DATA_BASE + 8] = payload
+            data[offset:offset + len(payload)] = payload
             binary.data = bytes(data)
             transformed = SpecHintTool().transform(binary)
             system = make_system(fs, small_system_config(cache_blocks=48))
             system.kernel.spawn(transformed)
             system.kernel.run()
             ledgers.append(system.manager.lifecycle.disclosed_keys())
+        return ledgers
+
+    def test_safe_fixture_ledger_is_secret_invariant(self):
+        # Control: the clean fixture's hint stream must not vary with the
+        # secret (runs share identical code; only secret data differs).
+        ledgers = self._ledgers_over_secrets(
+            build_taint_safe_fixture,
+            (bytes(range(1, 9)), bytes(range(101, 109))))
         assert ledgers[0] == ledgers[1]
+
+    def test_sanitized_fixture_ledger_is_secret_invariant(self):
+        # The lint clears the masked copy of the secret; the runtime must
+        # agree: whatever the secret byte, the same hints are disclosed.
+        assert analyze_security(build_taint_sanitized_fixture()).clean
+        ledgers = self._ledgers_over_secrets(
+            build_taint_sanitized_fixture,
+            (bytes([0]), bytes([1]), bytes([42]), bytes([255])))
+        assert ledgers[0]
+        assert all(ledger == ledgers[0] for ledger in ledgers)
 
     def test_disclosed_keys_matches_records(self):
         system, _ = _run_fixture(build_taint_table_fixture, secret_byte=3)

@@ -77,6 +77,13 @@ class TestErrorExit:
         assert err.count("\n") == 1
         assert "repro: error: HarnessError: workload scale" in err
 
+    @pytest.mark.parametrize("mb", ["0", "-4", "nan", "inf"])
+    def test_bad_cache_size_exits_one_with_one_line(self, mb, capsys):
+        assert main(["run", "agrep", "--scale", "0.1", "--cache-mb", mb]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: HarnessError: cache size" in err
+
     def test_replay_of_a_non_positive_scale_exits_one(self, tmp_path, capsys):
         import json
         import os

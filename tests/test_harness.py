@@ -27,6 +27,11 @@ class TestExperimentConfig:
         with pytest.raises(HarnessError, match="workload scale"):
             ExperimentConfig(workload_scale=scale)
 
+    @pytest.mark.parametrize("mb", [0, -4, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_cache_rejected(self, mb):
+        with pytest.raises(HarnessError, match="cache size"):
+            ExperimentConfig(cache_paper_mb=mb)
+
     def test_cache_resolution(self):
         cfg = ExperimentConfig(cache_paper_mb=12.0)
         system = cfg.resolved_system()

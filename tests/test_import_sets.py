@@ -24,8 +24,9 @@ NOT_FOR_A_CELL = (
         "store", "record", "recorder", "regression", "similarity")),
     "repro.faults.generate",
     "repro.faults.shrink",
-    "repro.analysis.taint",
-    "repro.analysis.fixtures",
+    "repro.analysis",
+    *(f"repro.analysis.{name}" for name in (
+        "driver", "absint", "cfg", "dataflow", "taint", "fixtures")),
     "repro.trace.export",
     "repro.trace.analyzer",
     "multiprocessing",

@@ -57,8 +57,6 @@ READ_ONLY_BY_TESTS = frozenset({
     "spec.cow_regions_copied",
     "spec.restart_requests",
     "spec.throttle_suppressed",
-    "spechint.analysis.check_cycles_saved",
-    "spechint.analysis.stores_elided",
     "tip.cancel_drained",
     "tip.hint_calls",
     "tip.hinted_blocks",

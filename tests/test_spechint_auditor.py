@@ -443,23 +443,23 @@ class TestEndToEnd:
         self._assert_quarantined_with_baseline_output(_result(app="xds"))
 
     def test_plain_store_escaping_from_a_translated_block_is_caught(self, monkeypatch):
-        """An analysis that wrongly proves every store heap-confined leaves
-        plain stores in the shadow code.  With blocks translated at first
-        entry the escaping store runs as generated code; the armed write
-        guard must veto it there exactly as under the interpreter."""
+        """A tool that leaves stores unwrapped puts plain stores in the
+        shadow code.  With blocks translated at first entry the escaping
+        store runs as generated code; the armed write guard must veto it
+        there exactly as under the interpreter."""
         import traceback
 
         import repro.vm.machine as machine_module
-        from repro.analysis.driver import ElisionPlan, SiteCheck
         from repro.spechint.runtime import SpecProcessState
+        from repro.spechint.tool import SpecHintTool
         from repro.vm.isa import Op
 
-        real_site_check = ElisionPlan.site_check
+        real_transform_insn = SpecHintTool._transform_insn
 
-        def all_stores_elided(self, index, insn):
+        def stores_unwrapped(self, insn, *args):
             if insn.op in (Op.STORE, Op.STOREB):
-                return SiteCheck.HEAP_STORE
-            return real_site_check(self, index, insn)
+                return insn.clone()
+            return real_transform_insn(self, insn, *args)
 
         raised_in = []
         real_quarantine = SpecProcessState.quarantine
@@ -469,10 +469,10 @@ class TestEndToEnd:
                 [frame.name for frame in traceback.extract_tb(violation.__traceback__)])
             return real_quarantine(self, thread, violation)
 
-        monkeypatch.setattr(ElisionPlan, "site_check", all_stores_elided)
+        monkeypatch.setattr(SpecHintTool, "_transform_insn", stores_unwrapped)
         monkeypatch.setattr(SpecProcessState, "quarantine", spying_quarantine)
         monkeypatch.setattr(machine_module, "HOT_ENTRIES", 0)
-        # The cell must run the tool under the broken analysis instead of
+        # The cell must run the broken tool instead of
         # the speculating executable this process already made (and must
         # not leave its own behind for later cells).
         monkeypatch.setattr(runner, "_transformed", runner._transformed.__wrapped__)

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import UnsupportedBinary
-from repro.analysis.driver import (
+from repro.spechint.tool import (
     COW_LOAD_CHECK_CYCLES,
     COW_STORE_CHECK_CYCLES,
     OPTIMIZED_STDLIB_CHECK_DIVISOR,
+    SpecHintTool,
+    SpeculatingBinary,
 )
-from repro.spechint.tool import SpecHintTool, SpeculatingBinary
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Op, Reg, SYS_READ, SYS_EXIT
 from repro.vm.stdlib import emit_stdlib

@@ -1,11 +1,9 @@
 """Machine-level tests of shadow-code execution: COW dispatch, SCWORK,
 dynamic control transfers, budget mode, and speculative fault handling."""
 
-
-from repro.analysis.driver import COW_LOAD_CHECK_CYCLES
 from repro.fs.filesystem import FileSystem
 from repro.kernel.thread import ThreadState
-from repro.spechint.tool import SpecHintTool
+from repro.spechint.tool import COW_LOAD_CHECK_CYCLES, SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Op, Reg, SYS_EXIT
 
