@@ -37,9 +37,7 @@ _EXPORTS = {
     "build_system": "repro.harness.runner",
     "run_experiment": "repro.harness.runner",
     "run_one": "repro.harness.experiments",
-    "run_matrix": "repro.harness.experiments",
     "run_sweep": "repro.harness.experiments",
-    "improvements": "repro.harness.experiments",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

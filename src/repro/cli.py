@@ -107,6 +107,17 @@ def _record_run(registry_path: str, result: RunResult, ctx: dict) -> None:
     print(f"registry: recorded {ids[0]} in {registry_path}")
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs N``: at least one worker (1 runs the cells in-process)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _require_checkpoint_for_resume(args: argparse.Namespace) -> None:
     if args.resume and args.checkpoint is None:
         raise ReproError("--resume requires --checkpoint PATH")
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag_specs = {
         "checkpoint": dict(default=None, metavar="PATH"),
         "resume": dict(action="store_true"),
-        "jobs": dict(type=int, default=1, metavar="N"),
+        "jobs": dict(type=_worker_count, default=1, metavar="N"),
         "registry": dict(default=None, metavar="PATH"),
         "scale": dict(type=float, default=1.0),
         "seed": dict(type=int),

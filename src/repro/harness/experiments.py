@@ -29,24 +29,6 @@ def run_one(
     return run_experiment(cfg)
 
 
-def run_matrix(
-    apps: Iterable[str] = APPS,
-    variants: Iterable[Variant] = tuple(Variant),
-    system: Optional[SystemConfig] = None,
-    workload_scale: float = 1.0,
-) -> Matrix:
-    """Run every (app, variant) combination — the Figure 3 grid."""
-    base = system or SystemConfig()
-    results: Matrix = {}
-    for app in apps:
-        results[app] = {}
-        for variant in variants:
-            results[app][variant.value] = run_one(
-                app, variant, system=base, workload_scale=workload_scale
-            )
-    return results
-
-
 #: One sweep-axis value: numeric (disks/cache/ratio) or a fault-profile
 #: name (degraded).
 SweepPoint = Union[float, str]
@@ -231,16 +213,3 @@ def run_sweep(
         }
         for point in points
     }
-
-
-def improvements(matrix: Matrix) -> Dict[str, Dict[str, float]]:
-    """Percent improvement of each hinting variant over the original."""
-    table: Dict[str, Dict[str, float]] = {}
-    for app, by_variant in matrix.items():
-        original = by_variant[Variant.ORIGINAL.value]
-        table[app] = {
-            variant: result.improvement_over(original)
-            for variant, result in by_variant.items()
-            if variant != Variant.ORIGINAL.value
-        }
-    return table

@@ -1,12 +1,12 @@
 """The cell engine: run sealed simulation cells, serially or sharded.
 
 Every sweep cell (one ``(sweep point, app, variant)`` triple), oracle
-cell, chaos cell and fuzz cell is a sealed deterministic simulation —
-independent seeding means any subset can run anywhere, in any order, and
-merge into a result set byte-identical to a serial run.  That is exactly
-the "cell as the unit of parallelism" model of Simics' threading
-commands: the serialised mode is the deterministic reference, and the
-cells are safe to shard across processes.
+cell, chaos cell, fuzz cell and ``repro paper`` cell is a sealed
+deterministic simulation — independent seeding means any subset can run
+anywhere, in any order, and merge into a result set byte-identical to a
+serial run.  That is exactly the "cell as the unit of parallelism" model
+of Simics' threading commands: the serialised mode is the deterministic
+reference, and the cells are safe to shard across processes.
 
 :func:`run_cells` is the one pipeline every grid goes through:
 
@@ -261,13 +261,14 @@ def _run_serial(cells: List[CellSpec],
                 finish: Callable[[str, Payload, bool], None]) -> None:
     """The in-process loop: same cells, same checkpointing, in order."""
     # Everything alive now outlives the loop (the imports, the caller's
-    # state): frozen, it is not re-walked by the collection that ends
-    # every cell.
+    # state), and so does each payload the loop keeps: frozen, neither is
+    # re-walked by the collection that ends every cell.
     gc.collect()
     gc.freeze()
     try:
         for key, fn, args in cells:
             finish(key, run_cell(fn, args), False)
+            gc.freeze()
     finally:
         gc.unfreeze()
 

@@ -9,17 +9,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import RegistryError
 from repro.sim import metrics
 
-#: Serialization format version of :meth:`RunResult.to_jsonable`.
-#: Version 1 (implicit, no ``schema_version`` key) predates the run
-#: registry; version 2 adds the registry key fields (``params_digest``,
-#: ``seed``).  Adding or dropping a field is compatible both ways and
-#: needs no bump: :func:`decode_fields` ignores a stored key the class
-#: lacks, and a field the payload lacks takes its default.  Bump on any
-#: incompatible layout change.
+#: Serialization format version of :meth:`RunResult.to_jsonable`, the one
+#: version :meth:`RunResult.from_jsonable` reads.  Version 2 added the
+#: registry key fields (``params_digest``, ``seed``).  Adding or dropping a
+#: field is compatible both ways and needs no bump: :func:`decode_fields`
+#: ignores a stored key the class lacks, and a field the payload lacks
+#: takes its default.  Bump on any incompatible layout change.
 RESULT_SCHEMA_VERSION = 2
-
-#: Versions :meth:`RunResult.from_jsonable` can still deserialize.
-SUPPORTED_RESULT_SCHEMAS = (1, RESULT_SCHEMA_VERSION)
 
 
 @dataclass
@@ -395,17 +391,15 @@ class RunResult:
     def from_jsonable(cls, data: Dict[str, object]) -> "RunResult":
         """Rebuild a result from :meth:`to_jsonable` output.
 
-        Version-1 payloads (pre-registry, no ``schema_version`` key) are
-        accepted for backward compatibility with old checkpoints — a key
-        they lack takes the field's default; any other unknown version
-        raises a typed :class:`~repro.errors.RegistryError` — a payload
-        written by a future format must never deserialize silently.
+        A payload with a missing or other ``schema_version`` raises a typed
+        :class:`~repro.errors.RegistryError`: a payload written by another
+        format must never deserialize silently.
         """
-        version = data.get("schema_version", 1)
-        if version not in SUPPORTED_RESULT_SCHEMAS:
+        version = data.get("schema_version")
+        if version != RESULT_SCHEMA_VERSION:
             raise RegistryError(
                 f"RunResult payload has schema_version {version!r}; this "
-                f"code reads versions {SUPPORTED_RESULT_SCHEMAS} — the "
+                f"code reads version {RESULT_SCHEMA_VERSION} — the "
                 f"payload was written by an incompatible code version"
             )
         values = decode_fields(cls, data, FIELD_DECODERS)

@@ -13,11 +13,17 @@ model seed of :data:`SEEDS` and rewrites the blocks of DOC between
 ``<!-- repro paper: KEY -->`` and ``<!-- /repro paper -->``: the
 experiment's table at the first seed, then a predicate x seed grid of
 verdicts.  Text outside the markers is kept byte for byte.
+
+The cells of every experiment and seed run as one grid on the cell
+engine, on as many workers as the process has CPUs, and each distinct
+configuration runs once.  Figure 1, Table 3 and the multiprogramming
+ablation build their own systems, so their folds run in this process.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -33,6 +39,7 @@ from repro.harness.experiments import (
     run_config_payload,
     sweep_cell_config,
 )
+from repro.harness.parallel import run_cells
 from repro.harness.results import RunResult
 from repro.harness.runner import build_system, program, speculating
 from repro.params import (
@@ -46,6 +53,7 @@ from repro.params import (
     SystemConfig,
     TipParams,
 )
+from repro.registry.fingerprint import params_digest
 from repro.sim import metrics
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
@@ -58,9 +66,6 @@ from repro.vm.isa import SYS_EXIT, SYS_OPEN, SYS_READ, Reg
 SEEDS = (1999, 1, 2)
 
 ORIGINAL, SPEC, MANUAL = (v.value for v in Variant)
-
-#: Runs one cell; a configuration run before returns its earlier result.
-RunCell = Callable[[ExperimentConfig], RunResult]
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,14 @@ class Experiment:
 
     #: The document's marker name (``<!-- repro paper: KEY -->``).
     key: str
-    #: ``measure(run, seed)``: the experiment's data at one model seed.
-    measure: Callable[[RunCell, int], Any]
+    #: ``cells(seed)``: what it runs at one model seed, a nested mapping
+    #: (dicts and tuples) whose ``ExperimentConfig`` leaves are cells.
+    cells: Callable[[int], Any]
     render: Callable[[Any], str]
     predicates: Tuple[Predicate, ...]
+    #: ``fold(ran)``: its data from ``cells(seed)`` with each config
+    #: replaced by its ``RunResult``; other leaves come through as they are.
+    fold: Callable[[Any], Any] = lambda ran: ran
 
 
 # -- what the experiments run ------------------------------------------------
@@ -108,30 +117,26 @@ def _config(seed: int, app: str, variant: Variant, system: SystemConfig = System
     return ExperimentConfig(app=app, variant=variant, system=system.replace(seed=seed), **fields)
 
 
-def _matrix(apps: Iterable[str] = APPS) -> Callable[[RunCell, int], Matrix]:
+def _matrix(apps: Iterable[str] = APPS) -> Callable[[int], Any]:
     """Every (app, variant) on the default system: Figure 3's grid."""
-    def measure(run: RunCell, seed: int) -> Matrix:
-        return {app: {v.value: run(_config(seed, app, v)) for v in Variant} for app in apps}
-    return measure
+    return lambda seed: {app: {v.value: _config(seed, app, v) for v in Variant} for app in apps}
 
 
-def _sweep(kind: str) -> Callable[[RunCell, int], Dict[Any, Matrix]]:
+def _sweep(kind: str) -> Callable[[int], Any]:
     """One ``repro sweep KIND`` grid: the same cells, at ``seed``."""
-    def measure(run: RunCell, seed: int) -> Dict[Any, Matrix]:
-        def cell(point: Any, app: str, variant: Variant) -> RunResult:
-            cfg = sweep_cell_config(kind, point, app, variant)
-            return run(cfg.with_(system=cfg.system.replace(seed=seed)))
-        return {point: {app: {v.value: cell(point, app, v) for v in Variant}
-                        for app in APPS} for point in SWEEP_POINTS[kind]}
-    return measure
+    def cell(seed: int, point: Any, app: str, variant: Variant) -> ExperimentConfig:
+        cfg = sweep_cell_config(kind, point, app, variant)
+        return cfg.with_(system=cfg.system.replace(seed=seed))
+    return lambda seed: {point: {app: {v.value: cell(seed, point, app, v) for v in Variant}
+                                 for app in APPS} for point in SWEEP_POINTS[kind]}
 
 
-def _pair(run: RunCell, seed: int, app: str, system: SystemConfig = SystemConfig(),
-          **spec_fields: Any) -> Tuple[RunResult, RunResult]:
+def _pair(seed: int, app: str, system: SystemConfig = SystemConfig(),
+          **spec_fields: Any) -> Tuple[ExperimentConfig, ExperimentConfig]:
     """(original, speculating) on ``system``; ``spec_fields`` configure the
     speculating run only."""
-    return (run(_config(seed, app, Variant.ORIGINAL, system)),
-            run(_config(seed, app, Variant.SPECULATING, system, **spec_fields)))
+    return (_config(seed, app, Variant.ORIGINAL, system),
+            _config(seed, app, Variant.SPECULATING, system, **spec_fields))
 
 
 def _gain(matrix: Matrix, app: str, variant: str = SPEC) -> float:
@@ -272,49 +277,45 @@ def run_multiprogrammed_agrep(contended: bool, seed: int) -> Tuple[int, int, int
             system.stats.get(metrics.TIP_HINTED_READ_CALLS))
 
 
-def _transform_reports(run: RunCell, seed: int) -> List[Any]:
+def _transform_reports(_: None) -> List[Any]:
     """Table 3's transformations; the tool takes no seed."""
     tool = SpecHintTool()
     return [tool.transform(program(app, 1.0)).spec_meta.report
             for app in ("agrep", "gnuld", "xds")]
 
 
-def _overheads(run: RunCell, seed: int) -> Dict[str, float]:
-    """Figure 4: % extra cycles of speculating over original, hints ignored."""
+def _overheads(seed: int) -> Dict[str, Tuple[ExperimentConfig, ExperimentConfig]]:
+    """Figure 4: a pair per app with hints ignored; folded to the % extra
+    cycles of speculating over original."""
     system = SystemConfig(tip=TipParams(ignore_hints=True))
-    pairs = {app: _pair(run, seed, app, system) for app in APPS}
-    return {app: 100.0 * (spec.cycles - orig.cycles) / orig.cycles
-            for app, (orig, spec) in pairs.items()}
+    return {app: _pair(seed, app, system) for app in APPS}
 
 
-def _region_gains(run: RunCell, seed: int) -> Dict[int, Dict[str, float]]:
-    """§3.2.1: speculating improvement per COW region size."""
-    return {region: {app: _pair_gain(_pair(run, seed, app, SystemConfig(
-        spechint=SpecHintParams(cow_region_size=region)))) for app in APPS}
+def _region_gains(seed: int) -> Dict[int, Dict[str, Tuple[ExperimentConfig, ExperimentConfig]]]:
+    """§3.2.1: a pair per app and COW region size; folded to its gain."""
+    return {region: {app: _pair(seed, app, SystemConfig(
+        spechint=SpecHintParams(cow_region_size=region))) for app in APPS}
         for region in (128, 1024, 8192)}
 
 
-def _map_all(run: RunCell, seed: int) -> Dict[bool, Dict[str, Tuple[float, int]]]:
-    """§3.2.1: (improvement, left-shadow parks), handling routine mapping
-    function entries only (False) or any text address (True)."""
-    pairs = {(lifted, app): _pair(run, seed, app, map_all_addresses=lifted)
-             for lifted in (False, True) for app in APPS}
-    return {lifted: {app: (_pair_gain(pairs[lifted, app]),
-                           pairs[lifted, app][1].c("spec.park.left_shadow")) for app in APPS}
+def _map_all(seed: int) -> Dict[bool, Dict[str, Tuple[ExperimentConfig, ExperimentConfig]]]:
+    """§3.2.1: a pair per app, mapping function entries only (False) or any
+    text address (True); folded to (improvement, left-shadow parks)."""
+    return {lifted: {app: _pair(seed, app, map_all_addresses=lifted) for app in APPS}
             for lifted in (False, True)}
 
 
-def _throttle(run: RunCell, seed: int) -> Dict[str, Tuple[RunResult, RunResult]]:
+def _throttle(seed: int) -> Dict[str, Tuple[ExperimentConfig, ExperimentConfig]]:
     """§5: 1-disk Gnuld with the cancel-triggered throttle off and on."""
-    return {f"throttle {'on' if on else 'off'}": _pair(run, seed, "gnuld", SystemConfig(
+    return {f"throttle {'on' if on else 'off'}": _pair(seed, "gnuld", SystemConfig(
         array=ArrayParams(ndisks=1),
         spechint=SpecHintParams(throttle_cancel_limit=4 if on else 0, throttle_disable_reads=48)))
         for on in (False, True)}
 
 
-def _multiprocessor(run: RunCell, seed: int) -> Dict[str, Tuple[RunResult, RunResult]]:
+def _multiprocessor(seed: int) -> Dict[str, Tuple[ExperimentConfig, ExperimentConfig]]:
     """§5: Agrep at 10 disks on one and two CPUs."""
-    return {f"{n} CPU(s)": _pair(run, seed, "agrep", SystemConfig(
+    return {f"{n} CPU(s)": _pair(seed, "agrep", SystemConfig(
         array=ArrayParams(ndisks=10), ncpus=n)) for n in (1, 2)}
 
 
@@ -351,13 +352,12 @@ def _table1(matrix: Matrix) -> Dict[str, Tuple[float, float]]:
 
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
-    Experiment("fig1", lambda run, seed: (run_figure1(False, seed), run_figure1(True, seed)),
-               lambda cycles: tables.format_fig1(*cycles), (
+    Experiment("fig1", lambda seed: seed, lambda cycles: tables.format_fig1(*cycles), (
         Predicate("normal execution takes ≥ 15 Mcycles (4 × (1 M compute + ~3 M stall))",
                   lambda c: {"normal cycles": c[0]}, lambda normal: normal >= 15_000_000),
         Predicate("speculation more than halves it (speedup > 2)",
                   lambda c: {"speedup": c[0] / c[1]}, lambda speedup: speedup > 2.0),
-    )),
+    ), fold=lambda seed: (run_figure1(False, seed), run_figure1(True, seed))),
     Experiment("fig3", _matrix(), tables.format_fig3, (
         Predicate("speculating cuts every app's time by > 25 %",
                   lambda m: {a: _gain(m, a) for a in APPS}, lambda gain: gain > 25),
@@ -374,14 +374,15 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   lambda o: o, lambda pct: pct <= paper.FIG4_MAX_OVERHEAD_PCT),
         Predicate("overhead ≥ −1 % (speculating is not implausibly faster)",
                   lambda o: o, lambda pct: pct >= -1.0),
-    )),
+    ), fold=lambda pairs: {app: 100.0 * (spec.cycles - orig.cycles) / orig.cycles
+                           for app, (orig, spec) in pairs.items()}),
     Experiment("table1", _matrix(), tables.format_table1, (
         Predicate("manual gain > the paper's Table 1 value − 25",
                   _table1, lambda gain, expected: gain > expected - 25),
         Predicate("manual gain < the paper's Table 1 value + 20",
                   _table1, lambda gain, expected: gain < expected + 20),
     )),
-    Experiment("table3", _transform_reports, tables.format_table3, (
+    Experiment("table3", lambda seed: None, tables.format_table3, (
         Predicate("every transformation takes < 60 s of host time",
                   lambda rs: {r.binary_name: r.modification_time_s for r in rs},
                   lambda seconds: seconds < 60),
@@ -397,7 +398,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         Predicate("growth: Gnuld > XDataSlice",
                   lambda rs: {"gnuld vs xds": (rs[1].size_increase_pct, rs[2].size_increase_pct)},
                   lambda gnuld, xds: gnuld > xds),
-    )),
+    ), fold=_transform_reports),
     Experiment("table4", _matrix(), tables.format_table4, (
         Predicate("Agrep: % calls hinted > 15 points below % bytes (its unhinted EOF reads)",
                   lambda m: {"agrep": (_spec(m, "agrep", "pct_calls_hinted"),
@@ -545,7 +546,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         Predicate("speculating gains > 20 % at every region size",
                   lambda g: {f"{a} @{region}": r[a] for region, r in g.items() for a in APPS},
                   lambda gain: gain > 20),
-    )),
+    ), fold=lambda pairs: {region: {app: _pair_gain(pair) for app, pair in by_app.items()}
+                           for region, by_app in pairs.items()}),
     Experiment("ablation-throttle", _throttle, functools.partial(
         tables.format_pairs, "Ablation - cancel-triggered throttle (Gnuld, 1 disk)"), (
         Predicate("the throttle cuts inaccurate hints",
@@ -571,16 +573,14 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   lambda r: {"2 vs 1 CPU": (_pair_gain(r["2 CPU(s)"]), _pair_gain(r["1 CPU(s)"]))},
                   lambda mp, up: mp >= up - 2.0),
     )),
-    Experiment("ablation-multiprogramming",
-               lambda run, seed: {c: run_multiprogrammed_agrep(c, seed) for c in (False, True)},
-               tables.format_multiprogramming, (
+    Experiment("ablation-multiprogramming", lambda seed: seed, tables.format_multiprogramming, (
         Predicate("a competitor cuts speculation's CPU below 0.9 × alone",
                   lambda r: {"contended vs alone": (r[True][0], r[False][0])},
                   lambda contended, alone: contended < alone * 0.9),
         Predicate("a competitor leaves no more reads hinted",
                   lambda r: {"contended vs alone": (r[True][2], r[False][2])},
                   lambda contended, alone: contended <= alone),
-    )),
+    ), fold=lambda seed: {c: run_multiprogrammed_agrep(c, seed) for c in (False, True)}),
     Experiment("ext-postgres", _matrix(apps=("postgres20", "postgres80")),
                tables.format_postgres, (
         Predicate("speculating cuts each join's time by > 25 %",
@@ -598,7 +598,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         Predicate("mapping all addresses costs less than 3 points of gain",
                   lambda r: {a: (r[True][a][0], r[False][a][0]) for a in APPS},
                   lambda lifted, restricted: lifted >= restricted - 3),
-    )),
+    ), fold=lambda pairs: {lifted: {app: (_pair_gain(pair), pair[1].c("spec.park.left_shadow"))
+                                    for app, pair in by_app.items()}
+                           for lifted, by_app in pairs.items()}),
 )
 
 
@@ -624,34 +626,54 @@ class Outcome:
         return not any(self.violations[seed])
 
 
-def _cell_runner() -> RunCell:
-    """A :data:`RunCell` through the sweep cell runner, which also scales
-    Figure 6's cycles back by the processor/disk ratio."""
-    results: Dict[ExperimentConfig, RunResult] = {}
+def _pool_size() -> int:
+    """The CPUs this process may run on: the document is byte-identical at
+    any pool size, so the size is not an option."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    def run(cfg: ExperimentConfig) -> RunResult:
-        if cfg not in results:
-            results[cfg] = RunResult.from_jsonable(run_config_payload(cfg))
-        return results[cfg]
-    return run
+
+def _map_configs(plan: Any, fn: Callable[[ExperimentConfig], Any]) -> Any:
+    """``plan`` with each ``ExperimentConfig`` leaf replaced by ``fn(leaf)``."""
+    if isinstance(plan, ExperimentConfig):
+        return fn(plan)
+    if isinstance(plan, dict):
+        return {key: _map_configs(value, fn) for key, value in plan.items()}
+    if isinstance(plan, tuple):
+        return tuple(_map_configs(value, fn) for value in plan)
+    return plan
+
+
+def _grid(plans: Iterable[Any]) -> Dict[str, ExperimentConfig]:
+    """The distinct configs of ``plans``, app-major, each keyed by its run
+    identity in the registry: (seed, app, variant, ``params_digest``)."""
+    grid: Dict[str, ExperimentConfig] = {}
+
+    def enlist(cfg: ExperimentConfig) -> None:
+        key = f"{cfg.system.seed}/{cfg.app}/{cfg.variant.value}/{params_digest(cfg)}"
+        if grid.setdefault(key, cfg) != cfg:
+            raise HarnessError(f"two configurations share the run identity {key}")
+
+    for plan in plans:
+        _map_configs(plan, enlist)
+    return dict(sorted(grid.items(), key=lambda item: item[1].app))
 
 
 def measure_all(seeds: Sequence[int] = SEEDS) -> Dict[str, Outcome]:
-    """Every experiment at every seed; each distinct configuration runs
-    once."""
-    rendered: Dict[str, str] = {}
-    violations: Dict[str, Dict[int, List[List[str]]]] = {
-        exp.key: {} for exp in EXPERIMENTS}
-    for seed in seeds:
-        # No configuration is shared across seeds, so each seed's results
-        # are dropped once its experiments are measured.
-        run = _cell_runner()
-        for exp in EXPERIMENTS:
-            data = exp.measure(run, seed)
-            if seed == seeds[0]:
-                rendered[exp.key] = exp.render(data)
-            violations[exp.key][seed] = [p.violations(data) for p in exp.predicates]
-    return {key: Outcome(rendered[key], violations[key]) for key in rendered}
+    """Every experiment at every seed, its cells run as one grid on the
+    cell engine (:func:`repro.harness.parallel.run_cells`)."""
+    plans = {(exp.key, seed): exp.cells(seed) for exp in EXPERIMENTS for seed in seeds}
+    grid = _grid(plans.values())
+    payloads = run_cells([(key, run_config_payload, (cfg,)) for key, cfg in grid.items()],
+                         jobs=_pool_size()).results
+    ran = {cfg: RunResult.from_jsonable(payloads.pop(key)) for key, cfg in grid.items()}
+    outcomes: Dict[str, Outcome] = {}
+    for exp in EXPERIMENTS:
+        data = {seed: exp.fold(_map_configs(plans[exp.key, seed], ran.__getitem__))
+                for seed in seeds}
+        outcomes[exp.key] = Outcome(exp.render(data[seeds[0]]), {
+            seed: [p.violations(d) for p in exp.predicates] for seed, d in data.items()})
+    return outcomes
 
 
 def render_block(exp: Experiment, outcome: Outcome) -> str:
@@ -714,13 +736,16 @@ def assemble(doc: str, blocks: Mapping[str, str]) -> str:
 def write_document(path: str) -> Tuple[bool, str]:
     """``repro paper DOC``: regenerate the marked blocks of ``path``.
 
-    The markers are checked before anything runs.  The document is
-    written even when a predicate fails, so its diff shows the failure.
-    Returns whether every predicate holds at the first seed, and the
-    summary line.
+    The document is read (UTF-8, else a HarnessError) and its markers are
+    checked before anything runs.  The document is written even when a
+    predicate fails, so its diff shows the failure.  Returns whether every
+    predicate holds at the first seed, and the summary line.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        doc = handle.read()
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            doc = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HarnessError(f"cannot read {path}: {exc}") from None
     keys = [exp.key for exp in EXPERIMENTS] + [SUMMARY]
     assemble(doc, dict.fromkeys(keys, ""))
     outcomes = measure_all()

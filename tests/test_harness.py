@@ -8,7 +8,7 @@ from repro.errors import DataLossError, FileSystemError, HarnessError
 from repro.faults.plan import profile
 from repro.fs.filesystem import FileSystem
 from repro.harness.config import ExperimentConfig, Variant
-from repro.harness.experiments import improvements, run_matrix, run_one
+from repro.harness.experiments import run_one
 from repro.harness.fuzz import observe_variant
 from repro.harness.results import RunResult, median_interval
 from repro.harness.runner import run_experiment_with_system
@@ -121,12 +121,6 @@ class TestDrivers:
         result = run_one("agrep", Variant.ORIGINAL, workload_scale=0.1)
         assert result.read_calls > 0
         assert result.cycles > 0
-
-    def test_run_matrix_and_improvements(self):
-        matrix = run_matrix(apps=("agrep",), workload_scale=0.2)
-        imps = improvements(matrix)
-        assert set(imps["agrep"]) == {"speculating", "manual"}
-        assert imps["agrep"]["speculating"] > 0
 
     def test_determinism_across_runs(self):
         a = run_one("agrep", Variant.SPECULATING, workload_scale=0.2)

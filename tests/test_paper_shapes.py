@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import HarnessError
-from repro.harness import shapes
+from repro.harness import parallel, shapes
 
 KEYS = [exp.key for exp in shapes.EXPERIMENTS] + [shapes.SUMMARY]
 
@@ -70,6 +70,20 @@ class TestAssembly:
         assert "HarnessError" in capsys.readouterr().err
         assert text == bad
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+    def test_an_unreadable_document_is_one_error_line(self, kind, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "EXPERIMENTS.md"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not UTF-8":
+            path.write_bytes("café".encode("latin-1"))
+        monkeypatch.setattr(shapes, "measure_all", lambda: pytest.fail("measured"))
+        assert main(["paper", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro: error: HarnessError: cannot read {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestVerdicts:
     def test_a_failing_default_seed_predicate_writes_a_cross_and_exits_1(
@@ -97,3 +111,39 @@ class TestVerdicts:
     def test_every_predicate_fits_a_table_cell(self):
         assert not [p.text for exp in shapes.EXPERIMENTS for p in exp.predicates
                     if "|" in p.text]
+
+
+class TestGrid:
+    """What :func:`shapes.measure_all` runs, pinned without simulating."""
+
+    def test_each_seed_has_141_distinct_cells_and_all_seeds_423(self):
+        plans = {seed: [exp.cells(seed) for exp in shapes.EXPERIMENTS] for seed in shapes.SEEDS}
+        assert [len(shapes._grid(p)) for p in plans.values()] == [141, 141, 141]
+        assert len(shapes._grid(p for seed_plans in plans.values() for p in seed_plans)) == 423
+
+    def test_the_six_matrix_experiments_share_one_9_cell_set(self):
+        matrix = [exp for exp in shapes.EXPERIMENTS
+                  if exp.key in ("fig3", "table1", "table4", "table5", "table6", "section44")]
+        assert len(matrix) == 6
+        for seed in shapes.SEEDS:
+            cells = {frozenset(shapes._grid([exp.cells(seed)])) for exp in matrix}
+            assert [len(c) for c in cells] == [9]
+
+    def test_a_pool_of_two_measures_what_one_process_does(self, monkeypatch):
+        cheap = ("fig1", "fig4", "ablation-multiprocessor", "ablation-multiprogramming")
+        monkeypatch.setattr(shapes, "EXPERIMENTS",
+                            tuple(exp for exp in shapes.EXPERIMENTS if exp.key in cheap))
+        modes = []
+
+        def run_cells(*args, **kwargs):
+            outcome = parallel.run_cells(*args, **kwargs)
+            modes.append(outcome.stats.mode)
+            return outcome
+        monkeypatch.setattr(shapes, "run_cells", run_cells)
+        outcomes = []
+        for size in (1, 2):
+            monkeypatch.setattr(shapes, "_pool_size", lambda: size)
+            outcomes.append(shapes.measure_all(seeds=(1999,)))
+        assert modes == ["serial", "parallel"]
+        assert outcomes[0] == outcomes[1]
+        assert all(outcome.holds(1999) for outcome in outcomes[0].values())

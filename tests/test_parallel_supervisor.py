@@ -540,6 +540,26 @@ class TestIntegration:
         assert captured["apps"] == ("agrep",)
         assert captured["jobs"] == 4
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "cache", "--scale", "0.05", "--checkpoint", "cells.ckpt"],
+        ["fuzz", "--budget", "1", "--apps", "agrep", "--checkpoint", "cells.ckpt"],
+        ["run", "agrep", "--oracle", "--oracle-report", "report.json"],
+    ])
+    def test_cli_refuses_fewer_than_one_job(self, command, jobs, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
+        # Nothing is written: not the checkpoint, the report or fuzz-failures/.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, f"--jobs={jobs}"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"repro {command[0]}: error: argument --jobs: must be at least 1, got {jobs}"]
+        assert os.listdir(tmp_path) == []
+
 
 # ---------------------------------------------------------------------------
 # One pipeline: the same engine behind every sweep / oracle mode

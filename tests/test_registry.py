@@ -177,8 +177,8 @@ class TestRunRecord:
         counters = {"app.workload_completed_cycle": 4_000_000,
                     "spec.restarts": 3, "spec.signals": 1,
                     "spec.cancel_calls": 3, "spec.hints_issued": 40}
-        data = make_record(counters=counters, cpu_hz=500_000_000,
-                           output_b64="", **old).to_jsonable()
+        data = make_record(counters=counters, cpu_hz=500_000_000, output_b64="",
+                           schema_version=RESULT_SCHEMA_VERSION, **old).to_jsonable()
         record = RunRecord.from_jsonable(json.loads(json.dumps(data)))
         assert record.run_id == data["run_id"]
         result = RunResult.from_jsonable(record.result)
@@ -510,14 +510,14 @@ class TestResultSchemaVersion:
         assert again.seed == data["seed"]
         assert again.to_jsonable() == data
 
-    def test_v1_payload_still_accepted(self):
+    def test_v1_payload_rejected(self):
+        # Version 1 wrote no ``schema_version`` key and no registry fields.
         data = self._payload()
         del data["schema_version"]
         for name in ("params_digest", "seed"):
             data.pop(name)
-        again = RunResult.from_jsonable(data)
-        assert again.params_digest == ""
-        assert again.cycles == data["cycles"]
+        with pytest.raises(RegistryError, match="schema_version None"):
+            RunResult.from_jsonable(data)
 
     def test_unknown_version_rejected(self):
         data = self._payload()
