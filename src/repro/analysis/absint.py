@@ -18,10 +18,8 @@ Soundness boundary — read this before trusting a fact:
 
 * The machine wraps arithmetic modulo 2**64; the domain uses unbounded
   signed integers.  Any value the program actually wraps shows up here
-  as an interval the classifier refuses to prove things about, so
-  classification stays conservative (a wrapped "negative" address maps
-  above every segment and faults at runtime; it is never proven
-  SPEC_LOCAL).
+  as an interval no range check proves things about (a wrapped
+  "negative" address maps above every segment and faults at runtime).
 * Calls follow the SpecVM convention: caller-saved registers (``at``,
   ``v0``/``v1``, ``a0``–``a5``, ``t0``–``t9``) and all tracked stack
   slots are forgotten, ``ra`` holds a return address, ``sp`` and the
@@ -284,16 +282,6 @@ def range_avoids(v: AbsVal, base: int, end: int) -> bool:
     return False
 
 
-def range_within(v: AbsVal, base: int, end: int) -> bool:
-    """True when ``v`` provably addresses only ``[base, end)``."""
-    if v.kind is not ValueKind.NUM:
-        return False
-    return (
-        v.lo is not None and v.hi is not None
-        and base <= v.lo and v.hi < end
-    )
-
-
 # -- machine state ------------------------------------------------------------
 
 
@@ -480,8 +468,6 @@ class FunctionFacts:
     """Post-fixpoint abstract facts for one function."""
 
     name: str
-    #: STORE/STOREB index -> abstract target address.
-    store_addr: Dict[int, AbsVal] = field(default_factory=dict)
     #: JR/CALLR index -> abstract target value.
     transfer_val: Dict[int, AbsVal] = field(default_factory=dict)
 
@@ -502,7 +488,8 @@ class FlowState(Protocol):
 
     def along_edge(self: S, refine: EdgeRefinement) -> Optional[S]:
         """This state carried across one edge, its :class:`AbsState`
-        component passed through ``refine``."""
+        component passed through ``refine`` (a state without one ignores
+        it)."""
 
 
 def _edge_refinements(
@@ -545,11 +532,14 @@ def solve_function(
 ) -> Dict[int, S]:
     """Block-entry states of one function at the fixed point of ``transfer``.
 
-    The one worklist solver: blocks in FIFO order, ``transfer`` applied in
-    place per instruction, branch/switch edges refined (infeasible ones
-    pruned), joins widened after ``_WIDEN_AFTER`` visits.  Branches and
-    switches have no register effects, so the refinements apply to the
-    block's final state.
+    The one worklist solver of the analysis: :func:`analyze_function`
+    runs it over :class:`AbsState`, the taint lint over its product state
+    and over reaching definitions.  Blocks in FIFO order, ``transfer``
+    applied in place per instruction, branch/switch edges refined
+    (infeasible ones pruned), joins widened after ``_WIDEN_AFTER`` visits.
+    Branches and switches have no register effects, so the refinements
+    apply to the block's final state.  A block the entry cannot reach
+    gets no state.
     """
     in_states: Dict[int, S] = {cfg.entry_block: entry}
     visits: Dict[int, int] = {}
@@ -598,11 +588,7 @@ def analyze_function(binary: Binary, cfg: CFG) -> FunctionFacts:
         block = cfg.blocks[block_id]
         for index in block.indices():
             insn = binary.text[index]
-            if insn.op in (Op.STORE, Op.STOREB):
-                facts.store_addr[index] = address_of(
-                    state.get(insn.b), insn.c
-                )
-            elif insn.op in (Op.JR, Op.CALLR):
+            if insn.op in (Op.JR, Op.CALLR):
                 facts.transfer_val[index] = state.get(insn.a)
             step(state, insn)
     return facts

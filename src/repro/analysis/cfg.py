@@ -1,12 +1,14 @@
 """Control-flow graphs over SpecVM functions (analysis stage 1).
 
 Builds, per function, the classic compiler view of the original text
-section: basic blocks, intraprocedural edges, dominators, and natural
-loops.  The block splitter works from the same instruction semantics as
-:mod:`repro.vm.disasm` renders (branch/jump targets, jump-table operands,
-call fallthrough), and the per-function listings in analysis reports are
-produced with :func:`repro.vm.disasm.format_insn` so the two views can
-never drift apart.
+section: basic blocks and intraprocedural edges, plus the two graph
+routines later stages share (one depth-first :func:`reachable`, one
+:func:`dominator_sets` fixpoint).  The block splitter works from the
+same instruction semantics as :mod:`repro.vm.disasm` renders
+(branch/jump targets, jump-table operands, call fallthrough), and the
+per-function listings in analysis reports are produced with
+:func:`repro.vm.disasm.format_insn` so the two views can never drift
+apart.
 
 Intraprocedural conventions:
 
@@ -126,14 +128,6 @@ class BasicBlock:
         return range(self.start, self.end)
 
 
-@dataclass(frozen=True)
-class Loop:
-    """A natural loop: its header block and the full body (incl. header)."""
-
-    head: int
-    body: FrozenSet[int]
-
-
 @dataclass
 class CFG:
     """The control-flow graph of one function."""
@@ -142,19 +136,12 @@ class CFG:
     blocks: List[BasicBlock]
     #: Instruction index -> owning block id.
     block_at: Dict[int, int]
-    #: Block id -> dominator set (reachable blocks only).
-    dominators: Dict[int, FrozenSet[int]]
-    loops: List[Loop]
     #: A reachable block may fall through past ``function.end``.
     falls_off_end: bool
 
     @property
     def entry_block(self) -> int:
         return 0
-
-    @property
-    def loop_heads(self) -> FrozenSet[int]:
-        return frozenset(loop.head for loop in self.loops)
 
     def reachable_blocks(self) -> FrozenSet[int]:
         """Block ids reachable from the function entry."""
@@ -186,9 +173,9 @@ def dominator_sets(
 ) -> Dict[int, FrozenSet[int]]:
     """Dominator set of every node of a graph given by ``predecessors``.
 
-    The one dominator fixpoint: block dominators run it over the CFG from
-    the entry block, postdominators over the reversed CFG from a virtual
-    exit.  A node ``entry`` cannot reach keeps the full node set.
+    The one dominator fixpoint: the taint lint's postdominators run it
+    over the reversed CFG from a virtual exit.  A node ``entry`` cannot
+    reach keeps the full node set.
     """
     everything = frozenset(nodes)
     dom: Dict[int, FrozenSet[int]] = {n: everything for n in everything}
@@ -208,30 +195,8 @@ def dominator_sets(
     return dom
 
 
-def _natural_loops(
-    blocks: List[BasicBlock],
-    dominators: Dict[int, FrozenSet[int]],
-    live: FrozenSet[int],
-) -> List[Loop]:
-    def body(tail: int, head: int) -> FrozenSet[int]:
-        # Back edge tail -> head: everything that reaches ``tail``
-        # backwards without passing through ``head``.
-        return frozenset({head} | reachable(
-            [tail], lambda b: () if b == head else [
-                p for p in blocks[b].predecessors if p in live
-            ],
-        ))
-
-    return [
-        Loop(head=head, body=body(block_id, head))
-        for block_id in sorted(live)
-        for head in blocks[block_id].successors
-        if head in live and head in dominators[block_id]
-    ]
-
-
 def build_cfg(binary: Binary, func: Function) -> CFG:
-    """Basic blocks, dominators and natural loops for one function."""
+    """Basic blocks and their edges for one function."""
     leaders = _leaders(binary, func)
     blocks: List[BasicBlock] = []
     block_at: Dict[int, int] = {}
@@ -251,22 +216,11 @@ def build_cfg(binary: Binary, func: Function) -> CFG:
         for succ in block.successors:
             blocks[succ].predecessors.append(block.block_id)
 
-    cfg = CFG(
-        function=func,
-        blocks=blocks,
-        block_at=block_at,
-        dominators={},
-        loops=[],
-        falls_off_end=False,
-    )
-    live = cfg.reachable_blocks()
-    cfg.dominators = dominator_sets(cfg.entry_block, live, lambda b: [
-        p for p in blocks[b].predecessors if p in live
-    ])
-    cfg.loops = _natural_loops(blocks, cfg.dominators, live)
+    cfg = CFG(function=func, blocks=blocks, block_at=block_at,
+              falls_off_end=False)
     cfg.falls_off_end = any(
         blocks[b].end == func.end and falls_through(binary, blocks[b].terminator)
-        for b in live
+        for b in cfg.reachable_blocks()
     )
     return cfg
 

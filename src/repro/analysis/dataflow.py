@@ -1,26 +1,22 @@
-"""Worklist dataflow engine (analysis stage 2).
+"""Register definitions and uses (analysis stage 2).
 
-A small, generic fixed-point solver over basic blocks plus the two
-classic bit-vector problems the rest of the pipeline (and its tests)
-use: reaching definitions and live registers.  Both treat calls with
-the SpecVM calling convention: a call may define every caller-saved
-register (``at``, ``v0``/``v1``, ``a0``–``a5``, ``t0``–``t9``, ``ra``)
-and uses the argument registers and the stack pointer.
+What each instruction defines and uses, under the SpecVM calling
+convention: a call may define every caller-saved register (``at``,
+``v0``/``v1``, ``a0``–``a5``, ``t0``–``t9``, ``ra``) and uses the
+argument registers and the stack pointer.  The abstract interpreter
+forgets :data:`CALL_CLOBBERS` at a call; the taint lint's reaching
+definitions and witness chains read :func:`defs_uses`.  No fixpoint
+runs here: :func:`repro.analysis.absint.solve_function` is the one
+solver.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Tuple, TypeVar
+from typing import FrozenSet, Tuple
 
-from repro.analysis.cfg import CFG
-from repro.vm.binary import Binary
 from repro.vm.isa import BRANCH_OPS, Insn, Op, Reg
 
-T = TypeVar("T")
-
 RegSet = FrozenSet[int]
-#: A definition site: (instruction index, register).
-DefSite = Tuple[int, int]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -76,123 +72,3 @@ def defs_uses(insn: Insn) -> Tuple[RegSet, RegSet]:
     if op is Op.SYSCALL:
         return _SYSCALL_DEFS, _SYSCALL_USES
     return _EMPTY, _EMPTY  # NOP, HALT, CWORK, JMP
-
-
-def worklist_solve(
-    cfg: CFG,
-    transfer: Callable[[int, FrozenSet[T]], FrozenSet[T]],
-    *,
-    forward: bool,
-    boundary: FrozenSet[T],
-) -> Tuple[Dict[int, FrozenSet[T]], Dict[int, FrozenSet[T]]]:
-    """Union-join fixed point of ``transfer`` over the blocks of ``cfg``.
-
-    Returns (facts where the flow enters each block, facts where it leaves
-    it).  Forward, that is (in, out) per block: ``in`` joined over
-    predecessor ``out`` values, ``boundary`` seeding the entry block.
-    Backward it is (out, in) with the roles of the edge directions swapped
-    (``boundary`` seeds blocks with no successors).
-    """
-    blocks = cfg.blocks
-    n = len(blocks)
-    empty: FrozenSet[T] = frozenset()
-    enter: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
-    leave: Dict[int, FrozenSet[T]] = {b: empty for b in range(n)}
-
-    pending: List[int] = list(range(n))
-    on_list = [True] * n
-    while pending:
-        block_id = pending.pop(0)
-        on_list[block_id] = False
-        block = blocks[block_id]
-        if forward:
-            sources, sinks = block.predecessors, block.successors
-            seeded = block_id == cfg.entry_block
-        else:
-            sources, sinks = block.successors, block.predecessors
-            seeded = not sources
-        joined: FrozenSet[T] = boundary if seeded else empty
-        for src in sources:
-            joined |= leave[src]
-        enter[block_id] = joined
-        result = transfer(block_id, joined)
-        if result != leave[block_id]:
-            leave[block_id] = result
-            for sink in sinks:
-                if not on_list[sink]:
-                    pending.append(sink)
-                    on_list[sink] = True
-    return enter, leave
-
-
-def reaching_definitions(
-    binary: Binary, cfg: CFG
-) -> Dict[int, FrozenSet[DefSite]]:
-    """Definition sites reaching each instruction (per-insn IN sets)."""
-    text = binary.text
-    block_gen: Dict[int, FrozenSet[DefSite]] = {}
-    block_kill_regs: Dict[int, RegSet] = {}
-    for block in cfg.blocks:
-        gen: Dict[int, DefSite] = {}
-        killed: FrozenSet[int] = frozenset()
-        for index in block.indices():
-            defs, _ = defs_uses(text[index])
-            for reg in defs:
-                gen[reg] = (index, reg)
-            killed |= defs
-        block_gen[block.block_id] = frozenset(gen.values())
-        block_kill_regs[block.block_id] = killed
-
-    def transfer(
-        block_id: int, in_set: FrozenSet[DefSite]
-    ) -> FrozenSet[DefSite]:
-        killed = block_kill_regs[block_id]
-        survivors = frozenset(d for d in in_set if d[1] not in killed)
-        return survivors | block_gen[block_id]
-
-    in_map, _ = worklist_solve(
-        cfg, transfer, forward=True, boundary=frozenset()
-    )
-
-    result: Dict[int, FrozenSet[DefSite]] = {}
-    for block in cfg.blocks:
-        live: FrozenSet[DefSite] = in_map[block.block_id]
-        for index in block.indices():
-            result[index] = live
-            defs, _ = defs_uses(text[index])
-            if defs:
-                live = frozenset(d for d in live if d[1] not in defs)
-                live |= frozenset((index, reg) for reg in defs)
-    return result
-
-
-def live_out(binary: Binary, cfg: CFG) -> Dict[int, RegSet]:
-    """Registers live immediately after each instruction."""
-    text = binary.text
-    block_use: Dict[int, RegSet] = {}
-    block_def: Dict[int, RegSet] = {}
-    for block in cfg.blocks:
-        used: FrozenSet[int] = frozenset()
-        defined: FrozenSet[int] = frozenset()
-        for index in block.indices():
-            defs, uses = defs_uses(text[index])
-            used |= uses - defined
-            defined |= defs
-        block_use[block.block_id] = used
-        block_def[block.block_id] = defined
-
-    def transfer(block_id: int, out_set: RegSet) -> RegSet:
-        return block_use[block_id] | (out_set - block_def[block_id])
-
-    out_map, _ = worklist_solve(
-        cfg, transfer, forward=False, boundary=frozenset()
-    )
-
-    result: Dict[int, RegSet] = {}
-    for block in cfg.blocks:
-        live: RegSet = out_map[block.block_id]
-        for index in reversed(list(block.indices())):
-            result[index] = live
-            defs, uses = defs_uses(text[index])
-            live = uses | (live - defs)
-    return result

@@ -1,8 +1,8 @@
 """Whole-binary analysis driver (stage 4).
 
-Runs the per-function pipeline (CFG -> dataflow -> abstract
-interpretation), then computes the whole-program facts ``repro analyze``
-reports and the taint lint (``taint.py``) builds on:
+Runs the per-function pipeline (CFG -> abstract interpretation), then
+computes the whole-program facts ``repro analyze`` reports and the taint
+lint (``taint.py``) builds on:
 
 * classification of every computed control transfer (resolved to a
   provable function target / a return / unknown / provably unmappable);
@@ -10,7 +10,6 @@ reports and the taint lint (``taint.py``) builds on:
   speculating thread can reach from any read-resume point under the
   shadow-code semantics (stripped output calls, "handler maps function
   entries", suppressed syscalls);
-* a store classification (SPEC_LOCAL / MAY_ESCAPE / UNKNOWN);
 * per-function syscall reachability;
 * lint findings for binaries speculation cannot safely pre-execute.
 
@@ -26,15 +25,12 @@ from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.absint import (
-    STACK_BASE,
     AbsVal,
     FunctionFacts,
     ValueKind,
     analyze_function,
-    range_within,
 )
 from repro.analysis.cfg import CFG, build_cfg, reachable, table_targets
-from repro.analysis.dataflow import live_out
 from repro.errors import AnalysisError
 from repro.vm.binary import Binary
 from repro.vm.isa import (
@@ -44,19 +40,6 @@ from repro.vm.isa import (
     SYSCALL_NAMES,
     Op,
 )
-from repro.vm.memory import DATA_BASE, SPEC_HEAP_BASE, SPEC_HEAP_MAX
-
-
-class StoreClass(enum.Enum):
-    """What a store can touch, as far as the analysis can prove."""
-
-    #: Provably speculation-local: the (pre-copied) stack or the
-    #: speculative heap.
-    SPEC_LOCAL = "spec_local"
-    #: Provably escapes speculation-local memory (data segment).
-    MAY_ESCAPE = "may_escape"
-    #: No proof either way.
-    UNKNOWN = "unknown"
 
 
 class TransferKind(enum.Enum):
@@ -104,9 +87,6 @@ class FunctionSummary:
 
     name: str
     blocks: int
-    loops: int
-    max_live_regs: int
-    stores: int
     spec_reachable: bool
     syscalls: Tuple[str, ...]
 
@@ -118,7 +98,6 @@ class BinaryAnalysis:
     binary: Binary
     cfgs: Dict[str, CFG]
     facts: Dict[str, FunctionFacts]
-    store_classes: Dict[int, StoreClass]
     transfers: Dict[int, TransferFact]
     spec_roots: FrozenSet[int]
     spec_reachable: FrozenSet[int]
@@ -131,9 +110,6 @@ class BinaryAnalysis:
     @property
     def binary_name(self) -> str:
         return self.binary.name
-
-    def store_count(self, cls: StoreClass) -> int:
-        return sum(1 for c in self.store_classes.values() if c is cls)
 
     def transfer_count(self, kind: TransferKind) -> int:
         return sum(1 for t in self.transfers.values() if t.kind is kind)
@@ -151,9 +127,6 @@ class BinaryAnalysis:
                 {**asdict(s), "syscalls": list(s.syscalls)}
                 for s in self.summaries
             ],
-            "stores": {
-                cls.value: self.store_count(cls) for cls in StoreClass
-            },
             "transfers": {
                 kind.value: self.transfer_count(kind)
                 for kind in TransferKind
@@ -182,22 +155,17 @@ class BinaryAnalysis:
             f"  speculation roots: {len(self.spec_roots)} read-resume "
             f"points; reachable {len(self.spec_reachable)}/{len(text)} "
             f"instructions",
-            f"  stores: {self.store_count(StoreClass.SPEC_LOCAL)} spec-local"
-            f" / {self.store_count(StoreClass.MAY_ESCAPE)} may-escape / "
-            f"{self.store_count(StoreClass.UNKNOWN)} unknown",
             f"  transfers: {self.transfer_count(TransferKind.RESOLVED)} "
             f"resolved, {self.transfer_count(TransferKind.RETURN)} returns, "
             f"{self.transfer_count(TransferKind.UNKNOWN)} unknown, "
             f"{self.transfer_count(TransferKind.UNMAPPABLE)} unmappable",
             "",
-            f"  {'function':<16} {'blocks':>6} {'loops':>5} "
-            f"{'liveregs':>8} {'stores':>6} {'spec?':>5}  syscalls",
+            f"  {'function':<16} {'blocks':>6} {'spec?':>5}  syscalls",
         ]
         for s in self.summaries:
             reach = "yes" if s.spec_reachable else "no"
             lines.append(
-                f"  {s.name:<16} {s.blocks:>6} {s.loops:>5} "
-                f"{s.max_live_regs:>8} {s.stores:>6} {reach:>5}  "
+                f"  {s.name:<16} {s.blocks:>6} {reach:>5}  "
                 f"{', '.join(s.syscalls) or '-'}"
             )
         if self.lint:
@@ -389,23 +357,6 @@ def _syscall_reachability(
     return {name: frozenset(nums) for name, nums in result.items()}
 
 
-# -- store classification -----------------------------------------------------
-
-
-def _classify_store(insn_meta_stack: bool, addr: Optional[AbsVal]) -> StoreClass:
-    if insn_meta_stack:
-        return StoreClass.SPEC_LOCAL
-    if addr is None:
-        return StoreClass.UNKNOWN
-    if addr.kind is ValueKind.STACK:
-        return StoreClass.SPEC_LOCAL
-    if range_within(addr, SPEC_HEAP_BASE, SPEC_HEAP_MAX):
-        return StoreClass.SPEC_LOCAL
-    if range_within(addr, DATA_BASE, STACK_BASE):
-        return StoreClass.MAY_ESCAPE
-    return StoreClass.UNKNOWN
-
-
 # -- the driver ---------------------------------------------------------------
 
 
@@ -434,29 +385,10 @@ def analyze_binary(binary: Binary) -> BinaryAnalysis:
     reachable = spec_reachability(binary, transfers, roots)
     syscalls = _syscall_reachability(binary, transfers)
 
-    # Store classification over every store in every function.
-    store_classes: Dict[int, StoreClass] = {}
-    for func in binary.functions:
-        fn_facts = facts[func.name]
-        for index in range(func.entry, func.end):
-            insn = binary.text[index]
-            if insn.op in (Op.STORE, Op.STOREB):
-                store_classes[index] = _classify_store(
-                    bool(insn.get_meta("stack")),
-                    fn_facts.store_addr.get(index),
-                )
-
     lint = _lint(binary, cfgs, transfers, reachable)
 
     summaries: List[FunctionSummary] = []
     for func in binary.functions:
-        cfg = cfgs[func.name]
-        live = live_out(binary, cfg)
-        max_live = max((len(regs) for regs in live.values()), default=0)
-        stores = sum(
-            1 for i in range(func.entry, func.end)
-            if binary.text[i].op in (Op.STORE, Op.STOREB)
-        )
         fn_reachable = any(
             i in reachable for i in range(func.entry, func.end)
         )
@@ -466,10 +398,7 @@ def analyze_binary(binary: Binary) -> BinaryAnalysis:
         )
         summaries.append(FunctionSummary(
             name=func.name,
-            blocks=len(cfg.blocks),
-            loops=len(cfg.loops),
-            max_live_regs=max_live,
-            stores=stores,
+            blocks=len(cfgs[func.name].blocks),
             spec_reachable=fn_reachable,
             syscalls=names,
         ))
@@ -478,7 +407,6 @@ def analyze_binary(binary: Binary) -> BinaryAnalysis:
         binary=binary,
         cfgs=cfgs,
         facts=facts,
-        store_classes=store_classes,
         transfers=transfers,
         spec_roots=roots,
         spec_reachable=reachable,

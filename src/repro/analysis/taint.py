@@ -35,7 +35,9 @@ This module proves it can't (or produces a witness when it can):
   ioctl.  Channels: ``ino`` (fd identity, register ``a0``), ``offset``
   (a coarse per-state file-offset channel fed by ``lseek`` operands and
   read lengths), ``length`` (register ``a2``), and ``control`` (the
-  *occurrence* of the disclosure is secret-dependent).
+  *occurrence* of the disclosure is secret-dependent);
+* **witnesses**: a leak's def-use chain walks reaching definitions,
+  the third state the same solver carries (:func:`reaching_definitions`).
 
 Soundness boundary: calls are maximally conservative (a callee may
 return anything derived from its arguments or reachable memory);
@@ -68,7 +70,6 @@ from repro.analysis.dataflow import (
     IMM_ALU,
     THREE_REG_ALU,
     defs_uses,
-    reaching_definitions,
 )
 from repro.analysis.driver import (
     BinaryAnalysis,
@@ -236,6 +237,57 @@ class _Product:
     def along_edge(self, refine: EdgeRefinement) -> Optional["_Product"]:
         values = refine(self.values)
         return None if values is None else _Product(values, self.taint.copy())
+
+
+# -- reaching definitions -----------------------------------------------------
+
+#: A definition site: (instruction index, register).
+DefSite = Tuple[int, int]
+
+
+@dataclass
+class _ReachingDefs:
+    """The definition sites that may reach a point, as the stage 3 solver
+    carries them: join is union (a finite lattice, so widening is join
+    too), and no edge refines a definition."""
+
+    sites: FrozenSet[DefSite] = frozenset()
+
+    def copy(self) -> "_ReachingDefs":
+        return _ReachingDefs(self.sites)
+
+    def join_with(
+        self, other: "_ReachingDefs", *, widening: bool
+    ) -> "_ReachingDefs":
+        return _ReachingDefs(self.sites | other.sites)
+
+    def along_edge(self, refine: EdgeRefinement) -> Optional["_ReachingDefs"]:
+        return self.copy()
+
+    def define(self, insn: Insn, index: int) -> None:
+        """Step over ``insn`` at ``index``: its definitions kill and
+        replace every earlier one of the same registers."""
+        defs, _ = defs_uses(insn)
+        if defs:
+            self.sites = frozenset(
+                d for d in self.sites if d[1] not in defs
+            ) | frozenset((index, reg) for reg in defs)
+
+
+def reaching_definitions(
+    binary: Binary, cfg: CFG
+) -> Dict[int, FrozenSet[DefSite]]:
+    """Definition sites reaching each instruction the function entry can
+    reach (the set where the instruction starts)."""
+    in_states = solve_function(binary, cfg, _ReachingDefs(),
+                               _ReachingDefs.define)
+    result: Dict[int, FrozenSet[DefSite]] = {}
+    for block_id, in_state in in_states.items():
+        state = in_state.copy()
+        for index in cfg.blocks[block_id].indices():
+            result[index] = state.sites
+            state.define(binary.text[index], index)
+    return result
 
 
 # -- reports ------------------------------------------------------------------
@@ -821,14 +873,15 @@ class _TaintInterp:
         leaks: List[LeakReport] = []
         for func in self.binary.functions:
             report = self.reports.get(func.name)
-            if report is None:
+            if report is None or not report.sinks:
                 continue
+            rdefs = reaching_definitions(self.binary, self.cfgs[func.name])
             seen: Set[int] = set()
             for index, kind, channels in sorted(report.sinks):
                 if index in seen:
                     continue
                 seen.add(index)
-                witness = self._witness(func, report, index, channels)
+                witness = self._witness(func, report, rdefs, index, channels)
                 leaks.append(LeakReport(
                     index=index,
                     function=func.name,
@@ -846,6 +899,7 @@ class _TaintInterp:
         self,
         func: Function,
         report: _FuncReport,
+        rdefs: Dict[int, FrozenSet[DefSite]],
         index: int,
         channels: Dict[str, Taint],
     ) -> List[WitnessStep]:
@@ -857,8 +911,6 @@ class _TaintInterp:
             + "/".join(n for n in CHANNELS if n in channels)
             + " operand(s) tainted",
         )]
-        cfg = self.cfgs[func.name]
-        rdefs = reaching_definitions(binary, cfg)
 
         start: Optional[Tuple[int, int]] = None
         if "ino" in channels:
@@ -922,7 +974,7 @@ class _TaintInterp:
         self,
         func: Function,
         report: _FuncReport,
-        rdefs: Dict[int, FrozenSet[Tuple[int, int]]],
+        rdefs: Dict[int, FrozenSet[DefSite]],
         start: Tuple[int, int],
     ) -> List[WitnessStep]:
         text = self.binary.text

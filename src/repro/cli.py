@@ -15,9 +15,10 @@ Commands
     statistics.
 
 ``analyze APP [--json] [--lint] [--security]``
-    Run the static-analysis pipeline (CFG, dataflow, abstract
-    interpretation) over a benchmark binary and print the store/transfer
-    classification report; ``--lint`` exits non-zero on error findings.
+    Run the static-analysis pipeline (CFG, abstract interpretation) over
+    a benchmark binary and print the transfer classification,
+    speculation reachability and per-function syscall report; ``--lint``
+    exits non-zero on error findings.
     ``--security`` runs the speculation-security taint lint instead:
     it proves (or refutes, with a witness def-use chain) that no
     secret-marked data region can flow into the operands of a disclosed
@@ -70,7 +71,7 @@ from typing import TYPE_CHECKING, List, Optional
 # Only what ``build_parser`` needs loads with this module; each ``cmd_*``
 # imports what it runs, so ``repro runs list`` never loads the simulator.
 from repro.analysis.fixtures import FIXTURES
-from repro.errors import ReproError
+from repro.errors import RegistryError, ReproError
 from repro.faults.plan import PROFILES, profile
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
 from repro.params import ArrayParams, SystemConfig
@@ -374,7 +375,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace.tracer import Tracer, parse_categories
 
     categories = (
-        parse_categories(args.categories) if args.categories else None
+        None if args.categories is None else parse_categories(args.categories)
     )
     tracer = Tracer(SimClock(), categories=categories)
     cfg = _base_config(args, args.app).with_(variant=Variant(args.variant))
@@ -510,9 +511,19 @@ def _runs_regressions(args: argparse.Namespace, registry) -> int:
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
-    """``repro runs ...``: query the persistent run registry."""
+    """``repro runs ...``: query the persistent run registry.
+
+    A query never creates a ledger: a path that is not a file is a
+    ``RegistryError``, not an empty registry (a typo'd path in a CI gate
+    would otherwise pass as "no regressions detected").
+    """
     from repro.registry.store import RunRegistry
 
+    if not os.path.isfile(args.registry):
+        raise RegistryError(
+            f"no run registry file at {args.registry!r}; record runs into "
+            f"it with --registry first"
+        )
     handlers = {
         "list": _runs_list,
         "regressions": _runs_regressions,
@@ -607,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     an_p = sub.add_parser(
         "analyze",
-        help="static analysis: CFG, dataflow, store classes, transfers",
+        help="static analysis: CFG, transfers, speculation reachability",
     )
     an_p.add_argument("app", choices=ALL_APPS + tuple(sorted(FIXTURES)))
     flags(an_p, scale=None)

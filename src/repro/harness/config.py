@@ -21,6 +21,14 @@ APPS = ("agrep", "gnuld", "xds")
 ALL_APPS = APPS + ("postgres20", "postgres80")
 
 
+def validate_workload_scale(scale: float) -> None:
+    """Refuse a workload scale that is not a finite number > 0."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise HarnessError(
+            f"workload scale must be a finite number > 0, got {scale!r}"
+        )
+
+
 class Variant(enum.Enum):
     """The three executables of every figure in the paper."""
 
@@ -70,11 +78,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown app {self.app!r}; expected one of {ALL_APPS}"
             )
-        if not (math.isfinite(self.workload_scale) and self.workload_scale > 0):
-            raise HarnessError(
-                f"workload scale must be a finite number > 0, "
-                f"got {self.workload_scale!r}"
-            )
+        validate_workload_scale(self.workload_scale)
         mb = self.cache_paper_mb
         if mb is not None and not (math.isfinite(mb) and mb > 0):
             raise HarnessError(

@@ -25,7 +25,7 @@ from repro.faults.plan import FaultPlan
 from repro.fs.cache import BlockCache
 from repro.fs.filesystem import FileSystem
 from repro.fs.readahead import SequentialReadAhead
-from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.config import ExperimentConfig, Variant, validate_workload_scale
 from repro.harness.results import RunResult, median_interval
 from repro.kernel.kernel import Kernel
 from repro.params import CPU_HZ, SpecHintParams, SystemConfig
@@ -152,6 +152,7 @@ def _assembled(app: str, workload: Any, manual: bool) -> Binary:
 def program(app: str, scale: float, manual: bool = False) -> Binary:
     """The program of ``app`` at workload ``scale`` (the manual-hints
     variant when ``manual``), assembled once per process."""
+    validate_workload_scale(scale)
     return _assembled(app, _APPS[app].workload(scale), manual)
 
 

@@ -52,10 +52,16 @@ TID_DISK_BASE = 100  # disk N renders as track TID_DISK_BASE + N
 def parse_categories(spec: str) -> Tuple[str, ...]:
     """Parse a ``--categories`` list like ``"hint,storage"``.
 
-    Unknown names raise :class:`TraceError` (a typo'd category silently
-    recording nothing is the observability version of a typo'd counter).
+    Unknown names and an empty list (``""``, ``",,"``) raise
+    :class:`TraceError` (a typo'd category silently recording nothing is
+    the observability version of a typo'd counter).
     """
     names = tuple(part.strip() for part in spec.split(",") if part.strip())
+    if not names:
+        raise TraceError(
+            f"empty trace category list {spec!r}; expected one or more of "
+            f"{', '.join(ALL_CATEGORIES)}"
+        )
     for name in names:
         if name not in ALL_CATEGORIES:
             raise TraceError(

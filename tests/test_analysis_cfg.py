@@ -1,4 +1,5 @@
-"""Tests for the analysis CFG builder (blocks, dominators, loops).
+"""Tests for the analysis CFG builder (blocks, edges) and its dominator
+routine.
 
 Includes the disassembly-semantics edge cases the lint pass reports:
 a branch sitting on the last instruction of a function, and a function
@@ -8,12 +9,21 @@ whose last block can fall through into the next function.
 from repro.analysis.cfg import (
     build_cfg,
     build_cfgs,
+    dominator_sets,
     falls_through,
     intra_successors,
     is_terminator,
 )
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, Reg
+
+
+def _dominators(cfg):
+    """Forward dominators of the reachable blocks, from the entry block."""
+    live = cfg.reachable_blocks()
+    return dominator_sets(cfg.entry_block, live, lambda b: [
+        p for p in cfg.blocks[b].predecessors if p in live
+    ])
 
 
 def build_loop_binary():
@@ -59,18 +69,24 @@ class TestDominatorsAndLoops:
     def test_entry_dominates_everything(self):
         binary = build_loop_binary()
         cfg = build_cfg(binary, binary.functions[0])
-        for block_id, doms in cfg.dominators.items():
+        dominators = _dominators(cfg)
+        assert set(dominators) == {0, 1, 2}
+        for block_id, doms in dominators.items():
             assert 0 in doms
             assert block_id in doms
 
     def test_natural_loop(self):
+        """A natural loop's back edge is the one edge whose head dominates
+        its tail: here block 1's branch back to itself."""
         binary = build_loop_binary()
         cfg = build_cfg(binary, binary.functions[0])
-        assert len(cfg.loops) == 1
-        loop = cfg.loops[0]
-        assert loop.head == 1
-        assert loop.body == frozenset({1})
-        assert cfg.loop_heads == frozenset({1})
+        dominators = _dominators(cfg)
+        back_edges = [
+            (block.block_id, succ) for block in cfg.blocks
+            for succ in block.successors if succ in dominators[block.block_id]
+        ]
+        assert back_edges == [(1, 1)]
+        assert dominators[2] == frozenset({0, 1, 2})
 
     def test_unreachable_block_excluded(self):
         asm = Assembler("dead")
@@ -108,7 +124,6 @@ class TestFunctionBoundaryEdgeCases:
         cfg = build_cfg(binary, spin)
         assert len(cfg.blocks) == 1
         assert cfg.blocks[0].successors == [0]  # self loop only
-        assert len(cfg.loops) == 1
         assert cfg.falls_off_end
 
     def test_fallthrough_into_next_function(self):

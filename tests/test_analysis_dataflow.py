@@ -1,12 +1,9 @@
-"""Tests for the worklist dataflow engine (reaching defs, liveness)."""
+"""Tests for register definitions and uses, and the reaching definitions
+the taint lint's witnesses walk."""
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import (
-    CALL_CLOBBERS,
-    defs_uses,
-    live_out,
-    reaching_definitions,
-)
+from repro.analysis.dataflow import CALL_CLOBBERS, defs_uses
+from repro.analysis.taint import reaching_definitions
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Insn, Op, Reg, SYS_EXIT
 
@@ -107,44 +104,31 @@ class TestReachingDefinitions:
         assert (1, t0) in reach[1]
         assert (0, t0) in reach[1]
 
-
-class TestLiveness:
-    def test_used_later_is_live(self):
+    def test_no_edge_is_pruned(self):
+        # The value domain proves the fall-through edge infeasible
+        # (t0 == t1 == 1); reaching definitions ignore that refinement.
         def body(asm):
-            asm.li(Reg.t0, 1)         # 0
-            asm.li(Reg.t1, 2)         # 1
-            asm.add(Reg.a0, Reg.t0, Reg.t1)  # 2
-            asm.syscall(SYS_EXIT)     # 3
+            asm.li(Reg.t0, 1)                    # 0
+            asm.li(Reg.t1, 1)                    # 1
+            asm.beq(Reg.t0, Reg.t1, "skip")      # 2
+            asm.li(Reg.t2, 5)                    # 3
+            asm.label("skip")
+            asm.mov(Reg.t3, Reg.t2)              # 4
+            asm.syscall(SYS_EXIT)                # 5
 
         binary, cfg = _single_function(body)
-        live = live_out(binary, cfg)
-        assert int(Reg.t0) in live[0]
-        assert int(Reg.t0) in live[1]
-        assert int(Reg.t0) not in live[2]
+        reach = reaching_definitions(binary, cfg)
+        assert (3, int(Reg.t2)) in reach[4]
 
-    def test_dead_def_not_live(self):
+    def test_unreachable_block_has_no_entry(self):
         def body(asm):
-            asm.li(Reg.t9, 99)        # 0  never used again
-            asm.li(Reg.a0, 0)         # 1
-            asm.syscall(SYS_EXIT)     # 2
+            asm.jmp("out")                       # 0
+            asm.li(Reg.t0, 7)                    # 1  unreachable
+            asm.label("out")
+            asm.mov(Reg.t1, Reg.t0)              # 2
+            asm.syscall(SYS_EXIT)                # 3
 
         binary, cfg = _single_function(body)
-        live = live_out(binary, cfg)
-        assert int(Reg.t9) not in live[0]
-        assert int(Reg.a0) in live[1]
-
-    def test_loop_variable_live_around_back_edge(self):
-        def body(asm):
-            asm.li(Reg.t0, 0)                # 0
-            asm.li(Reg.t1, 8)                # 1
-            asm.label("top")
-            asm.addi(Reg.t0, Reg.t0, 1)      # 2
-            asm.blt(Reg.t0, Reg.t1, "top")   # 3
-            asm.syscall(SYS_EXIT)            # 4
-
-        binary, cfg = _single_function(body)
-        live = live_out(binary, cfg)
-        # The bound is live across the whole loop; the counter is live
-        # after the branch because the back edge re-reads it.
-        assert int(Reg.t1) in live[2]
-        assert int(Reg.t0) in live[3]
+        reach = reaching_definitions(binary, cfg)
+        assert 1 not in reach
+        assert (1, int(Reg.t0)) not in reach[2]

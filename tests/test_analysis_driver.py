@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.analysis.driver import (
-    StoreClass,
     TransferKind,
     analyze_binary,
     spec_roots,
@@ -29,7 +28,6 @@ from repro.spechint.tool import (
 )
 from repro.vm.assembler import Assembler
 from repro.vm.isa import SYS_EXIT, SYS_READ, Reg
-from repro.vm.memory import SPEC_HEAP_BASE
 
 SCALE = 0.3
 
@@ -151,27 +149,6 @@ class TestSpecReachability:
                    for i in range(emit.entry, emit.end))
 
 
-class TestStoreClassification:
-    def test_data_store_may_escape_and_heap_store_local(self):
-        asm = Assembler("stores")
-        asm.data_word("cell")
-        asm.entry("main")
-        with asm.function("main"):
-            asm.la(Reg.t0, "cell")
-            asm.store(Reg.t1, Reg.t0, 0)               # MAY_ESCAPE
-            asm.li(Reg.t2, SPEC_HEAP_BASE)
-            asm.store(Reg.t1, Reg.t2, 8)               # SPEC_LOCAL (heap)
-            asm.push(Reg.t1)                           # SPEC_LOCAL (stack meta)
-            asm.load(Reg.t3, Reg.t0, 0)
-            asm.store(Reg.t1, Reg.t3, 0)               # UNKNOWN (loaded ptr)
-            asm.syscall(SYS_EXIT)
-        binary = asm.finish()
-        analysis = analyze_binary(binary)
-        assert analysis.store_count(StoreClass.MAY_ESCAPE) == 1
-        assert analysis.store_count(StoreClass.SPEC_LOCAL) == 2
-        assert analysis.store_count(StoreClass.UNKNOWN) == 1
-
-
 class TestAppExpectations:
     """The numbers the CI analysis-lint gate and the PR claims rest on."""
 
@@ -232,12 +209,13 @@ class TestFixturesAndLint:
         analysis = _app_analysis("agrep")
         payload = json.loads(json.dumps(analysis.to_jsonable()))
         assert payload["binary"] == "agrep"
-        assert payload["stores"] == {
-            cls.value: analysis.store_count(cls) for cls in StoreClass}
+        assert "stores" not in payload
         assert payload["transfers"]["resolved"] == \
             analysis.transfer_count(TransferKind.RESOLVED)
         assert {f["name"] for f in payload["functions"]} == \
             set(analysis.cfgs)
+        assert {key for f in payload["functions"] for key in f} == \
+            {"name", "blocks", "spec_reachable", "syscalls"}
 
     def test_jsonable_syscall_reachability_detail(self):
         analysis = _app_analysis("agrep")
@@ -257,5 +235,6 @@ class TestFixturesAndLint:
         analysis = _app_analysis("postgres20")
         text = analysis.format_text()
         assert text.startswith(f"analysis of {analysis.binary_name}")
-        assert "  stores: " in text
+        assert "  stores: " not in text
+        assert "  function         blocks spec?  syscalls" in text
         assert "  transfers: 1 resolved" in text  # the cmp_keys callr

@@ -199,7 +199,51 @@ class TestFixtureClassification:
             assert builder().name == name
 
 
+_DISCLOSED_OFFSET = "hint disclosure site: offset operand(s) tainted"
+_SEEK_SOURCE = "taints the file-offset channel consumed by the hint"
+_SECRET_LOAD = "loads memory tainted by secret region(s) secret"
+
+#: The full witness of every leak of each leaky fixture, as (index, note)
+#: per step: a change of the def-use engine cannot reword one unnoticed.
+_FIXTURE_WITNESSES = {
+    "taint-table-fixture": [[
+        (18, _DISCLOSED_OFFSET),
+        (14, _SEEK_SOURCE),
+        (12, "propagates taint"),
+        (10, "propagates taint"),
+        (9, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]],
+    "taint-branch-fixture": [[
+        (19, "hint disclosure site: ino operand(s) tainted"),
+        (16, "propagates taint"),
+        (15, "propagates taint"),
+        (14, "syscall result derives from tainted operands"),
+        (13, "implicit flow: defined under a tainted branch"),
+        (10, "the controlling branch condition is secret-tainted"),
+        (9, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]],
+}
+
+
+def _witnesses(plan):
+    return [[(step.index, step.note) for step in leak.witness]
+            for leak in plan.leaks]
+
+
 class TestWitnessChains:
+    @pytest.mark.parametrize("name", LEAKY_FIXTURES)
+    def test_every_leak_of_a_leaky_fixture_has_a_witness(self, name):
+        plan = analyze_security(FIXTURES[name]())
+        assert plan.leaks
+        assert all(leak.witness for leak in plan.leaks)
+
+    @pytest.mark.parametrize("name", sorted(_FIXTURE_WITNESSES))
+    def test_fixture_witness_chains_are_pinned(self, name):
+        plan = analyze_security(FIXTURES[name]())
+        assert _witnesses(plan) == _FIXTURE_WITNESSES[name]
+
     def test_table_witness_reaches_the_secret_load(self):
         plan = analyze_security(build_taint_table_fixture())
         steps = plan.leaks[0].witness
@@ -281,8 +325,48 @@ def _call_program(source="secret", via="call", callee="scale"):
     return asm.finish()
 
 
+#: The full witness of the one leak of each call program, keyed by the
+#: ``_call_program`` arguments, as (index, note) per step.
+_CALL_WITNESSES = {
+    (("via", "call"),): [
+        (17, _DISCLOSED_OFFSET),
+        (13, _SEEK_SOURCE),
+        (10, "propagates taint"),
+        (9, "result of scale derives from tainted call operand a0"),
+        (8, _SECRET_LOAD),
+    ],
+    (("via", "callr"),): [
+        (18, _DISCLOSED_OFFSET),
+        (14, _SEEK_SOURCE),
+        (11, "propagates taint"),
+        (10, "result of scale derives from tainted call operand a0"),
+        (8, _SECRET_LOAD),
+    ],
+    (("callee", "stash"),): [
+        (19, _DISCLOSED_OFFSET),
+        (15, _SEEK_SOURCE),
+        (12, "propagates taint"),
+        (11, _SECRET_LOAD),
+    ],
+    (("source", "public"), ("via", "unresolved")): [
+        (21, _DISCLOSED_OFFSET),
+        (17, _SEEK_SOURCE),
+        (14, "propagates taint"),
+        (13, "an unresolved callee returns secret-tainted data"),
+    ],
+}
+
+
 class TestInterprocedural:
     """Taint through calls: summaries, entry environments, witnesses."""
+
+    @pytest.mark.parametrize(
+        "args", sorted(_CALL_WITNESSES),
+        ids=lambda args: ",".join(f"{k}={v}" for k, v in args),
+    )
+    def test_witness_chains_are_pinned(self, args):
+        plan = analyze_security(_call_program(**dict(args)))
+        assert _witnesses(plan) == [_CALL_WITNESSES[args]]
 
     @pytest.mark.parametrize("via", ["call", "callr"])
     def test_secret_through_return_value_leaks_with_full_witness(self, via):

@@ -77,6 +77,16 @@ class TestErrorExit:
         assert err.count("\n") == 1
         assert "repro: error: HarnessError: workload scale" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "transform"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_scale_of_a_static_command_exits_one_with_one_line(
+        self, command, scale, capsys
+    ):
+        assert main([command, "agrep", "--scale", scale]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: HarnessError: workload scale" in err
+
     @pytest.mark.parametrize("mb", ["0", "-4", "nan", "inf"])
     def test_bad_cache_size_exits_one_with_one_line(self, mb, capsys):
         assert main(["run", "agrep", "--scale", "0.1", "--cache-mb", mb]) == 1

@@ -101,6 +101,7 @@ def test_the_cli_loads_no_simulator_to_build_its_parser():
 
 def test_runs_list_loads_no_simulator(tmp_path):
     registry = str(tmp_path / "reg.jsonl")
+    open(registry, "w").close()  # a query reads an existing ledger
     loaded = loaded_after(
         "from repro.cli import main\n"
         f"assert main(['runs', 'list', '--registry', {registry!r}]) == 0\n"

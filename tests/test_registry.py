@@ -606,6 +606,21 @@ class TestRunsCli:
                 f"least 1, got {value}\n")
             assert "no regressions" not in captured.out
 
+    @pytest.mark.parametrize("command", ["list", "regressions"])
+    def test_query_of_a_missing_registry_is_an_error(
+            self, tmp_path, capsys, command):
+        """A typo'd path is one RegistryError line, never "registry is
+        empty" / "no regressions detected" with exit 0; the query does not
+        create the file."""
+        for path in (tmp_path / "typo.jsonl", tmp_path):
+            assert self._main("runs", command, "--registry", str(path)) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "repro: error: RegistryError: no run registry file at "
+                f"{str(path)!r}; record runs into it with --registry first\n")
+            assert captured.out == ""
+        assert not (tmp_path / "typo.jsonl").exists()
+
     def test_compare_honours_seed_and_registry(self, tmp_path, capsys):
         """``compare`` runs at ``--seed`` and records its three runs; a
         matching ``run`` deduplicates onto the same content-addressed id."""

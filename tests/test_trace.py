@@ -99,6 +99,9 @@ class TestTracerCore:
         assert parse_categories("hint, storage") == ("hint", "storage")
         with pytest.raises(TraceError):
             parse_categories("hint,typo")
+        for empty in ("", ",,", " , "):
+            with pytest.raises(TraceError, match="empty trace category list"):
+                parse_categories(empty)
 
 
 class TestExport:
@@ -468,6 +471,21 @@ class TestTraceCli:
                    "--out", str(tmp_path / "t.jsonl")])
         assert rc == 1
         assert "unknown trace category" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["", ",,"])
+    def test_trace_command_empty_category_list_fails_clean(
+        self, tmp_path, capsys, spec
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "t.jsonl"
+        rc = main(["trace", "agrep", "--scale", str(SCALE),
+                   "--categories", spec, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: TraceError: empty trace category list" in err
+        assert not out.exists()
 
     def test_trace_out_writes_jsonl(self, tmp_path, capsys):
         from repro.cli import main
