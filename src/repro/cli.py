@@ -253,6 +253,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _build_app_binary(app: str, scale: float) -> "object":
     """Assemble one example app (or analysis fixture) without running it."""
+    from repro.harness.config import validate_workload_scale
+
+    validate_workload_scale(scale)
     if app in FIXTURES:
         return FIXTURES[app]()
     from repro.harness.runner import program

@@ -15,8 +15,8 @@ profiles.  Every cell:
 3. evaluates every monitor and returns the violations plus a canonical
    *cell digest* over outputs, demand-read traces, cycle counts and
    escapes — two campaigns with the same seed must produce identical
-   digests whether they ran serially or on ``--jobs N`` workers, and the
-   benchmark guard (``benchmarks/bench_fuzz_throughput.py``) pins that;
+   digests whether they ran serially or on ``--jobs N`` workers, and
+   ``tests/test_fuzz_engine.py`` pins two campaigns' digests;
 4. with a ``trace_dir``, runs both variants under a tracer and, when a
    monitor tripped, dumps both event streams there — the one place
    divergence trace dumps are written.

@@ -38,9 +38,9 @@ cells of one app are built over the same input buffers
 (``apps/datasets.py``; a file a cell writes becomes that cell's own copy).
 The freeze ends with the loop, however the loop ends.
 
-The determinism guard (tests + ``benchmarks/bench_parallel_sweep.py``)
-asserts the parallel result set is byte-identical to serial across all
-chaos profiles.
+The determinism guard (``tests/test_parallel_supervisor.py``) asserts the
+parallel result set is byte-identical to serial, and to a pinned digest,
+for a cache sweep plus a grid over every profile that kills no disk.
 """
 
 from __future__ import annotations

@@ -240,7 +240,8 @@ class RunResult:
         """Every fault / retry / degradation counter the run recorded.
 
         Two runs with the same workload, system seed, and fault seed must
-        produce identical dicts — the chaos benchmarks assert this.
+        produce identical dicts — ``tests/test_chaos_integration.py`` pins
+        them.
         """
         return {
             name: value

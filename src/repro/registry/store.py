@@ -88,12 +88,16 @@ def read_journal(path: str) -> List[Dict[str, object]]:
     A missing file is an empty journal.  Bytes after the last newline are
     a torn final append (a writer died mid-line): ignored here, truncated
     away by the next :func:`append_line`.  A complete line that is not a
-    JSON object is damage no crash of ours produces, and a typed error.
+    JSON object is damage no crash of ours produces, and a typed error, as
+    is a path that exists but cannot be read (a directory).
     """
     if not os.path.exists(path):
         return []
-    with open(path, "rb") as handle:
-        raw = handle.read()
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:  # a directory, say: no journal can live there
+        raise RegistryError(f"cannot read journal {path!r}: {exc}") from exc
     if raw.startswith(_SQLITE_MAGIC):
         raise RegistryError(
             f"{path!r} is a SQLite database, which this version does not "

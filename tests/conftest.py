@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -79,6 +81,12 @@ def small_system_config(
         spechint=spechint or SpecHintParams(),
         ncpus=ncpus,
     )
+
+
+def digest_of(value: object) -> str:
+    """sha256 of a JSON-safe value in canonical form (keys sorted): what
+    every pinned result digest in the suite is."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def make_populated_fs(nfiles: int = 4, blocks_each: int = 4) -> FileSystem:

@@ -82,10 +82,14 @@ class TestErrorExit:
     def test_bad_scale_of_a_static_command_exits_one_with_one_line(
         self, command, scale, capsys
     ):
-        assert main([command, "agrep", "--scale", scale]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "repro: error: HarnessError: workload scale" in err
+        # analyze also takes the lint fixtures, which ignore the scale but
+        # are refused a bad one all the same.
+        targets = ["agrep"] + (["safe-fixture"] if command == "analyze" else [])
+        for target in targets:
+            assert main([command, target, "--scale", scale]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "repro: error: HarnessError: workload scale" in err
 
     @pytest.mark.parametrize("mb", ["0", "-4", "nan", "inf"])
     def test_bad_cache_size_exits_one_with_one_line(self, mb, capsys):
@@ -93,6 +97,15 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "repro: error: HarnessError: cache size" in err
+
+    def test_a_directory_as_registry_exits_one_with_one_line(
+        self, tmp_path, capsys
+    ):
+        assert main(["run", "agrep", "--scale", "0.1",
+                     "--registry", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "repro: error: RegistryError: cannot read journal" in err
 
     def test_replay_of_a_non_positive_scale_exits_one(self, tmp_path, capsys):
         import json

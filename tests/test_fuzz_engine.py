@@ -40,15 +40,24 @@ def _case(**plan_kwargs) -> FuzzCase:
 # Engine
 # ---------------------------------------------------------------------------
 
+#: Campaign digests of seed 7 by budget.  Every interpreter must reproduce
+#: them; re-pin only after showing the old and new cells equal but for what
+#: a change meant to move (a corpus entry carries its plan verbatim, so no
+#: re-pin invalidates it).
+CAMPAIGN_DIGESTS = {6: "7faeb1df84ca2f66", 30: "93077575c5c94ab7"}
+
+
 class TestRunFuzz:
     def test_serial_and_parallel_digests_identical(self):
-        serial = run_fuzz(4, seed=7, jobs=1)
-        parallel = run_fuzz(4, seed=7, jobs=2)
-        assert serial.digest == parallel.digest
-        assert serial.ledger.to_jsonable() == parallel.ledger.to_jsonable()
-        for a, b in zip(serial.cells, parallel.cells):
-            assert a.key == b.key
-            assert a.digest == b.digest
+        for budget, pinned in CAMPAIGN_DIGESTS.items():
+            serial = run_fuzz(budget, seed=7, jobs=1)
+            parallel = run_fuzz(budget, seed=7, jobs=2)
+            assert serial.passed and parallel.passed
+            assert serial.digest == parallel.digest == pinned
+            assert serial.ledger.to_jsonable() == parallel.ledger.to_jsonable()
+            for a, b in zip(serial.cells, parallel.cells):
+                assert a.key == b.key
+                assert a.digest == b.digest
 
     def test_report_shape(self):
         report = run_fuzz(3, seed=7)

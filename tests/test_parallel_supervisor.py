@@ -1,6 +1,7 @@
 """Tests for the cell engine and its worker pool.
 
-The kill matrix: parallel results byte-identical to serial; a worker
+The kill matrix: parallel results byte-identical to serial and to the
+pinned digests; a worker
 killed mid-cell (the cell re-runs to the payload the serial loop
 computes); a death between the journal append and the report; repeated
 deaths (typed ``WorkerCrash``); a raising cell (the serial loop's
@@ -13,6 +14,7 @@ parallel run left; a failing registry update is reported in every mode).
 """
 
 import functools
+import hashlib
 import json
 import os
 import signal
@@ -28,7 +30,9 @@ from repro.harness import parallel as engine
 from repro.harness.checkpoint import SweepCheckpoint, append_cell
 from repro.harness.experiments import SWEEP_POINTS, sweep_parallel_cells
 from repro.harness.parallel import run_cells
+from repro.registry.recorder import record_results
 from repro.registry.store import read_journal
+from tests.conftest import digest_of
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
@@ -135,16 +139,68 @@ def _recorded_cells(path):
 # Determinism guard
 # ---------------------------------------------------------------------------
 
+#: The pinned grid: the cache sweep plus agrep fault-free and under every
+#: profile that kills no disk, at scale 0.2 (45 cells).  Each digest was
+#: recorded once and every interpreter must reproduce it byte for byte; a
+#: change that moves one has moved results.  Re-pin only after showing the
+#: old and new payloads equal but for what the change meant to move.
+PINNED_PROFILES = ("none",) + tuple(sorted(
+    name for name in PROFILES
+    if name != "none" and not PROFILES[name].permanent_death
+))
+SWEEP_DIGEST = (
+    "9644f123d276b00e20df3967f68325283faeb6821d6153d3decf846227dae0a9")
+#: The first four cells of the cache sweep's first point.
+FIRST_CELLS_DIGEST = (
+    "3ff8a5c635da5260850f6c29fa1a5e15fef3410d0ee69209ba43ad6dfaa80eb8")
+#: The cache sweep's compacted registry, and that of its first three cells.
+#: Records carry the code version, so the pins hold under this fixed one.
+REGISTRY_META = {"kind": "sweep-cell", "code_version": "bench-registry"}
+REGISTRY_DIGEST = (
+    "e211760195cce35299c76c44ad09c63d6fe60f336cba12f3bf9e4fff8c922819")
+FIRST_CELLS_REGISTRY_DIGEST = (
+    "f64f21f55c0b6b8d581327f3a8030aeee67cea3b5d6168b4029e704f356704d8")
+
+
+@pytest.fixture(scope="module")
+def pinned_grid(tmp_path_factory):
+    """``{jobs: (sweep outcome, chaos outcome, registry path)}`` for the
+    pinned grid run serially and on four workers; each run records its
+    cache sweep into a registry of its own."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    sweep = sweep_parallel_cells("cache", workload_scale=0.2)
+    chaos = sweep_parallel_cells(
+        "degraded", workload_scale=0.2, points=PINNED_PROFILES,
+        apps=("agrep",),
+    )
+    runs = {}
+    for jobs in (1, 4):
+        registry = tmp / f"registry-{jobs}.jsonl"
+        runs[jobs] = (
+            run_cells(sweep, jobs=jobs, registry_path=str(registry),
+                      registry_meta=REGISTRY_META),
+            run_cells(chaos, jobs=jobs),
+            registry,
+        )
+    return runs
+
+
 class TestDeterminism:
-    def test_parallel_sweep_cells_byte_identical_to_serial(self):
-        cells = sweep_parallel_cells(
-            "cache", workload_scale=0.2, points=FIRST_POINT)[:6]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=2)
-        assert canonical(serial.results) == canonical(parallel.results)
-        assert serial.stats.mode == "serial"
-        assert parallel.stats.mode == "parallel"
-        assert parallel.stats.worker_crashes == 0
+    def test_parallel_sweep_cells_byte_identical_to_serial(self, pinned_grid):
+        results = {}
+        for jobs, (sweep, chaos, _) in pinned_grid.items():
+            for outcome in (sweep, chaos):
+                assert outcome.stats.mode == (
+                    "serial" if jobs == 1 else "parallel")
+                assert outcome.stats.worker_crashes == 0
+            results[jobs] = {**sweep.results, **chaos.results}
+        assert len(results[1]) == 45
+        assert canonical(results[4]) == canonical(results[1])
+        assert digest_of(results[1]) == SWEEP_DIGEST
+        first = sweep_parallel_cells(
+            "cache", workload_scale=0.2, points=FIRST_POINT)[:4]
+        assert digest_of({key: results[1][key] for key, _, _ in first}) \
+            == FIRST_CELLS_DIGEST
 
     def test_parallel_chaos_cells_byte_identical_to_serial(self):
         profile = next(name for name in sorted(PROFILES) if name != "none")
@@ -156,21 +212,21 @@ class TestDeterminism:
         parallel = run_cells(cells, jobs=2)
         assert canonical(serial.results) == canonical(parallel.results)
 
-    def test_parallel_registry_byte_identical_to_serial(self, tmp_path):
-        cells = sweep_parallel_cells(
-            "cache", workload_scale=0.2, points=FIRST_POINT)[:4]
-        serial_reg = str(tmp_path / "serial-registry.jsonl")
-        parallel_reg = str(tmp_path / "parallel-registry.jsonl")
-        meta = {"kind": "sweep-cell", "code_version": "repro-test"}
-        run_cells(cells, jobs=1,
-                  registry_path=serial_reg, registry_meta=meta)
-        run_cells(cells, jobs=4,
-                  registry_path=parallel_reg, registry_meta=meta)
-        with open(serial_reg, "rb") as handle:
-            serial_bytes = handle.read()
-        with open(parallel_reg, "rb") as handle:
-            parallel_bytes = handle.read()
+    def test_parallel_registry_byte_identical_to_serial(self, pinned_grid,
+                                                         tmp_path):
+        serial_bytes, parallel_bytes = (
+            pinned_grid[jobs][2].read_bytes() for jobs in (1, 4))
         assert serial_bytes == parallel_bytes
+        assert hashlib.sha256(serial_bytes).hexdigest() == REGISTRY_DIGEST
+        # A ledger of fewer cells is recorded from the same payloads.
+        sweep = pinned_grid[1][0]
+        first = sweep_parallel_cells("cache", workload_scale=0.2)[:3]
+        path = tmp_path / "first.jsonl"
+        record_results(str(path),
+                       {key: sweep.results[key] for key, _, _ in first},
+                       REGISTRY_META)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == FIRST_CELLS_REGISTRY_DIGEST
 
     def test_parallel_checkpoint_file_matches_serial(self, tmp_path):
         cells = sweep_parallel_cells(
