@@ -339,14 +339,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.experiments import run_sweep
-    from repro.harness.tables import SWEEP_FORMATTERS, format_supervisor_stats
+    from repro.harness.tables import SWEEP_FORMATTERS
 
     _require_checkpoint_for_resume(args)
-    # Per-cell progress lines belong to the crash-safe, parallel and
-    # recorded flows; a plain sweep prints only its tables.
-    verbose = (args.checkpoint is not None or args.jobs > 1
-               or args.registry is not None)
-    stats_out: dict = {}
+    # Per-cell progress lines belong to the crash-safe and recorded flows;
+    # a plain sweep prints only its tables.  ``--jobs`` changes neither.
+    verbose = args.checkpoint is not None or args.registry is not None
     sweep = run_sweep(
         args.kind,
         workload_scale=args.scale,
@@ -354,11 +352,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         progress=_print_progress if verbose else None,
         jobs=args.jobs,
-        stats_out=stats_out,
         registry_path=args.registry,
     )
-    if args.jobs > 1:
-        print(format_supervisor_stats(stats_out))
     print(SWEEP_FORMATTERS[args.kind](sweep))
     return 0
 

@@ -160,7 +160,6 @@ def run_sweep(
     resume: bool = False,
     progress: Optional[Callable[[str, bool], None]] = None,
     jobs: int = 1,
-    stats_out: Optional[Dict[str, object]] = None,
     registry_path: Optional[str] = None,
 ) -> Dict[SweepPoint, Matrix]:
     """One sweep — ``points`` x ``apps`` x ``variants`` — cell by cell.
@@ -181,8 +180,7 @@ def run_sweep(
     serial loop's failure policy: a cell whose worker dies is re-run, and
     a cell that raises ends the sweep with its exception.  The workers
     append finished cells to the one checkpoint themselves, so even a
-    SIGKILL of this process is resumable.  ``stats_out`` (if given) is
-    filled with the engine's counters.
+    SIGKILL of this process is resumable.
 
     With ``registry_path`` set, every cell is recorded in the persistent
     run registry as a ``sweep-cell`` record.
@@ -199,8 +197,6 @@ def run_sweep(
         registry_path=registry_path,
         registry_meta={"kind": "sweep-cell"},
     )
-    if stats_out is not None:
-        stats_out.update(outcome.stats.to_jsonable())
     return {
         point: {
             app: {

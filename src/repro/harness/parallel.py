@@ -16,8 +16,9 @@ reference, and the cells are safe to shard across processes.
   pool of worker processes, one pipe each; a pool that fails to start
   degrades to the in-process loop, same results, same checkpoint format;
 * both follow the loop's failure policy.  A cell that raises ends the run
-  with its exception and a cell that hangs hangs: cells are
-  deterministic, so another attempt would raise or hang again.  The one
+  with its exception, once the cells before it have finished, and a cell
+  that hangs hangs: cells are deterministic, so another attempt would
+  raise or hang again.  The one
   failure only a pool has — a worker that dies (OOM kill, ``SIGKILL``) —
   re-runs its cell on a fresh worker, and :data:`MAX_DEATHS_IN_A_ROW`
   deaths with no cell finished in between end the run with a typed
@@ -104,14 +105,10 @@ class EngineStats:
     """Counters describing how a run of cells went."""
 
     mode: str = "serial"  # "serial" | "parallel"
-    jobs: int = 1
     cells_completed: int = 0
     cells_restored: int = 0
     worker_crashes: int = 0
     workers_spawned: int = 0
-
-    def to_jsonable(self) -> Dict[str, object]:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -175,15 +172,16 @@ def run_cells(
     with ``resume`` also set, previously checkpointed cells — whichever
     process of a killed run appended them — are restored instead of
     re-run.  ``progress`` (if given) is called with ``(key, was_resumed)``
-    per cell.  While a checkpoint is active, SIGINT/SIGTERM end the run
+    per cell: the restored cells, then the rest in spec order, in either
+    mode.  While a checkpoint is active, SIGINT/SIGTERM end the run
     in an orderly way (pool torn down, conventional exit status); the
     journal needs no flush, so an interrupted sweep resumes cleanly.
 
     With ``jobs <= 1`` the cells run in-process, in order: the
     deterministic reference.  With ``jobs > 1`` they run on ``jobs``
     worker processes with identical results and the same failure policy
-    (see the module docstring); a pool that cannot start degrades to the
-    in-process loop.
+    (see the module docstring) and the same ``progress`` calls; a pool
+    that cannot start degrades to the in-process loop.
 
     With ``registry_path`` set, every cell payload (fresh and restored
     alike — recording is idempotent, content-addressed) lands in the
@@ -221,15 +219,22 @@ def run_cells(
         else:
             remaining.append(spec)
 
-    outcome = EngineOutcome(stats=EngineStats(mode="parallel", jobs=jobs))
+    outcome = EngineOutcome(stats=EngineStats(mode="parallel"))
+    # Progress is reported in spec order, whatever order the pool finishes
+    # cells in, so a pool prints what the in-process loop prints.
+    order = [spec[0] for spec in remaining]
+    reported = 0
 
     def finish(key: str, payload: Payload, journaled: bool) -> None:
+        nonlocal reported
         outcome.results[key] = payload
         outcome.stats.cells_completed += 1
         if checkpoint is not None:
             checkpoint.record_payload(key, payload, durable=not journaled)
-        if progress is not None:
-            progress(key, False)
+        while reported < len(order) and order[reported] in outcome.results:
+            if progress is not None:
+                progress(order[reported], False)
+            reported += 1
 
     # The guard turns a signal into an exception that unwinds through
     # the pool teardown.
@@ -374,10 +379,18 @@ def _run_pool(
             return False
         stats.workers_spawned = len(workers)
 
+        position = {spec[0]: index for index, spec in enumerate(cells)}
         pending: Deque[CellSpec] = deque(cells)
-        left = len(cells)
         deaths = 0  # in a row, with no cell finished in between
-        while left:
+        # The first cell in spec order that raised: the run ends with its
+        # exception once every cell before it has finished, so it stops
+        # where the in-process loop stops.
+        failure: Optional[Tuple[int, BaseException, str]] = None
+
+        def before_failure(spec: CellSpec) -> bool:
+            return failure is None or position[spec[0]] < failure[0]
+
+        while pending or any(worker.cell is not None for worker in workers):
             for worker in workers:
                 if worker.cell is None and pending:
                     worker.cell = pending.popleft()
@@ -391,14 +404,21 @@ def _run_pool(
                 if not ready & {worker.conn, worker.process.sentinel}:
                     continue
                 report = _receive(worker)
+                if report is not None and report[0] == "done":
+                    _, key, payload = report
+                    worker.cell = None
+                    deaths = 0
+                    finish(key, payload, True)
+                    continue
+                # The worker is gone: dead, or ended by its cell's exception.
+                workers.remove(worker)
+                worker.process.join()
+                worker.conn.close()
                 if report is None:
-                    # Dead: a crash, or a kill between append and report.
-                    workers.remove(worker)
-                    worker.process.join()
-                    worker.conn.close()
+                    # A crash, or a kill between append and report.
                     stats.worker_crashes += 1
                     deaths += 1
-                    if worker.cell is not None:
+                    if worker.cell is not None and before_failure(worker.cell):
                         pending.appendleft(worker.cell)
                         on_event(f"worker died (exitcode "
                                  f"{worker.process.exitcode}) running "
@@ -409,18 +429,17 @@ def _run_pool(
                             f"in a row without a finished cell; aborting "
                             f"(finished cells are checkpointed)"
                         )
+                elif worker.cell is not None and before_failure(worker.cell):
+                    _, exc, detail = report
+                    failure = (position[worker.cell[0]], exc, detail)
+                    pending = deque(filter(before_failure, pending))
+                if pending:
                     workers.append(_start_worker(ctx, journal))
                     stats.workers_spawned += 1
-                elif report[0] == "raised":
-                    _, exc, detail = report
-                    raise exc from RuntimeError(
-                        f"raised in a worker process:\n{detail}")
-                else:
-                    _, key, payload = report
-                    worker.cell = None
-                    left -= 1
-                    deaths = 0
-                    finish(key, payload, True)
+        if failure is not None:
+            _, exc, detail = failure
+            raise exc from RuntimeError(
+                f"raised in a worker process:\n{detail}")
     finally:
         _stop(workers)
     return True

@@ -303,25 +303,6 @@ SWEEP_FORMATTERS = {
 }
 
 
-def format_supervisor_stats(stats: Dict[str, object]) -> str:
-    """One-paragraph summary of a parallel run.
-
-    ``stats`` is ``EngineStats.to_jsonable()`` (the ``stats_out`` dict
-    filled by ``run_sweep``).  Shows the reader at a glance whether the
-    run was clean or workers died under it (each death re-ran its cell).
-    """
-    mode = stats.get("mode", "parallel")
-    jobs = stats.get("jobs", 1)
-    crashes = stats.get("worker_crashes")
-    return "\n".join([
-        f"supervisor: {mode} x{jobs} — "
-        f"{stats.get('cells_completed', 0)} cells run, "
-        f"{stats.get('cells_restored', 0)} restored from checkpoint",
-        "  interventions: "
-        + (f"{crashes} worker crash(es)" if crashes else "none"),
-    ])
-
-
 def format_section44(matrix: Matrix) -> str:
     """Section 4.4: median cycles between read and hint calls of the
     speculating variants, and their ratio (the dilation factor)."""

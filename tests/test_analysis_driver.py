@@ -1,5 +1,6 @@
 """Tests for the analysis driver: classification, reachability, lint,
-and the per-app expectations the CI lint gate relies on.
+and the per-app expectations the ``analyze --lint`` verdicts of
+``test_analysis_integration.py`` rest on.
 """
 
 import json
@@ -150,7 +151,7 @@ class TestSpecReachability:
 
 
 class TestAppExpectations:
-    """The numbers the CI analysis-lint gate and the PR claims rest on."""
+    """The numbers each app's ``analyze --lint`` verdict rests on."""
 
     @pytest.mark.parametrize("app", sorted(_EXPECTATIONS))
     def test_matches_recorded_expectations(self, app):

@@ -4,6 +4,9 @@ speculating thread.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,9 +14,12 @@ from repro.apps.agrep import ANALYSIS_EXPECTATIONS as AGREP_EXPECT
 from repro.apps.postgres import ANALYSIS_EXPECTATIONS as PG_EXPECT
 from repro.cli import main
 from repro.errors import MachineFault
+from repro.harness.config import ALL_APPS
 from repro.vm.machine import Machine, SpeculationFault
 
 SCALE = 0.3
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
 
 
 class _FakeThread:
@@ -34,12 +40,34 @@ class TestSpecMemFault:
             Machine._spec_mem_fault(_FakeThread(False), MachineFault("boom"))
 
 
+#: Prints ``analyze --json`` of every app, without and with ``--security``.
+_ANALYZE_ALL = """
+from repro.cli import main
+for app in {apps!r}:
+    for mode in ([], ["--security"]):
+        assert main(["analyze", app, "--scale", "{scale}", *mode, "--json"]) == 0
+"""
+
+
 class TestAnalyzeCLI:
-    def test_lint_ok_on_shipped_app(self, capsys):
-        assert main(["analyze", "agrep", "--scale", str(SCALE),
-                     "--lint"]) == 0
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_lint_ok_on_shipped_app(self, app, capsys):
+        assert main(["analyze", app, "--scale", str(SCALE), "--lint"]) == 0
         out = capsys.readouterr().out
         assert "lint: ok" in out
+
+    def test_analyze_json_is_a_fixed_point(self):
+        """The static pipeline's report is the same bytes in interpreters
+        whose string hashes differ: no set or dict order leaks into it."""
+        script = _ANALYZE_ALL.format(apps=ALL_APPS, scale=SCALE)
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONHASHSEED": seed},
+        ) for seed in ("1", "2")]
+        (first, _), (second, _) = (run.communicate(timeout=120) for run in runs)
+        assert [run.returncode for run in runs] == [0, 0]
+        assert first.count(b'"binary": ') == 2 * len(ALL_APPS)
+        assert first == second
 
     def test_lint_fails_on_unsafe_fixture(self, capsys):
         assert main(["analyze", "unsafe-fixture", "--lint"]) == 1

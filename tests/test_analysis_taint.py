@@ -446,13 +446,16 @@ class TestAppsAreClean:
     """No shipped app declares secrets: all must pass --security clean."""
 
     @pytest.mark.parametrize("app", sorted(ALL_APPS))
-    def test_app_passes_security_lint(self, app):
+    def test_app_passes_security_lint(self, app, capsys):
         binary = program(app, 0.3)
         plan = analyze_security(binary)
         assert plan.clean
         assert plan.secret_labels == ()
         # Vacuously clean still inventories the disclosure sites.
         assert plan.disclosure_sites
+        assert cli_main(["analyze", app, "--scale", "0.3", "--security",
+                         "--lint"]) == 0
+        assert "security lint: ok" in capsys.readouterr().out
 
 
 class TestCli:

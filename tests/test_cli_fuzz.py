@@ -33,6 +33,29 @@ class TestFuzzCampaign:
         assert data["coverage"]["cases"] == 2
         assert data["digest"]
 
+    def test_exit_status_is_the_campaign_verdict(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A campaign with a failing cell exits 1, after writing its
+        shrunk reproducer (the run and the shrink are stubbed here)."""
+        from repro.faults import shrink
+        from repro.faults.generate import CoverageLedger, FaultPlanGenerator
+        from repro.harness import fuzz
+        from repro.harness.invariants import Violation
+
+        case = FaultPlanGenerator(7).case(0)
+        failing = fuzz.FuzzReport(seed=7, budget=1, ledger=CoverageLedger(),
+                                  cells=[fuzz.FuzzCellResult(
+                                      case=case, violations=[
+                                          Violation("hint-lifecycle", "planted")])])
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **k: failing)
+        monkeypatch.setattr(shrink, "shrink_case", lambda case, monitor, _:
+                            shrink.ShrinkResult(case, monitor, evaluations=0))
+        failures = tmp_path / "failures"
+        assert main(["fuzz", "--budget", "1", "--seed", "7",
+                     "--failures-dir", str(failures)]) == 1
+        assert "fuzz: FAIL (0/1 cells clean" in capsys.readouterr().out
+        assert os.listdir(failures) == ["repro-7-0000.json"]
+
     def test_campaign_digest_matches_across_runs(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

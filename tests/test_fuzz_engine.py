@@ -58,6 +58,11 @@ class TestRunFuzz:
             for a, b in zip(serial.cells, parallel.cells):
                 assert a.key == b.key
                 assert a.digest == b.digest
+        # A campaign's cases depend on the seed and their index alone, and
+        # a cell's payload on its case, so the budget-25 campaign is the
+        # first 25 cells of the budget-30 one checked above.
+        assert [cell.case for cell in serial.cells[:25]] == \
+            FaultPlanGenerator(7).cases(25)
 
     def test_report_shape(self):
         report = run_fuzz(3, seed=7)

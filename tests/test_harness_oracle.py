@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import OracleMismatch, RetriesExhausted
 from repro.harness import fuzz as fuzz_mod
 from repro.harness.config import Variant
@@ -154,6 +155,26 @@ class TestTypedEscape:
         detail = serial.cells[1].detail
         assert detail.startswith("[spec-identity] asymmetric escape")
         assert "speculating RetriesExhausted" in detail
+
+
+class TestOracleCli:
+    @pytest.mark.parametrize("profile", ["transient-errors", "restart-storm"])
+    def test_smoke_report_is_the_same_bytes_at_jobs_two(
+            self, profile, tmp_path, capsys):
+        """``run --oracle`` passes, dumps no divergence trace, and writes
+        the serial run's report bytes at ``--jobs 2``."""
+        reports = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"oracle-{jobs}.json"
+            assert main(["run", "agrep", "--scale", str(SCALE), "--oracle",
+                         "--chaos", profile, "--jobs", jobs,
+                         "--oracle-report", str(report),
+                         "--trace-out", str(tmp_path / "traces")]) == 0
+            assert "oracle: PASS (1/1 cells identical)" in \
+                capsys.readouterr().out
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert not (tmp_path / "traces").exists()
 
 
 class TestOracleReport:

@@ -1,8 +1,9 @@
 """``repro paper DOC``: how the document is assembled, and the exit status.
 
-CI's ``paper-shapes`` job runs the experiments, regenerates EXPERIMENTS.md
-and fails on any diff.  Here fake verdicts go through the same assembly,
-so no simulation runs.
+CI's ``paper-shapes`` job, whose one step is ``repro paper EXPERIMENTS.md``
+and a ``git diff``, runs the experiments, regenerates the file and fails on
+any diff.  Here fake verdicts go through the same assembly, so no
+simulation runs.
 """
 
 import re

@@ -5,12 +5,13 @@ pinned digests; a worker
 killed mid-cell (the cell re-runs to the payload the serial loop
 computes); a death between the journal append and the report; repeated
 deaths (typed ``WorkerCrash``); a raising cell (the serial loop's
-exception, after the cells finished before it were journaled);
-pool-startup degradation; parent SIGKILL, with no worker outliving it,
-then a resume equal to an uninterrupted run; SIGTERM at ``jobs`` 1 and 2;
-the CLI ``--jobs`` wiring; and the one-pipeline guarantees (every sweep
-mode prints the same tables; a serial resume picks up what a killed
-parallel run left; a failing registry update is reported in every mode).
+exception, after the cells before it have finished); progress reported
+in spec order; pool-startup degradation; parent SIGKILL, with no worker
+outliving it, then a resume equal to an uninterrupted run; SIGTERM at
+``jobs`` 1 and 2; the CLI ``--jobs`` wiring; and the one-pipeline
+guarantees (every ``--jobs`` value prints the serial stdout; a serial
+resume picks up what a killed parallel run left; a failing registry
+update is reported in every mode).
 """
 
 import functools
@@ -61,6 +62,12 @@ def counted_cell(key, runs_dir, seconds=0.0):
 def raise_after(key, seconds):
     time.sleep(seconds)
     raise RuntimeError(f"poisoned cell {key}")
+
+
+def timed_cell(key, seconds):
+    """Sleep, then report when the cell ended (one clock for every process)."""
+    time.sleep(seconds)
+    return {"key": key, "ended": time.monotonic()}
 
 
 def crash_once(marker_dir, key, fn, *args):
@@ -122,6 +129,22 @@ def survivors(pids, timeout_s=5.0):
     while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
     return {pid for pid in pids if alive(pid)}
+
+
+def group_members(pgid):
+    """Running processes (zombies have exited) of process group ``pgid``."""
+    members = set()
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                state, _ppid, pgrp = handle.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            members.add(int(name))
+    return members
 
 
 def canonical(results):
@@ -285,6 +308,35 @@ class TestSupervision:
             run_cells(cells, jobs=jobs, checkpoint_path=path,
                       identity="raise")
         assert _recorded_cells(path) == {"good-a", "good-b"}
+
+    def test_progress_is_in_spec_order_when_the_first_cell_ends_last(self):
+        """The pool reports progress as the loop does, whatever order its
+        workers finish in."""
+        cells = [("slow", timed_cell, ("slow", 0.5)),
+                 ("fast-a", timed_cell, ("fast-a", 0.0)),
+                 ("fast-b", timed_cell, ("fast-b", 0.0))]
+        seen = {}
+        for jobs in (1, 2):
+            seen[jobs] = []
+            outcome = run_cells(cells, jobs=jobs, progress=lambda key, resumed,
+                                seen=seen[jobs]: seen.append((key, resumed)))
+        ended = {key: payload["ended"] for key, payload in outcome.results.items()}
+        assert ended["slow"] > ended["fast-b"]  # the pool finished it last
+        assert seen[2] == seen[1] == [(key, False) for key, _, _ in cells]
+
+    def test_progress_before_a_raise_is_the_serial_progress(self):
+        """A pool whose later cell raises first still finishes the cells
+        before it: it prints what the loop prints up to that cell."""
+        cells = [("slow", timed_cell, ("slow", 0.3)),
+                 ("bad", raise_after, ("bad", 0.0)),
+                 ("after", timed_cell, ("after", 0.0))]
+        seen = {}
+        for jobs in (1, 2):
+            seen[jobs] = []
+            with pytest.raises(RuntimeError, match="poisoned cell bad"):
+                run_cells(cells, jobs=jobs, progress=lambda key, resumed,
+                          seen=seen[jobs]: seen.append(key))
+        assert seen[2] == seen[1] == ["slow"]
 
     def test_worker_crash_mid_cell_rescheduled(self, tmp_path):
         """A worker SIGKILLed mid-cell: the cell re-runs on a fresh worker,
@@ -513,13 +565,10 @@ class TestIntegration:
         from repro.harness.experiments import run_sweep
 
         serial = run_sweep("cache", workload_scale=0.1)
-        stats_out = {}
         parallel = run_sweep(
             "cache", workload_scale=0.1,
-            checkpoint_path=str(tmp_path / "sweep.ckpt"),
-            jobs=2, stats_out=stats_out,
+            checkpoint_path=str(tmp_path / "sweep.ckpt"), jobs=2,
         )
-        assert stats_out["mode"] == "parallel"
         assert parallel.keys() == serial.keys()
         for point, matrix in serial.items():
             for app, by_variant in matrix.items():
@@ -554,8 +603,6 @@ class TestIntegration:
         def fake_resumable(kind, **kwargs):
             captured["kind"] = kind
             captured.update(kwargs)
-            if kwargs.get("stats_out") is not None:
-                kwargs["stats_out"]["mode"] = "parallel"
             from repro.harness.results import RunResult
 
             fake = RunResult(app="agrep", variant="original", cycles=1,
@@ -574,8 +621,9 @@ class TestIntegration:
         assert exit_code == 0
         assert captured["kind"] == "cache"
         assert captured["jobs"] == 3
+        assert captured["progress"] is None  # a plain sweep prints tables
         out = capsys.readouterr().out
-        assert "parallel" in out  # supervisor stats line printed
+        assert out.startswith("Table 7") and "supervisor" not in out
 
     def test_cli_run_oracle_forwards_jobs(self, monkeypatch):
         from repro import cli
@@ -621,38 +669,43 @@ class TestIntegration:
 # One pipeline: the same engine behind every sweep / oracle mode
 # ---------------------------------------------------------------------------
 
-_NOT_TABLE = ("  [ran    ]", "  [resumed]", "supervisor:", "  interventions:")
-
-
-def _tables(out):
-    """Stdout minus per-cell progress lines and the supervisor block."""
-    return [line for line in out.splitlines()
-            if not line.startswith(_NOT_TABLE)]
-
-
 def _broken_record_payload(*_args, **_kwargs):
     raise RuntimeError("registry disk full")
 
 
+_RAN = "  [ran    ] "
+
+
 class TestOnePipeline:
-    # One kind: the engine is kind-agnostic, and TestDeterminism compares
-    # the cache and chaos grids byte for byte.
-    @pytest.mark.parametrize("kind", ["cache"])
-    def test_sweep_tables_identical_across_modes(self, kind, tmp_path,
-                                                 capsys):
+    # One sweep kind: the engine is kind-agnostic, and TestDeterminism
+    # compares the cache and chaos grids byte for byte.
+    def test_every_jobs_value_prints_the_serial_stdout(self, tmp_path, capsys):
+        """A checkpointed sweep and a fuzz campaign print the same bytes at
+        ``--jobs`` 1, 2 and 3.  A plain sweep prints those bytes without
+        the progress lines, and resuming a finished checkpoint restores
+        every cell and prints the same tables."""
         from repro import cli
 
-        outputs = []
-        for extra in ([], ["--checkpoint", str(tmp_path / "ck.json")],
-                      ["--jobs", "2"]):
-            assert cli.main(["sweep", kind, "--scale", "0.1", *extra]) == 0
-            outputs.append(capsys.readouterr().out)
-        plain, checkpointed, parallel = outputs
-        assert _tables(plain) == plain.splitlines()  # tables only
-        assert "  [ran    ]" in checkpointed
-        assert "supervisor: parallel x2" in parallel
-        assert _tables(checkpointed) == plain.splitlines()
-        assert _tables(parallel) == plain.splitlines()
+        def stdout(*argv):
+            assert cli.main(list(argv)) == 0
+            return capsys.readouterr().out
+
+        sweep = ["sweep", "cache", "--scale", "0.05"]
+        outs = {jobs: stdout(*sweep, "--jobs", str(jobs), "--checkpoint",
+                             str(tmp_path / f"ck{jobs}.json"))
+                for jobs in (1, 2, 3)}
+        assert outs[3] == outs[2] == outs[1]
+        lines = outs[1].splitlines()
+        assert sum(line.startswith(_RAN) for line in lines) == 27
+        assert stdout(*sweep).splitlines() == [
+            line for line in lines if not line.startswith(_RAN)]
+        assert stdout(*sweep, "--checkpoint", str(tmp_path / "ck1.json"),
+                      "--resume") == outs[1].replace("[ran    ]", "[resumed]")
+
+        fuzz = ["fuzz", "--budget", "4", "--apps", "agrep,gnuld"]
+        outs = {jobs: stdout(*fuzz, "--jobs", str(jobs)) for jobs in (1, 2, 3)}
+        assert outs[3] == outs[2] == outs[1]
+        assert "fuzz: PASS (4/4 cells clean" in outs[1]
 
     def test_serial_resume_reads_duplicates_and_torn_tail(self, tmp_path,
                                                           capsys):
@@ -734,19 +787,22 @@ class TestOnePipeline:
 
     def test_parent_sigkill_then_serial_resume_loses_nothing(
             self, tmp_path, capsys):
-        """SIGKILL a ``--jobs 2`` CLI sweep mid-run; a *serial* ``--resume``
-        restores every completed cell from the journal, and ends with the
-        checkpoint and registry an uninterrupted serial run writes."""
+        """SIGKILL a ``--jobs 2`` CLI sweep mid-run: no worker outlives
+        it, and a *serial* ``--resume`` restores every completed cell from
+        the journal and ends with the checkpoint and registry an
+        uninterrupted serial run writes."""
         from repro import cli
 
         path = str(tmp_path / "ck.json")
         registry = str(tmp_path / "reg.jsonl")
         argv = ["sweep", "cache", "--scale", "0.2",
                 "--checkpoint", path, "--registry", registry]
+        # A session of its own: the sweep and its workers are one group.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", *argv, "--jobs", "2"],
             env={**os.environ, "PYTHONPATH": SRC_DIR},
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 60.0
@@ -754,10 +810,15 @@ class TestOnePipeline:
                 assert process.poll() is None, "sweep exited before the kill"
                 assert time.monotonic() < deadline, "no checkpointed cells"
                 time.sleep(0.05)
+            assert len(group_members(process.pid)) >= 3  # parent, 2 workers
         finally:
             process.kill()
             process.wait(timeout=30)
-        time.sleep(1.0)  # orphaned workers see the dead parent and exit
+        # Orphaned workers check getppid() twice a second.
+        deadline = time.monotonic() + 5.0
+        while group_members(process.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not group_members(process.pid), "a worker outlived its parent"
         survived = _recorded_cells(path)
 
         assert cli.main([*argv, "--resume"]) == 0

@@ -621,6 +621,36 @@ class TestRunsCli:
             assert captured.out == ""
         assert not (tmp_path / "typo.jsonl").exists()
 
+    def test_regression_check_over_real_cells(self, tmp_path, capsys):
+        """Two cache sweeps record the same bytes and five agrep seeds a
+        baseline: the check stays silent, also once a stuck-disk run is
+        recorded (chaos runs have a population of their own), and flags
+        that run when relaxed keys pool it in."""
+        path = str(tmp_path / "runs.jsonl")
+        sweep = ("sweep", "cache", "--scale", "0.2", "--registry", path)
+        assert self._main(*sweep) == 0
+        with open(path, "rb") as handle:
+            first = handle.read()
+        assert self._main(*sweep) == 0
+        with open(path, "rb") as handle:
+            assert handle.read() == first
+        for seed in range(1999, 2004):
+            assert self._main("run", "agrep", "--scale", "0.2", "--seed",
+                              str(seed), "--registry", path) == 0
+        assert self._main("runs", "list", "--registry", path) == 0
+        assert self._main("runs", "regressions", "--registry", path) == 0
+        assert "no regressions detected" in capsys.readouterr().out
+        assert self._main("run", "agrep", "--scale", "0.2", "--chaos",
+                          "stuck-disk", "--registry", path) == 0
+        stuck = capsys.readouterr().out.split("registry: recorded ")[1].split()[0]
+        assert self._main("runs", "regressions", "--registry", path) == 0
+        assert "no regressions detected" in capsys.readouterr().out
+        assert self._main("runs", "regressions", "--registry", path,
+                          "--match", "app,variant", "--min-baseline", "5") == 1
+        (finding,) = [line for line in capsys.readouterr().out.splitlines()
+                      if "REGRESSION" in line]
+        assert stuck[:12] in finding
+
     def test_compare_honours_seed_and_registry(self, tmp_path, capsys):
         """``compare`` runs at ``--seed`` and records its three runs; a
         matching ``run`` deduplicates onto the same content-addressed id."""
