@@ -91,17 +91,6 @@ class AbsVal:
             and self.lo == self.hi
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind is ValueKind.NUM:
-            lo = "-inf" if self.lo is None else str(self.lo)
-            hi = "+inf" if self.hi is None else str(self.hi)
-            return f"num[{lo},{hi}]"
-        if self.kind is ValueKind.FUNC:
-            return f"func@{self.entry}"
-        if self.kind is ValueKind.STACK:
-            return f"sp{self.delta:+d}"
-        return self.kind.value
-
 
 TOP = AbsVal(ValueKind.TOP)
 RETADDR = AbsVal(ValueKind.RETADDR)
@@ -208,7 +197,7 @@ def _nonneg(v: AbsVal) -> bool:
 
 
 def eval_alu(op: Op, a: AbsVal, b: AbsVal) -> AbsVal:
-    """Abstract result of ``op`` applied to ``a`` and ``b``."""
+    """Abstract result of the ALU operator ``op`` applied to ``a`` and ``b``."""
     if op in (Op.ADD, Op.ADDI):
         return _add(a, b)
     if op is Op.SUB:
@@ -254,9 +243,7 @@ def eval_alu(op: Op, a: AbsVal, b: AbsVal) -> AbsVal:
             bits = max(a.hi, b.hi).bit_length()
             return interval(0, (1 << bits) - 1)
         return NUM_ANY
-    if op in (Op.SLT, Op.SLTI):
-        return BIT
-    return TOP
+    return BIT  # SLT, SLTI: the last ALU operators
 
 
 def range_avoids(v: AbsVal, base: int, end: int) -> bool:
@@ -317,9 +304,6 @@ class AbsState:
         if not isinstance(other, AbsState):
             return NotImplemented
         return self.regs == other.regs and self.slots == other.slots
-
-    def __hash__(self) -> int:  # pragma: no cover - never used as a key
-        raise TypeError("AbsState is mutable and unhashable")
 
     def join_with(self, other: "AbsState", *, widening: bool) -> "AbsState":
         combine = widen if widening else join

@@ -74,6 +74,46 @@ def build_safe_fixture() -> Binary:
     return asm.finish()
 
 
+def build_alu_fixture() -> Binary:
+    """The ALU operators no shipped app emits, over interval inputs.
+
+    Two data bytes load as ``[0, 255]`` to the analysis (200 and 7 when
+    run).  The program multiplies one by a negative constant, by zero and
+    by the other; shifts and divides it by constants; masks and combines
+    the two and two constants; and offsets the stack pointer by a
+    constant, so each abstract transfer can be checked against the value
+    the machine computes.
+    """
+    asm = Assembler("alu-fixture")
+    asm.data_bytes("bytes", bytes([200, 7]))
+
+    with asm.function("main"):
+        asm.la(Reg.t0, "bytes")
+        asm.loadb(Reg.s0, Reg.t0, 0)
+        asm.loadb(Reg.s1, Reg.t0, 1)
+        asm.muli(Reg.s2, Reg.s0, -3)
+        asm.muli(Reg.s3, Reg.s0, 0)
+        asm.mul(Reg.s4, Reg.s0, Reg.s1)
+        asm.shri(Reg.s5, Reg.s0, 2)
+        asm.li(Reg.t1, 3)
+        asm.div(Reg.s6, Reg.s0, Reg.t1)
+        asm.and_(Reg.s7, Reg.s0, Reg.s1)
+        asm.or_(Reg.t4, Reg.s0, Reg.s1)
+        asm.li(Reg.t2, 12)
+        asm.li(Reg.t3, 10)
+        asm.and_(Reg.a1, Reg.t2, Reg.t3)
+        asm.or_(Reg.a2, Reg.t2, Reg.t3)
+        asm.xor(Reg.a3, Reg.t2, Reg.t3)
+        asm.sub(Reg.a4, Reg.sp, Reg.t2)
+        asm.add(Reg.a5, Reg.t2, Reg.sp)
+        asm.li(Reg.a0, 0)
+        asm.syscall(SYS_EXIT)
+        asm.halt()
+
+    asm.entry("main")
+    return asm.finish()
+
+
 # -- speculation-security (taint) fixtures ------------------------------------
 #
 # Each taint fixture declares a secret data region and issues at least two
@@ -290,6 +330,7 @@ def build_taint_sanitized_fixture(fs: Optional[FileSystem] = None) -> Binary:
 FIXTURES: Dict[str, Callable[[], Binary]] = {
     "unsafe-fixture": build_unsafe_fixture,
     "safe-fixture": build_safe_fixture,
+    "alu-fixture": build_alu_fixture,
     "taint-safe-fixture": build_taint_safe_fixture,
     "taint-table-fixture": build_taint_table_fixture,
     "taint-branch-fixture": build_taint_branch_fixture,

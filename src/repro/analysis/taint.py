@@ -213,9 +213,6 @@ class TaintState:
             and self.offset == other.offset
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - never used as a key
-        raise TypeError("TaintState is mutable and unhashable")
-
 
 @dataclass
 class _Product:

@@ -165,20 +165,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if result.watchdog_tripped:
             print(f"  watchdog:         tripped ({result.watchdog_tripped}); "
                   f"speculation disabled, run completed vanilla")
-        if result.disk_deaths:
-            print(f"  degraded mode:    {result.disk_deaths} disk death(s), "
-                  f"{result.degraded_reads} degraded reads, "
-                  f"{result.reconstructed_blocks} blocks reconstructed")
-            print(f"  hedging:          {result.hedges_issued} issued, "
-                  f"{result.hedges_won} won")
-            if result.rebuild_completed:
-                done_s = result.rebuild_completed_cycle / result.cpu_hz
-                print(f"  rebuild:          complete at {done_s:.3f} s "
-                      f"({result.rebuild_blocks} blocks resilvered)")
-            else:
-                print("  rebuild:          INCOMPLETE")
-            print(f"  load shedding:    {result.prefetches_shed_degraded} "
-                  f"prefetches shed while degraded")
+        for line in result.degraded_report():
+            print(f"  {line}")
         for name, value in result.fault_events().items():
             print(f"    {name:40s} {value}")
         per_disk = result.per_disk_io_counters()

@@ -76,12 +76,6 @@ class CacheEntry:
         #: never-accessed prefetches are *unused*, not fully.
         self.arrived_clean = False
 
-    def __repr__(self) -> str:
-        return (
-            f"CacheEntry({self.key}, {self.state.value}, {self.origin.value}, "
-            f"accessed={self.accessed})"
-        )
-
 
 class BlockCache:
     """Fixed-capacity block cache with LRU ordering and Table 5 stats."""

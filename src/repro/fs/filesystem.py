@@ -175,9 +175,6 @@ class FileSystem:
             raise FileNotFoundInFS(f"ino {ino}")
         return self._by_ino[ino]
 
-    def exists(self, path: str) -> bool:
-        return path in self._by_path
-
     @property
     def total_blocks(self) -> int:
         """Blocks allocated so far — the size the striped array must cover."""

@@ -219,10 +219,6 @@ class RunResult:
     def quarantines(self) -> int:
         return self.c(metrics.SPEC_QUARANTINES)
 
-    @property
-    def quarantine_permanent(self) -> bool:
-        return self.c(metrics.SPEC_QUARANTINE_PERMANENT) > 0
-
     # Fault injection / degraded mode ------------------------------------------
 
     #: Counter prefixes that constitute the fault-event record of a run.
@@ -329,6 +325,29 @@ class RunResult:
             if name.startswith(metrics.CACHE_SHED_DEGRADED_PREFIX):
                 shed += value
         return shed
+
+    def rebuild_status(self) -> str:
+        """``done @T s (N blocks)`` once a rebuild finished, ``INCOMPLETE``
+        after a disk death whose rebuild did not, ``-`` with no death."""
+        if self.rebuild_completed:
+            return (f"done @{self.rebuild_completed_cycle / self.cpu_hz:.3f}s "
+                    f"({self.rebuild_blocks:,} blocks)")
+        return "INCOMPLETE" if self.disk_deaths else "-"
+
+    def degraded_report(self) -> List[str]:
+        """The degraded-mode block ``repro run --chaos`` and ``repro trace
+        --summary`` print; empty when no disk died."""
+        if not self.disk_deaths:
+            return []
+        return [
+            f"degraded mode:    {self.disk_deaths} disk death(s), "
+            f"{self.degraded_reads:,} degraded reads, "
+            f"{self.reconstructed_blocks:,} blocks reconstructed",
+            f"hedging:          {self.hedges_issued:,} issued, {self.hedges_won:,} won",
+            f"rebuild:          {self.rebuild_status()}",
+            f"load shedding:    {self.prefetches_shed_degraded:,} prefetches shed "
+            f"while degraded",
+        ]
 
     def per_disk_io_counters(self) -> Dict[int, Dict[str, int]]:
         """Per-disk I/O health: retries / timeouts / hedges (issued and

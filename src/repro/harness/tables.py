@@ -257,19 +257,12 @@ def format_degraded_sweep(sweep: Mapping[str, Matrix]) -> str:
                 healthy = baseline[app]["speculating"].elapsed_s
                 if healthy > 0:
                     slowdown = spec.elapsed_s / healthy
-            if spec.rebuild_completed:
-                done_s = spec.rebuild_completed_cycle / spec.cpu_hz
-                rebuild = f"done @{done_s:.3f}s ({spec.rebuild_blocks} blk)"
-            elif spec.disk_deaths:
-                rebuild = "incomplete"
-            else:
-                rebuild = "-"
             lines.append(
                 f"{APP_LABEL.get(app, app):14}{profile:>14} "
                 f"{original.elapsed_s:>8.2f}s {spec.elapsed_s:>8.2f}s "
                 f"{(f'{slowdown:.2f}x' if slowdown else '-'):>9} "
                 f"{spec.reconstructed_blocks:>7} {spec.hedges_won:>7} "
-                f"{spec.prefetches_shed_degraded:>6}  {rebuild}"
+                f"{spec.prefetches_shed_degraded:>6}  {spec.rebuild_status()}"
             )
     return "\n".join(lines)
 

@@ -36,9 +36,6 @@ from repro.trace.tracer import (
 )
 from repro.tip.manager import TipManager
 from repro.vm.isa import (
-    SEEK_CUR,
-    SEEK_END,
-    SEEK_SET,
     SYS_CANCEL_ALL,
     SYS_CLOSE,
     SYS_EXIT,
@@ -52,6 +49,7 @@ from repro.vm.isa import (
     SYS_WRITE,
     SYSCALL_NAMES,
     Reg,
+    seek_offset,
     to_signed,
 )
 from repro.vm.machine import Machine
@@ -395,18 +393,11 @@ class Kernel:
     def _sys_lseek(self, thread: Thread) -> int:
         proc = thread.process
         fdstate = proc.fd(thread.regs[A0])
-        offset = to_signed(thread.regs[A1])
-        whence = thread.regs[A2]
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = fdstate.offset + offset
-        elif whence == SEEK_END:
-            size = fdstate.inode.size if fdstate.inode is not None else 0
-            new = size + offset
-        else:
-            raise InvalidSyscall(f"lseek whence {whence}")
-        fdstate.offset = max(0, new)
+        size = fdstate.inode.size if fdstate.inode is not None else 0
+        new = seek_offset(fdstate.offset, size, to_signed(thread.regs[A1]), thread.regs[A2])
+        if new is None:
+            raise InvalidSyscall(f"lseek whence {thread.regs[A2]}")
+        fdstate.offset = new
         thread.regs[V0] = fdstate.offset
         thread.pc += 1
         return self.config.cpu.syscall_cycles

@@ -35,9 +35,6 @@ class FdState:
         self.ra_state = ReadAheadState()
         self.path = path
 
-    def __repr__(self) -> str:
-        return f"FdState(fd={self.fd}, path={self.path!r}, offset={self.offset})"
-
 
 class Process:
     """One simulated process: address space, threads, fds, speculation state."""
@@ -151,6 +148,3 @@ class Process:
         self.exit_code = code
         for thread in self.threads:
             thread.exit()
-
-    def __repr__(self) -> str:
-        return f"Process(pid={self.pid}, {self.name!r}, exited={self.exited})"

@@ -124,6 +124,3 @@ class Thread:
 
     def load_regs(self, saved: List[int]) -> None:
         self.regs = list(saved)
-
-    def __repr__(self) -> str:
-        return f"Thread({self.tid}:{self.name}, {self.state.value}, pc={self.pc})"

@@ -75,17 +75,6 @@ class RegressionFinding:
             f"(tolerance {self.tolerance_pct:.1f}%)"
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "metric": self.metric,
-            "value": self.value,
-            "baseline_mean": self.baseline_mean,
-            "baseline_count": self.baseline_count,
-            "drift_pct": round(self.drift_pct, 3),
-            "tolerance_pct": round(self.tolerance_pct, 3),
-        }
-
 
 @dataclass
 class RegressionReport:
@@ -98,13 +87,6 @@ class RegressionReport:
     @property
     def clean(self) -> bool:
         return not self.findings
-
-    def to_jsonable(self) -> dict:
-        return {
-            "checked": self.checked,
-            "skipped_no_baseline": self.skipped_no_baseline,
-            "findings": [f.to_jsonable() for f in self.findings],
-        }
 
 
 def parse_match_keys(spec: Optional[str]) -> Tuple[str, ...]:

@@ -34,10 +34,6 @@ class Event:
         """Prevent the callback from running when the event comes due."""
         self.cancelled = True
 
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event({self.label!r} @ {self.when}, {state})"
-
 
 class EventEngine:
     """Priority queue of :class:`Event` objects sharing a :class:`SimClock`.
@@ -101,9 +97,7 @@ class EventEngine:
             if not self._heap or self._heap[0][0] > self.clock.now:
                 self.horizon = self._heap[0][0] if self._heap else self.NO_EVENTS
                 return ran
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
+            _, _, event = heapq.heappop(self._heap)  # not cancelled: dropped above
             self.dispatched += 1
             ran += 1
             event.callback()

@@ -90,9 +90,6 @@ class Distribution:
         rank = max(0, min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1)))))
         return ordered[rank]
 
-    def __repr__(self) -> str:
-        return f"Distribution({self.name}, n={self.count}, median={self.median})"
-
 
 class StatRegistry:
     """Named counters (plain ints) and distributions for one simulation."""

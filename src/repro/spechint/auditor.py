@@ -83,9 +83,6 @@ class AuditRecord:
         #: Chain digest covering this record and every record before it.
         self.digest = digest
 
-    def __repr__(self) -> str:
-        return f"AuditRecord({self.seq}, {self.kind!r}, {self.detail!r})"
-
 
 class AuditTable:
     """Hash-chained, bounded log of suppressed speculative side effects.

@@ -35,10 +35,6 @@ class HintLogEntry:
     def matches(self, ino: int, offset: int, length: int) -> bool:
         return self.ino == ino and self.offset == offset and self.length == length
 
-    def __repr__(self) -> str:
-        tag = "hinted" if self.hinted else "predicted"
-        return f"HintLogEntry(ino={self.ino}, off={self.offset}, len={self.length}, {tag})"
-
 
 class HintLog:
     """Shared between the original and speculating threads."""

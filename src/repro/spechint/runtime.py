@@ -47,9 +47,6 @@ from repro.spechint.gate import HOLD, RESTART, SUSPEND, SpeculationGate
 from repro.spechint.hintlog import HintLog
 from repro.spechint.tool import SpecMeta
 from repro.vm.isa import (
-    SEEK_CUR,
-    SEEK_END,
-    SEEK_SET,
     SYS_CANCEL_ALL,
     SYS_CLOSE,
     SYS_EXIT,
@@ -61,6 +58,7 @@ from repro.vm.isa import (
     SYS_SBRK,
     SYS_WRITE,
     Reg,
+    seek_offset,
     to_signed,
 )
 from repro.vm.machine import SpeculationFault
@@ -418,17 +416,11 @@ class SpecProcessState:
             sfd = self.spec_fds.get(regs[A0])
             if sfd is None:
                 raise SpeculationFault(f"speculative lseek on fd {regs[A0]}")
-            offset = to_signed(regs[A1])
-            whence = regs[A2]
-            if whence == SEEK_SET:
-                new = offset
-            elif whence == SEEK_CUR:
-                new = sfd.offset + offset
-            elif whence == SEEK_END:
-                new = (sfd.inode.size if sfd.inode else 0) + offset
-            else:
-                raise SpeculationFault(f"speculative lseek whence {whence}")
-            sfd.offset = max(0, new)
+            size = sfd.inode.size if sfd.inode else 0
+            new = seek_offset(sfd.offset, size, to_signed(regs[A1]), regs[A2])
+            if new is None:
+                raise SpeculationFault(f"speculative lseek whence {regs[A2]}")
+            sfd.offset = new
             regs[V0] = sfd.offset
             thread.pc += 1
             return 8

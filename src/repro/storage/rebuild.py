@@ -148,10 +148,3 @@ class RebuildEngine:
                 blocks=self.total_blocks,
                 cycles=self.completed_at - self.started_at,
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"RebuildEngine(dead={self.dead_disk}, spare={self.spare_id}, "
-            f"watermark={self.watermark}/{self.total_blocks}, "
-            f"complete={self.complete})"
-        )

@@ -147,9 +147,3 @@ class IORequest:
         if the prefetch has already started.
         """
         self.kind = IOKind.DEMAND
-
-    def __repr__(self) -> str:
-        return (
-            f"IORequest(lbn={self.lbn}, kind={self.kind.value}, "
-            f"disk={self.disk_id}, state={self.state.name})"
-        )

@@ -385,7 +385,8 @@ class StripedArray:
     def _move(self, request: IORequest, new: State) -> None:
         """The only writer of ``request.state``."""
         assert new in _MOVES[request.state], (
-            f"{request!r} cannot move to {new.name}"
+            f"request lbn={request.lbn} ({request.kind.value}, disk "
+            f"{request.disk_id}) cannot move from {request.state.name} to {new.name}"
         )
         request.state = new
 

@@ -33,6 +33,3 @@ class HintAccuracyTracker:
         the run without ever matching a read."""
         for _ in range(n):
             self.value += ALPHA * (0.0 - self.value)
-
-    def __repr__(self) -> str:
-        return f"HintAccuracyTracker(value={self.value:.3f})"

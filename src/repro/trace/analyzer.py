@@ -195,21 +195,7 @@ class TraceAnalyzer:
                                       for name in sorted(counters))
                     parts.append(f"disk{disk}({detail})")
                 lines.append("disk I/O health      " + " ".join(parts))
-            if result.disk_deaths:  # type: ignore[attr-defined]
-                if result.rebuild_completed:  # type: ignore[attr-defined]
-                    done_s = (result.rebuild_completed_cycle  # type: ignore[attr-defined]
-                              / result.cpu_hz)  # type: ignore[attr-defined]
-                    rebuild = (f"rebuild done @{done_s:.3f}s "
-                               f"({result.rebuild_blocks:,} blocks)")  # type: ignore[attr-defined]
-                else:
-                    rebuild = "rebuild INCOMPLETE"
-                lines.append(
-                    "degraded mode        "
-                    f"{result.disk_deaths} death(s), "  # type: ignore[attr-defined]
-                    f"{result.degraded_reads:,} degraded reads, "  # type: ignore[attr-defined]
-                    f"{result.reconstructed_blocks:,} reconstructed, "  # type: ignore[attr-defined]
-                    f"{result.hedges_won:,} hedges won; {rebuild}"  # type: ignore[attr-defined]
-                )
+            lines.extend(result.degraded_report())  # type: ignore[attr-defined]
         lines.append(
             f"trace                {len(self.tracer):,} events "
             f"({self.tracer.dropped:,} dropped)"

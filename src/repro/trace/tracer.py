@@ -110,12 +110,6 @@ class TraceEvent:
             entry["args"] = self.args
         return entry
 
-    def __repr__(self) -> str:
-        return (
-            f"TraceEvent({self.ts}, {self.category}:{self.name}, "
-            f"ph={self.ph}, tid={self.tid})"
-        )
-
 
 class Tracer:
     """Ring-buffered, category-filterable event recorder."""
@@ -164,9 +158,8 @@ class Tracer:
     # -- recording ----------------------------------------------------------
 
     def wants(self, category: str) -> bool:
-        """True when events of ``category`` would be recorded."""
-        if not self.enabled:
-            return False
+        """True when events of ``category`` would be recorded (a tracer is
+        disabled only as :class:`NullTracer`, which wants nothing)."""
         return self.categories is None or category in self.categories
 
     def instant(
@@ -215,12 +208,6 @@ class Tracer:
     def events(self) -> Iterator[TraceEvent]:
         """Recorded events, oldest first."""
         return iter(self._events)
-
-    def __repr__(self) -> str:
-        return (
-            f"Tracer(events={len(self._events)}, dropped={self.dropped}, "
-            f"enabled={self.enabled})"
-        )
 
 
 class NullTracer(Tracer):

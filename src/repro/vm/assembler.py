@@ -172,14 +172,11 @@ class Assembler:
         full_meta: Dict[str, object] = dict(meta) if meta else {}
         if self._open_function is not None:
             full_meta["func"] = self._open_function
-        insn = Insn(op, a, b, 0, 0, full_meta or None)
         # Unresolved targets are parked in meta and fixed up in finish().
         if isinstance(c, str):
-            if insn.meta is None:
-                insn.meta = {}
-            insn.meta["fixup"] = c
-        else:
-            insn.c = int(c)  # type: ignore[arg-type]
+            full_meta["fixup"] = c
+            c = 0
+        insn = Insn(op, a, b, int(c), 0, full_meta or None)  # type: ignore[arg-type]
         self._text.append(insn)
         return insn
 

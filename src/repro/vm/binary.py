@@ -42,9 +42,6 @@ class SecretRegion:
     def size(self) -> int:
         return self.end - self.base
 
-    def __repr__(self) -> str:
-        return f"SecretRegion({self.name!r}, [{self.base:#x}, {self.end:#x}))"
-
 
 class Function:
     """A function's extent in the text section."""
@@ -60,9 +57,6 @@ class Function:
 
     def contains(self, index: int) -> bool:
         return self.entry <= index < self.end
-
-    def __repr__(self) -> str:
-        return f"Function({self.name!r}, [{self.entry}, {self.end}))"
 
 
 class JumpTable:
@@ -80,10 +74,6 @@ class JumpTable:
         self.table_id = table_id
         self.targets = tuple(targets)
         self.recognized = recognized
-
-    def __repr__(self) -> str:
-        tag = "recognized" if self.recognized else "unrecognized"
-        return f"JumpTable({self.table_id}, {len(self.targets)} targets, {tag})"
 
 
 class Binary:
@@ -236,9 +226,3 @@ class Binary:
                         raise AssemblyError(
                             f"{self.name}: jump table {insn.c} targets {t} outside text"
                         )
-
-    def __repr__(self) -> str:
-        return (
-            f"Binary({self.name!r}, {len(self.text)} insns, {len(self.data)}B data, "
-            f"{len(self.functions)} functions)"
-        )

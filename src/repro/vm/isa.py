@@ -202,6 +202,23 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 
+def seek_offset(current: int, size: int, offset: int, whence: int) -> Optional[int]:
+    """The file offset an lseek moves to, clamped at 0; None for a bad whence.
+
+    The one rule for the original thread's kernel lseek and the speculating
+    thread's user-space one; each caller raises its own error on None.
+    """
+    if whence == SEEK_SET:
+        base = 0
+    elif whence == SEEK_CUR:
+        base = current
+    elif whence == SEEK_END:
+        base = size
+    else:
+        return None
+    return max(0, base + offset)
+
+
 class Insn:
     """One instruction.
 

@@ -1,6 +1,9 @@
 """Tests for the abstract-interpretation domain (intervals, pointers)."""
 
+import pytest
+
 from repro.analysis.absint import (
+    NUM_ANY,
     AbsState,
     TOP,
     ValueKind,
@@ -18,9 +21,12 @@ from repro.analysis.absint import (
     widen,
 )
 from repro.analysis.cfg import build_cfg
+from repro.analysis.fixtures import build_alu_fixture
 from repro.vm.assembler import Assembler
-from repro.vm.isa import Insn, Op, Reg, SYS_EXIT, SYS_READ
+from repro.vm.isa import Insn, Op, Reg, SYS_EXIT, SYS_READ, to_signed
 from repro.vm.memory import DATA_BASE
+
+from tests.conftest import make_system
 
 
 class TestValues:
@@ -248,3 +254,88 @@ class TestAnalyzeFunction:
         # The analysis terminated (facts exist) despite the decreasing
         # counter — the loop body was actually visited.
         assert facts.transfer_val is not None
+
+
+class TestAluTransfers:
+    """Every abstract ALU transfer contains what the machine computes."""
+
+    #: What the analysis proves of each result register of the ALU fixture.
+    EXPECTED = {
+        Reg.s2: interval(-765, 0),      # MULI by -3
+        Reg.s3: const(0),               # MULI by 0
+        Reg.s4: interval(0, 255 * 255),  # MUL of two intervals
+        Reg.s5: interval(0, 63),        # SHRI by 2
+        Reg.s6: interval(0, 85),        # DIV by the constant 3
+        Reg.s7: interval(0, 255),       # AND of two non-negative intervals
+        Reg.t4: interval(0, 255),       # OR of two non-negative intervals
+        Reg.a1: const(12 & 10),
+        Reg.a2: const(12 | 10),
+        Reg.a3: const(12 ^ 10),
+        Reg.a4: stack_ptr(-12),         # sp minus a constant
+        Reg.a5: stack_ptr(12),          # a constant plus sp
+    }
+
+    def test_fixture_results_lie_in_their_abstract_values(self):
+        binary = build_alu_fixture()
+        cfg = build_cfg(binary, binary.function("main"))
+        (state,) = solve_function(
+            binary, cfg, AbsState(), lambda s, insn, _index: step(s, insn)).values()
+        exit_at = max(i for i, insn in enumerate(binary.text) if insn.op is Op.LI)
+        for insn in binary.text[:exit_at]:
+            step(state, insn)
+
+        system = make_system()
+        process = system.kernel.spawn(binary)
+        system.kernel.run()
+        regs = process.original_thread
+        sp = to_signed(regs.reg(Reg.sp))
+        for reg, expected in self.EXPECTED.items():
+            value, ran = state.get(int(reg)), to_signed(regs.reg(reg))
+            assert value == expected, reg
+            if value.kind is ValueKind.STACK:
+                assert ran == sp + value.delta, reg
+            else:
+                assert value.lo <= ran <= value.hi, reg
+
+    def test_what_no_bound_holds_for_is_unknown(self):
+        negative, byte = interval(-765, 0), interval(0, 255)
+        assert eval_alu(Op.SHR, negative, const(1)) == NUM_ANY
+        assert eval_alu(Op.DIV, negative, const(3)) == NUM_ANY
+        assert eval_alu(Op.AND, negative, byte) == NUM_ANY
+        assert eval_alu(Op.AND, interval(0, None), byte) == byte
+        assert eval_alu(Op.AND, interval(0, None), interval(0, None)) == NUM_ANY
+        assert eval_alu(Op.OR, interval(0, None), byte) == NUM_ANY
+        assert eval_alu(Op.MUL, NUM_ANY, byte) == NUM_ANY
+        assert eval_alu(Op.MUL, stack_ptr(0), byte) is TOP
+        assert eval_alu(Op.SHL, byte, byte) == NUM_ANY
+        assert eval_alu(Op.SHL, stack_ptr(0), byte) is TOP
+        assert eval_alu(Op.SUB, stack_ptr(0), byte) is TOP
+        assert eval_alu(Op.MOD, byte, byte) == NUM_ANY
+        assert eval_alu(Op.MOD, byte, const(8)) == interval(0, 7)
+
+
+class TestStackSlots:
+    def test_states_compare_only_with_states(self):
+        assert AbsState() != "state"
+        with pytest.raises(TypeError):
+            hash(AbsState())
+
+    def test_join_keeps_the_slots_both_sides_hold(self):
+        left, right = AbsState(), AbsState()
+        left.write_slot(-8, const(1), byte=False)
+        left.write_slot(-16, const(1), byte=False)
+        right.write_slot(-8, const(5), byte=False)
+        assert left.join_with(right, widening=False).slots == {-8: interval(1, 5)}
+
+    def test_a_byte_store_kills_the_slot_it_overlaps(self):
+        state = AbsState()
+        state.write_slot(-8, const(1), byte=False)
+        state.write_slot(-6, const(2), byte=True)
+        assert state.slots == {}
+
+    def test_range_avoids_the_stack_and_what_lies_above(self):
+        assert range_avoids(stack_ptr(-8), DATA_BASE, DATA_BASE + 100)
+        assert range_avoids(interval(300, 400), 100, 200)
+
+    def test_widening_across_kinds_is_the_join(self):
+        assert widen(const(1), stack_ptr(0)) is TOP

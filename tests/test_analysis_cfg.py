@@ -174,3 +174,13 @@ class TestSwitchEdges:
         cfg = build_cfg(binary, func)
         succs = {cfg.blocks[b].start for b in cfg.blocks[cfg.block_at[1]].successors}
         assert succs == {2, 4}
+
+
+def test_an_unknown_jump_table_has_no_targets():
+    from repro.analysis.cfg import table_targets
+    from repro.analysis.fixtures import build_safe_fixture
+
+    binary = build_safe_fixture()
+    assert not binary.jump_tables
+    assert table_targets(binary, 7) == ()
+    assert binary.secret_regions() == ()

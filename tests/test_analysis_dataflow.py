@@ -132,3 +132,8 @@ class TestReachingDefinitions:
         reach = reaching_definitions(binary, cfg)
         assert 1 not in reach
         assert (1, int(Reg.t0)) not in reach[2]
+
+
+def test_jr_uses_its_register_and_defines_nothing():
+    defs, uses = defs_uses(Insn(Op.JR, int(Reg.t3), 0, 0))
+    assert (set(defs), set(uses)) == (set(), {int(Reg.t3)})

@@ -76,18 +76,21 @@ class TestTransferClassification:
             asm.blt(Reg.zero, Reg.a1, "skip_unk")
             asm.jr(Reg.t3)                         # UNKNOWN (loaded value)
             asm.label("skip_unk")
+            asm.li(Reg.t4, 0)
+            asm.callr(Reg.t4)                      # RESOLVED (constant entry)
             asm.syscall(SYS_EXIT)
         binary = asm.finish()
         analysis = analyze_binary(binary)
         kinds = sorted(t.kind.value for t in analysis.transfers.values())
-        assert analysis.transfer_count(TransferKind.RESOLVED) == 1
+        assert analysis.transfer_count(TransferKind.RESOLVED) == 2
         assert analysis.transfer_count(TransferKind.RETURN) == 1
         assert analysis.transfer_count(TransferKind.UNMAPPABLE) == 1
         assert analysis.transfer_count(TransferKind.UNKNOWN) == 1
-        assert len(kinds) == 4
+        assert len(kinds) == 5
         resolved = [t for t in analysis.transfers.values()
                     if t.kind is TransferKind.RESOLVED]
-        assert resolved[0].target == binary.functions[0].entry
+        assert [t.target for t in resolved] == [binary.functions[0].entry] * 2
+        assert [t.detail for t in resolved] == ["callee"] * 2
 
     def test_jump_table_kinds(self):
         asm = Assembler("tables")
@@ -95,16 +98,38 @@ class TestTransferClassification:
         with asm.function("main"):
             good = asm.jump_table(["c0", "c1"])
             weird = asm.jump_table(["c0"], recognized=False)
+            entries = asm.jump_table(["main"], recognized=False)
             asm.li(Reg.t0, 0)
             asm.switch(Reg.t0, good)        # TABLE_STATIC
             asm.label("c0")
             asm.switch(Reg.t0, weird)       # TABLE_UNMAPPABLE (c0 mid-func)
             asm.label("c1")
+            asm.switch(Reg.t0, entries)     # TABLE_DYNAMIC (entries only)
             asm.syscall(SYS_EXIT)
         binary = asm.finish()
         analysis = analyze_binary(binary)
         assert analysis.transfer_count(TransferKind.TABLE_STATIC) == 1
         assert analysis.transfer_count(TransferKind.TABLE_UNMAPPABLE) == 1
+        assert analysis.transfer_count(TransferKind.TABLE_DYNAMIC) == 1
+
+    def test_a_reachable_unmappable_table_is_a_lint_error(self):
+        asm = Assembler("parks")
+        asm.data_space("buf", 64)
+        asm.entry("main")
+        with asm.function("main"):
+            weird = asm.jump_table(["after"], recognized=False)
+            asm.li(Reg.a0, 0)
+            asm.la(Reg.a1, "buf")
+            asm.li(Reg.a2, 64)
+            asm.syscall(SYS_READ)
+            asm.li(Reg.t0, 0)
+            asm.switch(Reg.t0, weird)
+            asm.label("after")
+            asm.syscall(SYS_EXIT)
+        (finding,) = analyze_binary(asm.finish()).lint_errors
+        assert (finding.code, finding.function) == ("unmappable-jump-table", "main")
+        assert finding.message.startswith("speculation parks at this switch: "
+                                          "unrecognized table with non-entry targets")
 
 
 class TestSpecReachability:

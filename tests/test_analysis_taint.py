@@ -36,7 +36,16 @@ from repro.harness.config import ALL_APPS
 from repro.harness.runner import program
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
-from repro.vm.isa import SEEK_SET, SYS_EXIT, SYS_LSEEK, SYS_OPEN, SYS_READ, Reg
+from repro.vm.isa import (
+    SEEK_CUR,
+    SEEK_SET,
+    SYS_EXIT,
+    SYS_HINT_SEG,
+    SYS_LSEEK,
+    SYS_OPEN,
+    SYS_READ,
+    Reg,
+)
 from repro.vm.memory import DATA_BASE
 
 from tests.conftest import make_system, small_system_config
@@ -355,6 +364,189 @@ _CALL_WITNESSES = {
         (13, "an unresolved callee returns secret-tainted data"),
     ],
 }
+
+
+def _paths_program(body):
+    """Open and block on ``pub.dat``, load the one secret byte into t1,
+    then run ``body``: everything after the first read is speculation-
+    reachable.  ``main`` may call ``reader``, which reads ``a0`` bytes."""
+    asm = Assembler("paths")
+    asm.data_bytes("secret", bytes([5]), secret=True)
+    asm.data_asciiz("path", "pub.dat")
+    asm.data_space("buf", 64)
+    asm.entry("main")
+    with asm.function("main"):
+        _open_and_read(asm)
+        asm.la(Reg.t0, "secret")
+        asm.loadb(Reg.t1, Reg.t0, 0)
+        body(asm)
+        asm.li(Reg.a0, 0)
+        asm.syscall(SYS_EXIT)
+    with asm.function("reader"):
+        asm.mov(Reg.a2, Reg.a0)
+        asm.li(Reg.a0, 3)
+        asm.la(Reg.a1, "buf")
+        asm.syscall(SYS_READ)
+        asm.ret()
+    return asm.finish()
+
+
+def _open_and_read(asm):
+    asm.la(Reg.a0, "path")
+    asm.syscall(SYS_OPEN)
+    asm.mov(Reg.s1, Reg.v0)
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.li(Reg.a2, 16)
+    asm.syscall(SYS_READ)
+
+
+def _through_stack_slots(asm):
+    asm.store(Reg.t1, Reg.sp, -16)
+    asm.storeb(Reg.t1, Reg.sp, -12)   # overlaps the slot at -16
+    asm.load(Reg.t2, Reg.sp, -16)
+    asm.li(Reg.t4, 1)
+    asm.add(Reg.t3, Reg.t4, Reg.t2)
+    asm.mov(Reg.a0, Reg.s1)
+    asm.addi(Reg.a1, Reg.sp, -64)     # read into a stack buffer
+    asm.mov(Reg.a2, Reg.t3)
+    asm.syscall(SYS_READ)
+
+
+def _through_unknown_pointers(asm):
+    asm.store(Reg.t1, Reg.t5, 0)      # t5 unknown: smears every bucket
+    asm.load(Reg.t2, Reg.t6, 0)       # t6 unknown: reads every bucket
+    asm.li(Reg.t3, 16)
+    asm.load(Reg.t4, Reg.t3, 0)       # below the data segment: the heap bucket
+    asm.mov(Reg.a0, Reg.t2)
+    asm.la(Reg.a1, "buf")
+    asm.li(Reg.a2, 64)
+    asm.syscall(SYS_READ)
+
+
+def _through_a_relative_seek(asm):
+    asm.mov(Reg.a0, Reg.s1)
+    asm.mov(Reg.a1, Reg.t1)
+    asm.li(Reg.a2, SEEK_CUR)
+    asm.syscall(SYS_LSEEK)
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.li(Reg.a2, 64)
+    asm.syscall(SYS_READ)
+
+
+def _into_a_manual_hint(asm):
+    asm.addi(Reg.a0, Reg.sp, -32)     # the path pointer is a stack address
+    asm.mov(Reg.a1, Reg.t1)
+    asm.li(Reg.a2, 4096)
+    asm.syscall(SYS_HINT_SEG)
+
+
+def _under_a_tainted_switch(asm):
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.li(Reg.a2, 64)
+    table = asm.jump_table(["go", "skip"])
+    asm.andi(Reg.t2, Reg.t1, 1)
+    asm.switch(Reg.t2, table)
+    asm.label("go")
+    asm.syscall(SYS_READ)
+    asm.label("skip")
+
+
+def _through_a_secret_index(asm):
+    asm.la(Reg.t2, "buf")
+    asm.add(Reg.t2, Reg.t2, Reg.t1)
+    asm.loadb(Reg.t3, Reg.t2, 0)
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.mov(Reg.a2, Reg.t3)
+    asm.syscall(SYS_READ)
+
+
+def _through_a_join_of_two_loads(asm):
+    # The witness follows the later of the two reaching definitions of
+    # t2, the public load, and says only that the load is tainted.
+    asm.blt(Reg.zero, Reg.a3, "public")
+    asm.la(Reg.t4, "secret")
+    asm.loadb(Reg.t2, Reg.t4, 0)
+    asm.jmp("join")
+    asm.label("public")
+    asm.la(Reg.t4, "buf")
+    asm.loadb(Reg.t2, Reg.t4, 0)
+    asm.label("join")
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.mov(Reg.a2, Reg.t2)
+    asm.syscall(SYS_READ)
+
+
+def _into_a_callee_argument(asm):
+    asm.mov(Reg.a0, Reg.t1)
+    asm.call("reader")
+
+
+#: Each transfer path's one leak: (index, site, channels, witness as
+#: (index, note) per step).
+_PATH_LEAKS = {
+    _through_stack_slots: (17, "spec-read", {"length": ("secret",)}, [
+        (17, "hint disclosure site: length operand(s) tainted"),
+        (16, "propagates taint"),
+        (13, "propagates taint"),
+        (11, _SECRET_LOAD),
+    ]),
+    _through_unknown_pointers: (16, "spec-read", {"ino": ("secret",)}, [
+        (16, "hint disclosure site: ino operand(s) tainted"),
+        (13, "propagates taint"),
+        (10, _SECRET_LOAD),
+    ]),
+    _through_a_relative_seek: (16, "spec-read", {"offset": ("secret",)}, [
+        (16, _DISCLOSED_OFFSET),
+        (12, _SEEK_SOURCE),
+        (10, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]),
+    _into_a_manual_hint: (12, "manual-hint", {"offset": ("secret",)}, [
+        (12, _DISCLOSED_OFFSET),
+    ]),
+    _through_a_secret_index: (15, "spec-read", {"length": ("secret",)}, [
+        (15, "hint disclosure site: length operand(s) tainted"),
+        (14, "propagates taint"),
+        (11, "loads through a secret-derived address"),
+        (10, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]),
+    _through_a_join_of_two_loads: (18, "spec-read", {"length": ("secret",)}, [
+        (18, "hint disclosure site: length operand(s) tainted"),
+        (17, "propagates taint"),
+        (14, "loads secret-tainted memory"),
+    ]),
+    # The chain stops at reader's argument: no definition of a0 reaches it.
+    _into_a_callee_argument: (16, "spec-read", {"length": ("secret",)}, [
+        (16, "hint disclosure site: length operand(s) tainted"),
+        (13, "propagates taint"),
+    ]),
+    _under_a_tainted_switch: (14, "spec-read", {"control": ("secret",)}, [
+        (14, "hint disclosure site: control operand(s) tainted"),
+        (13, "disclosure is control-dependent on this tainted branch"),
+        (12, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]),
+}
+
+
+class TestTransferPaths:
+    """Stack slots, unknown pointers, relative seeks, manual hints and
+    switches: each carries the secret to exactly the pinned leak."""
+
+    @pytest.mark.parametrize("body", list(_PATH_LEAKS), ids=lambda body: body.__name__)
+    def test_the_one_leak_and_its_witness(self, body):
+        index, site, channels, witness = _PATH_LEAKS[body]
+        plan = analyze_security(_paths_program(body))
+        assert plan.disclosure_sites == (index,)
+        (leak,) = plan.leaks
+        assert (leak.index, leak.site, leak.channels) == (index, site, channels)
+        assert [(step.index, step.note) for step in leak.witness] == witness
 
 
 class TestInterprocedural:

@@ -13,7 +13,9 @@ import hashlib
 
 import pytest
 
+from repro import cli
 from repro.faults.plan import PROFILES, profile
+from repro.harness import runner
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.runner import run_experiment
 from repro.params import SpecHintParams, SystemConfig
@@ -160,13 +162,18 @@ class TestWatchdog:
         )
         return base_config(system=system, fault_plan=profile("restart-storm"))
 
-    def test_restart_storm_trips_watchdog(self, clean_result):
+    def test_restart_storm_trips_watchdog(self, clean_result, monkeypatch, capsys):
         result = run_experiment(self._storm_config(restart_limit=4))
         assert result.watchdog_tripped == "restart_storm"
         assert result.c("spec.watchdog_disabled") == 1
         assert result.c("spec.watchdog_trip.restart_storm") == 1
         # The run still completes, vanilla, with identical output.
         assert result.output == clean_result.output
+        # ... and `repro run` says so under its chaos line.
+        monkeypatch.setattr(runner, "run_experiment", lambda cfg: result)
+        assert cli.main(["run", "agrep", "--chaos", "restart-storm"]) == 0
+        assert ("  watchdog:         tripped (restart_storm); speculation disabled, "
+                "run completed vanilla") in capsys.readouterr().out.splitlines()
 
     def test_watchdog_defaults_never_trip_clean_runs(self, clean_result):
         assert clean_result.c("spec.watchdog_disabled") == 0

@@ -48,13 +48,24 @@ class TestFuzzCampaign:
                                       case=case, violations=[
                                           Violation("hint-lifecycle", "planted")])])
         monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **k: failing)
-        monkeypatch.setattr(shrink, "shrink_case", lambda case, monitor, _:
-                            shrink.ShrinkResult(case, monitor, evaluations=0))
+        scales = []
+
+        def run_cell(candidate, workload_scale):
+            scales.append(workload_scale)
+            return failing.cells[0]
+
+        def shrunk(case, monitor, evaluate):
+            assert [v.monitor for v in evaluate(case)] == [monitor]
+            return shrink.ShrinkResult(case, monitor, evaluations=1)
+
+        monkeypatch.setattr(fuzz, "run_fuzz_case", run_cell)
+        monkeypatch.setattr(shrink, "shrink_case", shrunk)
         failures = tmp_path / "failures"
-        assert main(["fuzz", "--budget", "1", "--seed", "7",
+        assert main(["fuzz", "--budget", "1", "--seed", "7", "--scale", "0.2",
                      "--failures-dir", str(failures)]) == 1
         assert "fuzz: FAIL (0/1 cells clean" in capsys.readouterr().out
         assert os.listdir(failures) == ["repro-7-0000.json"]
+        assert scales == [0.2]
 
     def test_campaign_digest_matches_across_runs(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -86,6 +97,19 @@ class TestFuzzReplay:
         assert "clean: no invariant violations" in out
         assert "hint-lifecycle" in out
 
+    def test_a_violation_prints_its_line_and_exits_1(self, capsys, monkeypatch):
+        from repro.harness import fuzz
+        from repro.harness.invariants import Violation
+
+        monkeypatch.setattr(fuzz, "run_fuzz_case", lambda case, workload_scale:
+                            fuzz.FuzzCellResult(case=case, violations=[
+                                Violation("audit-chain", "planted")]))
+        path = os.path.join(CORPUS, "cancel-drain-restart-storm.json")
+        assert main(["fuzz", "replay", path]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "clean: no invariant violations" not in out
+        assert out[-1] == "  [audit-chain] planted"
+
     def test_missing_file_is_a_clean_error(self, capsys):
         rc = main(["fuzz", "replay", "/nonexistent/repro.json"])
         assert rc == 1
@@ -115,3 +139,22 @@ class TestFuzzReplay:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert "FuzzError" in lines[0] and named in lines[0]
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda data: [data], "reproducer must be a JSON object, got list"),
+        (lambda data: dict(data, version=99), "reproducer version 99 not supported"),
+        (lambda data: dict(data, case=[data["case"]]),
+         "fuzz case must be a JSON object, got list"),
+        (lambda data: dict(data, case=dict(data["case"], app="nonesuch")),
+         "fuzz case app 'nonesuch' unknown"),
+    ], ids=["not-an-object", "version", "case-not-an-object", "unknown-app"])
+    def test_a_malformed_reproducer_is_one_error_line(self, edit, named, tmp_path, capsys):
+        with open(os.path.join(CORPUS, "audit-chain-forged-restart.json")) as f:
+            data = json.load(f)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edit(data)))
+        assert main(["fuzz", "replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "clean" not in captured.out
+        (line,) = captured.err.strip().splitlines()
+        assert "FuzzError" in line and named in line

@@ -7,15 +7,20 @@ byte-identical.  A double fault must fail loudly with a typed
 :class:`~repro.errors.DataLossError`, never corrupt silently.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.errors import DataLossError, InvalidBlockError
+from repro import cli
+from repro.errors import DataLossError, DiskFaultError, InvalidBlockError
 from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
 from repro.faults.plan import FaultPlan, profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.fuzz import run_fuzz_case
 from repro.harness.oracle import oracle_case, run_oracle_cell
+from repro.harness import runner
 from repro.harness.runner import run_experiment
+from repro.harness.tables import format_degraded_sweep
 from repro.params import (
     BLOCKS_PER_STRIPE_UNIT,
     ArrayParams,
@@ -29,6 +34,8 @@ from repro.spechint.gate import CLOSED, RESTART, SUSPEND
 from repro.storage.parity import ParityGeometry
 from repro.storage.request import IOKind
 from repro.storage.striping import StripedArray
+from repro.trace.analyzer import TraceAnalyzer
+from repro.trace.tracer import Tracer
 from tests.conftest import digest_of
 from tests.spec_gate_reference import build_gate
 
@@ -216,6 +223,15 @@ class TestRebuild:
             return stats.get("rebuild.completed_cycle")
 
         assert completion_cycle(0.1) > completion_cycle(1.0)
+
+    def test_peers_that_keep_failing_end_the_rebuild_with_a_typed_error(self):
+        plan = FaultPlan(dead_disk=1, dead_at_s=0.0, disk_error_rate=1.0)
+        array, engine, stats = make_parity_array(plan)
+        array.submit(lbn_on_disk(array, 1), IOKind.DEMAND, lambda r: None)
+        with pytest.raises(DiskFaultError, match="rebuild of disk 1 exhausted retries "
+                                                 "reading peers for physical block 0"):
+            drain(engine)
+        assert stats.get("rebuild.completed") == 0
 
     def test_second_death_during_rebuild_raises_typed_error(self):
         plan = FaultPlan(dead_disk=1, dead_at_s=0.0,
@@ -443,6 +459,58 @@ class TestDegradedRuns:
         assert cell.passed
         assert cell.escapes == {"original": "DataLossError",
                                 "speculating": "DataLossError"}
+
+    def test_run_and_trace_print_the_one_degraded_report(self, grid, monkeypatch, capsys):
+        storm = grid["gnuld/rebuild-storm"]
+        report = [
+            "degraded mode:    1 disk death(s), 58 degraded reads, 267 blocks reconstructed",
+            "hedging:          30 issued, 1 won",
+            "rebuild:          done @1.259s (208 blocks)",
+            "load shedding:    785 prefetches shed while degraded",
+        ]
+        assert storm.degraded_report() == report
+        assert grid["gnuld/none"].degraded_report() == []
+
+        monkeypatch.setattr(runner, "run_experiment", lambda cfg: storm)
+        assert cli.main(["run", "gnuld", "--scale", "0.3", "--chaos", "rebuild-storm"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        start = printed.index(f"  {report[0]}")
+        assert printed[start - 1].startswith("  chaos:            profile rebuild-storm")
+        assert printed[start:start + 4] == [f"  {line}" for line in report]
+
+        summary = TraceAnalyzer(Tracer(SimClock()), result=storm).render_summary()
+        assert summary.splitlines()[-5:-1] == report
+
+    def test_a_death_without_a_finished_rebuild_reads_incomplete(self, dead):
+        counters = {name: value for name, value in dead.counters.items()
+                    if not name.startswith("rebuild.")}
+        stalled = dataclasses.replace(dead, counters=counters)
+        assert stalled.rebuild_status() == "INCOMPLETE"
+        assert stalled.degraded_report()[2] == "rebuild:          INCOMPLETE"
+
+    def test_the_degraded_sweep_table_takes_the_same_rebuild_status(self, grid):
+        apps, regimes = ("agrep", "gnuld"), ("none", *SLOWDOWN_CEILINGS)
+        # The grid runs speculating cells only; they stand in for both columns.
+        sweep = {name: {app: dict.fromkeys(("original", "speculating"), grid[f"{app}/{name}"])
+                        for app in apps}
+                 for name in regimes}
+        rows = format_degraded_sweep(sweep).splitlines()[3:]
+        assert rows == [
+            "Agrep                   none     0.05s     0.05s         -       0       0      0  -",
+            "Agrep             disk-death     1.06s     1.06s    23.22x     245       0     67  "
+            "done @1.064s (216 blocks)",
+            "Agrep          rebuild-storm     0.74s     0.74s    16.08x     243       0    123  "
+            "done @0.737s (216 blocks)",
+            "Gnuld                   none     0.24s     0.24s         -       0       0      0  -",
+            "Gnuld             disk-death     1.53s     1.53s     6.48x     296       0    369  "
+            "done @1.531s (208 blocks)",
+            "Gnuld          rebuild-storm     1.26s     1.26s     5.33x     267       1    785  "
+            "done @1.259s (208 blocks)",
+        ]
+        for name in regimes:
+            for app in apps:
+                assert grid[f"{app}/{name}"].rebuild_status() in rows[
+                    regimes.index(name) + 3 * apps.index(app)]
 
     def test_per_disk_counters_surface_in_results(self, grid):
         per_disk = grid["agrep/rebuild-storm"].per_disk_io_counters()

@@ -239,3 +239,10 @@ class TestRelease:
         assert fs.paths() == ["shared", "owned"]
         assert fs.lookup("owned").first_lbn == 1
         assert "released" in repr(fs.lookup("owned"))
+
+
+def test_a_negative_write_offset_is_refused():
+    fs = FileSystem()
+    inode = fs.create("out", b"")
+    with pytest.raises(InvalidBlockError, match="negative write offset -1"):
+        inode.write_at(-1, b"x")

@@ -164,6 +164,29 @@ class TestShrinkMechanics:
         assert "hint-corrupt" in result.events
         assert evaluate(result.case)
 
+    def test_windows_narrow_and_the_slow_factor_softens(self):
+        # The "bug" needs a slow disk and an offline disk at the same time:
+        # neither window can go, so the shrinker can only soften them.
+        def evaluate(case):
+            plan = case.plan
+            if plan.slow_factor > 1.0 and plan.slow_duration_s > 0.0 \
+                    and plan.offline_duration_s > 0.0:
+                return [Violation("prefetch-progress", "tripped")]
+            return []
+
+        result = shrink_case(self._loaded_case(), "prefetch-progress", evaluate,
+                             max_evaluations=200)
+        assert result.events == ["slow-window", "offline-window"]
+        assert {"soften slow_factor", "narrow slow window",
+                "narrow offline window"} <= set(result.reduced)
+        plan = result.case.plan
+        # 20 -> 10.5 -> 5.75 -> 3.375 -> 2.1875 -> 1.5938 (rounded to 4
+        # places): a factor of 2 or less is not softened again.
+        assert plan.slow_factor == 1.5938
+        assert plan.slow_duration_s == 0.000625
+        assert plan.offline_duration_s == 0.001
+        assert evaluate(result.case)
+
     def test_passing_start_is_a_caller_bug(self):
         with pytest.raises(FuzzError, match="does not trip"):
             shrink_case(self._loaded_case(), "audit-chain", lambda c: [])

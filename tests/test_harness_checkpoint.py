@@ -7,6 +7,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -119,6 +120,27 @@ class TestUnwindOnSignals:
             time.sleep(1)  # handler fires before the sleep finishes
             pytest.fail("SIGTERM handler did not fire")
         assert excinfo.value.code == 128 + signal.SIGTERM
+
+    def test_sigint_raises_keyboard_interrupt(self):
+        before = signal.getsignal(signal.SIGINT)
+        with pytest.raises(KeyboardInterrupt), unwind_on_signals():
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(1)
+            pytest.fail("SIGINT handler did not fire")
+        assert signal.getsignal(signal.SIGINT) is before
+
+    def test_outside_the_main_thread_it_installs_nothing(self):
+        seen = []
+
+        def body():
+            with unwind_on_signals():
+                seen.append(signal.getsignal(signal.SIGTERM))
+
+        before = signal.getsignal(signal.SIGTERM)
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join()
+        assert seen == [before]
 
     def test_handlers_restored_after_scope(self):
         before = signal.getsignal(signal.SIGTERM)

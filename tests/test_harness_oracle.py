@@ -1,5 +1,7 @@
 """Tests for the differential correctness oracle."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -175,6 +177,30 @@ class TestOracleCli:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
         assert not (tmp_path / "traces").exists()
+
+
+    def test_a_symmetric_double_fault_passes_and_says_why(self, tmp_path, capsys):
+        report = tmp_path / "oracle.json"
+        assert main(["run", "agrep", "--scale", str(SCALE), "--oracle",
+                     "--chaos", "double-fault", "--oracle-report", str(report)]) == 0
+        assert "oracle: PASS (1/1 cells identical)" in capsys.readouterr().out
+        (cell,) = json.loads(report.read_text())["cells"]
+        assert cell["detail"] == ("both variants raised DataLossError "
+                                  "(expected for this profile)")
+
+    def test_a_mismatch_prints_its_detail_and_exits_1(self, monkeypatch, capsys):
+        from repro.harness import oracle
+
+        failing = OracleReport(cells=[OracleCell(
+            app="agrep", profile="stuck-disk", passed=False,
+            detail="[spec-identity] output divergence: output byte 3")])
+        monkeypatch.setattr(oracle, "run_oracle", lambda *a, **k: failing)
+        assert main(["run", "agrep", "--oracle", "--chaos", "stuck-disk"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split() == ["agrep", "stuck-disk", "MISMATCH",
+                                  "([spec-identity]", "output", "divergence:",
+                                  "output", "byte", "3)"]
+        assert out[1] == "oracle: FAIL (0/1 cells identical)"
 
 
 class TestOracleReport:

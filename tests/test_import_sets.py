@@ -12,6 +12,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(ROOT, "src")
 
@@ -124,3 +126,10 @@ def test_every_module_imports_on_its_own():
         except subprocess.CalledProcessError as error:
             failures[info.name] = error.stderr.strip().splitlines()[-1]
     assert failures == {}
+
+
+def test_an_unknown_top_level_name_is_an_attribute_error():
+    import repro
+
+    with pytest.raises(AttributeError, match="module 'repro' has no attribute 'nonesuch'"):
+        repro.nonesuch  # noqa: B018 - the attribute access is the test

@@ -125,6 +125,19 @@ class TestHintLifecycleMonitor:
         obs = _cell({"speculating": _vobs_with_lifecycle(lifecycle)})
         assert HintLifecycleMonitor().check(obs) == []
 
+    def test_past_its_capacity_only_the_aggregates_are_checked(self):
+        # The records would fail the per-record checks; past the capacity
+        # the ledger keeps no complete record set, so they are not read.
+        lifecycle = _FakeLifecycle(
+            disclosed=3, terminals={"consumed": 3}, capacity=2,
+            records=[SimpleNamespace(seq=0, terminal="consumed",
+                                     disclosed_ts=9, terminal_ts=5)],
+        )
+        obs = _cell({"speculating": _vobs_with_lifecycle(lifecycle)})
+        assert HintLifecycleMonitor().check(obs) == []
+        lifecycle.capacity = 3
+        assert HintLifecycleMonitor().check(obs) != []
+
     def test_open_hint_after_clean_finish_trips(self):
         lifecycle = _FakeLifecycle(disclosed=3, terminals={"consumed": 2})
         obs = _cell({"speculating": _vobs_with_lifecycle(lifecycle)})
@@ -465,3 +478,12 @@ def test_check_all_concatenates_in_monitor_order():
     assert "typed-errors" in names
     assert "clock-monotonic" in names
     assert names.index("typed-errors") < names.index("clock-monotonic")
+
+
+def test_the_same_typed_error_on_both_sides_is_not_an_identity_problem():
+    """Outside a double-fault plan a symmetric escape is for typed-errors
+    to judge; spec-identity stays silent."""
+    obs = _cell({"original": VariantObservation("original", error=DataLossError("a")),
+                 "speculating": VariantObservation("speculating",
+                                                   error=DataLossError("b"))})
+    assert SpecIdentityMonitor().check(obs) == []

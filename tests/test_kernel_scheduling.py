@@ -74,10 +74,11 @@ class TestMultiprocessorExtension:
 
 
 class TestDeadlockDetection:
-    def test_all_blocked_no_events_raises(self):
+    @pytest.mark.parametrize("ncpus", [1, 2])
+    def test_all_blocked_no_events_raises(self, ncpus):
         """A thread blocked forever with no pending events is a simulator
-        bug and must be loud, not a hang."""
-        system = make_system()
+        bug and must be loud, not a hang, on one CPU or two."""
+        system = make_system(config=small_system_config(ncpus=ncpus))
         binary_asm = Assembler("hang")
         binary_asm.entry("main")
         with binary_asm.function("main"):
@@ -86,23 +87,24 @@ class TestDeadlockDetection:
         binary = binary_asm.finish()
         process = system.kernel.spawn(binary)
         process.original_thread.block()  # wedge it artificially
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="deadlock: no runnable threads"):
             system.kernel.run()
 
-    def test_cycle_limit_enforced(self):
+    @pytest.mark.parametrize("ncpus", [1, 2])
+    def test_cycle_limit_enforced(self, ncpus):
         def spin(asm):
             asm.label("forever")
             asm.cwork(10_000, 0, 0)
             asm.jmp("forever")
 
-        system = make_system()
+        system = make_system(config=small_system_config(ncpus=ncpus))
         asm = Assembler("spin")
         asm.entry("main")
         with asm.function("main"):
             spin(asm)
             asm.syscall(SYS_EXIT)
         process = system.kernel.spawn(asm.finish())
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="cycle limit 1000000 exceeded"):
             system.kernel.run(cycle_limit=1_000_000)
 
 

@@ -188,6 +188,43 @@ class TestLseekFstat:
         assert t.reg(Reg.s2) == 50
         assert t.reg(Reg.s3) == size
 
+    @pytest.mark.parametrize("whence, offset, expected", [
+        (SEEK_SET, 100, lambda size: 100),
+        (SEEK_CUR, -50, lambda size: 78),
+        (SEEK_CUR, -1000, lambda size: 0),
+        (SEEK_END, -10, lambda size: size - 10),
+        (SEEK_END, -(1 << 40), lambda size: 0),
+    ])
+    def test_lseek_from_128_clamps_at_zero(self, whence, offset, expected):
+        def body(asm):
+            open_f0(asm)
+            asm.mov(Reg.a0, Reg.s1)
+            asm.li(Reg.a1, 128)
+            asm.li(Reg.a2, SEEK_SET)
+            asm.syscall(SYS_LSEEK)
+            asm.mov(Reg.a0, Reg.s1)
+            asm.li(Reg.a1, offset)
+            asm.li(Reg.a2, whence)
+            asm.syscall(SYS_LSEEK)
+            asm.mov(Reg.s0, Reg.v0)
+
+        fs = make_populated_fs()
+        size = fs.lookup("f0.dat").size
+        system, process = run_program(body, fs=fs)
+        assert process.original_thread.reg(Reg.s0) == expected(size)
+        assert process.fd(process.original_thread.reg(Reg.s1)).offset == expected(size)
+
+    def test_lseek_bad_whence_is_invalid_syscall(self):
+        def body(asm):
+            open_f0(asm)
+            asm.mov(Reg.a0, Reg.s1)
+            asm.li(Reg.a1, 0)
+            asm.li(Reg.a2, 3)
+            asm.syscall(SYS_LSEEK)
+
+        with pytest.raises(InvalidSyscall, match="lseek whence 3"):
+            run_program(body, fs=make_populated_fs())
+
     def test_fstat_returns_size(self):
         def body(asm):
             open_f0(asm)
@@ -247,6 +284,19 @@ class TestWrite:
 
 
 class TestHintSyscalls:
+    def test_hint_fd_seg_on_a_closed_fd_is_unresolvable(self):
+        def body(asm):
+            asm.li(Reg.a0, 99)
+            asm.li(Reg.a1, 0)
+            asm.li(Reg.a2, BLOCK_SIZE)
+            asm.syscall(SYS_HINT_FD_SEG)
+            asm.mov(Reg.s0, Reg.v0)
+
+        system, process = run_program(body, fs=make_populated_fs())
+        assert process.original_thread.reg(Reg.s0) == 0
+        assert system.stats.get("app.hint_calls_unresolvable") == 1
+        assert system.stats.get("tip.hinted_blocks") == 0
+
     def test_hint_seg_by_name(self):
         def body(asm):
             asm.data_asciiz("path", "f0.dat")

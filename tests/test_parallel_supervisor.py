@@ -21,6 +21,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -62,6 +63,16 @@ def counted_cell(key, runs_dir, seconds=0.0):
 def raise_after(key, seconds):
     time.sleep(seconds)
     raise RuntimeError(f"poisoned cell {key}")
+
+
+class _Unpicklable(Exception):
+    def __init__(self, key):
+        super().__init__(f"cell {key} holds a lock")
+        self.lock = threading.Lock()
+
+
+def raise_unpicklable(key):
+    raise _Unpicklable(key)
 
 
 def timed_cell(key, seconds):
@@ -308,6 +319,10 @@ class TestSupervision:
             run_cells(cells, jobs=jobs, checkpoint_path=path,
                       identity="raise")
         assert _recorded_cells(path) == {"good-a", "good-b"}
+
+    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self):
+        with pytest.raises(RuntimeError, match=r"_Unpicklable\('cell odd holds a lock'\)"):
+            run_cells([("odd", raise_unpicklable, ("odd",))], jobs=2)
 
     def test_progress_is_in_spec_order_when_the_first_cell_ends_last(self):
         """The pool reports progress as the loop does, whatever order its
@@ -644,13 +659,19 @@ class TestIntegration:
         assert captured["apps"] == ("agrep",)
         assert captured["jobs"] == 4
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs, why", [
+        ("0", "must be at least 1, got 0"),
+        ("-3", "must be at least 1, got -3"),
+        ("x", "invalid int value: 'x'"),
+        ("1.5", "invalid int value: '1.5'"),
+    ], ids=["0", "-3", "x", "1.5"])
     @pytest.mark.parametrize("command", [
         ["sweep", "cache", "--scale", "0.05", "--checkpoint", "cells.ckpt"],
         ["fuzz", "--budget", "1", "--apps", "agrep", "--checkpoint", "cells.ckpt"],
         ["run", "agrep", "--oracle", "--oracle-report", "report.json"],
     ])
-    def test_cli_refuses_fewer_than_one_job(self, command, jobs, tmp_path, monkeypatch, capsys):
+    def test_cli_refuses_fewer_than_one_job(self, command, jobs, why, tmp_path, monkeypatch,
+                                            capsys):
         from repro import cli
 
         # Nothing is written: not the checkpoint, the report or fuzz-failures/.
@@ -661,7 +682,7 @@ class TestIntegration:
         out, err = capsys.readouterr()
         assert out == ""
         assert [line for line in err.splitlines() if "error" in line] == [
-            f"repro {command[0]}: error: argument --jobs: must be at least 1, got {jobs}"]
+            f"repro {command[0]}: error: argument --jobs: {why}"]
         assert os.listdir(tmp_path) == []
 
 

@@ -44,6 +44,7 @@ from repro.registry.store import (
     JsonlStore,
     RunRegistry,
     append_line,
+    atomic_write_text,
     read_journal,
 )
 
@@ -215,6 +216,18 @@ class TestRunRecord:
 # ---------------------------------------------------------------------------
 
 class TestStores:
+    def test_a_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            atomic_write_text(str(target), "text")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_blank_journal_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
+        assert read_journal(str(path)) == [{"a": 1}, {"a": 2}]
+
     @pytest.mark.parametrize("name", ["ledger.jsonl"])
     def test_put_get_dedup_reload(self, tmp_path, name):
         path = str(tmp_path / name)
@@ -571,6 +584,24 @@ class TestRunsCli:
     def _main(self, *argv):
         from repro.cli import main
         return main(list(argv))
+
+    def test_an_empty_ledger_lists_as_empty(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert self._main("runs", "list", "--registry", str(path)) == 0
+        assert capsys.readouterr().out == "registry is empty\n"
+
+    def test_differential_records_are_listed_but_not_judged(self, tmp_path, capsys):
+        path = str(tmp_path / "fuzz.jsonl")
+        assert self._main("fuzz", "--budget", "1", "--apps", "agrep", "--scale", "0.1",
+                          "--registry", path) == 0
+        capsys.readouterr()
+        assert self._main("runs", "regressions", "--registry", path) == 0
+        assert capsys.readouterr().out.startswith("checked 0 run(s)")
+        assert self._main("runs", "list", "--registry", path) == 0
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if " fuzz-case " in line]
+        assert row.split()[-1] == "-"
 
     def test_list_names_every_record(self, populated, capsys):
         path, slow_id = populated

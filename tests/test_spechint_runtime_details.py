@@ -1,6 +1,7 @@
 """Focused tests of SpecProcessState internals: the speculative fd table,
 user-space syscall emulation, the restart handshake, and peek-copy."""
 
+import pytest
 
 from repro.fs.filesystem import FileSystem
 from repro.kernel.thread import ThreadState
@@ -8,7 +9,10 @@ from repro.params import BLOCK_SIZE
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import (
+    SEEK_CUR,
+    SEEK_END,
     SEEK_SET,
+    SYS_CANCEL_ALL,
     SYS_CLOSE,
     SYS_EXIT,
     SYS_FSTAT,
@@ -18,6 +22,8 @@ from repro.vm.isa import (
     SYS_SBRK,
     Reg,
 )
+
+from repro.vm.machine import SpeculationFault
 
 from tests.conftest import make_system, small_system_config
 
@@ -177,6 +183,25 @@ class TestSpecSyscalls:
         process.spec.spec_syscall(thread, SYS_OPEN)
         assert thread.regs[int(Reg.v0)] == (1 << 64) - 1
 
+    def test_spec_open_of_a_non_ascii_path_returns_minus_one(self):
+        system, process = spawn_spec(trivial_binary)
+        thread = self._spec_thread(system, process)
+        addr = process.mem.data_start + 4000
+        process.mem.store_byte(addr, 0xC3)
+        process.mem.store_byte(addr + 1, 0)
+        thread.regs[int(Reg.a0)] = addr
+        process.spec.spec_syscall(thread, SYS_OPEN)
+        assert thread.regs[int(Reg.v0)] == (1 << 64) - 1
+
+    def test_spec_hint_ioctls_go_to_the_kernel(self):
+        system, process = spawn_spec(trivial_binary)
+        thread = self._spec_thread(system, process)
+        pc = thread.pc
+        cycles = process.spec.spec_syscall(thread, SYS_CANCEL_ALL)
+        assert cycles == system.kernel._sys_cancel_all(thread)  # the kernel's cost
+        assert thread.pc == pc + 2
+        assert thread.regs[int(Reg.v0)] == 0
+
     def test_spec_close_removes_fd(self):
         system, process = spawn_spec(trivial_binary)
         thread = self._spec_thread(system, process)
@@ -203,6 +228,47 @@ class TestSpecSyscalls:
         thread.regs[int(Reg.a0)] = fd
         process.spec.spec_syscall(thread, SYS_FSTAT)
         assert thread.regs[int(Reg.v0)] == system.fs.lookup("a").size
+
+    @pytest.mark.parametrize("whence, offset, expected", [
+        (SEEK_SET, 100, lambda size: 100),
+        (SEEK_CUR, -50, lambda size: 78),
+        (SEEK_CUR, -1000, lambda size: 0),
+        (SEEK_END, -10, lambda size: size - 10),
+        (SEEK_END, -(1 << 40), lambda size: 0),
+    ])
+    def test_spec_lseek_from_128_clamps_at_zero(self, whence, offset, expected):
+        system, process = spawn_spec(trivial_binary)
+        thread = self._spec_thread(system, process)
+        thread.regs[int(Reg.a0)] = process.binary.data_symbols["path_a"]
+        process.spec.spec_syscall(thread, SYS_OPEN)
+        fd = thread.regs[int(Reg.v0)]
+        for move, whence_ in ((128, SEEK_SET), (offset, whence)):
+            thread.regs[int(Reg.a0)] = fd
+            thread.regs[int(Reg.a1)] = move & ((1 << 64) - 1)
+            thread.regs[int(Reg.a2)] = whence_
+            process.spec.spec_syscall(thread, SYS_LSEEK)
+        size = system.fs.lookup("a").size
+        assert thread.regs[int(Reg.v0)] == expected(size)
+        assert process.spec.spec_fds[fd].offset == expected(size)
+
+    def test_spec_lseek_bad_whence_is_a_speculation_fault(self):
+        system, process = spawn_spec(trivial_binary)
+        thread = self._spec_thread(system, process)
+        thread.regs[int(Reg.a0)] = process.binary.data_symbols["path_a"]
+        process.spec.spec_syscall(thread, SYS_OPEN)
+        thread.regs[int(Reg.a0)] = thread.regs[int(Reg.v0)]
+        thread.regs[int(Reg.a1)] = 0
+        thread.regs[int(Reg.a2)] = 3
+        with pytest.raises(SpeculationFault, match="speculative lseek whence 3"):
+            process.spec.spec_syscall(thread, SYS_LSEEK)
+
+    @pytest.mark.parametrize("num, name", [(SYS_LSEEK, "lseek"), (SYS_FSTAT, "fstat")])
+    def test_spec_call_on_an_unknown_fd_is_a_speculation_fault(self, num, name):
+        system, process = spawn_spec(trivial_binary)
+        thread = self._spec_thread(system, process)
+        thread.regs[int(Reg.a0)] = 77
+        with pytest.raises(SpeculationFault, match=f"speculative {name} on fd 77"):
+            process.spec.spec_syscall(thread, num)
 
     def test_spec_sbrk_uses_private_heap(self):
         system, process = spawn_spec(trivial_binary)

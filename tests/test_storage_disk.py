@@ -145,3 +145,13 @@ class TestQueueing:
     def test_promote_missing_returns_false(self):
         disk, _, _, _ = make_disk()
         assert not disk.promote_queued(99)
+
+
+def test_without_a_track_buffer_the_next_block_is_a_sequential_access():
+    disk, engine, stats, done = make_disk(params=DiskParams(track_readahead_blocks=0))
+    for block in (100, 101):
+        disk.submit(request_for(disk, block))
+        drain(engine)
+    assert stats.get("disk0.random_accesses") == 1
+    assert stats.get("disk0.sequential_accesses") == 1
+    assert stats.get("disk0.buffer_hits") == 0

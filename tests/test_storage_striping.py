@@ -168,3 +168,8 @@ class TestFigure6Knobs:
         assert held.is_demand
         drain(engine)
         assert held.done
+
+
+def test_an_unknown_redundancy_scheme_is_refused():
+    with pytest.raises(InvalidBlockError, match="unknown redundancy scheme 'mirror'"):
+        make_array(redundancy="mirror")

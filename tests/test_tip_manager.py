@@ -31,8 +31,9 @@ PID = 1
 
 def make_tip(cache_blocks=16, nfiles=2, file_blocks=32, tip_params=None):
     fs = FileSystem()
+    blob = bytes(file_blocks * BLOCK_SIZE)  # shared until a file is written
     for i in range(nfiles):
-        fs.create(f"f{i}", bytes(file_blocks * BLOCK_SIZE))
+        fs.create(f"f{i}", blob)
     clock = SimClock()
     engine = EventEngine(clock)
     stats = StatRegistry()
@@ -134,6 +135,10 @@ class TestPrefetching:
 
 
 class TestConsume:
+    def test_a_process_without_hints_has_no_depth(self):
+        manager, _, _, _ = make_tip()
+        assert manager.effective_depth(PID + 1) == 0
+
     def test_matching_read_consumes(self):
         manager, fs, _, stats = make_tip()
         inode = fs.lookup("f0")
@@ -169,6 +174,27 @@ class TestConsume:
         hint(manager, fs, "f0", 0, 40 * BLOCK_SIZE)
         # Read block 30 (well past the front of the queue).
         assert manager.consume_hints(PID, inode, 30, 30, BLOCK_SIZE)
+
+    def test_past_4096_consumed_blocks_the_oldest_half_is_forgotten(self):
+        """A re-read of a block whose hint was consumed still counts as
+        hinted while TIP remembers the block; past 4,096 consumed blocks it
+        forgets the oldest half, and a re-read of one of those is not."""
+        manager, fs, _, stats = make_tip(nfiles=5, file_blocks=900)
+        consumed = []
+        for i in range(5):
+            inode = fs.lookup(f"f{i}")
+            hint(manager, fs, f"f{i}", 0, 900 * BLOCK_SIZE)
+            for block in range(900):
+                assert manager.consume_hints(PID, inode, block, block, BLOCK_SIZE)
+                consumed.append((inode, block))
+        assert stats.get("tip.hints_consumed") == 4500
+        assert manager.outstanding_hints(PID) == 0
+        # The 4,097th consumption dropped the 2,048 oldest; 403 came after.
+        forgotten, remembered = consumed[:2048], consumed[2048:]
+        for inode, block in (forgotten[0], forgotten[-1]):
+            assert not manager.consume_hints(PID, inode, block, block, BLOCK_SIZE)
+        for inode, block in (remembered[0], remembered[-1]):
+            assert manager.consume_hints(PID, inode, block, block, BLOCK_SIZE)
 
     def test_accuracy_improves_on_consume(self):
         manager, fs, _, stats = make_tip()

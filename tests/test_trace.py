@@ -453,6 +453,20 @@ class TestTraceCli:
         assert "stall breakdown" in printed
         assert "Perfetto" in printed
 
+    @pytest.mark.parametrize("chaos, names", [
+        ("disk-death", ["disk1.death", "rebuild.start disk1", "rebuild.complete disk1"]),
+        ("offline-disk", ["hint.prefetch_dropped"]),
+    ])
+    def test_trace_command_marks_deaths_rebuilds_and_dropped_prefetches(
+            self, chaos, names, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "t.jsonl"
+        assert main(["trace", "agrep", "--scale", str(SCALE), "--chaos", chaos,
+                     "--categories", "storage,hint", "--out", str(out)]) == 0
+        seen = {json.loads(line)["name"] for line in out.read_text().splitlines()}
+        assert set(names) <= seen
+
     def test_trace_command_category_filter(self, tmp_path):
         from repro.cli import main
 
@@ -516,3 +530,9 @@ class TestTraceCli:
         assert "trace" in help_text
         for name in ALL_CATEGORIES:
             assert name  # categories are non-empty strings
+
+
+def test_a_track_with_no_name_is_named_by_its_number():
+    from repro.trace.export import _track_name
+
+    assert _track_name(50) == "track 50"

@@ -262,3 +262,54 @@ class TestRegisters:
         assert binary.text_bytes == 2 * INSN_BYTES
         assert binary.data_bytes == 4
         assert binary.size_bytes == binary.text_bytes + 4 + 4096
+
+
+class TestErrors:
+    """Each malformed program is one typed :class:`AssemblyError`."""
+
+    @pytest.mark.parametrize("reg", [32, -1, 2.0])
+    def test_a_register_index_outside_the_file(self, reg):
+        asm = minimal()
+        with asm.function("main"):
+            with pytest.raises(AssemblyError, match="bad register"):
+                asm.li(reg, 1)
+            asm.li(31, 1)
+            asm.halt()
+        assert asm.finish().text[0].a == 31
+
+    def test_negative_cwork(self):
+        asm = minimal()
+        with asm.function("main"):
+            with pytest.raises(AssemblyError, match="cwork operands must be non-negative"):
+                asm.cwork(10, nloads=-1)
+            asm.halt()
+
+    def test_an_unclosed_function(self):
+        asm = minimal()
+        with asm.function("main"):
+            asm.halt()
+            with pytest.raises(AssemblyError, match="function 'main' never closed"):
+                asm.finish()
+
+    def test_a_jump_table_label_that_does_not_exist(self):
+        asm = minimal()
+        with asm.function("main"):
+            asm.switch(Reg.t0, asm.jump_table(["main", "nowhere"]))
+        with pytest.raises(AssemblyError, match="jump table 0 references 'nowhere'"):
+            asm.finish()
+
+    def test_an_entry_label_that_does_not_exist(self):
+        asm = Assembler("t")
+        asm.entry("start")
+        with asm.function("main"):
+            asm.halt()
+        with pytest.raises(AssemblyError, match="t: unknown entry label 'start'"):
+            asm.finish()
+
+    def test_a_label_target_outside_a_function_is_fixed_up(self):
+        asm = minimal()
+        asm.jmp("main")
+        with asm.function("main"):
+            asm.halt()
+        binary = asm.finish()
+        assert binary.text[0].c == binary.function("main").entry

@@ -113,3 +113,15 @@ class TestTypedAccess:
         with pytest.raises(IndexError):
             mem.raw_write(SPACE_SIZE - 4, b"x" * 8)
         assert mem.raw_read(SPACE_SIZE - 4, 64) == b"\x00" * 4
+
+
+class TestRangesAndSegments:
+    def test_a_negative_length_is_its_own_fault(self, mem):
+        with pytest.raises(IllegalAddress, match="negative length -1"):
+            mem.check_range(DATA_BASE, -1)
+
+    def test_segment_end_of_the_stack_and_the_speculative_heap(self, mem):
+        assert mem.segment_end(mem.stack_top - 8) == mem.stack_top
+        mem.spec_sbrk(64)
+        assert mem.segment_end(SPEC_HEAP_BASE) == mem.spec_brk
+        assert mem.segment_end(SPEC_HEAP_BASE - 1) is None
