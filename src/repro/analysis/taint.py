@@ -846,7 +846,7 @@ class _TaintInterp:
                         func, states, implicit, controllers
                     ):
                         break
-                else:  # pragma: no cover - finite lattice
+                else:
                     raise AnalysisError(
                         f"{binary.name}/{func.name}: implicit-flow pass "
                         f"did not converge"
@@ -873,11 +873,8 @@ class _TaintInterp:
             if report is None or not report.sinks:
                 continue
             rdefs = reaching_definitions(self.binary, self.cfgs[func.name])
-            seen: Set[int] = set()
+            # The final pass visits each index once: one sink per index.
             for index, kind, channels in sorted(report.sinks):
-                if index in seen:
-                    continue
-                seen.add(index)
                 witness = self._witness(func, report, rdefs, index, channels)
                 leaks.append(LeakReport(
                     index=index,
@@ -1027,20 +1024,19 @@ class _TaintInterp:
                 else:
                     note = f"{callee} returns secret-tainted data"
             if nxt is None and imp:
-                ctrl = report.controllers.get(d)
-                if ctrl:
-                    steps.append(WitnessStep(
-                        d, func.name, format_insn(insn),
-                        "implicit flow: defined under a tainted branch",
-                    ))
-                    branch = ctrl[0]
-                    steps.append(WitnessStep(
-                        branch, func.name, format_insn(text[branch]),
-                        "the controlling branch condition is secret-tainted",
-                    ))
-                    cur = self._tainted_operand(report, branch)
-                    continue
-                note = "implicit flow from a tainted branch"
+                # The implicit pass records an index's taint and its
+                # controlling branch together.
+                steps.append(WitnessStep(
+                    d, func.name, format_insn(insn),
+                    "implicit flow: defined under a tainted branch",
+                ))
+                branch = report.controllers[d][0]
+                steps.append(WitnessStep(
+                    branch, func.name, format_insn(text[branch]),
+                    "the controlling branch condition is secret-tainted",
+                ))
+                cur = self._tainted_operand(report, branch)
+                continue
             steps.append(WitnessStep(d, func.name, format_insn(insn), note))
             cur = nxt
         return steps

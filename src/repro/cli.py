@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, List, Optional
 # Only what ``build_parser`` needs loads with this module; each ``cmd_*``
 # imports what it runs, so ``repro runs list`` never loads the simulator.
 from repro.analysis.fixtures import FIXTURES
-from repro.errors import RegistryError, ReproError
+from repro.errors import FuzzError, HarnessError, RegistryError, ReproError
 from repro.faults.plan import PROFILES, profile
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
 from repro.params import ArrayParams, SystemConfig
@@ -98,6 +98,22 @@ def _base_config(args: argparse.Namespace, app: str) -> ExperimentConfig:
         workload_scale=args.scale,
         fault_plan=profile(args.chaos, args.fault_seed) if args.chaos else None,
     )
+
+
+def _check_report_path(path: Optional[str], flag: str) -> None:
+    """Refuse a report path no file can be written at, before the run."""
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(path)))):
+        raise HarnessError(f"{flag} {path!r} is not a file in an existing directory")
+
+
+def _write_report(path: str, payload: object) -> None:
+    from repro.harness.checkpoint import atomic_write_json
+
+    try:
+        atomic_write_json(path, payload)
+    except OSError as exc:
+        raise HarnessError(f"cannot write report {path!r}: {exc}") from None
 
 
 def _record_run(registry_path: str, result: RunResult, ctx: dict) -> None:
@@ -187,9 +203,9 @@ def _run_oracle(args: argparse.Namespace) -> int:
     With ``--chaos`` set the oracle checks that one profile; without it,
     the fault-free baseline plus every built-in chaos profile.
     """
-    from repro.harness.checkpoint import atomic_write_json
     from repro.harness.oracle import ORACLE_PROFILES, run_oracle
 
+    _check_report_path(args.oracle_report, "--oracle-report")
     if args.chaos is not None:
         profiles = (args.chaos if args.chaos != "none" else None,)
     else:
@@ -212,7 +228,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
         print(line)
     print(report.summary())
     if args.oracle_report:
-        atomic_write_json(args.oracle_report, report.to_jsonable())
+        _write_report(args.oracle_report, report.to_jsonable())
         print(f"oracle report written to {args.oracle_report}")
     return 0 if report.passed else 1
 
@@ -396,7 +412,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """``repro fuzz``: a chaos campaign, or ``fuzz replay FILE``."""
     from repro.faults.shrink import Reproducer, shrink_case
-    from repro.harness.checkpoint import atomic_write_json
     from repro.harness.fuzz import run_fuzz, run_fuzz_case
 
     if args.fuzz_command == "replay":
@@ -417,6 +432,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     apps = tuple(a.strip() for a in args.apps.split(",") if a.strip())
     _require_checkpoint_for_resume(args)
+    _check_report_path(args.coverage_report, "--coverage-report")
+    if os.path.exists(args.failures_dir) and not os.path.isdir(args.failures_dir):
+        raise FuzzError(f"--failures-dir {args.failures_dir!r} is not a directory")
     report = run_fuzz(
         args.budget, seed=args.seed, apps=apps, jobs=args.jobs,
         workload_scale=args.scale, checkpoint_path=args.checkpoint,
@@ -429,7 +447,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(report.summary())
 
     if args.coverage_report is not None:
-        atomic_write_json(args.coverage_report, report.to_jsonable())
+        _write_report(args.coverage_report, report.to_jsonable())
         print(f"coverage report written to {args.coverage_report}")
 
     for cell in report.failures()[:SHRINK_LIMIT]:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.errors import FuzzError, InvalidFaultPlan, ReproError
+from repro.errors import FuzzError, ReproError
 from repro.faults.generate import CASE_VERSION, FuzzCase
-from repro.faults.plan import AXES, AXIS_BY_NAME, FaultPlan
+from repro.faults.plan import AXES, FaultPlan
 
 #: ``evaluate(case) -> violations`` — the shrinker's only window into the
 #: world.  Production passes a closure over the fuzz engine; tests can
@@ -54,21 +54,18 @@ def shrink_events(case: FuzzCase) -> List[str]:
             if axis.on(case.plan, case.spec_overrides)]
 
 
-def _without(case: FuzzCase, event: str) -> Optional[FuzzCase]:
-    """The case with one event removed (None when not removable): the
-    axis's names, and those of every axis riding on it, go back to their
-    defaults (an override key is dropped)."""
-    if event not in AXIS_BY_NAME:
-        return None
+def _without(case: FuzzCase, event: str) -> FuzzCase:
+    """The case with one event of :func:`shrink_events` removed: the axis's
+    names, and those of every axis riding on it, go back to their defaults
+    (an override key is dropped).  A plan with an axis and its riders at
+    their defaults is valid; were it not, ``validate`` raises
+    :class:`~repro.errors.InvalidFaultPlan`."""
     owned = {name for axis in AXES if event in (axis.name, axis.rides_on)
              for name in axis.owns}
     defaults: Dict[str, Any] = FaultPlan().to_jsonable()
     plan = replace(case.plan, **{name: defaults[name] for name in owned
                                  if name in defaults})
-    try:
-        plan.validate()
-    except InvalidFaultPlan:
-        return None
+    plan.validate()
     overrides = {key: value for key, value in case.spec_overrides.items()
                  if key not in owned}
     return FuzzCase(index=case.index, app=case.app, plan=plan,
@@ -172,8 +169,6 @@ def shrink_case(
         changed = False
         for event in shrink_events(current):
             candidate = _without(current, event)
-            if candidate is None:
-                continue
             if trips(candidate):
                 current = candidate
                 removed.append(event)
@@ -244,7 +239,10 @@ class Reproducer:
     def save(self, path: str) -> None:
         from repro.harness.checkpoint import atomic_write_json
 
-        atomic_write_json(path, self.to_jsonable())
+        try:
+            atomic_write_json(path, self.to_jsonable())
+        except OSError as exc:
+            raise FuzzError(f"cannot write reproducer {path!r}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str) -> "Reproducer":

@@ -142,19 +142,16 @@ class BlockCache:
                 entry.arrived_clean = True
         return entry
 
-    def discard_fetching(self, key: BlockKey) -> Optional[CacheEntry]:
-        """Drop a FETCHING entry whose fetch failed terminally.
+    def discard_fetching(self, key: BlockKey) -> None:
+        """Drop the FETCHING entry of a prefetch whose fetch failed
+        terminally.
 
         The degraded-mode path for prefetches: the block never arrives, the
-        entry must not linger pinned forever.  Returns the removed entry,
-        or None if the key is absent or already VALID.
+        entry must not linger pinned forever.  A FETCHING entry is pinned,
+        so it is still there, and still FETCHING, when its fetch fails.
         """
-        entry = self._entries.get(key)
-        if entry is None or entry.state is not EntryState.FETCHING:
-            return None
         del self._entries[key]
         self.stats.bump(metrics.CACHE_FETCH_FAILURES)
-        return entry
 
     def note_access(self, key: BlockKey) -> CacheEntry:
         """Record an application read of a resident (or arriving) block."""

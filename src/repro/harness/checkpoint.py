@@ -74,15 +74,9 @@ def unwind_on_signals() -> Iterator[None]:
             raise KeyboardInterrupt
         raise SystemExit(128 + signum)
 
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, handler)
-    except (ValueError, OSError):
-        # Embedded interpreter or exotic platform: run unguarded.
-        for num, old in previous.items():
-            signal.signal(num, old)  # type: ignore[arg-type]
-        yield
-        return
+    # On a POSIX main thread (the package needs POSIX) this cannot fail.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        previous[signum] = signal.signal(signum, handler)
     try:
         yield
     finally:

@@ -34,6 +34,7 @@ and persist every finding.
 
 from __future__ import annotations
 
+import abc
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,13 +107,14 @@ class CellObservation:
         return self.plan.expects_data_loss
 
 
-class InvariantMonitor:
+class InvariantMonitor(abc.ABC):
     """Base class: one named clause of the safety contract."""
 
     name = "invariant"
 
+    @abc.abstractmethod
     def check(self, obs: CellObservation) -> List[Violation]:
-        raise NotImplementedError
+        """The clause's violations in one finished cell."""
 
     def _violation(self, detail: str, **witness: object) -> Violation:
         return Violation(self.name, detail, dict(witness))

@@ -177,17 +177,18 @@ class Kernel:
             budget += now - last_grant
             last_grant = now
 
-            original = self._pick_thread(spec_ok=False)
-            if original is not None:
-                self._charge_switch(original)
-                self.machine.execute(original, until=now + MP_SLICE)
+            # An original thread outranks every speculating one, so the
+            # pick is a speculating thread only when no original can run.
+            thread = self._pick_thread()
+            if thread is not None and not thread.is_spec:
+                self._charge_switch(thread)
+                self.machine.execute(thread, until=now + MP_SLICE)
                 self.engine.dispatch_due()
                 continue
 
-            spec_thread = self._pick_thread(spec_only=True)
-            if spec_thread is not None and budget > 0:
-                self.machine.execute(spec_thread, budget=budget)
-                left = spec_thread.pending_budget
+            if thread is not None and budget > 0:
+                self.machine.execute(thread, budget=budget)
+                left = thread.pending_budget
                 budget = left if left is not None and left > 0 else 0
                 self.engine.dispatch_due()
                 continue
@@ -197,19 +198,14 @@ class Kernel:
                     "deadlock: no runnable threads and no pending events"
                 )
 
-    def _pick_thread(
-        self, spec_ok: bool = True, spec_only: bool = False
-    ) -> Optional[Thread]:
+    def _pick_thread(self) -> Optional[Thread]:
+        """The first runnable thread of the highest priority."""
         best: Optional[Thread] = None
         for process in self.processes:
             if process.exited:
                 continue
             for thread in process.threads:
                 if thread.state is not ThreadState.RUNNABLE:
-                    continue
-                if spec_only and not thread.is_spec:
-                    continue
-                if not spec_ok and thread.is_spec:
                     continue
                 if best is None or thread.priority > best.priority:
                     best = thread

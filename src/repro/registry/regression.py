@@ -147,7 +147,8 @@ def check_run(
     min_baseline: int = DEFAULT_MIN_BASELINE,
     records: Optional[Sequence[RunRecord]] = None,
 ) -> RegressionReport:
-    """Judge one run against its matched baseline population."""
+    """Judge one run against its matched baseline population; a run with
+    no metrics (a differential cell) is not judged."""
     _require_min_baseline(min_baseline)
     report = RegressionReport()
     values = candidate.metric_values()
@@ -199,8 +200,6 @@ def check_all(
     report = RegressionReport()
     records = registry.records()
     for record in records:
-        if record.metric_values() is None:
-            continue
         single = check_run(registry, record, match_keys, min_baseline,
                            records=records)
         report.checked += single.checked

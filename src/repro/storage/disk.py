@@ -1,18 +1,19 @@
 """Single-disk model.
 
 Each disk services one request at a time from a two-level queue (demand
-requests ahead of prefetches).  Service time has three regimes:
+requests ahead of prefetches).  Service time has two regimes:
 
 * **track-buffer hit** — the block was read ahead into the drive's buffer by
   a previous access: command overhead + buffer-rate transfer;
-* **sequential** — the block immediately follows the last media access: no
-  positioning, media-rate transfer;
-* **random** — full positioning (seek + rotation) + media-rate transfer.
+* **media access** — full positioning (seek + rotation) + media-rate
+  transfer, counted as a random access.
 
 After every media access the drive reads the following
 ``track_readahead_blocks`` blocks into its track buffer, which is how the
 paper's footnote about "faster than modelled transfer rate" for physically
-sequential accesses arises.
+sequential accesses arises: with any read-ahead, the block after a media
+access is a buffer hit.  Without read-ahead (Figure 1's idealized disks,
+whose reads on one disk are never adjacent) every access is positioned.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ class Disk:
         self._active: Optional[IORequest] = None
         self._active_event: Optional[Event] = None
 
-        # Head / track-buffer state.
-        self._last_media_block: int = -(10 ** 9)
+        # Track-buffer state.
         self._buffer_start: int = 0
         self._buffer_end: int = 0  # exclusive; empty buffer when start == end
 
@@ -82,8 +82,6 @@ class Disk:
         overhead = params.overhead_s
         self._buffer_hit = (prefix + "buffer_hits", max(1, cpu.cycles(
             overhead + params.buffer_transfer_s(BLOCK_SIZE))))
-        self._sequential = (prefix + "sequential_accesses", max(1, cpu.cycles(
-            overhead + params.media_transfer_s(BLOCK_SIZE))))
         self._random = (prefix + "random_accesses", max(1, cpu.cycles(
             overhead + params.positioning_s + params.media_transfer_s(BLOCK_SIZE))))
 
@@ -168,18 +166,11 @@ class Disk:
             # Track-buffer hit: no media access, no buffer refill.
             counter, cycles = self._buffer_hit
         else:
-            if block == self._last_media_block + 1:
-                counter, cycles = self._sequential
-            else:
-                counter, cycles = self._random
-            self._after_media_access(block)
+            counter, cycles = self._random
+            self._buffer_start = block + 1
+            self._buffer_end = min(self.nblocks, block + 1 + self.params.track_readahead_blocks)
         self.stats.bump(counter)
         return cycles
-
-    def _after_media_access(self, block: int) -> None:
-        self._last_media_block = block
-        self._buffer_start = block + 1
-        self._buffer_end = min(self.nblocks, block + 1 + self.params.track_readahead_blocks)
 
     def _finish(self, request: IORequest, fault: Optional[str] = None) -> None:
         request.finish_time = self.engine.clock.now

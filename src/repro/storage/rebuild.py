@@ -75,9 +75,8 @@ class RebuildEngine:
         self._next_row()
 
     def _next_row(self) -> None:
-        if self.watermark >= self.total_blocks:
-            self._finish()
-            return
+        # A disk has at least one block, and _row_written finishes the
+        # rebuild after the last: a row is always left here.
         self._row_started_at = self.array.engine.clock.now
         if not self.array.can_reconstruct(self.dead_disk, self.watermark):
             raise DataLossError(

@@ -22,7 +22,7 @@ running the analyzer can never affect a simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.trace.lifecycle import HintLifecycle
 from repro.trace.phases import StallBreakdown
@@ -34,6 +34,9 @@ from repro.trace.tracer import (
     TID_SPECULATING,
     Tracer,
 )
+
+if TYPE_CHECKING:
+    from repro.harness.results import RunResult
 
 Span = Tuple[int, int]  # (start, end) in cycles, end exclusive
 
@@ -78,7 +81,7 @@ class TraceAnalyzer:
         tracer: Tracer,
         lifecycle: Optional[HintLifecycle] = None,
         breakdown: Optional[StallBreakdown] = None,
-        result: Optional[object] = None,
+        result: Optional["RunResult"] = None,
     ) -> None:
         self.tracer = tracer
         self.lifecycle = lifecycle
@@ -186,7 +189,7 @@ class TraceAnalyzer:
             lines.append("disk utilization     " + " ".join(parts))
         result = self.result
         if result is not None:
-            per_disk = result.per_disk_io_counters()  # type: ignore[attr-defined]
+            per_disk = result.per_disk_io_counters()
             if per_disk:
                 parts = []
                 for disk in sorted(per_disk):
@@ -195,7 +198,7 @@ class TraceAnalyzer:
                                       for name in sorted(counters))
                     parts.append(f"disk{disk}({detail})")
                 lines.append("disk I/O health      " + " ".join(parts))
-            lines.extend(result.degraded_report())  # type: ignore[attr-defined]
+            lines.extend(result.degraded_report())
         lines.append(
             f"trace                {len(self.tracer):,} events "
             f"({self.tracer.dropped:,} dropped)"

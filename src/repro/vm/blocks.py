@@ -326,7 +326,6 @@ class Translation:
         #: event in mid-block (a COW store making a first copy) ends the
         #: block before it and runs as a single step.
         self.clock_observed = clock_observed
-        self.cow = cow
         #: The constants the templates inline (see :meth:`BlockTable.__init__`).
         self.layout = layout
         self.leaders = _leaders(binary)
@@ -340,6 +339,9 @@ class Translation:
         #: single step and summed into the blocks that contain it.
         self.cycles: List[int] = [_static_cycles(insn) for insn in binary.text]
         self.singles = _single_steps(tuple(sorted(layout.items())), cow)
+        #: The templated opcodes, the COW ones only with a COW map: without
+        #: one a COW opcode is the machine's, which finds it invalid.
+        self.templates = {op: _TEMPLATES[op] for op in _single_ops(cow)}
         #: Leader -> its block's code, once some process translated it.
         self.blocks: Dict[int, BlockCode] = {}
 
@@ -368,11 +370,9 @@ class Translation:
                 prefix.append(prefix[-1] + insn.a)  # static cycles, no code
                 pc += 1
                 break
-            template = _TEMPLATES.get(op)
+            template = self.templates.get(op)
             if template is None or (self.clock_observed and op in _COW_STORES):
                 break  # a system instruction: the machine's business
-            if op in _COW_OPS and not self.cow:
-                return None
             lines.append(self._format(template[1], insn, pc))
             prefix.append(prefix[-1] + self.cycles[pc])
             pc += 1

@@ -73,9 +73,8 @@ def format_insn(insn: Insn, binary: Optional[Binary] = None) -> str:
         return "spec_read         ; hint call substituted for read()"
     if op is Op.CWORK:
         return f"cwork   {insn.a}c (loads={insn.b}, stores={insn.c})"
-    if op is Op.SCWORK:
-        return f"scwork  {insn.a}c        ; cow-dilated computation"
-    return f"{op.name.lower()} a={insn.a} b={insn.b} c={insn.c}"
+    # The one opcode left (every opcode has a format).
+    return f"scwork  {insn.a}c        ; cow-dilated computation"
 
 
 def _label(target: int, binary: Optional[Binary]) -> str:

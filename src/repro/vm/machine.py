@@ -350,8 +350,8 @@ class Machine:
             if thread.cwork_remaining:
                 return "event"
             return None
-        if budget <= 0:
-            return "budget"
+        # Budget mode starts with a positive budget and CWORK costs nothing,
+        # so some of the budget is left here.
         chunk = remaining if remaining <= budget else budget
         thread.spec_clock += chunk
         thread.cpu_cycles += chunk

@@ -36,7 +36,7 @@ from typing import Counter, Dict, Iterator, List, Set, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
 LIST = os.path.join(ROOT, "tests", "census_unrun.txt")
-KINDS = ("paper-only", "fresh-interpreter", "defensive")
+KINDS = ("fresh-interpreter", "defensive")
 _SETUP_OPS = frozenset({"RESUME", "RETURN_GENERATOR", "COPY_FREE_VARS", "MAKE_CELL"})
 
 #: A line's key: (file under src/repro, qualname, stripped source text).

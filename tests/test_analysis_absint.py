@@ -22,6 +22,7 @@ from repro.analysis.absint import (
 )
 from repro.analysis.cfg import build_cfg
 from repro.analysis.fixtures import build_alu_fixture
+from repro.errors import AnalysisError
 from repro.vm.assembler import Assembler
 from repro.vm.isa import Insn, Op, Reg, SYS_EXIT, SYS_READ, to_signed
 from repro.vm.memory import DATA_BASE
@@ -205,6 +206,21 @@ class TestAnalyzeFunction:
         # Widening may lose the upper bound but the base stays provable.
         assert addr.kind is ValueKind.NUM
         assert addr.lo is not None and addr.lo >= DATA_BASE
+
+    def test_a_solve_past_its_step_bound_is_a_typed_error(self, monkeypatch):
+        """Widening makes every fixpoint converge; a solve that did not
+        would raise, not spin.  A two-block loop needs more than one step."""
+        def body(asm):
+            asm.li(Reg.t0, 0)
+            asm.label("top")
+            asm.addi(Reg.t0, Reg.t0, 1)
+            asm.blt(Reg.t0, Reg.t0, "top")
+            asm.syscall(SYS_EXIT)
+
+        monkeypatch.setattr("repro.analysis.absint._MAX_STEPS", 1)
+        with pytest.raises(AnalysisError, match="ai/main: abstract interpretation "
+                                                "did not converge within 1 steps"):
+            _facts_for(body)
 
     def test_nested_loops_converge_with_widening(self):
         # Two natural loops sharing state: the inner counter restarts

@@ -486,6 +486,42 @@ def _into_a_callee_argument(asm):
     asm.call("reader")
 
 
+def _past_a_dead_seek(asm):
+    # The offset witness walks back past a seek no path reaches (nothing
+    # is recorded there) to the one that tainted the offset.
+    asm.mov(Reg.a0, Reg.s1)
+    asm.mov(Reg.a1, Reg.t1)
+    asm.li(Reg.a2, SEEK_CUR)
+    asm.syscall(SYS_LSEEK)
+    asm.jmp("read")
+    asm.syscall(SYS_LSEEK)
+    asm.label("read")
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.li(Reg.a2, 64)
+    asm.syscall(SYS_READ)
+
+
+def _from_an_infeasible_seek(asm):
+    # The length's chain follows the later reaching definition of v0: a
+    # seek on a branch the value analysis proves never taken, where
+    # nothing is recorded, so the chain ends there.
+    asm.li(Reg.t5, 0)
+    asm.bne(Reg.t5, Reg.zero, "never")
+    asm.mov(Reg.a0, Reg.s1)
+    asm.mov(Reg.a1, Reg.t1)
+    asm.li(Reg.a2, SEEK_CUR)
+    asm.syscall(SYS_LSEEK)
+    asm.jmp("read")
+    asm.label("never")
+    asm.syscall(SYS_LSEEK)
+    asm.label("read")
+    asm.mov(Reg.a2, Reg.v0)
+    asm.mov(Reg.a0, Reg.s1)
+    asm.la(Reg.a1, "buf")
+    asm.syscall(SYS_READ)
+
+
 #: Each transfer path's one leak: (index, site, channels, witness as
 #: (index, note) per step).
 _PATH_LEAKS = {
@@ -526,6 +562,17 @@ _PATH_LEAKS = {
         (16, "hint disclosure site: length operand(s) tainted"),
         (13, "propagates taint"),
     ]),
+    _past_a_dead_seek: (18, "spec-read", {"offset": ("secret",)}, [
+        (18, _DISCLOSED_OFFSET),
+        (12, _SEEK_SOURCE),
+        (10, "propagates taint"),
+        (8, _SECRET_LOAD),
+    ]),
+    _from_an_infeasible_seek: (20, "spec-read", {"offset": ("secret",), "length": ("secret",)}, [
+        (20, "hint disclosure site: offset/length operand(s) tainted"),
+        (17, "propagates taint"),
+        (16, "syscall result derives from tainted operands"),
+    ]),
     _under_a_tainted_switch: (14, "spec-read", {"control": ("secret",)}, [
         (14, "hint disclosure site: control operand(s) tainted"),
         (13, "disclosure is control-dependent on this tainted branch"),
@@ -536,8 +583,9 @@ _PATH_LEAKS = {
 
 
 class TestTransferPaths:
-    """Stack slots, unknown pointers, relative seeks, manual hints and
-    switches: each carries the secret to exactly the pinned leak."""
+    """Stack slots, unknown pointers, relative seeks, manual hints,
+    switches and code no run reaches: each carries the secret to exactly
+    the pinned leak."""
 
     @pytest.mark.parametrize("body", list(_PATH_LEAKS), ids=lambda body: body.__name__)
     def test_the_one_leak_and_its_witness(self, body):
@@ -598,6 +646,29 @@ class TestInterprocedural:
         assert plan.functions_analyzed == ("main", "scale", "stash")
         call = next(s for s in leak.witness if s.text.startswith("callr"))
         assert "unresolved callee" in call.note
+
+
+class TestTypedFailures:
+    """The lattice is finite and joined monotonically, so both fixpoints
+    converge; one that did not would be a typed error, not a spin."""
+
+    def test_an_interprocedural_fixpoint_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.taint._MAX_ROUNDS", 1)
+        with pytest.raises(AnalysisError, match="call-program: interprocedural taint fixpoint "
+                                                "did not converge within 1 rounds"):
+            analyze_security(_call_program())
+
+    def test_an_implicit_flow_pass_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.taint._MAX_ROUNDS", 1)
+        with pytest.raises(AnalysisError, match="taint-branch-fixture/main: implicit-flow "
+                                                "pass did not converge"):
+            analyze_security(build_taint_branch_fixture())
+
+    def test_an_entry_point_outside_every_function(self):
+        binary = build_taint_table_fixture()
+        binary.entry_point = len(binary.text)
+        with pytest.raises(AnalysisError, match="entry point outside every function"):
+            analyze_security(binary)
 
 
 class TestSecurityPlanSurface:

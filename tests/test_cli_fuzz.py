@@ -82,6 +82,29 @@ class TestFuzzCampaign:
         assert rc == 1
         assert "FuzzError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "missing folder"])
+    def test_a_coverage_report_path_no_file_fits_is_refused_before_the_campaign(
+            self, where, tmp_path, monkeypatch, capsys):
+        from repro.harness import fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **k: pytest.fail("ran"))
+        path = str(tmp_path if where == "directory" else tmp_path / "no" / "cov.json")
+        assert main(["fuzz", "--budget", "1", "--scale", "0.05",
+                     "--coverage-report", path]) == 1
+        assert capsys.readouterr() == ("", f"repro: error: HarnessError: --coverage-report "
+                                           f"{path!r} is not a file in an existing directory\n")
+
+    def test_a_failures_dir_that_is_a_file_is_refused_before_the_campaign(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.harness import fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **k: pytest.fail("ran"))
+        path = tmp_path / "failures"
+        path.write_text("")
+        assert main(["fuzz", "--budget", "1", "--failures-dir", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"repro: error: FuzzError: --failures-dir "
+                                           f"{str(path)!r} is not a directory\n")
+
     def test_resume_requires_checkpoint(self, capsys):
         rc = main(["fuzz", "--budget", "1", "--resume"])
         assert rc == 1
@@ -109,6 +132,14 @@ class TestFuzzReplay:
         out = capsys.readouterr().out.splitlines()
         assert "clean: no invariant violations" not in out
         assert out[-1] == "  [audit-chain] planted"
+
+    def test_a_reproducer_that_cannot_be_written_is_a_typed_error(self, tmp_path):
+        from repro.errors import FuzzError
+        from repro.faults.shrink import Reproducer
+
+        reproducer = Reproducer.load(os.path.join(CORPUS, "cancel-drain-restart-storm.json"))
+        with pytest.raises(FuzzError, match=f"cannot write reproducer {str(tmp_path)!r}: "):
+            reproducer.save(str(tmp_path))
 
     def test_missing_file_is_a_clean_error(self, capsys):
         rc = main(["fuzz", "replay", "/nonexistent/repro.json"])

@@ -12,8 +12,8 @@ import dataclasses
 import pytest
 
 from repro import cli
-from repro.errors import DataLossError, DiskFaultError, InvalidBlockError
-from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
+from repro.errors import DataLossError, DiskFaultError, InvalidBlockError, StorageError
+from repro.faults.injector import FAULT_DATA_LOSS, FAULT_TRANSIENT, FaultInjector
 from repro.faults.plan import FaultPlan, profile
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.fuzz import run_fuzz_case
@@ -32,7 +32,7 @@ from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
 from repro.spechint.gate import CLOSED, RESTART, SUSPEND
 from repro.storage.parity import ParityGeometry
-from repro.storage.request import IOKind
+from repro.storage.request import IOKind, IORequest, State
 from repro.storage.striping import StripedArray
 from repro.trace.analyzer import TraceAnalyzer
 from repro.trace.tracer import Tracer
@@ -232,6 +232,45 @@ class TestRebuild:
                                                  "reading peers for physical block 0"):
             drain(engine)
         assert stats.get("rebuild.completed") == 0
+
+    def test_a_spare_that_keeps_failing_ends_the_rebuild_with_a_typed_error(self):
+        # No fault plan names the spare: fault it by hand.
+        array, engine, stats = make_parity_array(FaultPlan(dead_disk=1, dead_at_s=0.0))
+        spare, judge = array.array.ndisks, array.injector.on_disk_service
+        array.injector.on_disk_service = lambda disk_id, request, cycles: (
+            (cycles, FAULT_TRANSIENT) if disk_id == spare
+            else judge(disk_id, request, cycles))
+        array.submit(lbn_on_disk(array, 1), IOKind.DEMAND, lambda r: None)
+        with pytest.raises(DiskFaultError, match=f"rebuild write of physical block 0 to "
+                                                 f"spare {spare} failed \\(transient\\)"):
+            drain(engine)
+        assert stats.get("rebuild.completed") == 0
+
+    def test_a_rebuild_left_with_no_event_is_a_typed_stall(self, monkeypatch):
+        array, engine, _ = make_parity_array(FaultPlan(dead_disk=1, dead_at_s=0.0))
+        array.submit(lbn_on_disk(array, 1), IOKind.DEMAND, lambda r: None)
+        while not array.rebuild_active:
+            engine.advance_to_next()
+        monkeypatch.setattr(engine, "advance_to_next", lambda: False)
+        with pytest.raises(StorageError, match="rebuild stalled: event queue empty"):
+            array.drain_rebuild()
+
+    def test_a_child_finishing_for_a_cancelled_set_is_dropped(self):
+        array, _, _ = make_parity_array()
+        ended = []
+        child_set = array.spawn_spare_write(
+            array.array.ndisks, 0, ended.append, lambda cs, fault: ended.append(fault),
+            label="test")
+        array._cancel(child_set)
+        array._child_finished(child_set.children[0], child_set)
+        assert ended == [] and child_set.remaining == 1
+
+    def test_a_move_the_table_forbids_names_the_request(self):
+        array, _, _ = make_parity_array()
+        request = IORequest(7, IOKind.DEMAND)
+        with pytest.raises(AssertionError, match=r"request lbn=7 \(demand, disk .*\) "
+                                                 r"cannot move from HELD to NOTIFYING"):
+            array._move(request, State.NOTIFYING)
 
     def test_second_death_during_rebuild_raises_typed_error(self):
         plan = FaultPlan(dead_disk=1, dead_at_s=0.0,

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
-from repro.errors import OracleMismatch, RetriesExhausted
+from repro.errors import HarnessError, OracleMismatch, RetriesExhausted
 from repro.harness import fuzz as fuzz_mod
 from repro.harness.config import Variant
 from repro.harness.invariants import _first_output_diff, _first_trace_diff
@@ -187,6 +188,22 @@ class TestOracleCli:
         (cell,) = json.loads(report.read_text())["cells"]
         assert cell["detail"] == ("both variants raised DataLossError "
                                   "(expected for this profile)")
+
+    @pytest.mark.parametrize("where", ["directory", "missing folder"])
+    def test_a_report_path_no_file_fits_is_refused_before_the_run(
+            self, where, tmp_path, monkeypatch, capsys):
+        from repro.harness import oracle
+
+        monkeypatch.setattr(oracle, "run_oracle", lambda *a, **k: pytest.fail("ran"))
+        path = str(tmp_path if where == "directory" else tmp_path / "no" / "oracle.json")
+        assert main(["run", "agrep", "--scale", "0.05", "--oracle", "--chaos", "none",
+                     "--oracle-report", path]) == 1
+        assert capsys.readouterr() == ("", f"repro: error: HarnessError: --oracle-report "
+                                           f"{path!r} is not a file in an existing directory\n")
+
+    def test_a_report_write_that_fails_is_a_typed_error(self, tmp_path):
+        with pytest.raises(HarnessError, match=f"cannot write report {str(tmp_path)!r}: "):
+            cli._write_report(str(tmp_path), {})
 
     def test_a_mismatch_prints_its_detail_and_exits_1(self, monkeypatch, capsys):
         from repro.harness import oracle

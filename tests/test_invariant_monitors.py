@@ -356,6 +356,13 @@ class TestClockMonotonicityMonitor:
         violations = ClockMonotonicityMonitor().check(obs)
         assert any("ran backwards" in v.detail for v in violations)
 
+    def test_negative_cycle_count_trips(self):
+        obs = _cell({"speculating": VariantObservation(
+            "speculating", result=_result(cycles=-5))})
+        (violation,) = ClockMonotonicityMonitor().check(obs)
+        assert violation.detail == "speculating: negative cycle count -5"
+        assert violation.witness == {"variant": "speculating", "cycles": -5}
+
     def test_result_clock_mismatch_trips(self):
         obs = _cell({"speculating": VariantObservation(
             "speculating", result=_result(cycles=999),

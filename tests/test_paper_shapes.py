@@ -2,8 +2,9 @@
 
 CI's ``paper-shapes`` job, whose one step is ``repro paper EXPERIMENTS.md``
 and a ``git diff``, runs the experiments, regenerates the file and fails on
-any diff.  Here fake verdicts go through the same assembly, so no
-simulation runs.
+any diff.  Here fake verdicts go through the same assembly, and
+``TestGrid`` runs the real pipeline at a small workload scale on every
+interpreter, its rendered bytes pinned: the tier-1 twin of that job.
 """
 
 import re
@@ -12,9 +13,16 @@ import pytest
 
 from repro.cli import main
 from repro.errors import HarnessError
+from repro.faults.plan import profile
 from repro.harness import parallel, shapes
+from repro.harness.config import ExperimentConfig
+from tests.conftest import digest_of
 
 KEYS = [exp.key for exp in shapes.EXPERIMENTS] + [shapes.SUMMARY]
+#: The workload scale of the pinned pipeline run, and ``digest_of`` over its
+#: blocks and summary line (the same on CPython 3.10, 3.11 and 3.12).
+SMALL = 0.05
+SMALL_PIPELINE_DIGEST = "95e0709048f1dd5c"
 
 
 def fake_outcomes(*violations):
@@ -130,21 +138,45 @@ class TestGrid:
             cells = {frozenset(shapes._grid([exp.cells(seed)])) for exp in matrix}
             assert [len(c) for c in cells] == [9]
 
+    def test_two_configurations_with_one_run_identity_are_refused(self):
+        """The identity leaves out the fault plan, which no experiment sets:
+        a grid that did set one could not tell the two cells apart."""
+        plain = ExperimentConfig()
+        chaotic = plain.with_(fault_plan=profile("transient-errors", 1))
+        with pytest.raises(HarnessError, match="two configurations share the run "
+                                               "identity 1999/agrep/original/"):
+            shapes._grid([(plain, chaotic)])
+
     def test_a_pool_of_two_measures_what_one_process_does(self, monkeypatch):
-        cheap = ("fig1", "fig4", "ablation-multiprocessor", "ablation-multiprogramming")
-        monkeypatch.setattr(shapes, "EXPERIMENTS",
-                            tuple(exp for exp in shapes.EXPERIMENTS if exp.key in cheap))
+        """``repro paper``'s whole pipeline — every experiment's cells, folds,
+        tables and predicates, the blocks and the summary line — with each
+        grid cell at workload scale 0.05, at pools of one and two.  Its bytes
+        are pinned; at that scale 8 of the 18 shapes fail, so the verdicts
+        are not asserted (CI's ``paper-shapes`` job runs the full scale).
+        Then the four cheap experiments at full scale must hold."""
         modes = []
 
-        def run_cells(*args, **kwargs):
-            outcome = parallel.run_cells(*args, **kwargs)
+        def run_cells(cells, jobs):
+            """The grid at the small scale, on ``size`` workers whatever
+            the process's CPUs (``jobs``) are."""
+            outcome = parallel.run_cells([(key, fn, (cfg.with_(workload_scale=SMALL),))
+                                          for key, fn, (cfg,) in cells], jobs=size)
             modes.append(outcome.stats.mode)
             return outcome
         monkeypatch.setattr(shapes, "run_cells", run_cells)
         outcomes = []
         for size in (1, 2):
-            monkeypatch.setattr(shapes, "_pool_size", lambda: size)
             outcomes.append(shapes.measure_all(seeds=(1999,)))
         assert modes == ["serial", "parallel"]
         assert outcomes[0] == outcomes[1]
-        assert all(outcome.holds(1999) for outcome in outcomes[0].values())
+        blocks = {exp.key: shapes.render_block(exp, outcomes[0][exp.key])
+                  for exp in shapes.EXPERIMENTS}
+        blocks[shapes.SUMMARY] = shapes.summary(outcomes[0])
+        assert digest_of(blocks)[:16] == SMALL_PIPELINE_DIGEST
+
+        cheap = ("fig1", "fig4", "ablation-multiprocessor", "ablation-multiprogramming")
+        monkeypatch.setattr(shapes, "EXPERIMENTS",
+                            tuple(exp for exp in shapes.EXPERIMENTS if exp.key in cheap))
+        monkeypatch.setattr(shapes, "run_cells", parallel.run_cells)
+        full = shapes.measure_all(seeds=(1999,))
+        assert all(outcome.holds(1999) for outcome in full.values())

@@ -8,6 +8,8 @@ the planted-slowdown acceptance scenario), and the ``repro runs`` CLI
 surface.
 """
 
+import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -43,6 +45,7 @@ from repro.registry.regression import (
 from repro.registry.store import (
     JsonlStore,
     RunRegistry,
+    _fsync_directory,
     append_line,
     atomic_write_text,
     read_journal,
@@ -203,6 +206,10 @@ class TestRunRecord:
                           "hint_lead_median": 250.0,
                           "wasted_prefetch_fraction": 0.1}
 
+    def test_metric_values_none_without_a_result(self):
+        # A record read back from a ledger line may carry no result.
+        assert dataclasses.replace(make_record(), result=None).metric_values() is None
+
     def test_metric_values_none_for_mapping_cycles(self):
         # Fuzz cells carry per-variant cycle mappings, not one scalar.
         record = make_record()
@@ -222,6 +229,21 @@ class TestStores:
         with pytest.raises(OSError):
             atomic_write_text(str(target), "text")
         assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_a_directory_that_cannot_be_opened_is_not_fsynced(self, tmp_path):
+        _fsync_directory(str(tmp_path / "gone"))
+
+    def test_a_directory_that_refuses_fsync_is_closed_and_let_be(self, tmp_path, monkeypatch):
+        # Some network mounts reject a directory fsync: best effort.
+        closed = []
+        close = os.close
+
+        def refuse(fd):
+            raise OSError(errno.EINVAL, "fsync of a directory")
+        monkeypatch.setattr(os, "fsync", refuse)
+        monkeypatch.setattr(os, "close", lambda fd: (closed.append(fd), close(fd)))
+        _fsync_directory(str(tmp_path))
+        assert len(closed) == 1
 
     def test_blank_journal_lines_are_skipped(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -414,6 +436,16 @@ class TestRecorder:
             "oracle/agrep/stuck-disk/original",
             "oracle/agrep/stuck-disk/speculating"]
 
+    def test_a_differential_payload_without_a_case_object_is_refused(self):
+        with pytest.raises(RegistryError, match="differential payload for cell "
+                                                "'fuzz/0003/agrep' has no case object"):
+            records_for_payload("fuzz/0003/agrep", {"case": None, "violations": []})
+
+    def test_a_differential_case_without_a_plan_keys_as_fault_free(self):
+        payload = {"case": {"app": "agrep", "index": 3}, "violations": []}
+        (record,) = records_for_payload("fuzz/0003/agrep", payload)
+        assert record.chaos_profile == "none"
+
     def test_fuzz_payload_is_the_same_mapping_without_children(self):
         payload = {
             "case": {"app": "agrep", "index": 3, "spec_overrides": {},
@@ -563,6 +595,12 @@ class TestHedgeCountersInTraceSummary:
                      if line.startswith("disk I/O health")]
         assert "disk2(hedges=3,hedges_won=2)" in health.split()
 
+    def test_a_malformed_disk_counter_is_skipped(self):
+        # Counters read back from a checkpoint are input from outside.
+        result = RunResult(app="agrep", variant="original", cycles=1, cpu_hz=1.0, counters={
+            "disk1.retries": 2, "diskX.retries": 5, "disk.timeouts": 1, "disk1.other": 7})
+        assert result.per_disk_io_counters() == {1: {"retries": 2}}
+
 
 # ---------------------------------------------------------------------------
 # CLI: the `repro runs` family
@@ -584,6 +622,25 @@ class TestRunsCli:
     def _main(self, *argv):
         from repro.cli import main
         return main(list(argv))
+
+    def test_a_reader_closing_the_pipe_ends_the_listing_quietly(self, tmp_path):
+        """``repro runs list | head``: the listing outgrows the pipe buffer,
+        the reader leaves after one line, and the writer exits 0 with
+        nothing on stderr."""
+        path = str(tmp_path / "registry.jsonl")
+        registry = RunRegistry.open(path)
+        for seed in range(1500):
+            registry.record(make_record(seed=seed), durable=False)
+        registry.compact()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "runs", "list", "--registry", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert process.stdout.readline()
+        process.stdout.close()
+        assert process.wait(timeout=60) == 0
+        assert process.stderr.read() == b""
+        process.stderr.close()
 
     def test_an_empty_ledger_lists_as_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -6,6 +6,7 @@ import pytest
 from repro.fs.filesystem import FileSystem
 from repro.kernel.thread import ThreadState
 from repro.params import BLOCK_SIZE
+from repro.sim import metrics
 from repro.spechint.tool import SpecHintTool
 from repro.vm.assembler import Assembler
 from repro.vm.isa import (
@@ -109,6 +110,29 @@ class TestBeforeRead:
         assert not spec.restart_flag
 
 
+    def test_a_read_of_stdout_saves_a_zero_result(self):
+        """The check runs before the kernel's read looks at the fd: a read
+        of stdout, which has no file, asks for a restart predicting 0."""
+        def stdout_reader():
+            asm = Assembler("stdout_reader")
+            asm.data_space("buf", 64)
+            asm.entry("main")
+            with asm.function("main"):
+                asm.li(Reg.a0, 1)
+                asm.la(Reg.a1, "buf")
+                asm.li(Reg.a2, 64)
+                asm.syscall(SYS_READ)
+                asm.li(Reg.a0, 0)
+                asm.syscall(SYS_EXIT)
+            return asm.finish()
+
+        system, process = spawn_spec(stdout_reader)
+        system.kernel.run()
+        assert system.stats.get(metrics.SPEC_RESTART_REQUESTS) == 1
+        assert process.spec._saved_read_n == 0
+        assert process.exit_code == 0
+
+
 class TestPerformRestart:
     def _request_and_restart(self, system, process, length=64):
         spec = process.spec
@@ -146,6 +170,14 @@ class TestPerformRestart:
         spec, _, _ = self._request_and_restart(system, process)
         sp = process.spec_thread.regs[int(Reg.sp)]
         assert spec.cow.is_copied(sp)
+
+    def test_a_restart_flag_with_no_saved_state_parks(self):
+        system, process = spawn_spec(trivial_binary)
+        spec = process.spec
+        spec.restart_flag = True
+        assert spec.perform_restart(process.spec_thread) == spec.params.restart_fixed_cycles
+        assert process.spec_thread.state is ThreadState.SPEC_IDLE
+        assert system.stats.get(metrics.SPEC_PARK_PREFIX + "no_saved_state") == 1
 
     def test_restart_clears_cow_and_log(self):
         system, process = spawn_spec(trivial_binary)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import UnsupportedBinary
+from repro.spechint.report import TransformReport
 from repro.spechint.tool import (
     COW_LOAD_CHECK_CYCLES,
     COW_STORE_CHECK_CYCLES,
@@ -248,6 +249,10 @@ class TestReport:
         assert report.jump_tables_unrecognized == 1
         assert report.transformed_size_bytes > report.original_size_bytes
         assert report.size_increase_pct > 0
+
+    def test_an_empty_original_grows_by_zero_percent(self):
+        assert TransformReport("empty", original_size_bytes=0,
+                               original_insns=0).size_increase_pct == 0.0
 
     def test_declared_size_honoured(self):
         binary = build_sample()

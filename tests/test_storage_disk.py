@@ -147,11 +147,14 @@ class TestQueueing:
         assert not disk.promote_queued(99)
 
 
-def test_without_a_track_buffer_the_next_block_is_a_sequential_access():
-    disk, engine, stats, done = make_disk(params=DiskParams(track_readahead_blocks=0))
+@pytest.mark.parametrize("readahead, regimes", [(0, (2, 0)), (1, (1, 1))])
+def test_the_next_block_is_a_buffer_hit_or_a_positioned_access(readahead, regimes):
+    """Two regimes: with any read-ahead the block after a media access is
+    in the track buffer; without, it pays the positioning again."""
+    disk, engine, stats, done = make_disk(params=DiskParams(track_readahead_blocks=readahead))
     for block in (100, 101):
         disk.submit(request_for(disk, block))
         drain(engine)
-    assert stats.get("disk0.random_accesses") == 1
-    assert stats.get("disk0.sequential_accesses") == 1
-    assert stats.get("disk0.buffer_hits") == 0
+    assert (stats.get("disk0.random_accesses"), stats.get("disk0.buffer_hits")) == regimes
+    services = [r.finish_time - r.start_time for r in done]
+    assert (services[0] == services[1]) is (readahead == 0)

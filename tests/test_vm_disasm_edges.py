@@ -1,9 +1,11 @@
 """Instruction-formatter edge cases: function-boundary control flow and
 jump-table operand rendering."""
 
+import pytest
+
 from repro.vm.assembler import Assembler
 from repro.vm.disasm import format_insn
-from repro.vm.isa import SYS_EXIT, Reg
+from repro.vm.isa import SYS_EXIT, Insn, Op, Reg
 
 
 def build_boundary_binary():
@@ -82,3 +84,10 @@ class TestJumpTableOperands:
                     if insn.op.name == "SWITCH"]
         line = format_insn(binary.text[index])
         assert line.strip().endswith("table#0")
+
+
+@pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+def test_every_opcode_has_its_own_format(op):
+    """The formatter's last case is SCWORK's: any other opcode reaching it
+    would print under a name not its own."""
+    assert format_insn(Insn(op)).startswith(op.name.lower())

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.errors import ArithmeticFault, IllegalAddress, MachineFault
+from repro.errors import ArithmeticFault, IllegalAddress, IsolationViolation, MachineFault
 from repro.vm.blocks import _STRAIGHT, _TRANSFER
-from repro.vm.isa import Op, Reg, SYS_SBRK, to_signed
+from repro.vm.isa import Insn, Op, Reg, SYS_SBRK, to_signed
 from repro.vm.machine import Machine
 from repro.vm.memory import DATA_BASE
 
-from tests.conftest import run_program
+from tests.conftest import assemble, run_program
 
 
 def reg_after(build, reg=Reg.s0):
@@ -303,3 +303,32 @@ class TestOneDefinitionPerInstruction:
             assert not (op in _STRAIGHT and op in _TRANSFER), op
             if templated:
                 assert not hasattr(Machine, f"_op_{op.name.lower()}"), op
+
+    def test_a_cow_opcode_in_a_program_with_no_cow_map_is_invalid(self, system):
+        """The COW opcodes are templated only where a COW map is bound (a
+        speculating binary's process): anywhere else one is the machine's,
+        and an invalid instruction."""
+        binary = assemble(lambda asm: asm.li(Reg.s0, 12345))
+        at = next(i for i, insn in enumerate(binary.text) if insn.c == 12345)
+        binary.text = binary.text[:at] + (Insn(Op.COW_LOAD, Reg.s0, Reg.sp),) \
+            + binary.text[at + 1:]
+        system.kernel.spawn(binary)
+        with pytest.raises(MachineFault, match=f"invalid opcode {Op.COW_LOAD} at pc={at}"):
+            system.kernel.run()
+
+
+class TestIsolation:
+    def test_an_isolation_violation_off_speculation_propagates(self, system):
+        """Only a speculating thread's violation is quarantined; on the
+        original thread it is the simulator's fault and ends the run."""
+        def body(asm):
+            asm.data_word("g", 0)
+            asm.la(Reg.t0, "g")
+            asm.store(Reg.t0, Reg.t0, 0)
+        process = system.kernel.spawn(assemble(body))
+
+        def guard(addr, length):
+            raise IsolationViolation(f"write to {addr:#x}")
+        process.mem.write_guard = guard
+        with pytest.raises(IsolationViolation, match="write to"):
+            system.kernel.run()
